@@ -39,33 +39,35 @@ def _chiral_report(pair, tol):
         "omitted": [],
     }
     one = ops.identity(pair.u.fiber_dim)
+    ker_minus = ker_plus = None
     if gap_minus.certified:
         try:
-            ker = transfer.exact_kernel(pair.u + one, pair.gamma0, tol.rank_tol)
-            report["indices"]["si_minus"] = ker.graded_signature
-            report["indices"]["dim_ker_u_plus_one"] = ker.dimension
-            report["diagnostics_minus"] = ker.to_dict()
+            ker_minus = transfer.exact_kernel(pair.u + one, pair.gamma0, tol.rank_tol)
+            report["indices"]["si_minus"] = ker_minus.graded_signature
+            report["indices"]["dim_ker_u_plus_one"] = ker_minus.dimension
+            report["diagnostics_minus"] = ker_minus.to_dict()
         except ChiralwalkError as exc:  # borderline: certified gap, oracle still refuses
             report["omitted"].append(f"si_minus: {exc}")
     else:
         report["omitted"].append(f"si_minus: gap_at(-1) {gap_minus.status}")
     if gap_plus.certified:
         try:
-            ker = transfer.exact_kernel(pair.u - one, pair.gamma0, tol.rank_tol)
-            report["indices"]["si_plus"] = ker.graded_signature
-            report["indices"]["dim_ker_u_minus_one"] = ker.dimension
-            report["diagnostics_plus"] = ker.to_dict()
+            ker_plus = transfer.exact_kernel(pair.u - one, pair.gamma0, tol.rank_tol)
+            report["indices"]["si_plus"] = ker_plus.graded_signature
+            report["indices"]["dim_ker_u_minus_one"] = ker_plus.dimension
+            report["diagnostics_plus"] = ker_plus.to_dict()
         except ChiralwalkError as exc:
             report["omitted"].append(f"si_plus: {exc}")
     else:
         report["omitted"].append(f"si_plus: gap_at(+1) {gap_plus.status}")
-    have_both = "si_plus" in report["indices"] and "si_minus" in report["indices"]
-    if have_both and gap_plus.certified and gap_minus.certified:
+    if ker_minus is not None and ker_plus is not None:
         report["indices"]["si_total"] = (
             report["indices"]["si_plus"] + report["indices"]["si_minus"]
         )
         try:
-            record = winding.verify_index_theorem(pair, min(tol.grid_n, 2048), tol.rank_tol)
+            record = winding.verify_index_theorem_chiral(
+                pair, min(tol.grid_n, 2048), tol.rank_tol, kernels=(ker_minus, ker_plus)
+            )
             report["windings"] = record.to_dict()
         except ChiralwalkError as exc:
             report["omitted"].append(f"winding comparison: {exc}")
@@ -108,8 +110,7 @@ def _custom_banded_report(f_op, tol):
     except (NotFredholmError, ChiralwalkError) as exc:
         report["omitted"].append(f"index: {exc}")
         return report, EXIT_REFUTED
-    result = transfer.exact_index(f_op, tol.rank_tol)
-    report["index"] = result.to_dict()
+    report["index"] = record.index_result.to_dict()
     report["index_theorem"] = record.to_dict()
     return report, EXIT_OK
 

@@ -3,11 +3,13 @@
 winding_det unwinds the phase of det F(z) around the circle with a
 step-size guard; nc_winding integrates the normalized logarithmic
 derivative and returns an exact rational with denominator equal to the
-fiber dimension.  chiral_flat_band_symbol compresses the spectral
-flattening of the Cayley transform of a chiral symbol to a unitary loop
-between the graded halves, with compression frames propagated
-continuously around the circle (closure holonomy recorded and folded
-into the winding).
+fiber dimension.  chiral_flat_band_symbol and
+chiral_imaginary_block_symbol compress the flattened Cayley transform
+and the imaginary part of a chiral symbol between its graded halves,
+batched over the grid: the frames are the grading eigenframes times
+cumulative polar factors of neighbouring overlaps (continuity
+propagation), and the closing holonomy, W_N relative to the gauge, is
+folded into the winding.
 
 Orientation: throughout the package, kernel-count indices are oriented
 so that an operator equal to 1 far to the left and to the forward shift
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from . import operators as ops
 from .exceptions import (
@@ -156,100 +157,105 @@ class SampledLoop:
         )
 
 
-def _spectral_flatten(u_mat, cayley_sign, tol=1e-8):
-    """Sign of the Cayley transform of (cayley_sign * u) via the spectrum of u.
+FRAME_DEGENERACY = "frame propagation degeneracy: projected frame nearly singular"
 
-    Eigenvalues of the unitary u on the upper half circle map to -1, on
-    the lower half to +1 (the limit of any normalizing function applied
-    to i(1+u)(1-u)^-1).  Eigenvalues at +-1 abort: no gap, no loop.
+
+def _adjoint(stack):
+    return stack.conj().swapaxes(-1, -2)
+
+
+def _prefix_products(mats):
+    """out[k] = mats[k] @ ... @ mats[0], by doubling: log2 N stacked matmuls."""
+    out = mats.copy()
+    shift = 1
+    while shift < len(out):
+        out[shift:] = out[shift:] @ out[:-shift]
+        shift *= 2
+    return out
+
+
+def _raise_first(checks):
+    """Raise the error a sweep k = 0..N meets first; ``checks`` are
+    (mask over k, error) in the order the guards apply at one point."""
+    hits = [(mask.argmax(), order) for order, (mask, _) in enumerate(checks) if mask.any()]
+    if hits:
+        raise checks[min(hits)[1]][1]
+
+
+def _compression_frames(pair, side, grid_n, gauge=None):
+    """u and the transported grading frames on the closed grid z_0..z_N = z_0.
+
+    E_k, the +1 and -1 eigenframes of the grading symbol (a half-rank
+    self-adjoint unitary), come from one batched eigh.  Propagation
+    frame_k = polar(P_k frame_{k-1}) equals E_k W_k with
+    W_k = polar(E_k^* E_{k-1}) W_{k-1}, W_0 = gauge: one batched SVD of
+    the overlaps and a cumulative product.  Returns u, the frames and the
+    holonomies frame_0^* frame_N (ordered +1, -1), and the mask of steps
+    whose overlap has a singular value below 0.1.
     """
-    t_mat, vecs = scipy.linalg.schur(np.asarray(u_mat, dtype=complex), output="complex")
-    evals = np.diag(t_mat) * cayley_sign
-    if np.abs(evals - 1.0).min() < tol or np.abs(evals + 1.0).min() < tol:
-        raise PreconditionError(
-            "symbol eigenvalue at +-1: spectral flattening undefined (gap violated)"
-        )
-    signs = np.where(evals.imag > 0, -1.0, 1.0)
-    return (vecs * signs) @ vecs.conj().T
-
-
-def _eigh_frames(g0_mat, tol=1e-8):
-    """Orthonormal frames of the +-1 eigenspaces of a self-adjoint unitary."""
-    evals, vecs = np.linalg.eigh(0.5 * (g0_mat + g0_mat.conj().T))
-    plus = vecs[:, evals > 0.5]
-    minus = vecs[:, evals < -0.5]
+    d = pair.u.fiber_dim
+    if d % 2 != 0:
+        raise PreconditionError("chiral loop compression needs an even fiber dimension")
+    half = d // 2
+    zs = circle_grid(grid_n)
+    ring = np.arange(zs.size + 1) % zs.size
+    u_vals = pair.u.symbol_at(side)(zs)[ring]
+    g0_vals = pair.gamma0.symbol_at(side)(zs)[ring]
+    evals, vecs = np.linalg.eigh(0.5 * (g0_vals + _adjoint(g0_vals)))
     if np.any(np.abs(np.abs(evals) - 1.0) > 1e-6):
         raise PreconditionError("grading symbol is not a self-adjoint unitary on the grid")
-    return plus, minus
-
-
-def _propagate_frame(projector, frame):
-    """Closest isometry to projector @ frame (polar factor)."""
-    candidate = projector @ frame
-    u_mat, svals, vh = np.linalg.svd(candidate, full_matrices=False)
-    if svals.min() < 0.1:
-        raise FramePropagationError(
-            "frame propagation degeneracy: projected frame nearly singular"
+    rank = (evals > 0.5).sum(axis=-1)
+    if np.any(rank != half):
+        raise PreconditionError(
+            f"grading symbol rank {rank[rank != half][0]} differs from half the fiber {half}"
         )
-    return u_mat @ vh
+    frames = np.stack([vecs[..., half:], vecs[..., :half]], axis=1)
+    left, svals, right = np.linalg.svd(_adjoint(frames[1:]) @ frames[:-1])
+    eye = np.eye(half)
+    start = np.asarray((eye, eye) if gauge is None else gauge, dtype=complex)[None]
+    frames = frames @ _prefix_products(np.concatenate([start, left @ right]))
+    weak = np.concatenate([[False], (svals[..., -1] < 0.1).any(axis=-1)])
+    return u_vals, frames, _adjoint(frames[0]) @ frames[-1], weak
 
 
 def chiral_flat_band_symbol(pair, side, grid_n=512, cayley_sign=1, gauge=None):
     """Compressed flat-band loop of one limit symbol of a chiral pair.
 
-    cayley_sign +1 gives the loop built from the Cayley transform of u,
-    -1 the one from the Cayley transform of -u (pointwise negatives of
-    one another).  Requires an even fiber with half-rank grading at
-    every grid point.  ``gauge`` optionally right-multiplies the two
-    starting frames by fixed unitaries; the holonomy-corrected winding
-    must not depend on it.
+    The flattening of the Cayley transform of cayley_sign * u is
+    -sign(cayley_sign * Im u), from one batched eigh; an eigenvalue of u
+    within 1e-8 of +-1 aborts.  It is compressed between the grading
+    frames, which are the eigenframes times cumulative polar factors of
+    the overlaps (see ``_compression_frames``).  cayley_sign -1 gives
+    the pointwise negative of the +1 loop.  ``gauge`` optionally
+    right-multiplies the two starting frames by fixed unitaries; the
+    holonomy-corrected winding must not depend on it.
     """
-    d = pair.u.fiber_dim
-    if d % 2 != 0:
-        raise PreconditionError("flat-band compression needs an even fiber dimension")
-    half = d // 2
-    u_loop = pair.u.symbol_at(side)
-    g0_loop = pair.gamma0.symbol_at(side)
-    n = int(grid_n)
-    zs = circle_grid(n)
-    u_vals = u_loop(zs)
-    g0_vals = g0_loop(zs)
-
-    frame_plus, frame_minus = _eigh_frames(g0_vals[0])
-    if frame_plus.shape[1] != half or frame_minus.shape[1] != half:
-        raise PreconditionError(
-            f"grading symbol rank {frame_plus.shape[1]} differs from half the fiber {half}"
-        )
-    if gauge is not None:
-        frame_plus = frame_plus @ np.asarray(gauge[0], dtype=complex)
-        frame_minus = frame_minus @ np.asarray(gauge[1], dtype=complex)
-    start_plus, start_minus = frame_plus, frame_minus
-    samples = np.empty((n + 1, half, half), dtype=complex)
-    for k in range(n + 1):
-        idx = k % n
-        if k > 0:
-            p0 = 0.5 * (np.eye(d) + g0_vals[idx])
-            p1 = np.eye(d) - p0
-            frame_plus = _propagate_frame(p0, frame_plus)
-            frame_minus = _propagate_frame(p1, frame_minus)
-        flat = _spectral_flatten(u_vals[idx], cayley_sign)
-        block = frame_minus.conj().T @ flat @ frame_plus
-        dev = np.abs(block.conj().T @ block - np.eye(half)).max()
-        if dev > 1e-8:
-            raise PreconditionError(
-                f"compressed block deviates from unitarity by {dev:.3e} "
-                "(is the dual gap certified?)"
-            )
-        samples[k] = block
-    holonomy_plus = start_plus.conj().T @ frame_plus
-    holonomy_minus = start_minus.conj().T @ frame_minus
+    u_vals, frames, holonomies, weak = _compression_frames(pair, side, grid_n, gauge)
+    evals = np.linalg.eigvals(u_vals)
+    at_pm_one = (np.minimum(np.abs(evals - 1.0), np.abs(evals + 1.0)) < 1e-8).any(axis=-1)
+    im_evals, im_vecs = np.linalg.eigh((u_vals - _adjoint(u_vals)) / 2j)
+    signs = np.where(cayley_sign * im_evals > 0, -1.0, 1.0)
+    flat = (im_vecs * signs[:, None, :]) @ _adjoint(im_vecs)
+    samples = _adjoint(frames[:, 1]) @ flat @ frames[:, 0]
+    dev = np.abs(_adjoint(samples) @ samples - np.eye(samples.shape[-1])).max(axis=(1, 2))
+    not_unitary = dev > 1e-8
+    _raise_first([
+        (weak, FramePropagationError(FRAME_DEGENERACY)),
+        (at_pm_one, PreconditionError(
+            "symbol eigenvalue at +-1: spectral flattening undefined (gap violated)"
+        )),
+        (not_unitary, PreconditionError(
+            f"compressed block deviates from unitarity by {dev[not_unitary.argmax()]:.3e} "
+            "(is the dual gap certified?)"
+        )),
+    ])
     return SampledLoop(
-        fiber_dim=half,
+        fiber_dim=samples.shape[-1],
         samples=samples,
-        holonomy_plus=holonomy_plus,
-        holonomy_minus=holonomy_minus,
+        holonomy_plus=holonomies[0],
+        holonomy_minus=holonomies[1],
         side=side,
-        grid_n=n,
+        grid_n=int(grid_n),
     )
 
 
@@ -257,38 +263,19 @@ def chiral_imaginary_block_symbol(pair, side, grid_n=512):
     """Compressed loop of Im(u) between the graded halves of one limit symbol.
 
     Invertible exactly when both essential gaps hold; its winding feeds
-    the total-index comparison.
+    the total-index comparison.  Frames as in ``chiral_flat_band_symbol``.
     """
-    d = pair.u.fiber_dim
-    if d % 2 != 0:
-        raise PreconditionError("block compression needs an even fiber dimension")
-    half = d // 2
-    u_loop = pair.u.symbol_at(side)
-    g0_loop = pair.gamma0.symbol_at(side)
-    n = int(grid_n)
-    zs = circle_grid(n)
-    u_vals = u_loop(zs)
-    g0_vals = g0_loop(zs)
-    frame_plus, frame_minus = _eigh_frames(g0_vals[0])
-    if frame_plus.shape[1] != half:
-        raise PreconditionError("grading symbol rank differs from half the fiber")
-    start_plus, start_minus = frame_plus, frame_minus
-    samples = np.empty((n + 1, half, half), dtype=complex)
-    for k in range(n + 1):
-        idx = k % n
-        if k > 0:
-            p0 = 0.5 * (np.eye(d) + g0_vals[idx])
-            frame_plus = _propagate_frame(p0, frame_plus)
-            frame_minus = _propagate_frame(np.eye(d) - p0, frame_minus)
-        q_mat = (u_vals[idx] - u_vals[idx].conj().T) / 2j
-        samples[k] = frame_minus.conj().T @ q_mat @ frame_plus
+    u_vals, frames, holonomies, weak = _compression_frames(pair, side, grid_n)
+    if weak.any():
+        raise FramePropagationError(FRAME_DEGENERACY)
+    samples = _adjoint(frames[:, 1]) @ ((u_vals - _adjoint(u_vals)) / 2j) @ frames[:, 0]
     return SampledLoop(
-        fiber_dim=half,
+        fiber_dim=samples.shape[-1],
         samples=samples,
-        holonomy_plus=start_plus.conj().T @ frame_plus,
-        holonomy_minus=start_minus.conj().T @ frame_minus,
+        holonomy_plus=holonomies[0],
+        holonomy_minus=holonomies[1],
         side=side,
-        grid_n=n,
+        grid_n=int(grid_n),
     )
 
 
@@ -363,10 +350,12 @@ def verify_index_theorem_banded(f_op, grid_n=4096, rank_tol=1e-8):
         winding_right=int(wr * d),
         fiber_dim=d,
     )
-    return IndexTheoremRecord(branches=[branch])
+    record = IndexTheoremRecord(branches=[branch])
+    record.index_result = result
+    return record
 
 
-def verify_index_theorem_chiral(pair, grid_n=512, rank_tol=1e-8):
+def verify_index_theorem_chiral(pair, grid_n=512, rank_tol=1e-8, kernels=None):
     """Compare the total symmetry index of a chiral pair with symbol windings.
 
     The kernel side comes from the transfer oracle: the graded
@@ -380,11 +369,18 @@ def verify_index_theorem_chiral(pair, grid_n=512, rank_tol=1e-8):
     and si_minus is carried by finite-dimensional +-1 eigenspaces that
     limit symbols cannot see, so only the sum admits a winding formula;
     both summands are still computed and attached to the record.
+    ``kernels`` optionally passes the graded kernels of U + 1 and U - 1,
+    already computed with the same ``rank_tol``, so that they are not
+    computed again.
     """
     d = pair.u.fiber_dim
-    one = ops.identity(d)
-    ker_minus = exact_kernel(pair.u + one, gamma0=pair.gamma0, rank_tol=rank_tol)
-    ker_plus = exact_kernel(pair.u - one, gamma0=pair.gamma0, rank_tol=rank_tol)
+    if kernels is None:
+        one = ops.identity(d)
+        kernels = (
+            exact_kernel(pair.u + one, gamma0=pair.gamma0, rank_tol=rank_tol),
+            exact_kernel(pair.u - one, gamma0=pair.gamma0, rank_tol=rank_tol),
+        )
+    ker_minus, ker_plus = kernels
     si_minus = ker_minus.graded_signature
     si_plus = ker_plus.graded_signature
     lhs = -(si_plus + si_minus)

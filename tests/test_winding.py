@@ -1,10 +1,12 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chiralwalk import operators as ops, winding
-from chiralwalk.exceptions import NotFredholmError, PreconditionError
+from chiralwalk.exceptions import FramePropagationError, NotFredholmError, PreconditionError
 from chiralwalk.operators import SymbolLoop
 from chiralwalk.verification import (
     interpolating_shift_model,
@@ -16,6 +18,107 @@ from chiralwalk.walks import build_weighted_shift_walk
 
 def scalar(v):
     return np.array([[v]], dtype=complex)
+
+
+# --- point-by-point reference for the batched compressed loops ----------------
+
+
+def _reference_flatten(u_mat, cayley_sign, tol=1e-8):
+    t_mat, vecs = scipy.linalg.schur(np.asarray(u_mat, dtype=complex), output="complex")
+    evals = np.diag(t_mat) * cayley_sign
+    if np.abs(evals - 1.0).min() < tol or np.abs(evals + 1.0).min() < tol:
+        raise PreconditionError("symbol eigenvalue at +-1")
+    signs = np.where(evals.imag > 0, -1.0, 1.0)
+    return (vecs * signs) @ vecs.conj().T
+
+
+def _reference_frames(g0_mat):
+    evals, vecs = np.linalg.eigh(0.5 * (g0_mat + g0_mat.conj().T))
+    return vecs[:, evals > 0.5], vecs[:, evals < -0.5]
+
+
+def _reference_propagate(projector, frame):
+    u_mat, svals, vh = np.linalg.svd(projector @ frame, full_matrices=False)
+    if svals.min() < 0.1:
+        raise FramePropagationError("projected frame nearly singular")
+    return u_mat @ vh
+
+
+def reference_loop(pair, side, grid_n, cayley_sign=None, gauge=None):
+    """One Schur and two polar SVDs per grid point, frames propagated in turn.
+
+    cayley_sign None builds the imaginary-part block, +-1 the flat band.
+    """
+    d = pair.u.fiber_dim
+    half = d // 2
+    zs = ops.circle_grid(grid_n)
+    u_vals = pair.u.symbol_at(side)(zs)
+    g0_vals = pair.gamma0.symbol_at(side)(zs)
+    frame_plus, frame_minus = _reference_frames(g0_vals[0])
+    if gauge is not None:
+        frame_plus = frame_plus @ gauge[0]
+        frame_minus = frame_minus @ gauge[1]
+    start_plus, start_minus = frame_plus, frame_minus
+    samples = np.empty((grid_n + 1, half, half), dtype=complex)
+    for k in range(grid_n + 1):
+        idx = k % grid_n
+        if k > 0:
+            p0 = 0.5 * (np.eye(d) + g0_vals[idx])
+            frame_plus = _reference_propagate(p0, frame_plus)
+            frame_minus = _reference_propagate(np.eye(d) - p0, frame_minus)
+        if cayley_sign is None:
+            middle = (u_vals[idx] - u_vals[idx].conj().T) / 2j
+        else:
+            middle = _reference_flatten(u_vals[idx], cayley_sign)
+        samples[k] = frame_minus.conj().T @ middle @ frame_plus
+    return winding.SampledLoop(
+        fiber_dim=half,
+        samples=samples,
+        holonomy_plus=start_plus.conj().T @ frame_plus,
+        holonomy_minus=start_minus.conj().T @ frame_minus,
+        side=side,
+        grid_n=grid_n,
+    )
+
+
+def batched_loop(pair, side, grid_n, cayley_sign=None, gauge=None):
+    if cayley_sign is None:
+        return winding.chiral_imaginary_block_symbol(pair, side, grid_n)
+    return winding.chiral_flat_band_symbol(pair, side, grid_n, cayley_sign, gauge)
+
+
+def assert_loops_match(loop, ref, tol=1e-12):
+    assert loop.samples.shape == ref.samples.shape
+    assert np.abs(loop.samples - ref.samples).max() < tol
+    for attr in ("holonomy_plus", "holonomy_minus"):
+        assert abs(np.linalg.det(getattr(loop, attr)) - np.linalg.det(getattr(ref, attr))) < tol
+    got, want = loop.winding(), ref.winding()
+    assert got.rounded == want.rounded
+    assert abs(got.raw_phase - want.raw_phase) < tol
+
+
+def block_sum_pair(pair_a, pair_b, v):
+    """Symbol-level chiral data of v (pair_a + pair_b) v^* on a doubled fiber."""
+
+    def summed(loop_a, loop_b):
+        da, db = loop_a.fiber_dim, loop_b.fiber_dim
+        coeffs = {}
+        for n in set(loop_a.coefficients) | set(loop_b.coefficients):
+            block = scipy.linalg.block_diag(
+                loop_a.coefficients.get(n, np.zeros((da, da))),
+                loop_b.coefficients.get(n, np.zeros((db, db))),
+            )
+            coeffs[n] = v @ block @ v.conj().T
+        return SymbolLoop(da + db, coeffs)
+
+    def operator(name):
+        a, b = getattr(pair_a, name), getattr(pair_b, name)
+        return SimpleNamespace(
+            fiber_dim=a.fiber_dim + b.fiber_dim,
+            symbol_at=lambda side: summed(a.symbol_at(side), b.symbol_at(side)),
+        )
+
+    return SimpleNamespace(u=operator("u"), gamma0=operator("gamma0"))
 
 
 class TestWindingDet:
@@ -147,6 +250,79 @@ class TestFlatBandLoop:
         w1 = winding.chiral_flat_band_symbol(pair, ops.LEFT, 128).winding().rounded
         w2 = winding.chiral_flat_band_symbol(pair, ops.LEFT, 256).winding().rounded
         assert w1 == w2
+
+
+class TestBatchedLoops:
+    def test_random_split_steps_match_reference(self):
+        rng = np.random.default_rng(11)
+        for trial in range(12):
+            angles = rng.uniform(0.0, np.pi, size=3)
+            defects = {}
+            if trial % 2:
+                defects = {x: float(rng.uniform(0.0, np.pi)) for x in range(-1, 2)}
+            pair = split_step_from_angles(
+                *angles, shift_exponent=1 + trial % 4 // 2, defects=defects
+            )
+            for side in (ops.LEFT, ops.RIGHT):
+                for cayley_sign in (1, -1, None):
+                    gauge = None
+                    if cayley_sign is not None and trial % 3:
+                        gauge = (random_unitary(1, rng), random_unitary(1, rng))
+                    assert_loops_match(
+                        batched_loop(pair, side, 96, cayley_sign, gauge),
+                        reference_loop(pair, side, 96, cayley_sign, gauge),
+                    )
+
+    def test_half_two_block_sum_matches_parts(self):
+        # a fixed unitary mixes the two parts, so the grading eigenframes
+        # are 2-dimensional and the transport steps are genuine 2x2 polars
+        parts = (
+            split_step_from_angles(2.8, 0.4, 1.2),
+            split_step_from_angles(1.28, 0.14, 0.15, shift_exponent=2),
+        )
+        rng = np.random.default_rng(12)
+        pair = block_sum_pair(*parts, random_unitary(4, rng))
+        gauge = (random_unitary(2, rng), random_unitary(2, rng))
+        for side in (ops.LEFT, ops.RIGHT):
+            for cayley_sign in (1, -1, None):
+                loop = batched_loop(pair, side, 128, cayley_sign, gauge if cayley_sign else None)
+                ref = reference_loop(pair, side, 128, cayley_sign, gauge if cayley_sign else None)
+                assert loop.samples.shape == (129, 2, 2)
+                assert_loops_match(loop, ref)
+                parts_sum = sum(
+                    batched_loop(part, side, 128, cayley_sign).winding().rounded
+                    for part in parts
+                )
+                assert loop.winding().rounded == parts_sum
+
+    def test_transport_guard_on_coarse_grid(self):
+        # grading [[0, z^4], [z^-4, 0]] on 8 points: the eigenframes of
+        # neighbouring points are orthogonal, so no transport step exists
+        def loop(sign):
+            return SymbolLoop(2, {4: [[0, sign], [0, 0]], -4: [[0, 0], [1, 0]]})
+
+        pair = SimpleNamespace(
+            u=SimpleNamespace(fiber_dim=2, symbol_at=lambda side: loop(-1)),
+            gamma0=SimpleNamespace(symbol_at=lambda side: loop(1)),
+        )
+        for cayley_sign in (1, -1, None):
+            with pytest.raises(FramePropagationError):
+                reference_loop(pair, ops.RIGHT, 8, cayley_sign)
+            with pytest.raises(FramePropagationError):
+                batched_loop(pair, ops.RIGHT, 8, cayley_sign)
+        batched_loop(pair, ops.RIGHT, 64, 1).winding()
+
+    def test_gap_closing_at_one_momentum_rejected(self):
+        # theta1 = theta2 on the right closes the gap at +1 only at z = 1
+        pair = split_step_from_angles(0.3, 1.1, 1.1)
+        zs = ops.circle_grid(64)
+        evals = np.linalg.eigvals(pair.u.symbol_at(ops.RIGHT)(zs))
+        dist = np.abs(evals - 1.0).min(axis=1)
+        assert dist[0] < 1e-12 and dist[1:].min() > 1e-3
+        for cayley_sign in (1, -1):
+            with pytest.raises(PreconditionError):
+                winding.chiral_flat_band_symbol(pair, ops.RIGHT, 64, cayley_sign)
+        winding.chiral_flat_band_symbol(pair, ops.LEFT, 64).winding()
 
 
 class TestIndexTheorem:
