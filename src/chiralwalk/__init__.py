@@ -62,7 +62,13 @@ from .indices import (
     symmetry_index_pm,
     tanaka_index_pm,
 )
-from .essential import dichotomy_check, essential_norm, gap_at, is_fredholm_type
+from .essential import (
+    certify_unitary,
+    dichotomy_check,
+    essential_norm,
+    gap_at,
+    is_fredholm_type,
+)
 from .transfer import decaying_space, exact_index, exact_kernel
 from .winding import (
     chiral_flat_band_symbol,

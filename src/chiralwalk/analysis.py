@@ -22,17 +22,15 @@ EXIT_REFUTED = 2
 
 
 def _chiral_report(pair, tol):
-    gap_plus = essential.gap_at(pair.u, +1, tol.grid_n, tol.margin)
-    gap_minus = essential.gap_at(pair.u, -1, tol.grid_n, tol.margin)
-    fred = essential.is_fredholm_type(pair.u, tol.grid_n, tol.margin)
-    dicho = essential.dichotomy_check(pair, tol.grid_n, tol.margin)
+    certs = essential.certify_unitary(pair.u, tol.grid_n, tol.margin)
+    gap_plus, gap_minus = certs.gap_plus, certs.gap_minus
     report = {
         "chiral_certification": pair.certification.to_dict(),
         "certifications": {
             "gap_plus_one": gap_plus.to_dict(),
             "gap_minus_one": gap_minus.to_dict(),
-            "fredholm_type": fred.to_dict(),
-            "dichotomy": dicho.to_dict(),
+            "fredholm_type": certs.fredholm.to_dict(),
+            "dichotomy": certs.dichotomy.to_dict(),
         },
         "indices": {},
         "windings": None,

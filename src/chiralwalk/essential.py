@@ -5,6 +5,26 @@ the pair of limit symbols, so the essential norm is the larger of the
 two symbol sup-norms over the circle.  Certifications are tri-state
 (certified / refuted / inconclusive) to avoid silently miscertifying at
 a phase transition.
+
+The certifications of a unitary U all read one symbol spectrum.  Each
+limit symbol F(z) of U is unitary, hence normal, and for a normal
+matrix with eigenvalues lambda
+
+    sigma_min(F(z) - t) = min |lambda - t|,    || 1 -+ F(z) || = max |1 -+ lambda|,
+
+so the gaps at +-1 and the Fredholm-type norms || 1 -+ U ||_ess come
+from one batched eigendecomposition per limit symbol and grid size
+(``SymbolSpectrum``).  Normality is certified without a grid:
+F(z)^* F(z) - 1 = sum_n C_n z^n is a Laurent polynomial whose limit
+band coefficients C_n are known exactly, and
+
+    sup_{|z|=1} || F(z)^* F(z) - 1 || <= sum_n || C_n ||_2,
+
+which must stay below UNITARY_TOL on both sides.  For a chiral pair
+U = G0 G1 with G0 a self-adjoint unitary, G0 -+ G1 = G0 (1 -+ U), so
+|| G0 -+ G1 ||_ess = || 1 -+ U ||_ess: the dichotomy is read off the
+Fredholm-type norms.  ``essential_norm`` keeps singular values for
+general, non-normal banded operators.
 """
 
 from __future__ import annotations
@@ -14,13 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .exceptions import ChiralwalkError
+from .exceptions import ChiralwalkError, PreconditionError
 from .operators import circle_grid
 
 DEFAULT_GRID_N = 4096
 MAX_GRID_N = 2**16
 DEFAULT_MARGIN = 1e-6
 REFINE_TOL = 1e-6
+UNITARY_TOL = 1e-8
 
 CERTIFIED = "certified"
 REFUTED = "refuted"
@@ -36,19 +57,37 @@ class EssentialNorm:
         return self.value
 
 
+def _checked_grid(grid_n):
+    grid_n = int(grid_n)
+    if grid_n < 16:
+        raise ChiralwalkError("grid_n must be at least 16")
+    return grid_n
+
+
+def _refine(measure, grid_n, keep):
+    """Double the grid from grid_n until ``measure`` moves by less than REFINE_TOL.
+
+    On convergence the last two values merge by ``keep`` (min for a gap,
+    max for a norm); at the MAX_GRID_N cap the last value stands.
+    Returns (value, grid reached).
+    """
+    n = grid_n
+    value = measure(n)
+    while n < MAX_GRID_N:
+        nxt = measure(2 * n)
+        n *= 2
+        if abs(nxt - value) < REFINE_TOL:
+            return keep(value, nxt), n
+        value = nxt
+    return value, n
+
+
 def _sup_opnorm(loop, zs):
     """max over the grid of the largest singular value of loop(z)."""
     vals = loop(zs)
     if vals.size == 0:
         return 0.0
     return float(np.linalg.svd(vals, compute_uv=False)[:, 0].max())
-
-
-def _min_singular(loop, zs):
-    vals = loop(zs)
-    if vals.size == 0:
-        return np.inf
-    return float(np.linalg.svd(vals, compute_uv=False)[:, -1].min())
 
 
 def essential_norm(a, grid_n=DEFAULT_GRID_N, refine=True):
@@ -58,26 +97,56 @@ def essential_norm(a, grid_n=DEFAULT_GRID_N, refine=True):
     monotone non-decreasing under grid doubling.  The grid doubles until
     the value moves by less than 1e-6, capped at 2^16.
     """
-    grid_n = int(grid_n)
-    if grid_n < 16:
-        raise ChiralwalkError("grid_n must be at least 16")
+    grid_n = _checked_grid(grid_n)
     loops = [a.symbol_at(ops.LEFT), a.symbol_at(ops.RIGHT)]
 
     def value_at(n):
         zs = circle_grid(n)
         return max(_sup_opnorm(loop, zs) for loop in loops)
 
-    n = grid_n
-    value = value_at(n)
-    while refine and n < MAX_GRID_N:
-        nxt = value_at(2 * n)
-        if abs(nxt - value) < REFINE_TOL:
-            value = max(value, nxt)
-            n *= 2
-            break
-        value = nxt
-        n *= 2
+    if not refine:
+        return EssentialNorm(value=value_at(grid_n), grid_n=grid_n)
+    value, n = _refine(value_at, grid_n, max)
     return EssentialNorm(value=value, grid_n=n)
+
+
+class SymbolSpectrum:
+    """Eigenvalues of both limit symbols of a banded operator, cached by grid size.
+
+    Reading gaps and norms off eigenvalue moduli needs normal symbols;
+    certifications call require_unitary() first.  The eigenvalues
+    themselves (the spectrum dump) carry no such precondition.
+    """
+
+    def __init__(self, op):
+        self.loops = (op.symbol_at(ops.LEFT), op.symbol_at(ops.RIGHT))
+        self._eigenvalues = {}
+
+    def eigenvalues(self, n):
+        """(2, n, d) eigenvalues: left then right symbol at circle_grid(n)."""
+        if n not in self._eigenvalues:
+            zs = circle_grid(n)
+            self._eigenvalues[n] = np.stack([np.linalg.eigvals(loop(zs)) for loop in self.loops])
+        return self._eigenvalues[n]
+
+    def require_unitary(self):
+        """Bound sup_z || F(z)^* F(z) - 1 || on both sides from the band coefficients.
+
+        Guards the eigenvalue-modulus readings, which hold for normal
+        symbols only.
+        """
+        bound = 0.0
+        for loop in self.loops:
+            coeffs = dict((loop.hermitian_conjugate() * loop).coefficients)
+            coeffs[0] = coeffs.get(0, 0) - np.eye(loop.fiber_dim)
+            stack = np.stack(list(coeffs.values()))
+            bound = max(bound, float(np.linalg.norm(stack, 2, axis=(1, 2)).sum()))
+        if bound > UNITARY_TOL:
+            raise PreconditionError(
+                f"limit symbols are not unitary: sup |F*F - 1| <= {bound:.3e} "
+                f"exceeds {UNITARY_TOL:.0e}"
+            )
+        return self
 
 
 @dataclass
@@ -102,6 +171,18 @@ class Certification:
         }
 
 
+def _certification(slack, value, threshold, margin, grid_n):
+    if slack > margin:
+        status = CERTIFIED
+    elif slack <= margin * 1e-3:
+        status = REFUTED
+    else:
+        status = INCONCLUSIVE
+    return Certification(
+        status=status, value=value, threshold=threshold, margin=margin, grid_n=grid_n
+    )
+
+
 @dataclass
 class FredholmTypeCertification:
     minus: Certification   # || 1 - U || < 2, gates the Cayley transform of U
@@ -109,68 +190,6 @@ class FredholmTypeCertification:
 
     def to_dict(self):
         return {"one_minus_u": self.minus.to_dict(), "one_plus_u": self.plus.to_dict()}
-
-
-def is_fredholm_type(u, grid_n=DEFAULT_GRID_N, margin=DEFAULT_MARGIN):
-    """Certify || 1 -+ U ||_ess < 2 for a unitary lattice operator."""
-    one = ops.identity(u.fiber_dim)
-    certs = []
-    for sign in (-1.0, +1.0):
-        norm = essential_norm(one + u.scaled(sign), grid_n)
-        slack = 2.0 - norm.value
-        if slack > margin:
-            status = CERTIFIED
-        elif slack <= margin * 1e-3:
-            status = REFUTED
-        else:
-            status = INCONCLUSIVE
-        certs.append(
-            Certification(
-                status=status,
-                value=norm.value,
-                threshold=2.0,
-                margin=margin,
-                grid_n=norm.grid_n,
-            )
-        )
-    return FredholmTypeCertification(minus=certs[0], plus=certs[1])
-
-
-def gap_at(u, target, grid_n=DEFAULT_GRID_N, margin=DEFAULT_MARGIN):
-    """Distance of the essential spectrum of U from target (+1 or -1).
-
-    Measured as the smallest singular value of symbol(U)(z) - target
-    over both sides and the grid.  A gap above the margin certifies;
-    one below margin/1000 refutes; in between is inconclusive.
-    """
-    if target not in (1, -1, 1.0, -1.0):
-        raise ChiralwalkError("target must be +1 or -1")
-    grid_n = int(grid_n)
-    if grid_n < 16:
-        raise ChiralwalkError("grid_n must be at least 16")
-    shifted = u - ops.identity(u.fiber_dim).scaled(target)
-    loops = [shifted.symbol_at(ops.LEFT), shifted.symbol_at(ops.RIGHT)]
-
-    def gap_value(n):
-        zs = circle_grid(n)
-        return min(_min_singular(loop, zs) for loop in loops)
-
-    n = grid_n
-    gap = gap_value(n)
-    while n < MAX_GRID_N:
-        nxt = gap_value(2 * n)
-        n *= 2
-        if abs(nxt - gap) < REFINE_TOL:
-            gap = min(gap, nxt)
-            break
-        gap = nxt
-    if gap > margin:
-        status = CERTIFIED
-    elif gap <= margin * 1e-3:
-        status = REFUTED
-    else:
-        status = INCONCLUSIVE
-    return Certification(status=status, value=gap, threshold=0.0, margin=margin, grid_n=n)
 
 
 @dataclass
@@ -192,26 +211,93 @@ class DichotomyReport:
         }
 
 
+@dataclass
+class UnitaryCertification:
+    gap_plus: Certification
+    gap_minus: Certification
+    fredholm: FredholmTypeCertification
+    dichotomy: DichotomyReport   # meaningful when U = G0 G1 is a chiral pair
+
+
+def _gap(spectrum, target, grid_n, margin):
+    value, n = _refine(
+        lambda m: float(np.abs(spectrum.eigenvalues(m) - target).min()), grid_n, min
+    )
+    return _certification(value, value, 0.0, margin, n)
+
+
+def _norm(spectrum, sign, grid_n, margin):
+    """|| 1 + sign U ||_ess < 2."""
+    value, n = _refine(
+        lambda m: float(np.abs(1.0 + sign * spectrum.eigenvalues(m)).max()), grid_n, max
+    )
+    return _certification(2.0 - value, value, 2.0, margin, n)
+
+
+def _fredholm(spectrum, grid_n, margin):
+    return FredholmTypeCertification(
+        minus=_norm(spectrum, -1.0, grid_n, margin), plus=_norm(spectrum, +1.0, grid_n, margin)
+    )
+
+
+def _dichotomy(fred, margin):
+    return DichotomyReport(
+        norm_difference=fred.minus.value, norm_sum=fred.plus.value, margin=margin
+    )
+
+
+def certify_unitary(u, grid_n=DEFAULT_GRID_N, margin=DEFAULT_MARGIN):
+    """Gaps at +-1, Fredholm type and dichotomy of a unitary from one symbol spectrum.
+
+    Each quantity keeps its own grid doubling, stopping rule and
+    reported grid_n; every grid size is evaluated and eigendecomposed once.
+    """
+    grid_n = _checked_grid(grid_n)
+    spectrum = SymbolSpectrum(u).require_unitary()
+    fred = _fredholm(spectrum, grid_n, margin)
+    return UnitaryCertification(
+        gap_plus=_gap(spectrum, 1.0, grid_n, margin),
+        gap_minus=_gap(spectrum, -1.0, grid_n, margin),
+        fredholm=fred,
+        dichotomy=_dichotomy(fred, margin),
+    )
+
+
+def is_fredholm_type(u, grid_n=DEFAULT_GRID_N, margin=DEFAULT_MARGIN):
+    """Certify || 1 -+ U ||_ess < 2 for a unitary lattice operator."""
+    return _fredholm(SymbolSpectrum(u).require_unitary(), _checked_grid(grid_n), margin)
+
+
+def gap_at(u, target, grid_n=DEFAULT_GRID_N, margin=DEFAULT_MARGIN):
+    """Distance of the essential spectrum of U from target (+1 or -1).
+
+    Measured as min |eigenvalue - target| of both limit symbols over the
+    grid.  A gap above the margin certifies; one below margin/1000
+    refutes; in between is inconclusive.
+    """
+    if target not in (1, -1, 1.0, -1.0):
+        raise ChiralwalkError("target must be +1 or -1")
+    return _gap(SymbolSpectrum(u).require_unitary(), float(target), _checked_grid(grid_n), margin)
+
+
 def dichotomy_check(pair, grid_n=DEFAULT_GRID_N, margin=DEFAULT_MARGIN):
     """On the infinite lattice one of || G0 -+ G1 ||_ess must reach 1."""
-    diff = essential_norm(pair.gamma0 - pair.gamma1, grid_n)
-    total = essential_norm(pair.gamma0 + pair.gamma1, grid_n)
-    return DichotomyReport(
-        norm_difference=diff.value, norm_sum=total.value, margin=margin
-    )
+    spectrum = SymbolSpectrum(pair.u).require_unitary()
+    return _dichotomy(_fredholm(spectrum, _checked_grid(grid_n), margin), margin)
 
 
 def symbol_eigenvalues(u, grid_n=DEFAULT_GRID_N):
     """Sampled eigenvalues of both limit symbols.
 
-    Yields (side, theta, eigenvalue) tuples in deterministic order.
+    Yields (side, theta, eigenvalue) tuples in deterministic order:
+    side, then grid point, then eigenvalue by (real, imag).
     """
-    thetas = 2.0 * np.pi * np.arange(int(grid_n)) / int(grid_n)
-    zs = np.exp(1j * thetas)
+    n = int(grid_n)
+    thetas = (2.0 * np.pi * np.arange(n) / n).tolist()
+    evs = SymbolSpectrum(u).eigenvalues(n)
+    evs = np.take_along_axis(evs, np.lexsort((evs.imag, evs.real)), axis=-1)
     out = []
-    for side in (ops.LEFT, ops.RIGHT):
-        vals = u.symbol_at(side)(zs)
-        for theta, mat in zip(thetas, vals):
-            for ev in sorted(np.linalg.eigvals(mat), key=lambda w: (w.real, w.imag)):
-                out.append((side, float(theta), complex(ev)))
+    for side, side_evs in zip((ops.LEFT, ops.RIGHT), evs.tolist()):
+        for theta, point_evs in zip(thetas, side_evs):
+            out.extend((side, theta, ev) for ev in point_evs)
     return out

@@ -347,10 +347,8 @@ def certified_split_step_models(rng, count, grid_n=1024, max_attempts=2000):
     while len(models) < count and attempts < max_attempts:
         attempts += 1
         pair = random_split_step(rng)
-        if (
-            essential.gap_at(pair.u, +1, grid_n).certified
-            and essential.gap_at(pair.u, -1, grid_n).certified
-        ):
+        certs = essential.certify_unitary(pair.u, grid_n)
+        if certs.gap_plus.certified and certs.gap_minus.certified:
             models.append(pair)
     if len(models) < count:
         raise RuntimeError("could not certify enough random split-step models")
@@ -398,10 +396,8 @@ def homotopy_suite(paths=None, samples=8, grid_n=1024, rank_tol=1e-8):
         for t in np.linspace(0.0, 1.0, samples):
             angles = (1 - t) * start + t * end
             pair = split_step_from_angles(*angles)
-            if not (
-                essential.gap_at(pair.u, +1, grid_n).certified
-                and essential.gap_at(pair.u, -1, grid_n).certified
-            ):
+            certs = essential.certify_unitary(pair.u, grid_n)
+            if not (certs.gap_plus.certified and certs.gap_minus.certified):
                 ok = False
                 result.record(False, f"path {idx}: cell t={t:.3f} not certified")
                 break

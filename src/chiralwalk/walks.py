@@ -132,15 +132,6 @@ class ChiralCertification:
         }
 
 
-def _interior_truncation_norm(op, L):
-    """Max absolute entry of the truncation rows that no edge effect can touch."""
-    t = op.truncate(L)
-    d = op.fiber_dim
-    r = op.band_radius
-    inner = t.matrix[(r * d) : (t.size - r * d), :]
-    return float(np.abs(inner).max()) if inner.size else 0.0
-
-
 def _symbol_sup(op, zs):
     dev = 0.0
     for side in (ops.LEFT, ops.RIGHT):
@@ -150,7 +141,12 @@ def _symbol_sup(op, zs):
 
 
 def verify_chiral_parts(gamma0, gamma1, u=None, n_symbol_points=64):
-    """Deviations of the defining relations, on truncations and on symbols."""
+    """Deviations of the defining relations, on band coefficients and on symbols.
+
+    The coefficient part is the largest entry of each residual, limits
+    included.  window_halfwidth is the largest band radius plus the
+    largest bulk extent of the residuals plus four sites.
+    """
     if u is None:
         u = gamma0 @ gamma1
     d = gamma0.fiber_dim
@@ -171,13 +167,13 @@ def verify_chiral_parts(gamma0, gamma1, u=None, n_symbol_points=64):
     L = radius + bulk + 4
     zs = circle_grid(n_symbol_points)
     sym = {k: _symbol_sup(r, zs) for k, r in residuals.items()}
-    trunc = {k: _interior_truncation_norm(r, L) for k, r in residuals.items()}
+    coeff = {k: float(r.entry_sup()) for k, r in residuals.items()}
     return ChiralCertification(
-        gamma0_selfadjoint=max(trunc["g0_sa"], sym["g0_sa"]),
-        gamma1_selfadjoint=max(trunc["g1_sa"], sym["g1_sa"]),
-        gamma0_involution=max(trunc["g0_inv"], sym["g0_inv"]),
-        gamma1_involution=max(trunc["g1_inv"], sym["g1_inv"]),
-        chiral_relation=max(trunc["chiral"], sym["chiral"]),
+        gamma0_selfadjoint=max(coeff["g0_sa"], sym["g0_sa"]),
+        gamma1_selfadjoint=max(coeff["g1_sa"], sym["g1_sa"]),
+        gamma0_involution=max(coeff["g0_inv"], sym["g0_inv"]),
+        gamma1_involution=max(coeff["g1_inv"], sym["g1_inv"]),
+        chiral_relation=max(coeff["chiral"], sym["chiral"]),
         symbol_deviation=max(sym.values()),
         unitary_symbol_deviation=sym["u_unitary"],
         window_halfwidth=L,

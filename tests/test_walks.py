@@ -95,6 +95,22 @@ class TestBuildWalk:
             assert pair.certification.chiral_relation < 1e-10
             assert pair.certification.unitary_symbol_deviation < 1e-12
 
+    def test_residual_entry_sup_equals_interior_truncation(self):
+        # the coefficient part of the chiral check: entry_sup of each residual
+        # against the max entry of the truncation rows no edge effect touches
+        rng = np.random.default_rng(9)
+        one = ops.identity(2)
+        for _ in range(4):
+            defects = {x: rng.uniform(0, np.pi) for x in range(-1, 2)}
+            pair = split_step_from_angles(*rng.uniform(0, np.pi, size=3), 2, defects)
+            g0, g1, u = pair.gamma0, pair.gamma1, pair.u
+            for r in (g0 @ g0 - one, g0 @ u @ g0 - u.adjoint(), u.adjoint() @ u - one):
+                lo, hi = r.bulk_window()
+                L = r.band_radius + max(abs(lo), abs(hi)) + 4
+                t = r.truncate(L)
+                inner = t.matrix[r.band_radius * 2 : t.size - r.band_radius * 2, :]
+                assert r.entry_sup() == (np.abs(inner).max() if inner.size else 0.0)
+
     def test_symbol_spectrum_conjugation_symmetric(self):
         pair = split_step_from_angles(0.4, 1.9, 1.1)
         zs = circle_grid(16)
