@@ -69,7 +69,7 @@ from .essential import (
     gap_at,
     is_fredholm_type,
 )
-from .transfer import decaying_space, exact_index, exact_kernel
+from .transfer import exact_index, exact_kernel
 from .winding import (
     chiral_flat_band_symbol,
     nc_winding,

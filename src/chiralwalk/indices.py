@@ -67,17 +67,18 @@ class KernelSummary:
     """Orthonormal kernel basis with diagnostics and optional graded signature."""
 
     dimension: int
-    basis: np.ndarray                    # columns orthonormal
+    basis: np.ndarray | None             # columns orthonormal; None from the lattice oracle
     rank_tolerance_used: float
     singular_values_near_zero: list = field(default_factory=list)
     borderline_singular_values: list = field(default_factory=list)
     graded_signature: int | None = None
-    site_window: tuple | None = None     # set by the lattice oracle only
+    signature_margin: float | None = None  # min |compressed eigenvalue| - SIGNATURE_GAP
 
     def to_dict(self):
         return {
             "dimension": self.dimension,
             "graded_signature": self.graded_signature,
+            "signature_margin": self.signature_margin,
             "rank_tolerance_used": self.rank_tolerance_used,
             "singular_values_near_zero": [float(s) for s in self.singular_values_near_zero],
             "borderline_singular_values": [float(s) for s in self.borderline_singular_values],

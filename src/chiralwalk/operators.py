@@ -132,7 +132,11 @@ class CoefficientFunction:
 
     def values_on(self, lo, hi):
         """Stacked values on the inclusive site range [lo, hi]."""
-        return np.stack([self.value_at(x) for x in range(lo, hi + 1)])
+        xs = np.arange(lo, hi + 1)
+        out = np.where((xs < self.window_start)[:, None, None], self.left, self.right)
+        bulk = (xs >= self.window_start) & (xs < self.window_end)
+        out[bulk] = self.values[xs[bulk] - self.window_start]
+        return out
 
     def is_constant(self):
         return self.values.shape[0] == 0 and np.array_equal(self.left, self.right)

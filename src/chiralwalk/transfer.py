@@ -6,7 +6,10 @@ the finitely many equations that see the bulk.  Germ spaces are
 deflating subspaces of a block companion pencil (QZ with eigenvalue
 reordering), which handles singular extreme bands (eigenvalues at 0 and
 infinity encode tails of finite support).  Truncation is never used:
-open boundaries would pollute the kernel with edge modes.
+open boundaries would pollute the kernel with edge modes.  Graded
+signatures come from the Gram and gamma0 forms of the kernel vectors;
+beyond a finite window their tails are geometric, and the tail sums
+solve Stein equations, so nothing is walked site by site.
 """
 
 from __future__ import annotations
@@ -18,19 +21,11 @@ import numpy as np
 import scipy.linalg
 
 from . import operators as ops
-from .exceptions import (
-    DegenerateSymbolError,
-    NotFredholmError,
-    PreconditionError,
-)
+from .exceptions import NotFredholmError, PreconditionError
 from .indices import SIGNATURE_GAP, KernelSummary, kernel_basis
 from .operators import circle_grid
 
 CIRCLE_MARGIN = 1e-6
-TAIL_TOL = 1e-10
-MODE_RESIDUAL_TOL = 1e-8
-MAX_TAIL_STEPS = 20000
-MAX_CHAIN_LENGTH = 4
 
 
 # --- scalar determinant of a symbol loop ------------------------------------
@@ -52,7 +47,7 @@ def _det_laurent(loop, coeff_tol=1e-11):
     dets = np.linalg.det(loop(zs))
     # det(z) * z^(-low) is a polynomial of degree m-1; sample and invert
     samples = dets * zs ** (-low)
-    coeffs = np.fft.ifft(samples)
+    coeffs = np.fft.fft(samples) / m
     scale = np.abs(coeffs).max()
     if scale == 0:
         return 0, np.zeros(1, dtype=complex)
@@ -77,156 +72,6 @@ def _det_roots(loop):
         return np.zeros(0, dtype=complex), int(order_at_zero)
     roots = np.roots(poly[::-1])  # np.roots wants highest power first
     return roots, int(order_at_zero)
-
-
-# --- public decaying-solution space ------------------------------------------
-
-
-@dataclass
-class DecayingMode:
-    z: complex
-    multiplicity: int
-    jordan_chains: list        # list of chains, each a list of C^d vectors
-
-    @property
-    def head(self):
-        return self.jordan_chains[0][0]
-
-
-@dataclass
-class DecayingSolutionSpace:
-    side: str
-    dimension: int
-    modes: list
-    modes_at_infinity: int = 0
-
-
-def _null_vectors(mat, scale, tol=MODE_RESIDUAL_TOL):
-    """Null vectors against an absolute threshold set by the loop scale."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=complex))
-    _, svals, vh = np.linalg.svd(mat)
-    threshold = tol * max(scale, 1.0)
-    basis = vh.conj().T[:, np.concatenate([svals, np.zeros(mat.shape[1] - svals.size)]) < threshold]
-    return [basis[:, j] for j in range(basis.shape[1])]
-
-
-def _loop_scale(loop):
-    return max((np.abs(m).max() for m in loop.coefficients.values()), default=1.0)
-
-
-def _jordan_chains_at(loop, z0, multiplicity):
-    """Jordan chains of the loop at a nonzero root, up to length 4."""
-    d = loop.fiber_dim
-    scale = _loop_scale(loop)
-    derivs = [loop(z0)]
-    current = loop
-    for _ in range(MAX_CHAIN_LENGTH):
-        current = current.derivative()
-        derivs.append(current(z0))
-    heads = _null_vectors(derivs[0], scale)
-    if not heads:
-        raise DegenerateSymbolError(f"no null vector at claimed root z={z0}")
-    chains = [[h] for h in heads]
-    remaining = multiplicity - len(heads)
-    # extend chains one rung at a time while algebraic multiplicity remains
-    rung = 1
-    while remaining > 0:
-        if rung >= MAX_CHAIN_LENGTH:
-            raise DegenerateSymbolError(
-                f"Jordan chain longer than {MAX_CHAIN_LENGTH} at root z={z0}"
-            )
-        extended = 0
-        for chain in chains:
-            if len(chain) != rung:
-                continue
-            if remaining - extended <= 0:
-                break
-            # solve F(z0) w = -sum_{j>=1} F^(j)(z0)/j! chain[-j]
-            rhs = np.zeros(d, dtype=complex)
-            fact = 1.0
-            for j in range(1, len(chain) + 1):
-                fact *= j
-                rhs -= derivs[j] @ chain[len(chain) - j] / fact
-            w, residual, _, _ = np.linalg.lstsq(derivs[0], rhs, rcond=None)
-            check = np.linalg.norm(derivs[0] @ w - rhs)
-            scale = max(1.0, np.linalg.norm(rhs))
-            if check > MODE_RESIDUAL_TOL * scale:
-                continue
-            chain.append(w)
-            extended += 1
-        if extended == 0:
-            raise DegenerateSymbolError(
-                f"could not complete Jordan structure at root z={z0}"
-            )
-        remaining -= extended
-        rung += 1
-    return chains
-
-
-def _group_roots(roots, tol=1e-7):
-    """Cluster numerically coincident roots into (value, multiplicity) pairs."""
-    groups = []
-    for z in sorted(roots, key=lambda w: (round(w.real, 10), round(w.imag, 10))):
-        for g in groups:
-            if abs(z - g[0]) < tol * max(1.0, abs(g[0])):
-                g[1] += 1
-                g[0] = (g[0] * (g[1] - 1) + z) / g[1]
-                break
-        else:
-            groups.append([z, 1])
-    return [(complex(z), int(m)) for z, m in groups]
-
-
-def decaying_space(loop, side, circle_margin=CIRCLE_MARGIN):
-    """Solution modes of the loop's lattice recursion decaying on one side.
-
-    Modes pair a root z of det(loop) with Jordan chain vectors whose
-    head satisfies loop(z) . head = 0.  Right-decaying modes have
-    |z| < 1, left-decaying ones |z| > 1; the dimension counts roots
-    with multiplicity, including the structural ones at 0 (right) or
-    infinity (left).  Roots within the margin of the unit circle abort:
-    the operator is not of Fredholm type there.
-    """
-    ops._check_side(side)
-    roots, order_at_zero = _det_roots(loop)
-    on_circle = np.abs(np.abs(roots) - 1.0) <= circle_margin
-    if np.any(on_circle):
-        bad = roots[on_circle][0]
-        raise NotFredholmError(
-            f"unit-circle root of det(symbol) at z = {bad:.6f}; no finite kernel guarantee"
-        )
-    if side == ops.RIGHT:
-        kept = roots[np.abs(roots) < 1.0]
-        extra = max(order_at_zero, 0)
-        zero_genuine = extra
-        infinity_count = 0
-    else:
-        kept = roots[np.abs(roots) > 1.0]
-        # roots at infinity: degree deficiency of the Laurent determinant
-        low, coeffs = _det_laurent(loop)
-        nz = np.nonzero(coeffs)[0]
-        top_power = low + nz[-1]
-        d = loop.fiber_dim
-        nmax = max(loop.offsets()) if loop.offsets() else 0
-        infinity_count = max(d * nmax - top_power, 0)
-        zero_genuine = 0
-    modes = []
-    for z0, mult in _group_roots(kept):
-        chains = _jordan_chains_at(loop, z0, mult)
-        modes.append(DecayingMode(z=z0, multiplicity=mult, jordan_chains=chains))
-    if zero_genuine:
-        d = loop.fiber_dim
-        if min(loop.offsets()) == 0:
-            heads = _null_vectors(loop.coefficients[0], _loop_scale(loop))
-        else:
-            heads = [np.eye(d)[:, j] for j in range(min(zero_genuine, d))]
-        modes.append(
-            DecayingMode(z=0.0, multiplicity=zero_genuine, jordan_chains=[[h] for h in heads])
-        )
-    dimension = sum(m.multiplicity for m in modes) + infinity_count
-    return DecayingSolutionSpace(
-        side=side, dimension=dimension, modes=modes, modes_at_infinity=infinity_count
-    )
 
 
 # --- half-line germ spaces via the companion pencil --------------------------
@@ -313,134 +158,98 @@ def _check_symbols_fredholm(a, circle_margin):
             )
 
 
-def _multiplication_kernel(a, gamma0, rank_tol):
-    """Kernel of a pure multiplication operator: sitewise null spaces."""
-    f = a.coefficient(0)
-    d = a.fiber_dim
-    for side, mat in ((ops.LEFT, f.left), (ops.RIGHT, f.right)):
-        if np.linalg.svd(mat, compute_uv=False)[-1] < 1e-12:
-            raise NotFredholmError(f"{side} limit of the multiplication operator is singular")
-    lo, hi = f.window_start, f.window_end
-    vectors = []
-    for x in range(lo, hi):
-        null = kernel_basis(f.value_at(x), rank_tol)
-        for j in range(null.dimension):
-            vectors.append((x, null.basis[:, j]))
-    if not vectors:
-        return KernelSummary(0, np.zeros((d, 0), complex), float(rank_tol), site_window=(lo, hi))
-    width = max(hi - lo, 1)
-    mat = np.zeros((width * d, len(vectors)), dtype=complex)
-    for col, (x, vec) in enumerate(vectors):
-        mat[(x - lo) * d : (x - lo + 1) * d, col] = vec
-    summary = KernelSummary(
-        dimension=len(vectors),
-        basis=np.linalg.qr(mat)[0][:, : len(vectors)],
-        rank_tolerance_used=float(rank_tol),
-        site_window=(lo, hi - 1),
-    )
-    if gamma0 is not None:
-        summary.graded_signature = _window_graded_signature(
-            gamma0, summary.basis, lo, hi - 1
-        )
-    return summary
-
-
 def _apply_banded_window(op, values, lo):
     """Apply a banded operator to compactly supported window values.
 
-    values has one row per site starting at ``lo``; the result window
-    extends by the band radius on both sides.
+    values has one row per site starting at ``lo`` (shape (n, d) or
+    (n, d, columns)); the result window extends by the band radius on
+    both sides.
     """
     r = op.band_radius
     n, d = values.shape[0], op.fiber_dim
     out_lo = lo - r
-    out = np.zeros((n + 2 * r, d), dtype=complex)
+    padded = np.zeros((n + 4 * r,) + values.shape[1:], dtype=complex)
+    padded[2 * r : 2 * r + n] = values
+    out = np.zeros((n + 2 * r,) + values.shape[1:], dtype=complex)
     for offset, f in op.bands.items():
-        for row in range(out.shape[0]):
-            x = out_lo + row
-            y = x - offset
-            if lo <= y < lo + n:
-                out[row] += f.value_at(x) @ values[y - lo]
+        coeffs = f.values_on(out_lo, out_lo + n + 2 * r - 1)
+        # row t is site out_lo + t and reads u at padded row t + r - offset
+        shifted = padded[r - offset : 3 * r - offset + n]
+        out += (coeffs @ shifted.reshape(n + 2 * r, d, -1)).reshape(shifted.shape)
     return out, out_lo
 
 
-def _window_graded_signature(gamma0, basis, lo, hi):
-    """Signature of gamma0 on kernel vectors given as stacked site blocks."""
-    d = gamma0.fiber_dim
-    k = basis.shape[1]
-    if k == 0:
+def _powers(step, n):
+    """Stacked powers step^0 .. step^n, shape (n + 1, k, k), built by doubling."""
+    out = np.eye(step.shape[0], dtype=complex)[None]
+    while out.shape[0] <= n:
+        out = np.concatenate([out, (out[-1] @ step) @ out])
+    return out[: n + 1]
+
+
+def _decay_length(step, cutoff):
+    """First j with ||step^j||_2 < cutoff (0 for an empty germ)."""
+    if step.shape[0] == 0:
         return 0
-    n_sites = hi - lo + 1
-    cols = basis.reshape(n_sites, d, k)
-    compressed = np.zeros((k, k), dtype=complex)
-    for j in range(k):
-        image, out_lo = _apply_banded_window(gamma0, cols[:, :, j], lo)
-        # overlap of the image window with the original window
-        shift = lo - out_lo
-        image_aligned = image[shift : shift + n_sites]
-        compressed[:, j] = (cols.reshape(n_sites * d, k).conj().T) @ image_aligned.reshape(-1)
-    compressed = 0.5 * (compressed + compressed.conj().T)
-    evals = np.linalg.eigvalsh(compressed)
-    if np.any(np.abs(evals) < SIGNATURE_GAP):
-        raise PreconditionError(
-            "kernel not Gamma0-invariant within tolerance (lattice signature)"
-        )
-    return int(np.sum(evals > SIGNATURE_GAP) - np.sum(evals < -SIGNATURE_GAP))
+    n = 1
+    while np.linalg.norm(np.linalg.matrix_power(step, n), 2) >= cutoff:
+        n *= 2
+    norms = np.linalg.norm(_powers(step, n), 2, axis=(1, 2))
+    return int(np.argmax(norms < cutoff))
 
 
-def _tail_extension(germ, tail_tol):
-    """Number of extra sites and stacked coordinate powers for tail reconstruction."""
-    k = germ.dimension
-    if k == 0:
-        return 0, []
-    powers = []
-    current = np.eye(k, dtype=complex)
-    norm0 = 1.0
-    steps = 0
-    while steps < MAX_TAIL_STEPS:
-        current = germ.step @ current
-        norm = np.linalg.norm(current, 2)
-        powers.append(current.copy())
-        steps += 1
-        if norm < tail_tol * norm0:
-            break
-    else:
-        raise PreconditionError(
-            "tail decay too slow for reconstruction; operator is nearly gapless "
-            "(consider re-centering the window)"
-        )
-    return steps, powers
+@dataclass
+class _MatchingSystem:
+    """Null space of the matching system and the germs that continue it.
 
-
-def exact_kernel(
-    a,
-    gamma0=None,
-    rank_tol=1e-8,
-    circle_margin=CIRCLE_MARGIN,
-    tail_tol=TAIL_TOL,
-    extra_padding=0,
-):
-    """Kernel of a banded anisotropic operator on the doubly infinite lattice.
-
-    Candidate solutions combine a left-decaying germ, explicit bulk
-    values and a right-decaying germ; the returned dimension is the
-    null-space dimension of the finite matching system.  With ``gamma0``
-    given, the graded signature over the reconstructed kernel vectors is
-    attached (tails below ``tail_tol`` are discarded).  ``extra_padding``
-    widens the matching window; the result must not depend on it.
+    The unknowns are (alpha, mids, beta): left germ coordinates of the
+    anchor window [y0, y0 + 2r - 1], explicit values on the sites
+    between the anchors, and right germ coordinates of the anchor
+    window [y1 - 2r + 1, y1].
     """
-    d = a.fiber_dim
-    _check_symbols_fredholm(a, circle_margin)
-    r = a.band_radius
-    if r == 0:
-        return _multiplication_kernel(a, gamma0, rank_tol)
-    if a.is_translation_invariant():
-        # invertible symbol on the circle means an invertible operator
-        summary = KernelSummary(0, np.zeros((0, 0), complex), float(rank_tol))
-        if gamma0 is not None:
-            summary.graded_signature = 0
-        return summary
 
+    null: KernelSummary
+    germ_left: _GermSpace
+    germ_right: _GermSpace
+    y0: int
+    y1: int
+
+    def values(self, lo, hi):
+        """Kernel vectors on the sites lo..hi, shape (sites, d, dim)."""
+        site_map = _site_map(self.germ_left, self.germ_right, self.y0, self.y1, lo, hi)
+        return site_map @ self.null.basis
+
+
+def _site_map(germ_left, germ_right, y0, y1, lo, hi):
+    """Values on the sites lo..hi (lo <= y0, y1 <= hi) as linear maps of the unknowns.
+
+    Shape (sites, d, unknowns).  Beyond the anchor windows the germs
+    continue geometrically: u(y0 - j) = W_0 S^j alpha on the left and
+    u(y1 + j) = W_last S^j beta on the right, with W_0 and W_last the
+    outer site blocks of the germ window bases and S the germ steps.
+    """
+    r = germ_left.radius
+    d = germ_left.window_basis.shape[0] // (2 * r)
+    k_l, k_r = germ_left.dimension, germ_right.dimension
+    n_mid = y1 - y0 + 1 - 4 * r
+    n_cols = k_l + n_mid * d + k_r
+    left = germ_left.window_basis.reshape(2 * r, d, k_l)
+    right = germ_right.window_basis.reshape(2 * r, d, k_r)
+    a, b = y0 - lo, y1 - lo
+    out = np.zeros((hi - lo + 1, d, n_cols), dtype=complex)
+    out[:a, :, :k_l] = left[0] @ _powers(germ_left.step, a)[:0:-1]
+    out[a : a + 2 * r, :, :k_l] = left
+    out[a + 2 * r : b - 2 * r + 1, :, k_l : n_cols - k_r] = np.eye(n_mid * d).reshape(
+        n_mid, d, n_mid * d
+    )
+    out[b - 2 * r + 1 : b + 1, :, n_cols - k_r :] = right
+    out[b + 1 :, :, n_cols - k_r :] = right[-1] @ _powers(germ_right.step, hi - y1)[1:]
+    return out
+
+
+def _matching_system(a, rank_tol, circle_margin, extra_padding):
+    """Glue the decaying germs of both ends across the non-constant equations."""
+    d, r = a.fiber_dim, a.band_radius
     left_coeffs = {n: f.left for n, f in a.bands.items()}
     right_coeffs = {n: f.right for n, f in a.bands.items()}
     germ_left = _half_line_germs(left_coeffs, d, r, "left", circle_margin)
@@ -452,105 +261,189 @@ def exact_kernel(
     last_mixed = (max(ends) - 1) if ends else -1
     eq_lo = first_mixed - int(extra_padding)
     eq_hi = max(last_mixed, eq_lo + 2 * r) + int(extra_padding)
+    y0, y1 = eq_lo - r, eq_hi + r     # outermost sites entering an imposed equation
 
-    y0 = eq_lo - r                   # leftmost site entering an imposed equation
-    y1 = eq_hi + r                   # rightmost
-    anchor_left_end = y0 + 2 * r - 1
-    anchor_right_start = y1 - 2 * r + 1
-    mid_sites = list(range(anchor_left_end + 1, anchor_right_start))
+    unknowns = _site_map(germ_left, germ_right, y0, y1, y0, y1)
+    image, _ = _apply_banded_window(a, unknowns, y0)
+    equations = image[2 * r : image.shape[0] - 2 * r]    # sites eq_lo .. eq_hi
+    null = kernel_basis(equations.reshape(-1, unknowns.shape[-1]), rank_tol)
+    return _MatchingSystem(null, germ_left, germ_right, y0, y1)
 
-    k_l, k_r = germ_left.dimension, germ_right.dimension
-    n_cols = k_l + len(mid_sites) * d + k_r
-    n_rows = (eq_hi - eq_lo + 1) * d
-    matching = np.zeros((n_rows, n_cols), dtype=complex)
 
-    def column_block(y):
-        """Return (kind, data) describing u(y) as a linear map of the unknowns."""
-        if y <= anchor_left_end:
-            p = y - y0
-            return ("left", germ_left.window_basis[p * d : (p + 1) * d, :])
-        if y >= anchor_right_start:
-            p = y - anchor_right_start
-            return ("right", germ_right.window_basis[p * d : (p + 1) * d, :])
-        i = mid_sites.index(y)
-        return ("mid", i)
+def _stein(step, m):
+    """Sum over j >= 0 of (step^j)^* m step^j: the X with X - step^* X step = m."""
+    return scipy.linalg.solve_discrete_lyapunov(step.conj().T, m)
 
-    mid_offset = k_l
-    right_offset = k_l + len(mid_sites) * d
-    for s in range(eq_lo, eq_hi + 1):
-        row = (s - eq_lo) * d
-        for offset, f in a.bands.items():
-            y = s - offset
-            if y < y0 or y > y1:
-                continue
-            coeff = f.value_at(s)
-            kind, data = column_block(y)
-            if kind == "left":
-                matching[row : row + d, :k_l] += coeff @ data
-            elif kind == "right":
-                matching[row : row + d, right_offset:] += coeff @ data
-            else:
-                j = mid_offset + data * d
-                matching[row : row + d, j : j + d] += coeff
 
-    null = kernel_basis(matching, rank_tol)
-    dim = null.dimension
-    if dim == 0:
-        summary = KernelSummary(
-            0,
-            np.zeros((0, 0), complex),
-            float(rank_tol),
-            singular_values_near_zero=null.singular_values_near_zero,
-            borderline_singular_values=null.borderline_singular_values,
-            site_window=(y0, y1),
+def _tail_forms(germ, edge, coeffs, depth, orient):
+    """Gram and gamma0 forms, in germ coordinates, of one tail beyond ``depth``.
+
+    The site at depth j holds edge @ S^j c; gamma0 acts with the constant
+    coefficients ``coeffs`` there, and band m reads depth j - orient * m
+    (orient -1 on the left, +1 on the right).  depth must exceed the
+    band radius of gamma0.
+    """
+    if germ.dimension == 0:
+        return np.zeros((0, 0), complex), np.zeros((0, 0), complex)
+    powers = _powers(germ.step, depth + max(map(abs, coeffs), default=0))
+    head = edge @ powers[depth]
+    gram = head.conj().T @ head
+    form = sum(head.conj().T @ g @ edge @ powers[depth - orient * m] for m, g in coeffs.items())
+    return _stein(germ.step, gram), _stein(germ.step, form)
+
+
+def _window_forms(gamma0, values, start):
+    """Gram and gamma0 forms of site values (rows from site ``start``),
+    summed over the sites whose whole gamma0 band lies in the window."""
+    r_g = gamma0.band_radius
+    n = values.shape[0] - 2 * r_g
+    image = _apply_banded_window(gamma0, values, start)[0][2 * r_g : 2 * r_g + n]
+    inner = values[r_g : r_g + n].conj()
+    return np.einsum("xia,xib->ab", inner, values[r_g : r_g + n]), np.einsum(
+        "xia,xib->ab", inner, image
+    )
+
+
+def _kernel_forms(system, gamma0):
+    """Lattice Gram matrix and gamma0 form of the kernel vectors.
+
+    Sites within gamma0's reach of the matching window or of gamma0's
+    own bulk are summed explicitly.  Beyond them every term is a germ
+    power sandwich with constant coefficients, summed in closed form, so
+    the cost does not depend on how slowly the tails decay.
+    """
+    r_g = gamma0.band_radius
+    g_lo, g_hi = gamma0.bulk_window()
+    lo = min(system.y0, g_lo) - r_g
+    hi = max(system.y1, g_hi) + r_g
+    gram, form = _window_forms(gamma0, system.values(lo - r_g, hi + r_g), lo - r_g)
+    basis, d = system.null.basis, gamma0.fiber_dim
+    left, right = system.germ_left, system.germ_right
+    tails = (
+        (left, basis[: left.dimension], left.window_basis[:d], ops.LEFT, system.y0 - lo + 1, -1),
+        (right, basis[basis.shape[0] - right.dimension :], right.window_basis[-d:], ops.RIGHT,
+         hi + 1 - system.y1, 1),
+    )
+    for germ, coords, edge, side, depth, orient in tails:
+        limits = gamma0.symbol_at(side).coefficients
+        tail_gram, tail_form = _tail_forms(germ, edge, limits, depth, orient)
+        gram = gram + coords.conj().T @ tail_gram @ coords
+        form = form + coords.conj().T @ tail_form @ coords
+    return gram, form
+
+
+def _graded_spectrum(gram, form):
+    """Eigenvalues of gamma0 compressed to the kernel: the pencil (form, gram)."""
+    return scipy.linalg.eigh(_hermitian(form), _hermitian(gram), eigvals_only=True)
+
+
+def _hermitian(m):
+    return 0.5 * (m + m.conj().T)
+
+
+def _signature(evals):
+    """Graded signature and its decision margin min|eig| - SIGNATURE_GAP (None if empty)."""
+    if np.any(np.abs(evals) < SIGNATURE_GAP):
+        raise PreconditionError(
+            "kernel not Gamma0-invariant within tolerance (lattice signature)"
         )
-        if gamma0 is not None:
-            summary.graded_signature = 0
-        return summary
+    signature = int(np.sum(evals > SIGNATURE_GAP) - np.sum(evals < -SIGNATURE_GAP))
+    margin = float(np.abs(evals).min() - SIGNATURE_GAP) if evals.size else None
+    return signature, margin
 
-    # reconstruct kernel vectors with geometric tails on both sides
-    steps_l, powers_l = _tail_extension(germ_left, tail_tol)
-    steps_r, powers_r = _tail_extension(germ_right, tail_tol)
-    lo = y0 - steps_l
-    hi = y1 + steps_r
-    n_sites = hi - lo + 1
-    vectors = np.zeros((n_sites * d, dim), dtype=complex)
-    for col in range(dim):
-        alpha = null.basis[:k_l, col]
-        mids = null.basis[mid_offset:right_offset, col]
-        beta = null.basis[right_offset:, col]
-        vals = np.zeros((n_sites, d), dtype=complex)
-        # anchor windows and middle
-        for p in range(2 * r):
-            vals[y0 + p - lo] = germ_left.window_basis[p * d : (p + 1) * d, :] @ alpha
-            vals[anchor_right_start + p - lo] = (
-                germ_right.window_basis[p * d : (p + 1) * d, :] @ beta
-            )
-        for i, y in enumerate(mid_sites):
-            vals[y - lo] = mids[i * d : (i + 1) * d]
-        # left tail: window start moves one site left per step
-        for j in range(1, steps_l + 1):
-            c = powers_l[j - 1] @ alpha
-            vals[y0 - j - lo] = germ_left.window_basis[:d, :] @ c
-        # right tail: new values appear at the trailing edge of the window
-        for j in range(1, steps_r + 1):
-            c = powers_r[j - 1] @ beta
-            vals[y1 + j - lo] = germ_right.window_basis[(2 * r - 1) * d :, :] @ c
-        vectors[:, col] = vals.reshape(-1)
 
-    q, _ = np.linalg.qr(vectors)
-    basis = q[:, :dim]
+def _multiplication_vectors(a, rank_tol):
+    """Sitewise null vectors of a multiplication operator: (values (sites, d, dim), first site)."""
+    f = a.coefficient(0)
+    for side, mat in ((ops.LEFT, f.left), (ops.RIGHT, f.right)):
+        if np.linalg.svd(mat, compute_uv=False)[-1] < 1e-12:
+            raise NotFredholmError(f"{side} limit of the multiplication operator is singular")
+    lo, hi = f.window_start, f.window_end
+    if hi == lo:
+        return np.zeros((0, a.fiber_dim, 0), dtype=complex), lo
+    # the null-space rule of kernel_basis, applied to every bulk site at once
+    _, svals, vh = np.linalg.svd(f.values_on(lo, hi - 1))
+    sites, cols = np.nonzero(svals < np.maximum(rank_tol * svals[:, :1], 1e-12))
+    values = np.zeros((hi - lo, a.fiber_dim, sites.size), dtype=complex)
+    values[sites, :, np.arange(sites.size)] = vh[sites, cols].conj()
+    return values, lo
+
+
+def _graded_kernel(a, gamma0, rank_tol, circle_margin, extra_padding):
+    """Kernel summary and gamma0's spectrum compressed to the kernel.
+
+    The spectrum is empty without gamma0 or without kernel.
+    """
+    _check_symbols_fredholm(a, circle_margin)
+    empty = np.zeros(0)
+    if a.band_radius == 0:
+        values, lo = _multiplication_vectors(a, rank_tol)
+        summary = KernelSummary(values.shape[-1], None, float(rank_tol))
+        if gamma0 is None or not summary.dimension:
+            return summary, empty
+        r_g = gamma0.band_radius
+        padded = np.pad(values, ((r_g, r_g), (0, 0), (0, 0)))
+        return summary, _graded_spectrum(*_window_forms(gamma0, padded, lo - r_g))
+    if a.is_translation_invariant():
+        # invertible symbol on the circle means an invertible operator
+        return KernelSummary(0, None, float(rank_tol)), empty
+
+    system = _matching_system(a, rank_tol, circle_margin, extra_padding)
+    null = system.null
     summary = KernelSummary(
-        dimension=dim,
-        basis=basis,
-        rank_tolerance_used=float(rank_tol),
+        null.dimension,
+        None,
+        float(rank_tol),
         singular_values_near_zero=null.singular_values_near_zero,
         borderline_singular_values=null.borderline_singular_values,
-        site_window=(lo, hi),
     )
+    if gamma0 is None or not null.dimension:
+        return summary, empty
+    return summary, _graded_spectrum(*_kernel_forms(system, gamma0))
+
+
+def exact_kernel(a, gamma0=None, rank_tol=1e-8, circle_margin=CIRCLE_MARGIN, extra_padding=0):
+    """Kernel of a banded anisotropic operator on the doubly infinite lattice.
+
+    Candidate solutions combine a left-decaying germ, explicit bulk
+    values and a right-decaying germ; the returned dimension is the
+    null-space dimension of the finite matching system.  With ``gamma0``
+    given, the graded signature is the inertia of gamma0's form against
+    the Gram matrix of the kernel vectors, their geometric tails summed
+    in closed form, and ``signature_margin`` says how close it came to
+    flipping.  No explicit basis is returned (see ``kernel_vectors``).
+    ``extra_padding`` widens the matching window; the result must not
+    depend on it.
+    """
+    summary, spectrum = _graded_kernel(a, gamma0, rank_tol, circle_margin, extra_padding)
     if gamma0 is not None:
-        summary.graded_signature = _window_graded_signature(gamma0, basis, lo, hi)
+        summary.graded_signature, summary.signature_margin = _signature(spectrum)
     return summary
+
+
+def kernel_vectors(a):
+    """Explicit kernel vectors on a finite site window, for diagnostics.
+
+    Needs band radius >= 1.  Each tail runs until the norm of its germ
+    step power falls below 1e-10, so the cost grows as the gap closes.
+    The columns are orthonormalised with the Cholesky factor of the
+    closed-form lattice Gram matrix, so they are orthonormal up to the
+    cut tails.  Returns (basis of shape (sites * d, dim), (lo, hi)); an
+    empty kernel keeps the matching window.
+    """
+    _check_symbols_fredholm(a, CIRCLE_MARGIN)
+    system = _matching_system(a, 1e-8, CIRCLE_MARGIN, 0)
+    dim, d = system.null.dimension, a.fiber_dim
+    lo, hi = system.y0, system.y1
+    if dim == 0:
+        return np.zeros(((hi - lo + 1) * d, 0), complex), (lo, hi)
+    lo -= _decay_length(system.germ_left.step, 1e-10)
+    hi += _decay_length(system.germ_right.step, 1e-10)
+    gram, _ = _kernel_forms(system, ops.identity(d))
+    chol = np.linalg.cholesky(_hermitian(gram))
+    vectors = system.values(lo, hi).reshape(-1, dim)
+    basis = scipy.linalg.solve_triangular(chol, vectors.conj().T, lower=True).conj().T
+    return basis, (lo, hi)
 
 
 @dataclass
