@@ -25,15 +25,9 @@ from .operators import (
     CoefficientFunction,
     SymbolLoop,
     TruncatedOperator,
-    adjoint,
-    add,
-    compose,
     identity,
     mult_op,
-    scale,
     shift_power,
-    symbol_at,
-    truncate,
 )
 from .walks import (
     ChiralPair,

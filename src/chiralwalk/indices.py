@@ -1,10 +1,12 @@
 """Finite-dimensional index computations for chiral unitaries.
 
 Every operation works on dense complex matrices.  Kernels are found by
-SVD with a relative rank threshold; graded quantities are signatures of
-the chiral symmetry compressed to a kernel, with eigenvalues required
-to sit near +-1 (an eigenvalue inside (-1/2, 1/2) signals a rank
-misclassification and raises instead of silently averaging).
+SVD with a relative rank threshold: the full SVD where the kernel basis is
+needed (graded kernels), singular values alone, batched per index, where
+only its dimension is.  Graded quantities are signatures of the chiral
+symmetry compressed to a kernel, with eigenvalues required to sit near +-1
+(an eigenvalue inside (-1/2, 1/2) signals a rank misclassification and
+raises instead of silently averaging).
 """
 
 from __future__ import annotations
@@ -117,6 +119,21 @@ def kernel_basis(matrix, rank_tol=DEFAULT_RANK_TOL, gamma0=None):
     return summary
 
 
+def _kernel_dims(matrices, rank_tol):
+    """``kernel_basis(m, rank_tol).dimension`` for one matrix or each of a same-shaped stack.
+
+    Singular values alone, in one call, under ``kernel_basis``'s threshold: a
+    wide matrix keeps its implicit zero singular values.  Python ints out.
+    """
+    m = np.asarray(matrices, dtype=complex)
+    rows, cols = m.shape[-2:]
+    if rows == 0 or cols == 0:
+        return np.full(m.shape[:-2], cols).tolist()
+    svals = np.linalg.svd(m, compute_uv=False)
+    threshold = np.maximum(rank_tol * svals[..., :1], 1e-12)
+    return (cols - np.sum(svals >= threshold, axis=-1)).tolist()
+
+
 def graded_signature(basis, gamma0):
     """Signature of gamma0 compressed to the span of the given orthonormal columns.
 
@@ -138,9 +155,8 @@ def graded_signature(basis, gamma0):
     return int(np.sum(evals > SIGNATURE_GAP) - np.sum(evals < -SIGNATURE_GAP))
 
 
-def _grading_frames(gamma0, tol=RELATION_TOL):
-    """Orthonormal bases (V_plus, V_minus) of the +-1 eigenspaces of gamma0."""
-    g = check_selfadjoint_unitary(gamma0, tol)
+def _grading_frames(g):
+    """Orthonormal bases (V_plus, V_minus) of the +-1 eigenspaces of a checked gamma0."""
     evals, vecs = np.linalg.eigh(g)
     return vecs[:, evals > 0], vecs[:, evals < 0]
 
@@ -167,17 +183,31 @@ def chiral_selfadjoint_index(q, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_
     return kernel_basis(q, rank_tol, g).graded_signature
 
 
+def _susy_core(u, frames, rank_tol):
+    # Q+ and Q+* differ in shape unless the grading is balanced; one rank for
+    # both would make the index cols - rows by construction
+    v_plus, v_minus = frames
+    q_plus = v_minus.conj().T @ ((u - u.conj().T) / 2j) @ v_plus
+    return _kernel_dims(q_plus, rank_tol) - _kernel_dims(q_plus.conj().T, rank_tol)
+
+
 def susy_index(u, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     """Fredholm index of the off-diagonal block of Im(U) = (U - U*)/2i."""
     u = check_unitary(u, tol)
     g = check_selfadjoint_unitary(gamma0, tol)
     check_chiral_relation(u, g, tol)
-    q = (u - u.conj().T) / 2j
-    v_plus, v_minus = _grading_frames(g, tol)
-    q_plus = v_minus.conj().T @ q @ v_plus
-    dim_ker = kernel_basis(q_plus, rank_tol).dimension
-    dim_coker = kernel_basis(q_plus.conj().T, rank_tol).dimension
-    return dim_ker - dim_coker
+    return _susy_core(u, _grading_frames(g), rank_tol)
+
+
+def _tanaka_core(u, frames, rank_tol):
+    re_u = 0.5 * (u + u.conj().T)
+    dims = []
+    for v in frames:
+        r = v.conj().T @ re_u @ v
+        eye = np.eye(r.shape[0])
+        dims.append(_kernel_dims(np.stack([r - eye, r + eye]), rank_tol))
+    (plus1, minus1), (plus2, minus2) = dims
+    return plus1 - plus2, minus1 - minus2
 
 
 def tanaka_index_pm(u, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
@@ -185,37 +215,34 @@ def tanaka_index_pm(u, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     u = check_unitary(u, tol)
     g = check_selfadjoint_unitary(gamma0, tol)
     check_chiral_relation(u, g, tol)
-    re_u = 0.5 * (u + u.conj().T)
-    v_plus, v_minus = _grading_frames(g, tol)
-    r1 = v_plus.conj().T @ re_u @ v_plus
-    r2 = v_minus.conj().T @ re_u @ v_minus
-    eye1 = np.eye(r1.shape[0])
-    eye2 = np.eye(r2.shape[0])
-    ind_plus = (
-        kernel_basis(r1 - eye1, rank_tol).dimension
-        - kernel_basis(r2 - eye2, rank_tol).dimension
-    )
-    ind_minus = (
-        kernel_basis(r1 + eye1, rank_tol).dimension
-        - kernel_basis(r2 + eye2, rank_tol).dimension
-    )
-    return ind_plus, ind_minus
+    return _tanaka_core(u, _grading_frames(g), rank_tol)
 
 
-def _intersection_dimension(constraints, rank_tol):
-    """dim of the joint null space of the stacked constraint matrices."""
-    stacked = np.vstack(constraints)
-    return kernel_basis(stacked, rank_tol).dimension
+def _intersections(p0, p1):
+    """Stacked constraints [1-P0; P1], [P0; 1-P1], [1-P0; 1-P1], [P0; P1].
+
+    Their null spaces are Ran P0 ^ Ker P1, Ker P0 ^ Ran P1, Ran P0 ^ Ran P1
+    and Ker P0 ^ Ker P1.
+    """
+    eye = np.eye(p0.shape[0])
+    q0, q1 = eye - p0, eye - p1
+    return np.stack([np.vstack(c) for c in ((q0, p1), (p0, q1), (q0, q1), (p0, p1))])
 
 
 def pair_index(p0, p1, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     """dim(Ran P0 ^ Ker P1) - dim(Ker P0 ^ Ran P1)."""
     p0 = check_projection(p0, tol, "P0")
     p1 = check_projection(p1, tol, "P1")
-    eye = np.eye(p0.shape[0])
-    plus = _intersection_dimension([eye - p0, p1], rank_tol)
-    minus = _intersection_dimension([p0, eye - p1], rank_tol)
+    plus, minus = _kernel_dims(_intersections(p0, p1)[:2], rank_tol)
     return plus - minus
+
+
+def _pair_indices(p0, p1, rank_tol, tol):
+    """(Ind(P0, P1), Ind(P0, 1 - P1)) from the four intersections in one stacked call."""
+    check_projection(p0, tol, "P0")
+    check_projection(p1, tol, "P1")
+    ranker, kerran, ranran, kerker = _kernel_dims(_intersections(p0, p1), rank_tol)
+    return ranker - kerran, ranran - kerker
 
 
 def pair_index_trace(p0, p1, m=0):
@@ -263,22 +290,20 @@ class KernelDecompositionReport:
         )
 
 
-def kernel_decomposition_check(u, gamma0, gamma1, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
-    """Kernel dimensions of U -+ 1 against the four projection intersections."""
+def _projections_and_kernels(u, gamma0, gamma1, rank_tol, tol):
+    """P0, P1 of the checked gammas and [dim Ker(U + 1), dim Ker(U - 1)]."""
     u = check_unitary(u, tol)
     g0 = check_selfadjoint_unitary(gamma0, tol, "Gamma0")
     g1 = check_selfadjoint_unitary(gamma1, tol, "Gamma1")
     eye = np.eye(u.shape[0])
-    p0 = 0.5 * (eye + g0)
-    p1 = 0.5 * (eye + g1)
-    return KernelDecompositionReport(
-        dim_ker_u_plus_one=kernel_basis(u + eye, rank_tol).dimension,
-        dim_ker_u_minus_one=kernel_basis(u - eye, rank_tol).dimension,
-        ranp0_kerp1=_intersection_dimension([eye - p0, p1], rank_tol),
-        kerp0_ranp1=_intersection_dimension([p0, eye - p1], rank_tol),
-        ranp0_ranp1=_intersection_dimension([eye - p0, eye - p1], rank_tol),
-        kerp0_kerp1=_intersection_dimension([p0, p1], rank_tol),
-    )
+    kernels = _kernel_dims(np.stack([u + eye, u - eye]), rank_tol)
+    return 0.5 * (eye + g0), 0.5 * (eye + g1), kernels
+
+
+def kernel_decomposition_check(u, gamma0, gamma1, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
+    """Kernel dimensions of U -+ 1 against the four projection intersections."""
+    p0, p1, kernels = _projections_and_kernels(u, gamma0, gamma1, rank_tol, tol)
+    return KernelDecompositionReport(*kernels, *_kernel_dims(_intersections(p0, p1), rank_tol))
 
 
 @dataclass
@@ -298,28 +323,14 @@ class KernelBoundReport:
 
 def kernel_bound_check(u, gamma0, gamma1, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     """dim Ker(U + 1) >= |Ind(P0, P1)| and dim Ker(U - 1) >= |Ind(P0, 1 - P1)|."""
-    u = check_unitary(u, tol)
-    g0 = check_selfadjoint_unitary(gamma0, tol, "Gamma0")
-    g1 = check_selfadjoint_unitary(gamma1, tol, "Gamma1")
+    p0, p1, kernels = _projections_and_kernels(u, gamma0, gamma1, rank_tol, tol)
+    return KernelBoundReport(*kernels, *_pair_indices(p0, p1, rank_tol, tol))
+
+
+def _cayley_signature(u, w_full, svals, gamma0, rank_tol):
+    """Graded signature of the Cayley kernel of u on Ran(1 - u), from the SVD of 1 - u."""
     eye = np.eye(u.shape[0])
-    p0 = 0.5 * (eye + g0)
-    p1 = 0.5 * (eye + g1)
-    return KernelBoundReport(
-        dim_ker_u_plus_one=kernel_basis(u + eye, rank_tol).dimension,
-        dim_ker_u_minus_one=kernel_basis(u - eye, rank_tol).dimension,
-        pair_index_value=pair_index(p0, p1, rank_tol),
-        pair_index_complement=pair_index(p0, eye - p1, rank_tol),
-    )
-
-
-def _cayley_signature(u, gamma0, rank_tol, tol):
-    """Graded signature of Ker of the Cayley transform of u on Ran(1 - u)."""
-    n = u.shape[0]
-    if n == 0:
-        return 0
-    eye = np.eye(n)
     one_minus = eye - u
-    w_full, svals, _ = np.linalg.svd(one_minus)
     sigma_max = svals[0] if svals.size else 0.0
     threshold = max(rank_tol * sigma_max, 1e-12)
     w = w_full[:, svals >= threshold]
@@ -344,6 +355,18 @@ def _cayley_signature(u, gamma0, rank_tol, tol):
     return kernel_basis(cayley, rank_tol, g).graded_signature
 
 
+def _cayley_core(u, g, rank_tol):
+    n = u.shape[0]
+    if n == 0:
+        return 0, 0
+    eye = np.eye(n)
+    w, svals, _ = np.linalg.svd(np.stack([eye - u, eye + u]))
+    return (
+        _cayley_signature(u, w[0], svals[0], g, rank_tol),
+        _cayley_signature(-u, w[1], svals[1], g, rank_tol),
+    )
+
+
 def cayley_index(u, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     """(minus-class, plus-class) indices from the Cayley transforms of U and -U.
 
@@ -353,9 +376,7 @@ def cayley_index(u, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     u = check_unitary(u, tol)
     g = check_selfadjoint_unitary(gamma0, tol)
     check_chiral_relation(u, g, tol)
-    minus_class = _cayley_signature(u, g, rank_tol, tol)
-    plus_class = _cayley_signature(-u, g, rank_tol, tol)
-    return minus_class, plus_class
+    return _cayley_core(u, g, rank_tol)
 
 
 def generator_index(hamiltonian, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
@@ -465,20 +486,23 @@ def full_index_report(u, gamma0, gamma1=None, rank_tol=DEFAULT_RANK_TOL, tol=REL
     p1 = 0.5 * (eye + g1)
     ker_plus = kernel_basis(u - eye, rank_tol, g0)
     ker_minus = kernel_basis(u + eye, rank_tol, g0)
-    tanaka_plus, tanaka_minus = tanaka_index_pm(u, g0, rank_tol, tol)
-    cayley_minus, cayley_plus = cayley_index(u, g0, rank_tol, tol)
+    frames = _grading_frames(g0)
+    tanaka_plus, tanaka_minus = _tanaka_core(u, frames, rank_tol)
+    cayley_minus, cayley_plus = _cayley_core(u, g0, rank_tol)
     trace = float(np.trace(g0).real)
     if abs(trace - round(trace)) > 1e-6:
         raise PreconditionError(f"Tr(Gamma0) = {trace} is not near an integer")
+    susy = _susy_core(u, frames, rank_tol)
+    pair, pair_complement = _pair_indices(p0, p1, rank_tol, tol)
     return IndexReport(
         si_plus=ker_plus.graded_signature,
         si_minus=ker_minus.graded_signature,
         si_total=ker_plus.graded_signature + ker_minus.graded_signature,
-        susy_index=susy_index(u, g0, rank_tol, tol),
+        susy_index=susy,
         tanaka_plus=tanaka_plus,
         tanaka_minus=tanaka_minus,
-        pair_index=pair_index(p0, p1, rank_tol),
-        pair_index_complement=pair_index(p0, eye - p1, rank_tol),
+        pair_index=pair,
+        pair_index_complement=pair_complement,
         cayley_minus=cayley_minus,
         cayley_plus=cayley_plus,
         trace_gamma0=int(round(trace)),

@@ -469,7 +469,7 @@ class TruncatedOperator:
         return slice(i, i + d)
 
 
-# --- constructors and functional aliases -----------------------------------
+# --- constructors ------------------------------------------------------------
 
 
 def identity(d):
@@ -484,27 +484,3 @@ def shift_power(k, d):
 def mult_op(f):
     """Multiplication operator by the matrix-valued function f."""
     return BandedAnisotropicOperator(f.dim, {0: f})
-
-
-def compose(a, b):
-    return a @ b
-
-
-def add(a, b):
-    return a + b
-
-
-def adjoint(a):
-    return a.adjoint()
-
-
-def scale(c, a):
-    return a.scaled(c)
-
-
-def symbol_at(a, side):
-    return a.symbol_at(side)
-
-
-def truncate(a, L):
-    return a.truncate(L)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chiralwalk import indices
 from chiralwalk.exceptions import PreconditionError
@@ -48,6 +49,64 @@ class TestKernelBasis:
         m = np.array([[1.0, -1.0], [0.0, 0.0]])
         with pytest.raises(PreconditionError, match="not Gamma0-invariant"):
             indices.kernel_basis(m, gamma0=SIGMA3)
+
+
+def planted_matrix(rng, rows, cols, svals):
+    """rows x cols matrix with the given singular values, in random unitary frames."""
+    def frame(n):
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        return q
+
+    s = np.zeros((rows, cols))
+    s[np.arange(len(svals)), np.arange(len(svals))] = svals
+    return frame(rows) @ s @ frame(cols).conj().T
+
+
+@st.composite
+def planted_stacks(draw):
+    """Stacks of same-shaped matrices whose singular values sit at least 100x from
+    the kernel_basis threshold, on either side; shapes tall, wide, square or empty.
+    """
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    rank_tol = draw(st.sampled_from([1e-8, 1e-6, 1e-3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack, kept = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        k = min(rows, cols)
+        if draw(st.booleans()):
+            # numerically zero: sigma_max is tiny, so the 1e-12 floor decides
+            svals = 10.0 ** rng.uniform(-20, -14, size=k)
+            kept.append(0)
+        else:
+            top = rng.uniform(0.5, 2.0)
+            big = rng.random(k) < 0.5
+            big[:1] = True
+            threshold = rank_tol * top
+            svals = np.where(
+                big,
+                10.0 ** rng.uniform(np.log10(100 * threshold), np.log10(top), size=k),
+                10.0 ** rng.uniform(-20, np.log10(threshold / 100), size=k),
+            )
+            svals[:1] = top
+            kept.append(int(big.sum()))
+        stack.append(planted_matrix(rng, rows, cols, np.sort(svals)[::-1]))
+    return np.stack(stack), [cols - r for r in kept], rank_tol
+
+
+class TestRankOnlyKernels:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(planted_stacks())
+    def test_matches_kernel_basis(self, case):
+        stack, expected, rank_tol = case
+        singles = [indices._kernel_dims(m, rank_tol) for m in stack]
+        assert singles == [indices.kernel_basis(m, rank_tol).dimension for m in stack]
+        assert singles == expected
+        assert indices._kernel_dims(stack, rank_tol) == singles
+
+    def test_wide_matrix_keeps_implicit_zeros(self):
+        assert indices._kernel_dims(np.array([[1.0, 0.0, 0.0]]), 1e-8) == 2
+        assert indices._kernel_dims(np.zeros((2, 0, 3)), 1e-8) == [3, 3]
+        assert indices._kernel_dims(np.zeros((3, 0)), 1e-8) == 0
 
 
 class TestSymmetryIndex:
@@ -225,3 +284,61 @@ class TestFullReport:
         doc = report.to_dict()
         assert doc["si_plus"] == sp.si_plus and doc["si_minus"] == sp.si_minus
         assert doc["consistent"] is True
+
+    def test_matches_per_index_reference(self):
+        # the report as composed from the public per-index functions
+        rng = np.random.default_rng(10)
+        for k in range(40):
+            if k % 2 == 0:
+                sp = structured_chiral_pair(rng)
+                u, g0, g1 = sp.u, sp.gamma0, sp.gamma1
+            else:
+                u, g0, g1 = generic_chiral_pair(rng, int(rng.integers(1, 25)))
+            if k % 5 == 4:
+                g1 = None
+            eye = np.eye(u.shape[0])
+            p0 = 0.5 * (eye + g0)
+            p1 = 0.5 * (eye + (g0 @ u if g1 is None else g1))
+            ker_plus = indices.kernel_basis(u - eye, 1e-8, g0)
+            ker_minus = indices.kernel_basis(u + eye, 1e-8, g0)
+            tanaka_plus, tanaka_minus = indices.tanaka_index_pm(u, g0)
+            cayley_minus, cayley_plus = indices.cayley_index(u, g0)
+            reference = indices.IndexReport(
+                si_plus=ker_plus.graded_signature,
+                si_minus=ker_minus.graded_signature,
+                si_total=ker_plus.graded_signature + ker_minus.graded_signature,
+                susy_index=indices.susy_index(u, g0),
+                tanaka_plus=tanaka_plus,
+                tanaka_minus=tanaka_minus,
+                pair_index=indices.pair_index(p0, p1),
+                pair_index_complement=indices.pair_index(p0, eye - p1),
+                cayley_minus=cayley_minus,
+                cayley_plus=cayley_plus,
+                trace_gamma0=int(round(np.trace(g0).real)),
+                certifications={"finite_dimensional": True},
+                tolerances={"rank_tol": 1e-8, "relation_tol": 1e-10},
+                diagnostics={
+                    "borderline_singular_values": sorted(
+                        ker_plus.borderline_singular_values
+                        + ker_minus.borderline_singular_values
+                    ),
+                    "dim_ker_u_minus_one": ker_plus.dimension,
+                    "dim_ker_u_plus_one": ker_minus.dimension,
+                },
+            )
+            report = indices.full_index_report(u, g0, g1)
+            assert report.to_dict() == reference.to_dict(), f"pair {k}"
+
+
+class TestTolerancePassThrough:
+    def test_caller_tol_reaches_projection_checks(self):
+        sp = structured_chiral_pair(np.random.default_rng(9))
+        # Hermitian perturbation: P1^2 - P1 = 1.5e-10, above the default tolerance
+        g1 = (1 + 3e-10) * sp.gamma1
+        eye = np.eye(sp.u.shape[0])
+        with pytest.raises(PreconditionError, match="P1 deviates"):
+            indices.pair_index(0.5 * (eye + sp.gamma0), 0.5 * (eye + g1))
+        report = indices.full_index_report(sp.u, sp.gamma0, g1, tol=1e-8)
+        assert (report.pair_index, report.pair_index_complement) == (sp.si_minus, sp.si_plus)
+        bound = indices.kernel_bound_check(sp.u, sp.gamma0, g1, tol=1e-8)
+        assert (bound.pair_index_value, bound.pair_index_complement) == (sp.si_minus, sp.si_plus)
