@@ -13,7 +13,6 @@ from .exceptions import (
     ChiralwalkError,
     DegenerateSymbolError,
     DimensionMismatchError,
-    FramePropagationError,
     NormalizationError,
     NotFredholmError,
     PreconditionError,
@@ -59,13 +58,12 @@ from .indices import (
 from .essential import (
     certify_unitary,
     dichotomy_check,
-    essential_norm,
     gap_at,
     is_fredholm_type,
 )
 from .transfer import exact_index, exact_kernel
 from .winding import (
-    chiral_flat_band_symbol,
+    compressed_winding,
     nc_winding,
     verify_index_theorem,
     winding_det,

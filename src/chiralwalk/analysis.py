@@ -64,7 +64,7 @@ def _chiral_report(pair, tol):
         )
         try:
             record = winding.verify_index_theorem_chiral(
-                pair, min(tol.grid_n, 2048), tol.rank_tol, kernels=(ker_minus, ker_plus)
+                pair, tol.rank_tol, kernels=(ker_minus, ker_plus)
             )
             report["windings"] = record.to_dict()
         except ChiralwalkError as exc:

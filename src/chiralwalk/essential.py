@@ -23,8 +23,7 @@ band coefficients C_n are known exactly, and
 which must stay below UNITARY_TOL on both sides.  For a chiral pair
 U = G0 G1 with G0 a self-adjoint unitary, G0 -+ G1 = G0 (1 -+ U), so
 || G0 -+ G1 ||_ess = || 1 -+ U ||_ess: the dichotomy is read off the
-Fredholm-type norms.  ``essential_norm`` keeps singular values for
-general, non-normal banded operators.
+Fredholm-type norms.
 """
 
 from __future__ import annotations
@@ -46,15 +45,6 @@ UNITARY_TOL = 1e-8
 CERTIFIED = "certified"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
-
-
-@dataclass
-class EssentialNorm:
-    value: float
-    grid_n: int
-
-    def __float__(self):
-        return self.value
 
 
 def _checked_grid(grid_n):
@@ -80,34 +70,6 @@ def _refine(measure, grid_n, keep):
             return keep(value, nxt), n
         value = nxt
     return value, n
-
-
-def _sup_opnorm(loop, zs):
-    """max over the grid of the largest singular value of loop(z)."""
-    vals = loop(zs)
-    if vals.size == 0:
-        return 0.0
-    return float(np.linalg.svd(vals, compute_uv=False)[:, 0].max())
-
-
-def essential_norm(a, grid_n=DEFAULT_GRID_N, refine=True):
-    """Calkin-quotient norm of a banded anisotropic operator.
-
-    Evaluated as the max over both limit symbols and the circle grid;
-    monotone non-decreasing under grid doubling.  The grid doubles until
-    the value moves by less than 1e-6, capped at 2^16.
-    """
-    grid_n = _checked_grid(grid_n)
-    loops = [a.symbol_at(ops.LEFT), a.symbol_at(ops.RIGHT)]
-
-    def value_at(n):
-        zs = circle_grid(n)
-        return max(_sup_opnorm(loop, zs) for loop in loops)
-
-    if not refine:
-        return EssentialNorm(value=value_at(grid_n), grid_n=grid_n)
-    value, n = _refine(value_at, grid_n, max)
-    return EssentialNorm(value=value, grid_n=n)
 
 
 class SymbolSpectrum:

@@ -26,10 +26,6 @@ class DegenerateSymbolError(ChiralwalkError):
     """Jordan chain longer than the supported length was encountered."""
 
 
-class FramePropagationError(ChiralwalkError):
-    """Continuity propagation of a compression frame broke down."""
-
-
 class WindingUnresolvedError(ChiralwalkError):
     """Grid refinement cap reached before the winding stabilized."""
 

@@ -53,6 +53,12 @@ def check_chiral_relation(u, gamma0, tol=RELATION_TOL):
         raise PreconditionError(f"chiral relation G0 U G0 = U* fails by {dev:.3e}")
 
 
+def check_factorization(u, gamma0, gamma1, tol=RELATION_TOL):
+    dev = np.abs(gamma0 @ gamma1 - u).max() if u.size else 0.0
+    if dev > tol:
+        raise PreconditionError(f"factorization U = G0 G1 fails by {dev:.3e}")
+
+
 def check_projection(p, tol=RELATION_TOL, name="P"):
     p = _as_complex(p)
     dev = max(
@@ -295,6 +301,7 @@ def _projections_and_kernels(u, gamma0, gamma1, rank_tol, tol):
     u = check_unitary(u, tol)
     g0 = check_selfadjoint_unitary(gamma0, tol, "Gamma0")
     g1 = check_selfadjoint_unitary(gamma1, tol, "Gamma1")
+    check_factorization(u, g0, g1, tol)
     eye = np.eye(u.shape[0])
     kernels = _kernel_dims(np.stack([u + eye, u - eye]), rank_tol)
     return 0.5 * (eye + g0), 0.5 * (eye + g1), kernels
@@ -478,9 +485,9 @@ def full_index_report(u, gamma0, gamma1=None, rank_tol=DEFAULT_RANK_TOL, tol=REL
     u = check_unitary(u, tol)
     g0 = check_selfadjoint_unitary(gamma0, tol)
     check_chiral_relation(u, g0, tol)
-    if gamma1 is None:
-        gamma1 = g0 @ u
-    g1 = check_selfadjoint_unitary(gamma1, tol, "Gamma1")
+    g1 = check_selfadjoint_unitary(g0 @ u if gamma1 is None else gamma1, tol, "Gamma1")
+    if gamma1 is not None:
+        check_factorization(u, g0, g1, tol)
     eye = np.eye(u.shape[0])
     p0 = 0.5 * (eye + g0)
     p1 = 0.5 * (eye + g1)

@@ -279,13 +279,15 @@ def pair_algebra_suite(seed=3, trials=500, rank_tol=1e-8):
         p = [random_projection(rng, dim, int(r)) for r in ranks]
         eye = np.eye(dim)
         ind = indices.pair_index
+        ind_01 = ind(p[0], p[1], rank_tol)
         ok = True
         # rank oracle: in finite dimension Ind(P,Q) = rank P - rank Q
-        ok &= ind(p[0], p[1], rank_tol) == int(ranks[0] - ranks[1])
-        ok &= ind(p[0], p[1], rank_tol) == -ind(p[1], p[0], rank_tol)
-        ok &= ind(p[0], p[1], rank_tol) == -ind(eye - p[0], eye - p[1], rank_tol)
+        ok &= ind_01 == int(ranks[0] - ranks[1])
+        ok &= ind_01 == -ind(p[1], p[0], rank_tol)
+        ok &= ind_01 == -ind(eye - p[0], eye - p[1], rank_tol)
         ok &= ind(p[0], eye - p[1], rank_tol) == ind(p[1], eye - p[0], rank_tol)
-        ok &= indices.pair_index_additivity_check(p[0], p[1], p[2], rank_tol).holds
+        # additivity: Ind(P0,P1) + Ind(P1,P2) = Ind(P0,P2)
+        ok &= ind_01 + ind(p[1], p[2], rank_tol) == ind(p[0], p[2], rank_tol)
         result.record(ok, f"trial {k} ranks {ranks}")
     return result
 
@@ -355,13 +357,18 @@ def certified_split_step_models(rng, count, grid_n=1024, max_attempts=2000):
     return models
 
 
-def index_theorem_suite(seed=7, models=20, grid_n=512):
-    """Transfer-oracle index against winding differences, chiral and banded."""
+def index_theorem_suite(seed=7, models=20):
+    """Transfer-oracle index against winding differences, chiral and banded.
+
+    A chiral model holds when both of its branches do: the total
+    -(si_plus + si_minus) against the Gamma0 root count and the per-sign
+    difference si_minus - si_plus against the Gamma1 root count.
+    """
     rng = np.random.default_rng(seed)
     result = SuiteResult("index_theorem", 0, 0)
     chiral_count = max(models // 2, 1)
     for k, pair in enumerate(certified_split_step_models(rng, chiral_count)):
-        record = winding.verify_index_theorem(pair, grid_n)
+        record = winding.verify_index_theorem_chiral(pair)
         result.trials += 1
         result.record(record.holds, f"chiral model {k}: {record.to_dict()}")
     while result.trials < models:

@@ -3,18 +3,16 @@
 winding_det unwinds the phase of det F(z) around the circle with a
 step-size guard; nc_winding integrates the normalized logarithmic
 derivative and returns an exact rational with denominator equal to the
-fiber dimension.  chiral_flat_band_symbol and
-chiral_imaginary_block_symbol compress the flattened Cayley transform
-and the imaginary part of a chiral symbol between its graded halves,
-batched over the grid: the frames are the grading eigenframes times
-cumulative polar factors of neighbouring overlaps (continuity
-propagation), and the closing holonomy, W_N relative to the gauge, is
-folded into the winding.
+fiber dimension.  compressed_winding compresses the imaginary part of a
+chiral symbol between the graded halves of one grading and counts the
+roots of the resulting scalar Laurent polynomial, with no grid.
 
 Orientation: throughout the package, kernel-count indices are oriented
 so that an operator equal to 1 far to the left and to the forward shift
 far to the right has index +1, which matches winding(right symbol)
-minus winding(left symbol).
+minus winding(left symbol).  A per-side winding of a compressed block
+depends on the choice of closed frames; only right minus left is
+invariant.
 """
 
 from __future__ import annotations
@@ -25,14 +23,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import operators as ops
-from .exceptions import (
-    FramePropagationError,
-    NotFredholmError,
-    PreconditionError,
-    WindingUnresolvedError,
-)
+from .exceptions import NotFredholmError, PreconditionError, WindingUnresolvedError
 from .operators import circle_grid
-from .transfer import exact_index, exact_kernel
+from .transfer import CIRCLE_MARGIN, _det_roots, exact_index, exact_kernel
+from .walks import CHIRAL_TOL
 
 MAX_GRID_N = 2**16
 DET_FLOOR = 1e-10
@@ -113,170 +107,81 @@ def nc_winding(loop, grid_n=4096):
     return Fraction(det_result.rounded, d)
 
 
-# --- compressed chiral loops --------------------------------------------------
+# --- compressed chiral blocks ------------------------------------------------
 
 
-@dataclass
-class SampledLoop:
-    """Closed sampled loop of compressed blocks with frame holonomy data.
+def _closed_frames(grading, side):
+    """Closed +1 and -1 eigenframes of one limit symbol of a chiral grading.
 
-    samples[k] is the block at z_k for k = 0..N with z_N = z_0 in the
-    frames obtained by continuity propagation; holonomy_plus/minus are
-    the frame mismatches after one full cycle.
+    The symbol must factor as D(z) G D(z)^* with G its value at z = 1,
+    D(z) = diag(1, z^n) and n its largest band offset; this covers both
+    split-step gradings (Gamma1 with n = 0).  The frames are then
+    z^(-k) D(z) v for the eigenvectors v of G.  Any integer k gives a
+    closed frame and shifts that side's winding; k = round(n |v_2|^2)
+    takes the frame nearest to parallel transport (smallest Berry phase).
+    Returns (D as a loop, [(k, v) for +1, then -1]).
     """
-
-    fiber_dim: int
-    samples: np.ndarray
-    holonomy_plus: np.ndarray
-    holonomy_minus: np.ndarray
-    side: str
-    grid_n: int
-
-    def winding(self):
-        """Winding of det(samples) with the holonomy phases folded in."""
-        dets = np.linalg.det(self.samples)
-        if np.abs(dets).min() <= DET_FLOOR:
-            raise NotFredholmError("compressed loop not invertible on the grid")
-        total, max_step = _phase_unwind(dets)
-        if max_step >= np.pi / 2:
-            raise WindingUnresolvedError(
-                "compressed loop too coarse: increase grid_n"
-            )
-        correction = float(
-            np.angle(np.linalg.det(self.holonomy_minus))
-            - np.angle(np.linalg.det(self.holonomy_plus))
-        )
-        raw = (total + correction) / (2.0 * np.pi)
-        rounded = int(round(raw))
-        if abs(raw - rounded) >= 0.25:
-            raise WindingUnresolvedError(
-                f"compressed winding {raw:.6f} is not near an integer"
-            )
-        return WindingResult(
-            raw_phase=raw, rounded=rounded, max_step_phase=max_step, grid_n=self.grid_n
-        )
-
-
-FRAME_DEGENERACY = "frame propagation degeneracy: projected frame nearly singular"
-
-
-def _adjoint(stack):
-    return stack.conj().swapaxes(-1, -2)
-
-
-def _prefix_products(mats):
-    """out[k] = mats[k] @ ... @ mats[0], by doubling: log2 N stacked matmuls."""
-    out = mats.copy()
-    shift = 1
-    while shift < len(out):
-        out[shift:] = out[shift:] @ out[:-shift]
-        shift *= 2
-    return out
-
-
-def _raise_first(checks):
-    """Raise the error a sweep k = 0..N meets first; ``checks`` are
-    (mask over k, error) in the order the guards apply at one point."""
-    hits = [(mask.argmax(), order) for order, (mask, _) in enumerate(checks) if mask.any()]
-    if hits:
-        raise checks[min(hits)[1]][1]
-
-
-def _compression_frames(pair, side, grid_n, gauge=None):
-    """u and the transported grading frames on the closed grid z_0..z_N = z_0.
-
-    E_k, the +1 and -1 eigenframes of the grading symbol (a half-rank
-    self-adjoint unitary), come from one batched eigh.  Propagation
-    frame_k = polar(P_k frame_{k-1}) equals E_k W_k with
-    W_k = polar(E_k^* E_{k-1}) W_{k-1}, W_0 = gauge: one batched SVD of
-    the overlaps and a cumulative product.  Returns u, the frames and the
-    holonomies frame_0^* frame_N (ordered +1, -1), and the mask of steps
-    whose overlap has a singular value below 0.1.
-    """
-    d = pair.u.fiber_dim
-    if d % 2 != 0:
-        raise PreconditionError("chiral loop compression needs an even fiber dimension")
-    half = d // 2
-    zs = circle_grid(grid_n)
-    ring = np.arange(zs.size + 1) % zs.size
-    u_vals = pair.u.symbol_at(side)(zs)[ring]
-    g0_vals = pair.gamma0.symbol_at(side)(zs)[ring]
-    evals, vecs = np.linalg.eigh(0.5 * (g0_vals + _adjoint(g0_vals)))
-    if np.any(np.abs(np.abs(evals) - 1.0) > 1e-6):
-        raise PreconditionError("grading symbol is not a self-adjoint unitary on the grid")
-    rank = (evals > 0.5).sum(axis=-1)
-    if np.any(rank != half):
+    loop = grading.symbol_at(side)
+    if loop.fiber_dim != 2 or not loop.offsets():
+        raise PreconditionError("root-count windings need a nonzero grading on C^2")
+    n = max(loop.offsets())
+    g = sum(loop.coefficients.values())
+    d_loop = ops.SymbolLoop(2, {0: np.diag([1.0, 0.0])}) + ops.SymbolLoop(
+        2, {n: np.diag([0.0, 1.0])}
+    )
+    factored = (d_loop * ops.SymbolLoop(2, {0: g}) * d_loop.hermitian_conjugate()).coefficients
+    evals, vecs = np.linalg.eigh(g)
+    dev = max(
+        np.abs(g - g.conj().T).max(),
+        np.abs(evals - (-1.0, 1.0)).max(),
+        *(np.abs(factored.get(m, 0) - loop.coefficients.get(m, 0)).max()
+          for m in set(factored) | set(loop.coefficients)),
+    )
+    if dev > CHIRAL_TOL:
         raise PreconditionError(
-            f"grading symbol rank {rank[rank != half][0]} differs from half the fiber {half}"
+            f"{side} grading symbol is not D(z) G D(z)^* with G a self-adjoint unitary "
+            f"of signature 0 (deviation {dev:.3e})"
         )
-    frames = np.stack([vecs[..., half:], vecs[..., :half]], axis=1)
-    left, svals, right = np.linalg.svd(_adjoint(frames[1:]) @ frames[:-1])
-    eye = np.eye(half)
-    start = np.asarray((eye, eye) if gauge is None else gauge, dtype=complex)[None]
-    frames = frames @ _prefix_products(np.concatenate([start, left @ right]))
-    weak = np.concatenate([[False], (svals[..., -1] < 0.1).any(axis=-1)])
-    return u_vals, frames, _adjoint(frames[0]) @ frames[-1], weak
+    frames = [(int(round(n * abs(v[1]) ** 2)), v) for v in (vecs[:, 1], vecs[:, 0])]
+    return d_loop, frames
 
 
-def chiral_flat_band_symbol(pair, side, grid_n=512, cayley_sign=1, gauge=None):
-    """Compressed flat-band loop of one limit symbol of a chiral pair.
+def _compressed_block(pair, grading, side):
+    """Im(u) between the -1 and +1 frames of ``grading``: a scalar Laurent loop.
 
-    The flattening of the Cayley transform of cayley_sign * u is
-    -sign(cayley_sign * Im u), from one batched eigh; an eigenvalue of u
-    within 1e-8 of +-1 aborts.  It is compressed between the grading
-    frames, which are the eigenframes times cumulative polar factors of
-    the overlaps (see ``_compression_frames``).  cayley_sign -1 gives
-    the pointwise negative of the +1 loop.  ``gauge`` optionally
-    right-multiplies the two starting frames by fixed unitaries; the
-    holonomy-corrected winding must not depend on it.
+    With e_+- = z^(-k_+-) D v_+- this is z^(k_- - k_+) v_-^* D^* Im(u) D v_+,
+    Im(u)(z) = (u(z) - u(z)^*) / 2i; it vanishes on the circle exactly
+    where u(z) has an eigenvalue +-1.
     """
-    u_vals, frames, holonomies, weak = _compression_frames(pair, side, grid_n, gauge)
-    evals = np.linalg.eigvals(u_vals)
-    at_pm_one = (np.minimum(np.abs(evals - 1.0), np.abs(evals + 1.0)) < 1e-8).any(axis=-1)
-    im_evals, im_vecs = np.linalg.eigh((u_vals - _adjoint(u_vals)) / 2j)
-    signs = np.where(cayley_sign * im_evals > 0, -1.0, 1.0)
-    flat = (im_vecs * signs[:, None, :]) @ _adjoint(im_vecs)
-    samples = _adjoint(frames[:, 1]) @ flat @ frames[:, 0]
-    dev = np.abs(_adjoint(samples) @ samples - np.eye(samples.shape[-1])).max(axis=(1, 2))
-    not_unitary = dev > 1e-8
-    _raise_first([
-        (weak, FramePropagationError(FRAME_DEGENERACY)),
-        (at_pm_one, PreconditionError(
-            "symbol eigenvalue at +-1: spectral flattening undefined (gap violated)"
-        )),
-        (not_unitary, PreconditionError(
-            f"compressed block deviates from unitarity by {dev[not_unitary.argmax()]:.3e} "
-            "(is the dual gap certified?)"
-        )),
-    ])
-    return SampledLoop(
-        fiber_dim=samples.shape[-1],
-        samples=samples,
-        holonomy_plus=holonomies[0],
-        holonomy_minus=holonomies[1],
-        side=side,
-        grid_n=int(grid_n),
+    d_loop, ((k_plus, v_plus), (k_minus, v_minus)) = _closed_frames(grading, side)
+    u_loop = pair.u.symbol_at(side)
+    u, adj = u_loop.coefficients, u_loop.hermitian_conjugate().coefficients
+    im = ops.SymbolLoop(2, {m: (u.get(m, 0) - adj.get(m, 0)) / 2j for m in set(u) | set(adj)})
+    block = d_loop.hermitian_conjugate() * im * d_loop
+    return ops.SymbolLoop(
+        1,
+        {m + k_minus - k_plus: v_minus.conj() @ c @ v_plus for m, c in block.coefficients.items()},
     )
 
 
-def chiral_imaginary_block_symbol(pair, side, grid_n=512):
-    """Compressed loop of Im(u) between the graded halves of one limit symbol.
+def compressed_winding(pair, grading, side):
+    """Winding of the compressed Im(u) block of one side, by counting roots.
 
-    Invertible exactly when both essential gaps hold; its winding feeds
-    the total-index comparison.  Frames as in ``chiral_flat_band_symbol``.
+    The winding of a scalar Laurent loop is the number of its roots
+    inside the unit disk plus its order at 0.  Returns (winding, root
+    margin min ||z| - 1|, or None without roots).  A root whose transfer
+    eigenvalue 1/z lies within CIRCLE_MARGIN of the circle, the band in
+    which the transfer oracle refuses, raises NotFredholmError.
     """
-    u_vals, frames, holonomies, weak = _compression_frames(pair, side, grid_n)
-    if weak.any():
-        raise FramePropagationError(FRAME_DEGENERACY)
-    samples = _adjoint(frames[:, 1]) @ ((u_vals - _adjoint(u_vals)) / 2j) @ frames[:, 0]
-    return SampledLoop(
-        fiber_dim=samples.shape[-1],
-        samples=samples,
-        holonomy_plus=holonomies[0],
-        holonomy_minus=holonomies[1],
-        side=side,
-        grid_n=int(grid_n),
-    )
+    roots, order_at_zero = _det_roots(_compressed_block(pair, grading, side))
+    radii = np.abs(roots)
+    if np.any(np.abs(1.0 / radii - 1.0) <= CIRCLE_MARGIN):
+        raise NotFredholmError(
+            f"compressed block has a root within margin of the unit circle "
+            f"(|z| = {radii[np.abs(1.0 / radii - 1.0).argmin()]:.8f})"
+        )
+    margin = float(np.abs(radii - 1.0).min()) if radii.size else None
+    return int(np.sum(radii < 1.0)) + order_at_zero, margin
 
 
 # --- the double-sided comparison ---------------------------------------------
@@ -320,6 +225,16 @@ class IndexTheoremBranch:
 
 
 @dataclass
+class RootCountBranch(IndexTheoremBranch):
+    """A chiral branch: windings from root counts, with their decision margin."""
+
+    root_margin: float | None = None   # min ||z| - 1| over the roots of both sides
+
+    def to_dict(self):
+        return {**super().to_dict(), "root_margin": self.root_margin}
+
+
+@dataclass
 class IndexTheoremRecord:
     branches: list
 
@@ -355,20 +270,21 @@ def verify_index_theorem_banded(f_op, grid_n=4096, rank_tol=1e-8):
     return record
 
 
-def verify_index_theorem_chiral(pair, grid_n=512, rank_tol=1e-8, kernels=None):
-    """Compare the total symmetry index of a chiral pair with symbol windings.
+def verify_index_theorem_chiral(pair, rank_tol=1e-8, kernels=None):
+    """Compare the graded signatures of a chiral pair with root-count windings.
 
-    The kernel side comes from the transfer oracle: the graded
-    signatures of Ker(U -+ 1) sum to the total index.  The winding side
-    is evaluated on three realizations of the same class: the spectral
-    flattenings of the Cayley transforms of u and of -u, and the
-    unflattened imaginary-part block.  The first two are pointwise
-    negatives of one another and all three carry identical windings, so
-    each branch compares against minus the total signature (the
-    right-minus-left orientation).  The split of the total into si_plus
-    and si_minus is carried by finite-dimensional +-1 eigenspaces that
-    limit symbols cannot see, so only the sum admits a winding formula;
-    both summands are still computed and attached to the record.
+    The kernel side comes from the transfer oracle: the Gamma0-graded
+    signatures si_plus of Ker(U - 1) and si_minus of Ker(U + 1).  Both
+    gradings satisfy G U G = U*, and Gamma1 equals Gamma0 on Ker(U - 1)
+    and -Gamma0 on Ker(U + 1), so each grading has its own symbol
+    formula and together they fix both summands:
+
+        gamma1_graded:    si_minus - si_plus    = W1,
+        imaginary_block:  -(si_plus + si_minus) = W0,
+
+    with W the right-minus-left winding of Im(u) compressed between the
+    grading's -1 and +1 frames (``compressed_winding``).  Only gradings
+    of the split-step form are accepted; see ``_closed_frames``.
     ``kernels`` optionally passes the graded kernels of U + 1 and U - 1,
     already computed with the same ``rank_tol``, so that they are not
     computed again.
@@ -383,21 +299,24 @@ def verify_index_theorem_chiral(pair, grid_n=512, rank_tol=1e-8, kernels=None):
     ker_minus, ker_plus = kernels
     si_minus = ker_minus.graded_signature
     si_plus = ker_plus.graded_signature
-    lhs = -(si_plus + si_minus)
 
     branches = []
-    for name, builder in (
-        ("cayley_flat_band", lambda side: chiral_flat_band_symbol(pair, side, grid_n, 1)),
-        ("cayley_flat_band_negated", lambda side: chiral_flat_band_symbol(pair, side, grid_n, -1)),
-        ("imaginary_block", lambda side: chiral_imaginary_block_symbol(pair, side, grid_n)),
+    for name, grading, lhs in (
+        ("gamma1_graded", pair.gamma1, si_minus - si_plus),
+        ("imaginary_block", pair.gamma0, -(si_plus + si_minus)),
     ):
+        (w_left, m_left), (w_right, m_right) = (
+            compressed_winding(pair, grading, side) for side in (ops.LEFT, ops.RIGHT)
+        )
+        margins = [m for m in (m_left, m_right) if m is not None]
         branches.append(
-            IndexTheoremBranch(
+            RootCountBranch(
                 name=name,
                 lhs_index=lhs,
-                winding_left=builder(ops.LEFT).winding().rounded,
-                winding_right=builder(ops.RIGHT).winding().rounded,
+                winding_left=w_left,
+                winding_right=w_right,
                 fiber_dim=d,
+                root_margin=min(margins) if margins else None,
             )
         )
     record = IndexTheoremRecord(branches=branches)
@@ -410,7 +329,7 @@ def verify_index_theorem_chiral(pair, grid_n=512, rank_tol=1e-8, kernels=None):
 
 
 def verify_index_theorem(target, grid_n=None, rank_tol=1e-8):
-    """Dispatch on ChiralPair vs plain banded operator."""
+    """Dispatch on ChiralPair vs plain banded operator; ``grid_n`` is for the banded path."""
     if hasattr(target, "gamma0") and hasattr(target, "u"):
-        return verify_index_theorem_chiral(target, grid_n or 512, rank_tol)
+        return verify_index_theorem_chiral(target, rank_tol)
     return verify_index_theorem_banded(target, grid_n or 4096, rank_tol)

@@ -1,4 +1,6 @@
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,3 +301,28 @@ class TestCliCommands:
         second = capsys.readouterr().out
         assert first == second
         assert first.count("PASS") >= 6
+
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+INDEX_SCENARIOS = sorted(p for p in SCENARIO_DIR.glob("*.json") if not p.name.startswith("sweep"))
+
+
+class TestShippedScenarios:
+    @pytest.mark.parametrize("path", INDEX_SCENARIOS, ids=lambda p: p.stem)
+    def test_index_exit_code_and_theorem(self, path, tmp_path):
+        out = tmp_path / "report.json"
+        code = main(["index", str(path), "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert code == (2 if "gapless" in path.stem else 0)
+        if report.get("windings") is not None:
+            assert report["windings"]["holds"] is True
+        if "gapless" in path.stem:
+            assert report["windings"] is None and report["omitted"]
+        elif report["model"] == "split_step":
+            assert report["windings"] is not None
+
+    def test_sweep_theorem_holds_in_every_row(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", str(SCENARIO_DIR / "sweep_coin_angle.json"), "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert rows and all(row["theorem_holds"] == "true" for row in rows)

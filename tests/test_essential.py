@@ -4,12 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from chiralwalk import essential, operators as ops
 from chiralwalk.exceptions import ChiralwalkError, PreconditionError
-from chiralwalk.operators import BandedAnisotropicOperator, CoefficientFunction, identity, mult_op, shift_power
+from chiralwalk.operators import identity, shift_power
 from chiralwalk.verification import random_split_step, split_step_from_angles
-
-
-def scalar(v):
-    return np.array([[v]], dtype=complex)
 
 
 def reference_sweep(op, grid_n, reduce):
@@ -54,53 +50,6 @@ def reference_symbol_eigenvalues(u, grid_n):
             for ev in sorted(np.linalg.eigvals(mat), key=lambda w: (w.real, w.imag)):
                 out.append((side, float(theta), complex(ev)))
     return out
-
-
-class TestEssentialNorm:
-    def test_identity(self):
-        assert abs(essential.essential_norm(identity(2)).value - 1.0) < 1e-12
-
-    def test_bulk_is_invisible(self):
-        f = CoefficientFunction.from_table(scalar(0.0), scalar(0.0), {0: scalar(7.0)})
-        assert essential.essential_norm(mult_op(f)).value == 0.0
-
-    def test_shift(self):
-        assert abs(essential.essential_norm(shift_power(1, 1)).value - 1.0) < 1e-12
-
-    def test_monotone_under_refinement(self):
-        rng = np.random.default_rng(1)
-        pair = random_split_step(rng)
-        coarse = essential.essential_norm(pair.u - identity(2), grid_n=64, refine=False)
-        fine = essential.essential_norm(pair.u - identity(2), grid_n=128, refine=False)
-        assert fine.value >= coarse.value - 1e-15
-
-    def test_refinement_stability_lipschitz(self):
-        # band radius <= 4 with curvature-limited coefficients: a 2^10 grid
-        # already resolves the sup to < 1e-6 of the 2^12 value
-        rng = np.random.default_rng(2)
-        bands = {0: CoefficientFunction.constant(np.eye(2))}
-        for n in range(-4, 5):
-            if n == 0:
-                continue
-            mat = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) * 0.01 / (1 + n * n)
-            bands[n] = CoefficientFunction.constant(mat)
-        op = BandedAnisotropicOperator(2, bands)
-        v10 = essential.essential_norm(op, grid_n=2**10, refine=False).value
-        v12 = essential.essential_norm(op, grid_n=2**12, refine=False).value
-        assert abs(v12 - v10) < 1e-6
-
-    def test_auto_refinement_converged(self):
-        rng = np.random.default_rng(4)
-        pair = random_split_step(rng)
-        result = essential.essential_norm(pair.u - identity(2))
-        doubled = essential.essential_norm(
-            pair.u - identity(2), grid_n=2 * result.grid_n, refine=False
-        )
-        assert abs(doubled.value - result.value) < 1e-6
-
-    def test_grid_minimum(self):
-        with pytest.raises(ChiralwalkError):
-            essential.essential_norm(identity(1), grid_n=8)
 
 
 class TestFredholmType:

@@ -238,6 +238,18 @@ class TestKernelStructure:
         assert report.holds and report.dim_ker_u_plus_one == 1
         assert abs(report.pair_index_value) == 1
 
+    def test_inconsistent_triple_rejected(self):
+        # U = 1 is chiral for Gamma0 = sigma3, but it is not Gamma0 Gamma1 with Gamma1 = 1;
+        # a report on this triple would read as a counterexample to the theorems
+        u, g0, g1 = np.eye(2), SIGMA3, np.eye(2)
+        for check in (
+            indices.kernel_decomposition_check,
+            indices.kernel_bound_check,
+            indices.full_index_report,
+        ):
+            with pytest.raises(PreconditionError, match="U = G0 G1"):
+                check(u, g0, g1)
+
 
 class TestCayley:
     def test_no_real_spectrum_gives_zeros(self):

@@ -4,10 +4,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
-from chiralwalk import operators as ops, winding
-from chiralwalk.exceptions import FramePropagationError, NotFredholmError, PreconditionError
+from chiralwalk import analysis, essential, operators as ops, transfer, winding
+from chiralwalk.exceptions import ChiralwalkError, NotFredholmError, PreconditionError
 from chiralwalk.operators import SymbolLoop
+from chiralwalk.scenarios import Scenario
 from chiralwalk.verification import (
     interpolating_shift_model,
     random_unitary,
@@ -20,7 +22,11 @@ def scalar(v):
     return np.array([[v]], dtype=complex)
 
 
-# --- point-by-point reference for the batched compressed loops ----------------
+# --- point-by-point reference loops (test-only oracle) -------------------------
+
+
+class TransportError(Exception):
+    """Continuity propagation of a reference frame broke down."""
 
 
 def _reference_flatten(u_mat, cayley_sign, tol=1e-8):
@@ -32,29 +38,31 @@ def _reference_flatten(u_mat, cayley_sign, tol=1e-8):
     return (vecs * signs) @ vecs.conj().T
 
 
-def _reference_frames(g0_mat):
-    evals, vecs = np.linalg.eigh(0.5 * (g0_mat + g0_mat.conj().T))
+def _reference_frames(g_mat):
+    evals, vecs = np.linalg.eigh(0.5 * (g_mat + g_mat.conj().T))
     return vecs[:, evals > 0.5], vecs[:, evals < -0.5]
 
 
 def _reference_propagate(projector, frame):
     u_mat, svals, vh = np.linalg.svd(projector @ frame, full_matrices=False)
     if svals.min() < 0.1:
-        raise FramePropagationError("projected frame nearly singular")
+        raise TransportError("projected frame nearly singular")
     return u_mat @ vh
 
 
-def reference_loop(pair, side, grid_n, cayley_sign=None, gauge=None):
+def reference_loop(pair, side, grid_n, cayley_sign=None, gauge=None, grading="gamma0"):
     """One Schur and two polar SVDs per grid point, frames propagated in turn.
 
-    cayley_sign None builds the imaginary-part block, +-1 the flat band.
+    cayley_sign None compresses the imaginary part of u, +-1 the flat band
+    -sign(Im(+-u)), between the eigenframes of ``grading``.  Returns the
+    samples at z_0..z_N = z_0 and the frame holonomies (plus, minus).
     """
     d = pair.u.fiber_dim
     half = d // 2
     zs = ops.circle_grid(grid_n)
     u_vals = pair.u.symbol_at(side)(zs)
-    g0_vals = pair.gamma0.symbol_at(side)(zs)
-    frame_plus, frame_minus = _reference_frames(g0_vals[0])
+    g_vals = getattr(pair, grading).symbol_at(side)(zs)
+    frame_plus, frame_minus = _reference_frames(g_vals[0])
     if gauge is not None:
         frame_plus = frame_plus @ gauge[0]
         frame_minus = frame_minus @ gauge[1]
@@ -63,38 +71,36 @@ def reference_loop(pair, side, grid_n, cayley_sign=None, gauge=None):
     for k in range(grid_n + 1):
         idx = k % grid_n
         if k > 0:
-            p0 = 0.5 * (np.eye(d) + g0_vals[idx])
-            frame_plus = _reference_propagate(p0, frame_plus)
-            frame_minus = _reference_propagate(np.eye(d) - p0, frame_minus)
+            proj = 0.5 * (np.eye(d) + g_vals[idx])
+            frame_plus = _reference_propagate(proj, frame_plus)
+            frame_minus = _reference_propagate(np.eye(d) - proj, frame_minus)
         if cayley_sign is None:
             middle = (u_vals[idx] - u_vals[idx].conj().T) / 2j
         else:
             middle = _reference_flatten(u_vals[idx], cayley_sign)
         samples[k] = frame_minus.conj().T @ middle @ frame_plus
-    return winding.SampledLoop(
-        fiber_dim=half,
-        samples=samples,
-        holonomy_plus=start_plus.conj().T @ frame_plus,
-        holonomy_minus=start_minus.conj().T @ frame_minus,
-        side=side,
-        grid_n=grid_n,
-    )
+    return samples, start_plus.conj().T @ frame_plus, start_minus.conj().T @ frame_minus
 
 
-def batched_loop(pair, side, grid_n, cayley_sign=None, gauge=None):
-    if cayley_sign is None:
-        return winding.chiral_imaginary_block_symbol(pair, side, grid_n)
-    return winding.chiral_flat_band_symbol(pair, side, grid_n, cayley_sign, gauge)
+def reference_winding(samples, holonomy_plus, holonomy_minus):
+    """Unwound phase of det(samples) with the holonomy phases folded in: (rounded, raw)."""
+    dets = np.linalg.det(samples)
+    assert np.abs(dets).min() > 1e-10
+    steps = np.angle(dets[1:] / dets[:-1])
+    if np.abs(steps).max() >= np.pi / 2:
+        raise TransportError("reference loop too coarse")
+    correction = np.angle(np.linalg.det(holonomy_minus)) - np.angle(np.linalg.det(holonomy_plus))
+    raw = float(steps.sum() + correction) / (2.0 * np.pi)
+    assert abs(raw - round(raw)) < 0.25
+    return int(round(raw)), raw
 
 
-def assert_loops_match(loop, ref, tol=1e-12):
-    assert loop.samples.shape == ref.samples.shape
-    assert np.abs(loop.samples - ref.samples).max() < tol
-    for attr in ("holonomy_plus", "holonomy_minus"):
-        assert abs(np.linalg.det(getattr(loop, attr)) - np.linalg.det(getattr(ref, attr))) < tol
-    got, want = loop.winding(), ref.winding()
-    assert got.rounded == want.rounded
-    assert abs(got.raw_phase - want.raw_phase) < tol
+def reference(pair, side, grid_n, cayley_sign=None, gauge=None, grading="gamma0"):
+    return reference_winding(*reference_loop(pair, side, grid_n, cayley_sign, gauge, grading))[0]
+
+
+def root_count(pair, side, grading="gamma0"):
+    return winding.compressed_winding(pair, getattr(pair, grading), side)[0]
 
 
 def block_sum_pair(pair_a, pair_b, v):
@@ -196,63 +202,80 @@ class TestNcWinding:
 
 
 class TestFlatBandLoop:
+    """The sampled Cayley flat-band loop of the reference oracle against the root count.
+
+    The flat band -sign(Im u) and Im(u) itself are homotopic through
+    invertible blocks, so both carry the root count's winding; the root
+    count's closed frames are those nearest to parallel transport, so the
+    per-side values agree as well.
+    """
+
     def test_compressed_loop_unitary(self):
         pair = split_step_from_angles(0.0, 1.0, 0.3)
         for side in (ops.LEFT, ops.RIGHT):
-            loop = winding.chiral_flat_band_symbol(pair, side, grid_n=128)
-            for sample in loop.samples:
-                dev = np.abs(sample.conj().T @ sample - np.eye(1)).max()
-                assert dev < 1e-10
+            samples, _, _ = reference_loop(pair, side, 128, cayley_sign=1)
+            dev = np.abs(samples.conj().swapaxes(1, 2) @ samples - np.eye(1)).max()
+            assert dev < 1e-10
 
     def test_trivial_walk_winding_difference_zero(self):
         # translation-invariant walk: both sides carry the same loop, so the
-        # only construction-invariant quantity, the difference, vanishes
+        # only frame-independent quantity, the difference, vanishes
         pair = split_step_from_angles(0.0, 0.0, 0.3)
-        left = winding.chiral_flat_band_symbol(pair, ops.LEFT, grid_n=64).winding()
-        right = winding.chiral_flat_band_symbol(pair, ops.RIGHT, grid_n=64).winding()
-        assert right.rounded - left.rounded == 0
+        for grading in ("gamma0", "gamma1"):
+            assert root_count(pair, ops.RIGHT, grading) - root_count(pair, ops.LEFT, grading) == 0
+        assert reference(pair, ops.RIGHT, 64, 1) - reference(pair, ops.LEFT, 64, 1) == 0
 
     def test_gapless_rejected(self):
-        pair = split_step_from_angles(0.0, 0.0, 0.0)  # identity walk: no gap at +1
+        pair = split_step_from_angles(0.0, 0.0, 0.0)  # identity walk: Im(u) vanishes
+        for grading in (pair.gamma0, pair.gamma1):
+            with pytest.raises(NotFredholmError):
+                winding.compressed_winding(pair, grading, ops.RIGHT)
+        with pytest.raises(NotFredholmError):
+            winding.verify_index_theorem_chiral(pair)
         with pytest.raises(PreconditionError):
-            winding.chiral_flat_band_symbol(pair, ops.RIGHT, grid_n=32)
+            reference_loop(pair, ops.RIGHT, 32, cayley_sign=1)
 
     def test_flattening_sign_independent_winding(self):
         pair = split_step_from_angles(0.0, 1.0, 0.3)
         for side in (ops.LEFT, ops.RIGHT):
-            w1 = winding.chiral_flat_band_symbol(pair, side, 128, cayley_sign=1).winding()
-            w2 = winding.chiral_flat_band_symbol(pair, side, 128, cayley_sign=-1).winding()
-            assert w1.rounded == w2.rounded
+            w1 = reference(pair, side, 128, cayley_sign=1)
+            w2 = reference(pair, side, 128, cayley_sign=-1)
+            assert w1 == w2 == root_count(pair, side)
 
     def test_starting_frame_independence(self):
-        # random starting gauges: the holonomy-corrected winding is fixed
+        # random starting gauges: the holonomy-corrected winding is fixed,
+        # and the root count does not see the phases of its eigenvectors
         pair = split_step_from_angles(1.8, 0.5, 2.0)
-        base = winding.chiral_flat_band_symbol(pair, ops.RIGHT, 128).winding().rounded
+        base = root_count(pair, ops.RIGHT)
         rng = np.random.default_rng(5)
         for _ in range(3):
             gauge = (random_unitary(1, rng), random_unitary(1, rng))
-            loop = winding.chiral_flat_band_symbol(pair, ops.RIGHT, 128, gauge=gauge)
-            assert loop.winding().rounded == base
+            assert reference(pair, ops.RIGHT, 128, 1, gauge) == base
 
     def test_holonomy_correction_is_nontrivial(self):
         # split-step grading frames carry a genuine Berry phase; without the
-        # holonomy fold-in the raw phase would not sit near an integer
+        # holonomy fold-in the raw phase would not sit near an integer, and
+        # the root count's nearest closed frame is twisted by z^-k, k != 0
         pair = split_step_from_angles(1.8, 0.5, 2.0)
-        loop = winding.chiral_flat_band_symbol(pair, ops.RIGHT, 256)
-        correction = np.angle(np.linalg.det(loop.holonomy_minus)) - np.angle(
-            np.linalg.det(loop.holonomy_plus)
-        )
+        samples, hol_plus, hol_minus = reference_loop(pair, ops.RIGHT, 256, 1)
+        correction = np.angle(np.linalg.det(hol_minus)) - np.angle(np.linalg.det(hol_plus))
         assert abs(correction) > 1e-3
-        assert abs(loop.winding().raw_phase - loop.winding().rounded) < 0.05
+        rounded, raw = reference_winding(samples, hol_plus, hol_minus)
+        assert abs(raw - rounded) < 0.05
+        assert rounded == root_count(pair, ops.RIGHT)
+        _, frames = winding._closed_frames(pair.gamma0, ops.RIGHT)
+        assert [k for k, _ in frames] != [0, 0]
 
     def test_grid_doubling_stable(self):
         pair = split_step_from_angles(0.2, 2.0, 2.6)
-        w1 = winding.chiral_flat_band_symbol(pair, ops.LEFT, 128).winding().rounded
-        w2 = winding.chiral_flat_band_symbol(pair, ops.LEFT, 256).winding().rounded
-        assert w1 == w2
+        w1 = reference(pair, ops.LEFT, 128, 1)
+        w2 = reference(pair, ops.LEFT, 256, 1)
+        assert w1 == w2 == root_count(pair, ops.LEFT)
 
 
 class TestBatchedLoops:
+    """Root counts against the point-by-point reference loops."""
+
     def test_random_split_steps_match_reference(self):
         rng = np.random.default_rng(11)
         for trial in range(12):
@@ -264,18 +287,20 @@ class TestBatchedLoops:
                 *angles, shift_exponent=1 + trial % 4 // 2, defects=defects
             )
             for side in (ops.LEFT, ops.RIGHT):
+                expected = root_count(pair, side)
                 for cayley_sign in (1, -1, None):
                     gauge = None
                     if cayley_sign is not None and trial % 3:
                         gauge = (random_unitary(1, rng), random_unitary(1, rng))
-                    assert_loops_match(
-                        batched_loop(pair, side, 96, cayley_sign, gauge),
-                        reference_loop(pair, side, 96, cayley_sign, gauge),
-                    )
+                    assert reference(pair, side, 96, cayley_sign, gauge) == expected
+                assert reference(pair, side, 96, grading="gamma1") == root_count(
+                    pair, side, "gamma1"
+                )
 
     def test_half_two_block_sum_matches_parts(self):
         # a fixed unitary mixes the two parts, so the grading eigenframes
-        # are 2-dimensional and the transport steps are genuine 2x2 polars
+        # are 2-dimensional and the transport steps are genuine 2x2 polars;
+        # the root count needs the split-step form and refuses the sum
         parts = (
             split_step_from_angles(2.8, 0.4, 1.2),
             split_step_from_angles(1.28, 0.14, 0.15, shift_exponent=2),
@@ -284,20 +309,20 @@ class TestBatchedLoops:
         pair = block_sum_pair(*parts, random_unitary(4, rng))
         gauge = (random_unitary(2, rng), random_unitary(2, rng))
         for side in (ops.LEFT, ops.RIGHT):
+            parts_sum = sum(root_count(part, side) for part in parts)
             for cayley_sign in (1, -1, None):
-                loop = batched_loop(pair, side, 128, cayley_sign, gauge if cayley_sign else None)
-                ref = reference_loop(pair, side, 128, cayley_sign, gauge if cayley_sign else None)
-                assert loop.samples.shape == (129, 2, 2)
-                assert_loops_match(loop, ref)
-                parts_sum = sum(
-                    batched_loop(part, side, 128, cayley_sign).winding().rounded
-                    for part in parts
+                samples, hol_plus, hol_minus = reference_loop(
+                    pair, side, 128, cayley_sign, gauge if cayley_sign else None
                 )
-                assert loop.winding().rounded == parts_sum
+                assert samples.shape == (129, 2, 2)
+                assert reference_winding(samples, hol_plus, hol_minus)[0] == parts_sum
+            with pytest.raises(PreconditionError):
+                winding.compressed_winding(pair, pair.gamma0, side)
 
     def test_transport_guard_on_coarse_grid(self):
         # grading [[0, z^4], [z^-4, 0]] on 8 points: the eigenframes of
-        # neighbouring points are orthogonal, so no transport step exists
+        # neighbouring points are orthogonal, so no transport step exists;
+        # it is D(z^-1) G D(z^-1)^*, not of the split-step form D(z) G D(z)^*
         def loop(sign):
             return SymbolLoop(2, {4: [[0, sign], [0, 0]], -4: [[0, 0], [1, 0]]})
 
@@ -306,11 +331,11 @@ class TestBatchedLoops:
             gamma0=SimpleNamespace(symbol_at=lambda side: loop(1)),
         )
         for cayley_sign in (1, -1, None):
-            with pytest.raises(FramePropagationError):
+            with pytest.raises(TransportError):
                 reference_loop(pair, ops.RIGHT, 8, cayley_sign)
-            with pytest.raises(FramePropagationError):
-                batched_loop(pair, ops.RIGHT, 8, cayley_sign)
-        batched_loop(pair, ops.RIGHT, 64, 1).winding()
+        reference(pair, ops.RIGHT, 64, 1)
+        with pytest.raises(PreconditionError):
+            winding.compressed_winding(pair, pair.gamma0, ops.RIGHT)
 
     def test_gap_closing_at_one_momentum_rejected(self):
         # theta1 = theta2 on the right closes the gap at +1 only at z = 1
@@ -321,8 +346,11 @@ class TestBatchedLoops:
         assert dist[0] < 1e-12 and dist[1:].min() > 1e-3
         for cayley_sign in (1, -1):
             with pytest.raises(PreconditionError):
-                winding.chiral_flat_band_symbol(pair, ops.RIGHT, 64, cayley_sign)
-        winding.chiral_flat_band_symbol(pair, ops.LEFT, 64).winding()
+                reference_loop(pair, ops.RIGHT, 64, cayley_sign)
+        for grading in (pair.gamma0, pair.gamma1):
+            with pytest.raises(NotFredholmError, match="margin of the unit circle"):
+                winding.compressed_winding(pair, grading, ops.RIGHT)
+        assert reference(pair, ops.LEFT, 64, 1) == root_count(pair, ops.LEFT)
 
 
 class TestIndexTheorem:
@@ -357,13 +385,12 @@ class TestIndexTheorem:
         record = winding.verify_index_theorem(pair)
         assert record.holds
         assert record.si_plus == -1 and record.si_minus == 1
-        assert {b.name for b in record.branches} == {
-            "cayley_flat_band",
-            "cayley_flat_band_negated",
-            "imaginary_block",
-        }
+        assert [b.name for b in record.branches] == ["gamma1_graded", "imaginary_block"]
+        assert record.branch("gamma1_graded").lhs_index == record.si_minus - record.si_plus
+        assert record.branch("imaginary_block").lhs_index == -(record.si_plus + record.si_minus)
         for branch in record.branches:
-            assert branch.lhs_index == -(record.si_plus + record.si_minus)
+            assert branch.root_margin > transfer.CIRCLE_MARGIN
+            assert branch.to_dict()["root_margin"] == branch.root_margin
 
     def test_double_shift_walk_reaches_higher_indices(self):
         pair = split_step_from_angles(1.28, 0.14, 0.15, shift_exponent=2)
@@ -384,3 +411,89 @@ class TestIndexTheorem:
         assert total == branch.winding_left - branch.winding_right
         assert record.dim_ker_u_plus_one >= abs(record.si_minus)
         assert record.dim_ker_u_minus_one >= abs(record.si_plus)
+
+
+angles = st.floats(0.05, np.pi - 0.05)
+
+
+def near_closing_scenario(shift_exponent, grid_n):
+    theta_left, theta_right, theta2, defect = 0.2, 0.7 - 1e-4, 0.7, 1.3
+    a = {"profile": "table", "left": float(np.cos(theta_left)),
+         "right": float(np.cos(theta_right)), "table": [{"x": 0, "value": float(np.cos(defect))}]}
+    b = {"profile": "table", "left": float(np.sin(theta_left)),
+         "right": float(np.sin(theta_right)), "table": [{"x": 0, "value": float(np.sin(defect))}]}
+    return Scenario.from_doc({
+        "model": "split_step",
+        "params": {"a": a, "b": b, "c": float(np.cos(theta2)), "d_coin": float(np.sin(theta2)),
+                   "shift_exponent": shift_exponent},
+        "tolerances": {"grid_n": grid_n},
+    })
+
+
+class TestRootCounts:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        theta1_left=angles,
+        theta1_right=angles,
+        theta2=angles,
+        shift_exponent=st.sampled_from([1, 2]),
+        defects=st.dictionaries(st.integers(-2, 2), angles, max_size=3),
+    )
+    def test_both_branches_hold_on_certified_models(
+        self, theta1_left, theta1_right, theta2, shift_exponent, defects
+    ):
+        pair = split_step_from_angles(theta1_left, theta1_right, theta2, shift_exponent, defects)
+        certs = essential.certify_unitary(pair.u, 256)
+        assume(certs.gap_plus.certified and certs.gap_minus.certified)
+        one = ops.identity(2)
+        ker_minus = transfer.exact_kernel(pair.u + one, pair.gamma0)
+        ker_plus = transfer.exact_kernel(pair.u - one, pair.gamma0)
+        si_plus, si_minus = ker_plus.graded_signature, ker_minus.graded_signature
+        record = winding.verify_index_theorem_chiral(pair, kernels=(ker_minus, ker_plus))
+        gamma1, gamma0 = record.branch("gamma1_graded"), record.branch("imaginary_block")
+        assert gamma1.rhs_index == si_minus - si_plus
+        assert gamma0.rhs_index == -(si_plus + si_minus)
+        assert record.holds
+
+    @pytest.mark.parametrize("shift_exponent", [1, 2])
+    def test_certified_near_closing_model_gets_windings(self, shift_exponent):
+        # both gaps certify at grid 256; a grid loop at that size is too coarse
+        scenario = near_closing_scenario(shift_exponent, 256)
+        report, code = analysis.run_index_report(scenario)
+        certs = report["certifications"]
+        assert certs["gap_plus_one"]["status"] == certs["gap_minus_one"]["status"] == "certified"
+        assert code == analysis.EXIT_OK and report["omitted"] == []
+        assert report["windings"]["holds"] is True
+        assert [b["name"] for b in report["windings"]["branches"]] == [
+            "gamma1_graded", "imaginary_block"
+        ]
+
+    def test_root_guard_never_refuses_returned_kernels(self):
+        # gaps from 1e-1 down to 3e-7: wherever the transfer oracle returns
+        # both kernels, the root count stays clear of the circle and holds
+        refused = 0
+        for eps in np.logspace(-1, -6.5, 12):
+            for shift_exponent in (1, 2):
+                for theta, sign in ((0.7, 1), (2.5, -1)):
+                    pair = split_step_from_angles(
+                        0.2, theta - sign * eps, theta, shift_exponent, {0: 1.3}
+                    )
+                    one = ops.identity(2)
+                    try:
+                        kernels = (
+                            transfer.exact_kernel(pair.u + one, pair.gamma0),
+                            transfer.exact_kernel(pair.u - one, pair.gamma0),
+                        )
+                    except ChiralwalkError:
+                        refused += 1
+                        continue
+                    record = winding.verify_index_theorem_chiral(pair, kernels=kernels)
+                    assert record.holds
+                    assert min(b.root_margin for b in record.branches) > transfer.CIRCLE_MARGIN
+        assert 0 < refused < 24
+
+    def test_grading_without_both_halves_rejected(self):
+        # the identity factors trivially (n = 0) but has no -1 eigenframe
+        pair = split_step_from_angles(2.8, 0.4, 1.2)
+        with pytest.raises(PreconditionError, match="signature 0"):
+            winding.compressed_winding(pair, ops.identity(2), ops.LEFT)
