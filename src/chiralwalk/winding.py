@@ -119,6 +119,9 @@ def _closed_frames(grading, side):
     z^(-k) D(z) v for the eigenvectors v of G.  Any integer k gives a
     closed frame and shifts that side's winding; k = round(n |v_2|^2)
     takes the frame nearest to parallel transport (smallest Berry phase).
+    As |v_2|^2 of the two eigenvectors sum to 1, k_- = n - k_+; only k_+
+    is rounded, half down within CHIRAL_TOL, so that an exact tie such as
+    n |v_2|^2 = 1/2 does not leave the choice to rounding noise.
     Returns (D as a loop, [(k, v) for +1, then -1]).
     """
     loop = grading.symbol_at(side)
@@ -142,11 +145,11 @@ def _closed_frames(grading, side):
             f"{side} grading symbol is not D(z) G D(z)^* with G a self-adjoint unitary "
             f"of signature 0 (deviation {dev:.3e})"
         )
-    frames = [(int(round(n * abs(v[1]) ** 2)), v) for v in (vecs[:, 1], vecs[:, 0])]
-    return d_loop, frames
+    k_plus = int(np.ceil(n * abs(vecs[1, 1]) ** 2 - 0.5 - CHIRAL_TOL))
+    return d_loop, [(k_plus, vecs[:, 1]), (n - k_plus, vecs[:, 0])]
 
 
-def _compressed_block(pair, grading, side):
+def chiral_imaginary_block_symbol(pair, grading, side):
     """Im(u) between the -1 and +1 frames of ``grading``: a scalar Laurent loop.
 
     With e_+- = z^(-k_+-) D v_+- this is z^(k_- - k_+) v_-^* D^* Im(u) D v_+,
@@ -173,7 +176,7 @@ def compressed_winding(pair, grading, side):
     eigenvalue 1/z lies within CIRCLE_MARGIN of the circle, the band in
     which the transfer oracle refuses, raises NotFredholmError.
     """
-    roots, order_at_zero = _det_roots(_compressed_block(pair, grading, side))
+    roots, order_at_zero = _det_roots(chiral_imaginary_block_symbol(pair, grading, side))
     radii = np.abs(roots)
     if np.any(np.abs(1.0 / radii - 1.0) <= CIRCLE_MARGIN):
         raise NotFredholmError(

@@ -265,6 +265,24 @@ class TestFlatBandLoop:
         assert rounded == root_count(pair, ops.RIGHT)
         _, frames = winding._closed_frames(pair.gamma0, ops.RIGHT)
         assert [k for k, _ in frames] != [0, 0]
+        # exact ties n |v_2|^2 = 1/2 (theta2 = pi/2, n = 1) and 1/2, 3/2
+        # (c = +-1/2, n = 2): both holonomies are -1, so the per-side value
+        # is a choice; the tie breaks downward, the pair still sums to n,
+        # and right minus left matches the reference
+        for angles, n, expected_k in (
+            ((1.8, 0.5, np.pi / 2), 1, [0, 1]),
+            ((1.8, 0.5, np.pi / 3), 2, [0, 2]),
+            ((1.8, 0.5, 2 * np.pi / 3), 2, [1, 1]),
+        ):
+            tie = split_step_from_angles(*angles, shift_exponent=n)
+            for side in (ops.LEFT, ops.RIGHT):
+                _, frames = winding._closed_frames(tie.gamma0, side)
+                assert [k for k, _ in frames] == expected_k
+            assert (
+                root_count(tie, ops.RIGHT) - root_count(tie, ops.LEFT)
+                == reference(tie, ops.RIGHT, 256) - reference(tie, ops.LEFT, 256)
+            )
+            assert winding.verify_index_theorem_chiral(tie).holds
 
     def test_grid_doubling_stable(self):
         pair = split_step_from_angles(0.2, 2.0, 2.6)
