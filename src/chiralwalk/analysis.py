@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import essential, indices, operators as ops, transfer, winding
-from .exceptions import ChiralwalkError, NotFredholmError
+from .exceptions import ChiralwalkError
 from .walks import ChiralPair
 
 EXIT_OK = 0
@@ -22,7 +22,7 @@ EXIT_REFUTED = 2
 
 
 def _chiral_report(pair, tol):
-    certs = essential.certify_unitary(pair.u, tol.grid_n, tol.margin)
+    certs = essential.certify_unitary(pair.u, margin=tol.margin)
     gap_plus, gap_minus = certs.gap_plus, certs.gap_minus
     report = {
         "chiral_certification": pair.certification.to_dict(),
@@ -37,35 +37,27 @@ def _chiral_report(pair, tol):
         "omitted": [],
     }
     one = ops.identity(pair.u.fiber_dim)
-    ker_minus = ker_plus = None
-    if gap_minus.certified:
+    kernels = []
+    for name, target, gap, dim_key in (
+        ("minus", -1, gap_minus, "dim_ker_u_plus_one"),
+        ("plus", 1, gap_plus, "dim_ker_u_minus_one"),
+    ):
+        if not gap.certified:
+            report["omitted"].append(f"si_{name}: gap_at({target:+d}) {gap.status}")
+            continue
         try:
-            ker_minus = transfer.exact_kernel(pair.u + one, pair.gamma0, tol.rank_tol)
-            report["indices"]["si_minus"] = ker_minus.graded_signature
-            report["indices"]["dim_ker_u_plus_one"] = ker_minus.dimension
-            report["diagnostics_minus"] = ker_minus.to_dict()
-        except ChiralwalkError as exc:  # borderline: certified gap, oracle still refuses
-            report["omitted"].append(f"si_minus: {exc}")
-    else:
-        report["omitted"].append(f"si_minus: gap_at(-1) {gap_minus.status}")
-    if gap_plus.certified:
+            ker = transfer.exact_kernel(pair.u + one.scaled(-target), pair.gamma0, tol.rank_tol)
+        except ChiralwalkError as exc:  # e.g. a kernel that Gamma0 does not preserve
+            report["omitted"].append(f"si_{name}: {exc}")
+            continue
+        report["indices"][f"si_{name}"] = ker.graded_signature
+        report["indices"][dim_key] = ker.dimension
+        report[f"diagnostics_{name}"] = ker.to_dict()
+        kernels.append(ker)
+    if len(kernels) == 2:
+        report["indices"]["si_total"] = report["indices"]["si_plus"] + report["indices"]["si_minus"]
         try:
-            ker_plus = transfer.exact_kernel(pair.u - one, pair.gamma0, tol.rank_tol)
-            report["indices"]["si_plus"] = ker_plus.graded_signature
-            report["indices"]["dim_ker_u_minus_one"] = ker_plus.dimension
-            report["diagnostics_plus"] = ker_plus.to_dict()
-        except ChiralwalkError as exc:
-            report["omitted"].append(f"si_plus: {exc}")
-    else:
-        report["omitted"].append(f"si_plus: gap_at(+1) {gap_plus.status}")
-    if ker_minus is not None and ker_plus is not None:
-        report["indices"]["si_total"] = (
-            report["indices"]["si_plus"] + report["indices"]["si_minus"]
-        )
-        try:
-            record = winding.verify_index_theorem_chiral(
-                pair, tol.rank_tol, kernels=(ker_minus, ker_plus)
-            )
+            record = winding.verify_index_theorem_chiral(pair, tol.rank_tol, kernels=tuple(kernels))
             report["windings"] = record.to_dict()
         except ChiralwalkError as exc:
             report["omitted"].append(f"winding comparison: {exc}")
@@ -76,7 +68,7 @@ def _chiral_report(pair, tol):
 
 
 def _weighted_shift_report(u_op, tol):
-    fred = essential.is_fredholm_type(u_op, tol.grid_n, tol.margin)
+    fred = essential.is_fredholm_type(u_op, margin=tol.margin)
     winds = {}
     for side in (ops.LEFT, ops.RIGHT):
         res = winding.winding_det(u_op.symbol_at(side), tol.grid_n)
@@ -95,17 +87,14 @@ def _weighted_shift_report(u_op, tol):
 
 
 def _custom_banded_report(f_op, tol):
-    report = {"certifications": {}, "omitted": []}
-    zs = ops.circle_grid(min(tol.grid_n, 4096))
+    certs = {}
     for side in (ops.LEFT, ops.RIGHT):
-        dets = np.abs(np.linalg.det(f_op.symbol_at(side)(zs)))
-        report["certifications"][f"symbol_invertible_{side}"] = {
-            "min_abs_det": float(dets.min()) if dets.size else 0.0,
-            "certified": bool(dets.size and dets.min() > tol.margin),
-        }
+        margin, clear = transfer.circle_clearance(f_op.symbol_at(side))
+        certs[f"symbol_invertible_{side}"] = {"root_margin": margin, "certified": clear}
+    report = {"certifications": certs, "omitted": []}
     try:
         record = winding.verify_index_theorem_banded(f_op, tol.grid_n, tol.rank_tol)
-    except (NotFredholmError, ChiralwalkError) as exc:
+    except ChiralwalkError as exc:
         report["omitted"].append(f"index: {exc}")
         return report, EXIT_REFUTED
     report["index"] = record.index_result.to_dict()

@@ -147,7 +147,8 @@ def _add_common_flags(parser, suppress=False):
     parser.add_argument("--rank-tol", dest="rank_tol", type=float, default=default,
                         help="relative kernel rank threshold (default 1e-8)")
     parser.add_argument("--grid", type=int, default=default,
-                        help="circle grid size (default 4096)")
+                        help="circle grid size for the spectrum dump and the det/nc windings "
+                             "(default 4096); certifications use no grid")
     parser.add_argument("--margin", type=float, default=default,
                         help="certification margin (default 1e-6)")
     parser.add_argument("--seed", type=int, default=default, help="randomized-suite seed")

@@ -1,29 +1,33 @@
 """Symbol-level certification of essential-spectrum conditions.
 
 For operators in this class the image in the Calkin quotient is exactly
-the pair of limit symbols, so the essential norm is the larger of the
-two symbol sup-norms over the circle.  Certifications are tri-state
-(certified / refuted / inconclusive) to avoid silently miscertifying at
-a phase transition.
+the pair of limit symbols, so the essential spectrum of a unitary U is
+the set of eigenvalues lambda(z) of its limit symbols F(z), |z| = 1.
+Certifications are tri-state (certified / refuted / inconclusive) to
+avoid silently miscertifying at a phase transition.
 
-The certifications of a unitary U all read one symbol spectrum.  Each
-limit symbol F(z) of U is unitary, hence normal, and for a normal
-matrix with eigenvalues lambda
+F(z) is unitary on the circle, so mu on the circle is an eigenvalue of
+some F(z) exactly when det(F(z) - mu) has a unimodular root
+(``transfer._det_roots``).  The gap at t = +-1, min |lambda(z) - t|,
+comes from the level-set iteration (Boyd & Balakrishnan, Syst. Control
+Lett. 15:1, 1990): eigenvalues enter or leave the arc |mu - t| < gamma
+only where they cross its endpoints t e^(+-i phi), 2 sin(phi/2) = gamma.
+Between consecutive crossings the number of eigenvalues inside the arc
+is constant, so one evaluation per interval decides it: an eigenvalue
+inside lowers gamma; when no interval has one, the gap is at least
+gamma.  Each level sits LEVEL_RTOL below the smallest distance found,
+so the search stops with the gap bracketed between the two.
 
-    sigma_min(F(z) - t) = min |lambda - t|,    || 1 -+ F(z) || = max |1 -+ lambda|,
+A gap is certified when that lower bound exceeds the margin and the
+roots of det(F(z) - t) clear ``transfer.CIRCLE_MARGIN``, so that the
+exact-kernel oracle cannot refuse it.  On the circle
+|1 - lambda|^2 + |1 + lambda|^2 = 4, hence
 
-so the gaps at +-1 and the Fredholm-type norms || 1 -+ U ||_ess come
-from one batched eigendecomposition per limit symbol and grid size
-(``SymbolSpectrum``).  Normality is certified without a grid:
-F(z)^* F(z) - 1 = sum_n C_n z^n is a Laurent polynomial whose limit
-band coefficients C_n are known exactly, and
+    || 1 -+ U ||_ess = sqrt(4 - gap_(-+1)^2),
 
-    sup_{|z|=1} || F(z)^* F(z) - 1 || <= sum_n || C_n ||_2,
-
-which must stay below UNITARY_TOL on both sides.  For a chiral pair
-U = G0 G1 with G0 a self-adjoint unitary, G0 -+ G1 = G0 (1 -+ U), so
-|| G0 -+ G1 ||_ess = || 1 -+ U ||_ess: the dichotomy is read off the
-Fredholm-type norms.
+and for a chiral pair U = G0 G1, G0 -+ G1 = G0 (1 -+ U) gives
+|| G0 -+ G1 ||_ess = || 1 -+ U ||_ess: the Fredholm-type norms and the
+dichotomy follow from the two gaps.
 """
 
 from __future__ import annotations
@@ -33,91 +37,100 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .exceptions import ChiralwalkError, PreconditionError
-from .operators import circle_grid
+from .exceptions import ChiralwalkError, NotFredholmError, PreconditionError
+from .transfer import _det_roots, circle_clearance
 
-DEFAULT_GRID_N = 4096
-MAX_GRID_N = 2**16
+DEFAULT_GRID_N = 4096      # sampling of the spectrum dump only
 DEFAULT_MARGIN = 1e-6
-REFINE_TOL = 1e-6
 UNITARY_TOL = 1e-8
+LEVEL_RTOL = 1e-12         # each level sits this far (relative) below the best distance
+CROSSING_TOL = 1e-6        # roots this close to the circle count as crossings
+MAX_LEVELS = 64
+INITIAL_PROBES = 2.0 * np.pi * np.arange(8) / 8   # first angles: a close start saves levels
 
 CERTIFIED = "certified"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
 
-def _checked_grid(grid_n):
-    grid_n = int(grid_n)
-    if grid_n < 16:
-        raise ChiralwalkError("grid_n must be at least 16")
-    return grid_n
+def _unitary_symbols(u):
+    """Both limit symbols of u, once they are certified unitary without a grid.
 
-
-def _refine(measure, grid_n, keep):
-    """Double the grid from grid_n until ``measure`` moves by less than REFINE_TOL.
-
-    On convergence the last two values merge by ``keep`` (min for a gap,
-    max for a norm); at the MAX_GRID_N cap the last value stands.
-    Returns (value, grid reached).
+    sup_z || F(z)^* F(z) - 1 || <= sum_n || C_n ||_2 over the exact Laurent
+    coefficients C_n of F^* F - 1 must stay below UNITARY_TOL.
     """
-    n = grid_n
-    value = measure(n)
-    while n < MAX_GRID_N:
-        nxt = measure(2 * n)
-        n *= 2
-        if abs(nxt - value) < REFINE_TOL:
-            return keep(value, nxt), n
-        value = nxt
-    return value, n
+    loops = (u.symbol_at(ops.LEFT), u.symbol_at(ops.RIGHT))
+    bound = 0.0
+    for loop in loops:
+        coeffs = dict((loop.hermitian_conjugate() * loop).coefficients)
+        coeffs[0] = coeffs.get(0, 0) - np.eye(loop.fiber_dim)
+        stack = np.stack(list(coeffs.values()))
+        bound = max(bound, float(np.linalg.norm(stack, 2, axis=(1, 2)).sum()))
+    if bound > UNITARY_TOL:
+        raise PreconditionError(
+            f"limit symbols are not unitary: sup |F*F - 1| <= {bound:.3e} "
+            f"exceeds {UNITARY_TOL:.0e}"
+        )
+    return loops
 
 
-class SymbolSpectrum:
-    """Eigenvalues of both limit symbols of a banded operator, cached by grid size.
+def _distance(loop, thetas, target):
+    """Smallest |lambda - target| over the eigenvalues of loop at z = e^(i theta)."""
+    return float(np.abs(np.linalg.eigvals(loop(np.exp(1j * thetas))) - target).min())
 
-    Reading gaps and norms off eigenvalue moduli needs normal symbols;
-    certifications call require_unitary() first.  The eigenvalues
-    themselves (the spectrum dump) carry no such precondition.
+
+def _probes(loop, target, level):
+    """One angle inside each interval between consecutive crossings of the
+    arc endpoints at ``level`` (z = 1 without crossings).
+
+    Roots within CROSSING_TOL of the circle count as crossings; a spurious
+    one only adds an evaluation.  A flat band on an endpoint, where
+    det(F - mu) vanishes identically, raises NotFredholmError.
     """
+    phi = 2.0 * np.arcsin(min(level / 2.0, 1.0))
+    roots = np.concatenate([_det_roots(loop, target * np.exp(1j * s * phi))[0] for s in (1, -1)])
+    angles = np.sort(np.angle(roots[np.abs(np.abs(roots) - 1.0) <= CROSSING_TOL]) % (2.0 * np.pi))
+    if not angles.size:
+        return np.zeros(1)
+    return 0.5 * (angles + np.append(angles[1:], angles[0] + 2.0 * np.pi))
 
-    def __init__(self, op):
-        self.loops = (op.symbol_at(ops.LEFT), op.symbol_at(ops.RIGHT))
-        self._eigenvalues = {}
 
-    def eigenvalues(self, n):
-        """(2, n, d) eigenvalues: left then right symbol at circle_grid(n)."""
-        if n not in self._eigenvalues:
-            zs = circle_grid(n)
-            self._eigenvalues[n] = np.stack([np.linalg.eigvals(loop(zs)) for loop in self.loops])
-        return self._eigenvalues[n]
+@dataclass
+class _Gap:
+    value: float                # smallest |lambda - t| found: an upper bound on the gap
+    bound: float                # proven lower bound on the gap (0 when not proven)
+    root_margin: float | None   # min ||z| - 1| over the roots of det(F - t), both sides
+    clear: bool                 # those roots clear transfer.CIRCLE_MARGIN
 
-    def require_unitary(self):
-        """Bound sup_z || F(z)^* F(z) - 1 || on both sides from the band coefficients.
 
-        Guards the eigenvalue-modulus readings, which hold for normal
-        symbols only.
-        """
-        bound = 0.0
-        for loop in self.loops:
-            coeffs = dict((loop.hermitian_conjugate() * loop).coefficients)
-            coeffs[0] = coeffs.get(0, 0) - np.eye(loop.fiber_dim)
-            stack = np.stack(list(coeffs.values()))
-            bound = max(bound, float(np.linalg.norm(stack, 2, axis=(1, 2)).sum()))
-        if bound > UNITARY_TOL:
-            raise PreconditionError(
-                f"limit symbols are not unitary: sup |F*F - 1| <= {bound:.3e} "
-                f"exceeds {UNITARY_TOL:.0e}"
-            )
-        return self
+def _gap(loops, target):
+    """Level-set minimum of |lambda(z) - target| over both limit symbols."""
+    value, level, bound, points = np.inf, np.inf, 0.0, [INITIAL_PROBES] * len(loops)
+    for _ in range(MAX_LEVELS):
+        lowest = min(_distance(loop, p, target) for loop, p in zip(loops, points))
+        if lowest >= level:
+            bound = level
+            break
+        value = lowest
+        if value == 0.0:
+            break
+        level = value * (1.0 - LEVEL_RTOL)
+        try:
+            points = [_probes(loop, target, level) for loop in loops]
+        except NotFredholmError:   # a flat band on an arc endpoint leaves the level open
+            break
+    clearances = [circle_clearance(loop, target) for loop in loops]
+    margins = [m for m, _ in clearances if m is not None]
+    return _Gap(value, bound, min(margins, default=None), all(c for _, c in clearances))
 
 
 @dataclass
 class Certification:
-    status: str           # certified / refuted / inconclusive
-    value: float          # the measured norm or gap
+    status: str                 # certified / refuted / inconclusive
+    value: float                # the gap or norm at the smallest distance found
     threshold: float
     margin: float
-    grid_n: int
+    root_margin: float | None   # min ||z| - 1| over the roots of det(F - t), both sides
 
     @property
     def certified(self):
@@ -129,20 +142,30 @@ class Certification:
             "value": self.value,
             "threshold": self.threshold,
             "margin": self.margin,
-            "grid_n": self.grid_n,
+            "root_margin": self.root_margin,
         }
 
 
-def _certification(slack, value, threshold, margin, grid_n):
-    if slack > margin:
-        status = CERTIFIED
-    elif slack <= margin * 1e-3:
-        status = REFUTED
-    else:
-        status = INCONCLUSIVE
-    return Certification(
-        status=status, value=value, threshold=threshold, margin=margin, grid_n=grid_n
-    )
+def _status(lower, upper, margin):
+    """Certified when the proven slack exceeds margin; refuted when even
+    the slack found is at most margin / 1000."""
+    if lower > margin:
+        return CERTIFIED
+    if upper <= margin * 1e-3:
+        return REFUTED
+    return INCONCLUSIVE
+
+
+def _gap_certification(gap, margin):
+    lower = gap.bound if gap.clear else 0.0
+    return Certification(_status(lower, gap.value, margin), gap.value, 0.0, margin, gap.root_margin)
+
+
+def _norm_certification(gap, margin):
+    """|| 1 -+ U ||_ess < 2 from the gap at -+1."""
+    value, bound = (float(np.sqrt(max(4.0 - g * g, 0.0))) for g in (gap.value, gap.bound))
+    return Certification(_status(2.0 - bound, 2.0 - value, margin), value, 2.0, margin,
+                         gap.root_margin)
 
 
 @dataclass
@@ -181,71 +204,53 @@ class UnitaryCertification:
     dichotomy: DichotomyReport   # meaningful when U = G0 G1 is a chiral pair
 
 
-def _gap(spectrum, target, grid_n, margin):
-    value, n = _refine(
-        lambda m: float(np.abs(spectrum.eigenvalues(m) - target).min()), grid_n, min
-    )
-    return _certification(value, value, 0.0, margin, n)
+def _gaps(u):
+    loops = _unitary_symbols(u)
+    return _gap(loops, 1.0), _gap(loops, -1.0)
 
 
-def _norm(spectrum, sign, grid_n, margin):
-    """|| 1 + sign U ||_ess < 2."""
-    value, n = _refine(
-        lambda m: float(np.abs(1.0 + sign * spectrum.eigenvalues(m)).max()), grid_n, max
-    )
-    return _certification(2.0 - value, value, 2.0, margin, n)
-
-
-def _fredholm(spectrum, grid_n, margin):
+def _fredholm(gap_plus, gap_minus, margin):
     return FredholmTypeCertification(
-        minus=_norm(spectrum, -1.0, grid_n, margin), plus=_norm(spectrum, +1.0, grid_n, margin)
+        minus=_norm_certification(gap_minus, margin), plus=_norm_certification(gap_plus, margin)
     )
 
 
 def _dichotomy(fred, margin):
-    return DichotomyReport(
-        norm_difference=fred.minus.value, norm_sum=fred.plus.value, margin=margin
-    )
+    return DichotomyReport(fred.minus.value, fred.plus.value, margin)
 
 
-def certify_unitary(u, grid_n=DEFAULT_GRID_N, margin=DEFAULT_MARGIN):
-    """Gaps at +-1, Fredholm type and dichotomy of a unitary from one symbol spectrum.
-
-    Each quantity keeps its own grid doubling, stopping rule and
-    reported grid_n; every grid size is evaluated and eigendecomposed once.
-    """
-    grid_n = _checked_grid(grid_n)
-    spectrum = SymbolSpectrum(u).require_unitary()
-    fred = _fredholm(spectrum, grid_n, margin)
+def certify_unitary(u, *, margin=DEFAULT_MARGIN):
+    """Gaps at +-1, Fredholm type and dichotomy of a unitary from its two gaps."""
+    gap_plus, gap_minus = _gaps(u)
+    fred = _fredholm(gap_plus, gap_minus, margin)
     return UnitaryCertification(
-        gap_plus=_gap(spectrum, 1.0, grid_n, margin),
-        gap_minus=_gap(spectrum, -1.0, grid_n, margin),
+        gap_plus=_gap_certification(gap_plus, margin),
+        gap_minus=_gap_certification(gap_minus, margin),
         fredholm=fred,
         dichotomy=_dichotomy(fred, margin),
     )
 
 
-def is_fredholm_type(u, grid_n=DEFAULT_GRID_N, margin=DEFAULT_MARGIN):
+def is_fredholm_type(u, *, margin=DEFAULT_MARGIN):
     """Certify || 1 -+ U ||_ess < 2 for a unitary lattice operator."""
-    return _fredholm(SymbolSpectrum(u).require_unitary(), _checked_grid(grid_n), margin)
+    return _fredholm(*_gaps(u), margin)
 
 
-def gap_at(u, target, grid_n=DEFAULT_GRID_N, margin=DEFAULT_MARGIN):
+def gap_at(u, target, *, margin=DEFAULT_MARGIN):
     """Distance of the essential spectrum of U from target (+1 or -1).
 
-    Measured as min |eigenvalue - target| of both limit symbols over the
-    grid.  A gap above the margin certifies; one below margin/1000
-    refutes; in between is inconclusive.
+    A proven gap above the margin, with the roots of det(F - target)
+    clear of the transfer circle margin, certifies; a gap found at most
+    margin/1000 refutes; anything else is inconclusive.
     """
     if target not in (1, -1, 1.0, -1.0):
         raise ChiralwalkError("target must be +1 or -1")
-    return _gap(SymbolSpectrum(u).require_unitary(), float(target), _checked_grid(grid_n), margin)
+    return _gap_certification(_gap(_unitary_symbols(u), float(target)), margin)
 
 
-def dichotomy_check(pair, grid_n=DEFAULT_GRID_N, margin=DEFAULT_MARGIN):
+def dichotomy_check(pair, *, margin=DEFAULT_MARGIN):
     """On the infinite lattice one of || G0 -+ G1 ||_ess must reach 1."""
-    spectrum = SymbolSpectrum(pair.u).require_unitary()
-    return _dichotomy(_fredholm(spectrum, _checked_grid(grid_n), margin), margin)
+    return _dichotomy(_fredholm(*_gaps(pair.u), margin), margin)
 
 
 def symbol_eigenvalues(u, grid_n=DEFAULT_GRID_N):
@@ -256,7 +261,8 @@ def symbol_eigenvalues(u, grid_n=DEFAULT_GRID_N):
     """
     n = int(grid_n)
     thetas = (2.0 * np.pi * np.arange(n) / n).tolist()
-    evs = SymbolSpectrum(u).eigenvalues(n)
+    zs = ops.circle_grid(n)
+    evs = np.stack([np.linalg.eigvals(u.symbol_at(side)(zs)) for side in (ops.LEFT, ops.RIGHT)])
     evs = np.take_along_axis(evs, np.lexsort((evs.imag, evs.real)), axis=-1)
     out = []
     for side, side_evs in zip((ops.LEFT, ops.RIGHT), evs.tolist()):

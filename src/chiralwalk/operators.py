@@ -221,6 +221,17 @@ class SymbolLoop:
             if m.any():
                 self.coefficients[int(n)] = m
 
+    @classmethod
+    def _derived(cls, fiber_dim, coefficients):
+        """A loop from (d, d) complex arrays that are validated or computed
+        from validated ones, so not validated again; zeros are dropped."""
+        loop = cls.__new__(cls)
+        loop.fiber_dim = fiber_dim
+        loop.coefficients = {n: m for n, m in coefficients.items() if m.any()}
+        for m in loop.coefficients.values():
+            m.setflags(write=False)
+        return loop
+
     def offsets(self):
         return sorted(self.coefficients)
 
@@ -240,21 +251,17 @@ class SymbolLoop:
 
     def derivative(self):
         """Exact Laurent derivative sum_n n A_n z^(n-1)."""
-        return SymbolLoop(
+        return SymbolLoop._derived(
             self.fiber_dim,
             {n - 1: n * mat for n, mat in self.coefficients.items() if n != 0},
         )
 
     def hermitian_conjugate(self):
         """The loop z -> F(z)^* (adjoint symbol on the circle)."""
-        return SymbolLoop(
+        return SymbolLoop._derived(
             self.fiber_dim,
             {-n: mat.conj().T for n, mat in self.coefficients.items()},
         )
-
-    def reversed(self):
-        """The loop z -> F(1/z) (band offsets negated)."""
-        return SymbolLoop(self.fiber_dim, {-n: mat for n, mat in self.coefficients.items()})
 
     def __mul__(self, other):
         if not isinstance(other, SymbolLoop):
@@ -265,18 +272,18 @@ class SymbolLoop:
         for n, a in self.coefficients.items():
             for m, b in other.coefficients.items():
                 k = n + m
-                out[k] = out.get(k, 0) + a @ b
-        return SymbolLoop(self.fiber_dim, out)
+                out[k] = out[k] + a @ b if k in out else a @ b
+        return SymbolLoop._derived(self.fiber_dim, out)
 
     def __add__(self, other):
         if not isinstance(other, SymbolLoop):
             return NotImplemented
         if self.fiber_dim != other.fiber_dim:
             raise DimensionMismatchError("fiber dimensions differ")
-        out = {n: m.copy() for n, m in self.coefficients.items()}
+        out = dict(self.coefficients)
         for n, m in other.coefficients.items():
-            out[n] = out.get(n, 0) + m
-        return SymbolLoop(self.fiber_dim, out)
+            out[n] = out[n] + m if n in out else m
+        return SymbolLoop._derived(self.fiber_dim, out)
 
     def __repr__(self):
         return f"SymbolLoop(d={self.fiber_dim}, offsets={self.offsets()})"
@@ -336,7 +343,7 @@ class BandedAnisotropicOperator:
     def symbol_at(self, side):
         _check_side(side)
         pick = (lambda f: f.left) if side == LEFT else (lambda f: f.right)
-        return SymbolLoop(self.fiber_dim, {n: pick(f) for n, f in self.bands.items()})
+        return SymbolLoop._derived(self.fiber_dim, {n: pick(f) for n, f in self.bands.items()})
 
     def truncate(self, L):
         """Compression to the window [-L, L]; see TruncatedOperator."""
@@ -461,12 +468,6 @@ class TruncatedOperator:
     @property
     def size(self):
         return self.matrix.shape[0]
-
-    def site_block(self, x):
-        """Row/column slice of site x."""
-        d = self.fiber_dim
-        i = (x + self.window_halfwidth) * d
-        return slice(i, i + d)
 
 
 # --- constructors ------------------------------------------------------------

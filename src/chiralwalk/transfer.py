@@ -31,47 +31,54 @@ CIRCLE_MARGIN = 1e-6
 # --- scalar determinant of a symbol loop ------------------------------------
 
 
-def _det_laurent(loop, coeff_tol=1e-11):
-    """Laurent coefficients of det(loop(z)) via FFT interpolation.
+def _det_roots(loop, mu=0.0, coeff_tol=1e-11):
+    """Roots of det(loop(z) - mu) in C* with multiplicity, and the order at z = 0.
 
-    Returns (lowest_power, coefficient array c with det = sum_k c[k] z^(low+k)).
+    The Laurent coefficients of the determinant come from FFT
+    interpolation; those below coeff_tol times the largest are dropped.
+    The order at zero is of the determinant as a Laurent polynomial;
+    negative values mean a pole at 0 (no root).  mu = 0 asks where the
+    symbol is singular, mu on the circle where mu is one of its eigenvalues.
     """
-    offsets = loop.offsets()
-    if not offsets:
-        return 0, np.zeros(1, dtype=complex)
+    offsets = sorted(set(loop.offsets()) | {0}) if mu else loop.offsets()
     d = loop.fiber_dim
-    nmin, nmax = min(offsets), max(offsets)
-    low, high = d * nmin, d * nmax
-    m = high - low + 1
+    low = d * min(offsets, default=0)
+    m = d * max(offsets, default=0) - low + 1
     zs = circle_grid(m)
-    dets = np.linalg.det(loop(zs))
+    values = loop(zs)
+    if mu:
+        values -= mu * np.eye(d)
     # det(z) * z^(-low) is a polynomial of degree m-1; sample and invert
-    samples = dets * zs ** (-low)
-    coeffs = np.fft.fft(samples) / m
-    scale = np.abs(coeffs).max()
-    if scale == 0:
-        return 0, np.zeros(1, dtype=complex)
-    coeffs[np.abs(coeffs) < coeff_tol * scale] = 0.0
-    return low, coeffs
-
-
-def _det_roots(loop):
-    """(roots with multiplicity in C*, order of the root at z = 0).
-
-    The order at zero is of det(loop) as a Laurent polynomial; negative
-    values mean a pole at 0 (no root).
-    """
-    low, coeffs = _det_laurent(loop)
+    coeffs = np.fft.fft(np.linalg.det(values) * zs ** (-low)) / m
+    coeffs[np.abs(coeffs) < coeff_tol * np.abs(coeffs).max()] = 0.0
     nz = np.nonzero(coeffs)[0]
     if nz.size == 0:
         raise NotFredholmError("symbol determinant vanishes identically")
-    first, last = nz[0], nz[-1]
-    order_at_zero = low + first
-    poly = coeffs[first : last + 1]
-    if poly.size == 1:
-        return np.zeros(0, dtype=complex), int(order_at_zero)
-    roots = np.roots(poly[::-1])  # np.roots wants highest power first
-    return roots, int(order_at_zero)
+    poly = coeffs[nz[0] : nz[-1] + 1][::-1]   # highest power first, for np.roots
+    roots = np.roots(poly) if poly.size > 1 else np.zeros(0, dtype=complex)
+    return roots, int(low + nz[0])
+
+
+def _clearance(roots, circle_margin):
+    """(min ||z| - 1| over the roots or None without roots, whether every
+    transfer eigenvalue 1/z lies outside circle_margin of the unit circle)."""
+    radii = np.abs(roots)
+    margin = float(np.abs(radii - 1.0).min()) if radii.size else None
+    return margin, bool(np.all(np.abs(1.0 / radii - 1.0) > circle_margin))
+
+
+def circle_clearance(loop, mu=0.0, circle_margin=CIRCLE_MARGIN):
+    """Where the roots of det(loop(z) - mu) lie relative to the unit circle.
+
+    Returns (root_margin, clear): root_margin = min ||z| - 1| over the
+    roots (None when the determinant is a monomial, 0 when it vanishes
+    identically), and clear says whether every root clears the band in
+    which exact_kernel refuses.
+    """
+    try:
+        return _clearance(_det_roots(loop, mu)[0], circle_margin)
+    except NotFredholmError:
+        return 0.0, False
 
 
 # --- half-line germ spaces via the companion pencil --------------------------
@@ -147,14 +154,9 @@ def _half_line_germs(coeffs, d, r, tail, circle_margin=CIRCLE_MARGIN):
 
 def _check_symbols_fredholm(a, circle_margin):
     for side in (ops.LEFT, ops.RIGHT):
-        loop = a.symbol_at(side)
-        zs = circle_grid(256)
-        dets = np.abs(np.linalg.det(loop(zs))) if loop.offsets() else np.zeros(1)
-        if dets.max() < 1e-12:
-            raise NotFredholmError(f"{side} symbol determinant vanishes identically")
-        if dets.min() < 1e-12:
+        if not circle_clearance(a.symbol_at(side), circle_margin=circle_margin)[1]:
             raise NotFredholmError(
-                f"{side} symbol determinant has a zero on the unit circle"
+                f"{side} symbol determinant has a zero within margin of the unit circle"
             )
 
 

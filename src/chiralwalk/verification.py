@@ -331,25 +331,25 @@ def generator_suite(seed=5, trials=300, rank_tol=1e-8):
 # --- lattice suites -----------------------------------------------------------
 
 
-def dichotomy_suite(seed=6, models=200, grid_n=1024):
+def dichotomy_suite(seed=6, models=200):
     """max(||G0-G1||, ||G0+G1||) >= 1 for every constructed lattice pair."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("dichotomy", models, 0)
     for k in range(models):
         pair = random_split_step(rng)
-        report = essential.dichotomy_check(pair, grid_n)
+        report = essential.dichotomy_check(pair)
         result.record(report.holds, f"model {k}: {report.to_dict()}")
     return result
 
 
-def certified_split_step_models(rng, count, grid_n=1024, max_attempts=2000):
+def certified_split_step_models(rng, count, max_attempts=2000):
     """Split-step pairs whose essential gaps at both +-1 are certified."""
     models = []
     attempts = 0
     while len(models) < count and attempts < max_attempts:
         attempts += 1
         pair = random_split_step(rng)
-        certs = essential.certify_unitary(pair.u, grid_n)
+        certs = essential.certify_unitary(pair.u)
         if certs.gap_plus.certified and certs.gap_minus.certified:
             models.append(pair)
     if len(models) < count:
@@ -386,7 +386,7 @@ def index_theorem_suite(seed=7, models=20):
     return result
 
 
-def homotopy_suite(paths=None, samples=8, grid_n=1024, rank_tol=1e-8):
+def homotopy_suite(paths=None, samples=8, rank_tol=1e-8):
     """Indices constant along gap-certified parameter paths.
 
     Each path interpolates the three coin angles linearly; every sampled
@@ -403,7 +403,7 @@ def homotopy_suite(paths=None, samples=8, grid_n=1024, rank_tol=1e-8):
         for t in np.linspace(0.0, 1.0, samples):
             angles = (1 - t) * start + t * end
             pair = split_step_from_angles(*angles)
-            certs = essential.certify_unitary(pair.u, grid_n)
+            certs = essential.certify_unitary(pair.u)
             if not (certs.gap_plus.certified and certs.gap_minus.certified):
                 ok = False
                 result.record(False, f"path {idx}: cell t={t:.3f} not certified")
@@ -432,7 +432,7 @@ DEFAULT_HOMOTOPY_PATHS = [
 ]
 
 
-def consistency_suite(seed=8, trials=50, grid_n=512):
+def consistency_suite(seed=8, trials=50):
     """Cross-module coherence: symbols, essential norms, transfer kernels."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("consistency", trials, 0)
@@ -447,7 +447,7 @@ def consistency_suite(seed=8, trials=50, grid_n=512):
             fg = pair.gamma0.symbol_at(side)(zs) @ pair.gamma1.symbol_at(side)(zs)
             ok &= bool(np.abs(fu - fg).max() < 1e-12)
         # certified gap at -1 implies the transfer oracle finds a finite kernel
-        gap = essential.gap_at(u, -1, grid_n)
+        gap = essential.gap_at(u, -1)
         if gap.certified:
             try:
                 transfer.exact_kernel(u + ops.identity(2), pair.gamma0)

@@ -25,7 +25,7 @@ import numpy as np
 from . import operators as ops
 from .exceptions import NotFredholmError, PreconditionError, WindingUnresolvedError
 from .operators import circle_grid
-from .transfer import CIRCLE_MARGIN, _det_roots, exact_index, exact_kernel
+from .transfer import CIRCLE_MARGIN, _clearance, _det_roots, exact_index, exact_kernel
 from .walks import CHIRAL_TOL
 
 MAX_GRID_N = 2**16
@@ -178,12 +178,12 @@ def compressed_winding(pair, grading, side):
     """
     roots, order_at_zero = _det_roots(chiral_imaginary_block_symbol(pair, grading, side))
     radii = np.abs(roots)
-    if np.any(np.abs(1.0 / radii - 1.0) <= CIRCLE_MARGIN):
+    margin, clear = _clearance(roots, CIRCLE_MARGIN)
+    if not clear:
         raise NotFredholmError(
             f"compressed block has a root within margin of the unit circle "
             f"(|z| = {radii[np.abs(1.0 / radii - 1.0).argmin()]:.8f})"
         )
-    margin = float(np.abs(radii - 1.0).min()) if radii.size else None
     return int(np.sum(radii < 1.0)) + order_at_zero, margin
 
 

@@ -198,6 +198,21 @@ class TestCliCommands:
         assert report["index"]["index"] == 1
         assert report["index_theorem"]["holds"] is True
 
+    def test_custom_banded_root_on_circle_not_certified(self, tmp_path, capsys):
+        # symbol z - e^i vanishes at z = e^i, between the points of any grid
+        from chiralwalk.operators import identity, shift_power
+
+        op = shift_power(1, 1) - identity(1).scaled(np.exp(1j))
+        doc = {"model": "custom_banded", "params": {"operator": op.to_json_dict()}}
+        path = write_json(tmp_path / "c.json", doc)
+        assert main(["index", path]) == 2
+        report = json.loads(capsys.readouterr().out)
+        for side in ("left", "right"):
+            cert = report["certifications"][f"symbol_invertible_{side}"]
+            assert cert["certified"] is False and cert["root_margin"] < 1e-12
+        assert "index" not in report
+        assert report["omitted"][0].startswith("index: ")
+
     def test_spectrum_csv(self, tmp_path, capsys):
         path = write_json(tmp_path / "s.json", gapped_scenario(64))
         assert main(["spectrum", path, "--grid", "16"]) == 0

@@ -2,18 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chiralwalk import essential, operators as ops
+from chiralwalk import analysis, essential, operators as ops, transfer
 from chiralwalk.exceptions import ChiralwalkError, PreconditionError
 from chiralwalk.operators import identity, shift_power
+from chiralwalk.scenarios import Scenario
 from chiralwalk.verification import random_split_step, split_step_from_angles
+
+REFERENCE_REFINE_TOL = 1e-6
+REFERENCE_MAX_GRID_N = 2**16
 
 
 def reference_sweep(op, grid_n, reduce):
     """Per-certification SVD sweep: singular values of both limit symbols of op.
 
     ``reduce`` is np.min (a gap, sigma_min) or np.max (a norm); the grid
-    doubles until the value moves by less than REFINE_TOL, and the last
-    two values merge by the same reduction.  Returns (value, grid reached).
+    doubles until the value moves by less than REFERENCE_REFINE_TOL, and
+    the last two values merge by the same reduction.  Every sample is
+    attained, so a gap reference bounds the gap from above and a norm
+    reference bounds the norm from below.  Returns (value, grid reached).
     """
     loops = [op.symbol_at(ops.LEFT), op.symbol_at(ops.RIGHT)]
 
@@ -23,13 +29,47 @@ def reference_sweep(op, grid_n, reduce):
 
     n = grid_n
     v = value(n)
-    while n < essential.MAX_GRID_N:
+    while n < REFERENCE_MAX_GRID_N:
         nxt = value(2 * n)
         n *= 2
-        if abs(nxt - v) < essential.REFINE_TOL:
+        if abs(nxt - v) < REFERENCE_REFINE_TOL:
             return float(reduce([v, nxt])), n
         v = nxt
     return v, n
+
+
+def grid_gap(u, target, grid_n):
+    """min |eigenvalue - target| of both limit symbols on one circle grid."""
+    zs = ops.circle_grid(grid_n)
+    return min(
+        float(np.abs(np.linalg.eigvals(u.symbol_at(side)(zs)) - target).min())
+        for side in (ops.LEFT, ops.RIGHT)
+    )
+
+
+def trace_formula_gap(u, target):
+    """Gap of a split-step walk from the extremes of tr F / 2.
+
+    det F = 1, so the eigenvalues are exp(+-i w) with tr F = 2 cos w, and
+    |lambda - t|^2 = 2 - t tr F.  The extremes of the real trigonometric
+    polynomial tr F(e^(i theta)) lie at the unimodular roots of
+    z (tr F)'(z) (or anywhere, when tr F is constant).
+    """
+    gaps = []
+    for side in (ops.LEFT, ops.RIGHT):
+        tr = {n: np.trace(c) for n, c in u.symbol_at(side).coefficients.items()}
+        lo, hi = min(tr), max(tr)
+        zs = [1.0 + 0j]
+        poly = np.array([n * tr.get(n, 0) for n in range(lo, hi + 1)], dtype=complex)
+        if np.count_nonzero(poly) > 1:
+            nz = np.nonzero(poly)[0]
+            roots = np.roots(poly[nz[0] : nz[-1] + 1][::-1])
+            unimodular = roots[np.abs(np.abs(roots) - 1.0) < 1e-6]
+            zs.extend(unimodular / np.abs(unimodular))
+        zs = np.asarray(zs)
+        traces = sum(c * zs**n for n, c in tr.items()).real
+        gaps.append(np.sqrt(max(2.0 - target * (traces.max() if target > 0 else traces.min()), 0.0)))
+    return float(min(gaps))
 
 
 def reference_status(slack, margin=essential.DEFAULT_MARGIN):
@@ -83,7 +123,7 @@ class TestGapAt:
     def test_gap_matches_fine_grid_eigenvalue_oracle(self):
         pair = split_step_from_angles(0.0, 1.0, np.arccos(3 / 5))
         for target in (+1, -1):
-            cert = essential.gap_at(pair.u, target, grid_n=512)
+            cert = essential.gap_at(pair.u, target)
             # independent oracle: min |eigenvalue - target| on a 10x finer grid
             oracle = np.inf
             zs = ops.circle_grid(5120)
@@ -118,7 +158,7 @@ class TestSpectrumDump:
 
     def test_gap_consistency_with_certification(self):
         pair = split_step_from_angles(0.0, 1.0, 0.3)
-        cert = essential.gap_at(pair.u, -1, grid_n=256)
+        cert = essential.gap_at(pair.u, -1)
         assert cert.certified
         rows = essential.symbol_eigenvalues(pair.u, grid_n=256)
         closest = min(abs(ev + 1.0) for _, _, ev in rows)
@@ -142,36 +182,36 @@ class TestSymbolSpectrum:
         self, theta1_left, theta1_right, theta2, shift_exponent, defects, grid_n
     ):
         pair = split_step_from_angles(theta1_left, theta1_right, theta2, shift_exponent, defects)
-        certs = essential.certify_unitary(pair.u, grid_n)
+        certs = essential.certify_unitary(pair.u)
         one = identity(2)
         for cert, target in ((certs.gap_plus, 1.0), (certs.gap_minus, -1.0)):
-            value, n = reference_sweep(pair.u - one.scaled(target), grid_n, np.min)
-            assert abs(cert.value - value) < 1e-12
-            assert (cert.status, cert.grid_n) == (reference_status(value), n)
-        for cert, sign in ((certs.fredholm.minus, -1.0), (certs.fredholm.plus, 1.0)):
-            value, n = reference_sweep(one + pair.u.scaled(sign), grid_n, np.max)
-            assert abs(cert.value - value) < 1e-12
-            assert (cert.status, cert.grid_n) == (reference_status(2.0 - value), n)
+            value, _ = reference_sweep(pair.u - one.scaled(target), grid_n, np.min)
+            assert cert.value <= value + 1e-12
+            if cert.certified:
+                assert reference_status(value) == essential.CERTIFIED
+            if reference_status(value) == essential.REFUTED:
+                assert cert.status == essential.REFUTED
+        for cert, gap, sign in (
+            (certs.fredholm.minus, certs.gap_minus, -1.0),
+            (certs.fredholm.plus, certs.gap_plus, 1.0),
+        ):
+            value, _ = reference_sweep(one + pair.u.scaled(sign), grid_n, np.max)
+            assert cert.value >= value - 1e-12
+            assert abs(cert.value - np.sqrt(max(4.0 - gap.value**2, 0.0))) < 1e-15
         diff, _ = reference_sweep(pair.gamma0 - pair.gamma1, grid_n, np.max)
         total, _ = reference_sweep(pair.gamma0 + pair.gamma1, grid_n, np.max)
-        for report in (certs.dichotomy, essential.dichotomy_check(pair, grid_n)):
-            assert abs(report.norm_difference - diff) < 1e-12
-            assert abs(report.norm_sum - total) < 1e-12
-            assert report.holds == (max(diff, total) >= 1.0 - essential.DEFAULT_MARGIN)
+        for report in (certs.dichotomy, essential.dichotomy_check(pair)):
+            assert report.norm_difference >= diff - 1e-12
+            assert report.norm_sum >= total - 1e-12
+            assert report.holds
 
     def test_entry_points_agree_with_certify_unitary(self):
         pair = random_split_step(np.random.default_rng(5))
-        certs = essential.certify_unitary(pair.u, 256)
-        assert essential.gap_at(pair.u, +1, 256) == certs.gap_plus
-        assert essential.gap_at(pair.u, -1, 256) == certs.gap_minus
-        assert essential.is_fredholm_type(pair.u, 256) == certs.fredholm
-        assert essential.dichotomy_check(pair, 256) == certs.dichotomy
-
-    def test_eigenvalues_cached_per_grid(self):
-        spectrum = essential.SymbolSpectrum(random_split_step(np.random.default_rng(6)).u)
-        evs = spectrum.eigenvalues(64)
-        assert evs.shape == (2, 64, 2)
-        assert spectrum.eigenvalues(64) is evs
+        certs = essential.certify_unitary(pair.u)
+        assert essential.gap_at(pair.u, +1) == certs.gap_plus
+        assert essential.gap_at(pair.u, -1) == certs.gap_minus
+        assert essential.is_fredholm_type(pair.u) == certs.fredholm
+        assert essential.dichotomy_check(pair) == certs.dichotomy
 
     def test_symbol_eigenvalues_bitwise_equal_to_per_point_reference(self):
         rng = np.random.default_rng(8)
@@ -195,15 +235,123 @@ class TestSymbolSpectrum:
         assert len(essential.symbol_eigenvalues(op, 16)) == 2 * 16 * 2
 
     def test_unitary_within_rounding_accepted(self):
-        cert = essential.gap_at(identity(2).scaled(1.0 + 1e-12), -1, 64)
+        cert = essential.gap_at(identity(2).scaled(1.0 + 1e-12), -1)
         assert cert.certified
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a grid minimum over-estimates a gap that closes between grid points",
-    )
     def test_rotated_shift_gap_not_certified(self):
         # symbol exp(i(theta + phi)) reaches +1, so the gap at +1 is zero
         for phi in (1.0, np.sqrt(2.0), 0.5):
             u = shift_power(1, 1).scaled(np.exp(1j * phi))
-            assert essential.gap_at(u, +1, 1024).status != essential.CERTIFIED
+            assert essential.gap_at(u, +1).status != essential.CERTIFIED
+
+
+def rotated(u, phi):
+    return u.scaled(np.exp(1j * phi))
+
+
+def near_closing_model(eps, target, shift_exponent, defects, phase, theta2=0.7):
+    """Split-step pair whose gap at ``target`` is eps on its right limit only.
+
+    The right coin angle sits 2 asin(eps / 2) off the closing surface
+    (theta1 = theta2 for +1, theta1 = pi - theta2 for -1) on the side
+    ``phase``; the left limit keeps both gaps open.
+    """
+    surface = theta2 if target == 1 else np.pi - theta2
+    theta_right = surface + phase * 2.0 * np.arcsin(eps / 2.0)
+    return split_step_from_angles(0.2, theta_right, theta2, shift_exponent, defects)
+
+
+class TestLevelSet:
+    def test_certified_gaps_match_trace_formula_oracle(self):
+        rng = np.random.default_rng(21)
+        checked = 0
+        for _ in range(120):
+            pair = random_split_step(rng)
+            certs = essential.certify_unitary(pair.u)
+            for cert, target in ((certs.gap_plus, 1), (certs.gap_minus, -1)):
+                if cert.certified:
+                    checked += 1
+                    assert abs(cert.value - trace_formula_gap(pair.u, target)) < 1e-10
+        assert checked >= 200
+
+    def test_rotated_models_never_exceed_a_grid_minimum(self):
+        rng = np.random.default_rng(22)
+        for _ in range(30):
+            u = rotated(random_split_step(rng).u, rng.uniform(0.0, 2.0 * np.pi))
+            for target in (1, -1):
+                value = essential.gap_at(u, target).value
+                for grid_n in (16, 64, 256, 1024, 4096):
+                    assert value <= grid_gap(u, target, grid_n) + 1e-12
+
+    def test_closed_gaps_refuted(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            theta1, theta2 = rng.uniform(0.1, np.pi - 0.1, size=2)
+            for target, left in ((1, theta2), (-1, np.pi - theta2)):
+                for shift_exponent in (1, 2):
+                    pair = split_step_from_angles(left, theta1, theta2, shift_exponent)
+                    cert = essential.gap_at(pair.u, target)
+                    assert cert.status == essential.REFUTED and cert.value < 1e-12
+            u = rotated(shift_power(1, 1), rng.uniform(0.0, 2.0 * np.pi))
+            assert essential.gap_at(u, +1).status == essential.REFUTED
+
+    def test_flat_band_at_distance_two(self):
+        # the identity's spectrum {1} is a flat band at the far end of the circle from -1
+        certs = essential.certify_unitary(identity(2))
+        assert certs.gap_minus.certified and certs.gap_minus.value == 2.0
+        assert certs.gap_minus.root_margin is None   # det(1 + 1) = 4 has no roots
+        assert certs.gap_plus.status == essential.REFUTED and certs.gap_plus.root_margin == 0.0
+
+    def test_stale_positional_grid_size_fails(self):
+        u = identity(2)
+        for call in (
+            lambda: essential.certify_unitary(u, 256),
+            lambda: essential.gap_at(u, 1, 256),
+            lambda: essential.is_fredholm_type(u, 256),
+        ):
+            with pytest.raises(TypeError):
+                call()
+
+
+class TestTransferAgreement:
+    def test_gap_inside_the_circle_margin_is_inconclusive(self):
+        # the gap at +1 is 1e-6, but det(F - 1) has a root 7.8e-7 from the circle,
+        # where exact_kernel refuses
+        pair = split_step_from_angles(0.2, 0.7 - 1e-6, 0.7, shift_exponent=2, defects={0: 1.3})
+        cert = essential.gap_at(pair.u, +1)
+        assert cert.value > essential.DEFAULT_MARGIN
+        assert cert.root_margin < transfer.CIRCLE_MARGIN
+        assert cert.status == essential.INCONCLUSIVE
+        doc = {
+            "model": "split_step",
+            "params": {
+                "a": {"profile": "table", "left": float(np.cos(0.2)),
+                      "right": float(np.cos(0.7 - 1e-6)), "table": [{"x": 0, "value": float(np.cos(1.3))}]},
+                "b": {"profile": "table", "left": float(np.sin(0.2)),
+                      "right": float(np.sin(0.7 - 1e-6)), "table": [{"x": 0, "value": float(np.sin(1.3))}]},
+                "c": float(np.cos(0.7)),
+                "d_coin": float(np.sin(0.7)),
+                "shift_exponent": 2,
+            },
+        }
+        report, code = analysis.run_index_report(Scenario.from_doc(doc))
+        assert report["certifications"]["gap_plus_one"]["status"] == "inconclusive"
+        assert "si_plus: gap_at(+1) inconclusive" in report["omitted"]
+        assert code == analysis.EXIT_REFUTED
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        log_eps=st.floats(-7.0, -1.0),
+        target=st.sampled_from([1, -1]),
+        shift_exponent=st.sampled_from([1, 2]),
+        defects=st.dictionaries(st.integers(-2, 2), angles, max_size=2),
+        phase=st.sampled_from([1, -1]),
+    )
+    def test_certified_gap_always_gets_a_kernel(self, log_eps, target, shift_exponent, defects, phase):
+        pair = near_closing_model(10.0**log_eps, target, shift_exponent, defects, phase)
+        certs = essential.certify_unitary(pair.u)
+        one = identity(2)
+        for cert, sign in ((certs.gap_plus, 1.0), (certs.gap_minus, -1.0)):
+            if cert.certified:
+                assert cert.root_margin > transfer.CIRCLE_MARGIN
+                transfer.exact_kernel(pair.u - one.scaled(sign), pair.gamma0)

@@ -72,8 +72,7 @@ def det_root_count(loop, tail):
     roots, order_at_zero = transfer._det_roots(reflected)
     if tail == "right":
         return int(np.sum(np.abs(roots) < 1)) + order_at_zero + r * d
-    low, coeffs = transfer._det_laurent(reflected)
-    top = low + np.nonzero(coeffs)[0][-1]
+    top = order_at_zero + roots.size   # highest power of det F(1/lam)
     return int(np.sum(np.abs(roots) > 1)) + r * d - top
 
 
@@ -288,6 +287,50 @@ class TestExactIndex:
         result = transfer.exact_index(op)
         assert result.index == 2
         assert str(result.tau_normalized) == "1"
+
+
+def random_banded_operator(rng, d, offsets=(-1, 0, 1), bulk_sites=range(-2, 3)):
+    """Banded operator with random limits on both sides and random bulk coefficients."""
+    def matrix():
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    bands = {
+        n: CoefficientFunction.from_table(
+            matrix(), matrix(), {x: matrix() for x in bulk_sites if rng.random() < 0.5}
+        )
+        for n in offsets
+    }
+    return BandedAnisotropicOperator(d, bands)
+
+
+def fredholm(op):
+    return all(transfer.circle_clearance(op.symbol_at(side))[1] for side in (ops.LEFT, ops.RIGHT))
+
+
+def root_count_index(op):
+    """Right-minus-left winding of det F: roots inside the unit disk plus the order at 0."""
+    windings = []
+    for side in (ops.LEFT, ops.RIGHT):
+        roots, order_at_zero = transfer._det_roots(op.symbol_at(side))
+        windings.append(int(np.sum(np.abs(roots) < 1.0)) + order_at_zero)
+    return windings[1] - windings[0]
+
+
+class TestIndexAlgebra:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2]), k=st.integers(-2, 2))
+    def test_index_identities_on_random_fredholm_operators(self, seed, d, k):
+        rng = np.random.default_rng(seed)
+        a, b = random_banded_operator(rng, d), random_banded_operator(rng, d)
+        assume(fredholm(a) and fredholm(b))
+        ind_a = transfer.exact_index(a).index
+        ind_b = transfer.exact_index(b).index
+        assert ind_a == root_count_index(a)
+        assert ind_b == root_count_index(b)
+        assert transfer.exact_index(a @ b).index == ind_a + ind_b
+        assert transfer.exact_index(a.adjoint()).index == -ind_a
+        conjugated = shift_power(k, d) @ a @ shift_power(-k, d)
+        assert transfer.exact_index(conjugated).index == ind_a
 
 
 # --- explicit-tail reference ---------------------------------------------------

@@ -461,7 +461,7 @@ class TestRootCounts:
         self, theta1_left, theta1_right, theta2, shift_exponent, defects
     ):
         pair = split_step_from_angles(theta1_left, theta1_right, theta2, shift_exponent, defects)
-        certs = essential.certify_unitary(pair.u, 256)
+        certs = essential.certify_unitary(pair.u)
         assume(certs.gap_plus.certified and certs.gap_minus.certified)
         one = ops.identity(2)
         ker_minus = transfer.exact_kernel(pair.u + one, pair.gamma0)
