@@ -17,7 +17,6 @@ from .exceptions import (
     NotFredholmError,
     PreconditionError,
     ScenarioError,
-    WindingUnresolvedError,
 )
 from .operators import (
     BandedAnisotropicOperator,

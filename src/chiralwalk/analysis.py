@@ -8,8 +8,6 @@ quantities emitted, 2 something was withheld.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from . import essential, indices, operators as ops, transfer, winding
@@ -69,18 +67,11 @@ def _chiral_report(pair, tol):
 
 def _weighted_shift_report(u_op, tol):
     fred = essential.is_fredholm_type(u_op, margin=tol.margin)
-    winds = {}
-    for side in (ops.LEFT, ops.RIGHT):
-        res = winding.winding_det(u_op.symbol_at(side), tol.grid_n)
-        winds[side] = res.to_dict()
-    theorem = winding.verify_index_theorem_banded(u_op, tol.grid_n, tol.rank_tol)
+    theorem = winding.verify_index_theorem_banded(u_op, rank_tol=tol.rank_tol)
+    left, right = (theorem.windings[side].to_dict() for side in (ops.LEFT, ops.RIGHT))
     report = {
         "certifications": {"fredholm_type": fred.to_dict()},
-        "winding": {
-            "left": winds[ops.LEFT],
-            "right": winds[ops.RIGHT],
-            "value": winds[ops.RIGHT]["rounded"],
-        },
+        "winding": {"left": left, "right": right, "value": right["rounded"]},
         "index_theorem": theorem.to_dict(),
     }
     return report, EXIT_OK
@@ -93,7 +84,7 @@ def _custom_banded_report(f_op, tol):
         certs[f"symbol_invertible_{side}"] = {"root_margin": margin, "certified": clear}
     report = {"certifications": certs, "omitted": []}
     try:
-        record = winding.verify_index_theorem_banded(f_op, tol.grid_n, tol.rank_tol)
+        record = winding.verify_index_theorem_banded(f_op, rank_tol=tol.rank_tol)
     except ChiralwalkError as exc:
         report["omitted"].append(f"index: {exc}")
         return report, EXIT_REFUTED
@@ -175,26 +166,16 @@ def spectrum_rows(scenario):
     return rows
 
 
-def winding_report(scenario, side, grid_n=None):
-    """The det-symbol winding of a lattice scenario on one side."""
+def winding_report(scenario, side):
+    """The det-symbol root-count winding of a lattice scenario on one side."""
     if not scenario.is_lattice():
         raise ChiralwalkError("winding requires a lattice model")
     u_op = lattice_operator(scenario)
-    n = grid_n or scenario.tolerances.grid_n
     try:
-        res = winding.winding_det(u_op.symbol_at(side), n)
+        doc = {**winding.winding_det(u_op.symbol_at(side)).to_dict(), "certified": True}
     except ChiralwalkError as exc:
-        return {
-            "raw_phase": None,
-            "rounded": None,
-            "grid_n": n,
-            "certified": False,
-            "reason": str(exc),
-        }, EXIT_REFUTED
-    doc = res.to_dict()
-    doc["certified"] = True
-    doc["side"] = side
-    return doc, EXIT_OK
+        doc = {"rounded": None, "root_margin": None, "certified": False, "reason": str(exc)}
+    return {**doc, "side": side}, EXIT_OK if doc["certified"] else EXIT_REFUTED
 
 
 SWEEP_COLUMNS = (
@@ -245,15 +226,11 @@ def _sweep_cell(scenario):
     return values
 
 
-def run_sweep(spec, max_workers=None):
-    """Evaluate every grid cell; rows come back in lexicographic axis order."""
-    points = list(spec.grid_points())
-    scenarios = [spec.scenario_at(p) for p in points]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        cells = list(pool.map(_sweep_cell, scenarios))
+def run_sweep(spec):
+    """Evaluate every grid cell in lexicographic axis order, one row each."""
     header = [path for path, _ in spec.axes] + list(SWEEP_COLUMNS)
     rows = []
-    for point, cell in zip(points, cells):
-        row = list(spec.axis_values(point)) + [cell[c] for c in SWEEP_COLUMNS]
-        rows.append(row)
+    for point in spec.grid_points():
+        cell = _sweep_cell(spec.scenario_at(point))
+        rows.append(list(spec.axis_values(point)) + [cell[c] for c in SWEEP_COLUMNS])
     return header, rows

@@ -134,7 +134,7 @@ def cmd_spectrum(args):
 
 def cmd_winding(args):
     scenario = Scenario.load(args.scenario, _tolerance_overrides(args))
-    report, code = analysis.winding_report(scenario, args.side, args.grid)
+    report, code = analysis.winding_report(scenario, args.side)
     handle = _open_out(args)
     _emit_report(report, args.format or "json", handle or sys.stdout)
     if handle:
@@ -147,8 +147,8 @@ def _add_common_flags(parser, suppress=False):
     parser.add_argument("--rank-tol", dest="rank_tol", type=float, default=default,
                         help="relative kernel rank threshold (default 1e-8)")
     parser.add_argument("--grid", type=int, default=default,
-                        help="circle grid size for the spectrum dump and the det/nc windings "
-                             "(default 4096); certifications use no grid")
+                        help="circle grid size of the spectrum dump (default 4096); "
+                             "certifications and windings use no grid")
     parser.add_argument("--margin", type=float, default=default,
                         help="certification margin (default 1e-6)")
     parser.add_argument("--seed", type=int, default=default, help="randomized-suite seed")

@@ -26,9 +26,5 @@ class DegenerateSymbolError(ChiralwalkError):
     """Jordan chain longer than the supported length was encountered."""
 
 
-class WindingUnresolvedError(ChiralwalkError):
-    """Grid refinement cap reached before the winding stabilized."""
-
-
 class ScenarioError(ChiralwalkError):
     """Scenario or sweep file is malformed."""

@@ -71,6 +71,20 @@ class CoefficientFunction:
         self.values.setflags(write=False)
         self._trim()
 
+    @classmethod
+    def _derived(cls, left, right, window_start, values):
+        """A coefficient from complex arrays (left, right (d, d); values
+        (n, d, d)) that are validated or computed from validated ones, so
+        not validated again."""
+        f = cls.__new__(cls)
+        f.dim = left.shape[0]
+        f.left, f.right, f.values = (np.ascontiguousarray(m) for m in (left, right, values))
+        f.window_start = int(window_start)
+        for m in (f.left, f.right, f.values):
+            m.setflags(write=False)
+        f._trim()
+        return f
+
     def _trim(self):
         # canonical form: drop window rows that duplicate the adjacent limit
         vals, start = self.values, self.window_start
@@ -150,10 +164,10 @@ class CoefficientFunction:
 
     def shifted(self, n):
         """The function x -> f(x - n)."""
-        return CoefficientFunction(self.left, self.right, self.window_start + n, self.values)
+        return self._derived(self.left, self.right, self.window_start + n, self.values)
 
     def conj_transposed(self):
-        return CoefficientFunction(
+        return self._derived(
             self.left.conj().T,
             self.right.conj().T,
             self.window_start,
@@ -173,18 +187,20 @@ class CoefficientFunction:
         if self.dim != other.dim:
             raise DimensionMismatchError("coefficient dimensions differ")
         lo, a, b = self._aligned(other)
-        return CoefficientFunction(self.left + other.left, self.right + other.right, lo, a + b)
+        return self._derived(self.left + other.left, self.right + other.right, lo, a + b)
 
     def product(self, other):
         """Pointwise matrix product x -> f(x) g(x)."""
         if self.dim != other.dim:
             raise DimensionMismatchError("coefficient dimensions differ")
         lo, a, b = self._aligned(other)
-        return CoefficientFunction(self.left @ other.left, self.right @ other.right, lo, a @ b)
+        return self._derived(self.left @ other.left, self.right @ other.right, lo, a @ b)
 
     def scaled(self, c):
         c = complex(c)
-        return CoefficientFunction(c * self.left, c * self.right, self.window_start, c * self.values)
+        if not np.isfinite(c):
+            raise ChiralwalkError("scale factor must be finite")
+        return self._derived(c * self.left, c * self.right, self.window_start, c * self.values)
 
     def sup_abs(self):
         s = max(np.abs(self.left).max(), np.abs(self.right).max())

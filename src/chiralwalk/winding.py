@@ -1,11 +1,15 @@
 """Winding numbers of symbol loops and the double-sided index check.
 
-winding_det unwinds the phase of det F(z) around the circle with a
-step-size guard; nc_winding integrates the normalized logarithmic
-derivative and returns an exact rational with denominator equal to the
-fiber dimension.  compressed_winding compresses the imaginary part of a
-chiral symbol between the graded halves of one grading and counts the
-roots of the resulting scalar Laurent polynomial, with no grid.
+Every winding is a root count: the winding of det F(z) around the unit
+circle is the number of roots of det F inside the unit disk plus its
+order at z = 0, from the Laurent coefficients of the determinant
+(transfer._det_roots), with no grid.  A root whose transfer eigenvalue
+1/z lies within CIRCLE_MARGIN of the circle, the band in which the
+transfer oracle refuses, raises NotFredholmError; otherwise the smallest
+||z| - 1| over the roots is the winding's decision margin.  nc_winding
+is the determinant winding over the fiber dimension, and
+compressed_winding is the winding of the imaginary part of a chiral
+symbol compressed between the graded halves of one grading.
 
 Orientation: throughout the package, kernel-count indices are oriented
 so that an operator equal to 1 far to the left and to the forward shift
@@ -23,88 +27,40 @@ from fractions import Fraction
 import numpy as np
 
 from . import operators as ops
-from .exceptions import NotFredholmError, PreconditionError, WindingUnresolvedError
-from .operators import circle_grid
+from .exceptions import NotFredholmError, PreconditionError
 from .transfer import CIRCLE_MARGIN, _clearance, _det_roots, exact_index, exact_kernel
 from .walks import CHIRAL_TOL
-
-MAX_GRID_N = 2**16
-DET_FLOOR = 1e-10
 
 
 @dataclass
 class WindingResult:
-    raw_phase: float        # accumulated argument of det / 2 pi
     rounded: int
-    max_step_phase: float
-    grid_n: int
+    root_margin: float | None   # min ||z| - 1| over the roots of det; None without roots
 
     def to_dict(self):
-        return {
-            "raw_phase": self.raw_phase,
-            "rounded": self.rounded,
-            "max_step_phase": self.max_step_phase,
-            "grid_n": self.grid_n,
-        }
+        return {"rounded": self.rounded, "root_margin": self.root_margin}
 
 
-def _phase_unwind(dets):
-    """Total unwound argument along a closed sample sequence (last = first)."""
-    ratios = dets[1:] / dets[:-1]
-    steps = np.angle(ratios)
-    return float(np.sum(steps)), float(np.abs(steps).max()) if steps.size else 0.0
-
-
-def winding_det(loop, grid_n=256):
-    """Winding number of det(loop) by phase unwinding with automatic refinement."""
-    n = int(grid_n)
-    while True:
-        zs = circle_grid(n)
-        dets = np.linalg.det(loop(zs))
-        if np.abs(dets).min() <= DET_FLOOR:
-            raise NotFredholmError("loop not invertible: |det| dips below 1e-10 on the grid")
-        closed = np.concatenate([dets, dets[:1]])
-        total, max_step = _phase_unwind(closed)
-        if max_step < np.pi / 2:
-            break
-        if n >= MAX_GRID_N:
-            raise WindingUnresolvedError("winding unresolved: refinement cap reached")
-        n *= 2
-    raw = total / (2.0 * np.pi)
-    rounded = int(round(raw))
-    if abs(raw - rounded) >= 0.25:
-        raise WindingUnresolvedError(
-            f"winding unresolved: raw phase {raw:.6f} is not near an integer"
+def winding_det(loop):
+    """Winding number of det(loop): roots inside the unit disk plus the order at 0."""
+    roots, order_at_zero = _det_roots(loop)
+    radii = np.abs(roots)
+    margin, clear = _clearance(roots, CIRCLE_MARGIN)
+    if not clear:
+        raise NotFredholmError(
+            "symbol determinant has a root within margin of the unit circle "
+            f"(|z| = {radii[np.abs(1.0 / radii - 1.0).argmin()]:.8f})"
         )
-    return WindingResult(raw_phase=raw, rounded=rounded, max_step_phase=max_step, grid_n=n)
+    return WindingResult(int(np.sum(radii < 1.0)) + order_at_zero, margin)
 
 
-def nc_winding(loop, grid_n=4096):
+def nc_winding(loop):
     """Normalized-trace winding (1/2 pi i) * integral of tau(F^-1 F') dz.
 
-    tau is the matrix trace divided by the fiber dimension d; the exact
-    Laurent derivative is used.  Returns a Fraction with denominator d
-    after checking agreement with the determinant winding.
+    tau is the matrix trace over the fiber dimension d, so the integral
+    is the determinant winding over d: an exact Fraction.
     """
-    d = loop.fiber_dim
-    det_result = winding_det(loop, min(grid_n, 4096))
-    deriv = loop.derivative()
-    n = int(grid_n)
-    while True:
-        zs = circle_grid(n)
-        values = loop(zs)
-        dvalues = deriv(zs)
-        traces = np.trace(np.linalg.solve(values, dvalues), axis1=1, axis2=2) / d
-        raw = complex(np.mean(traces * zs))
-        target = det_result.rounded / d
-        if abs(raw.real - target) < 1e-8 and abs(raw.imag) < 1e-8:
-            break
-        if n >= MAX_GRID_N:
-            raise WindingUnresolvedError(
-                f"nc winding {raw:.3e} did not converge to det winding / d = {target}"
-            )
-        n *= 2
-    return Fraction(det_result.rounded, d)
+    return Fraction(winding_det(loop).rounded, loop.fiber_dim)
 
 
 # --- compressed chiral blocks ------------------------------------------------
@@ -170,21 +126,10 @@ def chiral_imaginary_block_symbol(pair, grading, side):
 def compressed_winding(pair, grading, side):
     """Winding of the compressed Im(u) block of one side, by counting roots.
 
-    The winding of a scalar Laurent loop is the number of its roots
-    inside the unit disk plus its order at 0.  Returns (winding, root
-    margin min ||z| - 1|, or None without roots).  A root whose transfer
-    eigenvalue 1/z lies within CIRCLE_MARGIN of the circle, the band in
-    which the transfer oracle refuses, raises NotFredholmError.
+    The block is a scalar Laurent loop (``chiral_imaginary_block_symbol``),
+    so its determinant is itself; see ``winding_det``.
     """
-    roots, order_at_zero = _det_roots(chiral_imaginary_block_symbol(pair, grading, side))
-    radii = np.abs(roots)
-    margin, clear = _clearance(roots, CIRCLE_MARGIN)
-    if not clear:
-        raise NotFredholmError(
-            f"compressed block has a root within margin of the unit circle "
-            f"(|z| = {radii[np.abs(1.0 / radii - 1.0).argmin()]:.8f})"
-        )
-    return int(np.sum(radii < 1.0)) + order_at_zero, margin
+    return winding_det(chiral_imaginary_block_symbol(pair, grading, side))
 
 
 # --- the double-sided comparison ---------------------------------------------
@@ -255,21 +200,24 @@ class IndexTheoremRecord:
         return {"holds": self.holds, "branches": [b.to_dict() for b in self.branches]}
 
 
-def verify_index_theorem_banded(f_op, grid_n=4096, rank_tol=1e-8):
-    """Kernel-count index of a banded operator against its winding difference."""
+def verify_index_theorem_banded(f_op, *, rank_tol=1e-8):
+    """Kernel-count index of a banded operator against its winding difference.
+
+    The record keeps the index as ``index_result`` and the two
+    determinant windings as ``windings`` ({side: WindingResult}).
+    """
     result = exact_index(f_op, rank_tol=rank_tol)
-    wl = nc_winding(f_op.symbol_at(ops.LEFT), grid_n)
-    wr = nc_winding(f_op.symbol_at(ops.RIGHT), grid_n)
-    d = f_op.fiber_dim
+    windings = {side: winding_det(f_op.symbol_at(side)) for side in (ops.LEFT, ops.RIGHT)}
     branch = IndexTheoremBranch(
         name="banded",
         lhs_index=result.index,
-        winding_left=int(wl * d),
-        winding_right=int(wr * d),
-        fiber_dim=d,
+        winding_left=windings[ops.LEFT].rounded,
+        winding_right=windings[ops.RIGHT].rounded,
+        fiber_dim=f_op.fiber_dim,
     )
     record = IndexTheoremRecord(branches=[branch])
     record.index_result = result
+    record.windings = windings
     return record
 
 
@@ -308,16 +256,14 @@ def verify_index_theorem_chiral(pair, rank_tol=1e-8, kernels=None):
         ("gamma1_graded", pair.gamma1, si_minus - si_plus),
         ("imaginary_block", pair.gamma0, -(si_plus + si_minus)),
     ):
-        (w_left, m_left), (w_right, m_right) = (
-            compressed_winding(pair, grading, side) for side in (ops.LEFT, ops.RIGHT)
-        )
-        margins = [m for m in (m_left, m_right) if m is not None]
+        left, right = (compressed_winding(pair, grading, side) for side in (ops.LEFT, ops.RIGHT))
+        margins = [w.root_margin for w in (left, right) if w.root_margin is not None]
         branches.append(
             RootCountBranch(
                 name=name,
                 lhs_index=lhs,
-                winding_left=w_left,
-                winding_right=w_right,
+                winding_left=left.rounded,
+                winding_right=right.rounded,
                 fiber_dim=d,
                 root_margin=min(margins) if margins else None,
             )
@@ -331,8 +277,8 @@ def verify_index_theorem_chiral(pair, rank_tol=1e-8, kernels=None):
     return record
 
 
-def verify_index_theorem(target, grid_n=None, rank_tol=1e-8):
-    """Dispatch on ChiralPair vs plain banded operator; ``grid_n`` is for the banded path."""
+def verify_index_theorem(target, *, rank_tol=1e-8):
+    """Dispatch on ChiralPair vs plain banded operator."""
     if hasattr(target, "gamma0") and hasattr(target, "u"):
         return verify_index_theorem_chiral(target, rank_tol)
-    return verify_index_theorem_banded(target, grid_n or 4096, rank_tol)
+    return verify_index_theorem_banded(target, rank_tol=rank_tol)

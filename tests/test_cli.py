@@ -241,8 +241,21 @@ class TestCliCommands:
         path = write_json(tmp_path / "w.json", doc)
         assert main(["winding", path, "--side", "left"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["rounded"] == 1
-        assert report["certified"] is True
+        assert report == {"rounded": 1, "root_margin": None, "certified": True, "side": "left"}
+
+    def test_winding_subcommand_root_within_margin(self, tmp_path, capsys):
+        # det symbol z - (1 - 1e-7): its root lies inside the band in which
+        # exact_kernel refuses, so no winding is certified
+        from chiralwalk.operators import identity, shift_power
+
+        op = shift_power(1, 1) - identity(1).scaled(1.0 - 1e-7)
+        doc = {"model": "custom_banded", "params": {"operator": op.to_json_dict()}}
+        path = write_json(tmp_path / "c.json", doc)
+        assert main(["winding", path]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["certified"] is False and report["rounded"] is None
+        assert report["side"] == "right"
+        assert "margin of the unit circle" in report["reason"]
 
     def test_sweep_csv_rows_ordered(self, tmp_path):
         sweep = TestSweepSpec().sweep_doc()
@@ -335,6 +348,12 @@ class TestShippedScenarios:
             assert report["windings"] is None and report["omitted"]
         elif report["model"] == "split_step":
             assert report["windings"] is not None
+
+    def test_readme_winding_command(self, capsys):
+        assert main(["winding", str(SCENARIO_DIR / "weighted_shift.json"), "--side", "right"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["rounded"] == 1 and report["certified"] is True
+        assert report["side"] == "right"
 
     def test_sweep_theorem_holds_in_every_row(self, tmp_path):
         out = tmp_path / "rows.csv"

@@ -59,6 +59,51 @@ class TestCoefficientFunction:
         with pytest.raises(ChiralwalkError):
             CoefficientFunction.constant(np.array([[np.nan]]))
 
+    def test_derived_results_match_constructor(self):
+        # shifted, conj_transposed, +, product and scaled do not validate
+        # again; each result equals the constructor's bit for bit, trimmed
+        rng = np.random.default_rng(14)
+
+        def matrices(*shape):
+            return rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+
+        f = CoefficientFunction(matrices(), matrices(), -1, matrices(3))
+        g = CoefficientFunction(matrices(), matrices(), 1, matrices(4))
+        edge = CoefficientFunction(f.left, f.right, -2, np.stack([f.left, *f.values, f.right]))
+        lo, a, b = f._aligned(g)
+        c = 0.5 - 2j
+        h = f.scaled(-1)
+        lo_h, a_h, b_h = edge._aligned(h)
+        cases = [
+            (f.shifted(3), CoefficientFunction(f.left, f.right, 2, f.values)),
+            (f.conj_transposed(), CoefficientFunction(
+                f.left.conj().T, f.right.conj().T, -1, np.conj(np.transpose(f.values, (0, 2, 1)))
+            )),
+            (f + g, CoefficientFunction(f.left + g.left, f.right + g.right, lo, a + b)),
+            (f.product(g), CoefficientFunction(f.left @ g.left, f.right @ g.right, lo, a @ b)),
+            (f.scaled(c), CoefficientFunction(c * f.left, c * f.right, -1, c * f.values)),
+            (edge + h, CoefficientFunction(edge.left + h.left, edge.right + h.right, lo_h,
+                                           a_h + b_h)),
+        ]
+        for derived, built in cases:
+            assert derived.dim == built.dim and derived.window_start == built.window_start
+            assert derived == built
+            for name in ("left", "right", "values"):
+                x, y = getattr(derived, name), getattr(built, name)
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes()
+                assert x.flags.c_contiguous and not x.flags.writeable
+
+    def test_public_inputs_still_validated(self):
+        f = CoefficientFunction.constant(np.eye(2))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ChiralwalkError):
+                CoefficientFunction(np.eye(2), np.full((2, 2), bad))
+            with pytest.raises(ChiralwalkError):
+                CoefficientFunction.from_table(np.eye(2), np.eye(2), {0: np.full((2, 2), bad)})
+            with pytest.raises(ChiralwalkError):
+                f.scaled(bad)
+
 
 class TestAlgebra:
     def test_shift_times_inverse_is_identity(self):

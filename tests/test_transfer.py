@@ -318,11 +318,20 @@ def root_count_index(op):
 
 class TestIndexAlgebra:
     @settings(derandomize=True, deadline=None, max_examples=40)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2]), k=st.integers(-2, 2))
-    def test_index_identities_on_random_fredholm_operators(self, seed, d, k):
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2]),
+        k=st.integers(-2, 2),
+        extra_padding=st.sampled_from([0, 3, 7]),
+    )
+    def test_index_identities_on_random_fredholm_operators(self, seed, d, k, extra_padding):
         rng = np.random.default_rng(seed)
         a, b = random_banded_operator(rng, d), random_banded_operator(rng, d)
         assume(fredholm(a) and fredholm(b))
+        assert (
+            transfer.exact_kernel(a, extra_padding=extra_padding).dimension
+            == transfer.exact_kernel(a).dimension
+        )
         ind_a = transfer.exact_index(a).index
         ind_b = transfer.exact_index(b).index
         assert ind_a == root_count_index(a)

@@ -100,7 +100,14 @@ def reference(pair, side, grid_n, cayley_sign=None, gauge=None, grading="gamma0"
 
 
 def root_count(pair, side, grading="gamma0"):
-    return winding.compressed_winding(pair, getattr(pair, grading), side)[0]
+    return winding.compressed_winding(pair, getattr(pair, grading), side).rounded
+
+
+def reference_nc_winding(loop, grid_n=4096):
+    """(1/2 pi i) * integral of tau(F^-1 F') dz by the trapezoid rule on the circle."""
+    zs = ops.circle_grid(grid_n)
+    traces = np.trace(np.linalg.solve(loop(zs), loop.derivative()(zs)), axis1=1, axis2=2)
+    return complex(np.mean(traces * zs)) / loop.fiber_dim
 
 
 def block_sum_pair(pair_a, pair_b, v):
@@ -129,7 +136,9 @@ def block_sum_pair(pair_a, pair_b, v):
 
 class TestWindingDet:
     def test_monomial(self):
-        assert winding.winding_det(SymbolLoop(1, {1: scalar(1.0)})).rounded == 1
+        for power in (1, 12, -3):
+            res = winding.winding_det(SymbolLoop(1, {power: scalar(1.0)}))
+            assert res.rounded == power and res.root_margin is None
 
     def test_constant_unitary(self):
         rng = np.random.default_rng(1)
@@ -145,18 +154,23 @@ class TestWindingDet:
                 for side in (ops.LEFT, ops.RIGHT):
                     res = winding.winding_det(op.symbol_at(side))
                     assert res.rounded == m - n
-                    assert abs(res.raw_phase - res.rounded) < 0.25
+                    assert res.root_margin is None or res.root_margin > transfer.CIRCLE_MARGIN
 
     def test_noninvertible_rejected(self):
         loop = SymbolLoop(1, {1: scalar(1.0), 0: scalar(-1.0)})
         with pytest.raises(NotFredholmError):
             winding.winding_det(loop)
 
-    def test_step_guard_refines(self):
-        res = winding.winding_det(SymbolLoop(1, {12: scalar(1.0)}), grid_n=16)
-        assert res.rounded == 12
-        assert res.grid_n > 16
-        assert res.max_step_phase < np.pi / 2
+    def test_root_within_circle_margin_rejected(self):
+        # the root 1 - 1e-7 lies inside the disk, but within the margin in
+        # which exact_kernel refuses; winding_det refuses it as well
+        loop = SymbolLoop(1, {1: scalar(1.0), 0: scalar(-(1.0 - 1e-7))})
+        with pytest.raises(NotFredholmError, match="margin of the unit circle"):
+            winding.winding_det(loop)
+        with pytest.raises(NotFredholmError):
+            transfer.exact_kernel(ops.shift_power(1, 1) - ops.identity(1).scaled(1.0 - 1e-7))
+        res = winding.winding_det(SymbolLoop(1, {1: scalar(1.0), 0: scalar(-(1.0 - 1e-5))}))
+        assert res.rounded == 1 and res.root_margin == pytest.approx(1e-5)
 
     def test_homotopy_invariance_linear_deformation(self):
         rng = np.random.default_rng(3)
@@ -195,10 +209,9 @@ class TestNcWinding:
                       for n in (-1, 0, 1)}
             coeffs[shift] = coeffs[shift] + 2.0 * np.eye(3)
             loop = SymbolLoop(3, coeffs)
-            det_wind = winding.winding_det(loop)
             value = winding.nc_winding(loop)
-            assert value == Fraction(det_wind.rounded, 3)
-            assert abs(float(value) * 3 - det_wind.raw_phase) < 1e-8 + 0.25
+            assert value == Fraction(winding.winding_det(loop).rounded, 3)
+            assert abs(reference_nc_winding(loop) - float(value)) < 1e-8
 
 
 class TestFlatBandLoop:
@@ -398,6 +411,18 @@ class TestIndexTheorem:
             assert record.holds
             assert record.branches[0].lhs_index == p_right - p_left
 
+    def test_stale_positional_grid_rejected(self):
+        loop = SymbolLoop(1, {1: scalar(1.0)})
+        for call in (
+            lambda: winding.verify_index_theorem(ops.shift_power(1, 1), 4096),
+            lambda: winding.verify_index_theorem(split_step_from_angles(2.8, 0.4, 1.2), 512),
+            lambda: winding.verify_index_theorem_banded(ops.shift_power(1, 1), 4096),
+            lambda: winding.winding_det(loop, 256),
+            lambda: winding.nc_winding(loop, 4096),
+        ):
+            with pytest.raises(TypeError):
+                call()
+
     def test_chiral_pair_branches_consistent(self):
         pair = split_step_from_angles(2.8, 0.4, 1.2)
         record = winding.verify_index_theorem(pair)
@@ -412,7 +437,7 @@ class TestIndexTheorem:
 
     def test_double_shift_walk_reaches_higher_indices(self):
         pair = split_step_from_angles(1.28, 0.14, 0.15, shift_exponent=2)
-        record = winding.verify_index_theorem(pair, 512)
+        record = winding.verify_index_theorem(pair)
         assert record.holds
         assert record.si_plus == -2 and record.si_minus == 0
         branch = record.branch("imaginary_block")
