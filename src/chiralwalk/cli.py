@@ -196,9 +196,16 @@ def build_parser():
     return parser
 
 
+_PARSER = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # one parser per process: parsing leaves no state in it, and building
+    # it costs more than parsing
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ScenarioError as exc:

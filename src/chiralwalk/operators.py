@@ -243,7 +243,7 @@ class SymbolLoop:
         from validated ones, so not validated again; zeros are dropped."""
         loop = cls.__new__(cls)
         loop.fiber_dim = fiber_dim
-        loop.coefficients = {n: m for n, m in coefficients.items() if m.any()}
+        loop.coefficients = {n: m for n, m in coefficients.items() if np.count_nonzero(m)}
         for m in loop.coefficients.values():
             m.setflags(write=False)
         return loop
@@ -292,13 +292,19 @@ class SymbolLoop:
         return SymbolLoop._derived(self.fiber_dim, out)
 
     def __add__(self, other):
+        return self._combined(other, np.add)
+
+    def __sub__(self, other):
+        return self._combined(other, np.subtract)
+
+    def _combined(self, other, op):
         if not isinstance(other, SymbolLoop):
             return NotImplemented
         if self.fiber_dim != other.fiber_dim:
             raise DimensionMismatchError("fiber dimensions differ")
         out = dict(self.coefficients)
         for n, m in other.coefficients.items():
-            out[n] = out[n] + m if n in out else m
+            out[n] = op(out[n], m) if n in out else op(0, m)
         return SymbolLoop._derived(self.fiber_dim, out)
 
     def __repr__(self):
@@ -364,6 +370,20 @@ class BandedAnisotropicOperator:
     def truncate(self, L):
         """Compression to the window [-L, L]; see TruncatedOperator."""
         return TruncatedOperator(self, L)
+
+    def dense_block(self, lo, hi):
+        """Dense compression to the sites lo..hi-1, fiber index fastest.
+
+        Row x holds A_n(x) in column x - n; entries whose column falls
+        outside the window are dropped.
+        """
+        d, n_sites = self.fiber_dim, hi - lo
+        out = np.zeros((n_sites, d, n_sites, d), dtype=complex)
+        for n, f in self.bands.items():
+            rows = np.arange(max(0, n), min(n_sites, n_sites + n))
+            if rows.size:
+                out[rows, :, rows - n, :] = f.values_on(lo + rows[0], lo + rows[-1])
+        return out.reshape(n_sites * d, n_sites * d)
 
     # --- algebra -----------------------------------------------------------
 
@@ -465,17 +485,7 @@ class TruncatedOperator:
             )
         self.window_halfwidth = L
         self.fiber_dim = op.fiber_dim
-        d = op.fiber_dim
-        n_sites = 2 * L + 1
-        mat = np.zeros((n_sites * d, n_sites * d), dtype=complex)
-        for n, f in op.bands.items():
-            for x in range(-L, L + 1):
-                y = x - n
-                if -L <= y <= L:
-                    i = (x + L) * d
-                    j = (y + L) * d
-                    mat[i : i + d, j : j + d] = f.value_at(x)
-        self.matrix = mat
+        self.matrix = op.dense_block(-L, L + 1)
         lo, hi = op.bulk_window()
         r = op.band_radius
         # bulk structure should sit clear of the compressed edges

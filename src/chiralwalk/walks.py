@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import operators as ops
 from .exceptions import NormalizationError, PreconditionError
-from .operators import BandedAnisotropicOperator, CoefficientFunction, circle_grid
+from .operators import BandedAnisotropicOperator, CoefficientFunction, SymbolLoop, circle_grid
 
 NORMALIZATION_TOL = 1e-12
 CHIRAL_TOL = 1e-10
@@ -70,23 +69,14 @@ class SplitStepParams:
 
 @dataclass
 class ChiralPair:
-    """A factorized chiral unitary with its spectral projections.
-
-    p0 and p1 are (1 + Gamma_i)/2; u = gamma0 @ gamma1.
-    """
+    """A factorized chiral unitary u = gamma0 @ gamma1, validated on construction."""
 
     gamma0: BandedAnisotropicOperator
     gamma1: BandedAnisotropicOperator
     u: BandedAnisotropicOperator = field(init=False)
-    p0: BandedAnisotropicOperator = field(init=False)
-    p1: BandedAnisotropicOperator = field(init=False)
 
     def __post_init__(self):
-        d = self.gamma0.fiber_dim
-        one = ops.identity(d)
         self.u = self.gamma0 @ self.gamma1
-        self.p0 = (one + self.gamma0).scaled(0.5)
-        self.p1 = (one + self.gamma1).scaled(0.5)
         record = verify_chiral_parts(self.gamma0, self.gamma1, self.u)
         if record.max_deviation > CHIRAL_TOL:
             raise PreconditionError(
@@ -132,42 +122,64 @@ class ChiralCertification:
         }
 
 
-def _symbol_sup(op, zs):
-    dev = 0.0
-    for side in (ops.LEFT, ops.RIGHT):
-        vals = op.symbol_at(side)(zs)
-        dev = max(dev, float(np.abs(vals).max()) if vals.size else 0.0)
-    return dev
+def _symbol_residuals(gamma0, gamma1, u, side):
+    """Limit symbols of the six residuals, as exact Laurent coefficients."""
+    f0, f1, fu = (op.symbol_at(side) for op in (gamma0, gamma1, u))
+    one = SymbolLoop(f0.fiber_dim, {0: np.eye(f0.fiber_dim)})
+    fu_star = fu.hermitian_conjugate()
+    return {
+        "g0_sa": f0 - f0.hermitian_conjugate(),
+        "g1_sa": f1 - f1.hermitian_conjugate(),
+        "g0_inv": f0 * f0 - one,
+        "g1_inv": f1 * f1 - one,
+        "chiral": f0 * fu * f0 - fu_star,
+        "u_unitary": fu_star * fu - one,
+    }
 
 
 def verify_chiral_parts(gamma0, gamma1, u=None, n_symbol_points=64):
     """Deviations of the defining relations, on band coefficients and on symbols.
 
     The coefficient part is the largest entry of each residual, limits
-    included.  window_halfwidth is the largest band radius plus the
-    largest bulk extent of the residuals plus four sites.
+    included.  It is read off dense blocks on the sites [lo - pad, hi + pad),
+    [lo, hi) the union of the inputs' bulk windows: with R the bound
+    max(2 r0 + ru, 2 ru, 2 r1) on every residual's band radius and
+    pad = 2 R + 1, the rows at least R sites from the edges are exact rows
+    of the residuals and include a pure-limit row on each side.  The
+    symbol part evaluates the residuals' limit Laurent polynomials on
+    n_symbol_points circle points, so a residual that cancels exactly
+    reads 0.0.  window_halfwidth is R plus the largest |lo|, |hi| of the
+    inputs' bulk windows plus four sites: a symmetric window [-L, L] that
+    holds those bulk windows with R + 4 sites to spare.
     """
     if u is None:
         u = gamma0 @ gamma1
     d = gamma0.fiber_dim
-    one = ops.identity(d)
+    inputs = (gamma0, gamma1, u)
+    radius = max(2 * gamma0.band_radius + u.band_radius, 2 * u.band_radius,
+                 2 * gamma1.band_radius)
+    windows = [op.bulk_window() for op in inputs if not op.is_translation_invariant()]
+    lo = min((w[0] for w in windows), default=0)
+    hi = max((w[1] for w in windows), default=0)
+    pad = 2 * radius + 1
+    g0, g1, uu = (op.dense_block(lo - pad, hi + pad) for op in inputs)
+    eye = np.eye(g0.shape[0])
+    u_star = uu.conj().T
     residuals = {
-        "g0_sa": gamma0 - gamma0.adjoint(),
-        "g1_sa": gamma1 - gamma1.adjoint(),
-        "g0_inv": gamma0 @ gamma0 - one,
-        "g1_inv": gamma1 @ gamma1 - one,
-        "chiral": gamma0 @ u @ gamma0 - u.adjoint(),
-        "u_unitary": u.adjoint() @ u - one,
+        "g0_sa": g0 - g0.conj().T,
+        "g1_sa": g1 - g1.conj().T,
+        "g0_inv": g0 @ g0 - eye,
+        "g1_inv": g1 @ g1 - eye,
+        "chiral": g0 @ uu @ g0 - u_star,
+        "u_unitary": u_star @ uu - eye,
     }
-    radius = max(r.band_radius for r in residuals.values())
-    bulk = 0
-    for r in residuals.values():
-        lo, hi = r.bulk_window()
-        bulk = max(bulk, abs(lo), abs(hi))
-    L = radius + bulk + 4
+    rows = slice(radius * d, g0.shape[0] - radius * d)
+    coeff = {k: float(np.abs(r[rows]).max()) for k, r in residuals.items()}
     zs = circle_grid(n_symbol_points)
-    sym = {k: _symbol_sup(r, zs) for k, r in residuals.items()}
-    coeff = {k: float(r.entry_sup()) for k, r in residuals.items()}
+    sym = dict.fromkeys(residuals, 0.0)
+    for side in (ops.LEFT, ops.RIGHT):
+        for k, loop in _symbol_residuals(gamma0, gamma1, u, side).items():
+            sym[k] = max(sym[k], float(np.abs(loop(zs)).max()))
     return ChiralCertification(
         gamma0_selfadjoint=max(coeff["g0_sa"], sym["g0_sa"]),
         gamma1_selfadjoint=max(coeff["g1_sa"], sym["g1_sa"]),
@@ -176,7 +188,7 @@ def verify_chiral_parts(gamma0, gamma1, u=None, n_symbol_points=64):
         chiral_relation=max(coeff["chiral"], sym["chiral"]),
         symbol_deviation=max(sym.values()),
         unitary_symbol_deviation=sym["u_unitary"],
-        window_halfwidth=L,
+        window_halfwidth=radius + max(abs(lo), abs(hi)) + 4,
     )
 
 
@@ -273,9 +285,9 @@ def build_generator_walk(hamiltonian, gamma0, tol=CHIRAL_TOL):
         raise PreconditionError("generator must be self-adjoint")
     if np.abs(g0 @ h + h @ g0).max() > tol:
         raise PreconditionError("generator must anticommute with gamma0")
-    norm = scipy.linalg.norm(h, 2) if h.size else 0.0
-    regularized = bool(norm > 1.0 + 1e-12)
     evals, vecs = np.linalg.eigh(h)
+    # h is self-adjoint, so its operator norm is its largest |eigenvalue|
+    regularized = bool(evals.size and np.abs(evals).max() > 1.0 + 1e-12)
     if regularized:
         evals = evals / np.sqrt(1.0 + evals**2)
         h = (vecs * evals) @ vecs.conj().T

@@ -144,6 +144,17 @@ class TestCliCommands:
         assert any("gap_at(-1) refuted" in line for line in report["omitted"])
         assert report["indices"] == {}
 
+    def test_parser_reuse_keeps_no_flags(self, tmp_path, capsys):
+        doc = gapped_scenario()
+        del doc["tolerances"]["rank_tol"]
+        path = write_json(tmp_path / "s.json", doc)
+        assert main(["index", path, "--rank-tol", "1e-6", "--format", "csv"]) == 0
+        first = capsys.readouterr().out
+        assert "tolerances.rank_tol,1e-06" in first.splitlines()
+        assert main(["index", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["tolerances"]["rank_tol"] == 1e-8
+
     def test_index_parse_error_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -7,6 +7,8 @@ from chiralwalk.exceptions import NormalizationError, PreconditionError
 from chiralwalk.operators import CoefficientFunction, circle_grid
 from chiralwalk.verification import random_unitary, split_step_from_angles
 from chiralwalk.walks import (
+    CHIRAL_TOL,
+    ChiralPair,
     SplitStepParams,
     build_gamma0,
     build_gamma1,
@@ -14,6 +16,7 @@ from chiralwalk.walks import (
     build_walk,
     build_weighted_shift_walk,
     verify_chiral,
+    verify_chiral_parts,
 )
 
 
@@ -123,6 +126,121 @@ class TestBuildWalk:
                     j = int(np.argmin([abs(ev - w) for w in remaining]))
                     assert abs(ev - remaining[j]) < 1e-10
                     remaining.pop(j)
+
+
+def banded_residual_deviations(g0, g1, u, n_symbol_points=64):
+    """Oracle: the six residuals in banded algebra, entry_sup and limit symbols."""
+    one = ops.identity(g0.fiber_dim)
+    residuals = {
+        "g0_sa": g0 - g0.adjoint(),
+        "g1_sa": g1 - g1.adjoint(),
+        "g0_inv": g0 @ g0 - one,
+        "g1_inv": g1 @ g1 - one,
+        "chiral": g0 @ u @ g0 - u.adjoint(),
+        "u_unitary": u.adjoint() @ u - one,
+    }
+    zs = circle_grid(n_symbol_points)
+    sym = {
+        k: max(float(np.abs(r.symbol_at(side)(zs)).max()) for side in (ops.LEFT, ops.RIGHT))
+        for k, r in residuals.items()
+    }
+    coeff = {k: float(r.entry_sup()) for k, r in residuals.items()}
+    deviations = {
+        "gamma0_selfadjoint": max(coeff["g0_sa"], sym["g0_sa"]),
+        "gamma1_selfadjoint": max(coeff["g1_sa"], sym["g1_sa"]),
+        "gamma0_involution": max(coeff["g0_inv"], sym["g0_inv"]),
+        "gamma1_involution": max(coeff["g1_inv"], sym["g1_inv"]),
+        "chiral_relation": max(coeff["chiral"], sym["chiral"]),
+        "symbol_deviation": max(sym.values()),
+        "unitary_symbol_deviation": sym["u_unitary"],
+    }
+    deviations["max_deviation"] = max(deviations.values())
+    return deviations
+
+
+def perturbed_gamma1(pair, site=None, entry=(0, 0), eps=1e-6):
+    """Gamma1 of pair with one entry of its bulk table at site (or of its
+    right limit when site is None) moved by eps."""
+    f = pair.gamma1.coefficient(0)
+    left, right, values = (np.array(m) for m in (f.left, f.right, f.values))
+    if site is None:
+        right[entry] += eps
+    else:
+        values[(site - f.window_start, *entry)] += eps
+    return ops.mult_op(CoefficientFunction(left, right, f.window_start, values))
+
+
+class TestChiralValidation:
+    def test_deviations_match_banded_residual_oracle(self):
+        rng = np.random.default_rng(41)
+        for shift in (1, 2):
+            for with_defects in (False, True):
+                for _ in range(6):
+                    defects = None
+                    if with_defects:
+                        lo, hi = -int(rng.integers(0, 3)), int(rng.integers(1, 4))
+                        defects = {x: rng.uniform(0, np.pi) for x in range(lo, hi)}
+                    pair = split_step_from_angles(*rng.uniform(0, np.pi, size=3), shift, defects)
+                    record = pair.certification.to_dict()
+                    oracle = banded_residual_deviations(pair.gamma0, pair.gamma1, pair.u)
+                    for key, value in oracle.items():
+                        assert abs(record[key] - value) <= 1e-15, key
+
+    def test_perturbed_bulk_coefficient_rejected(self):
+        pair = split_step_from_angles(0.4, 1.9, 1.1, 1, {-1: 0.3, 0: 2.0, 1: 1.4})
+        for entry in ((0, 0), (1, 0)):
+            g1 = perturbed_gamma1(pair, site=0, entry=entry)
+            record = verify_chiral_parts(pair.gamma0, g1)
+            assert record.max_deviation > 100 * CHIRAL_TOL
+            # a bulk defect leaves every limit symbol intact
+            assert record.symbol_deviation < 1e-12
+            with pytest.raises(PreconditionError):
+                ChiralPair(gamma0=pair.gamma0, gamma1=g1)
+
+    def test_perturbed_limit_coefficient_rejected(self):
+        pair = split_step_from_angles(0.4, 1.9, 1.1, 2)
+        g1 = perturbed_gamma1(pair, site=None, entry=(1, 1))
+        assert g1.coefficient(0).values.shape[0] == 0  # only the limit changed
+        record = verify_chiral_parts(pair.gamma0, g1)
+        assert record.gamma1_involution > 100 * CHIRAL_TOL
+        oracle = banded_residual_deviations(pair.gamma0, g1, pair.gamma0 @ g1)
+        assert abs(record.max_deviation - oracle["max_deviation"]) <= 1e-15
+        with pytest.raises(PreconditionError):
+            ChiralPair(gamma0=pair.gamma0, gamma1=g1)
+
+    def test_non_involution_gamma0_rejected(self):
+        pair = split_step_from_angles(0.4, 1.9, 1.1)
+        g0 = pair.gamma0.scaled(1.0 + 1e-6)  # self-adjoint, squares to (1 + 1e-6)^2
+        record = verify_chiral_parts(g0, pair.gamma1)
+        assert record.gamma0_selfadjoint == 0.0
+        assert record.gamma0_involution > 100 * CHIRAL_TOL
+        with pytest.raises(PreconditionError):
+            ChiralPair(gamma0=g0, gamma1=pair.gamma1)
+
+    def test_band_radius_zero_pair(self):
+        params = SplitStepParams(a=const_profile(1.0), b=const_profile(0.0), c=1.0, d_coin=0.0)
+        pair = build_walk(params)
+        assert pair.u.band_radius == 0
+        record = pair.certification
+        assert record.max_deviation == 0.0
+        assert record.window_halfwidth == 4
+        # the coefficient rows of a radius-0 window must not be empty
+        broken = ops.mult_op(CoefficientFunction.constant(np.diag([1.0, -1.0 - 1e-6])))
+        record = verify_chiral_parts(pair.gamma0, broken)
+        assert record.gamma1_involution > 100 * CHIRAL_TOL
+        with pytest.raises(PreconditionError):
+            ChiralPair(gamma0=pair.gamma0, gamma1=broken)
+
+    def test_band_radius_zero_bulk_defect_rejected(self):
+        g0 = ops.mult_op(CoefficientFunction.constant(np.diag([1.0, -1.0])))
+        g1 = ops.mult_op(
+            CoefficientFunction.from_table(np.eye(2), np.eye(2), {3: np.diag([1.0, 1.0 + 1e-6])})
+        )
+        record = verify_chiral_parts(g0, g1)
+        assert record.symbol_deviation == 0.0
+        assert record.gamma1_involution > 100 * CHIRAL_TOL
+        with pytest.raises(PreconditionError):
+            ChiralPair(gamma0=g0, gamma1=g1)
 
 
 class TestWeightedShift:
