@@ -11,7 +11,6 @@ counts against symbol winding numbers.
 
 from .exceptions import (
     ChiralwalkError,
-    DegenerateSymbolError,
     DimensionMismatchError,
     NormalizationError,
     NotFredholmError,

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import analysis, verification
-from .exceptions import ChiralwalkError, ScenarioError
+from .exceptions import ChiralwalkError
 from .scenarios import Scenario, SweepSpec
 
 
@@ -47,51 +47,56 @@ def _flatten(doc, prefix=""):
     return items
 
 
-def _emit_report(doc, fmt, out):
-    if fmt == "csv":
-        flat = _flatten(doc)
-        _emit_csv(["key", "value"], flat, out)
+def _write_json(doc, out):
+    out.write(json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n")
+
+
+def _write(target, emit):
+    """Call emit with the file ``target`` opened for writing, or with stdout."""
+    if target:
+        with open(target, "w") as handle:
+            emit(handle)
     else:
-        out.write(json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n")
+        emit(sys.stdout)
 
 
-def _open_out(args):
-    if args.out:
-        return open(args.out, "w")
-    return None
+def _write_report(doc, fmt, target):
+    if fmt == "csv":
+        _write(target, lambda out: _emit_csv(["key", "value"], _flatten(doc), out))
+    else:
+        _write(target, lambda out: _write_json(doc, out))
+
+
+def _write_rows(header, rows, fmt, target):
+    if fmt == "json":
+        _write(target, lambda out: _write_json([dict(zip(header, row)) for row in rows], out))
+    else:
+        _write(target, lambda out: _emit_csv(header, rows, out))
 
 
 def _tolerance_overrides(args):
     return {"rank_tol": args.rank_tol, "grid_n": args.grid, "margin": args.margin}
 
 
-def cmd_index(args):
-    scenario = Scenario.load(args.scenario, _tolerance_overrides(args))
-    report, code = analysis.run_index_report(scenario)
-    handle = _open_out(args)
-    _emit_report(report, args.format or "json", handle or sys.stdout)
-    if handle:
-        handle.close()
+def _report(args, analyse):
+    """Load the scenario, write analyse(scenario)'s report, return its exit code."""
+    report, code = analyse(Scenario.load(args.scenario, _tolerance_overrides(args)))
+    _write_report(report, args.format, args.out)
     return code
+
+
+def cmd_index(args):
+    return _report(args, analysis.run_index_report)
+
+
+def cmd_winding(args):
+    return _report(args, lambda scenario: analysis.winding_report(scenario, args.side))
 
 
 def cmd_sweep(args):
     spec = SweepSpec.load(args.sweep, _tolerance_overrides(args))
     header, rows = analysis.run_sweep(spec)
-    target = args.out or spec.output
-
-    def emit(out):
-        if args.format == "json":
-            doc = [dict(zip(header, row)) for row in rows]
-            out.write(json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n")
-        else:
-            _emit_csv(header, rows, out)
-
-    if target:
-        with open(target, "w") as handle:
-            emit(handle)
-    else:
-        emit(sys.stdout)
+    _write_rows(header, rows, args.format, args.out or spec.output)
     return 0
 
 
@@ -118,28 +123,9 @@ def cmd_verify(args):
 
 def cmd_spectrum(args):
     scenario = Scenario.load(args.scenario, _tolerance_overrides(args))
-    rows = analysis.spectrum_rows(scenario)
     header = ["side", "theta", "eigenvalue_re", "eigenvalue_im"]
-    handle = _open_out(args)
-    out = handle or sys.stdout
-    if args.format == "json":
-        doc = [dict(zip(header, row)) for row in rows]
-        out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    else:
-        _emit_csv(header, rows, out)
-    if handle:
-        handle.close()
+    _write_rows(header, analysis.spectrum_rows(scenario), args.format, args.out)
     return 0
-
-
-def cmd_winding(args):
-    scenario = Scenario.load(args.scenario, _tolerance_overrides(args))
-    report, code = analysis.winding_report(scenario, args.side)
-    handle = _open_out(args)
-    _emit_report(report, args.format or "json", handle or sys.stdout)
-    if handle:
-        handle.close()
-    return code
 
 
 def _add_common_flags(parser, suppress=False):
@@ -156,8 +142,16 @@ def _add_common_flags(parser, suppress=False):
     parser.add_argument("--format", choices=("json", "csv"), default=default)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, the code of a refuted certification here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chiralwalk",
         description="Indices of chiral unitaries and split-step quantum walks on the lattice",
     )
@@ -208,9 +202,6 @@ def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ChiralwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

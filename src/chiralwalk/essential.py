@@ -19,8 +19,11 @@ gamma.  Each level sits LEVEL_RTOL below the smallest distance found,
 so the search stops with the gap bracketed between the two.
 
 A gap is certified when that lower bound exceeds the margin and the
-roots of det(F(z) - t) clear ``transfer.CIRCLE_MARGIN``, so that the
-exact-kernel oracle cannot refuse it.  On the circle
+roots of det(F(z) - t) clear ``transfer.CIRCLE_MARGIN``.  The
+exact-kernel oracle refuses by the companion pencil of each limit, whose
+eigenvalues are the same transfer eigenvalues 1/z computed another way,
+against the same margin; so it does not refuse a certified gap, which
+the transfer tests check against the root gate.  On the circle
 |1 - lambda|^2 + |1 + lambda|^2 = 4, hence
 
     || 1 -+ U ||_ess = sqrt(4 - gap_(-+1)^2),

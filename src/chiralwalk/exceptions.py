@@ -22,9 +22,5 @@ class NotFredholmError(ChiralwalkError):
     no finite kernel or winding is guaranteed."""
 
 
-class DegenerateSymbolError(ChiralwalkError):
-    """Jordan chain longer than the supported length was encountered."""
-
-
 class ScenarioError(ChiralwalkError):
     """Scenario or sweep file is malformed."""

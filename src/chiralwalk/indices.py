@@ -18,6 +18,7 @@ import numpy as np
 from .exceptions import PreconditionError
 
 DEFAULT_RANK_TOL = 1e-8
+_RANK_FLOOR = 1e-12        # absolute floor: a numerically-zero matrix stays all kernel
 RELATION_TOL = 1e-10
 SIGNATURE_GAP = 0.5
 
@@ -93,12 +94,21 @@ class KernelSummary:
         }
 
 
+def _rank_threshold(svals, rank_tol):
+    """Singular values below this count as zero: rank_tol * sigma_max, at least _RANK_FLOOR.
+
+    svals are the descending singular values of one matrix (shape (k,))
+    or of a stack (shape (..., k)); the threshold keeps a last axis of
+    length 1, so it broadcasts against svals.
+    """
+    return np.maximum(rank_tol * svals[..., :1], _RANK_FLOOR)
+
+
 def kernel_basis(matrix, rank_tol=DEFAULT_RANK_TOL, gamma0=None):
     """Orthonormal basis of the numerical null space of ``matrix``.
 
-    Singular values below rank_tol * sigma_max count as zero (absolute
-    floor 1e-12 when sigma_max vanishes).  With ``gamma0`` supplied the
-    graded signature of the kernel is attached.
+    Singular values below ``_rank_threshold`` count as zero.  With
+    ``gamma0`` supplied the graded signature of the kernel is attached.
     """
     m = _as_complex(matrix)
     rows, cols = m.shape
@@ -106,9 +116,7 @@ def kernel_basis(matrix, rank_tol=DEFAULT_RANK_TOL, gamma0=None):
         summary = KernelSummary(cols, np.eye(cols, dtype=complex), float(rank_tol))
     else:
         _, svals, vh = np.linalg.svd(m, full_matrices=True)
-        sigma_max = svals[0] if svals.size else 0.0
-        # absolute floor keeps numerically-zero matrices fully in the kernel
-        threshold = max(rank_tol * sigma_max, 1e-12)
+        threshold = float(_rank_threshold(svals, rank_tol)[0])
         padded = np.concatenate([svals, np.zeros(cols - svals.size)])
         basis = vh.conj().T[:, padded < threshold]
         summary = KernelSummary(
@@ -136,29 +144,37 @@ def _kernel_dims(matrices, rank_tol):
     if rows == 0 or cols == 0:
         return np.full(m.shape[:-2], cols).tolist()
     svals = np.linalg.svd(m, compute_uv=False)
-    threshold = np.maximum(rank_tol * svals[..., :1], 1e-12)
-    return (cols - np.sum(svals >= threshold, axis=-1)).tolist()
+    return (cols - np.sum(svals >= _rank_threshold(svals, rank_tol), axis=-1)).tolist()
 
 
-def graded_signature(basis, gamma0):
-    """Signature of gamma0 compressed to the span of the given orthonormal columns.
+def _signature_and_margin(evals):
+    """Signature of compressed gamma0 eigenvalues and its decision margin.
 
-    The compression of a self-adjoint unitary to an invariant subspace has
-    eigenvalues at +-1; anything inside (-1/2, 1/2) means the subspace is
-    not gamma0-invariant at this tolerance.
+    The margin is min |eigenvalue| - SIGNATURE_GAP (None without
+    eigenvalues).  The compression of a self-adjoint unitary to an
+    invariant subspace has eigenvalues at +-1; one inside
+    (-SIGNATURE_GAP, SIGNATURE_GAP) means the subspace is not
+    gamma0-invariant at this tolerance.
     """
-    if basis.shape[1] == 0:
-        return 0
-    g = _as_complex(gamma0)
-    compressed = basis.conj().T @ g @ basis
-    evals = np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T))
     if np.any(np.abs(evals) < SIGNATURE_GAP):
         raise PreconditionError(
             "kernel not Gamma0-invariant within tolerance: compressed eigenvalue "
             f"{evals[np.argmin(np.abs(evals))]:.3f} inside (-1/2, 1/2); "
             "rank tolerance likely misclassified a singular value"
         )
-    return int(np.sum(evals > SIGNATURE_GAP) - np.sum(evals < -SIGNATURE_GAP))
+    signature = int(np.sum(evals > SIGNATURE_GAP) - np.sum(evals < -SIGNATURE_GAP))
+    margin = float(np.abs(evals).min() - SIGNATURE_GAP) if evals.size else None
+    return signature, margin
+
+
+def graded_signature(basis, gamma0):
+    """Signature of gamma0 compressed to the span of the given orthonormal columns."""
+    if basis.shape[1] == 0:
+        return 0
+    g = _as_complex(gamma0)
+    compressed = basis.conj().T @ g @ basis
+    evals = np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T))
+    return _signature_and_margin(evals)[0]
 
 
 def _grading_frames(g):
@@ -338,9 +354,7 @@ def _cayley_signature(u, w_full, svals, gamma0, rank_tol):
     """Graded signature of the Cayley kernel of u on Ran(1 - u), from the SVD of 1 - u."""
     eye = np.eye(u.shape[0])
     one_minus = eye - u
-    sigma_max = svals[0] if svals.size else 0.0
-    threshold = max(rank_tol * sigma_max, 1e-12)
-    w = w_full[:, svals >= threshold]
+    w = w_full[:, svals >= _rank_threshold(svals, rank_tol)]
     if w.shape[1] == 0:
         return 0
     a = w.conj().T @ one_minus @ w

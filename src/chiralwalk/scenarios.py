@@ -8,6 +8,7 @@ fail loudly instead of silently running defaults.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -24,6 +25,16 @@ def _reject_unknown(doc, allowed, where):
     unknown = set(doc) - set(allowed)
     if unknown:
         raise ScenarioError(f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def _read_json(path):
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except OSError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def _as_scalar(value, where):
@@ -116,14 +127,7 @@ class Scenario:
 
     @classmethod
     def load(cls, path, tolerance_overrides=None):
-        try:
-            with open(path) as handle:
-                doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-        except OSError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
-        return cls.from_doc(doc, tolerance_overrides)
+        return cls.from_doc(_read_json(path), tolerance_overrides)
 
     def build(self):
         """Instantiate the model object this scenario describes."""
@@ -174,16 +178,11 @@ class SweepSpec:
     template: dict
     axes: list                      # [(path, [values...]), ...]
     output: str | None = None
+    tolerance_overrides: dict | None = None
 
     @classmethod
     def load(cls, path, tolerance_overrides=None):
-        try:
-            with open(path) as handle:
-                doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-        except OSError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
+        doc = _read_json(path)
         if not isinstance(doc, dict):
             raise ScenarioError("sweep must be a JSON object")
         _reject_unknown(doc, {"scenario", "axes", "output"}, "sweep")
@@ -200,33 +199,22 @@ class SweepSpec:
             if not values:
                 raise ScenarioError(f"axis {axis.get('path')!r} has no values")
             axes.append((str(axis["path"]), list(values)))
-        spec = cls(template=template, axes=axes, output=doc.get("output"))
-        spec._overrides = tolerance_overrides
+        spec = cls(template, axes, doc.get("output"), tolerance_overrides)
         # validate that every grid point yields a well-formed scenario
         for point in spec.grid_points():
             spec.scenario_at(point)
         return spec
 
     def grid_points(self):
-        """Index tuples in lexicographic order of the axes."""
-        shape = [len(values) for _, values in self.axes]
-        point = [0] * len(shape)
-        while True:
-            yield tuple(point)
-            for axis in reversed(range(len(shape))):
-                point[axis] += 1
-                if point[axis] < shape[axis]:
-                    break
-                point[axis] = 0
-            else:
-                return
+        """Index tuples in lexicographic order of the axes (the last varies fastest)."""
+        return itertools.product(*(range(len(values)) for _, values in self.axes))
 
     def scenario_at(self, point):
         doc = copy.deepcopy(self.template)
         for (path, values), idx in zip(self.axes, point):
             target, key = _resolve_path(doc, path)
             target[key] = values[idx]
-        return Scenario.from_doc(doc, getattr(self, "_overrides", None))
+        return Scenario.from_doc(doc, self.tolerance_overrides)
 
     def axis_values(self, point):
         return [values[idx] for (_, values), idx in zip(self.axes, point)]

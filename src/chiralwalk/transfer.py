@@ -21,8 +21,8 @@ import numpy as np
 import scipy.linalg
 
 from . import operators as ops
-from .exceptions import NotFredholmError, PreconditionError
-from .indices import SIGNATURE_GAP, KernelSummary, kernel_basis
+from .exceptions import NotFredholmError
+from .indices import KernelSummary, _rank_threshold, _signature_and_margin, kernel_basis
 from .operators import circle_grid
 
 CIRCLE_MARGIN = 1e-6
@@ -59,24 +59,26 @@ def _det_roots(loop, mu=0.0, coeff_tol=1e-11):
     return roots, int(low + nz[0])
 
 
-def _clearance(roots, circle_margin):
+def _clearance(roots):
     """(min ||z| - 1| over the roots or None without roots, whether every
-    transfer eigenvalue 1/z lies outside circle_margin of the unit circle)."""
+    transfer eigenvalue 1/z lies outside CIRCLE_MARGIN of the unit circle)."""
     radii = np.abs(roots)
     margin = float(np.abs(radii - 1.0).min()) if radii.size else None
-    return margin, bool(np.all(np.abs(1.0 / radii - 1.0) > circle_margin))
+    return margin, bool(np.all(np.abs(1.0 / radii - 1.0) > CIRCLE_MARGIN))
 
 
-def circle_clearance(loop, mu=0.0, circle_margin=CIRCLE_MARGIN):
+def circle_clearance(loop, mu=0.0):
     """Where the roots of det(loop(z) - mu) lie relative to the unit circle.
 
     Returns (root_margin, clear): root_margin = min ||z| - 1| over the
     roots (None when the determinant is a monomial, 0 when it vanishes
     identically), and clear says whether every root clears the band in
-    which exact_kernel refuses.
+    which exact_kernel refuses: the same CIRCLE_MARGIN on the same
+    transfer eigenvalues 1/z that the companion pencil of
+    ``_half_line_germs`` tests, computed by a different route.
     """
     try:
-        return _clearance(_det_roots(loop, mu)[0], circle_margin)
+        return _clearance(_det_roots(loop, mu)[0])
     except NotFredholmError:
         return 0.0, False
 
@@ -107,32 +109,31 @@ def _companion_pencil(coeffs, d, r):
     return e_mat, b_mat
 
 
-def _half_line_germs(coeffs, d, r, tail, circle_margin=CIRCLE_MARGIN):
+def _half_line_germs(coeffs, d, r, tail):
     """Germ space of decaying solutions of the constant recursion.
 
     tail = 'right': solutions on [x, +inf) (cluster |lambda| < 1, 0 included);
     tail = 'left': solutions on (-inf, x] (cluster |lambda| > 1 and infinity).
+    This is exact_kernel's Fredholm gate: a transfer eigenvalue within
+    CIRCLE_MARGIN of the unit circle, or a singular pencil, raises
+    NotFredholmError, so no germ dimension is read off a split that the
+    margin does not separate.
     """
+    def inside(alpha, beta):
+        return np.abs(alpha) < (1.0 - CIRCLE_MARGIN) * np.abs(beta)
+
+    def outside(alpha, beta):
+        return np.abs(alpha) > (1.0 + CIRCLE_MARGIN) * np.abs(beta)
+
+    select = inside if tail == "right" else outside
     e_mat, b_mat = _companion_pencil(coeffs, d, r)
-    size = e_mat.shape[0]
-
-    if tail == "right":
-        def select(alpha, beta):
-            return np.abs(alpha) < (1.0 - circle_margin) * np.abs(beta)
-    else:
-        def select(alpha, beta):
-            return np.abs(alpha) > (1.0 + circle_margin) * np.abs(beta)
-
-    aa, bb, alpha, beta, _, z = scipy.linalg.ordqz(
-        b_mat, e_mat, sort=select, output="complex"
-    )
+    aa, bb, alpha, beta, _, z = scipy.linalg.ordqz(b_mat, e_mat, sort=select, output="complex")
     degenerate = (np.abs(alpha) < 1e-12) & (np.abs(beta) < 1e-12)
     if np.any(degenerate):
         raise NotFredholmError("companion pencil is singular; symbol determinant degenerates")
-    inside = np.abs(alpha) < (1.0 - circle_margin) * np.abs(beta)
-    outside = np.abs(alpha) > (1.0 + circle_margin) * np.abs(beta)
-    if np.any(~inside & ~outside):
-        lam = alpha[~inside & ~outside] / beta[~inside & ~outside]
+    near = ~inside(alpha, beta) & ~outside(alpha, beta)
+    if np.any(near):
+        lam = alpha[near] / beta[near]
         raise NotFredholmError(
             f"transfer eigenvalue within margin of the unit circle (|lambda| = {np.abs(lam[0]):.8f})"
         )
@@ -150,14 +151,6 @@ def _half_line_germs(coeffs, d, r, tail, circle_margin=CIRCLE_MARGIN):
 
 
 # --- exact kernel on the doubly infinite lattice ------------------------------
-
-
-def _check_symbols_fredholm(a, circle_margin):
-    for side in (ops.LEFT, ops.RIGHT):
-        if not circle_clearance(a.symbol_at(side), circle_margin=circle_margin)[1]:
-            raise NotFredholmError(
-                f"{side} symbol determinant has a zero within margin of the unit circle"
-            )
 
 
 def _apply_banded_window(op, values, lo):
@@ -249,13 +242,19 @@ def _site_map(germ_left, germ_right, y0, y1, lo, hi):
     return out
 
 
-def _matching_system(a, rank_tol, circle_margin, extra_padding):
-    """Glue the decaying germs of both ends across the non-constant equations."""
+def _matching_system(a, rank_tol, extra_padding):
+    """Glue the decaying germs of both ends across the non-constant equations.
+
+    A translation-invariant operator has no non-constant equation; its
+    equations start at site -extra_padding, and since every null vector
+    continues to a square-summable solution, an invertible operator
+    gives dimension 0.
+    """
     d, r = a.fiber_dim, a.band_radius
     left_coeffs = {n: f.left for n, f in a.bands.items()}
     right_coeffs = {n: f.right for n, f in a.bands.items()}
-    germ_left = _half_line_germs(left_coeffs, d, r, "left", circle_margin)
-    germ_right = _half_line_germs(right_coeffs, d, r, "right", circle_margin)
+    germ_left = _half_line_germs(left_coeffs, d, r, "left")
+    germ_right = _half_line_germs(right_coeffs, d, r, "right")
 
     starts = [f.window_start for f in a.bands.values() if not f.is_constant()]
     ends = [f.window_end for f in a.bands.values() if not f.is_constant()]
@@ -343,17 +342,6 @@ def _hermitian(m):
     return 0.5 * (m + m.conj().T)
 
 
-def _signature(evals):
-    """Graded signature and its decision margin min|eig| - SIGNATURE_GAP (None if empty)."""
-    if np.any(np.abs(evals) < SIGNATURE_GAP):
-        raise PreconditionError(
-            "kernel not Gamma0-invariant within tolerance (lattice signature)"
-        )
-    signature = int(np.sum(evals > SIGNATURE_GAP) - np.sum(evals < -SIGNATURE_GAP))
-    margin = float(np.abs(evals).min() - SIGNATURE_GAP) if evals.size else None
-    return signature, margin
-
-
 def _multiplication_vectors(a, rank_tol):
     """Sitewise null vectors of a multiplication operator: (values (sites, d, dim), first site)."""
     f = a.coefficient(0)
@@ -363,20 +351,20 @@ def _multiplication_vectors(a, rank_tol):
     lo, hi = f.window_start, f.window_end
     if hi == lo:
         return np.zeros((0, a.fiber_dim, 0), dtype=complex), lo
-    # the null-space rule of kernel_basis, applied to every bulk site at once
     _, svals, vh = np.linalg.svd(f.values_on(lo, hi - 1))
-    sites, cols = np.nonzero(svals < np.maximum(rank_tol * svals[:, :1], 1e-12))
+    sites, cols = np.nonzero(svals < _rank_threshold(svals, rank_tol))
     values = np.zeros((hi - lo, a.fiber_dim, sites.size), dtype=complex)
     values[sites, :, np.arange(sites.size)] = vh[sites, cols].conj()
     return values, lo
 
 
-def _graded_kernel(a, gamma0, rank_tol, circle_margin, extra_padding):
+def _graded_kernel(a, gamma0, rank_tol, extra_padding):
     """Kernel summary and gamma0's spectrum compressed to the kernel.
 
-    The spectrum is empty without gamma0 or without kernel.
+    The spectrum is empty without gamma0 or without kernel.  Band radius
+    0 is gated by its singular limits, every other operator by the
+    companion pencils of its two ends.
     """
-    _check_symbols_fredholm(a, circle_margin)
     empty = np.zeros(0)
     if a.band_radius == 0:
         values, lo = _multiplication_vectors(a, rank_tol)
@@ -386,11 +374,8 @@ def _graded_kernel(a, gamma0, rank_tol, circle_margin, extra_padding):
         r_g = gamma0.band_radius
         padded = np.pad(values, ((r_g, r_g), (0, 0), (0, 0)))
         return summary, _graded_spectrum(*_window_forms(gamma0, padded, lo - r_g))
-    if a.is_translation_invariant():
-        # invertible symbol on the circle means an invertible operator
-        return KernelSummary(0, None, float(rank_tol)), empty
 
-    system = _matching_system(a, rank_tol, circle_margin, extra_padding)
+    system = _matching_system(a, rank_tol, extra_padding)
     null = system.null
     summary = KernelSummary(
         null.dimension,
@@ -404,7 +389,7 @@ def _graded_kernel(a, gamma0, rank_tol, circle_margin, extra_padding):
     return summary, _graded_spectrum(*_kernel_forms(system, gamma0))
 
 
-def exact_kernel(a, gamma0=None, rank_tol=1e-8, circle_margin=CIRCLE_MARGIN, extra_padding=0):
+def exact_kernel(a, gamma0=None, rank_tol=1e-8, extra_padding=0):
     """Kernel of a banded anisotropic operator on the doubly infinite lattice.
 
     Candidate solutions combine a left-decaying germ, explicit bulk
@@ -415,11 +400,12 @@ def exact_kernel(a, gamma0=None, rank_tol=1e-8, circle_margin=CIRCLE_MARGIN, ext
     in closed form, and ``signature_margin`` says how close it came to
     flipping.  No explicit basis is returned (see ``kernel_vectors``).
     ``extra_padding`` widens the matching window; the result must not
-    depend on it.
+    depend on it.  A transfer eigenvalue of either end within
+    CIRCLE_MARGIN of the unit circle raises NotFredholmError.
     """
-    summary, spectrum = _graded_kernel(a, gamma0, rank_tol, circle_margin, extra_padding)
+    summary, spectrum = _graded_kernel(a, gamma0, rank_tol, extra_padding)
     if gamma0 is not None:
-        summary.graded_signature, summary.signature_margin = _signature(spectrum)
+        summary.graded_signature, summary.signature_margin = _signature_and_margin(spectrum)
     return summary
 
 
@@ -433,8 +419,7 @@ def kernel_vectors(a):
     cut tails.  Returns (basis of shape (sites * d, dim), (lo, hi)); an
     empty kernel keeps the matching window.
     """
-    _check_symbols_fredholm(a, CIRCLE_MARGIN)
-    system = _matching_system(a, 1e-8, CIRCLE_MARGIN, 0)
+    system = _matching_system(a, 1e-8, 0)
     dim, d = system.null.dimension, a.fiber_dim
     lo, hi = system.y0, system.y1
     if dim == 0:
@@ -474,10 +459,10 @@ class ExactIndexResult:
         }
 
 
-def exact_index(a, rank_tol=1e-8, circle_margin=CIRCLE_MARGIN):
+def exact_index(a, rank_tol=1e-8):
     """Kernel-counting index of a Fredholm banded operator, tau-normalized by d."""
-    ker = exact_kernel(a, rank_tol=rank_tol, circle_margin=circle_margin)
-    coker = exact_kernel(a.adjoint(), rank_tol=rank_tol, circle_margin=circle_margin)
+    ker = exact_kernel(a, rank_tol=rank_tol)
+    coker = exact_kernel(a.adjoint(), rank_tol=rank_tol)
     return ExactIndexResult(
         dim_ker=ker.dimension, dim_ker_adjoint=coker.dimension, fiber_dim=a.fiber_dim
     )

@@ -46,25 +46,25 @@ class SplitStepParams:
             imag_parts.append(np.abs(self.a.values.imag).max())
         if max(imag_parts) > NORMALIZATION_TOL:
             raise NormalizationError("a must be real-valued")
-        for x in self._probe_sites():
-            dev = abs(
-                self._a_at(x) ** 2 + abs(self._b_at(x)) ** 2 - 1.0
+        lo, a, b = _profile_values(self.a, self.b)
+        devs = np.abs(a.real**2 + np.abs(b) ** 2 - 1.0)
+        bad = np.flatnonzero(devs > NORMALIZATION_TOL)
+        if bad.size:
+            x, dev = lo - 1 + int(bad[0]), devs[bad[0]]
+            raise NormalizationError(
+                f"a(x)^2 + |b(x)|^2 deviates from 1 by {dev:.3e} at site x={x}"
             )
-            if dev > NORMALIZATION_TOL:
-                raise NormalizationError(
-                    f"a(x)^2 + |b(x)|^2 deviates from 1 by {dev:.3e} at site x={x}"
-                )
 
-    def _a_at(self, x):
-        return float(self.a.value_at(x)[0, 0].real)
 
-    def _b_at(self, x):
-        return complex(self.b.value_at(x)[0, 0])
+def _profile_values(a, b):
+    """Scalar profiles a and b on the sites lo - 1 .. hi, as (lo, a values, b values).
 
-    def _probe_sites(self):
-        lo = min(self.a.window_start, self.b.window_start) - 1
-        hi = max(self.a.window_end, self.b.window_end)
-        return range(lo, hi + 1)
+    [lo, hi) is the union of their bulk windows, so the first and last
+    entries are the left and right limits.
+    """
+    lo = min(a.window_start, b.window_start)
+    hi = max(a.window_end, b.window_end)
+    return lo, a.values_on(lo - 1, hi)[:, 0, 0], b.values_on(lo - 1, hi)[:, 0, 0]
 
 
 @dataclass
@@ -215,21 +215,9 @@ def build_gamma0(c, d_coin, n=1):
 
 def build_gamma1(a, b):
     """Sitewise coin [[a, conj(b)], [b, -a]] from scalar profiles a, b."""
-    lo = min(a.window_start, b.window_start)
-    hi = max(a.window_end, b.window_end)
-
-    def coin(av, bv):
-        av = complex(av)
-        bv = complex(bv)
-        return np.array([[av, np.conj(bv)], [bv, -av]])
-
-    left = coin(a.left[0, 0], b.left[0, 0])
-    right = coin(a.right[0, 0], b.right[0, 0])
-    vals = [
-        coin(a.value_at(x)[0, 0], b.value_at(x)[0, 0]) for x in range(lo, hi)
-    ]
-    f = CoefficientFunction(left, right, lo, np.array(vals).reshape(-1, 2, 2))
-    return ops.mult_op(f)
+    lo, av, bv = _profile_values(a, b)
+    coins = np.moveaxis(np.array([[av, bv.conj()], [bv, -av]]), -1, 0)
+    return ops.mult_op(CoefficientFunction(coins[0], coins[-1], lo, coins[1:-1]))
 
 
 def build_walk(params):

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import operators as ops
 from .exceptions import NotFredholmError, PreconditionError
-from .transfer import CIRCLE_MARGIN, _clearance, _det_roots, exact_index, exact_kernel
+from .transfer import _clearance, _det_roots, exact_index, exact_kernel
 from .walks import CHIRAL_TOL
 
 
@@ -45,7 +45,7 @@ def winding_det(loop):
     """Winding number of det(loop): roots inside the unit disk plus the order at 0."""
     roots, order_at_zero = _det_roots(loop)
     radii = np.abs(roots)
-    margin, clear = _clearance(roots, CIRCLE_MARGIN)
+    margin, clear = _clearance(roots)
     if not clear:
         raise NotFredholmError(
             "symbol determinant has a root within margin of the unit circle "

@@ -161,6 +161,21 @@ class TestCliCommands:
         assert main(["index", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["index", "{path}", "--bogus"], ["index"], ["verify", "nonexistent"], ["mystery"]],
+    )
+    def test_usage_error_exits_one_not_two(self, argv, tmp_path, capsys):
+        # exit 2 means a refuted certification, so a broken command line must not use it
+        path = write_json(tmp_path / "s.json", gapless_scenario())
+        with pytest.raises(SystemExit) as exc:
+            main([a.replace("{path}", path) for a in argv])
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+
     def test_index_determinism_byte_identical(self, tmp_path):
         path = write_json(tmp_path / "s.json", gapped_scenario())
         out1 = tmp_path / "r1.json"

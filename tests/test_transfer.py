@@ -117,6 +117,14 @@ class TestExactKernel:
         with pytest.raises(NotFredholmError):
             transfer.exact_kernel(pair.u - identity(2))
 
+    def test_companion_pencil_refuses_a_root_inside_the_margin(self):
+        # the right limit's gap at +1 is 1e-6, so one transfer eigenvalue of
+        # U - 1 sits within CIRCLE_MARGIN of the circle; the pencil refuses
+        pair = split_step_from_angles(0.2, 0.7 - 1e-6, 0.7, shift_exponent=2, defects={0: 1.3})
+        message = r"transfer eigenvalue within margin of the unit circle \(\|lambda\| = "
+        with pytest.raises(NotFredholmError, match=message):
+            transfer.exact_kernel(pair.u - identity(2), pair.gamma0)
+
     def test_shift_minus_half_has_no_kernel(self):
         op = step_op({1: CoefficientFunction.constant(scalar(1.0)),
                       0: CoefficientFunction.constant(scalar(-0.5))})
@@ -268,6 +276,30 @@ class TestExactIndex:
     def test_translation_invariant_kernel_empty(self):
         assert transfer.exact_kernel(shift_power(2, 2) - identity(2).scaled(0.5)).dimension == 0
 
+    def test_translation_invariant_operators_solve_the_matching_system(self):
+        # no shortcut for constant coefficients: the pencils gate them and the
+        # matching system finds no kernel when the symbol is invertible
+        rng = np.random.default_rng(21)
+        checked = 0
+        while checked < 24:
+            d = 1 + checked % 2
+            offsets = ((-1, 0, 1), (0, 2), (-2, 1))[checked % 3]
+            op = BandedAnisotropicOperator(d, {
+                n: CoefficientFunction.constant(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+                for n in offsets
+            })
+            margin, _ = transfer.circle_clearance(op.symbol_at(ops.RIGHT))
+            if margin is None or margin < 0.05:
+                continue
+            for a in (op, op.adjoint()):
+                assert transfer.exact_kernel(a).dimension == 0
+                assert transfer.exact_kernel(a, extra_padding=3).dimension == 0
+            checked += 1
+
+    def test_translation_invariant_symbol_on_the_circle_refused(self):
+        with pytest.raises(NotFredholmError, match="transfer eigenvalue within margin"):
+            transfer.exact_kernel(shift_power(1, 1) - identity(1))
+
     def test_compact_perturbation_invariance(self):
         rng = np.random.default_rng(3)
         for p_left, p_right in ((0, 1), (-1, 1), (2, 0)):
@@ -303,8 +335,9 @@ def random_banded_operator(rng, d, offsets=(-1, 0, 1), bulk_sites=range(-2, 3)):
     return BandedAnisotropicOperator(d, bands)
 
 
-def fredholm(op):
-    return all(transfer.circle_clearance(op.symbol_at(side))[1] for side in (ops.LEFT, ops.RIGHT))
+def det_root_gate(a):
+    """Whether the roots of both limit symbol determinants clear the circle margin."""
+    return all(transfer.circle_clearance(a.symbol_at(side))[1] for side in (ops.LEFT, ops.RIGHT))
 
 
 def root_count_index(op):
@@ -327,7 +360,7 @@ class TestIndexAlgebra:
     def test_index_identities_on_random_fredholm_operators(self, seed, d, k, extra_padding):
         rng = np.random.default_rng(seed)
         a, b = random_banded_operator(rng, d), random_banded_operator(rng, d)
-        assume(fredholm(a) and fredholm(b))
+        assume(det_root_gate(a) and det_root_gate(b))
         assert (
             transfer.exact_kernel(a, extra_padding=extra_padding).dimension
             == transfer.exact_kernel(a).dimension
@@ -403,8 +436,13 @@ def reference_multiplication_kernel(a, rank_tol):
 
 
 def reference_kernel(a, gamma0, rank_tol=1e-8, extra_padding=0):
-    """(to_dict fields, compressed gamma0 eigenvalues, basis, site window)."""
-    transfer._check_symbols_fredholm(a, transfer.CIRCLE_MARGIN)
+    """(to_dict fields, compressed gamma0 eigenvalues, basis, site window).
+
+    Gated by the roots of the symbol determinants, not by the companion
+    pencil that exact_kernel asks.
+    """
+    if not det_root_gate(a):
+        raise NotFredholmError("symbol determinant has a zero within margin of the unit circle")
     if a.band_radius == 0:
         fields, vectors, window = reference_multiplication_kernel(a, rank_tol)
     else:
@@ -500,20 +538,23 @@ class TestClosedFormTails:
             theta1_left, theta2, theta1_right = sorted((theta1_left, theta1_right, theta2))
         pair = split_step_from_angles(theta1_left, theta1_right, theta2, shift_exponent, defects)
         op = pair.u + identity(2).scaled(sign)
+        # the det-root gate and the companion-pencil gate refuse the same operators
+        try:
+            summary = transfer.exact_kernel(op, pair.gamma0)
+        except NotFredholmError:
+            summary = None
+        assert (summary is not None) == det_root_gate(op)
+        if summary is None:
+            return
         assume(not op.is_translation_invariant())
         try:
             fields, evals, ref_basis, window = reference_kernel(op, pair.gamma0)
-        except NotFredholmError:
-            with pytest.raises(NotFredholmError):
-                transfer.exact_kernel(op, pair.gamma0)
-            return
         except PreconditionError:
             assume(False)   # the reference refuses slow tails; the regressions below cover them
-        summary = transfer.exact_kernel(op, pair.gamma0)
         got = summary.to_dict()
         margin = got.pop("signature_margin")
         assert got == fields
-        _, spectrum = transfer._graded_kernel(op, pair.gamma0, 1e-8, transfer.CIRCLE_MARGIN, 0)
+        _, spectrum = transfer._graded_kernel(op, pair.gamma0, 1e-8, 0)
         assert np.abs(np.sort(spectrum) - np.sort(evals)).max(initial=0.0) < 1e-10
         if evals.size:
             assert abs(margin - (np.abs(evals).min() - SIGNATURE_GAP)) < 1e-10
