@@ -101,23 +101,23 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    if args.trials is not None and args.trials == 0:
-        print("WARNING: trials=0 requested; suites pass vacuously")
-        print("PASS  (vacuous): 0 trials")
-        return 0
-    results = verification.run_suites(
-        which=args.suite,
-        seed=args.seed,
-        trials=args.trials,
-        models=args.models,
-    )
-    for result in results:
-        print(result.line())
-        for message in result.messages:
-            print(f"    {message}")
-    failed = sum(r.failures for r in results)
-    total = sum(r.trials for r in results)
-    print(f"{'PASS' if failed == 0 else 'FAIL'}: {total} trials across {len(results)} suites, {failed} failures")
+    if args.format is not None:
+        raise ChiralwalkError("verify writes plain text lines; --format does not apply to it")
+    if args.trials == 0:
+        lines = ["WARNING: trials=0 requested; suites pass vacuously", "PASS  (vacuous): 0 trials"]
+        failed = 0
+    else:
+        results = verification.run_suites(which=args.suite, seed=args.seed,
+                                          trials=args.trials, models=args.models)
+        lines = []
+        for result in results:
+            lines.append(result.line())
+            lines.extend(f"    {message}" for message in result.messages)
+        failed = sum(r.failures for r in results)
+        total = sum(r.trials for r in results)
+        lines.append(f"{'PASS' if failed == 0 else 'FAIL'}: {total} trials across "
+                     f"{len(results)} suites, {failed} failures")
+    _write(args.out, lambda out: out.writelines(f"{line}\n" for line in lines))
     return 0 if failed == 0 else 1
 
 
@@ -139,7 +139,8 @@ def _add_common_flags(parser, suppress=False):
                         help="certification margin (default 1e-6)")
     parser.add_argument("--seed", type=int, default=default, help="randomized-suite seed")
     parser.add_argument("--out", default=default, help="write output to this file")
-    parser.add_argument("--format", choices=("json", "csv"), default=default)
+    parser.add_argument("--format", choices=("json", "csv"), default=default,
+                        help="report format; verify writes text and rejects it")
 
 
 class _Parser(argparse.ArgumentParser):

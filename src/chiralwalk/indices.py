@@ -7,6 +7,11 @@ only its dimension is.  Graded quantities are signatures of the chiral
 symmetry compressed to a kernel, with eigenvalues required to sit near +-1
 (an eigenvalue inside (-1/2, 1/2) signals a rank misclassification and
 raises instead of silently averaging).
+
+U - 1 and U + 1 are factored once per call, by one stacked full SVD
+(``_unit_svd``): its right singular vectors give the kernels behind
+si+-, its left singular vectors the ranges on which the Cayley
+transforms of U and -U are taken.
 """
 
 from __future__ import annotations
@@ -104,6 +109,21 @@ def _rank_threshold(svals, rank_tol):
     return np.maximum(rank_tol * svals[..., :1], _RANK_FLOOR)
 
 
+def _kernel_summary(svals, vh, rank_tol):
+    """KernelSummary from a full SVD (singular values, V^H) under ``_rank_threshold``;
+    a wide matrix keeps its implicit zero singular values, a 0 x 0 one has none."""
+    threshold = float(_rank_threshold(svals, rank_tol).max(initial=_RANK_FLOOR))
+    padded = np.concatenate([svals, np.zeros(vh.shape[0] - svals.size)])
+    basis = vh.conj().T[:, padded < threshold]
+    return KernelSummary(
+        dimension=int(basis.shape[1]),
+        basis=basis,
+        rank_tolerance_used=float(rank_tol),
+        singular_values_near_zero=[float(s) for s in padded if s < 10 * threshold],
+        borderline_singular_values=[float(s) for s in padded if threshold <= s < 10 * threshold],
+    )
+
+
 def kernel_basis(matrix, rank_tol=DEFAULT_RANK_TOL, gamma0=None):
     """Orthonormal basis of the numerical null space of ``matrix``.
 
@@ -116,18 +136,7 @@ def kernel_basis(matrix, rank_tol=DEFAULT_RANK_TOL, gamma0=None):
         summary = KernelSummary(cols, np.eye(cols, dtype=complex), float(rank_tol))
     else:
         _, svals, vh = np.linalg.svd(m, full_matrices=True)
-        threshold = float(_rank_threshold(svals, rank_tol)[0])
-        padded = np.concatenate([svals, np.zeros(cols - svals.size)])
-        basis = vh.conj().T[:, padded < threshold]
-        summary = KernelSummary(
-            dimension=int(basis.shape[1]),
-            basis=basis,
-            rank_tolerance_used=float(rank_tol),
-            singular_values_near_zero=[float(s) for s in padded if s < 10 * threshold],
-            borderline_singular_values=[
-                float(s) for s in padded if threshold <= s < 10 * threshold
-            ],
-        )
+        summary = _kernel_summary(svals, vh, rank_tol)
     if gamma0 is not None:
         summary.graded_signature = graded_signature(summary.basis, gamma0)
     return summary
@@ -167,14 +176,20 @@ def _signature_and_margin(evals):
     return signature, margin
 
 
+def _graded_signature(basis, g):
+    """``graded_signature`` for a gamma0 already checked by the caller."""
+    if basis.shape[1] == 0:
+        return 0
+    compressed = basis.conj().T @ g @ basis
+    evals = np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T))
+    return _signature_and_margin(evals)[0]
+
+
 def graded_signature(basis, gamma0):
     """Signature of gamma0 compressed to the span of the given orthonormal columns."""
     if basis.shape[1] == 0:
         return 0
-    g = _as_complex(gamma0)
-    compressed = basis.conj().T @ g @ basis
-    evals = np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T))
-    return _signature_and_margin(evals)[0]
+    return _graded_signature(basis, _as_complex(gamma0))
 
 
 def _grading_frames(g):
@@ -183,15 +198,28 @@ def _grading_frames(g):
     return vecs[:, evals > 0], vecs[:, evals < 0]
 
 
+def _unit_svd(u):
+    """Full SVD (W, singular values, V^H) of the stack [U - 1, U + 1]: V^H gives
+    the kernels of U -+ 1 (si+-), W their ranges (the Cayley indices)."""
+    eye = np.eye(u.shape[0])
+    return np.linalg.svd(np.stack([u - eye, u + eye]))
+
+
+def _unit_kernels(svd, g, rank_tol):
+    """Graded KernelSummaries of U - 1 and U + 1 from ``_unit_svd``; g is a checked gamma0."""
+    kernels = [_kernel_summary(svals, vh, rank_tol) for svals, vh in zip(svd[1], svd[2])]
+    for ker in kernels:
+        ker.graded_signature = _graded_signature(ker.basis, g)
+    return kernels
+
+
 def symmetry_index_pm(u, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     """(si_plus, si_minus): graded signatures of Ker(U -+ 1)."""
     u = check_unitary(u, tol)
     g = check_selfadjoint_unitary(gamma0, tol)
     check_chiral_relation(u, g, tol)
-    eye = np.eye(u.shape[0])
-    si_plus = kernel_basis(u - eye, rank_tol, g).graded_signature
-    si_minus = kernel_basis(u + eye, rank_tol, g).graded_signature
-    return si_plus, si_minus
+    ker_plus, ker_minus = _unit_kernels(_unit_svd(u), g, rank_tol)
+    return ker_plus.graded_signature, ker_minus.graded_signature
 
 
 def chiral_selfadjoint_index(q, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
@@ -312,21 +340,9 @@ class KernelDecompositionReport:
         )
 
 
-def _projections_and_kernels(u, gamma0, gamma1, rank_tol, tol):
-    """P0, P1 of the checked gammas and [dim Ker(U + 1), dim Ker(U - 1)]."""
-    u = check_unitary(u, tol)
-    g0 = check_selfadjoint_unitary(gamma0, tol, "Gamma0")
-    g1 = check_selfadjoint_unitary(gamma1, tol, "Gamma1")
-    check_factorization(u, g0, g1, tol)
-    eye = np.eye(u.shape[0])
-    kernels = _kernel_dims(np.stack([u + eye, u - eye]), rank_tol)
-    return 0.5 * (eye + g0), 0.5 * (eye + g1), kernels
-
-
 def kernel_decomposition_check(u, gamma0, gamma1, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     """Kernel dimensions of U -+ 1 against the four projection intersections."""
-    p0, p1, kernels = _projections_and_kernels(u, gamma0, gamma1, rank_tol, tol)
-    return KernelDecompositionReport(*kernels, *_kernel_dims(_intersections(p0, p1), rank_tol))
+    return _kernel_structure(u, gamma0, gamma1, rank_tol, tol)[0]
 
 
 @dataclass
@@ -346,12 +362,32 @@ class KernelBoundReport:
 
 def kernel_bound_check(u, gamma0, gamma1, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     """dim Ker(U + 1) >= |Ind(P0, P1)| and dim Ker(U - 1) >= |Ind(P0, 1 - P1)|."""
-    p0, p1, kernels = _projections_and_kernels(u, gamma0, gamma1, rank_tol, tol)
-    return KernelBoundReport(*kernels, *_pair_indices(p0, p1, rank_tol, tol))
+    return _kernel_structure(u, gamma0, gamma1, rank_tol, tol)[1]
+
+
+def _kernel_structure(u, gamma0, gamma1, rank_tol, tol):
+    """(KernelDecompositionReport, KernelBoundReport) of one triple, validated
+    once (P0 and P1 included), from one rank count of U -+ 1 and one of the
+    four projection intersections."""
+    u = check_unitary(u, tol)
+    g0 = check_selfadjoint_unitary(gamma0, tol, "Gamma0")
+    g1 = check_selfadjoint_unitary(gamma1, tol, "Gamma1")
+    check_factorization(u, g0, g1, tol)
+    eye = np.eye(u.shape[0])
+    p0 = check_projection(0.5 * (eye + g0), tol, "P0")
+    p1 = check_projection(0.5 * (eye + g1), tol, "P1")
+    kernels = _kernel_dims(np.stack([u + eye, u - eye]), rank_tol)
+    ranker, kerran, ranran, kerker = _kernel_dims(_intersections(p0, p1), rank_tol)
+    return (
+        KernelDecompositionReport(*kernels, ranker, kerran, ranran, kerker),
+        KernelBoundReport(*kernels, ranker - kerran, ranran - kerker),
+    )
 
 
 def _cayley_signature(u, w_full, svals, gamma0, rank_tol):
-    """Graded signature of the Cayley kernel of u on Ran(1 - u), from the SVD of 1 - u."""
+    """Graded signature of the Cayley kernel of u on Ran(1 - u), from the
+    SVD of 1 - u or of u - 1: the two have the same singular values and
+    the same ranges, and only the ranges enter the compressions below."""
     eye = np.eye(u.shape[0])
     one_minus = eye - u
     w = w_full[:, svals >= _rank_threshold(svals, rank_tol)]
@@ -373,15 +409,13 @@ def _cayley_signature(u, w_full, svals, gamma0, rank_tol):
         raise PreconditionError(
             f"Cayley transform fails to anticommute with Gamma0 (deviation {anti:.3e})"
         )
-    return kernel_basis(cayley, rank_tol, g).graded_signature
+    return _graded_signature(kernel_basis(cayley, rank_tol).basis, g)
 
 
-def _cayley_core(u, g, rank_tol):
-    n = u.shape[0]
-    if n == 0:
-        return 0, 0
-    eye = np.eye(n)
-    w, svals, _ = np.linalg.svd(np.stack([eye - u, eye + u]))
+def _cayley_core(u, svd, g, rank_tol):
+    """(minus-class, plus-class) Cayley indices from ``_unit_svd(u)``: the ranges
+    of U - 1 and U + 1 are those of 1 - U and 1 - (-U)."""
+    w, svals, _ = svd
     return (
         _cayley_signature(u, w[0], svals[0], g, rank_tol),
         _cayley_signature(-u, w[1], svals[1], g, rank_tol),
@@ -397,7 +431,7 @@ def cayley_index(u, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     u = check_unitary(u, tol)
     g = check_selfadjoint_unitary(gamma0, tol)
     check_chiral_relation(u, g, tol)
-    return _cayley_core(u, g, rank_tol)
+    return _cayley_core(u, _unit_svd(u), g, rank_tol)
 
 
 def generator_index(hamiltonian, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
@@ -505,11 +539,11 @@ def full_index_report(u, gamma0, gamma1=None, rank_tol=DEFAULT_RANK_TOL, tol=REL
     eye = np.eye(u.shape[0])
     p0 = 0.5 * (eye + g0)
     p1 = 0.5 * (eye + g1)
-    ker_plus = kernel_basis(u - eye, rank_tol, g0)
-    ker_minus = kernel_basis(u + eye, rank_tol, g0)
+    svd = _unit_svd(u)
+    ker_plus, ker_minus = _unit_kernels(svd, g0, rank_tol)
     frames = _grading_frames(g0)
     tanaka_plus, tanaka_minus = _tanaka_core(u, frames, rank_tol)
-    cayley_minus, cayley_plus = _cayley_core(u, g0, rank_tol)
+    cayley_minus, cayley_plus = _cayley_core(u, svd, g0, rank_tol)
     trace = float(np.trace(g0).real)
     if abs(trace - round(trace)) > 1e-6:
         raise PreconditionError(f"Tr(Gamma0) = {trace} is not near an integer")

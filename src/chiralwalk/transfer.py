@@ -10,6 +10,9 @@ open boundaries would pollute the kernel with edge modes.  Graded
 signatures come from the Gram and gamma0 forms of the kernel vectors;
 beyond a finite window their tails are geometric, and the tail sums
 solve Stein equations, so nothing is walked site by site.
+
+scipy.linalg is imported where it is called, so that importing the
+package and the finite-dimensional commands do not load scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from . import operators as ops
 from .exceptions import NotFredholmError
@@ -119,6 +121,8 @@ def _half_line_germs(coeffs, d, r, tail):
     NotFredholmError, so no germ dimension is read off a split that the
     margin does not separate.
     """
+    import scipy.linalg
+
     def inside(alpha, beta):
         return np.abs(alpha) < (1.0 - CIRCLE_MARGIN) * np.abs(beta)
 
@@ -273,6 +277,7 @@ def _matching_system(a, rank_tol, extra_padding):
 
 def _stein(step, m):
     """Sum over j >= 0 of (step^j)^* m step^j: the X with X - step^* X step = m."""
+    import scipy.linalg
     return scipy.linalg.solve_discrete_lyapunov(step.conj().T, m)
 
 
@@ -335,6 +340,7 @@ def _kernel_forms(system, gamma0):
 
 def _graded_spectrum(gram, form):
     """Eigenvalues of gamma0 compressed to the kernel: the pencil (form, gram)."""
+    import scipy.linalg
     return scipy.linalg.eigh(_hermitian(form), _hermitian(gram), eigvals_only=True)
 
 
@@ -419,6 +425,8 @@ def kernel_vectors(a):
     cut tails.  Returns (basis of shape (sites * d, dim), (lo, hi)); an
     empty kernel keeps the matching window.
     """
+    import scipy.linalg
+
     system = _matching_system(a, 1e-8, 0)
     dim, d = system.null.dimension, a.fiber_dim
     lo, hi = system.y0, system.y1

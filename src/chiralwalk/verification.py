@@ -298,8 +298,9 @@ def kernel_structure_suite(seed=4, trials=500, rank_tol=1e-8):
     result = SuiteResult("kernel_structure", trials, 0)
     for k in range(trials):
         sp = structured_chiral_pair(rng)
-        deco = indices.kernel_decomposition_check(sp.u, sp.gamma0, sp.gamma1, rank_tol)
-        bound = indices.kernel_bound_check(sp.u, sp.gamma0, sp.gamma1, rank_tol)
+        deco, bound = indices._kernel_structure(
+            sp.u, sp.gamma0, sp.gamma1, rank_tol, indices.RELATION_TOL
+        )
         ok = (
             deco.holds
             and bound.holds

@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +357,84 @@ class TestCliCommands:
         second = capsys.readouterr().out
         assert first == second
         assert first.count("PASS") >= 6
+
+    def test_verify_out_writes_the_stdout_lines(self, tmp_path, capsys):
+        argv = ["verify", "finite", "--trials", "2", "--seed", "11"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "verify.txt"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+        assert printed.splitlines()[-1].startswith("PASS: 12 trials across 6 suites")
+
+    def test_verify_out_zero_trials(self, tmp_path, capsys):
+        out = tmp_path / "verify.txt"
+        assert main(["verify", "finite", "--trials", "0", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == (
+            "WARNING: trials=0 requested; suites pass vacuously\nPASS  (vacuous): 0 trials\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "finite", "--trials", "1", "--format", "json"],
+        ["--format", "csv", "verify", "finite", "--trials", "1"],
+    ])
+    def test_verify_rejects_format(self, argv, tmp_path, capsys):
+        out = tmp_path / "verify.txt"
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--format" in captured.err
+        assert not out.exists()
+
+    def test_custom_banded_roots_each_limit_once(self, tmp_path, capsys, monkeypatch):
+        # the symbol_invertible certifications are read off the theorem's windings
+        from chiralwalk import transfer, winding
+        from chiralwalk.operators import BandedAnisotropicOperator, CoefficientFunction
+
+        rng = np.random.default_rng(4)
+
+        def rand():
+            return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+
+        op = BandedAnisotropicOperator(2, {
+            n: CoefficientFunction.from_table(rand(), rand(), {x: rand() for x in (-1, 0, 1)})
+            for n in (-1, 0, 1)
+        })
+        expected = {f"symbol_invertible_{side}": transfer.circle_clearance(op.symbol_at(side))
+                    for side in ("left", "right")}
+        calls = []
+        det_roots = transfer._det_roots
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return det_roots(*args, **kwargs)
+
+        for module in (transfer, winding):
+            monkeypatch.setattr(module, "_det_roots", counting)
+        doc = {"model": "custom_banded", "params": {"operator": op.to_json_dict()}}
+        assert main(["index", write_json(tmp_path / "c.json", doc)]) == 0
+        assert len(calls) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["certifications"] == {
+            key: {"root_margin": margin, "certified": clear}
+            for key, (margin, clear) in expected.items()
+        }
+        assert all(clear for _, clear in expected.values())
+
+    def test_finite_commands_load_no_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import chiralwalk.cli\n"
+            "def scipy_modules(): return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+            "import contextlib, io\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert chiralwalk.cli.main(['verify', 'finite', '--trials', '1']) == 0\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+        )
+        subprocess.run([sys.executable, "-c", code, str(src)], check=True)
 
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"

@@ -246,9 +246,33 @@ class TestKernelStructure:
             indices.kernel_decomposition_check,
             indices.kernel_bound_check,
             indices.full_index_report,
+            lambda *triple: indices._kernel_structure(*triple, 1e-8, indices.RELATION_TOL),
         ):
             with pytest.raises(PreconditionError, match="U = G0 G1"):
                 check(u, g0, g1)
+
+    def test_core_matches_public_checks_and_reference(self):
+        # the suite's one-pass core against the public checks, and both
+        # against kernel dimensions and pair indices computed one by one
+        rng = np.random.default_rng(12)
+        for k in range(120):
+            if k % 2 == 0:
+                sp = structured_chiral_pair(rng)
+                u, g0, g1 = sp.u, sp.gamma0, sp.gamma1
+            else:
+                u, g0, g1 = generic_chiral_pair(rng, int(rng.integers(1, 25)))
+            deco, bound = indices._kernel_structure(u, g0, g1, 1e-8, indices.RELATION_TOL)
+            assert deco == indices.kernel_decomposition_check(u, g0, g1), f"pair {k}"
+            assert bound == indices.kernel_bound_check(u, g0, g1), f"pair {k}"
+            eye = np.eye(u.shape[0])
+            p0, p1 = 0.5 * (eye + g0), 0.5 * (eye + g1)
+            kernels = [indices.kernel_basis(u + s * eye).dimension for s in (1, -1)]
+            stacked = [indices.kernel_basis(np.vstack(c)).dimension
+                       for c in ((eye - p0, p1), (p0, eye - p1), (eye - p0, eye - p1), (p0, p1))]
+            assert deco == indices.KernelDecompositionReport(*kernels, *stacked), f"pair {k}"
+            assert bound == indices.KernelBoundReport(
+                *kernels, indices.pair_index(p0, p1), indices.pair_index(p0, eye - p1)
+            ), f"pair {k}"
 
 
 class TestCayley:
@@ -298,14 +322,16 @@ class TestFullReport:
         assert doc["consistent"] is True
 
     def test_matches_per_index_reference(self):
-        # the report as composed from the public per-index functions
+        # the report as composed from the public per-index functions; the
+        # Cayley reference takes its ranges from separate SVDs of 1 - U and
+        # 1 + U, not from the report's shared SVD of U -+ 1
         rng = np.random.default_rng(10)
-        for k in range(40):
+        for k in range(80):
             if k % 2 == 0:
                 sp = structured_chiral_pair(rng)
                 u, g0, g1 = sp.u, sp.gamma0, sp.gamma1
             else:
-                u, g0, g1 = generic_chiral_pair(rng, int(rng.integers(1, 25)))
+                u, g0, g1 = generic_chiral_pair(rng, int(rng.integers(1, 41)))
             if k % 5 == 4:
                 g1 = None
             eye = np.eye(u.shape[0])
@@ -314,7 +340,11 @@ class TestFullReport:
             ker_plus = indices.kernel_basis(u - eye, 1e-8, g0)
             ker_minus = indices.kernel_basis(u + eye, 1e-8, g0)
             tanaka_plus, tanaka_minus = indices.tanaka_index_pm(u, g0)
-            cayley_minus, cayley_plus = indices.cayley_index(u, g0)
+            cayley_minus, cayley_plus = (
+                indices._cayley_signature(v, w, svals, g0, 1e-8)
+                for v, (w, svals, _) in ((u, np.linalg.svd(eye - u)), (-u, np.linalg.svd(eye + u)))
+            )
+            assert indices.cayley_index(u, g0) == (cayley_minus, cayley_plus), f"pair {k}"
             reference = indices.IndexReport(
                 si_plus=ker_plus.graded_signature,
                 si_minus=ker_minus.graded_signature,
@@ -353,4 +383,6 @@ class TestTolerancePassThrough:
         report = indices.full_index_report(sp.u, sp.gamma0, g1, tol=1e-8)
         assert (report.pair_index, report.pair_index_complement) == (sp.si_minus, sp.si_plus)
         bound = indices.kernel_bound_check(sp.u, sp.gamma0, g1, tol=1e-8)
+        assert (bound.pair_index_value, bound.pair_index_complement) == (sp.si_minus, sp.si_plus)
+        _, bound = indices._kernel_structure(sp.u, sp.gamma0, g1, 1e-8, 1e-8)
         assert (bound.pair_index_value, bound.pair_index_complement) == (sp.si_minus, sp.si_plus)
