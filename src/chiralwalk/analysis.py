@@ -78,30 +78,19 @@ def _weighted_shift_report(u_op, tol):
 
 
 def _custom_banded_report(f_op, tol):
-    """Index theorem of a banded operator and the invertibility of its limit symbols.
-
-    A theorem that returns found both determinants' roots clear of the
-    circle band, so the certifications are read off its windings; only
-    when it raises are they computed by ``circle_clearance``.
-    """
-    report = {"omitted": []}
+    certs = {}
+    for side in (ops.LEFT, ops.RIGHT):
+        margin, clear = transfer.circle_clearance(f_op.symbol_at(side))
+        certs[f"symbol_invertible_{side}"] = {"root_margin": margin, "certified": clear}
+    report = {"certifications": certs, "omitted": []}
     try:
         record = winding.verify_index_theorem_banded(f_op, rank_tol=tol.rank_tol)
     except ChiralwalkError as exc:
         report["omitted"].append(f"index: {exc}")
-        clearances = {side: transfer.circle_clearance(f_op.symbol_at(side))
-                      for side in (ops.LEFT, ops.RIGHT)}
-        code = EXIT_REFUTED
-    else:
-        report["index"] = record.index_result.to_dict()
-        report["index_theorem"] = record.to_dict()
-        clearances = {side: (w.root_margin, True) for side, w in record.windings.items()}
-        code = EXIT_OK
-    report["certifications"] = {
-        f"symbol_invertible_{side}": {"root_margin": margin, "certified": clear}
-        for side, (margin, clear) in clearances.items()
-    }
-    return report, code
+        return report, EXIT_REFUTED
+    report["index"] = record.index_result.to_dict()
+    report["index_theorem"] = record.to_dict()
+    return report, EXIT_OK
 
 
 def _generator_report(walk, gamma0, tol):

@@ -176,20 +176,14 @@ def _signature_and_margin(evals):
     return signature, margin
 
 
-def _graded_signature(basis, g):
-    """``graded_signature`` for a gamma0 already checked by the caller."""
-    if basis.shape[1] == 0:
-        return 0
-    compressed = basis.conj().T @ g @ basis
-    evals = np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T))
-    return _signature_and_margin(evals)[0]
-
-
 def graded_signature(basis, gamma0):
     """Signature of gamma0 compressed to the span of the given orthonormal columns."""
     if basis.shape[1] == 0:
         return 0
-    return _graded_signature(basis, _as_complex(gamma0))
+    g = _as_complex(gamma0)
+    compressed = basis.conj().T @ g @ basis
+    evals = np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T))
+    return _signature_and_margin(evals)[0]
 
 
 def _grading_frames(g):
@@ -209,7 +203,7 @@ def _unit_kernels(svd, g, rank_tol):
     """Graded KernelSummaries of U - 1 and U + 1 from ``_unit_svd``; g is a checked gamma0."""
     kernels = [_kernel_summary(svals, vh, rank_tol) for svals, vh in zip(svd[1], svd[2])]
     for ker in kernels:
-        ker.graded_signature = _graded_signature(ker.basis, g)
+        ker.graded_signature = graded_signature(ker.basis, g)
     return kernels
 
 
@@ -287,11 +281,17 @@ def pair_index(p0, p1, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     return plus - minus
 
 
-def _pair_indices(p0, p1, rank_tol, tol):
-    """(Ind(P0, P1), Ind(P0, 1 - P1)) from the four intersections in one stacked call."""
+def _intersection_dims(p0, p1, rank_tol, tol):
+    """Dimensions of the four ``_intersections`` of P0 and P1, checked as
+    projections at ``tol``, in one stacked call."""
     check_projection(p0, tol, "P0")
     check_projection(p1, tol, "P1")
-    ranker, kerran, ranran, kerker = _kernel_dims(_intersections(p0, p1), rank_tol)
+    return _kernel_dims(_intersections(p0, p1), rank_tol)
+
+
+def _pair_indices(dims):
+    """(Ind(P0, P1), Ind(P0, 1 - P1)) from ``_intersection_dims``."""
+    ranker, kerran, ranran, kerker = dims
     return ranker - kerran, ranran - kerker
 
 
@@ -341,7 +341,11 @@ class KernelDecompositionReport:
 
 
 def kernel_decomposition_check(u, gamma0, gamma1, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
-    """Kernel dimensions of U -+ 1 against the four projection intersections."""
+    """Kernel dimensions of U -+ 1 against the four projection intersections.
+
+    P0 = (1 + Gamma0)/2 and P1 = (1 + Gamma1)/2 are checked as orthogonal
+    projections at ``tol``, as in ``kernel_bound_check``.
+    """
     return _kernel_structure(u, gamma0, gamma1, rank_tol, tol)[0]
 
 
@@ -374,13 +378,11 @@ def _kernel_structure(u, gamma0, gamma1, rank_tol, tol):
     g1 = check_selfadjoint_unitary(gamma1, tol, "Gamma1")
     check_factorization(u, g0, g1, tol)
     eye = np.eye(u.shape[0])
-    p0 = check_projection(0.5 * (eye + g0), tol, "P0")
-    p1 = check_projection(0.5 * (eye + g1), tol, "P1")
+    dims = _intersection_dims(0.5 * (eye + g0), 0.5 * (eye + g1), rank_tol, tol)
     kernels = _kernel_dims(np.stack([u + eye, u - eye]), rank_tol)
-    ranker, kerran, ranran, kerker = _kernel_dims(_intersections(p0, p1), rank_tol)
     return (
-        KernelDecompositionReport(*kernels, ranker, kerran, ranran, kerker),
-        KernelBoundReport(*kernels, ranker - kerran, ranran - kerker),
+        KernelDecompositionReport(*kernels, *dims),
+        KernelBoundReport(*kernels, *_pair_indices(dims)),
     )
 
 
@@ -409,7 +411,7 @@ def _cayley_signature(u, w_full, svals, gamma0, rank_tol):
         raise PreconditionError(
             f"Cayley transform fails to anticommute with Gamma0 (deviation {anti:.3e})"
         )
-    return _graded_signature(kernel_basis(cayley, rank_tol).basis, g)
+    return kernel_basis(cayley, rank_tol, g).graded_signature
 
 
 def _cayley_core(u, svd, g, rank_tol):
@@ -548,7 +550,7 @@ def full_index_report(u, gamma0, gamma1=None, rank_tol=DEFAULT_RANK_TOL, tol=REL
     if abs(trace - round(trace)) > 1e-6:
         raise PreconditionError(f"Tr(Gamma0) = {trace} is not near an integer")
     susy = _susy_core(u, frames, rank_tol)
-    pair, pair_complement = _pair_indices(p0, p1, rank_tol, tol)
+    pair, pair_complement = _pair_indices(_intersection_dims(p0, p1, rank_tol, tol))
     return IndexReport(
         si_plus=ker_plus.graded_signature,
         si_minus=ker_minus.graded_signature,

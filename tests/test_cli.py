@@ -388,41 +388,6 @@ class TestCliCommands:
         assert captured.err.startswith("error: ") and "--format" in captured.err
         assert not out.exists()
 
-    def test_custom_banded_roots_each_limit_once(self, tmp_path, capsys, monkeypatch):
-        # the symbol_invertible certifications are read off the theorem's windings
-        from chiralwalk import transfer, winding
-        from chiralwalk.operators import BandedAnisotropicOperator, CoefficientFunction
-
-        rng = np.random.default_rng(4)
-
-        def rand():
-            return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-
-        op = BandedAnisotropicOperator(2, {
-            n: CoefficientFunction.from_table(rand(), rand(), {x: rand() for x in (-1, 0, 1)})
-            for n in (-1, 0, 1)
-        })
-        expected = {f"symbol_invertible_{side}": transfer.circle_clearance(op.symbol_at(side))
-                    for side in ("left", "right")}
-        calls = []
-        det_roots = transfer._det_roots
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return det_roots(*args, **kwargs)
-
-        for module in (transfer, winding):
-            monkeypatch.setattr(module, "_det_roots", counting)
-        doc = {"model": "custom_banded", "params": {"operator": op.to_json_dict()}}
-        assert main(["index", write_json(tmp_path / "c.json", doc)]) == 0
-        assert len(calls) == 2
-        report = json.loads(capsys.readouterr().out)
-        assert report["certifications"] == {
-            key: {"root_margin": margin, "certified": clear}
-            for key, (margin, clear) in expected.items()
-        }
-        assert all(clear for _, clear in expected.values())
-
     def test_finite_commands_load_no_scipy(self):
         src = Path(__file__).resolve().parents[1] / "src"
         code = (

@@ -251,6 +251,23 @@ class TestKernelStructure:
             with pytest.raises(PreconditionError, match="U = G0 G1"):
                 check(u, g0, g1)
 
+    def test_projection_checked_by_both_checks(self):
+        # Gamma1 = e^(i eps) H for a 64 x 64 Hadamard reflection H passes the
+        # entrywise self-adjoint-unitary check (max |Gamma1 - Gamma1*| = eps/4),
+        # but P1^2 - P1 = (e^(2i eps) - 1)/4 on the diagonal is about eps/2;
+        # unrefused, the decomposition would read dim Ker(U - 1) = 0 against
+        # Ran P0 ^ Ran P1 + Ker P0 ^ Ker P1 = 64, a false counterexample
+        h = np.array([[1.0]])
+        for _ in range(6):
+            h = np.block([[h, h], [h, -h]])
+        h /= 8.0
+        eps = 3e-10
+        g1 = np.exp(1j * eps) * h
+        indices.check_selfadjoint_unitary(g1, name="Gamma1")
+        for check in (indices.kernel_decomposition_check, indices.kernel_bound_check):
+            with pytest.raises(PreconditionError, match="P1 deviates from an orthogonal projection"):
+                check(h @ g1, h, g1)
+
     def test_core_matches_public_checks_and_reference(self):
         # the suite's one-pass core against the public checks, and both
         # against kernel dimensions and pair indices computed one by one
