@@ -7,16 +7,18 @@ Certifications are tri-state (certified / refuted / inconclusive) to
 avoid silently miscertifying at a phase transition.
 
 F(z) is unitary on the circle, so mu on the circle is an eigenvalue of
-some F(z) exactly when det(F(z) - mu) has a unimodular root
-(``transfer._det_roots``).  The gap at t = +-1, min |lambda(z) - t|,
-comes from the level-set iteration (Boyd & Balakrishnan, Syst. Control
-Lett. 15:1, 1990): eigenvalues enter or leave the arc |mu - t| < gamma
-only where they cross its endpoints t e^(+-i phi), 2 sin(phi/2) = gamma.
-Between consecutive crossings the number of eigenvalues inside the arc
-is constant, so one evaluation per interval decides it: an eigenvalue
-inside lowers gamma; when no interval has one, the gap is at least
-gamma.  Each level sits LEVEL_RTOL below the smallest distance found,
-so the search stops with the gap bracketed between the two.
+some F(z) exactly when det(F(z) - mu) has a unimodular root.  The gap
+at t = +-1, min |lambda(z) - t|, comes from the level-set iteration
+(Boyd & Balakrishnan, Syst. Control Lett. 15:1, 1990): eigenvalues
+enter or leave the arc |mu - t| < gamma only where they cross its
+endpoints t e^(+-i phi), 2 sin(phi/2) = gamma.  Between consecutive
+crossings the number of eigenvalues inside the arc is constant, so one
+evaluation per interval decides it: an eigenvalue inside lowers gamma;
+when no interval has one, the gap is at least gamma.  Each level sits
+LEVEL_RTOL below the smallest distance found, so the search stops with
+the gap bracketed between the two.  Each round is one stacked solve,
+bitwise equal to per-polynomial np.roots, of the four endpoint
+polynomials of both limit symbols.
 
 A gap is certified when that lower bound exceeds the margin and the
 roots of det(F(z) - t) clear ``transfer.CIRCLE_MARGIN``.  The
@@ -40,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .exceptions import ChiralwalkError, NotFredholmError, PreconditionError
-from .transfer import _det_roots, circle_clearance
+from .exceptions import ChiralwalkError, PreconditionError
+from .transfer import _clearance, _det_polys, _det_samples, _poly_roots
 
 DEFAULT_GRID_N = 4096      # sampling of the spectrum dump only
 DEFAULT_MARGIN = 1e-6
@@ -57,7 +59,7 @@ INCONCLUSIVE = "inconclusive"
 
 
 def _unitary_symbols(u):
-    """Both limit symbols of u, once they are certified unitary without a grid.
+    """Both limit symbols of u and their det samples, once certified unitary without a grid.
 
     sup_z || F(z)^* F(z) - 1 || <= sum_n || C_n ||_2 over the exact Laurent
     coefficients C_n of F^* F - 1 must stay below UNITARY_TOL.
@@ -74,28 +76,7 @@ def _unitary_symbols(u):
             f"limit symbols are not unitary: sup |F*F - 1| <= {bound:.3e} "
             f"exceeds {UNITARY_TOL:.0e}"
         )
-    return loops
-
-
-def _distance(loop, thetas, target):
-    """Smallest |lambda - target| over the eigenvalues of loop at z = e^(i theta)."""
-    return float(np.abs(np.linalg.eigvals(loop(np.exp(1j * thetas))) - target).min())
-
-
-def _probes(loop, target, level):
-    """One angle inside each interval between consecutive crossings of the
-    arc endpoints at ``level`` (z = 1 without crossings).
-
-    Roots within CROSSING_TOL of the circle count as crossings; a spurious
-    one only adds an evaluation.  A flat band on an endpoint, where
-    det(F - mu) vanishes identically, raises NotFredholmError.
-    """
-    phi = 2.0 * np.arcsin(min(level / 2.0, 1.0))
-    roots = np.concatenate([_det_roots(loop, target * np.exp(1j * s * phi))[0] for s in (1, -1)])
-    angles = np.sort(np.angle(roots[np.abs(np.abs(roots) - 1.0) <= CROSSING_TOL]) % (2.0 * np.pi))
-    if not angles.size:
-        return np.zeros(1)
-    return 0.5 * (angles + np.append(angles[1:], angles[0] + 2.0 * np.pi))
+    return loops, [_det_samples(loop, True) for loop in loops]
 
 
 @dataclass
@@ -106,11 +87,15 @@ class _Gap:
     clear: bool                 # those roots clear transfer.CIRCLE_MARGIN
 
 
-def _gap(loops, target):
-    """Level-set minimum of |lambda(z) - target| over both limit symbols."""
+def _gap(loops, samples, target):
+    """Level-set minimum of |lambda(z) - target| over both limit symbols
+    (``samples``: their ``transfer._det_samples``).  Roots within
+    CROSSING_TOL of the circle count as crossings (a spurious one only adds
+    a probe); a flat band on an arc endpoint leaves the level open."""
     value, level, bound, points = np.inf, np.inf, 0.0, [INITIAL_PROBES] * len(loops)
     for _ in range(MAX_LEVELS):
-        lowest = min(_distance(loop, p, target) for loop, p in zip(loops, points))
+        values = np.concatenate([loop(np.exp(1j * p)) for loop, p in zip(loops, points)])
+        lowest = float(np.abs(np.linalg.eigvals(values) - target).min())
         if lowest >= level:
             bound = level
             break
@@ -118,11 +103,18 @@ def _gap(loops, target):
         if value == 0.0:
             break
         level = value * (1.0 - LEVEL_RTOL)
-        try:
-            points = [_probes(loop, target, level) for loop in loops]
-        except NotFredholmError:   # a flat band on an arc endpoint leaves the level open
+        phi = 2.0 * np.arcsin(min(level / 2.0, 1.0))
+        ends = [target * np.exp(1j * s * phi) for s in (1, -1)]
+        polys = [poly for sample in samples for poly, _ in _det_polys(sample, ends)]
+        if any(isinstance(poly, Exception) for poly in polys):
             break
-    clearances = [circle_clearance(loop, target) for loop in loops]
+        roots, points = _poly_roots(polys), []
+        for r in (np.concatenate(roots[i : i + 2]) for i in range(0, len(roots), 2)):
+            angles = np.sort(np.angle(r[np.abs(np.abs(r) - 1.0) <= CROSSING_TOL]) % (2.0 * np.pi))
+            points.append(0.5 * (angles + np.append(angles[1:], angles[0] + 2.0 * np.pi))
+                          if angles.size else np.zeros(1))
+    roots = _poly_roots([_det_polys(sample, [target])[0][0] for sample in samples])
+    clearances = [_clearance(r) for r in roots]
     margins = [m for m, _ in clearances if m is not None]
     return _Gap(value, bound, min(margins, default=None), all(c for _, c in clearances))
 
@@ -208,8 +200,8 @@ class UnitaryCertification:
 
 
 def _gaps(u):
-    loops = _unitary_symbols(u)
-    return _gap(loops, 1.0), _gap(loops, -1.0)
+    loops, samples = _unitary_symbols(u)
+    return _gap(loops, samples, 1.0), _gap(loops, samples, -1.0)
 
 
 def _fredholm(gap_plus, gap_minus, margin):
@@ -248,7 +240,7 @@ def gap_at(u, target, *, margin=DEFAULT_MARGIN):
     """
     if target not in (1, -1, 1.0, -1.0):
         raise ChiralwalkError("target must be +1 or -1")
-    return _gap_certification(_gap(_unitary_symbols(u), float(target)), margin)
+    return _gap_certification(_gap(*_unitary_symbols(u), float(target)), margin)
 
 
 def dichotomy_check(pair, *, margin=DEFAULT_MARGIN):

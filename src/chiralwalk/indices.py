@@ -16,6 +16,7 @@ transforms of U and -U are taken.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,21 +264,21 @@ def tanaka_index_pm(u, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
 
 
 def _intersections(p0, p1):
-    """Stacked constraints [1-P0; P1], [P0; 1-P1], [1-P0; 1-P1], [P0; P1].
+    """Constraints [1-P0; P1], [P0; 1-P1], [1-P0; 1-P1], [P0; P1], built as drawn.
 
     Their null spaces are Ran P0 ^ Ker P1, Ker P0 ^ Ran P1, Ran P0 ^ Ran P1
     and Ker P0 ^ Ker P1.
     """
     eye = np.eye(p0.shape[0])
     q0, q1 = eye - p0, eye - p1
-    return np.stack([np.vstack(c) for c in ((q0, p1), (p0, q1), (q0, q1), (p0, p1))])
+    return (np.vstack(c) for c in ((q0, p1), (p0, q1), (q0, q1), (p0, p1)))
 
 
 def pair_index(p0, p1, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     """dim(Ran P0 ^ Ker P1) - dim(Ker P0 ^ Ran P1)."""
     p0 = check_projection(p0, tol, "P0")
     p1 = check_projection(p1, tol, "P1")
-    plus, minus = _kernel_dims(_intersections(p0, p1)[:2], rank_tol)
+    plus, minus = _kernel_dims(list(itertools.islice(_intersections(p0, p1), 2)), rank_tol)
     return plus - minus
 
 
@@ -286,7 +287,7 @@ def _intersection_dims(p0, p1, rank_tol, tol):
     projections at ``tol``, in one stacked call."""
     check_projection(p0, tol, "P0")
     check_projection(p1, tol, "P1")
-    return _kernel_dims(_intersections(p0, p1), rank_tol)
+    return _kernel_dims(list(_intersections(p0, p1)), rank_tol)
 
 
 def _pair_indices(dims):

@@ -13,6 +13,9 @@ solve Stein equations, so nothing is walked site by site.
 
 scipy.linalg is imported where it is called, so that importing the
 package and the finite-dimensional commands do not load scipy.
+
+Each level-set round and each winding set is one stacked solve of its
+symbol determinants, bitwise equal to per-polynomial np.roots.
 """
 
 from __future__ import annotations
@@ -33,37 +36,62 @@ CIRCLE_MARGIN = 1e-6
 # --- scalar determinant of a symbol loop ------------------------------------
 
 
-def _det_roots(loop, mu=0.0, coeff_tol=1e-11):
-    """Roots of det(loop(z) - mu) in C* with multiplicity, and the order at z = 0.
+def _det_samples(loop, shifted):
+    """(loop(z), z^(-low)) on the circle grid that interpolates det(loop(z) - mu), and
+    low, the lowest power of z in the determinant: for every mu if ``shifted``, else mu = 0."""
+    offsets = sorted(set(loop.offsets()) | {0}) if shifted else loop.offsets()
+    low = loop.fiber_dim * min(offsets, default=0)
+    zs = circle_grid(loop.fiber_dim * max(offsets, default=0) - low + 1)
+    return loop(zs), zs ** (-low), low
 
-    The Laurent coefficients of the determinant come from FFT
-    interpolation; those below coeff_tol times the largest are dropped.
-    The order at zero is of the determinant as a Laurent polynomial;
-    negative values mean a pole at 0 (no root).  mu = 0 asks where the
-    symbol is singular, mu on the circle where mu is one of its eigenvalues.
-    """
-    offsets = sorted(set(loop.offsets()) | {0}) if mu else loop.offsets()
-    d = loop.fiber_dim
-    low = d * min(offsets, default=0)
-    m = d * max(offsets, default=0) - low + 1
-    zs = circle_grid(m)
-    values = loop(zs)
-    if mu:
-        values -= mu * np.eye(d)
-    # det(z) * z^(-low) is a polynomial of degree m-1; sample and invert
-    coeffs = np.fft.fft(np.linalg.det(values) * zs ** (-low)) / m
-    coeffs[np.abs(coeffs) < coeff_tol * np.abs(coeffs).max()] = 0.0
-    nz = np.nonzero(coeffs)[0]
-    if nz.size == 0:
-        raise NotFredholmError("symbol determinant vanishes identically")
-    poly = coeffs[nz[0] : nz[-1] + 1][::-1]   # highest power first, for np.roots
-    roots = np.roots(poly) if poly.size > 1 else np.zeros(0, dtype=complex)
-    return roots, int(low + nz[0])
+
+def _det_polys(samples, mus, coeff_tol=1e-11):
+    """(polynomial, highest power first, order at z = 0) of det(loop(z) - mu)
+    per mu, from one stacked det and one row-wise FFT; coefficients below
+    coeff_tol times a row's largest are dropped.  A determinant that
+    vanishes identically gives a NotFredholmError for its polynomial."""
+    values, twist, low = samples
+    dets = np.linalg.det(values - np.asarray(mus)[:, None, None, None] * np.eye(values.shape[-1]))
+    coeffs = np.fft.fft(dets * twist) / values.shape[0]
+    coeffs[np.abs(coeffs) < coeff_tol * np.abs(coeffs).max(axis=-1, keepdims=True)] = 0.0
+    polys = []
+    for row in coeffs:
+        nz = np.nonzero(row)[0]
+        polys.append((row[nz[0] : nz[-1] + 1][::-1], int(low + nz[0])) if nz.size else
+                     (NotFredholmError("symbol determinant vanishes identically"), None))
+    return polys
+
+
+def _poly_roots(polys):
+    """np.roots of each polynomial (an exception stays as it is), bitwise: the
+    companions are built as np.roots builds them, one eigvals call per size."""
+    roots = [p if isinstance(p, Exception) else np.zeros(0, dtype=complex) for p in polys]
+    sizes = [0 if isinstance(p, Exception) else p.size for p in polys]
+    for size in set(sizes) - {0, 1}:
+        items = [i for i, s in enumerate(sizes) if s == size]
+        companions = np.zeros((len(items), size - 1, size - 1), dtype=complex)
+        companions[:, 1:, :-1] = np.eye(size - 2)
+        companions[:, 0] = [-polys[i][1:] / polys[i][0] for i in items]
+        for i, r in zip(items, np.linalg.eigvals(companions)):
+            roots[i] = r
+    return roots
+
+
+def _det_roots(loop, mu=0.0):
+    """Roots of det(loop(z) - mu) in C* with multiplicity, and the order at z = 0:
+    mu = 0 asks where the symbol is singular, mu on the circle where it is an eigenvalue."""
+    [(poly, order)] = _det_polys(_det_samples(loop, bool(mu)), [mu])
+    if isinstance(poly, Exception):
+        raise poly
+    return _poly_roots([poly])[0], order
 
 
 def _clearance(roots):
     """(min ||z| - 1| over the roots or None without roots, whether every
-    transfer eigenvalue 1/z lies outside CIRCLE_MARGIN of the unit circle)."""
+    transfer eigenvalue 1/z lies outside CIRCLE_MARGIN of the unit circle);
+    (0.0, False) for a determinant that vanishes identically (``_det_polys``)."""
+    if isinstance(roots, Exception):
+        return 0.0, False
     radii = np.abs(roots)
     margin = float(np.abs(radii - 1.0).min()) if radii.size else None
     return margin, bool(np.all(np.abs(1.0 / radii - 1.0) > CIRCLE_MARGIN))
@@ -79,10 +107,8 @@ def circle_clearance(loop, mu=0.0):
     transfer eigenvalues 1/z that the companion pencil of
     ``_half_line_germs`` tests, computed by a different route.
     """
-    try:
-        return _clearance(_det_roots(loop, mu)[0])
-    except NotFredholmError:
-        return 0.0, False
+    [(poly, _)] = _det_polys(_det_samples(loop, bool(mu)), [mu])
+    return _clearance(_poly_roots([poly])[0])
 
 
 # --- half-line germ spaces via the companion pencil --------------------------

@@ -2,8 +2,9 @@
 
 Every winding is a root count: the winding of det F(z) around the unit
 circle is the number of roots of det F inside the unit disk plus its
-order at z = 0, from the Laurent coefficients of the determinant
-(transfer._det_roots), with no grid.  A root whose transfer eigenvalue
+order at z = 0, from the Laurent coefficients of the determinant, with
+no grid; each winding set is one stacked solve, bitwise equal to
+per-polynomial np.roots.  A root whose transfer eigenvalue
 1/z lies within CIRCLE_MARGIN of the circle, the band in which the
 transfer oracle refuses, raises NotFredholmError; otherwise the smallest
 ||z| - 1| over the roots is the winding's decision margin.  nc_winding
@@ -27,8 +28,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import operators as ops
-from .exceptions import NotFredholmError, PreconditionError
-from .transfer import _clearance, _det_roots, exact_index, exact_kernel
+from .exceptions import ChiralwalkError, NotFredholmError, PreconditionError
+from .transfer import _clearance, _det_polys, _det_samples, _poly_roots, exact_index, exact_kernel
 from .walks import CHIRAL_TOL
 
 
@@ -41,17 +42,27 @@ class WindingResult:
         return {"rounded": self.rounded, "root_margin": self.root_margin}
 
 
+def _windings(loops):
+    """``winding_det`` of each loop in turn, from one stacked root solve; a failed
+    item (an exception in ``loops``, or a vanishing determinant) raises in its turn."""
+    polys = [(loop, None) if isinstance(loop, Exception) else
+             _det_polys(_det_samples(loop, False), [0.0])[0] for loop in loops]
+    for roots, (_, order) in zip(_poly_roots([p for p, _ in polys]), polys):
+        if isinstance(roots, Exception):
+            raise roots
+        radii = np.abs(roots)
+        margin, clear = _clearance(roots)
+        if not clear:
+            raise NotFredholmError(
+                "symbol determinant has a root within margin of the unit circle "
+                f"(|z| = {radii[np.abs(1.0 / radii - 1.0).argmin()]:.8f})"
+            )
+        yield WindingResult(int(np.sum(radii < 1.0)) + order, margin)
+
+
 def winding_det(loop):
     """Winding number of det(loop): roots inside the unit disk plus the order at 0."""
-    roots, order_at_zero = _det_roots(loop)
-    radii = np.abs(roots)
-    margin, clear = _clearance(roots)
-    if not clear:
-        raise NotFredholmError(
-            "symbol determinant has a root within margin of the unit circle "
-            f"(|z| = {radii[np.abs(1.0 / radii - 1.0).argmin()]:.8f})"
-        )
-    return WindingResult(int(np.sum(radii < 1.0)) + order_at_zero, margin)
+    return next(_windings([loop]))
 
 
 def nc_winding(loop):
@@ -66,6 +77,20 @@ def nc_winding(loop):
 # --- compressed chiral blocks ------------------------------------------------
 
 
+def _sandwich(coeffs, n):
+    """D(z)^* A(z) D(z), D(z) = diag(1, z^n), for 2 x 2 A: entry (i, j) at offset m
+    moves to m + n (j - i).  Offsets come in the order of the Laurent product
+    (D^* A) D, zeros dropped at each factor, so the loop sums in that order."""
+    rows, out = {}, {}
+    for i, shift in enumerate((0, -n)):
+        for m, c in coeffs.items():
+            rows.setdefault(m + shift, np.zeros((2, 2), complex))[i] = c[i]
+    for m, c in ((m, c) for m, c in rows.items() if c.any()):
+        for j, shift in enumerate((0, n)):
+            out.setdefault(m + shift, np.zeros((2, 2), complex))[:, j] = c[:, j]
+    return {m: c for m, c in out.items() if c.any()}
+
+
 def _closed_frames(grading, side):
     """Closed +1 and -1 eigenframes of one limit symbol of a chiral grading.
 
@@ -78,17 +103,14 @@ def _closed_frames(grading, side):
     As |v_2|^2 of the two eigenvectors sum to 1, k_- = n - k_+; only k_+
     is rounded, half down within CHIRAL_TOL, so that an exact tie such as
     n |v_2|^2 = 1/2 does not leave the choice to rounding noise.
-    Returns (D as a loop, [(k, v) for +1, then -1]).
+    Returns (n, [(k, v) for +1, then -1]).
     """
     loop = grading.symbol_at(side)
     if loop.fiber_dim != 2 or not loop.offsets():
         raise PreconditionError("root-count windings need a nonzero grading on C^2")
     n = max(loop.offsets())
     g = sum(loop.coefficients.values())
-    d_loop = ops.SymbolLoop(2, {0: np.diag([1.0, 0.0])}) + ops.SymbolLoop(
-        2, {n: np.diag([0.0, 1.0])}
-    )
-    factored = (d_loop * ops.SymbolLoop(2, {0: g}) * d_loop.hermitian_conjugate()).coefficients
+    factored = _sandwich({0: g}, -n)   # D G D^*
     evals, vecs = np.linalg.eigh(g)
     dev = max(
         np.abs(g - g.conj().T).max(),
@@ -102,7 +124,7 @@ def _closed_frames(grading, side):
             f"of signature 0 (deviation {dev:.3e})"
         )
     k_plus = int(np.ceil(n * abs(vecs[1, 1]) ** 2 - 0.5 - CHIRAL_TOL))
-    return d_loop, [(k_plus, vecs[:, 1]), (n - k_plus, vecs[:, 0])]
+    return n, [(k_plus, vecs[:, 1]), (n - k_plus, vecs[:, 0])]
 
 
 def chiral_imaginary_block_symbol(pair, grading, side):
@@ -112,14 +134,13 @@ def chiral_imaginary_block_symbol(pair, grading, side):
     Im(u)(z) = (u(z) - u(z)^*) / 2i; it vanishes on the circle exactly
     where u(z) has an eigenvalue +-1.
     """
-    d_loop, ((k_plus, v_plus), (k_minus, v_minus)) = _closed_frames(grading, side)
+    n, ((k_plus, v_plus), (k_minus, v_minus)) = _closed_frames(grading, side)
     u_loop = pair.u.symbol_at(side)
     u, adj = u_loop.coefficients, u_loop.hermitian_conjugate().coefficients
     im = ops.SymbolLoop(2, {m: (u.get(m, 0) - adj.get(m, 0)) / 2j for m in set(u) | set(adj)})
-    block = d_loop.hermitian_conjugate() * im * d_loop
+    block = _sandwich(im.coefficients, n)
     return ops.SymbolLoop(
-        1,
-        {m + k_minus - k_plus: v_minus.conj() @ c @ v_plus for m, c in block.coefficients.items()},
+        1, {m + k_minus - k_plus: v_minus.conj() @ c @ v_plus for m, c in block.items()}
     )
 
 
@@ -251,23 +272,23 @@ def verify_index_theorem_chiral(pair, rank_tol=1e-8, kernels=None):
     si_minus = ker_minus.graded_signature
     si_plus = ker_plus.graded_signature
 
+    gradings = (("gamma1_graded", pair.gamma1, si_minus - si_plus),
+                ("imaginary_block", pair.gamma0, -(si_plus + si_minus)))
+    blocks = []
+    for _, grading, _ in gradings:
+        for side in (ops.LEFT, ops.RIGHT):
+            try:
+                blocks.append(chiral_imaginary_block_symbol(pair, grading, side))
+            except ChiralwalkError as exc:   # raised in its turn by _windings
+                blocks.append(exc)
+    windings = _windings(blocks)
     branches = []
-    for name, grading, lhs in (
-        ("gamma1_graded", pair.gamma1, si_minus - si_plus),
-        ("imaginary_block", pair.gamma0, -(si_plus + si_minus)),
-    ):
-        left, right = (compressed_winding(pair, grading, side) for side in (ops.LEFT, ops.RIGHT))
+    for name, _, lhs in gradings:
+        left, right = next(windings), next(windings)
         margins = [w.root_margin for w in (left, right) if w.root_margin is not None]
-        branches.append(
-            RootCountBranch(
-                name=name,
-                lhs_index=lhs,
-                winding_left=left.rounded,
-                winding_right=right.rounded,
-                fiber_dim=d,
-                root_margin=min(margins) if margins else None,
-            )
-        )
+        branches.append(RootCountBranch(
+            name=name, lhs_index=lhs, winding_left=left.rounded, winding_right=right.rounded,
+            fiber_dim=d, root_margin=min(margins, default=None)))
     record = IndexTheoremRecord(branches=branches)
     record.si_plus = si_plus
     record.si_minus = si_minus

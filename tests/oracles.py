@@ -1,0 +1,203 @@
+"""Loop-by-loop reference implementations of the stacked root solves.
+
+The package solves the determinant polynomials of a level-set round, and
+those of a set of windings, in one stacked call.  These oracles solve
+one polynomial at a time with np.roots, evaluate each loop's distances
+with its own eigvals call and build the compressed Im(u) blocks from
+Laurent products of SymbolLoops; the tests require the package to agree
+with them float for float.
+"""
+
+import functools
+
+import numpy as np
+
+from chiralwalk import essential, operators as ops, transfer, winding
+from chiralwalk.exceptions import NotFredholmError, PreconditionError
+from chiralwalk.verification import split_step_from_angles
+from chiralwalk.walks import CHIRAL_TOL
+
+
+@functools.cache
+def seeded_split_steps(count=160):
+    """(seed, pair) tuples: split-step pairs with shift exponents 1-3, half
+    with coin defects on up to three sites; every other one has a gap eps
+    in [1e-7, 1e-1] at +1 or -1 on its right limit, the rest generic angles.
+    Built once per test session."""
+    pairs = []
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        left, right, theta2 = rng.uniform(0.05, np.pi - 0.05, size=3)
+        sites = rng.integers(-2, 3, size=rng.integers(1, 4)) if seed % 4 < 2 else []
+        defects = {int(x): float(rng.uniform(0.05, np.pi - 0.05)) for x in sites}
+        if seed % 2 == 0:
+            eps = 10.0 ** rng.uniform(-7.0, -1.0)
+            surface = theta2 if seed % 8 < 4 else np.pi - theta2
+            right = surface + rng.choice([-1.0, 1.0]) * 2.0 * np.arcsin(eps / 2.0)
+        pairs.append((seed, split_step_from_angles(left, right, theta2, 1 + seed % 3, defects)))
+    return tuple(pairs)
+
+
+def det_roots(loop, mu=0.0, coeff_tol=1e-11):
+    """Roots of det(loop(z) - mu) and the order at z = 0, one np.roots call."""
+    offsets = sorted(set(loop.offsets()) | {0}) if mu else loop.offsets()
+    d = loop.fiber_dim
+    low = d * min(offsets, default=0)
+    m = d * max(offsets, default=0) - low + 1
+    zs = ops.circle_grid(m)
+    values = loop(zs)
+    if mu:
+        values -= mu * np.eye(d)
+    coeffs = np.fft.fft(np.linalg.det(values) * zs ** (-low)) / m
+    coeffs[np.abs(coeffs) < coeff_tol * np.abs(coeffs).max()] = 0.0
+    nz = np.nonzero(coeffs)[0]
+    if nz.size == 0:
+        raise NotFredholmError("symbol determinant vanishes identically")
+    poly = coeffs[nz[0] : nz[-1] + 1][::-1]
+    roots = np.roots(poly) if poly.size > 1 else np.zeros(0, dtype=complex)
+    return roots, int(low + nz[0])
+
+
+def _clearance(roots):
+    radii = np.abs(roots)
+    margin = float(np.abs(radii - 1.0).min()) if radii.size else None
+    return margin, bool(np.all(np.abs(1.0 / radii - 1.0) > transfer.CIRCLE_MARGIN))
+
+
+def circle_clearance(loop, mu=0.0):
+    try:
+        return _clearance(det_roots(loop, mu)[0])
+    except NotFredholmError:
+        return 0.0, False
+
+
+# --- the level set, one loop and one polynomial at a time ---------------------
+
+
+def _distance(loop, thetas, target):
+    return float(np.abs(np.linalg.eigvals(loop(np.exp(1j * thetas))) - target).min())
+
+
+def _probes(loop, target, level):
+    phi = 2.0 * np.arcsin(min(level / 2.0, 1.0))
+    roots = np.concatenate([det_roots(loop, target * np.exp(1j * s * phi))[0] for s in (1, -1)])
+    close = np.abs(np.abs(roots) - 1.0) <= essential.CROSSING_TOL
+    angles = np.sort(np.angle(roots[close]) % (2.0 * np.pi))
+    if not angles.size:
+        return np.zeros(1)
+    return 0.5 * (angles + np.append(angles[1:], angles[0] + 2.0 * np.pi))
+
+
+def gap(loops, target):
+    value, level, bound = np.inf, np.inf, 0.0
+    points = [essential.INITIAL_PROBES] * len(loops)
+    for _ in range(essential.MAX_LEVELS):
+        lowest = min(_distance(loop, p, target) for loop, p in zip(loops, points))
+        if lowest >= level:
+            bound = level
+            break
+        value = lowest
+        if value == 0.0:
+            break
+        level = value * (1.0 - essential.LEVEL_RTOL)
+        try:
+            points = [_probes(loop, target, level) for loop in loops]
+        except NotFredholmError:
+            break
+    clearances = [circle_clearance(loop, target) for loop in loops]
+    margins = [m for m, _ in clearances if m is not None]
+    return essential._Gap(value, bound, min(margins, default=None), all(c for _, c in clearances))
+
+
+def certify_unitary(u, margin=essential.DEFAULT_MARGIN):
+    """``essential.certify_unitary(u).to_dict()``-like dict from the oracle gaps."""
+    loops = (u.symbol_at(ops.LEFT), u.symbol_at(ops.RIGHT))
+    gap_plus, gap_minus = gap(loops, 1.0), gap(loops, -1.0)
+    fred = essential._fredholm(gap_plus, gap_minus, margin)
+    return {
+        "gap_plus": essential._gap_certification(gap_plus, margin).to_dict(),
+        "gap_minus": essential._gap_certification(gap_minus, margin).to_dict(),
+        "fredholm": fred.to_dict(),
+        "dichotomy": essential._dichotomy(fred, margin).to_dict(),
+    }
+
+
+# --- compressed blocks from Laurent products, windings one at a time ----------
+
+
+def sandwich(loop, n):
+    """Coefficients of D^* loop D, D(z) = diag(1, z^n), as the Laurent product
+    (D^* loop) D of SymbolLoops."""
+    d_loop = ops.SymbolLoop(2, {0: np.diag([1.0, 0.0])}) + ops.SymbolLoop(
+        2, {n: np.diag([0.0, 1.0])}
+    )
+    return (d_loop.hermitian_conjugate() * loop * d_loop).coefficients
+
+
+def imaginary_part(pair, side):
+    """Im(u) = (u - u^*) / 2i of one limit symbol, keyed as the package keys it."""
+    u_loop = pair.u.symbol_at(side)
+    u, adj = u_loop.coefficients, u_loop.hermitian_conjugate().coefficients
+    return ops.SymbolLoop(2, {m: (u.get(m, 0) - adj.get(m, 0)) / 2j for m in set(u) | set(adj)})
+
+
+def closed_frames(grading, side):
+    loop = grading.symbol_at(side)
+    if loop.fiber_dim != 2 or not loop.offsets():
+        raise PreconditionError("root-count windings need a nonzero grading on C^2")
+    n = max(loop.offsets())
+    g = sum(loop.coefficients.values())
+    factored = sandwich(ops.SymbolLoop(2, {0: g}), -n)   # D G D^* with D(z) = diag(1, z^n)
+    evals, vecs = np.linalg.eigh(g)
+    dev = max(
+        np.abs(g - g.conj().T).max(),
+        np.abs(evals - (-1.0, 1.0)).max(),
+        *(np.abs(factored.get(m, 0) - loop.coefficients.get(m, 0)).max()
+          for m in set(factored) | set(loop.coefficients)),
+    )
+    if dev > CHIRAL_TOL:
+        raise PreconditionError(
+            f"{side} grading symbol is not D(z) G D(z)^* with G a self-adjoint unitary "
+            f"of signature 0 (deviation {dev:.3e})"
+        )
+    k_plus = int(np.ceil(n * abs(vecs[1, 1]) ** 2 - 0.5 - CHIRAL_TOL))
+    return n, [(k_plus, vecs[:, 1]), (n - k_plus, vecs[:, 0])]
+
+
+def imaginary_block(pair, grading, side):
+    n, ((k_plus, v_plus), (k_minus, v_minus)) = closed_frames(grading, side)
+    block = sandwich(imaginary_part(pair, side), n)
+    return ops.SymbolLoop(
+        1, {m + k_minus - k_plus: v_minus.conj() @ c @ v_plus for m, c in block.items()}
+    )
+
+
+def winding_det(loop):
+    roots, order_at_zero = det_roots(loop)
+    radii = np.abs(roots)
+    margin, clear = _clearance(roots)
+    if not clear:
+        raise NotFredholmError(
+            "symbol determinant has a root within margin of the unit circle "
+            f"(|z| = {radii[np.abs(1.0 / radii - 1.0).argmin()]:.8f})"
+        )
+    return winding.WindingResult(int(np.sum(radii < 1.0)) + order_at_zero, margin)
+
+
+def verify_index_theorem_chiral(pair, kernels):
+    """``winding.verify_index_theorem_chiral(pair, kernels=kernels).to_dict()``,
+    each block built and counted in turn."""
+    ker_minus, ker_plus = kernels
+    si_minus, si_plus = ker_minus.graded_signature, ker_plus.graded_signature
+    branches = []
+    for name, grading, lhs in (
+        ("gamma1_graded", pair.gamma1, si_minus - si_plus),
+        ("imaginary_block", pair.gamma0, -(si_plus + si_minus)),
+    ):
+        left, right = (winding_det(imaginary_block(pair, grading, side))
+                       for side in (ops.LEFT, ops.RIGHT))
+        margins = [w.root_margin for w in (left, right) if w.root_margin is not None]
+        branches.append(winding.RootCountBranch(
+            name=name, lhs_index=lhs, winding_left=left.rounded, winding_right=right.rounded,
+            fiber_dim=pair.u.fiber_dim, root_margin=min(margins) if margins else None))
+    return winding.IndexTheoremRecord(branches=branches).to_dict()

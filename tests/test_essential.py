@@ -8,6 +8,8 @@ from chiralwalk.operators import identity, shift_power
 from chiralwalk.scenarios import Scenario
 from chiralwalk.verification import random_split_step, split_step_from_angles
 
+import oracles
+
 REFERENCE_REFINE_TOL = 1e-6
 REFERENCE_MAX_GRID_N = 2**16
 
@@ -282,6 +284,24 @@ class TestLevelSet:
                 value = essential.gap_at(u, target).value
                 for grid_n in (16, 64, 256, 1024, 4096):
                     assert value <= grid_gap(u, target, grid_n) + 1e-12
+
+    def test_stacked_rounds_equal_the_loop_by_loop_oracle(self):
+        # float for float, on generic and near-closing models at both targets
+        statuses = set()
+        for _, pair in oracles.seeded_split_steps():
+            certs = essential.certify_unitary(pair.u)
+            got = {
+                "gap_plus": certs.gap_plus.to_dict(),
+                "gap_minus": certs.gap_minus.to_dict(),
+                "fredholm": certs.fredholm.to_dict(),
+                "dichotomy": certs.dichotomy.to_dict(),
+            }
+            assert got == oracles.certify_unitary(pair.u)
+            statuses.update((certs.gap_plus.status, certs.gap_minus.status))
+        for u in (identity(2), rotated(shift_power(1, 1), 0.3)):   # a flat band, a closed gap
+            want = oracles.certify_unitary(u)["gap_plus"]
+            assert essential.certify_unitary(u).gap_plus.to_dict() == want
+        assert statuses == {essential.CERTIFIED, essential.INCONCLUSIVE}
 
     def test_closed_gaps_refuted(self):
         rng = np.random.default_rng(23)

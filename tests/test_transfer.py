@@ -20,6 +20,8 @@ from chiralwalk.verification import (
 )
 from chiralwalk.scenarios import Scenario
 
+import oracles
+
 
 def scalar(v):
     return np.array([[v]], dtype=complex)
@@ -95,6 +97,56 @@ def germ_test_loops():
             for side in (ops.LEFT, ops.RIGHT):
                 loops.append((pair.u + identity(2).scaled(sign)).symbol_at(side))
     return loops
+
+
+class TestStackedRoots:
+    def test_batched_roots_equal_np_roots(self):
+        # one call mixing sizes 1-13; ends just above the 1e-11 trim
+        # threshold and interior entries below it or exactly zero
+        rng = np.random.default_rng(41)
+        polys = []
+        for size in list(range(1, 14)) * 3:
+            poly = rng.normal(size=size) + 1j * rng.normal(size=size)
+            if size > 2 and rng.random() < 0.5:
+                top = np.abs(poly).max()
+                poly[0] *= 1.5e-11 * top / abs(poly[0])
+                poly[-1] *= 1.0000001e-11 * top / abs(poly[-1])
+                poly[rng.integers(1, size - 1)] = rng.choice([0.0, 0.5e-11 * top])
+            polys.append(poly)
+        polys = [polys[i] for i in rng.permutation(len(polys))]
+        roots = transfer._poly_roots(polys)
+        for poly, r in zip(polys, roots):
+            want = np.roots(poly) if poly.size > 1 else np.zeros(0, dtype=complex)
+            assert r.dtype == want.dtype and np.array_equal(r, want)
+
+    def test_failed_items_pass_through(self):
+        failed = NotFredholmError("symbol determinant vanishes identically")
+        roots = transfer._poly_roots([np.ones(3, complex), failed, np.ones(1, complex)])
+        assert np.array_equal(roots[0], np.roots(np.ones(3, complex)))
+        assert roots[1] is failed and roots[2].size == 0
+
+    def test_mu_vector_rows_equal_single_mu_rows(self):
+        rng = np.random.default_rng(42)
+        loops = list(germ_test_loops()) + [
+            identity(2).symbol_at(ops.LEFT),   # det(1 - mu) vanishes identically at mu = 1
+            SymbolLoop(1, {0: scalar(1.0), 2: scalar(1e-11)}),   # a coefficient at the trim
+        ]
+        for loop in loops:
+            samples = transfer._det_samples(loop, True)
+            mus = [1.0, -1.0] + list(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=4)))
+            for mu, (poly, order) in zip(mus, transfer._det_polys(samples, mus)):
+                [(single, single_order)] = transfer._det_polys(samples, [mu])
+                if isinstance(poly, Exception):
+                    assert isinstance(single, NotFredholmError) and str(poly) == str(single)
+                    with pytest.raises(NotFredholmError, match="vanishes identically"):
+                        oracles.det_roots(loop, mu)
+                    continue
+                assert order == single_order and np.array_equal(poly, single)
+                want, want_order = oracles.det_roots(loop, mu)
+                roots, got_order = transfer._det_roots(loop, mu)
+                assert got_order == want_order and np.array_equal(roots, want)
+                assert transfer.circle_clearance(loop, mu) == oracles.circle_clearance(loop, mu)
+        assert transfer.circle_clearance(identity(2).symbol_at(ops.LEFT), 1.0) == (0.0, False)
 
 
 class TestHalfLineGerms:

@@ -17,6 +17,8 @@ from chiralwalk.verification import (
 )
 from chiralwalk.walks import build_weighted_shift_walk
 
+import oracles
+
 
 def scalar(v):
     return np.array([[v]], dtype=complex)
@@ -540,3 +542,59 @@ class TestRootCounts:
         pair = split_step_from_angles(2.8, 0.4, 1.2)
         with pytest.raises(PreconditionError, match="signature 0"):
             winding.compressed_winding(pair, ops.identity(2), ops.LEFT)
+
+
+def outcome(call):
+    """A call's value, or the type and message of the ChiralwalkError it raised."""
+    try:
+        return call()
+    except ChiralwalkError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def kernels_with(si_minus, si_plus):
+    """Stand-ins for the graded kernels: the windings do not read them."""
+    return (SimpleNamespace(graded_signature=si_minus, dimension=abs(si_minus)),
+            SimpleNamespace(graded_signature=si_plus, dimension=abs(si_plus)))
+
+
+class TestStackedWindings:
+    def test_theorem_equals_the_sequential_oracle(self):
+        refused = 0
+        for seed, pair in oracles.seeded_split_steps():
+            kernels = kernels_with(seed % 3 - 1, seed % 2)
+            record = outcome(lambda: winding.verify_index_theorem_chiral(pair, kernels=kernels))
+            got = record if isinstance(record, tuple) else record.to_dict()
+            assert got == outcome(lambda: oracles.verify_index_theorem_chiral(pair, kernels))
+            refused += isinstance(got, tuple)
+        assert 0 < refused < 40
+
+    def test_block_coefficients_keep_the_laurent_product_order(self):
+        shifts = set()
+        for _, pair in oracles.seeded_split_steps():
+            for grading in (pair.gamma0, pair.gamma1):
+                for side in (ops.LEFT, ops.RIGHT):
+                    n = max(grading.symbol_at(side).offsets())
+                    shifts.add(n)
+                    im = oracles.imaginary_part(pair, side)
+                    for got, want in (
+                        (winding._sandwich(im.coefficients, n), oracles.sandwich(im, n)),
+                        (winding.chiral_imaginary_block_symbol(pair, grading, side).coefficients,
+                         oracles.imaginary_block(pair, grading, side).coefficients),
+                    ):
+                        assert list(got) == list(want)
+                        assert all(np.array_equal(got[m], want[m]) for m in want)
+        assert shifts == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("bad", ["gamma0", "gamma1"])
+    def test_first_error_in_sequential_order(self, bad):
+        # gamma1's and gamma0's right blocks have a root inside CIRCLE_MARGIN;
+        # the identity grading trips _closed_frames on both sides
+        model = split_step_from_angles(0.2, 0.7 - 1e-7, 0.7, 2, {0: 1.3})
+        pair = SimpleNamespace(u=model.u, gamma0=model.gamma0, gamma1=model.gamma1)
+        setattr(pair, bad, ops.identity(2))
+        kernels = kernels_with(0, 0)
+        got = outcome(lambda: winding.verify_index_theorem_chiral(pair, kernels=kernels))
+        want = outcome(lambda: oracles.verify_index_theorem_chiral(pair, kernels))
+        assert got == want
+        assert got[0] == ("NotFredholmError" if bad == "gamma0" else "PreconditionError")
