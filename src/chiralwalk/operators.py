@@ -294,9 +294,6 @@ class SymbolLoop:
     def __add__(self, other):
         return self._combined(other, np.add)
 
-    def __sub__(self, other):
-        return self._combined(other, np.subtract)
-
     def _combined(self, other, op):
         if not isinstance(other, SymbolLoop):
             return NotImplemented

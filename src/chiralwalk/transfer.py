@@ -11,7 +11,10 @@ signatures come from the Gram and gamma0 forms of the kernel vectors;
 beyond a finite window their tails are geometric, and the tail sums
 solve Stein equations, so nothing is walked site by site.
 
-scipy.linalg is imported where it is called, so that importing the
+Each tail's Gram and gamma0 forms share one Stein operator and come
+from one Kronecker solve in numpy.  scipy.linalg is imported only where
+it is called: by _half_line_germs (ordqz), _graded_spectrum (eigh of the
+pencil) and kernel_vectors (solve_triangular), so that importing the
 package and the finite-dimensional commands do not load scipy.
 
 Each level-set round and each winding set is one stacked solve of its
@@ -301,10 +304,12 @@ def _matching_system(a, rank_tol, extra_padding):
     return _MatchingSystem(null, germ_left, germ_right, y0, y1)
 
 
-def _stein(step, m):
-    """Sum over j >= 0 of (step^j)^* m step^j: the X with X - step^* X step = m."""
-    import scipy.linalg
-    return scipy.linalg.solve_discrete_lyapunov(step.conj().T, m)
+def _stein(step, ms):
+    """Sum over j >= 0 of (step^j)^* m step^j for each m of the stack ms: the X with
+    X - step^* X step = m, from one solve of I - kron(step^*, step^T) on row-major X."""
+    k = step.shape[0]
+    lhs = np.eye(k * k) - np.kron(step.conj().T, step.T)
+    return np.linalg.solve(lhs, ms.reshape(-1, k * k).T).T.reshape(ms.shape)
 
 
 def _tail_forms(germ, edge, coeffs, depth, orient):
@@ -321,7 +326,7 @@ def _tail_forms(germ, edge, coeffs, depth, orient):
     head = edge @ powers[depth]
     gram = head.conj().T @ head
     form = sum(head.conj().T @ g @ edge @ powers[depth - orient * m] for m, g in coeffs.items())
-    return _stein(germ.step, gram), _stein(germ.step, form)
+    return _stein(germ.step, np.stack([gram, form]))
 
 
 def _window_forms(gamma0, values, start):

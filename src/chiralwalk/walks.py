@@ -17,7 +17,7 @@ import numpy as np
 
 from . import operators as ops
 from .exceptions import NormalizationError, PreconditionError
-from .operators import BandedAnisotropicOperator, CoefficientFunction, SymbolLoop, circle_grid
+from .operators import BandedAnisotropicOperator, CoefficientFunction, circle_grid
 
 NORMALIZATION_TOL = 1e-12
 CHIRAL_TOL = 1e-10
@@ -95,6 +95,7 @@ class ChiralCertification:
     symbol_deviation: float
     unitary_symbol_deviation: float
     window_halfwidth: int
+    symbol_sups: dict = field(default_factory=dict)   # per residual, sup over both limits
 
     @property
     def max_deviation(self):
@@ -122,21 +123,6 @@ class ChiralCertification:
         }
 
 
-def _symbol_residuals(gamma0, gamma1, u, side):
-    """Limit symbols of the six residuals, as exact Laurent coefficients."""
-    f0, f1, fu = (op.symbol_at(side) for op in (gamma0, gamma1, u))
-    one = SymbolLoop(f0.fiber_dim, {0: np.eye(f0.fiber_dim)})
-    fu_star = fu.hermitian_conjugate()
-    return {
-        "g0_sa": f0 - f0.hermitian_conjugate(),
-        "g1_sa": f1 - f1.hermitian_conjugate(),
-        "g0_inv": f0 * f0 - one,
-        "g1_inv": f1 * f1 - one,
-        "chiral": f0 * fu * f0 - fu_star,
-        "u_unitary": fu_star * fu - one,
-    }
-
-
 def verify_chiral_parts(gamma0, gamma1, u=None, n_symbol_points=64):
     """Deviations of the defining relations, on band coefficients and on symbols.
 
@@ -146,11 +132,14 @@ def verify_chiral_parts(gamma0, gamma1, u=None, n_symbol_points=64):
     max(2 r0 + ru, 2 ru, 2 r1) on every residual's band radius and
     pad = 2 R + 1, the rows at least R sites from the edges are exact rows
     of the residuals and include a pure-limit row on each side.  The
-    symbol part evaluates the residuals' limit Laurent polynomials on
-    n_symbol_points circle points, so a residual that cancels exactly
-    reads 0.0.  window_halfwidth is R plus the largest |lo|, |hi| of the
-    inputs' bulk windows plus four sites: a symmetric window [-L, L] that
-    holds those bulk windows with R + 4 sites to spare.
+    symbol part reads the limit Laurent coefficients off those two
+    pure-limit rows (row block s, column block s - k holds the coefficient
+    of z^k) and evaluates all twelve limit residuals on n_symbol_points
+    circle points at once, so a residual whose limit coefficients vanish
+    exactly reads 0.0.
+    window_halfwidth is R plus the largest |lo|, |hi| of the inputs' bulk
+    windows plus four sites: a symmetric window [-L, L] that holds those
+    bulk windows with R + 4 sites to spare.
     """
     if u is None:
         u = gamma0 @ gamma1
@@ -175,11 +164,12 @@ def verify_chiral_parts(gamma0, gamma1, u=None, n_symbol_points=64):
     }
     rows = slice(radius * d, g0.shape[0] - radius * d)
     coeff = {k: float(np.abs(r[rows]).max()) for k, r in residuals.items()}
-    zs = circle_grid(n_symbol_points)
-    sym = dict.fromkeys(residuals, 0.0)
-    for side in (ops.LEFT, ops.RIGHT):
-        for k, loop in _symbol_residuals(gamma0, gamma1, u, side).items():
-            sym[k] = max(sym[k], float(np.abs(loop(zs)).max()))
+    n_sites, ks = g0.shape[0] // d, np.arange(-radius, radius + 1)
+    limit_rows = np.array([[radius], [n_sites - 1 - radius]])
+    limits = np.stack([r.reshape(n_sites, d, n_sites, d)[limit_rows, :, limit_rows - ks]
+                       for r in residuals.values()])   # (residual, side, k, d, d)
+    values = np.einsum("jk,eskab->esjab", circle_grid(n_symbol_points)[:, None] ** ks, limits)
+    sym = dict(zip(residuals, np.abs(values).max(axis=(1, 2, 3, 4)).tolist()))
     return ChiralCertification(
         gamma0_selfadjoint=max(coeff["g0_sa"], sym["g0_sa"]),
         gamma1_selfadjoint=max(coeff["g1_sa"], sym["g1_sa"]),
@@ -189,6 +179,7 @@ def verify_chiral_parts(gamma0, gamma1, u=None, n_symbol_points=64):
         symbol_deviation=max(sym.values()),
         unitary_symbol_deviation=sym["u_unitary"],
         window_halfwidth=radius + max(abs(lo), abs(hi)) + 4,
+        symbol_sups=sym,
     )
 
 

@@ -137,8 +137,8 @@ def chiral_imaginary_block_symbol(pair, grading, side):
     n, ((k_plus, v_plus), (k_minus, v_minus)) = _closed_frames(grading, side)
     u_loop = pair.u.symbol_at(side)
     u, adj = u_loop.coefficients, u_loop.hermitian_conjugate().coefficients
-    im = ops.SymbolLoop(2, {m: (u.get(m, 0) - adj.get(m, 0)) / 2j for m in set(u) | set(adj)})
-    block = _sandwich(im.coefficients, n)
+    im = {m: c for m in set(u) | set(adj) if (c := (u.get(m, 0) - adj.get(m, 0)) / 2j).any()}
+    block = _sandwich(im, n)
     return ops.SymbolLoop(
         1, {m + k_minus - k_plus: v_minus.conj() @ c @ v_plus for m, c in block.items()}
     )

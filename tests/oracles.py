@@ -1,11 +1,15 @@
-"""Loop-by-loop reference implementations of the stacked root solves.
+"""Loop-by-loop reference implementations of the stacked and dense solves.
 
 The package solves the determinant polynomials of a level-set round, and
 those of a set of windings, in one stacked call.  These oracles solve
 one polynomial at a time with np.roots, evaluate each loop's distances
 with its own eigvals call and build the compressed Im(u) blocks from
 Laurent products of SymbolLoops; the tests require the package to agree
-with them float for float.
+with them float for float.  The package reads the limit symbols of the
+chiral residuals off dense blocks and sums each kernel tail with one
+Kronecker solve; ``symbol_sups`` forms those residuals as Laurent
+products instead and ``stein`` calls scipy, and the tests bound the
+rounding between the two routes.
 """
 
 import functools
@@ -201,3 +205,43 @@ def verify_index_theorem_chiral(pair, kernels):
             name=name, lhs_index=lhs, winding_left=left.rounded, winding_right=right.rounded,
             fiber_dim=pair.u.fiber_dim, root_margin=min(margins) if margins else None))
     return winding.IndexTheoremRecord(branches=branches).to_dict()
+
+
+# --- chiral residuals as Laurent products, Stein sums from scipy ----------------
+
+
+def _difference(a, b):
+    out = dict(a.coefficients)
+    for n, m in b.coefficients.items():
+        out[n] = out[n] - m if n in out else -m
+    return ops.SymbolLoop(a.fiber_dim, out)
+
+
+def symbol_residuals(gamma0, gamma1, u, side):
+    """Limit symbols of the six chiral residuals, as exact Laurent coefficients."""
+    f0, f1, fu = (op.symbol_at(side) for op in (gamma0, gamma1, u))
+    one = ops.SymbolLoop(f0.fiber_dim, {0: np.eye(f0.fiber_dim)})
+    fu_star = fu.hermitian_conjugate()
+    return {
+        "g0_sa": _difference(f0, f0.hermitian_conjugate()),
+        "g1_sa": _difference(f1, f1.hermitian_conjugate()),
+        "g0_inv": _difference(f0 * f0, one),
+        "g1_inv": _difference(f1 * f1, one),
+        "chiral": _difference(f0 * fu * f0, fu_star),
+        "u_unitary": _difference(fu_star * fu, one),
+    }
+
+
+def symbol_sups(gamma0, gamma1, u, n_points=64):
+    """{residual: (sup over both limit symbols on n_points circle points,
+    whether both limit symbols vanish exactly)}."""
+    zs = ops.circle_grid(n_points)
+    sides = [symbol_residuals(gamma0, gamma1, u, side) for side in (ops.LEFT, ops.RIGHT)]
+    return {k: (max(float(np.abs(s[k](zs)).max()) for s in sides),
+                not any(s[k].coefficients for s in sides)) for k in sides[0]}
+
+
+def stein(step, m):
+    """The X with X - step^* X step = m, from scipy."""
+    import scipy.linalg
+    return scipy.linalg.solve_discrete_lyapunov(step.conj().T, m)

@@ -19,6 +19,8 @@ from chiralwalk.walks import (
     verify_chiral_parts,
 )
 
+import oracles
+
 
 def scalar(v):
     return np.array([[v]], dtype=complex)
@@ -241,6 +243,64 @@ class TestChiralValidation:
         assert record.gamma1_involution > 100 * CHIRAL_TOL
         with pytest.raises(PreconditionError):
             ChiralPair(gamma0=g0, gamma1=g1)
+
+
+def residual_corpus(count=320):
+    """(pair, gamma1) with the split-step pair's gamma1, or with its right limit moved
+    by 1e-9 to 1e-3 so that the residuals are far from rounding noise.  The pairs
+    have shift exponents 1-3 and defect tables of up to seven sites, the outer one
+    sometimes equal to its limit; a fifth are translation invariant and a fifth
+    have band radius 0."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        left, right, theta2 = rng.uniform(0.05, np.pi - 0.05, size=3)
+        start, size = int(rng.integers(-5, 3)), int(rng.integers(0, 8))
+        defects = {x: float(rng.uniform(0.0, np.pi)) for x in range(start, start + size)}
+        if defects and seed % 2:
+            defects[start] = left if start < 0 else right
+        if seed % 5 == 0:
+            right, defects = left, {}
+        elif seed % 5 == 1:
+            theta2 = 0.0
+        pair = split_step_from_angles(left, right, theta2, 1 + seed % 3, defects)
+        f = pair.gamma1.coefficient(0)
+        moved = np.array(f.right) + 10.0 ** rng.uniform(-9, -3) * (
+            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        yield pair, pair.gamma1
+        yield pair, ops.mult_op(CoefficientFunction(f.left, moved, f.window_start, f.values))
+
+
+class TestLimitSymbolResiduals:
+    def test_symbol_sups_match_the_laurent_oracle(self):
+        kinds = {"translation_invariant": 0, "radius_zero": 0, "exact_zero": 0, "large": 0}
+        for pair, g1 in residual_corpus():
+            record = verify_chiral_parts(pair.gamma0, g1)
+            want = oracles.symbol_sups(pair.gamma0, g1, pair.gamma0 @ g1)
+            assert record.symbol_sups.keys() == want.keys()
+            for key, (sup, exact_zero) in want.items():
+                assert abs(record.symbol_sups[key] - sup) <= 1e-15, key
+                # a difference of exactly equal coefficients has no rounding to differ in
+                if exact_zero and key in ("g0_sa", "g1_sa"):
+                    assert record.symbol_sups[key] == 0.0, key
+                    kinds["exact_zero"] += 1
+                kinds["large"] += sup > 1e-10
+            assert record.symbol_deviation == max(record.symbol_sups.values())
+            assert record.unitary_symbol_deviation == record.symbol_sups["u_unitary"]
+            kinds["translation_invariant"] += pair.u.is_translation_invariant()
+            kinds["radius_zero"] += pair.u.band_radius == 0
+        assert min(kinds.values()) > 100, kinds
+
+    @pytest.mark.parametrize("shift", [1, 2, 3])
+    def test_exact_coins_read_zero(self, shift):
+        # coins with entries 0 and +-1: every product is exact, whatever the summation order
+        g1 = build_gamma1(
+            CoefficientFunction.from_table(scalar(0.0), scalar(1.0), {0: scalar(-1.0)}),
+            CoefficientFunction.from_table(scalar(1j), scalar(0.0), {0: scalar(0.0)}),
+        )
+        for c, d in ((0.0, 1.0), (1.0, 0.0), (0.0, -1j)):
+            record = verify_chiral_parts(build_gamma0(c, d, shift), g1)
+            assert record.symbol_sups == dict.fromkeys(record.symbol_sups, 0.0)
+            assert record.max_deviation == 0.0
 
 
 class TestWeightedShift:
