@@ -34,7 +34,6 @@ from .walks import (
     build_generator_walk,
     build_walk,
     build_weighted_shift_walk,
-    verify_chiral,
 )
 from .indices import (
     IndexReport,
@@ -47,23 +46,16 @@ from .indices import (
     kernel_bound_check,
     kernel_decomposition_check,
     pair_index,
-    pair_index_additivity_check,
     pair_index_trace,
     susy_index,
     symmetry_index_pm,
     tanaka_index_pm,
 )
-from .essential import (
-    certify_unitary,
-    dichotomy_check,
-    gap_at,
-    is_fredholm_type,
-)
+from .essential import certify_unitary, gap_at
 from .transfer import exact_index, exact_kernel
 from .winding import (
-    compressed_winding,
-    nc_winding,
-    verify_index_theorem,
+    verify_index_theorem_banded,
+    verify_index_theorem_chiral,
     winding_det,
 )
 

@@ -8,8 +8,6 @@ quantities emitted, 2 something was withheld.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import essential, indices, operators as ops, transfer, winding
 from .exceptions import ChiralwalkError
 from .walks import ChiralPair
@@ -66,7 +64,7 @@ def _chiral_report(pair, tol):
 
 
 def _weighted_shift_report(u_op, tol):
-    fred = essential.is_fredholm_type(u_op, margin=tol.margin)
+    fred = essential.certify_unitary(u_op, margin=tol.margin).fredholm
     theorem = winding.verify_index_theorem_banded(u_op, rank_tol=tol.rank_tol)
     left, right = (theorem.windings[side].to_dict() for side in (ops.LEFT, ops.RIGHT))
     report = {
@@ -111,17 +109,6 @@ def _generator_report(walk, gamma0, tol):
     return report, EXIT_OK
 
 
-def _truncation_diagnostics(u_op, L):
-    """Open-boundary compression snapshot; never index-grade, diagnostics only."""
-    t = (u_op + ops.identity(u_op.fiber_dim)).truncate(max(L, u_op.band_radius))
-    svals = np.linalg.svd(t.matrix, compute_uv=False)
-    return {
-        "window_halfwidth": t.window_halfwidth,
-        "warn_bulk_clipped": bool(t.warn_bulk_clipped),
-        "smallest_singular_values_u_plus_one": [float(s) for s in svals[-5:]],
-    }
-
-
 def run_index_report(scenario):
     """Build the model and produce its full report; returns (dict, exit_code)."""
     tol = scenario.tolerances
@@ -139,9 +126,6 @@ def run_index_report(scenario):
     body["tolerances"] = tol.to_dict()
     if scenario.seed is not None:
         body["seed"] = scenario.seed
-    if scenario.truncation_L is not None and scenario.is_lattice():
-        u_op = model.u if isinstance(model, ChiralPair) else model
-        body["truncation_diagnostics"] = _truncation_diagnostics(u_op, scenario.truncation_L)
     return body, code
 
 

@@ -128,6 +128,13 @@ def cmd_spectrum(args):
     return 0
 
 
+def non_negative_int(text):
+    """argparse type of the count options: a negative count is a usage error."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _add_common_flags(parser, suppress=False):
     default = argparse.SUPPRESS if suppress else None
     parser.add_argument("--rank-tol", dest="rank_tol", type=float, default=default,
@@ -176,8 +183,8 @@ def build_parser():
     p_verify = subparser("verify", "run the randomized identity suites")
     p_verify.add_argument("suite", nargs="?", default="all",
                           choices=("finite", "lattice", "all"))
-    p_verify.add_argument("--trials", type=int, default=None)
-    p_verify.add_argument("--models", type=int, default=None)
+    p_verify.add_argument("--trials", type=non_negative_int, default=None)
+    p_verify.add_argument("--models", type=non_negative_int, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_spectrum = subparser("spectrum", "sampled symbol eigenvalues as CSV")

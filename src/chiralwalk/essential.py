@@ -179,7 +179,7 @@ class DichotomyReport:
     margin: float
 
     @property
-    def holds(self):
+    def holds(self):   # on the infinite lattice one of || G0 -+ G1 ||_ess must reach 1
         return max(self.norm_difference, self.norm_sum) >= 1.0 - self.margin
 
     def to_dict(self):
@@ -199,11 +199,6 @@ class UnitaryCertification:
     dichotomy: DichotomyReport   # meaningful when U = G0 G1 is a chiral pair
 
 
-def _gaps(u):
-    loops, samples = _unitary_symbols(u)
-    return _gap(loops, samples, 1.0), _gap(loops, samples, -1.0)
-
-
 def _fredholm(gap_plus, gap_minus, margin):
     return FredholmTypeCertification(
         minus=_norm_certification(gap_minus, margin), plus=_norm_certification(gap_plus, margin)
@@ -216,7 +211,8 @@ def _dichotomy(fred, margin):
 
 def certify_unitary(u, *, margin=DEFAULT_MARGIN):
     """Gaps at +-1, Fredholm type and dichotomy of a unitary from its two gaps."""
-    gap_plus, gap_minus = _gaps(u)
+    loops, samples = _unitary_symbols(u)
+    gap_plus, gap_minus = _gap(loops, samples, 1.0), _gap(loops, samples, -1.0)
     fred = _fredholm(gap_plus, gap_minus, margin)
     return UnitaryCertification(
         gap_plus=_gap_certification(gap_plus, margin),
@@ -224,11 +220,6 @@ def certify_unitary(u, *, margin=DEFAULT_MARGIN):
         fredholm=fred,
         dichotomy=_dichotomy(fred, margin),
     )
-
-
-def is_fredholm_type(u, *, margin=DEFAULT_MARGIN):
-    """Certify || 1 -+ U ||_ess < 2 for a unitary lattice operator."""
-    return _fredholm(*_gaps(u), margin)
 
 
 def gap_at(u, target, *, margin=DEFAULT_MARGIN):
@@ -241,11 +232,6 @@ def gap_at(u, target, *, margin=DEFAULT_MARGIN):
     if target not in (1, -1, 1.0, -1.0):
         raise ChiralwalkError("target must be +1 or -1")
     return _gap_certification(_gap(*_unitary_symbols(u), float(target)), margin)
-
-
-def dichotomy_check(pair, *, margin=DEFAULT_MARGIN):
-    """On the infinite lattice one of || G0 -+ G1 ||_ess must reach 1."""
-    return _dichotomy(_fredholm(*_gaps(pair.u), margin), margin)
 
 
 def symbol_eigenvalues(u, grid_n=DEFAULT_GRID_N):

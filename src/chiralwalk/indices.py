@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import PreconditionError
+from .walks import build_generator_walk
 
 DEFAULT_RANK_TOL = 1e-8
 _RANK_FLOOR = 1e-12        # absolute floor: a numerically-zero matrix stays all kernel
@@ -305,26 +306,6 @@ def pair_index_trace(p0, p1, m=0):
 
 
 @dataclass
-class AdditivityReport:
-    ind_01: int
-    ind_12: int
-    ind_02: int
-
-    @property
-    def holds(self):
-        return self.ind_01 + self.ind_12 == self.ind_02
-
-
-def pair_index_additivity_check(p0, p1, p2, rank_tol=DEFAULT_RANK_TOL):
-    """Ind(P0,P1) + Ind(P1,P2) = Ind(P0,P2), unconditional in finite dimension."""
-    return AdditivityReport(
-        ind_01=pair_index(p0, p1, rank_tol),
-        ind_12=pair_index(p1, p2, rank_tol),
-        ind_02=pair_index(p0, p2, rank_tol),
-    )
-
-
-@dataclass
 class KernelDecompositionReport:
     dim_ker_u_plus_one: int
     dim_ker_u_minus_one: int
@@ -441,21 +422,12 @@ def generator_index(hamiltonian, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION
     """Graded signature of Ker(H), cross-checked against si_plus(e^{i pi H}).
 
     H must be self-adjoint and anticommute with gamma0; ||H|| > 1 is
-    flattened to H(1 + H^2)^(-1/2) first (same kernel).
+    flattened to H(1 + H^2)^(-1/2) first (same kernel), by ``build_generator_walk``.
     """
-    h = _as_complex(hamiltonian)
     g = check_selfadjoint_unitary(gamma0, tol)
-    if np.abs(h - h.conj().T).max() > tol:
-        raise PreconditionError("generator must be self-adjoint")
-    if np.abs(g @ h + h @ g).max() > tol:
-        raise PreconditionError("generator must anticommute with Gamma0")
-    evals, vecs = np.linalg.eigh(h)
-    if evals.size and np.abs(evals).max() > 1.0 + 1e-12:
-        evals = evals / np.sqrt(1.0 + evals**2)
-        h = (vecs * evals) @ vecs.conj().T
-    index = kernel_basis(h, rank_tol, g).graded_signature
-    walk = (vecs * np.exp(1j * np.pi * evals)) @ vecs.conj().T
-    si_plus, _ = symmetry_index_pm(walk, g, rank_tol, tol)
+    walk = build_generator_walk(_as_complex(hamiltonian), g, tol)
+    index = kernel_basis(walk.hamiltonian, rank_tol, g).graded_signature
+    si_plus, _ = symmetry_index_pm(walk.walk_exp, g, rank_tol, tol)
     if si_plus != index:
         raise PreconditionError(
             f"generator index {index} disagrees with si_plus(e^(i pi H)) = {si_plus}; "

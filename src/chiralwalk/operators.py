@@ -291,19 +291,6 @@ class SymbolLoop:
                 out[k] = out[k] + a @ b if k in out else a @ b
         return SymbolLoop._derived(self.fiber_dim, out)
 
-    def __add__(self, other):
-        return self._combined(other, np.add)
-
-    def _combined(self, other, op):
-        if not isinstance(other, SymbolLoop):
-            return NotImplemented
-        if self.fiber_dim != other.fiber_dim:
-            raise DimensionMismatchError("fiber dimensions differ")
-        out = dict(self.coefficients)
-        for n, m in other.coefficients.items():
-            out[n] = op(out[n], m) if n in out else op(0, m)
-        return SymbolLoop._derived(self.fiber_dim, out)
-
     def __repr__(self):
         return f"SymbolLoop(d={self.fiber_dim}, offsets={self.offsets()})"
 

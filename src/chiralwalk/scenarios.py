@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,19 +84,20 @@ class Tolerances:
     margin: float = 1e-6
 
     def __post_init__(self):
-        if self.rank_tol <= 0 or self.grid_n <= 0 or self.margin <= 0:
-            raise ScenarioError("tolerances must be positive")
+        if not all(0 < v < math.inf for v in (self.rank_tol, self.grid_n, self.margin)):
+            raise ScenarioError("tolerances must be positive and finite")   # NaN fails 0 < v
 
     @classmethod
     def from_doc(cls, doc, overrides=None):
         doc = dict(doc or {})
         _reject_unknown(doc, {"rank_tol", "grid_n", "margin"}, "tolerances")
         merged = {**doc, **{k: v for k, v in (overrides or {}).items() if v is not None}}
-        return cls(
-            rank_tol=float(merged.get("rank_tol", 1e-8)),
-            grid_n=int(merged.get("grid_n", 4096)),
-            margin=float(merged.get("margin", 1e-6)),
-        )
+        try:
+            values = (float(merged.get("rank_tol", 1e-8)), int(merged.get("grid_n", 4096)),
+                      float(merged.get("margin", 1e-6)))
+        except (TypeError, ValueError, OverflowError) as exc:   # e.g. grid_n NaN or Infinity
+            raise ScenarioError(f"tolerances: {exc}") from exc
+        return cls(*values)
 
     def to_dict(self):
         return {"rank_tol": self.rank_tol, "grid_n": self.grid_n, "margin": self.margin}
@@ -106,14 +108,13 @@ class Scenario:
     model: str
     params: dict
     tolerances: Tolerances = field(default_factory=Tolerances)
-    truncation_L: int | None = None
     seed: int | None = None
 
     @classmethod
     def from_doc(cls, doc, tolerance_overrides=None):
         if not isinstance(doc, dict):
             raise ScenarioError("scenario must be a JSON object")
-        _reject_unknown(doc, {"model", "params", "tolerances", "truncation_L", "seed"}, "scenario")
+        _reject_unknown(doc, {"model", "params", "tolerances", "seed"}, "scenario")
         model = doc.get("model")
         if model not in MODELS:
             raise ScenarioError(f"model must be one of {MODELS}, got {model!r}")
@@ -121,7 +122,6 @@ class Scenario:
             model=model,
             params=doc.get("params", {}),
             tolerances=Tolerances.from_doc(doc.get("tolerances"), tolerance_overrides),
-            truncation_L=None if doc.get("truncation_L") is None else int(doc["truncation_L"]),
             seed=None if doc.get("seed") is None else int(doc["seed"]),
         )
 

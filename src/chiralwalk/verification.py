@@ -338,7 +338,7 @@ def dichotomy_suite(seed=6, models=200):
     result = SuiteResult("dichotomy", models, 0)
     for k in range(models):
         pair = random_split_step(rng)
-        report = essential.dichotomy_check(pair)
+        report = essential.certify_unitary(pair.u).dichotomy
         result.record(report.holds, f"model {k}: {report.to_dict()}")
     return result
 
@@ -376,7 +376,7 @@ def index_theorem_suite(seed=7, models=20):
         p_left = int(rng.integers(-2, 3))
         p_right = int(rng.integers(-2, 3))
         f_op = interpolating_shift_model(rng, p_left, p_right)
-        record = winding.verify_index_theorem(f_op)
+        record = winding.verify_index_theorem_banded(f_op)
         branch = record.branches[0]
         expected = p_right - p_left
         result.trials += 1

@@ -21,6 +21,7 @@ from .operators import BandedAnisotropicOperator, CoefficientFunction, circle_gr
 
 NORMALIZATION_TOL = 1e-12
 CHIRAL_TOL = 1e-10
+SYMBOL_POINTS = 64         # circle points on which the limit residuals are evaluated
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ class ChiralCertification:
         }
 
 
-def verify_chiral_parts(gamma0, gamma1, u=None, n_symbol_points=64):
+def verify_chiral_parts(gamma0, gamma1, u=None):
     """Deviations of the defining relations, on band coefficients and on symbols.
 
     The coefficient part is the largest entry of each residual, limits
@@ -134,7 +135,7 @@ def verify_chiral_parts(gamma0, gamma1, u=None, n_symbol_points=64):
     of the residuals and include a pure-limit row on each side.  The
     symbol part reads the limit Laurent coefficients off those two
     pure-limit rows (row block s, column block s - k holds the coefficient
-    of z^k) and evaluates all twelve limit residuals on n_symbol_points
+    of z^k) and evaluates all twelve limit residuals on SYMBOL_POINTS
     circle points at once, so a residual whose limit coefficients vanish
     exactly reads 0.0.
     window_halfwidth is R plus the largest |lo|, |hi| of the inputs' bulk
@@ -168,7 +169,7 @@ def verify_chiral_parts(gamma0, gamma1, u=None, n_symbol_points=64):
     limit_rows = np.array([[radius], [n_sites - 1 - radius]])
     limits = np.stack([r.reshape(n_sites, d, n_sites, d)[limit_rows, :, limit_rows - ks]
                        for r in residuals.values()])   # (residual, side, k, d, d)
-    values = np.einsum("jk,eskab->esjab", circle_grid(n_symbol_points)[:, None] ** ks, limits)
+    values = np.einsum("jk,eskab->esjab", circle_grid(SYMBOL_POINTS)[:, None] ** ks, limits)
     sym = dict(zip(residuals, np.abs(values).max(axis=(1, 2, 3, 4)).tolist()))
     return ChiralCertification(
         gamma0_selfadjoint=max(coeff["g0_sa"], sym["g0_sa"]),
@@ -181,10 +182,6 @@ def verify_chiral_parts(gamma0, gamma1, u=None, n_symbol_points=64):
         window_halfwidth=radius + max(abs(lo), abs(hi)) + 4,
         symbol_sups=sym,
     )
-
-
-def verify_chiral(pair, n_symbol_points=64):
-    return verify_chiral_parts(pair.gamma0, pair.gamma1, pair.u, n_symbol_points)
 
 
 def build_gamma0(c, d_coin, n=1):

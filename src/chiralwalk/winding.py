@@ -7,10 +7,11 @@ no grid; each winding set is one stacked solve, bitwise equal to
 per-polynomial np.roots.  A root whose transfer eigenvalue
 1/z lies within CIRCLE_MARGIN of the circle, the band in which the
 transfer oracle refuses, raises NotFredholmError; otherwise the smallest
-||z| - 1| over the roots is the winding's decision margin.  nc_winding
-is the determinant winding over the fiber dimension, and
-compressed_winding is the winding of the imaginary part of a chiral
-symbol compressed between the graded halves of one grading.
+||z| - 1| over the roots is the winding's decision margin.  A chiral
+branch counts the roots of the imaginary part of a chiral symbol
+compressed between the graded halves of one grading
+(``chiral_imaginary_block_symbol``), a scalar loop whose determinant is
+itself.
 
 Orientation: throughout the package, kernel-count indices are oriented
 so that an operator equal to 1 far to the left and to the forward shift
@@ -63,15 +64,6 @@ def _windings(loops):
 def winding_det(loop):
     """Winding number of det(loop): roots inside the unit disk plus the order at 0."""
     return next(_windings([loop]))
-
-
-def nc_winding(loop):
-    """Normalized-trace winding (1/2 pi i) * integral of tau(F^-1 F') dz.
-
-    tau is the matrix trace over the fiber dimension d, so the integral
-    is the determinant winding over d: an exact Fraction.
-    """
-    return Fraction(winding_det(loop).rounded, loop.fiber_dim)
 
 
 # --- compressed chiral blocks ------------------------------------------------
@@ -142,15 +134,6 @@ def chiral_imaginary_block_symbol(pair, grading, side):
     return ops.SymbolLoop(
         1, {m + k_minus - k_plus: v_minus.conj() @ c @ v_plus for m, c in block.items()}
     )
-
-
-def compressed_winding(pair, grading, side):
-    """Winding of the compressed Im(u) block of one side, by counting roots.
-
-    The block is a scalar Laurent loop (``chiral_imaginary_block_symbol``),
-    so its determinant is itself; see ``winding_det``.
-    """
-    return winding_det(chiral_imaginary_block_symbol(pair, grading, side))
 
 
 # --- the double-sided comparison ---------------------------------------------
@@ -255,7 +238,8 @@ def verify_index_theorem_chiral(pair, rank_tol=1e-8, kernels=None):
         imaginary_block:  -(si_plus + si_minus) = W0,
 
     with W the right-minus-left winding of Im(u) compressed between the
-    grading's -1 and +1 frames (``compressed_winding``).  Only gradings
+    grading's -1 and +1 frames (``chiral_imaginary_block_symbol``), each
+    side counted by ``winding_det``.  Only gradings
     of the split-step form are accepted; see ``_closed_frames``.
     ``kernels`` optionally passes the graded kernels of U + 1 and U - 1,
     already computed with the same ``rank_tol``, so that they are not
@@ -296,10 +280,3 @@ def verify_index_theorem_chiral(pair, rank_tol=1e-8, kernels=None):
     record.dim_ker_u_plus_one = ker_minus.dimension
     record.dim_ker_u_minus_one = ker_plus.dimension
     return record
-
-
-def verify_index_theorem(target, *, rank_tol=1e-8):
-    """Dispatch on ChiralPair vs plain banded operator."""
-    if hasattr(target, "gamma0") and hasattr(target, "u"):
-        return verify_index_theorem_chiral(target, rank_tol)
-    return verify_index_theorem_banded(target, rank_tol=rank_tol)

@@ -19,7 +19,7 @@ import numpy as np
 from chiralwalk import essential, operators as ops, transfer, winding
 from chiralwalk.exceptions import NotFredholmError, PreconditionError
 from chiralwalk.verification import split_step_from_angles
-from chiralwalk.walks import CHIRAL_TOL
+from chiralwalk.walks import CHIRAL_TOL, SYMBOL_POINTS
 
 
 @functools.cache
@@ -132,9 +132,8 @@ def certify_unitary(u, margin=essential.DEFAULT_MARGIN):
 def sandwich(loop, n):
     """Coefficients of D^* loop D, D(z) = diag(1, z^n), as the Laurent product
     (D^* loop) D of SymbolLoops."""
-    d_loop = ops.SymbolLoop(2, {0: np.diag([1.0, 0.0])}) + ops.SymbolLoop(
-        2, {n: np.diag([0.0, 1.0])}
-    )
+    d_loop = ops.SymbolLoop(2, {0: np.diag([1.0, 0.0]), n: np.diag([0.0, 1.0])}
+                            if n else {0: np.eye(2)})
     return (d_loop.hermitian_conjugate() * loop * d_loop).coefficients
 
 
@@ -232,10 +231,10 @@ def symbol_residuals(gamma0, gamma1, u, side):
     }
 
 
-def symbol_sups(gamma0, gamma1, u, n_points=64):
-    """{residual: (sup over both limit symbols on n_points circle points,
+def symbol_sups(gamma0, gamma1, u):
+    """{residual: (sup over both limit symbols on SYMBOL_POINTS circle points,
     whether both limit symbols vanish exactly)}."""
-    zs = ops.circle_grid(n_points)
+    zs = ops.circle_grid(SYMBOL_POINTS)
     sides = [symbol_residuals(gamma0, gamma1, u, side) for side in (ops.LEFT, ops.RIGHT)]
     return {k: (max(float(np.abs(s[k](zs)).max()) for s in sides),
                 not any(s[k].coefficients for s in sides)) for k in sides[0]}

@@ -47,6 +47,10 @@ class TestScenarioParsing:
         doc["unexpected"] = 1
         with pytest.raises(ScenarioError, match="unexpected"):
             Scenario.from_doc(doc)
+        # the open-boundary truncation snapshot is no longer part of the schema
+        doc = {**gapped_scenario(), "truncation_L": 12}
+        with pytest.raises(ScenarioError, match="unknown key.*truncation_L"):
+            Scenario.from_doc(doc)
 
     def test_unknown_param_rejected(self):
         doc = gapped_scenario()
@@ -64,6 +68,17 @@ class TestScenarioParsing:
         doc["tolerances"]["rank_tol"] = -1.0
         with pytest.raises(ScenarioError):
             Scenario.from_doc(doc)
+
+    @pytest.mark.parametrize("key", ["rank_tol", "grid_n", "margin"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_tolerances_rejected(self, key, value, tmp_path):
+        # json.dump writes NaN and Infinity literals, and json.load reads them back
+        doc = gapped_scenario()
+        doc["tolerances"][key] = value
+        path = write_json(tmp_path / "s.json", doc)
+        with pytest.raises(ScenarioError, match="tolerances"):
+            Scenario.load(path)
+        assert main(["index", path]) == 1
 
     def test_table_profile(self):
         doc = gapped_scenario()
@@ -344,6 +359,27 @@ class TestCliCommands:
         si_plus = [row[header.index("si_plus")] for row in rows]
         assert status == ["certified", "certified", "refuted", "certified", "certified"]
         assert si_plus == ["0", "0", "", "1", "1"]
+
+    @pytest.mark.parametrize("flag", ["--rank-tol", "--margin"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_index_non_finite_tolerance_flag_exits_one(self, flag, value, tmp_path, capsys):
+        # a NaN rank tolerance used to report si_plus = 0 and exit 0
+        path = write_json(tmp_path / "s.json", gapped_scenario())
+        out = tmp_path / "r.json"
+        assert main(["index", path, flag, value, "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "finite", "--trials", "-3"],
+        ["verify", "lattice", "--models", "-2"],
+    ])
+    def test_verify_negative_counts_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert "must not be negative" in captured.err and "PASS" not in captured.out
 
     def test_verify_zero_trials_vacuous(self, capsys):
         assert main(["verify", "finite", "--trials", "0"]) == 0

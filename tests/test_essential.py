@@ -96,18 +96,18 @@ def reference_symbol_eigenvalues(u, grid_n):
 
 class TestFredholmType:
     def test_identity_certified_against_one(self):
-        cert = essential.is_fredholm_type(identity(2))
+        cert = essential.certify_unitary(identity(2)).fredholm
         assert cert.minus.status == "certified" and cert.minus.value == 0.0
         assert cert.plus.status == "refuted" and abs(cert.plus.value - 2.0) < 1e-12
 
     def test_minus_identity_refuted(self):
-        cert = essential.is_fredholm_type(identity(2).scaled(-1.0))
+        cert = essential.certify_unitary(identity(2).scaled(-1.0)).fredholm
         assert cert.minus.status == "refuted"
         assert cert.plus.status == "certified"
 
     def test_trivial_walk_both_gaps(self):
         pair = split_step_from_angles(0.2, 0.2, 1.4)
-        cert = essential.is_fredholm_type(pair.u)
+        cert = essential.certify_unitary(pair.u).fredholm
         assert cert.minus.certified or cert.minus.status == "inconclusive"
 
 
@@ -142,13 +142,13 @@ class TestGapAt:
 class TestDichotomy:
     def test_equal_gammas(self):
         pair = split_step_from_angles(0.3, 0.3, 0.3)
-        report = essential.dichotomy_check(pair)
+        report = essential.certify_unitary(pair.u).dichotomy
         assert report.holds
 
     def test_random_pairs_never_violate(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
-            assert essential.dichotomy_check(random_split_step(rng)).holds
+            assert essential.certify_unitary(random_split_step(rng).u).dichotomy.holds
 
 
 class TestSpectrumDump:
@@ -202,18 +202,15 @@ class TestSymbolSpectrum:
             assert abs(cert.value - np.sqrt(max(4.0 - gap.value**2, 0.0))) < 1e-15
         diff, _ = reference_sweep(pair.gamma0 - pair.gamma1, grid_n, np.max)
         total, _ = reference_sweep(pair.gamma0 + pair.gamma1, grid_n, np.max)
-        for report in (certs.dichotomy, essential.dichotomy_check(pair)):
-            assert report.norm_difference >= diff - 1e-12
-            assert report.norm_sum >= total - 1e-12
-            assert report.holds
+        assert certs.dichotomy.norm_difference >= diff - 1e-12
+        assert certs.dichotomy.norm_sum >= total - 1e-12
+        assert certs.dichotomy.holds
 
     def test_entry_points_agree_with_certify_unitary(self):
         pair = random_split_step(np.random.default_rng(5))
         certs = essential.certify_unitary(pair.u)
         assert essential.gap_at(pair.u, +1) == certs.gap_plus
         assert essential.gap_at(pair.u, -1) == certs.gap_minus
-        assert essential.is_fredholm_type(pair.u) == certs.fredholm
-        assert essential.dichotomy_check(pair) == certs.dichotomy
 
     def test_symbol_eigenvalues_bitwise_equal_to_per_point_reference(self):
         rng = np.random.default_rng(8)
@@ -229,8 +226,6 @@ class TestSymbolSpectrum:
     def test_non_unitary_symbol_raises(self, op):
         with pytest.raises(PreconditionError):
             essential.gap_at(op, +1)
-        with pytest.raises(PreconditionError):
-            essential.is_fredholm_type(op)
         with pytest.raises(PreconditionError):
             essential.certify_unitary(op)
         # the spectrum dump carries no unitarity precondition
@@ -327,7 +322,6 @@ class TestLevelSet:
         for call in (
             lambda: essential.certify_unitary(u, 256),
             lambda: essential.gap_at(u, 1, 256),
-            lambda: essential.is_fredholm_type(u, 256),
         ):
             with pytest.raises(TypeError):
                 call()

@@ -11,6 +11,7 @@ from chiralwalk.verification import (
     random_unitary,
     structured_chiral_pair,
 )
+from chiralwalk.walks import build_generator_walk
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA3 = np.diag([1.0, -1.0])
@@ -212,9 +213,9 @@ class TestPairIndex:
         rng = np.random.default_rng(4)
         p0 = random_projection(rng, 7)
         p1 = random_projection(rng, 7)
-        report = indices.pair_index_additivity_check(p0, p1, p0)
-        assert report.holds and report.ind_02 == 0
-        assert report.ind_01 == -report.ind_12
+        ind_01, ind_10 = indices.pair_index(p0, p1), indices.pair_index(p1, p0)
+        assert indices.pair_index(p0, p0) == 0
+        assert ind_01 == -ind_10
 
 
 class TestKernelStructure:
@@ -325,6 +326,23 @@ class TestGeneratorIndex:
             n = int(rng.integers(1, 6))
             h, g0, expected = random_chiral_hamiltonian(rng, m, n)
             assert indices.generator_index(h, g0) == expected
+
+    def test_large_norm_flattened_as_the_walk_is(self):
+        rng = np.random.default_rng(17)
+        flattened = 0
+        for _ in range(10):
+            m, n = (int(k) for k in rng.integers(1, 5, size=2))
+            h, g0, expected = random_chiral_hamiltonian(rng, m, n, norm_cap=4.0)
+            walk = build_generator_walk(h, g0)
+            assert walk.regularized == (np.linalg.norm(h, 2) > 1.0)
+            flattened += walk.regularized
+            si_plus, _ = indices.symmetry_index_pm(walk.walk_exp, g0)
+            assert indices.generator_index(h, g0) == si_plus == expected
+        assert flattened >= 5
+
+    def test_not_anticommuting_names_gamma0(self):
+        with pytest.raises(PreconditionError, match="anticommute with gamma0"):
+            indices.generator_index(np.eye(2), SIGMA3)
 
 
 class TestFullReport:

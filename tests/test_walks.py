@@ -8,6 +8,7 @@ from chiralwalk.operators import CoefficientFunction, circle_grid
 from chiralwalk.verification import random_unitary, split_step_from_angles
 from chiralwalk.walks import (
     CHIRAL_TOL,
+    SYMBOL_POINTS,
     ChiralPair,
     SplitStepParams,
     build_gamma0,
@@ -15,7 +16,6 @@ from chiralwalk.walks import (
     build_generator_walk,
     build_walk,
     build_weighted_shift_walk,
-    verify_chiral,
     verify_chiral_parts,
 )
 
@@ -89,8 +89,7 @@ class TestBuildWalk:
 
     def test_step_profile_walk_validates(self):
         pair = split_step_from_angles(0.0, 1.2, 0.7)
-        record = verify_chiral(pair)
-        assert record.max_deviation < 1e-10
+        assert pair.certification.max_deviation < 1e-10
 
     def test_chiral_relation_on_all_outputs(self):
         rng = np.random.default_rng(4)
@@ -130,7 +129,7 @@ class TestBuildWalk:
                     remaining.pop(j)
 
 
-def banded_residual_deviations(g0, g1, u, n_symbol_points=64):
+def banded_residual_deviations(g0, g1, u):
     """Oracle: the six residuals in banded algebra, entry_sup and limit symbols."""
     one = ops.identity(g0.fiber_dim)
     residuals = {
@@ -141,7 +140,7 @@ def banded_residual_deviations(g0, g1, u, n_symbol_points=64):
         "chiral": g0 @ u @ g0 - u.adjoint(),
         "u_unitary": u.adjoint() @ u - one,
     }
-    zs = circle_grid(n_symbol_points)
+    zs = circle_grid(SYMBOL_POINTS)
     sym = {
         k: max(float(np.abs(r.symbol_at(side)(zs)).max()) for side in (ops.LEFT, ops.RIGHT))
         for k, r in residuals.items()

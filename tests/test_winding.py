@@ -102,7 +102,8 @@ def reference(pair, side, grid_n, cayley_sign=None, gauge=None, grading="gamma0"
 
 
 def root_count(pair, side, grading="gamma0"):
-    return winding.compressed_winding(pair, getattr(pair, grading), side).rounded
+    block = winding.chiral_imaginary_block_symbol(pair, getattr(pair, grading), side)
+    return winding.winding_det(block).rounded
 
 
 def reference_nc_winding(loop, grid_n=4096):
@@ -192,16 +193,16 @@ class TestNcWinding:
     def test_monomial_identity_fiber(self):
         for d in (1, 2, 3):
             loop = SymbolLoop(d, {1: np.eye(d)})
-            assert winding.nc_winding(loop) == Fraction(1)
+            assert Fraction(winding.winding_det(loop).rounded, d) == Fraction(1)
 
     def test_opposite_windings_cancel(self):
         loop = SymbolLoop(2, {1: np.diag([1.0, 0.0]), -1: np.diag([0.0, 1.0])})
-        assert winding.nc_winding(loop) == Fraction(0)
+        assert Fraction(winding.winding_det(loop).rounded, 2) == Fraction(0)
 
     def test_fractional_value(self):
         # diag(z, 1, 1): det winding 1 over fiber 3
         loop = SymbolLoop(3, {1: np.diag([1.0, 0.0, 0.0]), 0: np.diag([0.0, 1.0, 1.0])})
-        assert winding.nc_winding(loop) == Fraction(1, 3)
+        assert Fraction(winding.winding_det(loop).rounded, 3) == Fraction(1, 3)
 
     def test_matches_det_oracle_random(self):
         rng = np.random.default_rng(4)
@@ -211,8 +212,7 @@ class TestNcWinding:
                       for n in (-1, 0, 1)}
             coeffs[shift] = coeffs[shift] + 2.0 * np.eye(3)
             loop = SymbolLoop(3, coeffs)
-            value = winding.nc_winding(loop)
-            assert value == Fraction(winding.winding_det(loop).rounded, 3)
+            value = Fraction(winding.winding_det(loop).rounded, 3)
             assert abs(reference_nc_winding(loop) - float(value)) < 1e-8
 
 
@@ -244,7 +244,7 @@ class TestFlatBandLoop:
         pair = split_step_from_angles(0.0, 0.0, 0.0)  # identity walk: Im(u) vanishes
         for grading in (pair.gamma0, pair.gamma1):
             with pytest.raises(NotFredholmError):
-                winding.compressed_winding(pair, grading, ops.RIGHT)
+                winding.winding_det(winding.chiral_imaginary_block_symbol(pair, grading, ops.RIGHT))
         with pytest.raises(NotFredholmError):
             winding.verify_index_theorem_chiral(pair)
         with pytest.raises(PreconditionError):
@@ -350,7 +350,7 @@ class TestBatchedLoops:
                 assert samples.shape == (129, 2, 2)
                 assert reference_winding(samples, hol_plus, hol_minus)[0] == parts_sum
             with pytest.raises(PreconditionError):
-                winding.compressed_winding(pair, pair.gamma0, side)
+                winding.winding_det(winding.chiral_imaginary_block_symbol(pair, pair.gamma0, side))
 
     def test_transport_guard_on_coarse_grid(self):
         # grading [[0, z^4], [z^-4, 0]] on 8 points: the eigenframes of
@@ -368,7 +368,7 @@ class TestBatchedLoops:
                 reference_loop(pair, ops.RIGHT, 8, cayley_sign)
         reference(pair, ops.RIGHT, 64, 1)
         with pytest.raises(PreconditionError):
-            winding.compressed_winding(pair, pair.gamma0, ops.RIGHT)
+            winding.winding_det(winding.chiral_imaginary_block_symbol(pair, pair.gamma0, ops.RIGHT))
 
     def test_gap_closing_at_one_momentum_rejected(self):
         # theta1 = theta2 on the right closes the gap at +1 only at z = 1
@@ -382,13 +382,13 @@ class TestBatchedLoops:
                 reference_loop(pair, ops.RIGHT, 64, cayley_sign)
         for grading in (pair.gamma0, pair.gamma1):
             with pytest.raises(NotFredholmError, match="margin of the unit circle"):
-                winding.compressed_winding(pair, grading, ops.RIGHT)
+                winding.winding_det(winding.chiral_imaginary_block_symbol(pair, grading, ops.RIGHT))
         assert reference(pair, ops.LEFT, 64, 1) == root_count(pair, ops.LEFT)
 
 
 class TestIndexTheorem:
     def test_translation_invariant_trivial(self):
-        record = winding.verify_index_theorem(ops.shift_power(1, 1))
+        record = winding.verify_index_theorem_banded(ops.shift_power(1, 1))
         branch = record.branches[0]
         assert branch.lhs_index == 0
         assert branch.winding_left == branch.winding_right == 1
@@ -397,7 +397,7 @@ class TestIndexTheorem:
     def test_half_defect(self):
         rng = np.random.default_rng(6)
         op = interpolating_shift_model(rng, 0, 1, noise_sites=0)
-        record = winding.verify_index_theorem(op)
+        record = winding.verify_index_theorem_banded(op)
         branch = record.branches[0]
         assert branch.lhs_index == 1
         assert branch.winding_right - branch.winding_left == 1
@@ -409,25 +409,22 @@ class TestIndexTheorem:
             p_left = int(rng.integers(-2, 3))
             p_right = int(rng.integers(-2, 3))
             op = interpolating_shift_model(rng, p_left, p_right)
-            record = winding.verify_index_theorem(op)
+            record = winding.verify_index_theorem_banded(op)
             assert record.holds
             assert record.branches[0].lhs_index == p_right - p_left
 
     def test_stale_positional_grid_rejected(self):
         loop = SymbolLoop(1, {1: scalar(1.0)})
         for call in (
-            lambda: winding.verify_index_theorem(ops.shift_power(1, 1), 4096),
-            lambda: winding.verify_index_theorem(split_step_from_angles(2.8, 0.4, 1.2), 512),
             lambda: winding.verify_index_theorem_banded(ops.shift_power(1, 1), 4096),
             lambda: winding.winding_det(loop, 256),
-            lambda: winding.nc_winding(loop, 4096),
         ):
             with pytest.raises(TypeError):
                 call()
 
     def test_chiral_pair_branches_consistent(self):
         pair = split_step_from_angles(2.8, 0.4, 1.2)
-        record = winding.verify_index_theorem(pair)
+        record = winding.verify_index_theorem_chiral(pair)
         assert record.holds
         assert record.si_plus == -1 and record.si_minus == 1
         assert [b.name for b in record.branches] == ["gamma1_graded", "imaginary_block"]
@@ -439,7 +436,7 @@ class TestIndexTheorem:
 
     def test_double_shift_walk_reaches_higher_indices(self):
         pair = split_step_from_angles(1.28, 0.14, 0.15, shift_exponent=2)
-        record = winding.verify_index_theorem(pair)
+        record = winding.verify_index_theorem_chiral(pair)
         assert record.holds
         assert record.si_plus == -2 and record.si_minus == 0
         branch = record.branch("imaginary_block")
@@ -449,7 +446,7 @@ class TestIndexTheorem:
         # single-site defect on an anisotropic walk: transfer signatures and
         # the winding difference agree on the total class
         pair = split_step_from_angles(0.0, 1.0, 0.3, defects={0: 2.4})
-        record = winding.verify_index_theorem(pair)
+        record = winding.verify_index_theorem_chiral(pair)
         assert record.holds
         branch = record.branch("imaginary_block")
         total = record.si_plus + record.si_minus
@@ -541,7 +538,7 @@ class TestRootCounts:
         # the identity factors trivially (n = 0) but has no -1 eigenframe
         pair = split_step_from_angles(2.8, 0.4, 1.2)
         with pytest.raises(PreconditionError, match="signature 0"):
-            winding.compressed_winding(pair, ops.identity(2), ops.LEFT)
+            winding.chiral_imaginary_block_symbol(pair, ops.identity(2), ops.LEFT)
 
 
 def outcome(call):
