@@ -129,7 +129,7 @@ def cmd_spectrum(args):
 
 
 def non_negative_int(text):
-    """argparse type of the count options: a negative count is a usage error."""
+    """argparse type of the counts and the seed: a negative value is a usage error."""
     if (value := int(text)) < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
     return value
@@ -144,7 +144,8 @@ def _add_common_flags(parser, suppress=False):
                              "certifications and windings use no grid")
     parser.add_argument("--margin", type=float, default=default,
                         help="certification margin (default 1e-6)")
-    parser.add_argument("--seed", type=int, default=default, help="randomized-suite seed")
+    parser.add_argument("--seed", type=non_negative_int, default=default,
+                        help="randomized-suite seed")
     parser.add_argument("--out", default=default, help="write output to this file")
     parser.add_argument("--format", choices=("json", "csv"), default=default,
                         help="report format; verify writes text and rejects it")

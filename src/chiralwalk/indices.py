@@ -11,12 +11,14 @@ raises instead of silently averaging).
 U - 1 and U + 1 are factored once per call, by one stacked full SVD
 (``_unit_svd``): its right singular vectors give the kernels behind
 si+-, its left singular vectors the ranges on which the Cayley
-transforms of U and -U are taken.
+transforms of U and -U are taken.  Gamma0 is factored once too, by one
+``eigh``: its eigenframes serve Tanaka, SUSY and the pair index, whose
+projection intersections are ranked on the frames of Ran P0 and Ker P0
+(``_intersection_dims``).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,18 +146,20 @@ def kernel_basis(matrix, rank_tol=DEFAULT_RANK_TOL, gamma0=None):
     return summary
 
 
-def _kernel_dims(matrices, rank_tol):
+def _kernel_dims(matrices, rank_tol, scale=None):
     """``kernel_basis(m, rank_tol).dimension`` for one matrix or each of a same-shaped stack.
 
-    Singular values alone, in one call, under ``kernel_basis``'s threshold: a
-    wide matrix keeps its implicit zero singular values.  Python ints out.
+    Singular values alone, in one call, under ``kernel_basis``'s threshold (relative
+    to ``scale`` if given, else to the largest singular value): a wide matrix keeps
+    its implicit zero singular values.  Python ints out.
     """
     m = np.asarray(matrices, dtype=complex)
     rows, cols = m.shape[-2:]
     if rows == 0 or cols == 0:
         return np.full(m.shape[:-2], cols).tolist()
     svals = np.linalg.svd(m, compute_uv=False)
-    return (cols - np.sum(svals >= _rank_threshold(svals, rank_tol), axis=-1)).tolist()
+    ref = svals if scale is None else np.full(svals.shape, scale)
+    return (cols - np.sum(svals >= _rank_threshold(ref, rank_tol), axis=-1)).tolist()
 
 
 def _signature_and_margin(evals):
@@ -188,10 +192,11 @@ def graded_signature(basis, gamma0):
     return _signature_and_margin(evals)[0]
 
 
-def _grading_frames(g):
-    """Orthonormal bases (V_plus, V_minus) of the +-1 eigenspaces of a checked gamma0."""
+def _grading_frames(g, split=0.0):
+    """Orthonormal bases (V_plus, V_minus) of the eigenspaces of a checked gamma0
+    above and below 0, or of a checked projection above and below 1/2 (Ran, Ker)."""
     evals, vecs = np.linalg.eigh(g)
-    return vecs[:, evals > 0], vecs[:, evals < 0]
+    return vecs[:, evals > split], vecs[:, evals < split]
 
 
 def _unit_svd(u):
@@ -264,37 +269,44 @@ def tanaka_index_pm(u, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     return _tanaka_core(u, _grading_frames(g), rank_tol)
 
 
-def _intersections(p0, p1):
-    """Constraints [1-P0; P1], [P0; 1-P1], [1-P0; 1-P1], [P0; P1], built as drawn.
-
-    Their null spaces are Ran P0 ^ Ker P1, Ker P0 ^ Ran P1, Ran P0 ^ Ran P1
-    and Ker P0 ^ Ker P1.
+def _intersection_dims(pairs, rank_tol, count=4):
+    """The first ``count`` of dim(Ran P0 ^ Ker P1), dim(Ker P0 ^ Ran P1), dim(Ran P0 ^ Ran P1)
+    and dim(Ker P0 ^ Ker P1) for each ((V_plus, V_minus), P1) in pairs, V_plus and V_minus
+    orthonormal frames of Ran P0 and Ker P0: the kernel dimensions of P1 V_plus,
+    (1 - P1) V_minus, (1 - P1) V_plus and P1 V_minus, blocks of one shape in one call.
+    The threshold is relative to 1, the norm of a projection: relative to a block's own
+    largest singular value, a block near the intersection in every column would count none.
     """
-    eye = np.eye(p0.shape[0])
-    q0, q1 = eye - p0, eye - p1
-    return (np.vstack(c) for c in ((q0, p1), (p0, q1), (q0, q1), (p0, p1)))
+    blocks = []
+    for (v_plus, v_minus), p1 in pairs:
+        p1_plus, p1_minus = p1 @ v_plus, p1 @ v_minus
+        blocks += (p1_plus, v_minus - p1_minus, v_plus - p1_plus, p1_minus)[:count]
+    dims = {}
+    for shape in {b.shape for b in blocks}:
+        ks = [k for k, b in enumerate(blocks) if b.shape == shape]
+        dims.update(zip(ks, _kernel_dims(np.stack([blocks[k] for k in ks]), rank_tol, 1.0)))
+    return [[dims[k + j] for j in range(count)] for k in range(0, len(blocks), count)]
+
+
+def pair_indices(projections, pairs, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
+    """Ind(P_a, P_b) for each index pair (a, b), in one batched rank count; each
+    projection is checked once (as "P<k>"), each first of a pair factored once."""
+    ps = [check_projection(p, tol, f"P{k}") for k, p in enumerate(projections)]
+    frames = {a: _grading_frames(ps[a], 0.5) for a in {a for a, _ in pairs}}
+    dims = _intersection_dims([(frames[a], ps[b]) for a, b in pairs], rank_tol, count=2)
+    return [ranker - kerran for ranker, kerran in dims]
 
 
 def pair_index(p0, p1, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     """dim(Ran P0 ^ Ker P1) - dim(Ker P0 ^ Ran P1)."""
-    p0 = check_projection(p0, tol, "P0")
-    p1 = check_projection(p1, tol, "P1")
-    plus, minus = _kernel_dims(list(itertools.islice(_intersections(p0, p1), 2)), rank_tol)
-    return plus - minus
+    return pair_indices([p0, p1], [(0, 1)], rank_tol, tol)[0]
 
 
-def _intersection_dims(p0, p1, rank_tol, tol):
-    """Dimensions of the four ``_intersections`` of P0 and P1, checked as
-    projections at ``tol``, in one stacked call."""
-    check_projection(p0, tol, "P0")
-    check_projection(p1, tol, "P1")
-    return _kernel_dims(list(_intersections(p0, p1)), rank_tol)
-
-
-def _pair_indices(dims):
-    """(Ind(P0, P1), Ind(P0, 1 - P1)) from ``_intersection_dims``."""
-    ranker, kerran, ranran, kerker = dims
-    return ranker - kerran, ranran - kerker
+def _graded_intersection_dims(g0, g1, frames, rank_tol, tol):
+    """``_intersection_dims`` of P0 = (1 + G0)/2 and P1 = (1 + G1)/2, checked at ``tol``."""
+    check_projection(0.5 * (np.eye(len(g0)) + g0), tol, "P0")
+    p1 = check_projection(0.5 * (np.eye(len(g1)) + g1), tol, "P1")
+    return _intersection_dims([(frames, p1)], rank_tol)[0]
 
 
 def pair_index_trace(p0, p1, m=0):
@@ -359,12 +371,13 @@ def _kernel_structure(u, gamma0, gamma1, rank_tol, tol):
     g0 = check_selfadjoint_unitary(gamma0, tol, "Gamma0")
     g1 = check_selfadjoint_unitary(gamma1, tol, "Gamma1")
     check_factorization(u, g0, g1, tol)
+    dims = _graded_intersection_dims(g0, g1, _grading_frames(g0), rank_tol, tol)
+    ranker, kerran, ranran, kerker = dims
     eye = np.eye(u.shape[0])
-    dims = _intersection_dims(0.5 * (eye + g0), 0.5 * (eye + g1), rank_tol, tol)
     kernels = _kernel_dims(np.stack([u + eye, u - eye]), rank_tol)
     return (
         KernelDecompositionReport(*kernels, *dims),
-        KernelBoundReport(*kernels, *_pair_indices(dims)),
+        KernelBoundReport(*kernels, ranker - kerran, ranran - kerker),
     )
 
 
@@ -511,9 +524,6 @@ def full_index_report(u, gamma0, gamma1=None, rank_tol=DEFAULT_RANK_TOL, tol=REL
     g1 = check_selfadjoint_unitary(g0 @ u if gamma1 is None else gamma1, tol, "Gamma1")
     if gamma1 is not None:
         check_factorization(u, g0, g1, tol)
-    eye = np.eye(u.shape[0])
-    p0 = 0.5 * (eye + g0)
-    p1 = 0.5 * (eye + g1)
     svd = _unit_svd(u)
     ker_plus, ker_minus = _unit_kernels(svd, g0, rank_tol)
     frames = _grading_frames(g0)
@@ -523,7 +533,7 @@ def full_index_report(u, gamma0, gamma1=None, rank_tol=DEFAULT_RANK_TOL, tol=REL
     if abs(trace - round(trace)) > 1e-6:
         raise PreconditionError(f"Tr(Gamma0) = {trace} is not near an integer")
     susy = _susy_core(u, frames, rank_tol)
-    pair, pair_complement = _pair_indices(_intersection_dims(p0, p1, rank_tol, tol))
+    ranker, kerran, ranran, kerker = _graded_intersection_dims(g0, g1, frames, rank_tol, tol)
     return IndexReport(
         si_plus=ker_plus.graded_signature,
         si_minus=ker_minus.graded_signature,
@@ -531,8 +541,8 @@ def full_index_report(u, gamma0, gamma1=None, rank_tol=DEFAULT_RANK_TOL, tol=REL
         susy_index=susy,
         tanaka_plus=tanaka_plus,
         tanaka_minus=tanaka_minus,
-        pair_index=pair,
-        pair_index_complement=pair_complement,
+        pair_index=ranker - kerran,
+        pair_index_complement=ranran - kerker,
         cayley_minus=cayley_minus,
         cayley_plus=cayley_plus,
         trace_gamma0=int(round(trace)),

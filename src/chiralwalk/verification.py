@@ -16,7 +16,7 @@ import numpy as np
 
 from . import essential, indices, operators as ops, transfer, winding
 from .operators import BandedAnisotropicOperator, CoefficientFunction
-from .walks import SplitStepParams, build_generator_walk, build_walk
+from .walks import SplitStepParams, build_walk
 
 
 @dataclass
@@ -215,7 +215,8 @@ def interpolating_shift_model(rng, power_left, power_right, noise_sites=3):
 
 
 def identity_chain_suite(seed=0, trials=1000, max_dim=40, rank_tol=1e-8):
-    """si+ + si- = susy = tanaka+ + tanaka- = pair + pair-complement = Tr(G0)."""
+    """si+ + si- = susy = tanaka+ + tanaka- = pair + pair-complement
+    = cayley- + cayley+ = Tr(G0)."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("identity_chain", trials, 0)
     for k in range(trials):
@@ -229,6 +230,7 @@ def identity_chain_suite(seed=0, trials=1000, max_dim=40, rank_tol=1e-8):
             expected = None
         report = indices.full_index_report(u, g0, g1, rank_tol)
         chain = report.identity_chain_values()
+        chain["cayley_total"] = report.cayley_minus + report.cayley_plus
         values = set(chain.values())
         ok = len(values) == 1
         if expected is not None:
@@ -270,24 +272,25 @@ def trace_formula_suite(seed=2, trials=300, rank_tol=1e-8, tol=1e-8):
 
 
 def pair_algebra_suite(seed=3, trials=500, rank_tol=1e-8):
-    """Antisymmetry, complement rules, additivity; rank-difference oracle."""
+    """Antisymmetry, complement rules, additivity; rank-difference oracle; one batched call."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("pair_algebra", trials, 0)
     for k in range(trials):
         dim = int(rng.integers(2, 14))
         ranks = rng.integers(0, dim + 1, size=3)
         p = [random_projection(rng, dim, int(r)) for r in ranks]
-        eye = np.eye(dim)
-        ind = indices.pair_index
-        ind_01 = ind(p[0], p[1], rank_tol)
+        p += [np.eye(dim) - p[0], np.eye(dim) - p[1]]  # p[3] = 1 - P0, p[4] = 1 - P1
+        ind_01, ind_10, ind_c01, ind_0c1, ind_1c0, ind_12, ind_02 = indices.pair_indices(
+            p, [(0, 1), (1, 0), (3, 4), (0, 4), (1, 3), (1, 2), (0, 2)], rank_tol
+        )
         ok = True
         # rank oracle: in finite dimension Ind(P,Q) = rank P - rank Q
         ok &= ind_01 == int(ranks[0] - ranks[1])
-        ok &= ind_01 == -ind(p[1], p[0], rank_tol)
-        ok &= ind_01 == -ind(eye - p[0], eye - p[1], rank_tol)
-        ok &= ind(p[0], eye - p[1], rank_tol) == ind(p[1], eye - p[0], rank_tol)
+        ok &= ind_01 == -ind_10
+        ok &= ind_01 == -ind_c01
+        ok &= ind_0c1 == ind_1c0
         # additivity: Ind(P0,P1) + Ind(P1,P2) = Ind(P0,P2)
-        ok &= ind_01 + ind(p[1], p[2], rank_tol) == ind(p[0], p[2], rank_tol)
+        ok &= ind_01 + ind_12 == ind_02
         result.record(ok, f"trial {k} ranks {ranks}")
     return result
 
@@ -319,13 +322,9 @@ def generator_suite(seed=5, trials=300, rank_tol=1e-8):
         m = int(rng.integers(1, 7))
         n = int(rng.integers(1, 7))
         h, g0, expected = random_chiral_hamiltonian(rng, m, n)
+        # generator_index raises unless Index(H) equals si_plus(e^{i pi H})
         got = indices.generator_index(h, g0, rank_tol)
-        gw = build_generator_walk(h, g0)
-        si_plus, _ = indices.symmetry_index_pm(gw.walk_exp, g0, rank_tol)
-        result.record(
-            got == expected == si_plus,
-            f"trial {k}: expected {expected} got {got} si+ {si_plus}",
-        )
+        result.record(got == expected, f"trial {k}: expected {expected} got {got}")
     return result
 
 
@@ -367,7 +366,7 @@ def index_theorem_suite(seed=7, models=20):
     """
     rng = np.random.default_rng(seed)
     result = SuiteResult("index_theorem", 0, 0)
-    chiral_count = max(models // 2, 1)
+    chiral_count = min(models, max(models // 2, 1))
     for k, pair in enumerate(certified_split_step_models(rng, chiral_count)):
         record = winding.verify_index_theorem_chiral(pair)
         result.trials += 1

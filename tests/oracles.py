@@ -9,14 +9,16 @@ with them float for float.  The package reads the limit symbols of the
 chiral residuals off dense blocks and sums each kernel tail with one
 Kronecker solve; ``symbol_sups`` forms those residuals as Laurent
 products instead and ``stein`` calls scipy, and the tests bound the
-rounding between the two routes.
+rounding between the two routes.  The package ranks the intersections
+of two projections on orthonormal frames of Ran P0 and Ker P0;
+``intersection_dims`` ranks the 2n x n constraint stacks instead.
 """
 
 import functools
 
 import numpy as np
 
-from chiralwalk import essential, operators as ops, transfer, winding
+from chiralwalk import essential, indices, operators as ops, transfer, winding
 from chiralwalk.exceptions import NotFredholmError, PreconditionError
 from chiralwalk.verification import split_step_from_angles
 from chiralwalk.walks import CHIRAL_TOL, SYMBOL_POINTS
@@ -244,3 +246,22 @@ def stein(step, m):
     """The X with X - step^* X step = m, from scipy."""
     import scipy.linalg
     return scipy.linalg.solve_discrete_lyapunov(step.conj().T, m)
+
+
+# --- projection intersections as constraint stacks -----------------------------
+
+
+def intersections(p0, p1):
+    """Constraints [1-P0; P1], [P0; 1-P1], [1-P0; 1-P1], [P0; P1], built as drawn.
+
+    Their null spaces are Ran P0 ^ Ker P1, Ker P0 ^ Ran P1, Ran P0 ^ Ran P1
+    and Ker P0 ^ Ker P1.
+    """
+    eye = np.eye(p0.shape[0])
+    q0, q1 = eye - p0, eye - p1
+    return [np.vstack(c) for c in ((q0, p1), (p0, q1), (q0, q1), (p0, p1))]
+
+
+def intersection_dims(p0, p1, rank_tol=indices.DEFAULT_RANK_TOL):
+    """The four intersection dimensions as kernel dimensions of ``intersections``."""
+    return [indices.kernel_basis(c, rank_tol).dimension for c in intersections(p0, p1)]

@@ -373,6 +373,8 @@ class TestCliCommands:
     @pytest.mark.parametrize("argv", [
         ["verify", "finite", "--trials", "-3"],
         ["verify", "lattice", "--models", "-2"],
+        # a negative seed used to reach numpy's default_rng and end in a traceback
+        ["verify", "finite", "--seed", "-5", "--trials", "1"],
     ])
     def test_verify_negative_counts_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -380,6 +382,12 @@ class TestCliCommands:
         assert exc.value.code == 1
         captured = capsys.readouterr()
         assert "must not be negative" in captured.err and "PASS" not in captured.out
+
+    def test_verify_zero_models_run_no_chiral_model(self, capsys):
+        assert main(["verify", "lattice", "--models", "0", "--trials", "1", "--seed", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "PASS  index_theorem: 0 trials, 0 failures" in lines
+        assert "PASS  dichotomy: 0 trials, 0 failures" in lines
 
     def test_verify_zero_trials_vacuous(self, capsys):
         assert main(["verify", "finite", "--trials", "0"]) == 0

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chiralwalk import indices
+import oracles
+from chiralwalk import indices, verification
 from chiralwalk.exceptions import PreconditionError
 from chiralwalk.verification import (
     generic_chiral_pair,
@@ -218,6 +219,109 @@ class TestPairIndex:
         assert ind_01 == -ind_10
 
 
+def frame_dims(p0, p1, rank_tol=1e-8):
+    """The four intersection dimensions on the frame of P0, as ``pair_index`` ranks them."""
+    return indices._intersection_dims([(indices._grading_frames(p0, 0.5), p1)], rank_tol)[0]
+
+
+def tilted_pair(delta, rng):
+    """P0 onto span(e1, e2) and P1 onto span(e2, f), f = (-sin d, 0, cos d), conjugated
+    by one random unitary: Ker P1 meets Ran P0 at angle delta, and Ran P1 meets Ker P0
+    at angle delta, so Ind(P0, P1) = rank P0 - rank P1 = 0 at every delta."""
+    f = np.array([-np.sin(delta), 0.0, np.cos(delta)])
+    p1 = np.diag([0.0, 1.0, 0.0]) + np.outer(f, f)
+    v = random_unitary(3, rng)
+    return (v * [1.0, 1.0, 0.0]) @ v.conj().T, v @ p1 @ v.conj().T
+
+
+class TestIntersectionFrames:
+    """The frame rule of ``_intersection_dims`` against the constraint stacks of
+    ``oracles.intersection_dims``, on 1,200 pairs plus the edge cases."""
+
+    def test_chiral_pairs_on_gamma0_frames(self):
+        # 400 structured pairs (exact intersections by construction) and 400
+        # generic ones of dimension 2-40, through the Gamma0 frames of the reports
+        rng = np.random.default_rng(15)
+        for k in range(800):
+            if k % 2 == 0:
+                sp = structured_chiral_pair(rng)
+                u, g0, g1 = sp.u, sp.gamma0, sp.gamma1
+            else:
+                u, g0, g1 = generic_chiral_pair(rng, int(rng.integers(2, 41)))
+            eye = np.eye(u.shape[0])
+            deco, _ = indices._kernel_structure(u, g0, g1, 1e-8, indices.RELATION_TOL)
+            got = [deco.ranp0_kerp1, deco.kerp0_ranp1, deco.ranp0_ranp1, deco.kerp0_kerp1]
+            assert got == oracles.intersection_dims(0.5 * (eye + g0), 0.5 * (eye + g1)), k
+
+    def test_projection_pairs_on_the_frame_of_p0(self):
+        # 300 pairs spanned by subsets of one random frame, so each of the four
+        # intersections is exact and known, and 100 generic pairs, dimension 2-40
+        rng = np.random.default_rng(16)
+        for k in range(400):
+            dim = int(rng.integers(2, 41))
+            if k % 4:
+                v = random_unitary(dim, rng)
+                s0, s1 = rng.random(dim) < 0.5, rng.random(dim) < 0.5
+                p0, p1 = ((v * s) @ v.conj().T for s in (s0, s1))
+                known = [int(np.sum(a & b)) for a, b in ((s0, ~s1), (~s0, s1), (s0, s1), (~s0, ~s1))]
+                assert frame_dims(p0, p1) == known, f"pair {k}"
+            else:
+                p0, p1 = random_projection(rng, dim), random_projection(rng, dim)
+            assert frame_dims(p0, p1) == oracles.intersection_dims(p0, p1), f"pair {k}"
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_zero_identity_and_equal_projections(self, dim):
+        eye, zero = np.eye(dim), np.zeros((dim, dim))
+        p = random_projection(np.random.default_rng(dim), dim, rank=dim // 2)
+        for p0, p1, known in (
+            (zero, zero, [0, 0, 0, dim]),
+            (eye, eye, [0, 0, dim, 0]),
+            (zero, eye, [0, dim, 0, 0]),
+            (eye, zero, [dim, 0, 0, 0]),
+            (p, p, [0, 0, dim // 2, dim - dim // 2]),
+        ):
+            assert frame_dims(p0, p1) == oracles.intersection_dims(p0, p1) == known
+            assert indices.pair_index(p0, p1) == known[0] - known[1]
+
+    @pytest.mark.parametrize("delta, frame, stack", [
+        (1e-9, 1, 1),
+        (0.99e-8, 1, 1),
+        # the band [rank_tol, 2 rank_tol]: the frame sees sin(delta) against 1,
+        # the stack about delta / sqrt(2) against its sigma_max = sqrt(2)
+        (1.01e-8, 0, 1),
+        (1.99e-8, 0, 1),
+        (2.01e-8, 0, 0),
+        (1e-7, 0, 0),
+    ])
+    def test_tilted_intersections(self, delta, frame, stack):
+        p0, p1 = tilted_pair(delta, np.random.default_rng(18))
+        assert frame_dims(p0, p1) == [frame, frame, 1, 0]
+        assert oracles.intersection_dims(p0, p1) == [stack, stack, 1, 0]
+        # both near-intersections flip together, even the one whose frame
+        # block is a single column of norm sin(delta)
+        assert indices.pair_index(p0, p1) == 0
+
+    def test_batched_pairs_equal_pair_index(self):
+        # 200 seeded triples with complements: one batched call against
+        # pair_index pair by pair, and both against the constraint stacks
+        rng = np.random.default_rng(19)
+        pairs = [(0, 1), (1, 0), (3, 4), (0, 4), (1, 3), (1, 2), (0, 2), (2, 2)]
+        for k in range(200):
+            dim = int(rng.integers(2, 14))
+            p = [random_projection(rng, dim) for _ in range(3)]
+            p += [np.eye(dim) - p[0], np.eye(dim) - p[1]]
+            got = indices.pair_indices(p, pairs)
+            assert got == [indices.pair_index(p[a], p[b]) for a, b in pairs], f"triple {k}"
+            stacked = [oracles.intersection_dims(p[a], p[b]) for a, b in pairs]
+            assert got == [ranker - kerran for ranker, kerran, _, _ in stacked], f"triple {k}"
+
+    def test_batched_pairs_check_each_projection(self):
+        p = [np.diag([1.0, 0.0]), np.zeros((2, 2)), np.diag([0.5, 0.0])]
+        with pytest.raises(PreconditionError, match="P2 deviates"):
+            indices.pair_indices(p, [(0, 1)])
+        assert indices.pair_indices(p[:2], []) == []
+
+
 class TestKernelStructure:
     def test_identity_and_minus_identity(self):
         deco = indices.kernel_decomposition_check(np.eye(2), SIGMA3, SIGMA3)
@@ -285,8 +389,7 @@ class TestKernelStructure:
             eye = np.eye(u.shape[0])
             p0, p1 = 0.5 * (eye + g0), 0.5 * (eye + g1)
             kernels = [indices.kernel_basis(u + s * eye).dimension for s in (1, -1)]
-            stacked = [indices.kernel_basis(np.vstack(c)).dimension
-                       for c in ((eye - p0, p1), (p0, eye - p1), (eye - p0, eye - p1), (p0, p1))]
+            stacked = oracles.intersection_dims(p0, p1)
             assert deco == indices.KernelDecompositionReport(*kernels, *stacked), f"pair {k}"
             assert bound == indices.KernelBoundReport(
                 *kernels, indices.pair_index(p0, p1), indices.pair_index(p0, eye - p1)
@@ -405,6 +508,23 @@ class TestFullReport:
             )
             report = indices.full_index_report(u, g0, g1)
             assert report.to_dict() == reference.to_dict(), f"pair {k}"
+
+
+class TestFiniteSuites:
+    def test_identity_chain_compares_the_cayley_total(self, monkeypatch):
+        # cayley- + cayley+ joins the chain: a report whose Cayley classes are
+        # shifted apart fails every trial, though every other member agrees
+        report = indices.full_index_report
+
+        def shifted(*args, **kwargs):
+            out = report(*args, **kwargs)
+            out.cayley_plus += 1
+            return out
+
+        assert verification.identity_chain_suite(seed=0, trials=6).passed
+        monkeypatch.setattr(indices, "full_index_report", shifted)
+        result = verification.identity_chain_suite(seed=0, trials=6)
+        assert result.failures == 6 and "cayley_total" in result.messages[0]
 
 
 class TestTolerancePassThrough:
