@@ -144,8 +144,6 @@ def _add_common_flags(parser, suppress=False):
                              "certifications and windings use no grid")
     parser.add_argument("--margin", type=float, default=default,
                         help="certification margin (default 1e-6)")
-    parser.add_argument("--seed", type=non_negative_int, default=default,
-                        help="randomized-suite seed")
     parser.add_argument("--out", default=default, help="write output to this file")
     parser.add_argument("--format", choices=("json", "csv"), default=default,
                         help="report format; verify writes text and rejects it")
@@ -186,6 +184,8 @@ def build_parser():
                           choices=("finite", "lattice", "all"))
     p_verify.add_argument("--trials", type=non_negative_int, default=None)
     p_verify.add_argument("--models", type=non_negative_int, default=None)
+    p_verify.add_argument("--seed", type=non_negative_int, default=None,
+                          help="randomized-suite seed")
     p_verify.set_defaults(func=cmd_verify)
 
     p_spectrum = subparser("spectrum", "sampled symbol eigenvalues as CSV")

@@ -5,13 +5,15 @@ those of a set of windings, in one stacked call.  These oracles solve
 one polynomial at a time with np.roots, evaluate each loop's distances
 with its own eigvals call and build the compressed Im(u) blocks from
 Laurent products of SymbolLoops; the tests require the package to agree
-with them float for float.  The package reads the limit symbols of the
-chiral residuals off dense blocks and sums each kernel tail with one
-Kronecker solve; ``symbol_sups`` forms those residuals as Laurent
-products instead and ``stein`` calls scipy, and the tests bound the
-rounding between the two routes.  The package ranks the intersections
-of two projections on orthonormal frames of Ran P0 and Ker P0;
-``intersection_dims`` ranks the 2n x n constraint stacks instead.
+with them float for float.  The package bounds the chiral residuals of
+a split-step pair in closed form; ``dense_chiral_residuals`` measures
+them on dense blocks and ``symbol_sups`` as Laurent products, and the
+tests require every bound to be at least what they measure.  The package
+sums each kernel tail with one Kronecker solve; ``stein`` calls scipy,
+and the tests bound the rounding between the two routes.  The package
+ranks the intersections of two projections on orthonormal frames of
+Ran P0 and Ker P0; ``intersection_dims`` ranks the 2n x n constraint
+stacks instead.
 """
 
 import functools
@@ -21,7 +23,9 @@ import numpy as np
 from chiralwalk import essential, indices, operators as ops, transfer, winding
 from chiralwalk.exceptions import NotFredholmError, PreconditionError
 from chiralwalk.verification import split_step_from_angles
-from chiralwalk.walks import CHIRAL_TOL, SYMBOL_POINTS
+from chiralwalk.walks import CHIRAL_TOL
+
+SYMBOL_POINTS = 64         # circle points on which the limit residuals are evaluated
 
 
 @functools.cache
@@ -208,7 +212,7 @@ def verify_index_theorem_chiral(pair, kernels):
     return winding.IndexTheoremRecord(branches=branches).to_dict()
 
 
-# --- chiral residuals as Laurent products, Stein sums from scipy ----------------
+# --- chiral residuals on dense blocks and as Laurent products, Stein sums from scipy
 
 
 def _difference(a, b):
@@ -231,6 +235,63 @@ def symbol_residuals(gamma0, gamma1, u, side):
         "chiral": _difference(f0 * fu * f0, fu_star),
         "u_unitary": _difference(fu_star * fu, one),
     }
+
+
+def dense_chiral_residuals(gamma0, gamma1, u):
+    """The chiral residuals of a pair, measured on one dense window.
+
+    The coefficient part is the largest entry of each residual, limits
+    included.  It is read off dense blocks on the sites [lo - pad, hi + pad),
+    [lo, hi) the union of the inputs' bulk windows: with R the bound
+    max(2 r0 + ru, 2 ru, 2 r1) on every residual's band radius and
+    pad = 2 R + 1, the rows at least R sites from the edges are exact rows
+    of the residuals and include a pure-limit row on each side.  The
+    symbol part reads the limit Laurent coefficients off those two
+    pure-limit rows (row block s, column block s - k holds the coefficient
+    of z^k) and evaluates all twelve limit residuals on SYMBOL_POINTS
+    circle points at once.  Returns a dict with the keys of
+    ``ChiralCertification.to_dict()``.  Time is cubic in the bulk width,
+    memory quadratic.
+    """
+    d = gamma0.fiber_dim
+    inputs = (gamma0, gamma1, u)
+    radius = max(2 * gamma0.band_radius + u.band_radius, 2 * u.band_radius,
+                 2 * gamma1.band_radius)
+    windows = [op.bulk_window() for op in inputs if not op.is_translation_invariant()]
+    lo = min((w[0] for w in windows), default=0)
+    hi = max((w[1] for w in windows), default=0)
+    pad = 2 * radius + 1
+    g0, g1, uu = (op.dense_block(lo - pad, hi + pad) for op in inputs)
+    eye = np.eye(g0.shape[0])
+    u_star = uu.conj().T
+    residuals = {
+        "g0_sa": g0 - g0.conj().T,
+        "g1_sa": g1 - g1.conj().T,
+        "g0_inv": g0 @ g0 - eye,
+        "g1_inv": g1 @ g1 - eye,
+        "chiral": g0 @ uu @ g0 - u_star,
+        "u_unitary": u_star @ uu - eye,
+    }
+    rows = slice(radius * d, g0.shape[0] - radius * d)
+    coeff = {k: float(np.abs(r[rows]).max()) for k, r in residuals.items()}
+    n_sites, ks = g0.shape[0] // d, np.arange(-radius, radius + 1)
+    limit_rows = np.array([[radius], [n_sites - 1 - radius]])
+    limits = np.stack([r.reshape(n_sites, d, n_sites, d)[limit_rows, :, limit_rows - ks]
+                       for r in residuals.values()])   # (residual, side, k, d, d)
+    values = np.einsum("jk,eskab->esjab", ops.circle_grid(SYMBOL_POINTS)[:, None] ** ks, limits)
+    sym = dict(zip(residuals, np.abs(values).max(axis=(1, 2, 3, 4)).tolist()))
+    record = {
+        "gamma0_selfadjoint": max(coeff["g0_sa"], sym["g0_sa"]),
+        "gamma1_selfadjoint": max(coeff["g1_sa"], sym["g1_sa"]),
+        "gamma0_involution": max(coeff["g0_inv"], sym["g0_inv"]),
+        "gamma1_involution": max(coeff["g1_inv"], sym["g1_inv"]),
+        "chiral_relation": max(coeff["chiral"], sym["chiral"]),
+        "symbol_deviation": max(sym.values()),
+        "unitary_symbol_deviation": sym["u_unitary"],
+        "window_halfwidth": radius + max(abs(lo), abs(hi)) + 4,
+    }
+    record["max_deviation"] = max(v for k, v in record.items() if k != "window_halfwidth")
+    return record
 
 
 def symbol_sups(gamma0, gamma1, u):

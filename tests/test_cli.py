@@ -383,6 +383,16 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert "must not be negative" in captured.err and "PASS" not in captured.out
 
+    def test_seed_is_a_verify_flag_only(self, tmp_path, capsys):
+        # index used to accept --seed and ignore it, keeping the scenario's own seed
+        path = write_json(tmp_path / "s.json", gapped_scenario())
+        for argv in (["index", path, "--seed", "3"], ["--seed", "3", "index", path]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
+        assert "--seed" in capsys.readouterr().err
+        assert main(["verify", "finite", "--trials", "1", "--seed", "11"]) == 0
+
     def test_verify_zero_models_run_no_chiral_model(self, capsys):
         assert main(["verify", "lattice", "--models", "0", "--trials", "1", "--seed", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
