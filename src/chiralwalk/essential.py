@@ -16,9 +16,11 @@ crossings the number of eigenvalues inside the arc is constant, so one
 evaluation per interval decides it: an eigenvalue inside lowers gamma;
 when no interval has one, the gap is at least gamma.  Each level sits
 LEVEL_RTOL below the smallest distance found, so the search stops with
-the gap bracketed between the two.  Each round is one stacked solve,
-bitwise equal to per-polynomial np.roots, of the four endpoint
-polynomials of both limit symbols.
+the gap bracketed between the two.  Both gaps come from one joint pass:
+each round takes one eigvals call over the probes of every open target
+and one stacked root solve, bitwise equal to per-polynomial np.roots, of
+their arc-endpoint polynomials; round 1 shares its probes between the
+targets and also solves the clearance polynomials det(F(z) - t).
 
 A gap is certified when that lower bound exceeds the margin and the
 roots of det(F(z) - t) clear ``transfer.CIRCLE_MARGIN``.  The
@@ -65,12 +67,13 @@ def _unitary_symbols(u):
     coefficients C_n of F^* F - 1 must stay below UNITARY_TOL.
     """
     loops = (u.symbol_at(ops.LEFT), u.symbol_at(ops.RIGHT))
-    bound = 0.0
+    stacks = []
     for loop in loops:
         coeffs = dict((loop.hermitian_conjugate() * loop).coefficients)
         coeffs[0] = coeffs.get(0, 0) - np.eye(loop.fiber_dim)
-        stack = np.stack(list(coeffs.values()))
-        bound = max(bound, float(np.linalg.norm(stack, 2, axis=(1, 2)).sum()))
+        stacks.append(np.stack(list(coeffs.values())))
+    norms = np.linalg.norm(np.concatenate(stacks), 2, axis=(1, 2))   # one SVD call, both sides
+    bound = max(0.0, *(float(side.sum()) for side in np.split(norms, [len(stacks[0])])))
     if bound > UNITARY_TOL:
         raise PreconditionError(
             f"limit symbols are not unitary: sup |F*F - 1| <= {bound:.3e} "
@@ -87,36 +90,55 @@ class _Gap:
     clear: bool                 # those roots clear transfer.CIRCLE_MARGIN
 
 
-def _gap(loops, samples, target):
-    """Level-set minimum of |lambda(z) - target| over both limit symbols
-    (``samples``: their ``transfer._det_samples``).  Roots within
-    CROSSING_TOL of the circle count as crossings (a spurious one only adds
-    a probe); a flat band on an arc endpoint leaves the level open."""
-    value, level, bound, points = np.inf, np.inf, 0.0, [INITIAL_PROBES] * len(loops)
+def _gaps(loops, samples, targets):
+    """Level-set minima of |lambda(z) - t| over both limit symbols (``samples``:
+    their ``transfer._det_samples``), one _Gap per t in ``targets``, in one joint
+    pass.  Roots within CROSSING_TOL of the circle count as crossings (a spurious
+    one only adds a probe); a flat band on an arc endpoint leaves the level open."""
+    n = len(targets)
+    value, level, bound, clearances = [np.inf] * n, [np.inf] * n, [0.0] * n, None
+    groups = [(range(n), [INITIAL_PROBES] * len(loops))]   # (targets, probe angles per loop)
     for _ in range(MAX_LEVELS):
-        values = np.concatenate([loop(np.exp(1j * p)) for loop, p in zip(loops, points)])
-        lowest = float(np.abs(np.linalg.eigvals(values) - target).min())
-        if lowest >= level:
-            bound = level
+        owner = np.concatenate([np.full(points[i].size, g) for i in range(len(loops))
+                                for g, (_, points) in enumerate(groups)])
+        evs = np.linalg.eigvals(np.concatenate([
+            loop(np.exp(1j * np.concatenate([points[i] for _, points in groups])))
+            for i, loop in enumerate(loops)]))
+        live, mus = [], []
+        for g, (members, _) in enumerate(groups):
+            distances = evs[owner == g]
+            for k in members:
+                lowest = float(np.abs(distances - targets[k]).min())
+                if lowest >= level[k]:
+                    bound[k] = level[k]
+                    continue
+                value[k] = lowest
+                if lowest != 0.0:
+                    level[k] = lowest * (1.0 - LEVEL_RTOL)
+                    phi = 2.0 * np.arcsin(min(level[k] / 2.0, 1.0))
+                    live.append(k)
+                    mus += [targets[k] * np.exp(1j * s * phi) for s in (1, -1)]
+        mus += list(targets) if clearances is None else []   # round 1 adds det(F - t)
+        if not mus:
             break
-        value = lowest
-        if value == 0.0:
+        roots = _poly_roots([poly for sample in samples for poly, _ in _det_polys(sample, mus)])
+        roots = [roots[i : i + len(mus)] for i in range(0, len(roots), len(mus))]   # per loop
+        clearances = clearances or [[_clearance(r[2 * len(live) + k]) for r in roots] for k in range(n)]
+        groups = []
+        for j, k in enumerate(live):
+            ends = [r[2 * j : 2 * j + 2] for r in roots]   # per loop, both arc endpoints
+            if any(isinstance(e, Exception) for pair in ends for e in pair):   # det vanishes
+                continue
+            points = []
+            for r in map(np.concatenate, ends):
+                angles = np.sort(np.angle(r[np.abs(np.abs(r) - 1.0) <= CROSSING_TOL]) % (2.0 * np.pi))
+                points.append(0.5 * (angles + np.append(angles[1:], angles[0] + 2.0 * np.pi))
+                              if angles.size else np.zeros(1))
+            groups.append(([k], points))
+        if not groups:
             break
-        level = value * (1.0 - LEVEL_RTOL)
-        phi = 2.0 * np.arcsin(min(level / 2.0, 1.0))
-        ends = [target * np.exp(1j * s * phi) for s in (1, -1)]
-        polys = [poly for sample in samples for poly, _ in _det_polys(sample, ends)]
-        if any(isinstance(poly, Exception) for poly in polys):
-            break
-        roots, points = _poly_roots(polys), []
-        for r in (np.concatenate(roots[i : i + 2]) for i in range(0, len(roots), 2)):
-            angles = np.sort(np.angle(r[np.abs(np.abs(r) - 1.0) <= CROSSING_TOL]) % (2.0 * np.pi))
-            points.append(0.5 * (angles + np.append(angles[1:], angles[0] + 2.0 * np.pi))
-                          if angles.size else np.zeros(1))
-    roots = _poly_roots([_det_polys(sample, [target])[0][0] for sample in samples])
-    clearances = [_clearance(r) for r in roots]
-    margins = [m for m, _ in clearances if m is not None]
-    return _Gap(value, bound, min(margins, default=None), all(c for _, c in clearances))
+    return [_Gap(value[k], bound[k], min((m for m, _ in c if m is not None), default=None),
+                 all(ok for _, ok in c)) for k, c in enumerate(clearances)]
 
 
 @dataclass
@@ -212,7 +234,7 @@ def _dichotomy(fred, margin):
 def certify_unitary(u, *, margin=DEFAULT_MARGIN):
     """Gaps at +-1, Fredholm type and dichotomy of a unitary from its two gaps."""
     loops, samples = _unitary_symbols(u)
-    gap_plus, gap_minus = _gap(loops, samples, 1.0), _gap(loops, samples, -1.0)
+    gap_plus, gap_minus = _gaps(loops, samples, (1.0, -1.0))
     fred = _fredholm(gap_plus, gap_minus, margin)
     return UnitaryCertification(
         gap_plus=_gap_certification(gap_plus, margin),
@@ -231,7 +253,7 @@ def gap_at(u, target, *, margin=DEFAULT_MARGIN):
     """
     if target not in (1, -1, 1.0, -1.0):
         raise ChiralwalkError("target must be +1 or -1")
-    return _gap_certification(_gap(*_unitary_symbols(u), float(target)), margin)
+    return _gap_certification(_gaps(*_unitary_symbols(u), (float(target),))[0], margin)
 
 
 def symbol_eigenvalues(u, grid_n=DEFAULT_GRID_N):

@@ -23,6 +23,8 @@ MODELS = ("split_step", "weighted_shift", "generator", "custom_banded")
 
 
 def _reject_unknown(doc, allowed, where):
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{where}: expected a JSON object, got {doc!r}")
     unknown = set(doc) - set(allowed)
     if unknown:
         raise ScenarioError(f"unknown key(s) {sorted(unknown)} in {where}")
@@ -38,16 +40,34 @@ def _read_json(path):
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
+def _field(doc, key, where, kind=None, default=None):
+    """kind(doc[key]), default standing in for an absent key when given; a missing
+    or malformed value is a ScenarioError naming the field."""
+    value = doc.get(key, default)
+    if value is None and key not in doc:
+        raise ScenarioError(f"{where}.{key}: missing")
+    try:
+        return value if kind is None else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{where}.{key}: expected {kind.__name__}, got {value!r}") from None
+
+
 def _as_scalar(value, where):
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        try:
+            return complex(float(value[0]), float(value[1]))
+        except (TypeError, ValueError):
+            pass
     raise ScenarioError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 
 def _as_matrix(value, where):
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.zeros(0)
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
         raise ScenarioError(f"{where}: expected an n x n matrix of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -58,23 +78,18 @@ def parse_profile(doc, where):
     if not isinstance(doc, dict):
         raise ScenarioError(f"{where}: expected a profile object")
     kind = doc.get("profile")
+    if kind not in ("step", "table"):
+        raise ScenarioError(f"{where}: profile must be 'step' or 'table'")
+    _reject_unknown(doc, {"profile", "left", "right", "split" if kind == "step" else "table"}, where)
+    left, right = (np.array([[_as_scalar(_field(doc, key, where), where)]]) for key in ("left", "right"))
     if kind == "step":
-        _reject_unknown(doc, {"profile", "left", "right", "split"}, where)
-        left = _as_scalar(doc["left"], where)
-        right = _as_scalar(doc["right"], where)
-        return CoefficientFunction.step(
-            np.array([[left]]), np.array([[right]]), split=int(doc.get("split", 0))
-        )
-    if kind == "table":
-        _reject_unknown(doc, {"profile", "left", "right", "table"}, where)
-        left = _as_scalar(doc["left"], where)
-        right = _as_scalar(doc["right"], where)
-        table = {}
-        for entry in doc.get("table", []):
-            _reject_unknown(entry, {"x", "value"}, f"{where}.table")
-            table[int(entry["x"])] = np.array([[_as_scalar(entry["value"], where)]])
-        return CoefficientFunction.from_table(np.array([[left]]), np.array([[right]]), table)
-    raise ScenarioError(f"{where}: profile must be 'step' or 'table'")
+        return CoefficientFunction.step(left, right, split=_field(doc, "split", where, int, 0))
+    table = {}
+    for entry in _field(doc, "table", where, list, []):
+        _reject_unknown(entry, {"x", "value"}, f"{where}.table")
+        value = _as_scalar(_field(entry, "value", f"{where}.table"), where)
+        table[_field(entry, "x", f"{where}.table", int)] = np.array([[value]])
+    return CoefficientFunction.from_table(left, right, table)
 
 
 @dataclass
@@ -122,7 +137,7 @@ class Scenario:
             model=model,
             params=doc.get("params", {}),
             tolerances=Tolerances.from_doc(doc.get("tolerances"), tolerance_overrides),
-            seed=None if doc.get("seed") is None else int(doc["seed"]),
+            seed=None if doc.get("seed") is None else _field(doc, "seed", "scenario", int),
         )
 
     @classmethod
@@ -135,26 +150,27 @@ class Scenario:
         if self.model == "split_step":
             _reject_unknown(p, {"a", "b", "c", "d_coin", "shift_exponent"}, "params")
             params = SplitStepParams(
-                a=parse_profile(p["a"], "params.a"),
-                b=parse_profile(p["b"], "params.b"),
-                c=float(p["c"]),
-                d_coin=_as_scalar(p["d_coin"], "params.d_coin"),
-                shift_exponent=int(p.get("shift_exponent", 1)),
+                a=parse_profile(_field(p, "a", "params"), "params.a"),
+                b=parse_profile(_field(p, "b", "params"), "params.b"),
+                c=_field(p, "c", "params", float),
+                d_coin=_as_scalar(_field(p, "d_coin", "params"), "params.d_coin"),
+                shift_exponent=_field(p, "shift_exponent", "params", int, 1),
             )
             return build_walk(params)
         if self.model == "weighted_shift":
             _reject_unknown(p, {"m", "n", "coin"}, "params")
             return build_weighted_shift_walk(
-                int(p["m"]), int(p["n"]), _as_matrix(p["coin"], "params.coin")
+                _field(p, "m", "params", int), _field(p, "n", "params", int),
+                _as_matrix(_field(p, "coin", "params"), "params.coin"),
             )
         if self.model == "generator":
             _reject_unknown(p, {"hamiltonian", "gamma0"}, "params")
-            h = _as_matrix(p["hamiltonian"], "params.hamiltonian")
-            g0 = _as_matrix(p["gamma0"], "params.gamma0")
+            h = _as_matrix(_field(p, "hamiltonian", "params"), "params.hamiltonian")
+            g0 = _as_matrix(_field(p, "gamma0", "params"), "params.gamma0")
             return build_generator_walk(h, g0), g0
         if self.model == "custom_banded":
             _reject_unknown(p, {"operator"}, "params")
-            return BandedAnisotropicOperator.from_json_dict(p["operator"])
+            return BandedAnisotropicOperator.from_json_dict(_field(p, "operator", "params"))
         raise ScenarioError(f"unsupported model {self.model!r}")
 
     def is_lattice(self):
@@ -162,15 +178,13 @@ class Scenario:
 
 
 def _resolve_path(doc, path):
-    keys = path.split(".")
+    *parents, last = path.split(".")
     target = doc
-    for key in keys[:-1]:
-        if not isinstance(target, dict) or key not in target:
-            raise ScenarioError(f"sweep axis path {path!r} not found in the scenario template")
-        target = target[key]
+    for key in parents:
+        target = target.get(key) if isinstance(target, dict) else None
     if not isinstance(target, dict):
         raise ScenarioError(f"sweep axis path {path!r} not found in the scenario template")
-    return target, keys[-1]
+    return target, last
 
 
 @dataclass
@@ -193,12 +207,13 @@ class SweepSpec:
         if not axes_doc:
             raise ScenarioError("sweep needs a non-empty 'axes' list")
         axes = []
-        for axis in axes_doc:
+        for axis in _field(doc, "axes", "sweep", list):
             _reject_unknown(axis, {"path", "values"}, "axes entry")
             values = axis.get("values")
             if not values:
                 raise ScenarioError(f"axis {axis.get('path')!r} has no values")
-            axes.append((str(axis["path"]), list(values)))
+            axes.append((_field(axis, "path", "axes entry", str),
+                         _field(axis, "values", "axes entry", list)))
         spec = cls(template, axes, doc.get("output"), tolerance_overrides)
         # validate that every grid point yields a well-formed scenario
         for point in spec.grid_points():

@@ -13,7 +13,8 @@ sums each kernel tail with one Kronecker solve; ``stein`` calls scipy,
 and the tests bound the rounding between the two routes.  The package
 ranks the intersections of two projections on orthonormal frames of
 Ran P0 and Ker P0; ``intersection_dims`` ranks the 2n x n constraint
-stacks instead.
+stacks instead.  ``split_step_indices`` gives si_plus and si_minus of a
+split-step walk in closed form, from the theory, not from the package.
 """
 
 import functools
@@ -326,3 +327,54 @@ def intersections(p0, p1):
 def intersection_dims(p0, p1, rank_tol=indices.DEFAULT_RANK_TOL):
     """The four intersection dimensions as kernel dimensions of ``intersections``."""
     return [indices.kernel_basis(c, rank_tol).dimension for c in intersections(p0, p1)]
+
+
+# --- split-step indices in closed form -----------------------------------------
+
+
+def split_step_indices(a_left, a_right, c, shift_exponent):
+    """(si_plus, si_minus) of the split-step walk U = G0 G1, or None at a gap closing.
+
+    G0 = [[c, conj(d) S^-m], [d S^m, -c]] and G1 = [[a, conj(b)], [b, -a]]
+    with a(x) -> a_left, a_right at -inf, +inf, m = ``shift_exponent`` and
+    (S psi)(x) = psi(x - 1).  si_plus and si_minus are the signatures of G0
+    on Ker(U - 1) and Ker(U + 1).  Only the limits of a, c and m enter: not
+    the phases of b and d, and not the sites between the limits.
+
+    Gaps.  Both limit symbols are products of two reflections of C^2, with
+    Bloch vectors (Re d z^m, Im d z^m, c) and (Re b, Im b, a), so their
+    eigenvalues are exp(+-i w) with cos w = ca + Re(conj(d z^m) b), whose
+    range over the circle is [ca - |d||b|, ca + |d||b|].  The gap at +1
+    closes exactly when ca + |d||b| = 1, that is a = c, and the gap at -1
+    when a = -c; there the function returns None.
+
+    Both cases rest on the supersymmetric split of Suzuki & Tanaka (2019),
+    whose Witten index of the anisotropic-coin walk is the G0-signature on
+    Ker(U - 1) + Ker(U + 1), that is si_plus + si_minus.  U psi = psi is
+    G1 psi = G0 psi, and U psi = -psi is G1 psi = -G0 psi, so each kernel
+    splits into joint eigenspaces of G0 and G1.
+
+    si_plus: Ker(U - 1) = (Ker(G0 - 1) ^ Ker(G1 - 1)) + (Ker(G0 + 1) ^ Ker(G1 + 1)),
+    and si_plus is the dimension of the first minus that of the second.  On
+    Ker(G1 - 1), psi(x) = f(x) (1 + a(x), b(x)), and G0 psi = psi asks
+    psi_2(x) = d psi_1(x - m) / (1 + c).  So f(x) = r(x) f(x - m) with
+    |r|^2 = (1 - c)(1 + a) / ((1 + c)(1 - a)) at the limits, below 1
+    exactly when a < c.  The recursion steps by m: one solution per residue
+    class mod m, in l2 exactly when a_right < c (decay at +inf) and
+    a_left > c (decay at -inf).  On Ker(G1 + 1), psi(x) = g(x) (a(x) - 1,
+    b(x)), and G0 psi = -psi gives |r|^2 = (1 + c)(1 - a) / ((1 - c)(1 + a)),
+    so one solution per class exactly when a_right > c > a_left.  Hence
+        si_plus = m ([a_left > c] - [a_right > c]).
+    A defect table changes r at finitely many sites and never the decay,
+    so it moves neither count.
+
+    si_minus: Matsuzawa (2020) states the index theorem of split-step walks
+    at +1 and at -1 separately.  Replacing G1 by -G1, the coin (-a, -b),
+    gives the walk U' = -U, whose Ker(U' - 1) is Ker(U + 1), with the same
+    grading G0; so the si_plus case with a -> -a gives
+        si_minus = m ([a_right > -c] - [a_left > -c]).
+    """
+    if min(abs(a - s * c) for a in (a_left, a_right) for s in (1, -1)) == 0.0:
+        return None
+    m = shift_exponent
+    return m * (int(a_left > c) - int(a_right > c)), m * (int(a_right > -c) - int(a_left > -c))

@@ -109,6 +109,23 @@ class TestScenarioParsing:
         pair = Scenario.from_doc(doc).build()
         assert pair.certification.max_deviation < 1e-10
 
+    @pytest.mark.parametrize("where, doc", [
+        ("scenario.seed", {**gapped_scenario(), "seed": "three"}),
+        ("params.a.split", {**gapped_scenario(), "params": {
+            **gapped_scenario()["params"],
+            "a": {"profile": "step", "left": 1.0, "right": 0.5, "split": [1]}}}),
+        ("params.a.table.x", {**gapped_scenario(), "params": {
+            **gapped_scenario()["params"],
+            "a": {"profile": "table", "left": 1.0, "right": 0.5, "table": [{"value": 1.0}]}}}),
+        ("params", {**gapped_scenario(), "params": 5}),
+        ("params.a.table", {**gapped_scenario(), "params": {
+            **gapped_scenario()["params"],
+            "a": {"profile": "table", "left": 1.0, "right": 0.5, "table": [3]}}}),
+    ], ids=["seed", "split", "table_x", "params_number", "table_entry_number"])
+    def test_malformed_nested_field_names_the_field(self, where, doc):
+        with pytest.raises(ScenarioError, match=f"^{where}: "):
+            Scenario.from_doc(doc).build()
+
 
 class TestSweepSpec:
     def sweep_doc(self):
@@ -177,6 +194,27 @@ class TestCliCommands:
         bad.write_text("{not json")
         assert main(["index", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("c", [0.955, 0.0], "params.c"),
+            ("c", "abc", "params.c"),
+            ("shift_exponent", "two", "params.shift_exponent"),
+            ("a", None, "params.a"),   # None: the key is removed
+            ("d_coin", ["x", "y"], "params.d_coin"),
+        ],
+        ids=["c_pair", "c_text", "shift_exponent_text", "a_missing", "d_coin_text"],
+    )
+    def test_malformed_field_is_a_scenario_error(self, key, value, field, tmp_path, capsys):
+        doc = gapped_scenario()
+        if value is None:
+            del doc["params"][key]
+        else:
+            doc["params"][key] = value
+        assert main(["index", write_json(tmp_path / "bad.json", doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -281,22 +281,33 @@ class TestLevelSet:
                     assert value <= grid_gap(u, target, grid_n) + 1e-12
 
     def test_stacked_rounds_equal_the_loop_by_loop_oracle(self):
-        # float for float, on generic and near-closing models at both targets
-        statuses = set()
-        for _, pair in oracles.seeded_split_steps():
-            certs = essential.certify_unitary(pair.u)
-            got = {
+        # float for float, on generic and near-closing models at both targets: the
+        # joint pass of certify_unitary and the one-target pass of gap_at
+        def certify(u):
+            certs = essential.certify_unitary(u)
+            return {
                 "gap_plus": certs.gap_plus.to_dict(),
                 "gap_minus": certs.gap_minus.to_dict(),
                 "fredholm": certs.fredholm.to_dict(),
                 "dichotomy": certs.dichotomy.to_dict(),
             }
-            assert got == oracles.certify_unitary(pair.u)
-            statuses.update((certs.gap_plus.status, certs.gap_minus.status))
-        for u in (identity(2), rotated(shift_power(1, 1), 0.3)):   # a flat band, a closed gap
-            want = oracles.certify_unitary(u)["gap_plus"]
-            assert essential.certify_unitary(u).gap_plus.to_dict() == want
+
+        statuses = set()
+        for _, pair in oracles.seeded_split_steps():
+            want = oracles.certify_unitary(pair.u)
+            assert certify(pair.u) == want
+            for key, target in (("gap_plus", 1), ("gap_minus", -1)):
+                assert essential.gap_at(pair.u, target).to_dict() == want[key]
+            statuses.update((want["gap_plus"]["status"], want["gap_minus"]["status"]))
         assert statuses == {essential.CERTIFIED, essential.INCONCLUSIVE}
+        # the identity's flat band sits on +1, so that gap leaves the joint pass at
+        # round 1 while the one at -1 iterates; the rotated shift's band covers the
+        # circle, and both gaps iterate past round 1, each on its own probes
+        for u, statuses in ((identity(2), (essential.REFUTED, essential.CERTIFIED)),
+                            (rotated(shift_power(1, 1), 0.3), (essential.REFUTED,) * 2)):
+            want = oracles.certify_unitary(u)
+            assert certify(u) == want
+            assert (want["gap_plus"]["status"], want["gap_minus"]["status"]) == statuses
 
     def test_closed_gaps_refuted(self):
         rng = np.random.default_rng(23)
