@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage/parse/internal error, 2 a gating
 certification was refuted.  Output is deterministic for a fixed
-scenario, seed and tolerances.
+scenario, seed and tolerances; verify's per-suite wall times go to
+stderr.
 """
 
 from __future__ import annotations
@@ -113,6 +114,8 @@ def cmd_verify(args):
         for result in results:
             lines.append(result.line())
             lines.extend(f"    {message}" for message in result.messages)
+            # wall time goes to stderr, so the lines and the --out file stay deterministic
+            print(f"time  {result.name}: {result.seconds:.3f} s", file=sys.stderr)
         failed = sum(r.failures for r in results)
         total = sum(r.trials for r in results)
         lines.append(f"{'PASS' if failed == 0 else 'FAIL'}: {total} trials across "

@@ -1,20 +1,25 @@
 """Finite-dimensional index computations for chiral unitaries.
 
-Every operation works on dense complex matrices.  Kernels are found by
-SVD with a relative rank threshold: the full SVD where the kernel basis is
-needed (graded kernels), singular values alone, batched per index, where
-only its dimension is.  Graded quantities are signatures of the chiral
-symmetry compressed to a kernel, with eigenvalues required to sit near +-1
-(an eigenvalue inside (-1/2, 1/2) signals a rank misclassification and
-raises instead of silently averaging).
+Every operation works on dense complex matrices.  Kernels are ranked
+under one relative threshold: by SVD (the full SVD where the basis is
+needed, singular values alone, batched, where only the dimension is),
+or, for a matrix Hermitian by construction, by its spectrum, since the
+singular values of h - s are |lambda(h) - s| (``_hermitian_kernel``):
+Tanaka's Re U blocks at +-1, the symmetrised Cayley matrices, Ker H of
+a generator and the traces of P0 - P1.  Graded quantities are
+signatures of the chiral symmetry compressed to a kernel, with
+eigenvalues required to sit near +-1 (an eigenvalue inside (-1/2, 1/2)
+signals a rank misclassification and raises instead of silently
+averaging).
 
 U - 1 and U + 1 are factored once per call, by one stacked full SVD
 (``_unit_svd``): its right singular vectors give the kernels behind
 si+-, its left singular vectors the ranges on which the Cayley
 transforms of U and -U are taken.  Gamma0 is factored once too, by one
-``eigh``: its eigenframes serve Tanaka, SUSY and the pair index, whose
-projection intersections are ranked on the frames of Ran P0 and Ker P0
-(``_intersection_dims``).
+``eigh``: U is rotated once into its frame [V_plus, V_minus], whose
+blocks give Tanaka's Re U blocks and SUSY's Q_plus, and the pair
+index's projection intersections are ranked on the frames of Ran P0
+and Ker P0 (``_intersection_dims``).
 """
 
 from __future__ import annotations
@@ -61,6 +66,13 @@ def check_chiral_relation(u, gamma0, tol=RELATION_TOL):
     dev = np.abs(gamma0 @ u @ gamma0 - u.conj().T).max() if u.size else 0.0
     if dev > tol:
         raise PreconditionError(f"chiral relation G0 U G0 = U* fails by {dev:.3e}")
+
+
+def _checked_chiral(u, gamma0, tol):
+    """(U, Gamma0), checked as a unitary, a self-adjoint unitary and a chiral pair."""
+    u, g = check_unitary(u, tol), check_selfadjoint_unitary(gamma0, tol)
+    check_chiral_relation(u, g, tol)
+    return u, g
 
 
 def check_factorization(u, gamma0, gamma1, tol=RELATION_TOL):
@@ -162,6 +174,14 @@ def _kernel_dims(matrices, rank_tol, scale=None):
     return (cols - np.sum(svals >= _rank_threshold(ref, rank_tol), axis=-1)).tolist()
 
 
+def _hermitian_kernel(evals, shifts, rank_tol):
+    """Kernel mask of h - s from the eigenvalues of a Hermitian h: its singular values
+    are |evals - s|, ranked under ``_rank_threshold`` relative to the largest of them,
+    as ``kernel_basis`` ranks h - s.  One row per shift for a sequence of shifts."""
+    dist = np.abs(evals - np.reshape(shifts, np.shape(shifts) + (1,)))
+    return dist < _rank_threshold(dist.max(axis=-1, keepdims=True, initial=0.0), rank_tol)
+
+
 def _signature_and_margin(evals):
     """Signature of compressed gamma0 eigenvalues and its decision margin.
 
@@ -199,6 +219,13 @@ def _grading_frames(g, split=0.0):
     return vecs[:, evals > split], vecs[:, evals < split]
 
 
+def _in_frame(u, frames):
+    """(V^H U V, p) in the gamma0 frame V = [V_plus, V_minus]: the leading p =
+    V_plus.shape[1] rows and columns belong to Ran V_plus."""
+    v = np.hstack(frames)
+    return v.conj().T @ u @ v, frames[0].shape[1]
+
+
 def _unit_svd(u):
     """Full SVD (W, singular values, V^H) of the stack [U - 1, U + 1]: V^H gives
     the kernels of U -+ 1 (si+-), W their ranges (the Cayley indices)."""
@@ -216,9 +243,7 @@ def _unit_kernels(svd, g, rank_tol):
 
 def symmetry_index_pm(u, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     """(si_plus, si_minus): graded signatures of Ker(U -+ 1)."""
-    u = check_unitary(u, tol)
-    g = check_selfadjoint_unitary(gamma0, tol)
-    check_chiral_relation(u, g, tol)
+    u, g = _checked_chiral(u, gamma0, tol)
     ker_plus, ker_minus = _unit_kernels(_unit_svd(u), g, rank_tol)
     return ker_plus.graded_signature, ker_minus.graded_signature
 
@@ -234,39 +259,34 @@ def chiral_selfadjoint_index(q, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_
     return kernel_basis(q, rank_tol, g).graded_signature
 
 
-def _susy_core(u, frames, rank_tol):
+def _susy_core(b, p, rank_tol):
+    """Index of Q_plus = V_minus^H Im(U) V_plus, read off ``b, p = _in_frame(u, frames)``."""
     # Q+ and Q+* differ in shape unless the grading is balanced; one rank for
     # both would make the index cols - rows by construction
-    v_plus, v_minus = frames
-    q_plus = v_minus.conj().T @ ((u - u.conj().T) / 2j) @ v_plus
+    q_plus = (b[p:, :p] - b[:p, p:].conj().T) / 2j
     return _kernel_dims(q_plus, rank_tol) - _kernel_dims(q_plus.conj().T, rank_tol)
 
 
 def susy_index(u, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     """Fredholm index of the off-diagonal block of Im(U) = (U - U*)/2i."""
-    u = check_unitary(u, tol)
-    g = check_selfadjoint_unitary(gamma0, tol)
-    check_chiral_relation(u, g, tol)
-    return _susy_core(u, _grading_frames(g), rank_tol)
+    u, g = _checked_chiral(u, gamma0, tol)
+    return _susy_core(*_in_frame(u, _grading_frames(g)), rank_tol)
 
 
-def _tanaka_core(u, frames, rank_tol):
-    re_u = 0.5 * (u + u.conj().T)
-    dims = []
-    for v in frames:
-        r = v.conj().T @ re_u @ v
-        eye = np.eye(r.shape[0])
-        dims.append(_kernel_dims(np.stack([r - eye, r + eye]), rank_tol))
-    (plus1, minus1), (plus2, minus2) = dims
+def _tanaka_core(b, p, rank_tol):
+    """(ind_plus, ind_minus) from the Re U blocks on Ran V_plus and Ran V_minus, read
+    off ``b, p = _in_frame(u, frames)``: one ``eigvalsh`` ranks both r - 1 and r + 1."""
+    re_b = 0.5 * (b + b.conj().T)
+    (plus1, minus1), (plus2, minus2) = (
+        _hermitian_kernel(np.linalg.eigvalsh(r), (1.0, -1.0), rank_tol).sum(axis=-1).tolist()
+        for r in (re_b[:p, :p], re_b[p:, p:]))
     return plus1 - plus2, minus1 - minus2
 
 
 def tanaka_index_pm(u, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     """(ind_plus, ind_minus) from Re(U) restricted to the graded halves."""
-    u = check_unitary(u, tol)
-    g = check_selfadjoint_unitary(gamma0, tol)
-    check_chiral_relation(u, g, tol)
-    return _tanaka_core(u, _grading_frames(g), rank_tol)
+    u, g = _checked_chiral(u, gamma0, tol)
+    return _tanaka_core(*_in_frame(u, _grading_frames(g)), rank_tol)
 
 
 def _intersection_dims(pairs, rank_tol, count=4):
@@ -310,11 +330,16 @@ def _graded_intersection_dims(g0, g1, frames, rank_tol, tol):
 
 
 def pair_index_trace(p0, p1, m=0):
-    """Tr((P0 - P1)^(2m+1)); equals the pair index when both are projections."""
-    p0 = _as_complex(p0)
-    p1 = _as_complex(p1)
-    power = np.linalg.matrix_power(p0 - p1, 2 * int(m) + 1)
-    return float(np.trace(power).real)
+    """Tr((P0 - P1)^(2m+1)), the pair index when both are projections, from the
+    ``eigvalsh`` spectrum of P0 - P1 (Hermitian within RELATION_TOL); a sequence m
+    gives a list, one trace per entry."""
+    diff = _as_complex(p0) - _as_complex(p1)
+    dev = np.abs(diff - diff.conj().T).max() if diff.size else 0.0
+    if dev > RELATION_TOL:
+        raise PreconditionError(f"P0 - P1 deviates from self-adjointness by {dev:.3e}")
+    evals = np.linalg.eigvalsh(diff)
+    traces = [float(np.sum(evals ** (2 * int(k) + 1))) for k in np.atleast_1d(m)]
+    return traces if np.ndim(m) else traces[0]
 
 
 @dataclass
@@ -384,18 +409,18 @@ def _kernel_structure(u, gamma0, gamma1, rank_tol, tol):
 def _cayley_signature(u, w_full, svals, gamma0, rank_tol):
     """Graded signature of the Cayley kernel of u on Ran(1 - u), from the
     SVD of 1 - u or of u - 1: the two have the same singular values and
-    the same ranges, and only the ranges enter the compressions below."""
-    eye = np.eye(u.shape[0])
-    one_minus = eye - u
+    the same ranges, and only the ranges enter the compressions below.
+    The symmetrised Cayley matrix is Hermitian, so one ``eigh`` ranks it."""
     w = w_full[:, svals >= _rank_threshold(svals, rank_tol)]
     if w.shape[1] == 0:
         return 0
-    a = w.conj().T @ one_minus @ w
-    b = w.conj().T @ (1j * (eye + u)) @ w
-    cayley = np.linalg.solve(a, b)
+    w_adj = w.conj().T
+    u_w = w_adj @ u @ w
+    eye = np.eye(w.shape[1])
+    cayley = np.linalg.solve(eye - u_w, 1j * (eye + u_w))
     cayley = 0.5 * (cayley + cayley.conj().T)
-    g = w.conj().T @ gamma0 @ w
-    dev_g = np.abs(g @ g - np.eye(w.shape[1])).max()
+    g = w_adj @ gamma0 @ w
+    dev_g = np.abs(g @ g - eye).max()
     if dev_g > 1e-8:
         raise PreconditionError(
             f"restriction not Gamma0-invariant within tolerance (deviation {dev_g:.3e})"
@@ -406,7 +431,8 @@ def _cayley_signature(u, w_full, svals, gamma0, rank_tol):
         raise PreconditionError(
             f"Cayley transform fails to anticommute with Gamma0 (deviation {anti:.3e})"
         )
-    return kernel_basis(cayley, rank_tol, g).graded_signature
+    evals, vecs = np.linalg.eigh(cayley)
+    return graded_signature(vecs[:, _hermitian_kernel(evals, 0.0, rank_tol)], g)
 
 
 def _cayley_core(u, svd, g, rank_tol):
@@ -425,9 +451,7 @@ def cayley_index(u, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     The first entry is the graded signature of Ker C(U) (eigenvalue -1
     data of U), the second that of Ker C(-U) (eigenvalue +1 data).
     """
-    u = check_unitary(u, tol)
-    g = check_selfadjoint_unitary(gamma0, tol)
-    check_chiral_relation(u, g, tol)
+    u, g = _checked_chiral(u, gamma0, tol)
     return _cayley_core(u, _unit_svd(u), g, rank_tol)
 
 
@@ -436,11 +460,14 @@ def generator_index(hamiltonian, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION
 
     H must be self-adjoint and anticommute with gamma0; ||H|| > 1 is
     flattened to H(1 + H^2)^(-1/2) first (same kernel), by ``build_generator_walk``.
+    Ker H is ranked by ``eigh``; the cross-check factors U - 1 alone.
     """
     g = check_selfadjoint_unitary(gamma0, tol)
     walk = build_generator_walk(_as_complex(hamiltonian), g, tol)
-    index = kernel_basis(walk.hamiltonian, rank_tol, g).graded_signature
-    si_plus, _ = symmetry_index_pm(walk.walk_exp, g, rank_tol, tol)
+    evals, vecs = np.linalg.eigh(walk.hamiltonian)
+    index = graded_signature(vecs[:, _hermitian_kernel(evals, 0.0, rank_tol)], g)
+    u, _ = _checked_chiral(walk.walk_exp, g, tol)
+    si_plus = kernel_basis(u - np.eye(u.shape[0]), rank_tol, g).graded_signature
     if si_plus != index:
         raise PreconditionError(
             f"generator index {index} disagrees with si_plus(e^(i pi H)) = {si_plus}; "
@@ -518,21 +545,20 @@ class IndexReport:
 
 def full_index_report(u, gamma0, gamma1=None, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     """Evaluate every index of the summary table for one finite chiral unitary."""
-    u = check_unitary(u, tol)
-    g0 = check_selfadjoint_unitary(gamma0, tol)
-    check_chiral_relation(u, g0, tol)
+    u, g0 = _checked_chiral(u, gamma0, tol)
     g1 = check_selfadjoint_unitary(g0 @ u if gamma1 is None else gamma1, tol, "Gamma1")
     if gamma1 is not None:
         check_factorization(u, g0, g1, tol)
     svd = _unit_svd(u)
     ker_plus, ker_minus = _unit_kernels(svd, g0, rank_tol)
     frames = _grading_frames(g0)
-    tanaka_plus, tanaka_minus = _tanaka_core(u, frames, rank_tol)
+    u_frame = _in_frame(u, frames)
+    tanaka_plus, tanaka_minus = _tanaka_core(*u_frame, rank_tol)
     cayley_minus, cayley_plus = _cayley_core(u, svd, g0, rank_tol)
     trace = float(np.trace(g0).real)
     if abs(trace - round(trace)) > 1e-6:
         raise PreconditionError(f"Tr(Gamma0) = {trace} is not near an integer")
-    susy = _susy_core(u, frames, rank_tol)
+    susy = _susy_core(*u_frame, rank_tol)
     ranker, kerran, ranran, kerker = _graded_intersection_dims(g0, g1, frames, rank_tol, tol)
     return IndexReport(
         si_plus=ker_plus.graded_signature,

@@ -42,11 +42,15 @@ def _read_json(path):
 
 def _field(doc, key, where, kind=None, default=None):
     """kind(doc[key]), default standing in for an absent key when given; a missing
-    or malformed value is a ScenarioError naming the field."""
+    or malformed value is a ScenarioError naming the field.  An int field refuses
+    a boolean and a number that is not integral instead of truncating it."""
     value = doc.get(key, default)
     if value is None and key not in doc:
         raise ScenarioError(f"{where}.{key}: missing")
     try:
+        if kind is int and (isinstance(value, bool)
+                            or isinstance(value, float) and not value.is_integer()):
+            raise ValueError
         return value if kind is None else kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{where}.{key}: expected {kind.__name__}, got {value!r}") from None
@@ -107,12 +111,9 @@ class Tolerances:
         doc = dict(doc or {})
         _reject_unknown(doc, {"rank_tol", "grid_n", "margin"}, "tolerances")
         merged = {**doc, **{k: v for k, v in (overrides or {}).items() if v is not None}}
-        try:
-            values = (float(merged.get("rank_tol", 1e-8)), int(merged.get("grid_n", 4096)),
-                      float(merged.get("margin", 1e-6)))
-        except (TypeError, ValueError, OverflowError) as exc:   # e.g. grid_n NaN or Infinity
-            raise ScenarioError(f"tolerances: {exc}") from exc
-        return cls(*values)
+        return cls(_field(merged, "rank_tol", "tolerances", float, 1e-8),
+                   _field(merged, "grid_n", "tolerances", int, 4096),
+                   _field(merged, "margin", "tolerances", float, 1e-6))
 
     def to_dict(self):
         return {"rank_tol": self.rank_tol, "grid_n": self.grid_n, "margin": self.margin}

@@ -10,6 +10,7 @@ serves as an independent oracle.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ class SuiteResult:
     trials: int
     failures: int
     messages: list = field(default_factory=list)
+    seconds: float | None = None      # wall time, set by run_suites; never in line()
 
     @property
     def passed(self):
@@ -262,11 +264,10 @@ def trace_formula_suite(seed=2, trials=300, rank_tol=1e-8, tol=1e-8):
         eye = np.eye(sp.u.shape[0])
         p0 = 0.5 * (eye + sp.gamma0)
         p1 = 0.5 * (eye + sp.gamma1)
-        ok = True
-        for m in (0, 1, 2):
-            t1 = indices.pair_index_trace(p0, p1, m)
-            t2 = indices.pair_index_trace(p0, eye - p1, m)
-            ok = ok and abs(t1 - sp.si_minus) < tol and abs(t2 - sp.si_plus) < tol
+        t1 = indices.pair_index_trace(p0, p1, (0, 1, 2))
+        t2 = indices.pair_index_trace(p0, eye - p1, (0, 1, 2))
+        ok = all(abs(a - sp.si_minus) < tol and abs(b - sp.si_plus) < tol
+                 for a, b in zip(t1, t2))
         result.record(ok, f"trial {k}")
     return result
 
@@ -475,8 +476,16 @@ LATTICE_SUITES = (
 )
 
 
+def _timed(suite, **kwargs):
+    """suite(**kwargs), its wall time in the result's ``seconds``."""
+    start = time.perf_counter()
+    result = suite(**kwargs)
+    result.seconds = time.perf_counter() - start
+    return result
+
+
 def run_suites(which="all", seed=None, trials=None, models=None):
-    """Run the named suite group with optional overrides; returns SuiteResults."""
+    """Run the named suite group with optional overrides; returns timed SuiteResults."""
     results = []
     if which in ("finite", "all"):
         for k, suite in enumerate(FINITE_SUITES):
@@ -485,12 +494,12 @@ def run_suites(which="all", seed=None, trials=None, models=None):
                 kwargs["seed"] = seed + k
             if trials is not None:
                 kwargs["trials"] = trials
-            results.append(suite(**kwargs))
+            results.append(_timed(suite, **kwargs))
     if which in ("lattice", "all"):
         for k, suite in enumerate(LATTICE_SUITES):
             kwargs = {}
             if suite is homotopy_suite:
-                results.append(suite())
+                results.append(_timed(suite))
                 continue
             if seed is not None:
                 kwargs["seed"] = 100 + seed + k
@@ -498,5 +507,5 @@ def run_suites(which="all", seed=None, trials=None, models=None):
                 kwargs["models"] = models
             if trials is not None and suite is consistency_suite:
                 kwargs["trials"] = trials
-            results.append(suite(**kwargs))
+            results.append(_timed(suite, **kwargs))
     return results

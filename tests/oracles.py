@@ -13,8 +13,13 @@ sums each kernel tail with one Kronecker solve; ``stein`` calls scipy,
 and the tests bound the rounding between the two routes.  The package
 ranks the intersections of two projections on orthonormal frames of
 Ran P0 and Ker P0; ``intersection_dims`` ranks the 2n x n constraint
-stacks instead.  ``split_step_indices`` gives si_plus and si_minus of a
-split-step walk in closed form, from the theory, not from the package.
+stacks instead.  The package ranks Hermitian matrices (Tanaka's Re U
+blocks, the Cayley matrices, Ker H) by their eigenvalues and reads the
+odd-power traces of P0 - P1 off its spectrum; ``full_index_report``,
+``generator_index`` and ``pair_index_trace`` rank them by SVD and take
+matrix powers instead.  ``split_step_indices`` gives si_plus and
+si_minus of a split-step walk in closed form, from the theory, not from
+the package.
 """
 
 import functools
@@ -24,7 +29,7 @@ import numpy as np
 from chiralwalk import essential, indices, operators as ops, transfer, winding
 from chiralwalk.exceptions import NotFredholmError, PreconditionError
 from chiralwalk.verification import split_step_from_angles
-from chiralwalk.walks import CHIRAL_TOL
+from chiralwalk.walks import CHIRAL_TOL, build_generator_walk
 
 SYMBOL_POINTS = 64         # circle points on which the limit residuals are evaluated
 
@@ -327,6 +332,95 @@ def intersections(p0, p1):
 def intersection_dims(p0, p1, rank_tol=indices.DEFAULT_RANK_TOL):
     """The four intersection dimensions as kernel dimensions of ``intersections``."""
     return [indices.kernel_basis(c, rank_tol).dimension for c in intersections(p0, p1)]
+
+
+# --- finite indices by SVD, traces by matrix powers ------------------------------
+
+
+def tanaka_index_pm(u, gamma0, rank_tol=indices.DEFAULT_RANK_TOL):
+    """(ind_plus, ind_minus): SVD kernel dimensions of r - 1 and r + 1 for the
+    Re U blocks r = V^H Re(U) V on the frames V of Ran and Ker of gamma0."""
+    re_u = 0.5 * (u + u.conj().T)
+    dims = []
+    for v in indices._grading_frames(gamma0):
+        r = v.conj().T @ re_u @ v
+        eye = np.eye(r.shape[0])
+        dims.append(indices._kernel_dims(np.stack([r - eye, r + eye]), rank_tol))
+    (plus1, minus1), (plus2, minus2) = dims
+    return plus1 - plus2, minus1 - minus2
+
+
+def susy_index(u, gamma0, rank_tol=indices.DEFAULT_RANK_TOL):
+    """Index of Q_plus = V_minus^H Im(U) V_plus, built from U itself."""
+    v_plus, v_minus = indices._grading_frames(gamma0)
+    q_plus = v_minus.conj().T @ ((u - u.conj().T) / 2j) @ v_plus
+    return indices._kernel_dims(q_plus, rank_tol) - indices._kernel_dims(q_plus.conj().T, rank_tol)
+
+
+def cayley_signature(u, gamma0, rank_tol=indices.DEFAULT_RANK_TOL):
+    """Graded signature of the Cayley kernel of u on Ran(1 - u): the ranges from
+    the SVD of 1 - u, the kernel of the symmetrised Cayley matrix by SVD."""
+    eye = np.eye(u.shape[0])
+    w_full, svals, _ = np.linalg.svd(eye - u)
+    w = w_full[:, svals >= indices._rank_threshold(svals, rank_tol)]
+    if w.shape[1] == 0:
+        return 0
+    a = w.conj().T @ (eye - u) @ w
+    b = w.conj().T @ (1j * (eye + u)) @ w
+    cayley = np.linalg.solve(a, b)
+    cayley = 0.5 * (cayley + cayley.conj().T)
+    g = w.conj().T @ gamma0 @ w
+    assert np.abs(g @ g - np.eye(w.shape[1])).max() <= 1e-8
+    assert np.abs(g @ cayley + cayley @ g).max() <= 1e-6 * max(1.0, np.abs(cayley).max())
+    return indices.kernel_basis(cayley, rank_tol, g).graded_signature
+
+
+def full_index_report(u, g0, g1=None, rank_tol=indices.DEFAULT_RANK_TOL):
+    """``indices.full_index_report(u, g0, g1, rank_tol).to_dict()`` composed index by
+    index: kernels by SVD, Re U blocks from U, Cayley ranges from separate SVDs of
+    1 - U and 1 + U, pair indices from ``indices.pair_index``."""
+    eye = np.eye(u.shape[0])
+    p0 = 0.5 * (eye + g0)
+    p1 = 0.5 * (eye + (g0 @ u if g1 is None else g1))
+    ker_plus = indices.kernel_basis(u - eye, rank_tol, g0)
+    ker_minus = indices.kernel_basis(u + eye, rank_tol, g0)
+    tanaka_plus, tanaka_minus = tanaka_index_pm(u, g0, rank_tol)
+    return indices.IndexReport(
+        si_plus=ker_plus.graded_signature,
+        si_minus=ker_minus.graded_signature,
+        si_total=ker_plus.graded_signature + ker_minus.graded_signature,
+        susy_index=susy_index(u, g0, rank_tol),
+        tanaka_plus=tanaka_plus,
+        tanaka_minus=tanaka_minus,
+        pair_index=indices.pair_index(p0, p1, rank_tol),
+        pair_index_complement=indices.pair_index(p0, eye - p1, rank_tol),
+        cayley_minus=cayley_signature(u, g0, rank_tol),
+        cayley_plus=cayley_signature(-u, g0, rank_tol),
+        trace_gamma0=int(round(np.trace(g0).real)),
+        certifications={"finite_dimensional": True},
+        tolerances={"rank_tol": rank_tol, "relation_tol": indices.RELATION_TOL},
+        diagnostics={
+            "borderline_singular_values": sorted(
+                ker_plus.borderline_singular_values + ker_minus.borderline_singular_values
+            ),
+            "dim_ker_u_minus_one": ker_plus.dimension,
+            "dim_ker_u_plus_one": ker_minus.dimension,
+        },
+    ).to_dict()
+
+
+def generator_index(hamiltonian, gamma0, rank_tol=indices.DEFAULT_RANK_TOL):
+    """(graded signature of Ker H by SVD, si_plus of e^(i pi H) from the kernels of
+    both U - 1 and U + 1), H flattened as ``build_generator_walk`` flattens it."""
+    walk = build_generator_walk(hamiltonian, gamma0)
+    index = indices.kernel_basis(walk.hamiltonian, rank_tol, gamma0).graded_signature
+    return index, indices.symmetry_index_pm(walk.walk_exp, gamma0, rank_tol)[0]
+
+
+def pair_index_trace(p0, p1, m=0):
+    """Tr((P0 - P1)^(2m+1)) from one matrix power."""
+    power = np.linalg.matrix_power(np.asarray(p0) - np.asarray(p1), 2 * int(m) + 1)
+    return float(np.trace(power).real)
 
 
 # --- split-step indices in closed form -----------------------------------------

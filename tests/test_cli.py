@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -215,6 +216,39 @@ class TestCliCommands:
         assert main(["index", write_json(tmp_path / "bad.json", doc)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("section, key, value, line", [
+        ("params", "shift_exponent", 1.5, "params.shift_exponent: expected int, got 1.5"),
+        ("params", "shift_exponent", True, "params.shift_exponent: expected int, got True"),
+        (None, "seed", 1.5, "scenario.seed: expected int, got 1.5"),
+        (None, "seed", False, "scenario.seed: expected int, got False"),
+        ("table", "x", 0.5, "params.a.table.x: expected int, got 0.5"),
+        ("tolerances", "grid_n", 2.7, "tolerances.grid_n: expected int, got 2.7"),
+        ("tolerances", "grid_n", "abc", "tolerances.grid_n: expected int, got 'abc'"),
+        ("tolerances", "rank_tol", "abc", "tolerances.rank_tol: expected float, got 'abc'"),
+    ], ids=["shift_fraction", "shift_bool", "seed_fraction", "seed_bool", "table_x_fraction",
+            "grid_fraction", "grid_text", "rank_tol_text"])
+    def test_integer_fields_are_not_truncated(self, section, key, value, line, tmp_path, capsys):
+        # each of these ran as a truncated integer (shift 1, seed 1, site 0, grid 2)
+        # and exited 0, or named no key
+        doc = gapped_scenario()
+        if section == "table":
+            doc["params"]["a"] = {"profile": "table", "left": 1.0, "right": 0.5,
+                                  "table": [{"x": value, "value": 0.8}]}
+        else:
+            (doc if section is None else doc[section])[key] = value
+        assert main(["index", write_json(tmp_path / "bad.json", doc)]) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    def test_integral_floats_still_read_as_integers(self):
+        doc = gapped_scenario()
+        doc["params"]["shift_exponent"] = 2.0
+        doc["tolerances"]["grid_n"] = 512.0
+        doc["seed"] = 3.0
+        scenario = Scenario.from_doc(doc)
+        assert (scenario.seed, scenario.tolerances.grid_n) == (3, 512)
+        assert scenario.build().u.band_radius == Scenario.from_doc(
+            {**doc, "params": {**doc["params"], "shift_exponent": 2}}).build().u.band_radius
 
     @pytest.mark.parametrize(
         "argv",
@@ -459,6 +493,25 @@ class TestCliCommands:
         assert capsys.readouterr().out == ""
         assert out.read_text() == printed
         assert printed.splitlines()[-1].startswith("PASS: 12 trials across 6 suites")
+
+    def test_verify_times_each_suite_on_stderr(self, tmp_path, capsys):
+        # wall times go to stderr, one line per suite in run order; stdout and
+        # the --out file keep exactly the suite lines and the verdict
+        argv = ["verify", "finite", "--trials", "2", "--seed", "11"]
+        names = ["identity_chain", "componentwise", "trace_formulas", "pair_algebra",
+                 "kernel_structure", "generator"]
+        expected = "".join(f"PASS  {name}: 2 trials, 0 failures\n" for name in names)
+        expected += "PASS: 12 trials across 6 suites, 0 failures\n"
+        out = tmp_path / "verify.txt"
+        for extra in ([], ["--out", str(out)]):
+            assert main(argv + extra) == 0
+            captured = capsys.readouterr()
+            assert (out.read_text() if extra else captured.out) == expected
+            assert captured.out == ("" if extra else expected)
+            err = captured.err.splitlines()
+            assert len(err) == len(names)
+            for name, line in zip(names, err):
+                assert re.fullmatch(rf"time  {name}: \d+\.\d{{3}} s", line), line
 
     def test_verify_out_zero_trials(self, tmp_path, capsys):
         out = tmp_path / "verify.txt"

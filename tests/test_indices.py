@@ -460,54 +460,139 @@ class TestFullReport:
         assert doc["consistent"] is True
 
     def test_matches_per_index_reference(self):
-        # the report as composed from the public per-index functions; the
-        # Cayley reference takes its ranges from separate SVDs of 1 - U and
-        # 1 + U, not from the report's shared SVD of U -+ 1
+        # 1,000 seeded triples, half structured (exact indices by construction),
+        # half generic of dimension 1-32, every fifth without Gamma1: the report
+        # against the composition of ``oracles``, which ranks every kernel by SVD
+        # and takes the Re U blocks and Q_plus from U itself; the public
+        # per-index functions run the report's cores and must agree too
         rng = np.random.default_rng(10)
-        for k in range(80):
+        for k in range(1000):
             if k % 2 == 0:
                 sp = structured_chiral_pair(rng)
                 u, g0, g1 = sp.u, sp.gamma0, sp.gamma1
             else:
-                u, g0, g1 = generic_chiral_pair(rng, int(rng.integers(1, 41)))
+                u, g0, g1 = generic_chiral_pair(rng, int(rng.integers(1, 33)))
             if k % 5 == 4:
                 g1 = None
-            eye = np.eye(u.shape[0])
-            p0 = 0.5 * (eye + g0)
-            p1 = 0.5 * (eye + (g0 @ u if g1 is None else g1))
-            ker_plus = indices.kernel_basis(u - eye, 1e-8, g0)
-            ker_minus = indices.kernel_basis(u + eye, 1e-8, g0)
-            tanaka_plus, tanaka_minus = indices.tanaka_index_pm(u, g0)
-            cayley_minus, cayley_plus = (
-                indices._cayley_signature(v, w, svals, g0, 1e-8)
-                for v, (w, svals, _) in ((u, np.linalg.svd(eye - u)), (-u, np.linalg.svd(eye + u)))
-            )
-            assert indices.cayley_index(u, g0) == (cayley_minus, cayley_plus), f"pair {k}"
-            reference = indices.IndexReport(
-                si_plus=ker_plus.graded_signature,
-                si_minus=ker_minus.graded_signature,
-                si_total=ker_plus.graded_signature + ker_minus.graded_signature,
-                susy_index=indices.susy_index(u, g0),
-                tanaka_plus=tanaka_plus,
-                tanaka_minus=tanaka_minus,
-                pair_index=indices.pair_index(p0, p1),
-                pair_index_complement=indices.pair_index(p0, eye - p1),
-                cayley_minus=cayley_minus,
-                cayley_plus=cayley_plus,
-                trace_gamma0=int(round(np.trace(g0).real)),
-                certifications={"finite_dimensional": True},
-                tolerances={"rank_tol": 1e-8, "relation_tol": 1e-10},
-                diagnostics={
-                    "borderline_singular_values": sorted(
-                        ker_plus.borderline_singular_values
-                        + ker_minus.borderline_singular_values
-                    ),
-                    "dim_ker_u_minus_one": ker_plus.dimension,
-                    "dim_ker_u_plus_one": ker_minus.dimension,
-                },
-            )
-            report = indices.full_index_report(u, g0, g1)
-            assert report.to_dict() == reference.to_dict(), f"pair {k}"
+            report = indices.full_index_report(u, g0, g1).to_dict()
+            assert report == oracles.full_index_report(u, g0, g1), f"pair {k}"
+            if k % 10 == 0:
+                assert indices.tanaka_index_pm(u, g0) == (report["tanaka_plus"],
+                                                          report["tanaka_minus"]), f"pair {k}"
+                assert indices.susy_index(u, g0) == report["susy_index"], f"pair {k}"
+                assert indices.cayley_index(u, g0) == (report["cayley_minus"],
+                                                       report["cayley_plus"]), f"pair {k}"
+
+    def test_generator_walks_match_the_svd_oracle(self):
+        # the reports of e^(i pi H) and the generator index, flattened or not
+        rng = np.random.default_rng(11)
+        for k in range(200):
+            m, n = (int(c) for c in rng.integers(1, 7, size=2))
+            h, g0, expected = random_chiral_hamiltonian(rng, m, n, norm_cap=(1.0, 4.0)[k % 2])
+            walk = build_generator_walk(h, g0)
+            report = indices.full_index_report(walk.walk_exp, g0).to_dict()
+            assert report == oracles.full_index_report(walk.walk_exp, g0), f"walk {k}"
+            got = indices.generator_index(h, g0)
+            assert (got, got) == oracles.generator_index(h, g0), f"walk {k}"
+            assert got == report["si_plus"] == expected, f"walk {k}"
+
+
+def hermitian_with_spectrum(evals, rng):
+    v = random_unitary(len(evals), rng)
+    h = (v * np.asarray(evals, dtype=float)) @ v.conj().T
+    return 0.5 * (h + h.conj().T)
+
+
+class TestSpectralRanks:
+    """``_hermitian_kernel`` ranks h - s from the eigenvalues of a Hermitian h; the
+    SVD of h - s under ``kernel_basis`` is the oracle."""
+
+    @pytest.mark.parametrize("rank_tol", [1e-8, 1e-6, 1e-3])
+    def test_planted_eigenvalues(self, rank_tol):
+        # eigenvalues planted at s +- c rank_tol sigma_max, sigma_max = max |lambda - s|
+        # set by the far eigenvalues: c = 0.5 is kernel, c = 2 is not; the far
+        # spread runs from 1e-3 to 10, so max |lambda| ranges from far above
+        # sigma_max (a shift of +-1, a spread of 1e-3) to below it
+        rng = np.random.default_rng(20)
+        for k in range(300):
+            shift = rng.choice([1.0, -1.0, 0.0, rng.uniform(-5.0, 5.0)])
+            spread = 10.0 ** rng.uniform(-3.0, 1.0)
+            far = shift + spread * rng.choice([-1.0, 1.0], size=int(rng.integers(1, 6)))
+            far[1:] = shift + (far[1:] - shift) * rng.uniform(0.2, 1.0, size=far.size - 1)
+            sigma_max = np.abs(far - shift).max()
+            cs = rng.choice([0.5, 2.0], size=int(rng.integers(0, 5)))
+            signs = rng.choice([-1.0, 1.0], size=cs.size)
+            planted = shift + signs * cs * rank_tol * sigma_max
+            h = hermitian_with_spectrum(np.concatenate([far, planted]), rng)
+            evals = np.linalg.eigvalsh(h)
+            got = int(indices._hermitian_kernel(evals, shift, rank_tol).sum())
+            oracle = indices.kernel_basis(h - shift * np.eye(len(h)), rank_tol).dimension
+            assert got == oracle == int(np.sum(cs == 0.5)), f"case {k}"
+            # a sequence of shifts ranks each row as the scalar shift does (Tanaka's +-1)
+            rows = indices._hermitian_kernel(evals, (shift, -shift), rank_tol)
+            assert rows.sum(axis=-1).tolist() == [
+                int(indices._hermitian_kernel(evals, s, rank_tol).sum()) for s in (shift, -shift)]
+
+    def test_exact_zeros_and_the_floor(self):
+        # below the 1e-12 floor everything is kernel, whatever rank_tol says
+        rng = np.random.default_rng(21)
+        for evals, shift, kernel in (
+            ([1.0, 1.0, -1.0], 1.0, 2),
+            ([1.0 + 1e-13, 1.0 - 5e-13], 1.0, 2),
+            ([0.0, 0.0], 0.0, 2),
+        ):
+            h = hermitian_with_spectrum(evals, rng)
+            got = int(indices._hermitian_kernel(np.linalg.eigvalsh(h), shift, 1e-8).sum())
+            oracle = indices.kernel_basis(h - shift * np.eye(len(h)), 1e-8).dimension
+            assert got == oracle == kernel
+
+    @pytest.mark.parametrize("value, shift, kernel", [
+        (1.0, 1.0, 1), (1.0 + 1e-13, 1.0, 1), (1.0 + 1e-11, 1.0, 0), (0.3, -1.0, 0),
+    ])
+    def test_one_by_one(self, value, shift, kernel):
+        h = np.array([[value]])
+        got = int(indices._hermitian_kernel(np.linalg.eigvalsh(h), shift, 1e-8).sum())
+        assert got == indices.kernel_basis(h - shift, 1e-8).dimension == kernel
+
+    def test_empty(self):
+        assert indices._hermitian_kernel(np.linalg.eigvalsh(np.zeros((0, 0))), 1.0, 1e-8).size == 0
+        assert indices.kernel_basis(np.zeros((0, 0))).dimension == 0
+
+    def test_empty_grading_halves(self):
+        # Gamma0 = +-1: one frame is empty, its Re U block and Q_plus are 0 x 0 or
+        # have no rows; U = +-1 puts the whole space in one Tanaka kernel
+        for g0, u in ((np.eye(3), np.eye(3)), (-np.eye(2), -np.eye(2)), (np.eye(1), -np.eye(1))):
+            report = indices.full_index_report(u, g0).to_dict()
+            assert report == oracles.full_index_report(u, g0)
+            assert report["tanaka_plus"] + report["tanaka_minus"] == int(np.trace(g0))
+
+    def test_pair_index_trace_matches_matrix_power(self):
+        rng = np.random.default_rng(22)
+        for k in range(200):
+            dim = int(rng.integers(1, 16))
+            p0, p1 = random_projection(rng, dim), random_projection(rng, dim)
+            ms = (0, 1, 2, 3)
+            traces = indices.pair_index_trace(p0, p1, ms)
+            for m, trace in zip(ms, traces):
+                assert abs(trace - oracles.pair_index_trace(p0, p1, m)) < 1e-10, f"pair {k}"
+                assert indices.pair_index_trace(p0, p1, m) == trace, f"pair {k}"
+
+    def test_pair_index_trace_refuses_a_non_hermitian_difference(self):
+        p0 = np.diag([1.0, 0.0])
+        with pytest.raises(PreconditionError, match="P0 - P1 deviates from self-adjointness"):
+            indices.pair_index_trace(p0, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(PreconditionError, match="self-adjointness"):
+            indices.pair_index_trace(p0, p0 + 1e-9j * np.eye(2), (0, 1))
+        assert indices.pair_index_trace(np.zeros((0, 0)), np.zeros((0, 0)), (0, 2)) == [0.0, 0.0]
+
+    def test_cayley_checks_anticommutation(self):
+        # U = diag(e^(i a), e^(i b)) commutes with sigma3, so its Cayley transform
+        # cannot anticommute with it; Ran(1 - U) is everything and sigma3 squares
+        # to 1 there, so only the anticommutation check can refuse
+        u = np.diag(np.exp(1j * np.array([0.7, 2.1])))
+        w, svals, _ = np.linalg.svd(np.eye(2) - u)
+        with pytest.raises(PreconditionError, match="fails to anticommute"):
+            indices._cayley_signature(u, w, svals, SIGMA3, 1e-8)
 
 
 class TestFiniteSuites:
