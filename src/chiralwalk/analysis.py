@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import essential, indices, operators as ops, transfer, winding
 from .exceptions import ChiralwalkError
-from .walks import ChiralPair
+from .walks import GENERATOR_CONVENTIONS, ChiralPair
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -93,12 +93,7 @@ def _custom_banded_report(f_op, tol):
 
 def _generator_report(walk, gamma0, tol):
     report = {
-        "conventions": {
-            "regularized": walk.regularized,
-            "eta": walk.eta,
-            "walk_exp": walk.convention_exp,
-            "walk_neg_exp": walk.convention_neg_exp,
-        },
+        "conventions": {"regularized": walk.regularized, **GENERATOR_CONVENTIONS},
         "certifications": {"finite_dimensional": True},
     }
     idx = indices.full_index_report(walk.walk_exp, gamma0, rank_tol=tol.rank_tol)

@@ -14,7 +14,9 @@ import json
 import sys
 
 from . import analysis, verification
+from .essential import DEFAULT_GRID_N, DEFAULT_MARGIN
 from .exceptions import ChiralwalkError
+from .indices import DEFAULT_RANK_TOL
 from .scenarios import Scenario, SweepSpec
 
 
@@ -75,19 +77,20 @@ def _write_rows(header, rows, fmt, target):
         _write(target, lambda out: _emit_csv(header, rows, out))
 
 
-def _tolerance_overrides(args):
-    return {"rank_tol": args.rank_tol, "grid_n": args.grid, "margin": args.margin}
+def _index_tolerances(args):
+    """The scenario tolerances that index and sweep take from their flags."""
+    return {"rank_tol": args.rank_tol, "margin": args.margin}
 
 
-def _report(args, analyse):
+def _report(args, analyse, overrides=None):
     """Load the scenario, write analyse(scenario)'s report, return its exit code."""
-    report, code = analyse(Scenario.load(args.scenario, _tolerance_overrides(args)))
+    report, code = analyse(Scenario.load(args.scenario, overrides))
     _write_report(report, args.format, args.out)
     return code
 
 
 def cmd_index(args):
-    return _report(args, analysis.run_index_report)
+    return _report(args, analysis.run_index_report, _index_tolerances(args))
 
 
 def cmd_winding(args):
@@ -95,15 +98,13 @@ def cmd_winding(args):
 
 
 def cmd_sweep(args):
-    spec = SweepSpec.load(args.sweep, _tolerance_overrides(args))
+    spec = SweepSpec.load(args.sweep, _index_tolerances(args))
     header, rows = analysis.run_sweep(spec)
     _write_rows(header, rows, args.format, args.out or spec.output)
     return 0
 
 
 def cmd_verify(args):
-    if args.format is not None:
-        raise ChiralwalkError("verify writes plain text lines; --format does not apply to it")
     if args.trials == 0:
         lines = ["WARNING: trials=0 requested; suites pass vacuously", "PASS  (vacuous): 0 trials"]
         failed = 0
@@ -125,7 +126,7 @@ def cmd_verify(args):
 
 
 def cmd_spectrum(args):
-    scenario = Scenario.load(args.scenario, _tolerance_overrides(args))
+    scenario = Scenario.load(args.scenario, {"grid_n": args.grid})
     header = ["side", "theta", "eigenvalue_re", "eigenvalue_im"]
     _write_rows(header, analysis.spectrum_rows(scenario), args.format, args.out)
     return 0
@@ -138,18 +139,15 @@ def non_negative_int(text):
     return value
 
 
-def _add_common_flags(parser, suppress=False):
-    default = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--rank-tol", dest="rank_tol", type=float, default=default,
-                        help="relative kernel rank threshold (default 1e-8)")
-    parser.add_argument("--grid", type=int, default=default,
-                        help="circle grid size of the spectrum dump (default 4096); "
-                             "certifications and windings use no grid")
-    parser.add_argument("--margin", type=float, default=default,
-                        help="certification margin (default 1e-6)")
-    parser.add_argument("--out", default=default, help="write output to this file")
-    parser.add_argument("--format", choices=("json", "csv"), default=default,
-                        help="report format; verify writes text and rejects it")
+# each subcommand registers the flags its command reads, and --out
+_FLAGS = {
+    "--rank-tol": {"type": float,
+                   "help": f"relative kernel rank threshold (default {DEFAULT_RANK_TOL})"},
+    "--margin": {"type": float, "help": f"certification margin (default {DEFAULT_MARGIN})"},
+    "--grid": {"type": int, "help": f"circle grid of the spectrum dump (default {DEFAULT_GRID_N})"},
+    "--format": {"choices": ("json", "csv"), "help": "report format"},
+    "--out": {"help": "write output to this file"},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,20 +163,21 @@ def build_parser():
         prog="chiralwalk",
         description="Indices of chiral unitaries and split-step quantum walks on the lattice",
     )
-    _add_common_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def subparser(name, help_text):
+    def subparser(name, help_text, *flags):
         p = sub.add_parser(name, help=help_text)
-        # SUPPRESS keeps values parsed before the subcommand from being reset
-        _add_common_flags(p, suppress=True)
+        for flag in (*flags, "--out"):
+            p.add_argument(flag, **_FLAGS[flag])
         return p
 
-    p_index = subparser("index", "full index report for one scenario")
+    p_index = subparser("index", "full index report for one scenario",
+                        "--rank-tol", "--margin", "--format")
     p_index.add_argument("scenario")
     p_index.set_defaults(func=cmd_index)
 
-    p_sweep = subparser("sweep", "evaluate a parameter sweep to CSV")
+    p_sweep = subparser("sweep", "evaluate a parameter sweep to CSV",
+                        "--rank-tol", "--margin", "--format")
     p_sweep.add_argument("sweep")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -191,11 +190,12 @@ def build_parser():
                           help="randomized-suite seed")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_spectrum = subparser("spectrum", "sampled symbol eigenvalues as CSV")
+    p_spectrum = subparser("spectrum", "sampled symbol eigenvalues as CSV",
+                           "--grid", "--format")
     p_spectrum.add_argument("scenario")
     p_spectrum.set_defaults(func=cmd_spectrum)
 
-    p_winding = subparser("winding", "det-symbol winding of a lattice scenario")
+    p_winding = subparser("winding", "det-symbol winding of a lattice scenario", "--format")
     p_winding.add_argument("scenario")
     p_winding.add_argument("--side", choices=("left", "right"), default="right")
     p_winding.set_defaults(func=cmd_winding)

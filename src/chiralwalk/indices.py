@@ -480,67 +480,39 @@ def generator_index(hamiltonian, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION
 class IndexReport:
     """All finite-dimensional indices of one chiral unitary, plus diagnostics."""
 
-    si_plus: int | None = None
-    si_minus: int | None = None
-    si_total: int | None = None
-    susy_index: int | None = None
-    tanaka_plus: int | None = None
-    tanaka_minus: int | None = None
-    pair_index: int | None = None
-    pair_index_complement: int | None = None
-    cayley_minus: int | None = None
-    cayley_plus: int | None = None
-    trace_gamma0: int | None = None
-    certifications: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
+    si_plus: int
+    si_minus: int
+    si_total: int
+    susy_index: int
+    tanaka_plus: int
+    tanaka_minus: int
+    pair_index: int
+    pair_index_complement: int
+    cayley_minus: int
+    cayley_plus: int
+    trace_gamma0: int
+    certifications: dict
+    tolerances: dict
+    diagnostics: dict
 
     def identity_chain_values(self):
         return {
             "si_total": self.si_total,
             "susy_index": self.susy_index,
-            "tanaka_total": None
-            if self.tanaka_plus is None
-            else self.tanaka_plus + self.tanaka_minus,
-            "pair_total": None
-            if self.pair_index is None
-            else self.pair_index + self.pair_index_complement,
+            "tanaka_total": self.tanaka_plus + self.tanaka_minus,
+            "pair_total": self.pair_index + self.pair_index_complement,
             "trace_gamma0": self.trace_gamma0,
         }
 
     @property
     def consistent(self):
-        chain = [v for v in self.identity_chain_values().values() if v is not None]
-        comp_minus = {
-            v
-            for v in (self.si_minus, self.tanaka_minus, self.pair_index, self.cayley_minus)
-            if v is not None
-        }
-        comp_plus = {
-            v
-            for v in (self.si_plus, self.tanaka_plus, self.pair_index_complement, self.cayley_plus)
-            if v is not None
-        }
-        return len(set(chain)) <= 1 and len(comp_minus) <= 1 and len(comp_plus) <= 1
+        chain = set(self.identity_chain_values().values())
+        comp_minus = {self.si_minus, self.tanaka_minus, self.pair_index, self.cayley_minus}
+        comp_plus = {self.si_plus, self.tanaka_plus, self.pair_index_complement, self.cayley_plus}
+        return len(chain) == len(comp_minus) == len(comp_plus) == 1
 
     def to_dict(self):
-        return {
-            "si_plus": self.si_plus,
-            "si_minus": self.si_minus,
-            "si_total": self.si_total,
-            "susy_index": self.susy_index,
-            "tanaka_plus": self.tanaka_plus,
-            "tanaka_minus": self.tanaka_minus,
-            "pair_index": self.pair_index,
-            "pair_index_complement": self.pair_index_complement,
-            "cayley_minus": self.cayley_minus,
-            "cayley_plus": self.cayley_plus,
-            "trace_gamma0": self.trace_gamma0,
-            "consistent": self.consistent,
-            "certifications": self.certifications,
-            "tolerances": self.tolerances,
-            "diagnostics": self.diagnostics,
-        }
+        return {**vars(self), "consistent": self.consistent}
 
 
 def full_index_report(u, gamma0, gamma1=None, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):

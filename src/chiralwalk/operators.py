@@ -414,49 +414,6 @@ class BandedAnisotropicOperator:
             f"offsets={sorted(self.bands)}, bulk={self.bulk_window()})"
         )
 
-    # --- serialization -----------------------------------------------------
-
-    def to_json_dict(self):
-        def cpx(m):
-            return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
-
-        bands = []
-        for n in sorted(self.bands):
-            f = self.bands[n]
-            bands.append(
-                {
-                    "offset": n,
-                    "left_limit": cpx(f.left),
-                    "right_limit": cpx(f.right),
-                    "bulk": [
-                        {"x": f.window_start + i, "value": cpx(f.values[i])}
-                        for i in range(f.values.shape[0])
-                    ],
-                }
-            )
-        return {"fiber_dim": self.fiber_dim, "bands": bands}
-
-    @classmethod
-    def from_json_dict(cls, doc):
-        def matrix(entry):
-            arr = np.asarray(entry, dtype=float)
-            if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
-                raise ChiralwalkError("matrix entries must be [re, im] pairs")
-            return arr[..., 0] + 1j * arr[..., 1]
-
-        try:
-            d = int(doc["fiber_dim"])
-            bands = {}
-            for band in doc["bands"]:
-                table = {int(e["x"]): matrix(e["value"]) for e in band.get("bulk", [])}
-                f = CoefficientFunction.from_table(
-                    matrix(band["left_limit"]), matrix(band["right_limit"]), table
-                )
-                bands[int(band["offset"])] = f
-        except (KeyError, TypeError) as exc:
-            raise ChiralwalkError(f"malformed operator document: {exc}") from exc
-        return cls(d, bands)
-
 
 class TruncatedOperator:
     """Dense compression P_L A P_L on sites -L..L, fiber index fastest."""

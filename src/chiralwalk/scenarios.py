@@ -1,8 +1,11 @@
 """Scenario and sweep files: JSON-shaped model descriptions for the CLI.
 
 Complex scalars are either plain numbers or [re, im] pairs; matrices are
-nested lists of [re, im] pairs.  Unknown keys are rejected so that typos
-fail loudly instead of silently running defaults.
+nested lists of [re, im] pairs.  Every model, custom_banded operators
+included, is read by the same field rules: unknown keys are rejected so
+that typos fail loudly instead of silently running defaults, a value of
+the wrong JSON type is refused rather than coerced, and a table site or
+band offset given twice is refused rather than overwritten.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .essential import DEFAULT_GRID_N, DEFAULT_MARGIN
 from .exceptions import ScenarioError
+from .indices import DEFAULT_RANK_TOL
 from .operators import BandedAnisotropicOperator, CoefficientFunction
 from .walks import SplitStepParams, build_generator_walk, build_walk, build_weighted_shift_walk
 
@@ -40,41 +45,61 @@ def _read_json(path):
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _field(doc, key, where, kind=None, default=None):
     """kind(doc[key]), default standing in for an absent key when given; a missing
-    or malformed value is a ScenarioError naming the field.  An int field refuses
-    a boolean and a number that is not integral instead of truncating it."""
+    or malformed value is a ScenarioError naming the field.  A number field takes
+    a JSON number only, not a boolean or a string, and an int field refuses a
+    fraction instead of truncating it; any other kind takes only its own type."""
     value = doc.get(key, default)
     if value is None and key not in doc:
         raise ScenarioError(f"{where}.{key}: missing")
+    if kind is None:
+        return value
     try:
-        if kind is int and (isinstance(value, bool)
-                            or isinstance(value, float) and not value.is_integer()):
+        if not (_is_number(value) if kind in (int, float) else isinstance(value, kind)):
             raise ValueError
-        return value if kind is None else kind(value)
-    except (TypeError, ValueError, OverflowError):
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return kind(value)
+    except (ValueError, OverflowError):
         raise ScenarioError(f"{where}.{key}: expected {kind.__name__}, got {value!r}") from None
 
 
 def _as_scalar(value, where):
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        try:
-            return complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError):
-            pass
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
+        return complex(float(value[0]), float(value[1]))
     raise ScenarioError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 
-def _as_matrix(value, where):
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = np.zeros(0)
-    if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
-        raise ScenarioError(f"{where}: expected an n x n matrix of [re, im] pairs")
+def _as_matrix(value, where, dim=None):
+    """An n x n matrix of [re, im] pairs of JSON numbers, n = dim when given."""
+    arr = np.asarray(value, dtype=object)
+    if (arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2
+            or dim not in (None, arr.shape[0]) or not all(map(_is_number, arr.flat))):
+        size = "an n x n" if dim is None else f"a {dim} x {dim}"
+        raise ScenarioError(f"{where}: expected {size} matrix of [re, im] pairs")
+    arr = arr.astype(float)
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _table(entries, where, read):
+    """The {x: read(value)} table of a list of {"x", "value"} entries; a site
+    given twice is refused."""
+    table = {}
+    for entry in entries:
+        _reject_unknown(entry, {"x", "value"}, where)
+        value = read(_field(entry, "value", where))
+        x = _field(entry, "x", where, int)
+        if x in table:
+            raise ScenarioError(f"{where}.x: site {x} given twice")
+        table[x] = value
+    return table
 
 
 def parse_profile(doc, where):
@@ -88,19 +113,37 @@ def parse_profile(doc, where):
     left, right = (np.array([[_as_scalar(_field(doc, key, where), where)]]) for key in ("left", "right"))
     if kind == "step":
         return CoefficientFunction.step(left, right, split=_field(doc, "split", where, int, 0))
-    table = {}
-    for entry in _field(doc, "table", where, list, []):
-        _reject_unknown(entry, {"x", "value"}, f"{where}.table")
-        value = _as_scalar(_field(entry, "value", f"{where}.table"), where)
-        table[_field(entry, "x", f"{where}.table", int)] = np.array([[value]])
+    table = _table(_field(doc, "table", where, list, []), f"{where}.table",
+                   lambda value: np.array([[_as_scalar(value, where)]]))
     return CoefficientFunction.from_table(left, right, table)
+
+
+def parse_operator(doc, where):
+    """A custom_banded operator: fiber_dim and a list of bands, each an offset,
+    left and right limit matrices and an optional bulk table of site values."""
+    _reject_unknown(doc, {"fiber_dim", "bands"}, where)
+    d = _field(doc, "fiber_dim", where, int)
+    if d < 1:
+        raise ScenarioError(f"{where}.fiber_dim: expected a positive int, got {d}")
+    bands, at = {}, f"{where}.bands"
+    for band in _field(doc, "bands", where, list):
+        _reject_unknown(band, {"offset", "left_limit", "right_limit", "bulk"}, at)
+        left, right = (_as_matrix(_field(band, key, at), f"{at}.{key}", d)
+                       for key in ("left_limit", "right_limit"))
+        table = _table(_field(band, "bulk", at, list, []), f"{at}.bulk",
+                       lambda value: _as_matrix(value, f"{at}.bulk.value", d))
+        offset = _field(band, "offset", at, int)
+        if offset in bands:
+            raise ScenarioError(f"{at}.offset: offset {offset} given twice")
+        bands[offset] = CoefficientFunction.from_table(left, right, table)
+    return BandedAnisotropicOperator(d, bands)
 
 
 @dataclass
 class Tolerances:
-    rank_tol: float = 1e-8
-    grid_n: int = 4096
-    margin: float = 1e-6
+    rank_tol: float = DEFAULT_RANK_TOL
+    grid_n: int = DEFAULT_GRID_N
+    margin: float = DEFAULT_MARGIN
 
     def __post_init__(self):
         if not all(0 < v < math.inf for v in (self.rank_tol, self.grid_n, self.margin)):
@@ -111,9 +154,9 @@ class Tolerances:
         doc = dict(doc or {})
         _reject_unknown(doc, {"rank_tol", "grid_n", "margin"}, "tolerances")
         merged = {**doc, **{k: v for k, v in (overrides or {}).items() if v is not None}}
-        return cls(_field(merged, "rank_tol", "tolerances", float, 1e-8),
-                   _field(merged, "grid_n", "tolerances", int, 4096),
-                   _field(merged, "margin", "tolerances", float, 1e-6))
+        return cls(_field(merged, "rank_tol", "tolerances", float, cls.rank_tol),
+                   _field(merged, "grid_n", "tolerances", int, cls.grid_n),
+                   _field(merged, "margin", "tolerances", float, cls.margin))
 
     def to_dict(self):
         return {"rank_tol": self.rank_tol, "grid_n": self.grid_n, "margin": self.margin}
@@ -171,7 +214,7 @@ class Scenario:
             return build_generator_walk(h, g0), g0
         if self.model == "custom_banded":
             _reject_unknown(p, {"operator"}, "params")
-            return BandedAnisotropicOperator.from_json_dict(_field(p, "operator", "params"))
+            return parse_operator(_field(p, "operator", "params"), "params.operator")
         raise ScenarioError(f"unsupported model {self.model!r}")
 
     def is_lattice(self):
@@ -215,7 +258,8 @@ class SweepSpec:
                 raise ScenarioError(f"axis {axis.get('path')!r} has no values")
             axes.append((_field(axis, "path", "axes entry", str),
                          _field(axis, "values", "axes entry", list)))
-        spec = cls(template, axes, doc.get("output"), tolerance_overrides)
+        output = None if doc.get("output") is None else _field(doc, "output", "sweep", str)
+        spec = cls(template, axes, output, tolerance_overrides)
         # validate that every grid point yields a well-formed scenario
         for point in spec.grid_points():
             spec.scenario_at(point)

@@ -30,10 +30,12 @@ import numpy as np
 
 from . import operators as ops
 from .exceptions import NotFredholmError
-from .indices import KernelSummary, _rank_threshold, _signature_and_margin, kernel_basis
+from .indices import (DEFAULT_RANK_TOL, KernelSummary, _rank_threshold, _signature_and_margin,
+                      kernel_basis)
 from .operators import circle_grid
 
 CIRCLE_MARGIN = 1e-6
+COEFF_TOL = 1e-11          # relative size below which a determinant coefficient is dropped
 
 
 # --- scalar determinant of a symbol loop ------------------------------------
@@ -48,15 +50,15 @@ def _det_samples(loop, shifted):
     return loop(zs), zs ** (-low), low
 
 
-def _det_polys(samples, mus, coeff_tol=1e-11):
+def _det_polys(samples, mus):
     """(polynomial, highest power first, order at z = 0) of det(loop(z) - mu)
     per mu, from one stacked det and one row-wise FFT; coefficients below
-    coeff_tol times a row's largest are dropped.  A determinant that
+    COEFF_TOL times a row's largest are dropped.  A determinant that
     vanishes identically gives a NotFredholmError for its polynomial."""
     values, twist, low = samples
     dets = np.linalg.det(values - np.asarray(mus)[:, None, None, None] * np.eye(values.shape[-1]))
     coeffs = np.fft.fft(dets * twist) / values.shape[0]
-    coeffs[np.abs(coeffs) < coeff_tol * np.abs(coeffs).max(axis=-1, keepdims=True)] = 0.0
+    coeffs[np.abs(coeffs) < COEFF_TOL * np.abs(coeffs).max(axis=-1, keepdims=True)] = 0.0
     polys = []
     for row in coeffs:
         nz = np.nonzero(row)[0]
@@ -426,7 +428,7 @@ def _graded_kernel(a, gamma0, rank_tol, extra_padding):
     return summary, _graded_spectrum(*_kernel_forms(system, gamma0))
 
 
-def exact_kernel(a, gamma0=None, rank_tol=1e-8, extra_padding=0):
+def exact_kernel(a, gamma0=None, rank_tol=DEFAULT_RANK_TOL, extra_padding=0):
     """Kernel of a banded anisotropic operator on the doubly infinite lattice.
 
     Candidate solutions combine a left-decaying germ, explicit bulk
@@ -458,7 +460,7 @@ def kernel_vectors(a):
     """
     import scipy.linalg
 
-    system = _matching_system(a, 1e-8, 0)
+    system = _matching_system(a, DEFAULT_RANK_TOL, 0)
     dim, d = system.null.dimension, a.fiber_dim
     lo, hi = system.y0, system.y1
     if dim == 0:
@@ -498,7 +500,7 @@ class ExactIndexResult:
         }
 
 
-def exact_index(a, rank_tol=1e-8):
+def exact_index(a, rank_tol=DEFAULT_RANK_TOL):
     """Kernel-counting index of a Fredholm banded operator, tau-normalized by d."""
     ker = exact_kernel(a, rank_tol=rank_tol)
     coker = exact_kernel(a.adjoint(), rank_tol=rank_tol)

@@ -19,6 +19,14 @@ from . import essential, indices, operators as ops, transfer, winding
 from .operators import BandedAnisotropicOperator, CoefficientFunction
 from .walks import SplitStepParams, build_walk
 
+BLOCK_COUNTS = 3            # a structured pair has 0-3 one-dimensional blocks of each sign pair
+ROTATIONS = 6               # ... and 1-6 rotation blocks
+MIN_ANGLE = 0.25            # ... whose angles keep this far from 0 and pi
+MAX_DIM = 40                # largest dimension of a generic chiral pair
+TRACE_TOL = 1e-8            # odd-power traces against the pair indices
+DEFECT_PROBABILITY = 0.5    # share of random split-step walks with a coin-defect table
+MAX_ATTEMPTS = 2000         # random split-step walks drawn for the certified ones
+
 
 @dataclass
 class SuiteResult:
@@ -66,7 +74,7 @@ class StructuredPair:
         return self.si_plus + self.si_minus
 
 
-def structured_chiral_pair(rng, max_block_counts=3, max_rotations=6, min_angle=0.25):
+def structured_chiral_pair(rng):
     """Random chiral pair from explicit blocks.
 
     1-dim blocks carry (gamma0, gamma1) signs (s, t) with u = s t;
@@ -74,10 +82,10 @@ def structured_chiral_pair(rng, max_block_counts=3, max_rotations=6, min_angle=0
     contribute no +-1 spectrum.  Everything is conjugated by one random
     unitary.
     """
-    counts = rng.integers(0, max_block_counts + 1, size=4)
+    counts = rng.integers(0, BLOCK_COUNTS + 1, size=4)
     n_pp, n_pm, n_mp, n_mm = (int(c) for c in counts)
-    k = int(rng.integers(1, max_rotations + 1))
-    angles = rng.uniform(min_angle, np.pi - min_angle, size=k)
+    k = int(rng.integers(1, ROTATIONS + 1))
+    angles = rng.uniform(MIN_ANGLE, np.pi - MIN_ANGLE, size=k)
     dim = n_pp + n_pm + n_mp + n_mm + 2 * k
     g0 = np.zeros((dim, dim), dtype=complex)
     g1 = np.zeros((dim, dim), dtype=complex)
@@ -183,10 +191,10 @@ def split_step_from_angles(theta1_left, theta1_right, theta2, shift_exponent=1, 
     return build_walk(params)
 
 
-def random_split_step(rng, defect_probability=0.5):
+def random_split_step(rng):
     angles = rng.uniform(0.0, np.pi, size=3)
     defects = {}
-    if rng.random() < defect_probability:
+    if rng.random() < DEFECT_PROBABILITY:
         for x in range(-int(rng.integers(0, 3)), int(rng.integers(1, 4))):
             defects[x] = float(rng.uniform(0.0, np.pi))
     return split_step_from_angles(angles[0], angles[1], angles[2], defects=defects)
@@ -216,7 +224,7 @@ def interpolating_shift_model(rng, power_left, power_right, noise_sites=3):
 # --- finite-dimensional suites ------------------------------------------------
 
 
-def identity_chain_suite(seed=0, trials=1000, max_dim=40, rank_tol=1e-8):
+def identity_chain_suite(seed=0, trials=1000):
     """si+ + si- = susy = tanaka+ + tanaka- = pair + pair-complement
     = cayley- + cayley+ = Tr(G0)."""
     rng = np.random.default_rng(seed)
@@ -227,10 +235,10 @@ def identity_chain_suite(seed=0, trials=1000, max_dim=40, rank_tol=1e-8):
             u, g0, g1 = sp.u, sp.gamma0, sp.gamma1
             expected = sp.trace_gamma0
         else:
-            dim = int(rng.integers(2, max_dim + 1))
+            dim = int(rng.integers(2, MAX_DIM + 1))
             u, g0, g1 = generic_chiral_pair(rng, dim)
             expected = None
-        report = indices.full_index_report(u, g0, g1, rank_tol)
+        report = indices.full_index_report(u, g0, g1)
         chain = report.identity_chain_values()
         chain["cayley_total"] = report.cayley_minus + report.cayley_plus
         values = set(chain.values())
@@ -241,13 +249,13 @@ def identity_chain_suite(seed=0, trials=1000, max_dim=40, rank_tol=1e-8):
     return result
 
 
-def componentwise_suite(seed=1, trials=300, rank_tol=1e-8):
+def componentwise_suite(seed=1, trials=300):
     """si- = tanaka- = pair = cayley- and si+ = tanaka+ = complement = cayley+."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("componentwise", trials, 0)
     for k in range(trials):
         sp = structured_chiral_pair(rng)
-        report = indices.full_index_report(sp.u, sp.gamma0, sp.gamma1, rank_tol)
+        report = indices.full_index_report(sp.u, sp.gamma0, sp.gamma1)
         minus = {report.si_minus, report.tanaka_minus, report.pair_index, report.cayley_minus}
         plus = {report.si_plus, report.tanaka_plus, report.pair_index_complement, report.cayley_plus}
         ok = minus == {sp.si_minus} and plus == {sp.si_plus}
@@ -255,7 +263,7 @@ def componentwise_suite(seed=1, trials=300, rank_tol=1e-8):
     return result
 
 
-def trace_formula_suite(seed=2, trials=300, rank_tol=1e-8, tol=1e-8):
+def trace_formula_suite(seed=2, trials=300):
     """Tr((P0-P1)^(2m+1)) = Ind(P0,P1) and the complement version, m = 0,1,2."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("trace_formulas", trials, 0)
@@ -266,13 +274,13 @@ def trace_formula_suite(seed=2, trials=300, rank_tol=1e-8, tol=1e-8):
         p1 = 0.5 * (eye + sp.gamma1)
         t1 = indices.pair_index_trace(p0, p1, (0, 1, 2))
         t2 = indices.pair_index_trace(p0, eye - p1, (0, 1, 2))
-        ok = all(abs(a - sp.si_minus) < tol and abs(b - sp.si_plus) < tol
+        ok = all(abs(a - sp.si_minus) < TRACE_TOL and abs(b - sp.si_plus) < TRACE_TOL
                  for a, b in zip(t1, t2))
         result.record(ok, f"trial {k}")
     return result
 
 
-def pair_algebra_suite(seed=3, trials=500, rank_tol=1e-8):
+def pair_algebra_suite(seed=3, trials=500):
     """Antisymmetry, complement rules, additivity; rank-difference oracle; one batched call."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("pair_algebra", trials, 0)
@@ -282,7 +290,7 @@ def pair_algebra_suite(seed=3, trials=500, rank_tol=1e-8):
         p = [random_projection(rng, dim, int(r)) for r in ranks]
         p += [np.eye(dim) - p[0], np.eye(dim) - p[1]]  # p[3] = 1 - P0, p[4] = 1 - P1
         ind_01, ind_10, ind_c01, ind_0c1, ind_1c0, ind_12, ind_02 = indices.pair_indices(
-            p, [(0, 1), (1, 0), (3, 4), (0, 4), (1, 3), (1, 2), (0, 2)], rank_tol
+            p, [(0, 1), (1, 0), (3, 4), (0, 4), (1, 3), (1, 2), (0, 2)]
         )
         ok = True
         # rank oracle: in finite dimension Ind(P,Q) = rank P - rank Q
@@ -296,14 +304,14 @@ def pair_algebra_suite(seed=3, trials=500, rank_tol=1e-8):
     return result
 
 
-def kernel_structure_suite(seed=4, trials=500, rank_tol=1e-8):
+def kernel_structure_suite(seed=4, trials=500):
     """Kernel decompositions of Ker(U -+ 1) and the kernel-dimension bound."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("kernel_structure", trials, 0)
     for k in range(trials):
         sp = structured_chiral_pair(rng)
         deco, bound = indices._kernel_structure(
-            sp.u, sp.gamma0, sp.gamma1, rank_tol, indices.RELATION_TOL
+            sp.u, sp.gamma0, sp.gamma1, indices.DEFAULT_RANK_TOL, indices.RELATION_TOL
         )
         ok = (
             deco.holds
@@ -315,7 +323,7 @@ def kernel_structure_suite(seed=4, trials=500, rank_tol=1e-8):
     return result
 
 
-def generator_suite(seed=5, trials=300, rank_tol=1e-8):
+def generator_suite(seed=5, trials=300):
     """Index(H_plus) = si_plus(e^{i pi H}) for chiral H with ||H|| <= 1."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("generator", trials, 0)
@@ -324,7 +332,7 @@ def generator_suite(seed=5, trials=300, rank_tol=1e-8):
         n = int(rng.integers(1, 7))
         h, g0, expected = random_chiral_hamiltonian(rng, m, n)
         # generator_index raises unless Index(H) equals si_plus(e^{i pi H})
-        got = indices.generator_index(h, g0, rank_tol)
+        got = indices.generator_index(h, g0)
         result.record(got == expected, f"trial {k}: expected {expected} got {got}")
     return result
 
@@ -343,11 +351,11 @@ def dichotomy_suite(seed=6, models=200):
     return result
 
 
-def certified_split_step_models(rng, count, max_attempts=2000):
+def certified_split_step_models(rng, count):
     """Split-step pairs whose essential gaps at both +-1 are certified."""
     models = []
     attempts = 0
-    while len(models) < count and attempts < max_attempts:
+    while len(models) < count and attempts < MAX_ATTEMPTS:
         attempts += 1
         pair = random_split_step(rng)
         certs = essential.certify_unitary(pair.u)
@@ -387,7 +395,7 @@ def index_theorem_suite(seed=7, models=20):
     return result
 
 
-def homotopy_suite(paths=None, samples=8, rank_tol=1e-8):
+def homotopy_suite(paths=None, samples=8):
     """Indices constant along gap-certified parameter paths.
 
     Each path interpolates the three coin angles linearly; every sampled
@@ -410,8 +418,8 @@ def homotopy_suite(paths=None, samples=8, rank_tol=1e-8):
                 result.record(False, f"path {idx}: cell t={t:.3f} not certified")
                 break
             one = ops.identity(2)
-            si_minus = transfer.exact_kernel(pair.u + one, pair.gamma0, rank_tol).graded_signature
-            si_plus = transfer.exact_kernel(pair.u - one, pair.gamma0, rank_tol).graded_signature
+            si_minus = transfer.exact_kernel(pair.u + one, pair.gamma0).graded_signature
+            si_plus = transfer.exact_kernel(pair.u - one, pair.gamma0).graded_signature
             seen.add((si_plus, si_minus))
         if ok:
             result.record(len(seen) == 1, f"path {idx}: indices moved: {sorted(seen)}")

@@ -243,9 +243,11 @@ class GeneratorWalk:
     walk_exp: np.ndarray           # e^{i pi H}
     walk_neg_exp: np.ndarray       # -e^{i pi eta(H)} with eta = identity
     regularized: bool
-    eta: str = "identity"
-    convention_exp: str = "exp(i*pi*H)"
-    convention_neg_exp: str = "-exp(i*pi*eta(H))"
+
+
+# the conventions of every GeneratorWalk, as its report names them
+GENERATOR_CONVENTIONS = {"eta": "identity", "walk_exp": "exp(i*pi*H)",
+                         "walk_neg_exp": "-exp(i*pi*eta(H))"}
 
 
 def build_generator_walk(hamiltonian, gamma0, tol=CHIRAL_TOL):

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import operators as ops
 from .exceptions import ChiralwalkError, NotFredholmError, PreconditionError
+from .indices import DEFAULT_RANK_TOL
 from .transfer import _clearance, _det_polys, _det_samples, _poly_roots, exact_index, exact_kernel
 from .walks import CHIRAL_TOL
 
@@ -204,7 +205,7 @@ class IndexTheoremRecord:
         return {"holds": self.holds, "branches": [b.to_dict() for b in self.branches]}
 
 
-def verify_index_theorem_banded(f_op, *, rank_tol=1e-8):
+def verify_index_theorem_banded(f_op, *, rank_tol=DEFAULT_RANK_TOL):
     """Kernel-count index of a banded operator against its winding difference.
 
     The record keeps the index as ``index_result`` and the two
@@ -225,7 +226,7 @@ def verify_index_theorem_banded(f_op, *, rank_tol=1e-8):
     return record
 
 
-def verify_index_theorem_chiral(pair, rank_tol=1e-8, kernels=None):
+def verify_index_theorem_chiral(pair, rank_tol=DEFAULT_RANK_TOL, kernels=None):
     """Compare the graded signatures of a chiral pair with root-count windings.
 
     The kernel side comes from the transfer oracle: the Gamma0-graded

@@ -19,7 +19,8 @@ odd-power traces of P0 - P1 off its spectrum; ``full_index_report``,
 ``generator_index`` and ``pair_index_trace`` rank them by SVD and take
 matrix powers instead.  ``split_step_indices`` gives si_plus and
 si_minus of a split-step walk in closed form, from the theory, not from
-the package.
+the package.  ``operator_doc`` writes the custom_banded operator document
+that ``scenarios.parse_operator`` reads, for round trips through the reader.
 """
 
 import functools
@@ -472,3 +473,21 @@ def split_step_indices(a_left, a_right, c, shift_exponent):
         return None
     m = shift_exponent
     return m * (int(a_left > c) - int(a_right > c)), m * (int(a_right > -c) - int(a_left > -c))
+
+
+def operator_doc(op):
+    """The custom_banded operator document of a BandedAnisotropicOperator: its
+    limits and trimmed bulk window per band, complex entries as [re, im] pairs."""
+    def cpx(m):
+        return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
+
+    bands = []
+    for n in sorted(op.bands):
+        f = op.bands[n]
+        bands.append({
+            "offset": n,
+            "left_limit": cpx(f.left),
+            "right_limit": cpx(f.right),
+            "bulk": [{"x": f.window_start + i, "value": cpx(v)} for i, v in enumerate(f.values)],
+        })
+    return {"fiber_dim": op.fiber_dim, "bands": bands}

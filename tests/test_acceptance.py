@@ -71,8 +71,9 @@ def test_criterion_02_componentwise():
 
 def test_criterion_03_trace_formulas():
     """Tr((P0-P1)^(2m+1)) and complement vs pair indices, m in {0,1,2}, 300 runs."""
-    result = verification.trace_formula_suite(seed=1003, trials=300, tol=1e-8)
-    _report(3, "odd-power trace formulas within 1e-8 on 300 instances", result.passed,
+    result = verification.trace_formula_suite(seed=1003, trials=300)
+    _report(3, "odd-power trace formulas within 1e-8 on 300 instances",
+            result.passed and verification.TRACE_TOL <= 1e-8,
             f" ({result.failures} failures)")
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import re
@@ -8,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chiralwalk.cli import main
+from chiralwalk.cli import build_parser, main
 from chiralwalk.exceptions import ScenarioError
 from chiralwalk.scenarios import Scenario, SweepSpec
+
+import oracles
 
 
 def write_json(path, doc):
@@ -305,7 +308,7 @@ class TestCliCommands:
 
         rng = np.random.default_rng(0)
         op = interpolating_shift_model(rng, 0, 1, noise_sites=1)
-        doc = {"model": "custom_banded", "params": {"operator": op.to_json_dict()},
+        doc = {"model": "custom_banded", "params": {"operator": oracles.operator_doc(op)},
                "tolerances": {"grid_n": 512}}
         path = write_json(tmp_path / "c.json", doc)
         assert main(["index", path]) == 0
@@ -318,7 +321,7 @@ class TestCliCommands:
         from chiralwalk.operators import identity, shift_power
 
         op = shift_power(1, 1) - identity(1).scaled(np.exp(1j))
-        doc = {"model": "custom_banded", "params": {"operator": op.to_json_dict()}}
+        doc = {"model": "custom_banded", "params": {"operator": oracles.operator_doc(op)}}
         path = write_json(tmp_path / "c.json", doc)
         assert main(["index", path]) == 2
         report = json.loads(capsys.readouterr().out)
@@ -364,7 +367,7 @@ class TestCliCommands:
         from chiralwalk.operators import identity, shift_power
 
         op = shift_power(1, 1) - identity(1).scaled(1.0 - 1e-7)
-        doc = {"model": "custom_banded", "params": {"operator": op.to_json_dict()}}
+        doc = {"model": "custom_banded", "params": {"operator": oracles.operator_doc(op)}}
         path = write_json(tmp_path / "c.json", doc)
         assert main(["winding", path]) == 2
         report = json.loads(capsys.readouterr().out)
@@ -526,11 +529,18 @@ class TestCliCommands:
         ["--format", "csv", "verify", "finite", "--trials", "1"],
     ])
     def test_verify_rejects_format(self, argv, tmp_path, capsys):
+        # verify registers no --format, and the top-level parser no flag: argparse
+        # refuses both before any suite runs
         out = tmp_path / "verify.txt"
-        assert main(argv + ["--out", str(out)]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and "--format" in captured.err
+        assert captured.err.splitlines()[-1].startswith({
+            "verify": "chiralwalk: error: unrecognized arguments: --format json",
+            "--format": "chiralwalk: error: argument command: invalid choice: 'csv'",
+        }[argv[0]])
         assert not out.exists()
 
     def test_finite_commands_load_no_scipy(self):
@@ -545,6 +555,186 @@ class TestCliCommands:
             "assert not scipy_modules(), scipy_modules()\n"
         )
         subprocess.run([sys.executable, "-c", code, str(src)], check=True)
+
+
+class _Reads(argparse.Namespace):
+    """A parsed namespace that records every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def readme_operator():
+    """The README's custom_banded document: 1 on the far left, the forward shift
+    on the far right."""
+    one, zero = [[[1.0, 0.0]]], [[[0.0, 0.0]]]
+    return {"model": "custom_banded", "params": {"operator": {"fiber_dim": 1, "bands": [
+        {"offset": 0, "left_limit": one, "right_limit": zero, "bulk": []},
+        {"offset": 1, "left_limit": zero, "right_limit": one, "bulk": []}]}}}
+
+
+class TestAcceptedSettings:
+    """Every flag a subcommand accepts is read, and every scenario value is taken
+    as it is written or refused with an error line that names its field."""
+
+    def test_each_subcommand_registers_the_flags_it_reads(self, tmp_path, capsys):
+        scenario = write_json(tmp_path / "s.json", gapped_scenario())
+        sweep = write_json(tmp_path / "sweep.json", {
+            "scenario": gapped_scenario(), "axes": [{"path": "seed", "values": [1]}]})
+        argvs = {
+            "index": ["index", scenario], "sweep": ["sweep", sweep],
+            "verify": ["verify", "finite", "--trials", "1"],
+            "spectrum": ["spectrum", scenario, "--grid", "8"], "winding": ["winding", scenario],
+        }
+        parser = build_parser()
+        assert parser._option_string_actions.keys() == {"-h", "--help"}
+        (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert commands.choices.keys() == argvs.keys()
+        for name, sub in commands.choices.items():
+            registered = {action.dest for action in sub._actions} - {"help"}
+            args = parser.parse_args(argvs[name] + ["--out", str(tmp_path / name)],
+                                     namespace=_Reads())
+            command = args.func
+            args._reads.clear()
+            assert command(args) == 0
+            assert args._reads == registered, name
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "finite", "--rank-tol", "0.9", "--margin", "3", "--grid", "7"],
+        ["verify", "finite", "--rank-tol", "1e-6", "--trials", "1"],
+        ["verify", "finite", "--trials", "1", "--margin", "1e-3"],
+        ["winding", "{path}", "--margin", "1e-3"],
+        ["winding", "{path}", "--rank-tol", "1e-6"],
+        ["index", "{path}", "--grid", "256"],
+        ["sweep", "{sweep}", "--grid", "256"],
+        ["spectrum", "{path}", "--margin", "1e-3"],
+        ["--rank-tol", "1e-6", "index", "{path}"],
+        ["--out", "{out}", "index", "{path}"],
+    ], ids=["verify_all_three", "verify_rank_tol", "verify_margin", "winding_margin",
+            "winding_rank_tol", "index_grid", "sweep_grid", "spectrum_margin",
+            "rank_tol_before_command", "out_before_command"])
+    def test_a_flag_the_command_does_not_read_is_refused(self, argv, tmp_path, capsys):
+        # each of these exited 0, the flag read by nothing
+        files = {"{path}": write_json(tmp_path / "s.json", gapped_scenario()),
+                 "{sweep}": str(SCENARIO_DIR / "sweep_coin_angle.json"),
+                 "{out}": str(tmp_path / "out.txt")}
+        with pytest.raises(SystemExit) as exc:
+            main([files.get(a, a) for a in argv])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: " in captured.err.splitlines()[-1]
+        assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("section, key, value, line", [
+        ("tolerances", "rank_tol", True, "tolerances.rank_tol: expected float, got True"),
+        ("tolerances", "margin", "1e-6", "tolerances.margin: expected float, got '1e-6'"),
+        ("params", "c", "0.955", "params.c: expected float, got '0.955'"),
+        ("params", "c", True, "params.c: expected float, got True"),
+        ("params", "shift_exponent", "1", "params.shift_exponent: expected int, got '1'"),
+        ("params", "d_coin", True,
+         "params.d_coin: expected a number or [re, im] pair, got True"),
+        ("params", "d_coin", ["0.29", 0.0],
+         "params.d_coin: expected a number or [re, im] pair, got ['0.29', 0.0]"),
+    ], ids=["rank_tol_true", "margin_text", "c_text", "c_true", "shift_text", "d_coin_true",
+            "d_coin_text_pair"])
+    def test_number_fields_take_json_numbers_only(self, section, key, value, line,
+                                                  tmp_path, capsys):
+        # each of these was coerced and exited 0; rank_tol true ranked at 1.0 and
+        # reported si_minus = -1 on split_step_gapped, where the default gives 0
+        doc = gapped_scenario()
+        doc[section][key] = value
+        assert main(["index", write_json(tmp_path / "bad.json", doc)]) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    def test_a_repeated_profile_site_is_refused(self, tmp_path, capsys):
+        doc = gapped_scenario()
+        doc["params"]["a"] = {"profile": "table", "left": 1.0, "right": 1.0,
+                              "table": [{"x": 0, "value": 0.6}, {"x": 0, "value": 0.8}]}
+        doc["params"]["b"] = {"profile": "table", "left": 0.0, "right": 0.0,
+                              "table": [{"x": 0, "value": 0.6}]}
+        assert main(["index", write_json(tmp_path / "bad.json", doc)]) == 1
+        assert capsys.readouterr().err == "error: params.a.table.x: site 0 given twice\n"
+
+    def test_sweep_output_is_a_path(self, tmp_path, capsys):
+        # a list ran every cell and then ended in a traceback at open()
+        sweep = json.loads((SCENARIO_DIR / "sweep_coin_angle.json").read_text())
+        sweep["output"] = [str(tmp_path / "rows.csv")]
+        assert main(["sweep", write_json(tmp_path / "sweep.json", sweep)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: sweep.output: expected str, got {sweep['output']!r}\n")
+
+    def test_readme_operator(self, tmp_path, capsys):
+        assert main(["index", write_json(tmp_path / "c.json", readme_operator())]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["index"] == {"dim_ker": 0, "dim_ker_adjoint": 1, "index": 1,
+                                   "tau_normalized": "1"}
+        branch = report["index_theorem"]["branches"][0]
+        assert (branch["winding_left"], branch["winding_right"]) == (0, 1)
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda op: op["bands"][0].update(left_limit="abc"),
+         "params.operator.bands.left_limit: expected a 1 x 1 matrix of [re, im] pairs"),
+        (lambda op: op["bands"][1].update(offset=1.5),
+         "params.operator.bands.offset: expected int, got 1.5"),
+        (lambda op: op["bands"][1].update(offset=True),
+         "params.operator.bands.offset: expected int, got True"),
+        (lambda op: op["bands"][1].update(offset=0),
+         "params.operator.bands.offset: offset 0 given twice"),
+        (lambda op: op["bands"][0].update(bulk=[{"x": 0.5, "value": [[[0.5, 0.0]]]}]),
+         "params.operator.bands.bulk.x: expected int, got 0.5"),
+        (lambda op: op["bands"][0].update(bulk=[{"x": 0, "value": [[[0.5, 0.0]]]},
+                                                {"x": 0, "value": [[[0.7, 0.0]]]}]),
+         "params.operator.bands.bulk.x: site 0 given twice"),
+        (lambda op: op.update(fiber_dim="1"),
+         "params.operator.fiber_dim: expected int, got '1'"),
+        (lambda op: op.update(fiber_dim=1.7),
+         "params.operator.fiber_dim: expected int, got 1.7"),
+        (lambda op: op.update(fiber_dim=0, bands=[]),
+         "params.operator.fiber_dim: expected a positive int, got 0"),
+        (lambda op: op.update(typo=1), "unknown key(s) ['typo'] in params.operator"),
+        (lambda op: op["bands"][0].update(typo=1),
+         "unknown key(s) ['typo'] in params.operator.bands"),
+        (lambda op: op["bands"][0].update(right_limit=[[[True, False]]]),
+         "params.operator.bands.right_limit: expected a 1 x 1 matrix of [re, im] pairs"),
+        (lambda op: op["bands"][1].update(right_limit=[[[1.0, False]]]),
+         "params.operator.bands.right_limit: expected a 1 x 1 matrix of [re, im] pairs"),
+        (lambda op: op["bands"][1].update(right_limit=[[["1.0", 0.0]]]),
+         "params.operator.bands.right_limit: expected a 1 x 1 matrix of [re, im] pairs"),
+    ], ids=["limit_text", "offset_fraction", "offset_true", "offset_twice", "bulk_x_fraction",
+            "bulk_x_twice", "fiber_dim_text", "fiber_dim_fraction", "fiber_dim_zero",
+            "operator_key", "band_key", "limit_booleans", "limit_number_and_boolean",
+            "limit_text_entry"])
+    def test_custom_banded_fields(self, edit, line, tmp_path, capsys):
+        # "abc" and fiber_dim 0 ended in a traceback; the others were truncated, coerced,
+        # ignored or replaced a band, and ran (a repeated offset 0 turned exit 0 into exit 2)
+        doc = readme_operator()
+        edit(doc["params"]["operator"])
+        assert main(["index", write_json(tmp_path / "bad.json", doc)]) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    def test_custom_banded_fiber_dimension(self, tmp_path, capsys):
+        # a bulk value of another size was broadcast over the fiber and ran
+        doc = readme_operator()
+        operator = doc["params"]["operator"]
+        operator["fiber_dim"] = 2
+        for band in operator["bands"]:
+            for key in ("left_limit", "right_limit"):
+                (((re, im),),) = band[key]
+                band[key] = [[[re, im], [0.0, 0.0]], [[0.0, 0.0], [re, im]]]
+        assert main(["index", write_json(tmp_path / "c.json", doc)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["index"]["index"] == 2
+        operator["bands"][0]["bulk"] = [{"x": 0, "value": [[[0.5, 0.0]]]}]
+        assert main(["index", write_json(tmp_path / "bad.json", doc)]) == 1
+        assert capsys.readouterr().err == (
+            "error: params.operator.bands.bulk.value: expected a 2 x 2 matrix of [re, im] pairs\n")
 
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"

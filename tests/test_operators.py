@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from chiralwalk import operators as ops
-from chiralwalk.exceptions import ChiralwalkError, DimensionMismatchError
+from chiralwalk.exceptions import ChiralwalkError, DimensionMismatchError, ScenarioError
 from chiralwalk.operators import (
     BandedAnisotropicOperator,
     CoefficientFunction,
@@ -11,6 +13,10 @@ from chiralwalk.operators import (
     mult_op,
     shift_power,
 )
+from chiralwalk.scenarios import parse_operator
+from chiralwalk.verification import interpolating_shift_model
+
+import oracles
 
 
 def random_operator(d, r, rng, bulk_sites=3):
@@ -232,20 +238,35 @@ class TestTruncation:
 
 
 class TestSerialization:
+    """The custom_banded reader, scenarios.parse_operator, against the writer
+    tests/oracles.operator_doc."""
+
     def test_round_trip(self):
         rng = np.random.default_rng(21)
         op = random_operator(2, 2, rng)
-        doc = op.to_json_dict()
-        back = BandedAnisotropicOperator.from_json_dict(doc)
+        back = parse_operator(oracles.operator_doc(op), "operator")
         assert sorted(back.bands) == sorted(op.bands)
         for n in op.bands:
             assert back.coefficient(n) == op.coefficient(n)
 
     def test_malformed_document(self):
-        with pytest.raises(ChiralwalkError):
-            BandedAnisotropicOperator.from_json_dict({"fiber_dim": 1})
+        with pytest.raises(ScenarioError, match="^operator.bands: missing$"):
+            parse_operator({"fiber_dim": 1}, "operator")
 
     def test_complex_entries_as_pairs(self):
         op = shift_power(1, 1)
-        doc = op.to_json_dict()
+        doc = oracles.operator_doc(op)
         assert doc["bands"][0]["left_limit"] == [[[1.0, 0.0]]]
+        assert parse_operator(doc, "operator").coefficient(1) == op.coefficient(1)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_interpolating_shift_documents_round_trip(self, seed):
+        # reader after writer gives the operator back, writer after reader the document
+        rng = np.random.default_rng(seed)
+        powers = [int(p) for p in rng.integers(-2, 3, size=2)]
+        op = interpolating_shift_model(rng, *powers)
+        doc = json.loads(json.dumps(oracles.operator_doc(op)))
+        back = parse_operator(doc, "params.operator")
+        assert sorted(back.bands) == sorted(op.bands)
+        assert all(back.coefficient(n) == op.coefficient(n) for n in op.bands)
+        assert oracles.operator_doc(back) == doc
