@@ -209,7 +209,7 @@ def run_sweep(spec):
     """Evaluate every grid cell in lexicographic axis order, one row each."""
     header = [path for path, _ in spec.axes] + list(SWEEP_COLUMNS)
     rows = []
-    for point in spec.grid_points():
-        cell = _sweep_cell(spec.scenario_at(point))
+    for point, scenario in zip(spec.grid_points(), spec.scenarios):
+        cell = _sweep_cell(scenario)
         rows.append(list(spec.axis_values(point)) + [cell[c] for c in SWEEP_COLUMNS])
     return header, rows

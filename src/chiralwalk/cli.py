@@ -151,9 +151,16 @@ _FLAGS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on a usage error, the code of a refuted certification here."""
+    """argparse exits 2 on a usage error, the code of a refuted certification here;
+    the top-level parser takes no flag, so one given before the subcommand is named."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._first = next(iter(sys.argv[1:] if args is None else args), "")
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
+        if self._subparsers and self._first.startswith("-"):
+            message += f"; {self._first.split('=')[0]} precedes the subcommand: flags go after it"
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
@@ -206,7 +213,7 @@ _PARSER = None
 
 
 def main(argv=None):
-    # one parser per process: parsing leaves no state in it, and building
+    # one parser per process: each parse resets what it keeps, and building
     # it costs more than parsing
     global _PARSER
     if _PARSER is None:

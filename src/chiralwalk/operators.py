@@ -86,17 +86,18 @@ class CoefficientFunction:
         return f
 
     def _trim(self):
-        # canonical form: drop window rows that duplicate the adjacent limit
-        vals, start = self.values, self.window_start
-        lo, hi = 0, vals.shape[0]
-        while lo < hi and np.array_equal(vals[lo], self.left):
+        # canonical form: drop window rows equal to the adjacent limit, found by one comparison
+        vals, limits = self.values, (self.left, self.right)
+        same = (vals[:, None] == limits).all(axis=(2, 3)).tolist() if vals.size else []
+        lo, hi = 0, len(same)
+        while lo < hi and same[lo][0]:
             lo += 1
-        while hi > lo and np.array_equal(vals[hi - 1], self.right):
+        while hi > lo and same[hi - 1][1]:
             hi -= 1
         if lo > 0 or hi < vals.shape[0]:
             self.values = vals[lo:hi].copy()
             self.values.setflags(write=False)
-            self.window_start = start + lo
+            self.window_start += lo
 
     @classmethod
     def constant(cls, matrix):
@@ -146,10 +147,12 @@ class CoefficientFunction:
 
     def values_on(self, lo, hi):
         """Stacked values on the inclusive site range [lo, hi]."""
-        xs = np.arange(lo, hi + 1)
-        out = np.where((xs < self.window_start)[:, None, None], self.left, self.right)
-        bulk = (xs >= self.window_start) & (xs < self.window_end)
-        out[bulk] = self.values[xs[bulk] - self.window_start]
+        n = max(hi - lo + 1, 0)
+        a = min(max(self.window_start - lo, 0), n)   # rows [0, a) at the left limit
+        b = min(max(self.window_end - lo, a), n)     # rows [b, n) at the right limit
+        out = np.empty((n, self.dim, self.dim), dtype=complex)
+        out[:a], out[b:] = self.left, self.right
+        out[a:b] = self.values[lo + a - self.window_start : lo + b - self.window_start]
         return out
 
     def is_constant(self):

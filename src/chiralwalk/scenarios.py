@@ -233,10 +233,9 @@ def _resolve_path(doc, path):
 
 @dataclass
 class SweepSpec:
-    template: dict
     axes: list                      # [(path, [values...]), ...]
+    scenarios: list                 # one Scenario per grid point, in grid_points() order
     output: str | None = None
-    tolerance_overrides: dict | None = None
 
     @classmethod
     def load(cls, path, tolerance_overrides=None):
@@ -259,22 +258,19 @@ class SweepSpec:
             axes.append((_field(axis, "path", "axes entry", str),
                          _field(axis, "values", "axes entry", list)))
         output = None if doc.get("output") is None else _field(doc, "output", "sweep", str)
-        spec = cls(template, axes, output, tolerance_overrides)
-        # validate that every grid point yields a well-formed scenario
+        spec = cls(axes, [], output)
+        # parse every grid point's scenario here: a malformed one is refused before any cell runs
         for point in spec.grid_points():
-            spec.scenario_at(point)
+            point_doc = copy.deepcopy(template)
+            for (axis_path, values), idx in zip(axes, point):
+                target, key = _resolve_path(point_doc, axis_path)
+                target[key] = values[idx]
+            spec.scenarios.append(Scenario.from_doc(point_doc, tolerance_overrides))
         return spec
 
     def grid_points(self):
         """Index tuples in lexicographic order of the axes (the last varies fastest)."""
         return itertools.product(*(range(len(values)) for _, values in self.axes))
-
-    def scenario_at(self, point):
-        doc = copy.deepcopy(self.template)
-        for (path, values), idx in zip(self.axes, point):
-            target, key = _resolve_path(doc, path)
-            target[key] = values[idx]
-        return Scenario.from_doc(doc, self.tolerance_overrides)
 
     def axis_values(self, point):
         return [values[idx] for (_, values), idx in zip(self.axes, point)]

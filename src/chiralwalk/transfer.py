@@ -54,13 +54,16 @@ def _det_polys(samples, mus):
     """(polynomial, highest power first, order at z = 0) of det(loop(z) - mu)
     per mu, from one stacked det and one row-wise FFT; coefficients below
     COEFF_TOL times a row's largest are dropped.  A determinant that
-    vanishes identically gives a NotFredholmError for its polynomial."""
+    vanishes identically gives a NotFredholmError for its polynomial.  Samples
+    of L loops on one grid stack on a leading axis (values (L, N, d, d), twists
+    (L, N), lows (L,)), and their polynomials come loop by loop, mu by mu."""
     values, twist, low = samples
-    dets = np.linalg.det(values - np.asarray(mus)[:, None, None, None] * np.eye(values.shape[-1]))
-    coeffs = np.fft.fft(dets * twist) / values.shape[0]
+    dets = np.linalg.det(values[..., None, :, :, :]
+                         - np.asarray(mus)[:, None, None, None] * np.eye(values.shape[-1]))
+    coeffs = np.fft.fft(dets * twist[..., None, :]) / values.shape[-3]
     coeffs[np.abs(coeffs) < COEFF_TOL * np.abs(coeffs).max(axis=-1, keepdims=True)] = 0.0
     polys = []
-    for row in coeffs:
+    for row, low in zip(coeffs.reshape(-1, coeffs.shape[-1]), np.repeat(low, len(mus))):
         nz = np.nonzero(row)[0]
         polys.append((row[nz[0] : nz[-1] + 1][::-1], int(low + nz[0])) if nz.size else
                      (NotFredholmError("symbol determinant vanishes identically"), None))

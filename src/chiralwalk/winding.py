@@ -3,15 +3,16 @@
 Every winding is a root count: the winding of det F(z) around the unit
 circle is the number of roots of det F inside the unit disk plus its
 order at z = 0, from the Laurent coefficients of the determinant, with
-no grid; each winding set is one stacked solve, bitwise equal to
-per-polynomial np.roots.  A root whose transfer eigenvalue
-1/z lies within CIRCLE_MARGIN of the circle, the band in which the
-transfer oracle refuses, raises NotFredholmError; otherwise the smallest
-||z| - 1| over the roots is the winding's decision margin.  A chiral
-branch counts the roots of the imaginary part of a chiral symbol
-compressed between the graded halves of one grading
-(``chiral_imaginary_block_symbol``), a scalar loop whose determinant is
-itself.
+no phase grid.  A winding set interpolates its determinants by one
+stacked det and FFT per interpolation size and finds their roots in one
+stacked solve, bitwise equal to per-loop work and np.roots.  A root
+whose transfer eigenvalue 1/z lies within CIRCLE_MARGIN of the circle,
+the band in which the transfer oracle refuses, raises NotFredholmError;
+otherwise the smallest ||z| - 1| over the roots is the winding's
+decision margin.  A chiral branch counts the roots of the imaginary
+part of a chiral symbol compressed between the graded halves of one
+grading (``chiral_imaginary_block_symbol``), a scalar loop whose
+determinant is itself.
 
 Orientation: throughout the package, kernel-count indices are oriented
 so that an operator equal to 1 far to the left and to the forward shift
@@ -45,10 +46,15 @@ class WindingResult:
 
 
 def _windings(loops):
-    """``winding_det`` of each loop in turn, from one stacked root solve; a failed
-    item (an exception in ``loops``, or a vanishing determinant) raises in its turn."""
-    polys = [(loop, None) if isinstance(loop, Exception) else
-             _det_polys(_det_samples(loop, False), [0.0])[0] for loop in loops]
+    """``winding_det`` of each loop in turn, from one stacked det and FFT per grid and one
+    stacked root solve; a failed item (an exception, a vanishing det) raises in its turn."""
+    polys = [(loop, None) if isinstance(loop, Exception) else None for loop in loops]
+    samples = {i: _det_samples(loop, False) for i, loop in enumerate(loops) if polys[i] is None}
+    for shape in {values.shape for values, _, _ in samples.values()}:
+        items = [i for i, (values, _, _) in samples.items() if values.shape == shape]
+        stacked = [np.stack(parts) for parts in zip(*(samples[i] for i in items))]
+        for i, poly in zip(items, _det_polys(stacked, [0.0])):
+            polys[i] = poly
     for roots, (_, order) in zip(_poly_roots([p for p, _ in polys]), polys):
         if isinstance(roots, Exception):
             raise roots
@@ -73,15 +79,17 @@ def winding_det(loop):
 def _sandwich(coeffs, n):
     """D(z)^* A(z) D(z), D(z) = diag(1, z^n), for 2 x 2 A: entry (i, j) at offset m
     moves to m + n (j - i).  Offsets come in the order of the Laurent product
-    (D^* A) D, zeros dropped at each factor, so the loop sums in that order."""
+    (D^* A) D, zeros dropped at each factor, so the loop sums in that order.
+    Entries move as Python complex numbers: each is copied, never summed."""
     rows, out = {}, {}
     for i, shift in enumerate((0, -n)):
         for m, c in coeffs.items():
-            rows.setdefault(m + shift, np.zeros((2, 2), complex))[i] = c[i]
-    for m, c in ((m, c) for m, c in rows.items() if c.any()):
+            rows.setdefault(m + shift, [[0j, 0j], [0j, 0j]])[i] = c[i].tolist()
+    for m, c in ((m, c) for m, c in rows.items() if any(c[0]) or any(c[1])):
         for j, shift in enumerate((0, n)):
-            out.setdefault(m + shift, np.zeros((2, 2), complex))[:, j] = c[:, j]
-    return {m: c for m, c in out.items() if c.any()}
+            mat = out.setdefault(m + shift, [[0j, 0j], [0j, 0j]])
+            mat[0][j], mat[1][j] = c[0][j], c[1][j]
+    return {m: np.array(c) for m, c in out.items() if any(c[0]) or any(c[1])}
 
 
 def _closed_frames(grading, side):
@@ -131,10 +139,9 @@ def chiral_imaginary_block_symbol(pair, grading, side):
     u_loop = pair.u.symbol_at(side)
     u, adj = u_loop.coefficients, u_loop.hermitian_conjugate().coefficients
     im = {m: c for m in set(u) | set(adj) if (c := (u.get(m, 0) - adj.get(m, 0)) / 2j).any()}
-    block = _sandwich(im, n)
-    return ops.SymbolLoop(
-        1, {m + k_minus - k_plus: v_minus.conj() @ c @ v_plus for m, c in block.items()}
-    )
+    return ops.SymbolLoop._derived(
+        1, {m + k_minus - k_plus: (v_minus.conj() @ c @ v_plus).reshape(1, 1)
+            for m, c in _sandwich(im, n).items()})
 
 
 # --- the double-sided comparison ---------------------------------------------

@@ -21,6 +21,9 @@ matrix powers instead.  ``split_step_indices`` gives si_plus and
 si_minus of a split-step walk in closed form, from the theory, not from
 the package.  ``operator_doc`` writes the custom_banded operator document
 that ``scenarios.parse_operator`` reads, for round trips through the reader.
+The package copies a coefficient window by slicing and finds the rows
+that repeat a limit with one comparison; ``values_on`` masks the window
+site by site and ``trim`` compares it row by row instead.
 """
 
 import functools
@@ -491,3 +494,26 @@ def operator_doc(op):
             "bulk": [{"x": f.window_start + i, "value": cpx(v)} for i, v in enumerate(f.values)],
         })
     return {"fiber_dim": op.fiber_dim, "bands": bands}
+
+
+# --- coefficient windows site by site, trimmed row by row ---------------------
+
+
+def values_on(f, lo, hi):
+    """``f.values_on(lo, hi)`` from a site range, a mask per limit and a gather."""
+    xs = np.arange(lo, hi + 1)
+    out = np.where((xs < f.window_start)[:, None, None], f.left, f.right)
+    bulk = (xs >= f.window_start) & (xs < f.window_end)
+    out[bulk] = f.values[xs[bulk] - f.window_start]
+    return out
+
+
+def trim(values, window_start, left, right):
+    """(table, window_start) with the rows that repeat the adjacent limit dropped,
+    one ``np.array_equal`` per row."""
+    lo, hi = 0, values.shape[0]
+    while lo < hi and np.array_equal(values[lo], left):
+        lo += 1
+    while hi > lo and np.array_equal(values[hi - 1], right):
+        hi -= 1
+    return values[lo:hi], window_start + lo

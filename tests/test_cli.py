@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chiralwalk import analysis
 from chiralwalk.cli import build_parser, main
 from chiralwalk.exceptions import ScenarioError
 from chiralwalk.scenarios import Scenario, SweepSpec
@@ -220,6 +221,30 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--rank-tol", "1e-6", "index", "{path}"], "--rank-tol"),
+        (["--margin=1e-3", "sweep", "{path}"], "--margin"),
+        (["--out", "{path}", "verify", "finite"], "--out"),
+        (["--format"], "--format"),
+    ], ids=["value_taken_as_command", "joined_value", "out", "no_command"])
+    def test_a_flag_before_the_subcommand_is_named(self, argv, flag, tmp_path, capsys):
+        # argparse named the flag's value as an invalid subcommand, or named no flag
+        path = write_json(tmp_path / "s.json", gapped_scenario())
+        with pytest.raises(SystemExit) as exc:
+            main([path if a == "{path}" else a for a in argv])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            f"; {flag} precedes the subcommand: flags go after it")
+
+    def test_a_flag_after_the_subcommand_gets_no_hint(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--trials", "-1"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "chiralwalk verify: error: argument --trials: must not be negative, got -1")
+
     @pytest.mark.parametrize("section, key, value, line", [
         ("params", "shift_exponent", 1.5, "params.shift_exponent: expected int, got 1.5"),
         ("params", "shift_exponent", True, "params.shift_exponent: expected int, got True"),
@@ -407,6 +432,27 @@ class TestCliCommands:
         errors = [row[-1] for row in rows]
         assert sum(1 for e in errors if e) == 2  # both grid cells of the bad axis value
         assert all("deviates" in e for e in errors if e)
+
+    def test_sweep_parses_each_grid_point_once(self, tmp_path, monkeypatch):
+        # load parsed every point to validate it and run_sweep parsed it again
+        parsed = []
+        from_doc = Scenario.from_doc.__func__
+        monkeypatch.setattr(Scenario, "from_doc", classmethod(
+            lambda cls, doc, overrides=None: parsed.append(doc) or from_doc(cls, doc, overrides)))
+        path = write_json(tmp_path / "sweep.json", TestSweepSpec().sweep_doc())
+        assert main(["sweep", path, "--out", str(tmp_path / "rows.csv")]) == 0
+        assert [doc["tolerances"]["grid_n"] for doc in parsed] == [256, 512, 256, 512]
+
+    def test_sweep_refuses_a_malformed_point_before_any_cell_runs(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        cells = []
+        monkeypatch.setattr(analysis, "run_index_report", lambda scenario: cells.append(scenario))
+        sweep = TestSweepSpec().sweep_doc()
+        sweep["axes"][1]["values"].append("many")
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", write_json(tmp_path / "sweep.json", sweep), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: tolerances.grid_n: expected int, got 'many'\n"
+        assert cells == [] and not out.exists()
 
     def test_sweep_across_gap_closing(self, tmp_path):
         # the a-profile angle crosses the coin angle: the +1 gap closes at the

@@ -111,6 +111,55 @@ class TestCoefficientFunction:
                 f.scaled(bad)
 
 
+class TestWindows:
+    """values_on and _trim equal the site-by-site and row-by-row references."""
+
+    LEFT = np.diag([1.0, complex(-0.0, 2.0)])
+    RIGHT = np.diag([3.0, 4.0j])
+
+    def tables(self):
+        rng = np.random.default_rng(11)
+        bulk = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        left, right = self.LEFT, self.RIGHT
+        return {
+            "empty": np.zeros((0, 2, 2), complex),
+            "no_limit_row": bulk,
+            "every_row_left": np.stack([left] * 3),
+            "every_row_right": np.stack([right] * 3),
+            "every_row_a_limit": np.stack([left, left, right]),
+            "left_end_row": np.stack([left, *bulk]),
+            "right_end_row": np.stack([*bulk, right]),
+            "both_end_rows": np.stack([left, left, bulk[0], right, right]),
+            "limits_at_the_wrong_ends": np.stack([right, bulk[1], left]),
+            "limits_inside": np.stack([bulk[0], left, right, bulk[1]]),
+        }
+
+    def test_trim_equals_row_by_row(self):
+        for name, table in self.tables().items():
+            for start in (-4, 0, 3):
+                want, want_start = oracles.trim(table, start, self.LEFT, self.RIGHT)
+                for f in (CoefficientFunction(self.LEFT, self.RIGHT, start, table),
+                          CoefficientFunction._derived(self.LEFT, self.RIGHT, start, table)):
+                    assert f.window_start == want_start, name
+                    assert f.values.shape == want.shape and f.values.tobytes() == want.tobytes()
+        equal = CoefficientFunction(self.LEFT, self.LEFT, 1, np.stack([self.LEFT] * 2))
+        assert equal.is_constant() and equal.window_start == 3
+
+    def test_values_on_equals_site_by_site(self):
+        ranges = 0
+        for table in self.tables().values():
+            f = CoefficientFunction(self.LEFT, self.RIGHT, 2, table)
+            lo_f, hi_f = f.window_start, f.window_end
+            # left of, right of, across, inside and empty ranges
+            for lo in range(lo_f - 3, hi_f + 3):
+                for hi in range(lo - 2, hi_f + 4):
+                    got, want = f.values_on(lo, hi), oracles.values_on(f, lo, hi)
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+                    ranges += 1
+        assert ranges > 500
+
+
 class TestAlgebra:
     def test_shift_times_inverse_is_identity(self):
         prod = shift_power(1, 1) @ shift_power(-1, 1)

@@ -13,9 +13,10 @@ from chiralwalk.scenarios import Scenario
 from chiralwalk.verification import (
     interpolating_shift_model,
     random_unitary,
+    scalar_profile,
     split_step_from_angles,
 )
-from chiralwalk.walks import build_weighted_shift_walk
+from chiralwalk.walks import SplitStepParams, build_walk, build_weighted_shift_walk
 
 import oracles
 
@@ -595,3 +596,98 @@ class TestStackedWindings:
         want = outcome(lambda: oracles.verify_index_theorem_chiral(pair, kernels))
         assert got == want
         assert got[0] == ("NotFredholmError" if bad == "gamma0" else "PreconditionError")
+
+
+def one_sided(good, bad, failing):
+    """A grading with ``good``'s limit symbol on one side and ``bad``'s on the ``failing`` side."""
+    bands = {}
+    for n in set(good.bands) | set(bad.bands):
+        g, b = good.coefficient(n), bad.coefficient(n)
+        left, right = (b.left, g.right) if failing == ops.LEFT else (g.left, b.right)
+        bands[n] = ops.CoefficientFunction.step(left, right)
+    return ops.BandedAnisotropicOperator(2, bands)
+
+
+def c_zero_pairs():
+    """Split-step pairs with c = 0 exactly, shift exponents 1 and 2."""
+    a = scalar_profile(np.cos(0.4), np.cos(2.1), {0: np.cos(1.0)})
+    b = scalar_profile(np.sin(0.4), np.sin(2.1), {0: np.sin(1.0)})
+    return [build_walk(SplitStepParams(a=a, b=b, c=0.0, d_coin=1.0, shift_exponent=m))
+            for m in (1, 2)]
+
+
+def oracles_outcome(pair):
+    return outcome(lambda: oracles.verify_index_theorem_chiral(pair, kernels_with(0, 0)))
+
+
+class TestTheoremBlocks:
+    @staticmethod
+    def theorem_blocks(pair, monkeypatch):
+        """The four loops (or exceptions) that the theorem hands to ``_windings``."""
+        seen = []
+        windings = winding._windings
+        monkeypatch.setattr(winding, "_windings",
+                            lambda loops: seen.append(loops) or windings(loops))
+        got = outcome(lambda: winding.verify_index_theorem_chiral(pair, kernels=kernels_with(0, 0)))
+        [blocks] = seen
+        return got, blocks
+
+    @staticmethod
+    def oracle_blocks(pair):
+        return [outcome(lambda: oracles.imaginary_block(pair, grading, side))
+                for grading in (pair.gamma1, pair.gamma0) for side in (ops.LEFT, ops.RIGHT)]
+
+    def test_blocks_equal_the_oracle_bit_for_bit(self, monkeypatch):
+        pairs = [pair for _, pair in oracles.seeded_split_steps()] + c_zero_pairs()
+        grids = set()
+        for pair in pairs:
+            _, blocks = self.theorem_blocks(pair, monkeypatch)
+            for got, want in zip(blocks, self.oracle_blocks(pair), strict=True):
+                assert got.fiber_dim == 1
+                assert list(got.coefficients) == list(want.coefficients)
+                assert all(np.array_equal(got.coefficients[m], want.coefficients[m])
+                           for m in want.coefficients)
+                grids.add(got.offsets()[-1] - got.offsets()[0] + 1)
+        assert {3, 5} <= grids   # four loops of one report may need two grid sizes
+
+    @pytest.mark.parametrize("failing", [ops.LEFT, ops.RIGHT])
+    @pytest.mark.parametrize("bad", ["gamma0", "gamma1"])
+    def test_frames_failing_on_one_side_keep_their_slot(self, bad, failing, monkeypatch):
+        for pair in c_zero_pairs():
+            pair = SimpleNamespace(u=pair.u, gamma0=pair.gamma0, gamma1=pair.gamma1)
+            setattr(pair, bad, one_sided(getattr(pair, bad), ops.identity(2), failing))
+            got, blocks = self.theorem_blocks(pair, monkeypatch)
+            want = self.oracle_blocks(pair)
+            failed = [isinstance(b, Exception) for b in blocks]
+            assert failed == [isinstance(w, tuple) for w in want]
+            assert sum(failed) == 1
+            for block, w in zip(blocks, want):
+                if isinstance(block, Exception):
+                    assert (type(block).__name__, str(block)) == w
+                    assert str(block).startswith(failing)
+                else:
+                    assert list(block.coefficients) == list(w.coefficients)
+            assert got == oracles_outcome(pair)
+
+    def test_blocks_are_built_by_the_public_function(self, monkeypatch):
+        # one call per block, in slot order, so that a span around the public function counts each
+        calls = []
+        build = winding.chiral_imaginary_block_symbol
+        monkeypatch.setattr(winding, "chiral_imaginary_block_symbol",
+                            lambda *args: calls.append(args) or build(*args))
+        pair = c_zero_pairs()[0]
+        _, blocks = self.theorem_blocks(pair, monkeypatch)
+        assert [(g, s) for _, g, s in calls] == [
+            (grading, side) for grading in (pair.gamma1, pair.gamma0)
+            for side in (ops.LEFT, ops.RIGHT)]
+        assert len(blocks) == 4
+
+    def test_a_failing_translation_invariant_grading_fails_in_both_slots(self, monkeypatch):
+        # both Gamma0 slots hold an error; the left one is raised, as the oracle raises it
+        pair = c_zero_pairs()[0]
+        pair = SimpleNamespace(u=pair.u, gamma0=ops.identity(2), gamma1=pair.gamma1)
+        got, blocks = self.theorem_blocks(pair, monkeypatch)
+        assert [isinstance(b, Exception) for b in blocks] == [False, False, True, True]
+        assert got == oracles_outcome(pair)
+        assert got[0] == "PreconditionError" and got[1].startswith("left grading symbol")
+
