@@ -42,7 +42,8 @@ def _chiral_report(pair, tol):
             report["omitted"].append(f"si_{name}: gap_at({target:+d}) {gap.status}")
             continue
         try:
-            ker = transfer.exact_kernel(pair.u + one.scaled(-target), pair.gamma0, tol.rank_tol)
+            ker = transfer.exact_kernel(pair.u + one.scaled(-target), pair.gamma0, tol.rank_tol,
+                                        roots=gap.roots)
         except ChiralwalkError as exc:  # e.g. a kernel that Gamma0 does not preserve
             report["omitted"].append(f"si_{name}: {exc}")
             continue
@@ -77,8 +78,9 @@ def _weighted_shift_report(u_op, tol):
 
 def _custom_banded_report(f_op, tol):
     certs = {}
-    for side in (ops.LEFT, ops.RIGHT):
-        margin, clear = transfer.circle_clearance(f_op.symbol_at(side))
+    sides = (ops.LEFT, ops.RIGHT)
+    for side, (roots, _) in zip(sides, transfer._loop_roots([f_op.symbol_at(s) for s in sides])):
+        margin, clear = transfer._clearance(roots)
         certs[f"symbol_invertible_{side}"] = {"root_margin": margin, "certified": clear}
     report = {"certifications": certs, "omitted": []}
     try:

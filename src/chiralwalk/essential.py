@@ -23,11 +23,11 @@ their arc-endpoint polynomials; round 1 shares its probes between the
 targets and also solves the clearance polynomials det(F(z) - t).
 
 A gap is certified when that lower bound exceeds the margin and the
-roots of det(F(z) - t) clear ``transfer.CIRCLE_MARGIN``.  The
-exact-kernel oracle refuses by the companion pencil of each limit, whose
-eigenvalues are the same transfer eigenvalues 1/z computed another way,
-against the same margin; so it does not refuse a certified gap, which
-the transfer tests check against the root gate.  On the circle
+roots of det(F(z) - t) clear ``transfer.CIRCLE_MARGIN``.  Each
+certification keeps those roots, and the exact kernel of U - t gates
+its germ spaces by them (``transfer._germ_pair``): the same roots
+against the same margin, so it does not refuse a certified gap for
+them.  On the circle
 |1 - lambda|^2 + |1 + lambda|^2 = 4, hence
 
     || 1 -+ U ||_ess = sqrt(4 - gap_(-+1)^2),
@@ -39,7 +39,7 @@ dichotomy follow from the two gaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,6 +88,7 @@ class _Gap:
     bound: float                # proven lower bound on the gap (0 when not proven)
     root_margin: float | None   # min ||z| - 1| over the roots of det(F - t), both sides
     clear: bool                 # those roots clear transfer.CIRCLE_MARGIN
+    roots: list = None          # (roots, order at 0) of det(F - t), left and right
 
 
 def _gaps(loops, samples, targets):
@@ -96,7 +97,7 @@ def _gaps(loops, samples, targets):
     pass.  Roots within CROSSING_TOL of the circle count as crossings (a spurious
     one only adds a probe); a flat band on an arc endpoint leaves the level open."""
     n = len(targets)
-    value, level, bound, clearances = [np.inf] * n, [np.inf] * n, [0.0] * n, None
+    value, level, bound, transfer_roots = [np.inf] * n, [np.inf] * n, [0.0] * n, None
     groups = [(range(n), [INITIAL_PROBES] * len(loops))]   # (targets, probe angles per loop)
     for _ in range(MAX_LEVELS):
         owner = np.concatenate([np.full(points[i].size, g) for i in range(len(loops))
@@ -118,15 +119,17 @@ def _gaps(loops, samples, targets):
                     phi = 2.0 * np.arcsin(min(level[k] / 2.0, 1.0))
                     live.append(k)
                     mus += [targets[k] * np.exp(1j * s * phi) for s in (1, -1)]
-        mus += list(targets) if clearances is None else []   # round 1 adds det(F - t)
+        mus += list(targets) if transfer_roots is None else []   # round 1 adds det(F - t)
         if not mus:
             break
-        roots = _poly_roots([poly for sample in samples for poly, _ in _det_polys(sample, mus)])
-        roots = [roots[i : i + len(mus)] for i in range(0, len(roots), len(mus))]   # per loop
-        clearances = clearances or [[_clearance(r[2 * len(live) + k]) for r in roots] for k in range(n)]
+        polys = [poly for sample in samples for poly in _det_polys(sample, mus)]
+        found = list(zip(_poly_roots([poly for poly, _ in polys]), (order for _, order in polys)))
+        found = [found[i : i + len(mus)] for i in range(0, len(found), len(mus))]   # per loop
+        # round 1: det(F - t) per target and loop, with its order at 0
+        transfer_roots = transfer_roots or [[r[2 * len(live) + k] for r in found] for k in range(n)]
         groups = []
         for j, k in enumerate(live):
-            ends = [r[2 * j : 2 * j + 2] for r in roots]   # per loop, both arc endpoints
+            ends = [[z for z, _ in r[2 * j : 2 * j + 2]] for r in found]   # per loop, both arc ends
             if any(isinstance(e, Exception) for pair in ends for e in pair):   # det vanishes
                 continue
             points = []
@@ -137,8 +140,9 @@ def _gaps(loops, samples, targets):
             groups.append(([k], points))
         if not groups:
             break
+    clearances = [[_clearance(z) for z, _ in roots] for roots in transfer_roots]
     return [_Gap(value[k], bound[k], min((m for m, _ in c if m is not None), default=None),
-                 all(ok for _, ok in c)) for k, c in enumerate(clearances)]
+                 all(ok for _, ok in c), transfer_roots[k]) for k, c in enumerate(clearances)]
 
 
 @dataclass
@@ -148,6 +152,8 @@ class Certification:
     threshold: float
     margin: float
     root_margin: float | None   # min ||z| - 1| over the roots of det(F - t), both sides
+    # (roots, order at 0) of det(F - t), left and right: exact_kernel's gate for U - t
+    roots: list = field(default=None, compare=False, repr=False)
 
     @property
     def certified(self):
@@ -175,7 +181,8 @@ def _status(lower, upper, margin):
 
 def _gap_certification(gap, margin):
     lower = gap.bound if gap.clear else 0.0
-    return Certification(_status(lower, gap.value, margin), gap.value, 0.0, margin, gap.root_margin)
+    return Certification(_status(lower, gap.value, margin), gap.value, 0.0, margin, gap.root_margin,
+                         gap.roots)
 
 
 def _norm_certification(gap, margin):

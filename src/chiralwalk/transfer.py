@@ -3,22 +3,22 @@
 Square-summable solutions of A u = 0 are parameterized by decaying
 germs of the two constant-coefficient recursions at the ends, glued by
 the finitely many equations that see the bulk.  Germ spaces are
-deflating subspaces of a block companion pencil (QZ with eigenvalue
-reordering), which handles singular extreme bands (eigenvalues at 0 and
-infinity encode tails of finite support).  Truncation is never used:
+deflating subspaces of a block companion pencil, found as ranges of
+spectral projectors by a Newton sign iteration, both ends in one stacked
+iteration; this handles singular extreme bands (eigenvalues at 0 and
+infinity encode tails of finite support).  The pencil's eigenvalues are
+the transfer eigenvalues 1/z at the roots z of the symbol determinant,
+so the roots decide which operators are Fredholm and how large each germ
+space is, and the projector must agree.  Truncation is never used:
 open boundaries would pollute the kernel with edge modes.  Graded
 signatures come from the Gram and gamma0 forms of the kernel vectors;
 beyond a finite window their tails are geometric, and the tail sums
 solve Stein equations, so nothing is walked site by site.
 
-Each tail's Gram and gamma0 forms share one Stein operator and come
-from one Kronecker solve in numpy.  scipy.linalg is imported only where
-it is called: by _half_line_germs (ordqz), _graded_spectrum (eigh of the
-pencil) and kernel_vectors (solve_triangular), so that importing the
-package and the finite-dimensional commands do not load scipy.
-
-Each level-set round and each winding set is one stacked solve of its
-symbol determinants, bitwise equal to per-polynomial np.roots.
+Everything is numpy.  Each tail's Gram and gamma0 forms share one Stein
+operator and come from one Kronecker solve.  Each level-set round, each
+winding set and the two ends of an exact kernel are one stacked solve of
+their symbol determinants, bitwise equal to per-polynomial np.roots.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ from .operators import circle_grid
 
 CIRCLE_MARGIN = 1e-6
 COEFF_TOL = 1e-11          # relative size below which a determinant coefficient is dropped
+GERM_MAX_STEPS = 64        # sign-iteration steps before a germ split refuses
+GERM_RTOL = 1e-10          # relative step of the sign iteration at which it stops
+SIGMA_CANDIDATES = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)   # Moebius poles on the circle
 
 
 # --- scalar determinant of a symbol loop ------------------------------------
@@ -85,19 +88,25 @@ def _poly_roots(polys):
     return roots
 
 
-def _det_roots(loop, mu=0.0):
-    """Roots of det(loop(z) - mu) in C* with multiplicity, and the order at z = 0:
-    mu = 0 asks where the symbol is singular, mu on the circle where it is an eigenvalue."""
-    [(poly, order)] = _det_polys(_det_samples(loop, bool(mu)), [mu])
-    if isinstance(poly, Exception):
-        raise poly
-    return _poly_roots([poly])[0], order
+def _loop_roots(loops):
+    """(roots, order at z = 0) of det(loop(z)) for each loop, from one stacked det and FFT
+    per sample shape and one stacked root solve; an exception in place of a loop, or a
+    determinant that vanishes identically, stays as (exception, None)."""
+    polys = [(loop, None) if isinstance(loop, Exception) else None for loop in loops]
+    samples = {i: _det_samples(loop, False) for i, loop in enumerate(loops) if polys[i] is None}
+    for shape in {values.shape for values, _, _ in samples.values()}:
+        items = [i for i, (values, _, _) in samples.items() if values.shape == shape]
+        stacked = [np.stack(parts) for parts in zip(*(samples[i] for i in items))]
+        for i, poly in zip(items, _det_polys(stacked, [0.0])):
+            polys[i] = poly
+    return list(zip(_poly_roots([p for p, _ in polys]), (order for _, order in polys)))
 
 
 def _clearance(roots):
     """(min ||z| - 1| over the roots or None without roots, whether every
-    transfer eigenvalue 1/z lies outside CIRCLE_MARGIN of the unit circle);
-    (0.0, False) for a determinant that vanishes identically (``_det_polys``)."""
+    transfer eigenvalue 1/z lies outside CIRCLE_MARGIN of the unit circle, the
+    band in which exact_kernel refuses); (0.0, False) for a determinant that
+    vanishes identically (``_det_polys``)."""
     if isinstance(roots, Exception):
         return 0.0, False
     radii = np.abs(roots)
@@ -105,21 +114,7 @@ def _clearance(roots):
     return margin, bool(np.all(np.abs(1.0 / radii - 1.0) > CIRCLE_MARGIN))
 
 
-def circle_clearance(loop, mu=0.0):
-    """Where the roots of det(loop(z) - mu) lie relative to the unit circle.
-
-    Returns (root_margin, clear): root_margin = min ||z| - 1| over the
-    roots (None when the determinant is a monomial, 0 when it vanishes
-    identically), and clear says whether every root clears the band in
-    which exact_kernel refuses: the same CIRCLE_MARGIN on the same
-    transfer eigenvalues 1/z that the companion pencil of
-    ``_half_line_germs`` tests, computed by a different route.
-    """
-    [(poly, _)] = _det_polys(_det_samples(loop, bool(mu)), [mu])
-    return _clearance(_poly_roots([poly])[0])
-
-
-# --- half-line germ spaces via the companion pencil --------------------------
+# --- half-line germ spaces: spectral projectors of the companion pencils ------
 
 
 @dataclass
@@ -132,60 +127,90 @@ class _GermSpace:
     radius: int
 
 
-def _companion_pencil(coeffs, d, r):
-    """Pencil (E, B) with E U_{x+1} = B U_x for windows of half-width 2r."""
+def _companion_pencils(a):
+    """(E, B), shape (2, 2, 2 r d, 2 r d): the pencils with E U_{x+1} = B U_x on
+    windows of 2r sites, of the left and the right limits of ``a``."""
+    d, r = a.fiber_dim, a.band_radius
     size = 2 * r * d
-    e_mat = np.eye(size, dtype=complex)
-    b_mat = np.zeros((size, size), dtype=complex)
-    b_mat[: size - d, d:] = np.eye(size - d)
-    e_mat[size - d :, size - d :] = coeffs.get(-r, np.zeros((d, d)))
-    for j in range(2 * r):
-        n = r - j  # coefficient of u(x + j) in the equation at x + r
-        b_mat[size - d :, j * d : (j + 1) * d] = -coeffs.get(n, np.zeros((d, d)))
-    return e_mat, b_mat
+    rows = np.zeros((2, d, size + d), dtype=complex)   # the equation at x + r, both ends
+    for n, f in a.bands.items():    # the coefficient of u(x + r - n) there
+        rows[0, :, (r - n) * d : (r - n + 1) * d] = f.left
+        rows[1, :, (r - n) * d : (r - n + 1) * d] = f.right
+    pencils = np.zeros((2, 2, size, size), dtype=complex)
+    pencils[0, :, : size - d, : size - d] = pencils[1, :, : size - d, d:] = np.eye(size - d)
+    pencils[0, :, size - d :, size - d :] = rows[:, :, size:]
+    pencils[1, :, size - d :] = -rows[:, :, :size]
+    return pencils
 
 
-def _half_line_germs(coeffs, d, r, tail):
-    """Germ space of decaying solutions of the constant recursion.
+def _matrix_sign(w, steps):
+    """sign of each matrix of the stack by Newton's iteration x <- (x + x^-1) / 2 (Higham,
+    Functions of Matrices, ch. 5), the first step on mu x, mu = sqrt(|x^-1| / |x|) entrywise,
+    which keeps the rounding at the scale of the limit: ``steps`` steps, then until a step
+    moves x by at most GERM_RTOL; NotFredholmError after GERM_MAX_STEPS steps."""
+    inv = np.linalg.inv(w)
+    mu = np.sqrt(np.abs(inv).sum(axis=(1, 2)) / np.abs(w).sum(axis=(1, 2)))[:, None, None]
+    x = (0.5 * mu) * w + (0.5 / mu) * inv
+    for step in range(2, GERM_MAX_STEPS + 1):
+        x, last = 0.5 * (x + np.linalg.inv(x)), x
+        if step >= steps and np.all(np.abs(x - last).sum(axis=(1, 2))
+                                    <= GERM_RTOL * np.abs(x).sum(axis=(1, 2))):
+            return x
+    raise NotFredholmError("germ space iteration did not converge")
 
-    tail = 'right': solutions on [x, +inf) (cluster |lambda| < 1, 0 included);
-    tail = 'left': solutions on (-inf, x] (cluster |lambda| > 1 and infinity).
-    This is exact_kernel's Fredholm gate: a transfer eigenvalue within
-    CIRCLE_MARGIN of the unit circle, or a singular pencil, raises
-    NotFredholmError, so no germ dimension is read off a split that the
-    margin does not separate.
+
+def _germ_pair(a, roots=None):
+    """(left, right) germ spaces of the decaying solutions of the two constant
+    recursions of ``a`` (band radius >= 1), and exact_kernel's Fredholm gate.
+
+    ``roots``: (roots, order at 0) of det of the left and the right limit symbol
+    (``_loop_roots``, solved here when not given).  Their transfer eigenvalues
+    lambda = 1/z, with 0 and infinity filling up 2 r d, must clear CIRCLE_MARGIN
+    (``_clearance``) and fix each germ dimension: |lambda| < 1 on the right (0
+    included), |lambda| > 1 on the left (infinity included).  With sigma on the
+    circle far from every lambda, W = -(B - sigma E)^-1 (B + sigma E) has the
+    eigenvalues w = (sigma + lambda) / (sigma - lambda), Re w > 0 exactly inside,
+    and (1 -+ sign W) / 2 projects on the germ space.  Newton's iteration squares
+    (w - 1) / (w + 1) = lambda / sigma, so the roots also give its step count.  A
+    vanishing determinant, a root in the margin or a projector whose trace is not
+    the root count raises NotFredholmError.  The step matrix is the inverse
+    Moebius map of W restricted to an orthonormal basis of the range.
     """
-    import scipy.linalg
-
-    def inside(alpha, beta):
-        return np.abs(alpha) < (1.0 - CIRCLE_MARGIN) * np.abs(beta)
-
-    def outside(alpha, beta):
-        return np.abs(alpha) > (1.0 + CIRCLE_MARGIN) * np.abs(beta)
-
-    select = inside if tail == "right" else outside
-    e_mat, b_mat = _companion_pencil(coeffs, d, r)
-    aa, bb, alpha, beta, _, z = scipy.linalg.ordqz(b_mat, e_mat, sort=select, output="complex")
-    degenerate = (np.abs(alpha) < 1e-12) & (np.abs(beta) < 1e-12)
-    if np.any(degenerate):
-        raise NotFredholmError("companion pencil is singular; symbol determinant degenerates")
-    near = ~inside(alpha, beta) & ~outside(alpha, beta)
-    if np.any(near):
-        lam = alpha[near] / beta[near]
-        raise NotFredholmError(
-            f"transfer eigenvalue within margin of the unit circle (|lambda| = {np.abs(lam[0]):.8f})"
-        )
-    k = int(np.sum(select(alpha, beta)))
-    z1 = z[:, :k]
-    s11 = aa[:k, :k]
-    t11 = bb[:k, :k]
-    if k == 0:
-        step = np.zeros((0, 0), dtype=complex)
-    elif tail == "right":
-        step = np.linalg.solve(t11, s11)   # forward: c_{x+1} = step c_x
-    else:
-        step = np.linalg.solve(s11, t11)   # backward: c_{x-1} = step c_x
-    return _GermSpace(dimension=k, window_basis=z1, step=step, radius=r)
+    d, r = a.fiber_dim, a.band_radius
+    size = 2 * r * d
+    if roots is None:
+        roots = _loop_roots([a.symbol_at(side) for side in (ops.LEFT, ops.RIGHT)])
+    for z, _ in roots:
+        if isinstance(z, Exception):
+            raise z
+    (z_left, order_left), (z_right, order_right) = roots
+    z = np.concatenate([z_left, z_right])
+    radii = np.abs(z)
+    if not _clearance(z)[1]:
+        raise NotFredholmError("transfer eigenvalue within margin of the unit circle "
+                               f"(|lambda| = {1.0 / radii[np.abs(1.0 / radii - 1.0).argmin()]:.8f})")
+    inside = radii > 1.0    # |lambda| < 1
+    counts = [r * d + order_left + int(np.count_nonzero(~inside[: z_left.size])),
+              r * d - order_right - z_right.size + int(np.count_nonzero(inside[z_left.size :]))]
+    distance = np.abs(SIGMA_CANDIDATES[:, None] - 1.0 / z).min(axis=1, initial=np.inf)
+    sigma = SIGMA_CANDIDATES[np.argmax(distance)]
+    e_mat, b_mat = _companion_pencils(a)
+    w = -np.linalg.solve(b_mat - sigma * e_mat, b_mat + sigma * e_mat)
+    # |lambda|^(2^j) below GERM_RTOL after j steps for every finite lambda, then one more
+    slowest = np.abs(np.log(radii)).min(initial=np.inf)
+    sign = _matrix_sign(w, 2 + int(np.log2(-np.log(GERM_RTOL) / slowest)) if slowest < np.inf else 1)
+    tail = np.array([-1.0, 1.0])[:, None, None]
+    traces = 0.5 * (size + tail[:, 0, 0] * np.trace(sign, axis1=1, axis2=2).real)
+    if not np.array_equal(np.rint(traces), counts):
+        raise NotFredholmError(f"germ space dimensions {traces.round(6).tolist()} differ from "
+                               f"the root counts {counts}")
+    shift = tail * np.eye(size)
+    bases = np.linalg.svd(0.5 * (np.abs(shift) + tail * sign))[0]   # ranges first
+    bases *= np.arange(size) < np.array(counts)[:, None, None]
+    m = bases.conj().transpose(0, 2, 1) @ w @ bases
+    # c_{x+1} = sigma (M + 1)^-1 (M - 1) c_x on the right, c_{x-1} its inverse on the left
+    step = np.linalg.solve(m + shift, m - shift) * np.array([1.0 / sigma, sigma])[:, None, None]
+    return [_GermSpace(k, basis[:, :k], s[:k, :k], r) for k, basis, s in zip(counts, bases, step)]
 
 
 # --- exact kernel on the doubly infinite lattice ------------------------------
@@ -218,17 +243,6 @@ def _powers(step, n):
     while out.shape[0] <= n:
         out = np.concatenate([out, (out[-1] @ step) @ out])
     return out[: n + 1]
-
-
-def _decay_length(step, cutoff):
-    """First j with ||step^j||_2 < cutoff (0 for an empty germ)."""
-    if step.shape[0] == 0:
-        return 0
-    n = 1
-    while np.linalg.norm(np.linalg.matrix_power(step, n), 2) >= cutoff:
-        n *= 2
-    norms = np.linalg.norm(_powers(step, n), 2, axis=(1, 2))
-    return int(np.argmax(norms < cutoff))
 
 
 @dataclass
@@ -280,7 +294,7 @@ def _site_map(germ_left, germ_right, y0, y1, lo, hi):
     return out
 
 
-def _matching_system(a, rank_tol, extra_padding):
+def _matching_system(a, rank_tol, extra_padding, roots=None):
     """Glue the decaying germs of both ends across the non-constant equations.
 
     A translation-invariant operator has no non-constant equation; its
@@ -288,11 +302,8 @@ def _matching_system(a, rank_tol, extra_padding):
     continues to a square-summable solution, an invertible operator
     gives dimension 0.
     """
-    d, r = a.fiber_dim, a.band_radius
-    left_coeffs = {n: f.left for n, f in a.bands.items()}
-    right_coeffs = {n: f.right for n, f in a.bands.items()}
-    germ_left = _half_line_germs(left_coeffs, d, r, "left")
-    germ_right = _half_line_germs(right_coeffs, d, r, "right")
+    r = a.band_radius
+    germ_left, germ_right = _germ_pair(a, roots)
 
     starts = [f.window_start for f in a.bands.values() if not f.is_constant()]
     ends = [f.window_end for f in a.bands.values() if not f.is_constant()]
@@ -312,8 +323,9 @@ def _matching_system(a, rank_tol, extra_padding):
 def _stein(step, ms):
     """Sum over j >= 0 of (step^j)^* m step^j for each m of the stack ms: the X with
     X - step^* X step = m, from one solve of I - kron(step^*, step^T) on row-major X."""
-    k = step.shape[0]
-    lhs = np.eye(k * k) - np.kron(step.conj().T, step.T)
+    k = step.shape[0]   # kron(step^*, step^T), formed as np.kron forms it: one broadcast product
+    kron = step.conj().T[:, None, :, None] * step.T[None, :, None, :]
+    lhs = np.eye(k * k) - kron.reshape(k * k, k * k)
     return np.linalg.solve(lhs, ms.reshape(-1, k * k).T).T.reshape(ms.shape)
 
 
@@ -375,9 +387,11 @@ def _kernel_forms(system, gamma0):
 
 
 def _graded_spectrum(gram, form):
-    """Eigenvalues of gamma0 compressed to the kernel: the pencil (form, gram)."""
-    import scipy.linalg
-    return scipy.linalg.eigh(_hermitian(form), _hermitian(gram), eigvals_only=True)
+    """Eigenvalues of gamma0 compressed to the kernel: the pencil (form, gram), as
+    the spectrum of L^-1 form L^-* with gram = L L^* (the same inertia, by Sylvester)."""
+    chol = np.linalg.cholesky(_hermitian(gram))
+    half = np.linalg.solve(chol, _hermitian(form))    # L^-1 form, then L^-1 (L^-1 form)^*
+    return np.linalg.eigvalsh(_hermitian(np.linalg.solve(chol, half.conj().T)))
 
 
 def _hermitian(m):
@@ -400,12 +414,12 @@ def _multiplication_vectors(a, rank_tol):
     return values, lo
 
 
-def _graded_kernel(a, gamma0, rank_tol, extra_padding):
+def _graded_kernel(a, gamma0, rank_tol, extra_padding, roots=None):
     """Kernel summary and gamma0's spectrum compressed to the kernel.
 
     The spectrum is empty without gamma0 or without kernel.  Band radius
-    0 is gated by its singular limits, every other operator by the
-    companion pencils of its two ends.
+    0 is gated by its singular limits, every other operator by the roots
+    and germ spaces of its two ends (``_germ_pair``).
     """
     empty = np.zeros(0)
     if a.band_radius == 0:
@@ -417,7 +431,7 @@ def _graded_kernel(a, gamma0, rank_tol, extra_padding):
         padded = np.pad(values, ((r_g, r_g), (0, 0), (0, 0)))
         return summary, _graded_spectrum(*_window_forms(gamma0, padded, lo - r_g))
 
-    system = _matching_system(a, rank_tol, extra_padding)
+    system = _matching_system(a, rank_tol, extra_padding, roots)
     null = system.null
     summary = KernelSummary(
         null.dimension,
@@ -431,7 +445,7 @@ def _graded_kernel(a, gamma0, rank_tol, extra_padding):
     return summary, _graded_spectrum(*_kernel_forms(system, gamma0))
 
 
-def exact_kernel(a, gamma0=None, rank_tol=DEFAULT_RANK_TOL, extra_padding=0):
+def exact_kernel(a, gamma0=None, rank_tol=DEFAULT_RANK_TOL, extra_padding=0, *, roots=None):
     """Kernel of a banded anisotropic operator on the doubly infinite lattice.
 
     Candidate solutions combine a left-decaying germ, explicit bulk
@@ -440,41 +454,16 @@ def exact_kernel(a, gamma0=None, rank_tol=DEFAULT_RANK_TOL, extra_padding=0):
     given, the graded signature is the inertia of gamma0's form against
     the Gram matrix of the kernel vectors, their geometric tails summed
     in closed form, and ``signature_margin`` says how close it came to
-    flipping.  No explicit basis is returned (see ``kernel_vectors``).
-    ``extra_padding`` widens the matching window; the result must not
-    depend on it.  A transfer eigenvalue of either end within
-    CIRCLE_MARGIN of the unit circle raises NotFredholmError.
+    flipping.  No explicit basis is returned.  ``extra_padding`` widens
+    the matching window; the result must not depend on it.  A transfer
+    eigenvalue of either end within CIRCLE_MARGIN of the unit circle
+    raises NotFredholmError.  ``roots`` passes the roots of both limit
+    symbol determinants when the caller has them (``_germ_pair``).
     """
-    summary, spectrum = _graded_kernel(a, gamma0, rank_tol, extra_padding)
+    summary, spectrum = _graded_kernel(a, gamma0, rank_tol, extra_padding, roots)
     if gamma0 is not None:
         summary.graded_signature, summary.signature_margin = _signature_and_margin(spectrum)
     return summary
-
-
-def kernel_vectors(a):
-    """Explicit kernel vectors on a finite site window, for diagnostics.
-
-    Needs band radius >= 1.  Each tail runs until the norm of its germ
-    step power falls below 1e-10, so the cost grows as the gap closes.
-    The columns are orthonormalised with the Cholesky factor of the
-    closed-form lattice Gram matrix, so they are orthonormal up to the
-    cut tails.  Returns (basis of shape (sites * d, dim), (lo, hi)); an
-    empty kernel keeps the matching window.
-    """
-    import scipy.linalg
-
-    system = _matching_system(a, DEFAULT_RANK_TOL, 0)
-    dim, d = system.null.dimension, a.fiber_dim
-    lo, hi = system.y0, system.y1
-    if dim == 0:
-        return np.zeros(((hi - lo + 1) * d, 0), complex), (lo, hi)
-    lo -= _decay_length(system.germ_left.step, 1e-10)
-    hi += _decay_length(system.germ_right.step, 1e-10)
-    gram, _ = _kernel_forms(system, ops.identity(d))
-    chol = np.linalg.cholesky(_hermitian(gram))
-    vectors = system.values(lo, hi).reshape(-1, dim)
-    basis = scipy.linalg.solve_triangular(chol, vectors.conj().T, lower=True).conj().T
-    return basis, (lo, hi)
 
 
 @dataclass

@@ -418,8 +418,10 @@ def homotopy_suite(paths=None, samples=8):
                 result.record(False, f"path {idx}: cell t={t:.3f} not certified")
                 break
             one = ops.identity(2)
-            si_minus = transfer.exact_kernel(pair.u + one, pair.gamma0).graded_signature
-            si_plus = transfer.exact_kernel(pair.u - one, pair.gamma0).graded_signature
+            si_minus = transfer.exact_kernel(pair.u + one, pair.gamma0,
+                                             roots=certs.gap_minus.roots).graded_signature
+            si_plus = transfer.exact_kernel(pair.u - one, pair.gamma0,
+                                            roots=certs.gap_plus.roots).graded_signature
             seen.add((si_plus, si_minus))
         if ok:
             result.record(len(seen) == 1, f"path {idx}: indices moved: {sorted(seen)}")

@@ -32,7 +32,7 @@ import numpy as np
 from . import operators as ops
 from .exceptions import ChiralwalkError, NotFredholmError, PreconditionError
 from .indices import DEFAULT_RANK_TOL
-from .transfer import _clearance, _det_polys, _det_samples, _poly_roots, exact_index, exact_kernel
+from .transfer import _clearance, _loop_roots, exact_index, exact_kernel
 from .walks import CHIRAL_TOL
 
 
@@ -47,15 +47,9 @@ class WindingResult:
 
 def _windings(loops):
     """``winding_det`` of each loop in turn, from one stacked det and FFT per grid and one
-    stacked root solve; a failed item (an exception, a vanishing det) raises in its turn."""
-    polys = [(loop, None) if isinstance(loop, Exception) else None for loop in loops]
-    samples = {i: _det_samples(loop, False) for i, loop in enumerate(loops) if polys[i] is None}
-    for shape in {values.shape for values, _, _ in samples.values()}:
-        items = [i for i, (values, _, _) in samples.items() if values.shape == shape]
-        stacked = [np.stack(parts) for parts in zip(*(samples[i] for i in items))]
-        for i, poly in zip(items, _det_polys(stacked, [0.0])):
-            polys[i] = poly
-    for roots, (_, order) in zip(_poly_roots([p for p, _ in polys]), polys):
+    stacked root solve (``_loop_roots``); a failed item (an exception, a vanishing det)
+    raises in its turn."""
+    for roots, order in _loop_roots(loops):
         if isinstance(roots, Exception):
             raise roots
         radii = np.abs(roots)

@@ -23,7 +23,12 @@ the package.  ``operator_doc`` writes the custom_banded operator document
 that ``scenarios.parse_operator`` reads, for round trips through the reader.
 The package copies a coefficient window by slicing and finds the rows
 that repeat a limit with one comparison; ``values_on`` masks the window
-site by site and ``trim`` compares it row by row instead.
+site by site and ``trim`` compares it row by row instead.  The package
+finds the germ spaces of a banded operator as ranges of spectral
+projectors, gated by the roots of its limit symbol determinants;
+``germ_pair`` takes them from scipy's QZ split of each companion pencil,
+gated by the pencil's own eigenvalues, and ``kernel_vectors`` writes the
+kernel vectors out site by site on the package's germs.
 """
 
 import functools
@@ -317,6 +322,102 @@ def stein(step, m):
     """The X with X - step^* X step = m, from scipy."""
     import scipy.linalg
     return scipy.linalg.solve_discrete_lyapunov(step.conj().T, m)
+
+
+# --- germ spaces by the QZ split, explicit kernel vectors ------------------------
+
+
+def companion_pencil(coeffs, d, r):
+    """Pencil (E, B) with E U_{x+1} = B U_x for windows of half-width 2r."""
+    size = 2 * r * d
+    e_mat = np.eye(size, dtype=complex)
+    b_mat = np.zeros((size, size), dtype=complex)
+    b_mat[: size - d, d:] = np.eye(size - d)
+    e_mat[size - d :, size - d :] = coeffs.get(-r, np.zeros((d, d)))
+    for j in range(2 * r):
+        n = r - j  # coefficient of u(x + j) in the equation at x + r
+        b_mat[size - d :, j * d : (j + 1) * d] = -coeffs.get(n, np.zeros((d, d)))
+    return e_mat, b_mat
+
+
+def half_line_germs(coeffs, d, r, tail):
+    """Germ space of decaying solutions of one constant recursion, from scipy's
+    ordqz: the deflating subspace of the companion pencil for |lambda| < 1
+    (tail 'right', 0 included) or |lambda| > 1 (tail 'left', infinity included).
+    A singular pencil, or an eigenvalue within CIRCLE_MARGIN of the unit circle,
+    raises NotFredholmError: the pencil is its own gate."""
+    import scipy.linalg
+
+    def inside(alpha, beta):
+        return np.abs(alpha) < (1.0 - transfer.CIRCLE_MARGIN) * np.abs(beta)
+
+    def outside(alpha, beta):
+        return np.abs(alpha) > (1.0 + transfer.CIRCLE_MARGIN) * np.abs(beta)
+
+    select = inside if tail == "right" else outside
+    e_mat, b_mat = companion_pencil(coeffs, d, r)
+    aa, bb, alpha, beta, _, z = scipy.linalg.ordqz(b_mat, e_mat, sort=select, output="complex")
+    if np.any((np.abs(alpha) < 1e-12) & (np.abs(beta) < 1e-12)):
+        raise NotFredholmError("companion pencil is singular; symbol determinant degenerates")
+    near = ~inside(alpha, beta) & ~outside(alpha, beta)
+    if np.any(near):
+        lam = alpha[near] / beta[near]
+        raise NotFredholmError(
+            f"transfer eigenvalue within margin of the unit circle (|lambda| = {np.abs(lam[0]):.8f})"
+        )
+    k = int(np.sum(select(alpha, beta)))
+    s11, t11 = aa[:k, :k], bb[:k, :k]
+    if k == 0:
+        step = np.zeros((0, 0), dtype=complex)
+    elif tail == "right":
+        step = np.linalg.solve(t11, s11)   # forward: c_{x+1} = step c_x
+    else:
+        step = np.linalg.solve(s11, t11)   # backward: c_{x-1} = step c_x
+    return transfer._GermSpace(dimension=k, window_basis=z[:, :k], step=step, radius=r)
+
+
+def germ_pair(a):
+    """(left germ, right germ) of a banded operator by ``half_line_germs``."""
+    d, r = a.fiber_dim, a.band_radius
+    return [half_line_germs({n: getattr(f, side) for n, f in a.bands.items()}, d, r, tail)
+            for side, tail in ((ops.LEFT, "left"), (ops.RIGHT, "right"))]
+
+
+def decay_length(step, cutoff):
+    """First j with ||step^j||_2 < cutoff (0 for an empty germ)."""
+    if step.shape[0] == 0:
+        return 0
+    n = 1
+    while np.linalg.norm(np.linalg.matrix_power(step, n), 2) >= cutoff:
+        n *= 2
+    norms = np.linalg.norm(transfer._powers(step, n), 2, axis=(1, 2))
+    return int(np.argmax(norms < cutoff))
+
+
+def kernel_vectors(a):
+    """Explicit kernel vectors of ``transfer.exact_kernel`` on a finite site window.
+
+    Needs band radius >= 1.  Each tail runs until the norm of its germ
+    step power falls below 1e-10, so the cost grows as the gap closes.
+    The columns are orthonormalised with the Cholesky factor of the
+    closed-form lattice Gram matrix, so they are orthonormal up to the
+    cut tails.  Returns (basis of shape (sites * d, dim), (lo, hi)); an
+    empty kernel keeps the matching window.
+    """
+    import scipy.linalg
+
+    system = transfer._matching_system(a, indices.DEFAULT_RANK_TOL, 0)
+    dim, d = system.null.dimension, a.fiber_dim
+    lo, hi = system.y0, system.y1
+    if dim == 0:
+        return np.zeros(((hi - lo + 1) * d, 0), complex), (lo, hi)
+    lo -= decay_length(system.germ_left.step, 1e-10)
+    hi += decay_length(system.germ_right.step, 1e-10)
+    gram, _ = transfer._kernel_forms(system, ops.identity(d))
+    chol = np.linalg.cholesky(transfer._hermitian(gram))
+    vectors = system.values(lo, hi).reshape(-1, dim)
+    basis = scipy.linalg.solve_triangular(chol, vectors.conj().T, lower=True).conj().T
+    return basis, (lo, hi)
 
 
 # --- projection intersections as constraint stacks -----------------------------

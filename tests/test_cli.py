@@ -589,18 +589,33 @@ class TestCliCommands:
         }[argv[0]])
         assert not out.exists()
 
-    def test_finite_commands_load_no_scipy(self):
-        src = Path(__file__).resolve().parents[1] / "src"
+    def test_commands_load_no_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: importing the package and running
+        # index on every shipped scenario but the sweep, sweep, winding, spectrum and
+        # both verify suites load no scipy module, with the exit code of each command
+        root = Path(__file__).resolve().parents[1]
+        shipped = sorted((root / "scenarios").glob("*.json"))
+        gapped, out = str(root / "scenarios" / "split_step_gapped.json"), str(tmp_path / "out")
+        runs = [(["index", str(p), "--out", out], 2 if p.stem == "split_step_gapless" else 0)
+                for p in shipped if "axes" not in json.loads(p.read_text())]
+        runs += [
+            (["sweep", str(root / "scenarios" / "sweep_coin_angle.json"), "--out", out], 0),
+            (["winding", gapped, "--out", out], 0),
+            (["spectrum", gapped, "--grid", "16", "--out", out], 0),
+            (["verify", "lattice", "--models", "1", "--trials", "1", "--out", out], 0),
+            (["verify", "finite", "--trials", "1", "--out", out], 0),
+        ]
+        assert len(runs) == len(shipped) + 4
         code = (
-            "import sys; sys.path.insert(0, sys.argv[1]); import chiralwalk.cli\n"
+            "import contextlib, io, json, sys; sys.path.insert(0, sys.argv[1]); import chiralwalk.cli\n"
             "def scipy_modules(): return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
             "assert not scipy_modules(), scipy_modules()\n"
-            "import contextlib, io\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert chiralwalk.cli.main(['verify', 'finite', '--trials', '1']) == 0\n"
-            "assert not scipy_modules(), scipy_modules()\n"
+            "for argv, want in json.loads(sys.argv[2]):\n"
+            "    with contextlib.redirect_stderr(io.StringIO()):\n"
+            "        assert chiralwalk.cli.main(argv) == want, argv\n"
+            "    assert not scipy_modules(), (argv, scipy_modules())\n"
         )
-        subprocess.run([sys.executable, "-c", code, str(src)], check=True)
+        subprocess.run([sys.executable, "-c", code, str(root / "src"), json.dumps(runs)], check=True)
 
 
 class _Reads(argparse.Namespace):

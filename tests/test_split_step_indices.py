@@ -2,8 +2,9 @@
 
 ``oracles.split_step_indices`` derives both indices from the limits of
 the coin, with no call into the package; these tests run seeded models,
-the shipped split-step scenarios and criterion 8's models through the
-``index`` report and compare.
+seeded models with one limit at eps from a gap closing, the shipped
+split-step scenarios and criterion 8's models through the ``index``
+report and compare.
 """
 
 from pathlib import Path
@@ -21,6 +22,9 @@ SEEDS = range(4)
 MODELS_PER_SEED = 256      # 1,024 models in all
 CLEARANCE = 0.02           # sampled limits keep |a -+ c| above this: both gaps open
 MAX_DEFECT_SITES = 10
+NEAR_SEEDS = range(100, 104)
+NEAR_MODELS_PER_SEED = 100   # 400 models in all
+NEAR_EPS_LOG10 = (-7.0, -1.0)
 
 
 def _pair(z):
@@ -63,6 +67,40 @@ def random_model(rng):
     return doc, oracles.split_step_indices(float(a_left), float(a_right), float(c), m)
 
 
+def near_closing_model(rng):
+    """A split-step scenario whose left or right limit of a sits at |a -+ c| = eps from a
+    gap closing, eps log-uniform over NEAR_EPS_LOG10, the other limit generic, a shift
+    exponent 1-2 and, for half of the models, a defect table with |a(x)| < 1, where the
+    closed form holds; returns (doc, the oracle's indices)."""
+    theta2, theta_other = rng.uniform(0.05, np.pi - 0.05, size=2)
+    c, eps = np.cos(theta2), 10.0 ** rng.uniform(*NEAR_EPS_LOG10)
+    surface, offset = rng.choice([1.0, -1.0]) * c, rng.choice([1.0, -1.0]) * eps
+    a_near = surface + offset if abs(surface + offset) < 1.0 else surface - offset
+    limits = (a_near, np.cos(theta_other))
+    a_left, a_right = limits if rng.random() < 0.5 else limits[::-1]
+    m = int(rng.integers(1, 3))
+
+    def phase():
+        return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+
+    start = int(rng.integers(-5, 5))
+    width = int(rng.integers(1, MAX_DEFECT_SITES + 1))
+    sites = range(start, start + width) if rng.random() < 0.5 else ()
+    defects = {x: rng.uniform(0.05, np.pi - 0.05) for x in sites}
+    doc = {
+        "model": "split_step",
+        "params": {
+            "a": _profile(a_left, a_right, {x: np.cos(t) for x, t in defects.items()}),
+            "b": _profile(np.sqrt(1.0 - a_left**2) * phase(), np.sqrt(1.0 - a_right**2) * phase(),
+                          {x: np.sin(t) * phase() for x, t in defects.items()}),
+            "c": float(c),
+            "d_coin": _pair(np.sin(theta2) * phase()),
+            "shift_exponent": m,
+        },
+    }
+    return doc, oracles.split_step_indices(float(a_left), float(a_right), float(c), m)
+
+
 def indices_of(report):
     return report["indices"].get("si_plus"), report["indices"].get("si_minus")
 
@@ -92,6 +130,28 @@ def test_index_matches_the_closed_form(seed):
     # every shift exponent with a nonzero index of each sign, and zeros
     for m in (1, 2, 3):
         assert {(m, m, 0), (m, -m, 0), (m, 0, m), (m, 0, -m), (m, 0, 0)} <= seen
+
+
+@pytest.mark.parametrize("seed", NEAR_SEEDS)
+def test_near_closing_matches_the_closed_form(seed):
+    # a withheld index is no wrong answer; a reported si -+ must be the closed form's, and
+    # Ker(U -+ 1) splits into two joint eigenspaces of G0 and G1 of which at most one is
+    # square-summable, so its dimension is |si -+|.  A model whose limits stay 1e-4 from
+    # both closings must have both indices reported
+    rng = np.random.default_rng(seed)
+    for _ in range(NEAR_MODELS_PER_SEED):
+        doc, want = near_closing_model(rng)
+        report, _ = analysis.run_index_report(Scenario.from_doc(doc))
+        p = doc["params"]
+        limits = (p["a"]["left"][0], p["a"]["right"][0])
+        eps = min(abs(a - s * p["c"]) for a in limits for s in (1, -1))
+        for key, dim_key, si in (("si_plus", "dim_ker_u_minus_one", want[0]),
+                                 ("si_minus", "dim_ker_u_plus_one", want[1])):
+            if key not in report["indices"]:
+                assert eps < 1e-4, (doc, report["omitted"])
+                continue
+            assert report["indices"][key] == si, doc
+            assert report["indices"][dim_key] == abs(si), doc
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("split_step_*.json")), ids=lambda p: p.stem)
