@@ -18,7 +18,8 @@ EXIT_REFUTED = 2
 
 
 def _chiral_report(pair, tol):
-    certs = essential.certify_unitary(pair.u, margin=tol.margin)
+    certs = essential.certify_unitary(
+        pair.u, margin=tol.margin, unitary_bound=pair.certification.unitary_symbol_deviation)
     gap_plus, gap_minus = certs.gap_plus, certs.gap_minus
     report = {
         "chiral_certification": pair.certification.to_dict(),

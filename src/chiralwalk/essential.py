@@ -6,7 +6,8 @@ the set of eigenvalues lambda(z) of its limit symbols F(z), |z| = 1.
 Certifications are tri-state (certified / refuted / inconclusive) to
 avoid silently miscertifying at a phase transition.
 
-F(z) is unitary on the circle, so mu on the circle is an eigenvalue of
+F(z) is unitary on the circle (``_unitary_symbols``, or for a split-step
+report its pair's validation), so mu on the circle is an eigenvalue of
 some F(z) exactly when det(F(z) - mu) has a unimodular root.  The gap
 at t = +-1, min |lambda(z) - t|, comes from the level-set iteration
 (Boyd & Balakrishnan, Syst. Control Lett. 15:1, 1990): eigenvalues
@@ -18,9 +19,9 @@ when no interval has one, the gap is at least gamma.  Each level sits
 LEVEL_RTOL below the smallest distance found, so the search stops with
 the gap bracketed between the two.  Both gaps come from one joint pass:
 each round takes one eigvals call over the probes of every open target
-and one stacked root solve, bitwise equal to per-polynomial np.roots, of
-their arc-endpoint polynomials; round 1 shares its probes between the
-targets and also solves the clearance polynomials det(F(z) - t).
+and one stacked det, FFT and root solve (bitwise equal to np.roots) of
+both sides' arc-endpoint polynomials; round 1 shares its probes between
+the targets and also solves the clearance polynomials det(F(z) - t).
 
 A gap is certified when that lower bound exceeds the margin and the
 roots of det(F(z) - t) clear ``transfer.CIRCLE_MARGIN``.  Each
@@ -60,26 +61,28 @@ REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
 
-def _unitary_symbols(u):
-    """Both limit symbols of u and their det samples, once certified unitary without a grid.
-
-    sup_z || F(z)^* F(z) - 1 || <= sum_n || C_n ||_2 over the exact Laurent
-    coefficients C_n of F^* F - 1 must stay below UNITARY_TOL.
+def _unitary_symbols(u, unitary_bound=None):
+    """Both limit symbols of u and their det samples, stacked (both sides share the bands
+    of u, so one grid), once certified unitary without a grid: sup_z ||F^* F - 1|| must
+    stay below UNITARY_TOL, as the caller's proven ``unitary_bound`` (a split-step pair's
+    ``unitary_symbol_deviation``) or else sum_n ||C_n||_2 over the exact Laurent
+    coefficients C_n of F^* F - 1 bounds it.
     """
-    loops = (u.symbol_at(ops.LEFT), u.symbol_at(ops.RIGHT))
-    stacks = []
-    for loop in loops:
-        coeffs = dict((loop.hermitian_conjugate() * loop).coefficients)
-        coeffs[0] = coeffs.get(0, 0) - np.eye(loop.fiber_dim)
-        stacks.append(np.stack(list(coeffs.values())))
-    norms = np.linalg.norm(np.concatenate(stacks), 2, axis=(1, 2))   # one SVD call, both sides
-    bound = max(0.0, *(float(side.sum()) for side in np.split(norms, [len(stacks[0])])))
+    loops, bound = (u.symbol_at(ops.LEFT), u.symbol_at(ops.RIGHT)), unitary_bound
+    if bound is None or not bound <= UNITARY_TOL:
+        stacks = []
+        for loop in loops:
+            coeffs = dict((loop.hermitian_conjugate() * loop).coefficients)
+            coeffs[0] = coeffs.get(0, 0) - np.eye(loop.fiber_dim)
+            stacks.append(np.stack(list(coeffs.values())))
+        norms = np.linalg.norm(np.concatenate(stacks), 2, axis=(1, 2))   # one SVD, both sides
+        bound = max(0.0, *(float(side.sum()) for side in np.split(norms, [len(stacks[0])])))
     if bound > UNITARY_TOL:
         raise PreconditionError(
             f"limit symbols are not unitary: sup |F*F - 1| <= {bound:.3e} "
             f"exceeds {UNITARY_TOL:.0e}"
         )
-    return loops, [_det_samples(loop, True) for loop in loops]
+    return loops, [np.stack(parts) for parts in zip(*(_det_samples(loop, True) for loop in loops))]
 
 
 @dataclass
@@ -92,10 +95,10 @@ class _Gap:
 
 
 def _gaps(loops, samples, targets):
-    """Level-set minima of |lambda(z) - t| over both limit symbols (``samples``:
-    their ``transfer._det_samples``), one _Gap per t in ``targets``, in one joint
-    pass.  Roots within CROSSING_TOL of the circle count as crossings (a spurious
-    one only adds a probe); a flat band on an arc endpoint leaves the level open."""
+    """Level-set minima of |lambda(z) - t| over both limit symbols (``samples``: their
+    ``transfer._det_samples``, stacked), one _Gap per t in ``targets``, in one joint pass.
+    Roots within CROSSING_TOL of the circle count as crossings (a spurious one only
+    adds a probe); a flat band on an arc endpoint leaves the level open."""
     n = len(targets)
     value, level, bound, transfer_roots = [np.inf] * n, [np.inf] * n, [0.0] * n, None
     groups = [(range(n), [INITIAL_PROBES] * len(loops))]   # (targets, probe angles per loop)
@@ -122,7 +125,7 @@ def _gaps(loops, samples, targets):
         mus += list(targets) if transfer_roots is None else []   # round 1 adds det(F - t)
         if not mus:
             break
-        polys = [poly for sample in samples for poly in _det_polys(sample, mus)]
+        polys = _det_polys(samples, mus)   # both sides in one det and FFT
         found = list(zip(_poly_roots([poly for poly, _ in polys]), (order for _, order in polys)))
         found = [found[i : i + len(mus)] for i in range(0, len(found), len(mus))]   # per loop
         # round 1: det(F - t) per target and loop, with its order at 0
@@ -140,9 +143,8 @@ def _gaps(loops, samples, targets):
             groups.append(([k], points))
         if not groups:
             break
-    clearances = [[_clearance(z) for z, _ in roots] for roots in transfer_roots]
-    return [_Gap(value[k], bound[k], min((m for m, _ in c if m is not None), default=None),
-                 all(ok for _, ok in c), transfer_roots[k]) for k, c in enumerate(clearances)]
+    clearances = [_clearance(*(z for z, _ in roots)) for roots in transfer_roots]   # both sides
+    return [_Gap(value[k], bound[k], *c, transfer_roots[k]) for k, c in enumerate(clearances)]
 
 
 @dataclass
@@ -238,9 +240,9 @@ def _dichotomy(fred, margin):
     return DichotomyReport(fred.minus.value, fred.plus.value, margin)
 
 
-def certify_unitary(u, *, margin=DEFAULT_MARGIN):
+def certify_unitary(u, *, margin=DEFAULT_MARGIN, unitary_bound=None):
     """Gaps at +-1, Fredholm type and dichotomy of a unitary from its two gaps."""
-    loops, samples = _unitary_symbols(u)
+    loops, samples = _unitary_symbols(u, unitary_bound)
     gap_plus, gap_minus = _gaps(loops, samples, (1.0, -1.0))
     fred = _fredholm(gap_plus, gap_minus, margin)
     return UnitaryCertification(

@@ -102,14 +102,14 @@ def _loop_roots(loops):
     return list(zip(_poly_roots([p for p, _ in polys]), (order for _, order in polys)))
 
 
-def _clearance(roots):
-    """(min ||z| - 1| over the roots or None without roots, whether every
-    transfer eigenvalue 1/z lies outside CIRCLE_MARGIN of the unit circle, the
-    band in which exact_kernel refuses); (0.0, False) for a determinant that
-    vanishes identically (``_det_polys``)."""
-    if isinstance(roots, Exception):
+def _clearance(*roots):
+    """(min ||z| - 1| over the roots of one or more determinants or None without
+    roots, whether every transfer eigenvalue 1/z lies outside CIRCLE_MARGIN of
+    the unit circle, the band in which exact_kernel refuses); (0.0, False) when
+    a determinant vanishes identically (``_det_polys``)."""
+    if any(isinstance(z, Exception) for z in roots):
         return 0.0, False
-    radii = np.abs(roots)
+    radii = np.abs(np.concatenate(roots))
     margin = float(np.abs(radii - 1.0).min()) if radii.size else None
     return margin, bool(np.all(np.abs(1.0 / radii - 1.0) > CIRCLE_MARGIN))
 

@@ -346,7 +346,8 @@ def dichotomy_suite(seed=6, models=200):
     result = SuiteResult("dichotomy", models, 0)
     for k in range(models):
         pair = random_split_step(rng)
-        report = essential.certify_unitary(pair.u).dichotomy
+        report = essential.certify_unitary(
+            pair.u, unitary_bound=pair.certification.unitary_symbol_deviation).dichotomy
         result.record(report.holds, f"model {k}: {report.to_dict()}")
     return result
 
@@ -358,7 +359,8 @@ def certified_split_step_models(rng, count):
     while len(models) < count and attempts < MAX_ATTEMPTS:
         attempts += 1
         pair = random_split_step(rng)
-        certs = essential.certify_unitary(pair.u)
+        certs = essential.certify_unitary(
+            pair.u, unitary_bound=pair.certification.unitary_symbol_deviation)
         if certs.gap_plus.certified and certs.gap_minus.certified:
             models.append(pair)
     if len(models) < count:
@@ -412,7 +414,8 @@ def homotopy_suite(paths=None, samples=8):
         for t in np.linspace(0.0, 1.0, samples):
             angles = (1 - t) * start + t * end
             pair = split_step_from_angles(*angles)
-            certs = essential.certify_unitary(pair.u)
+            certs = essential.certify_unitary(
+                pair.u, unitary_bound=pair.certification.unitary_symbol_deviation)
             if not (certs.gap_plus.certified and certs.gap_minus.certified):
                 ok = False
                 result.record(False, f"path {idx}: cell t={t:.3f} not certified")

@@ -50,13 +50,13 @@ class SplitStepParams:
         if self.shift_exponent < 1:
             raise NormalizationError("shift exponent must be a positive integer")
         dev = abs(self.c**2 + abs(self.d_coin) ** 2 - 1.0)
-        if dev > NORMALIZATION_TOL:
+        if not dev <= NORMALIZATION_TOL:   # each check is written so that NaN fails it
             raise NormalizationError(f"c^2 + |d|^2 deviates from 1 by {dev:.3e}")
         lo, a, b = _profile_values(self.a, self.b)
-        if np.abs(a.imag).max() > NORMALIZATION_TOL:
+        if not np.abs(a.imag).max() <= NORMALIZATION_TOL:
             raise NormalizationError("a must be real-valued")
         devs = np.abs(a.real**2 + np.abs(b) ** 2 - 1.0)
-        bad = np.flatnonzero(devs > NORMALIZATION_TOL)
+        bad = np.flatnonzero(~(devs <= NORMALIZATION_TOL))
         if bad.size:
             x, site_dev = lo - 1 + int(bad[0]), devs[bad[0]]
             raise NormalizationError(
@@ -97,7 +97,8 @@ class ChiralPair:
 
 @dataclass
 class ChiralCertification:
-    """Upper bounds on the six chiral residuals of a pair; see ``verify_chiral_parts``."""
+    """Upper bounds on the six chiral residuals of a pair (``verify_chiral_parts``); a report
+    passes ``unitary_symbol_deviation`` to ``essential.certify_unitary`` as its unitarity proof."""
 
     gamma0_selfadjoint: float
     gamma1_selfadjoint: float
@@ -188,15 +189,14 @@ def build_gamma0(c, d_coin, n=1):
     d_coin = complex(d_coin)
     n = int(n)
     dev = abs(c**2 + abs(d_coin) ** 2 - 1.0)
-    if dev > NORMALIZATION_TOL:
+    if not dev <= NORMALIZATION_TOL:   # NaN fails too
         raise NormalizationError(f"c^2 + |d|^2 deviates from 1 by {dev:.3e}")
     if n < 1:
         raise NormalizationError("shift exponent must be a positive integer")
-    diag = CoefficientFunction.constant(np.array([[c, 0.0], [0.0, -c]]))
-    upper = CoefficientFunction.constant(np.array([[0, np.conj(d_coin)], [0, 0]]))
-    lower = CoefficientFunction.constant(np.array([[0, 0], [d_coin, 0]]))
-    bands = {0: diag, -n: upper, n: lower}
-    return BandedAnisotropicOperator(2, bands)
+    diag, upper, lower = (CoefficientFunction._derived(m, m, 0, np.zeros((0, 2, 2), complex))
+                          for m in np.array([[[c, 0], [0, -c]], [[0, np.conj(d_coin)], [0, 0]],
+                                             [[0, 0], [d_coin, 0]]], dtype=complex))
+    return BandedAnisotropicOperator(2, {0: diag, -n: upper, n: lower})
 
 
 def build_gamma1(a, b):
@@ -206,7 +206,7 @@ def build_gamma1(a, b):
 
 def _coin_operator(lo, av, bv):
     coins = np.moveaxis(np.array([[av, bv.conj()], [bv, -av]]), -1, 0)
-    return ops.mult_op(CoefficientFunction(coins[0], coins[-1], lo, coins[1:-1]))
+    return ops.mult_op(CoefficientFunction._derived(coins[0], coins[-1], lo, coins[1:-1]))
 
 
 def build_walk(params):
@@ -222,8 +222,9 @@ def build_weighted_shift_walk(m, n, coin):
     coin = np.asarray(coin, dtype=complex)
     if coin.shape != (2, 2):
         raise PreconditionError("coin must be a 2x2 matrix")
+    coin_op = ops.mult_op(CoefficientFunction.constant(coin))   # refuses non-finite entries
     dev = float(np.abs(coin.conj().T @ coin - np.eye(2)).max())
-    if dev > 1e-12:
+    if not dev <= 1e-12:
         raise PreconditionError(f"coin deviates from unitarity by {dev:.3e}")
     upper = BandedAnisotropicOperator(
         2, {int(m): CoefficientFunction.constant(np.diag([1.0, 0.0]))}
@@ -231,7 +232,7 @@ def build_weighted_shift_walk(m, n, coin):
     lower = BandedAnisotropicOperator(
         2, {-int(n): CoefficientFunction.constant(np.diag([0.0, 1.0]))}
     )
-    return (upper + lower) @ ops.mult_op(CoefficientFunction.constant(coin))
+    return (upper + lower) @ coin_op
 
 
 @dataclass
@@ -258,9 +259,11 @@ def build_generator_walk(hamiltonian, gamma0, tol=CHIRAL_TOL):
     """
     h = np.asarray(hamiltonian, dtype=complex)
     g0 = np.asarray(gamma0, dtype=complex)
-    if np.abs(h - h.conj().T).max() > tol:
+    if not (np.isfinite(h).all() and np.isfinite(g0).all()):
+        raise PreconditionError("generator and gamma0 entries must be finite")
+    if not np.abs(h - h.conj().T).max() <= tol:
         raise PreconditionError("generator must be self-adjoint")
-    if np.abs(g0 @ h + h @ g0).max() > tol:
+    if not np.abs(g0 @ h + h @ g0).max() <= tol:
         raise PreconditionError("generator must anticommute with gamma0")
     evals, vecs = np.linalg.eigh(h)
     # h is self-adjoint, so its operator norm is its largest |eigenvalue|

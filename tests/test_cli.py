@@ -221,6 +221,35 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["c", "d_coin", "table", "coin", "hamiltonian",
+                                       "hamiltonian_entry"])
+    def test_a_non_finite_value_is_refused(self, where, value, tmp_path, capsys):
+        # a NaN compares false to every tolerance, so a check written `dev > tol` let it
+        # through: a NaN Hamiltonian entry ran to exit 0, a NaN pair of them raised
+        # LinAlgError from eigh
+        doc = gapped_scenario()
+        zero, one = [0.0, 0.0], [1.0, 0.0]
+        if where in ("c", "d_coin"):
+            doc["params"][where] = value
+        elif where == "table":
+            doc["params"]["a"] = {"profile": "table", "left": 1.0, "right": 0.5,
+                                  "table": [{"x": 0, "value": value}]}
+        elif where == "coin":
+            doc = {"model": "weighted_shift",
+                   "params": {"m": 1, "n": 0, "coin": [[[value, 0.0], zero], [zero, one]]}}
+        else:
+            h = [[zero, zero], [zero, zero]]
+            h[0][1] = [value, 0.0]
+            if where == "hamiltonian":
+                h[1][0] = [value, 0.0]
+            doc = {"model": "generator",
+                   "params": {"hamiltonian": h, "gamma0": [[one, zero], [zero, [-1.0, 0.0]]]}}
+        assert main(["index", write_json(tmp_path / "bad.json", doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("argv, flag", [
         (["--rank-tol", "1e-6", "index", "{path}"], "--rank-tol"),
         (["--margin=1e-3", "sweep", "{path}"], "--margin"),

@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chiralwalk import analysis, essential, operators as ops, transfer
+from chiralwalk import analysis, essential, operators as ops, transfer, verification
 from chiralwalk.exceptions import ChiralwalkError, PreconditionError
 from chiralwalk.operators import identity, shift_power
 from chiralwalk.scenarios import Scenario
@@ -308,6 +310,61 @@ class TestLevelSet:
             want = oracles.certify_unitary(u)
             assert certify(u) == want
             assert (want["gap_plus"]["status"], want["gap_minus"]["status"]) == statuses
+
+    def test_stacked_sides_equal_the_per_side_oracle(self):
+        # bit for bit, every _Gap field and the roots of det(F - t) included, on the joint
+        # pass and on each one-target pass; the identity's det(F - 1) vanishes identically
+        def fields(gap):
+            roots = [(str(z), order) if isinstance(z, Exception) else (z.dtype, z.tobytes(), order)
+                     for z, order in gap.roots]
+            return gap.value, gap.bound, gap.root_margin, gap.clear, roots
+
+        unitaries = [pair.u for _, pair in oracles.report_pairs()]
+        for u in unitaries + [identity(2), rotated(shift_power(1, 1), 0.3)]:
+            symbols = essential._unitary_symbols(u)
+            for targets in ((1.0, -1.0), (1.0,), (-1.0,)):
+                got = essential._gaps(*symbols, targets)
+                want = oracles.level_set_gaps(*symbols, targets)
+                assert list(map(fields, got)) == list(map(fields, want))
+
+    def test_a_pairs_unitary_bound_gives_the_same_certification(self):
+        for _, pair in oracles.report_pairs():
+            bound = pair.certification.unitary_symbol_deviation
+            assert bound <= essential.UNITARY_TOL
+            got = essential.certify_unitary(pair.u, unitary_bound=bound)
+            want = essential.certify_unitary(pair.u)
+            assert got == want
+            for g, w in ((got.gap_plus, want.gap_plus), (got.gap_minus, want.gap_minus)):
+                assert [order for _, order in g.roots] == [order for _, order in w.roots]
+                assert all(str(a) == str(b) if isinstance(b, Exception) else
+                           a.tobytes() == b.tobytes() for (a, _), (b, _) in zip(g.roots, w.roots))
+
+    @pytest.mark.parametrize("bound", [None, 1.0, 2.0 * essential.UNITARY_TOL, float("nan")])
+    def test_a_bound_that_proves_nothing_keeps_the_laurent_proof(self, bound):
+        with pytest.raises(PreconditionError) as exc:
+            essential.certify_unitary(identity(2).scaled(1.1), unitary_bound=bound)
+        assert str(exc.value) == (
+            "limit symbols are not unitary: sup |F*F - 1| <= 2.100e-01 exceeds 1e-08")
+
+    def test_a_proven_bound_stands_in_for_the_laurent_proof(self):
+        # the caller vouches for the bound, so a non-unitary operator is not refused
+        certs = essential.certify_unitary(identity(2).scaled(1.1), unitary_bound=0.0)
+        assert certs.gap_minus.certified
+
+    def test_reports_and_suites_pass_the_pairs_bound(self, monkeypatch):
+        calls = []
+        certify = essential.certify_unitary
+        monkeypatch.setattr(essential, "certify_unitary",
+                            lambda u, **kw: calls.append(kw) or certify(u, **kw))
+        scenario = Scenario.load(Path(__file__).resolve().parent.parent / "scenarios"
+                                 / "split_step_gapped.json")
+        analysis.run_index_report(scenario)
+        bound = scenario.build().certification.unitary_symbol_deviation
+        assert calls == [{"margin": scenario.tolerances.margin, "unitary_bound": bound}]
+        calls.clear()
+        assert verification.dichotomy_suite(models=2).failures == 0
+        assert len(calls) == 2 and all(kw["unitary_bound"] <= essential.UNITARY_TOL
+                                       for kw in calls)
 
     def test_closed_gaps_refuted(self):
         rng = np.random.default_rng(23)

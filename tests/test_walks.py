@@ -64,6 +64,34 @@ class TestGammaConstructors:
         with pytest.raises(NormalizationError):
             build_gamma0(0.9, 0.9, 1)
 
+    @pytest.mark.parametrize("c, d", [(np.nan, 1.0), (0.6, complex(0.8, np.nan)),
+                                      (np.inf, 0.0), (0.0, -np.inf)])
+    def test_non_finite_coin_fails_the_normalization_check(self, c, d):
+        # NaN compares false to every tolerance; the checks refuse it themselves
+        with pytest.raises(NormalizationError, match="deviates from 1"):
+            build_gamma0(c, d, 1)
+        with pytest.raises(NormalizationError, match="deviates from 1"):
+            SplitStepParams(a=const_profile(1.0), b=const_profile(0.0), c=c, d_coin=d)
+
+    def test_unvalidated_factors_equal_validated_construction(self):
+        # build_gamma0's constants and the coin skip CoefficientFunction's checks
+        def fields(op):
+            return {n: (f.left.tobytes(), f.right.tobytes(), f.values.tobytes(), f.window_start,
+                        f.values.shape) for n, f in op.bands.items()}
+
+        for c, d, n in ((0.6, 0.8j, 1), (-0.0, 1.0, 2), (np.cos(0.3), np.sin(0.3), 3)):
+            g0 = build_gamma0(c, d, n)
+            d = complex(d)   # as build_gamma0 reads it: conj(1.0) keeps a -0.0 imaginary part
+            m = {0: [[c, 0], [0, -c]], -n: [[0, np.conj(d)], [0, 0]], n: [[0, 0], [d, 0]]}
+            want = ops.BandedAnisotropicOperator(2, {k: CoefficientFunction.constant(
+                np.array(v, dtype=complex)) for k, v in m.items()})
+            assert fields(g0) == fields(want)
+        pair = split_step_from_angles(0.4, 2.1, 1.0, 1, {-1: 0.3, 2: 1.7})
+        lo, a, b = pair.params.profile
+        coins = np.moveaxis(np.array([[a, b.conj()], [b, -a]]), -1, 0)
+        want = ops.mult_op(CoefficientFunction(coins[0], coins[-1], lo, coins[1:-1]))
+        assert fields(pair.gamma1) == fields(want)
+
 
 class TestBuildWalk:
     def test_trivial_walk_is_identity(self):
