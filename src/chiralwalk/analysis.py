@@ -18,8 +18,7 @@ EXIT_REFUTED = 2
 
 
 def _chiral_report(pair, tol):
-    certs = essential.certify_unitary(
-        pair.u, margin=tol.margin, unitary_bound=pair.certification.unitary_symbol_deviation)
+    certs = essential.certify_unitary(pair, margin=tol.margin)
     gap_plus, gap_minus = certs.gap_plus, certs.gap_minus
     report = {
         "chiral_certification": pair.certification.to_dict(),

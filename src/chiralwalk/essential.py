@@ -6,22 +6,21 @@ the set of eigenvalues lambda(z) of its limit symbols F(z), |z| = 1.
 Certifications are tri-state (certified / refuted / inconclusive) to
 avoid silently miscertifying at a phase transition.
 
-F(z) is unitary on the circle (``_unitary_symbols``, or for a split-step
-report its pair's validation), so mu on the circle is an eigenvalue of
-some F(z) exactly when det(F(z) - mu) has a unimodular root.  The gap
-at t = +-1, min |lambda(z) - t|, comes from the level-set iteration
-(Boyd & Balakrishnan, Syst. Control Lett. 15:1, 1990): eigenvalues
-enter or leave the arc |mu - t| < gamma only where they cross its
-endpoints t e^(+-i phi), 2 sin(phi/2) = gamma.  Between consecutive
+F(z) is unitary on the circle (``_unitary_symbols``; a ChiralPair's validation
+proves it), so mu on the circle is an eigenvalue of some F(z) exactly when
+det(F(z) - mu) has a unimodular root.  The gap at t = +-1, min |lambda(z) - t|,
+comes from the level-set iteration (Boyd & Balakrishnan, Syst. Control Lett.
+15:1, 1990): eigenvalues enter or leave the arc |mu - t| < gamma only where they
+cross its endpoints t e^(+-i phi), 2 sin(phi/2) = gamma.  Between consecutive
 crossings the number of eigenvalues inside the arc is constant, so one
-evaluation per interval decides it: an eigenvalue inside lowers gamma;
-when no interval has one, the gap is at least gamma.  Each level sits
-LEVEL_RTOL below the smallest distance found, so the search stops with
-the gap bracketed between the two.  Both gaps come from one joint pass:
-each round takes one eigvals call over the probes of every open target
-and one stacked det, FFT and root solve (bitwise equal to np.roots) of
-both sides' arc-endpoint polynomials; round 1 shares its probes between
-the targets and also solves the clearance polynomials det(F(z) - t).
+evaluation per interval decides it: an eigenvalue inside lowers gamma; when no
+interval has one, the gap is at least gamma.  Each level sits LEVEL_RTOL below
+the smallest distance found, so the search stops with the gap bracketed between
+the two.  Both gaps come from one joint pass: each round takes one eigvals call
+over the probes of every open target, one det and FFT per grid (both sides
+share one unless a band vanishes on one side only) and one stacked root solve
+(bitwise equal to np.roots) of the arc-endpoint polynomials; round 1 shares its
+probes between the targets and also solves the clearance polynomials det(F(z) - t).
 
 A gap is certified when that lower bound exceeds the margin and the
 roots of det(F(z) - t) clear ``transfer.CIRCLE_MARGIN``.  Each
@@ -46,7 +45,8 @@ import numpy as np
 
 from . import operators as ops
 from .exceptions import ChiralwalkError, PreconditionError
-from .transfer import _clearance, _det_polys, _det_samples, _poly_roots
+from .transfer import _clearance, _det_samples, _sample_roots
+from .walks import ChiralPair
 
 DEFAULT_GRID_N = 4096      # sampling of the spectrum dump only
 DEFAULT_MARGIN = 1e-6
@@ -61,14 +61,13 @@ REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
 
-def _unitary_symbols(u, unitary_bound=None):
-    """Both limit symbols of u and their det samples, stacked (both sides share the bands
-    of u, so one grid), once certified unitary without a grid: sup_z ||F^* F - 1|| must
-    stay below UNITARY_TOL, as the caller's proven ``unitary_bound`` (a split-step pair's
-    ``unitary_symbol_deviation``) or else sum_n ||C_n||_2 over the exact Laurent
-    coefficients C_n of F^* F - 1 bounds it.
-    """
-    loops, bound = (u.symbol_at(ops.LEFT), u.symbol_at(ops.RIGHT)), unitary_bound
+def _unitary_symbols(u):
+    """Both limit symbols of u and their det samples, once sup_z || F(z)^* F(z) - 1 || is proven
+    below UNITARY_TOL without a grid: by a ChiralPair's closed-form ``unitary_symbol_deviation``
+    (its validation) or else by sum_n || C_n ||_2 over the Laurent coefficients of F^* F - 1."""
+    bound, u = ((u.certification.unitary_symbol_deviation, u.u) if isinstance(u, ChiralPair)
+                else (None, u))
+    loops = (u.symbol_at(ops.LEFT), u.symbol_at(ops.RIGHT))
     if bound is None or not bound <= UNITARY_TOL:
         stacks = []
         for loop in loops:
@@ -82,7 +81,7 @@ def _unitary_symbols(u, unitary_bound=None):
             f"limit symbols are not unitary: sup |F*F - 1| <= {bound:.3e} "
             f"exceeds {UNITARY_TOL:.0e}"
         )
-    return loops, [np.stack(parts) for parts in zip(*(_det_samples(loop, True) for loop in loops))]
+    return loops, [_det_samples(loop, True) for loop in loops]
 
 
 @dataclass
@@ -96,7 +95,7 @@ class _Gap:
 
 def _gaps(loops, samples, targets):
     """Level-set minima of |lambda(z) - t| over both limit symbols (``samples``: their
-    ``transfer._det_samples``, stacked), one _Gap per t in ``targets``, in one joint pass.
+    ``transfer._det_samples``), one _Gap per t in ``targets``, in one joint pass.
     Roots within CROSSING_TOL of the circle count as crossings (a spurious one only
     adds a probe); a flat band on an arc endpoint leaves the level open."""
     n = len(targets)
@@ -125,8 +124,7 @@ def _gaps(loops, samples, targets):
         mus += list(targets) if transfer_roots is None else []   # round 1 adds det(F - t)
         if not mus:
             break
-        polys = _det_polys(samples, mus)   # both sides in one det and FFT
-        found = list(zip(_poly_roots([poly for poly, _ in polys]), (order for _, order in polys)))
+        found = _sample_roots(samples, mus)
         found = [found[i : i + len(mus)] for i in range(0, len(found), len(mus))]   # per loop
         # round 1: det(F - t) per target and loop, with its order at 0
         transfer_roots = transfer_roots or [[r[2 * len(live) + k] for r in found] for k in range(n)]
@@ -240,9 +238,9 @@ def _dichotomy(fred, margin):
     return DichotomyReport(fred.minus.value, fred.plus.value, margin)
 
 
-def certify_unitary(u, *, margin=DEFAULT_MARGIN, unitary_bound=None):
-    """Gaps at +-1, Fredholm type and dichotomy of a unitary from its two gaps."""
-    loops, samples = _unitary_symbols(u, unitary_bound)
+def certify_unitary(u, *, margin=DEFAULT_MARGIN):
+    """Gaps at +-1, Fredholm type and dichotomy of a unitary (or a ChiralPair) from its two gaps."""
+    loops, samples = _unitary_symbols(u)
     gap_plus, gap_minus = _gaps(loops, samples, (1.0, -1.0))
     fred = _fredholm(gap_plus, gap_minus, margin)
     return UnitaryCertification(
@@ -254,7 +252,7 @@ def certify_unitary(u, *, margin=DEFAULT_MARGIN, unitary_bound=None):
 
 
 def gap_at(u, target, *, margin=DEFAULT_MARGIN):
-    """Distance of the essential spectrum of U from target (+1 or -1).
+    """Distance of the essential spectrum of U (or of a ChiralPair's u) from target (+1 or -1).
 
     A proven gap above the margin, with the roots of det(F - target)
     clear of the transfer circle margin, certifies; a gap found at most

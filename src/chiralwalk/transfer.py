@@ -88,18 +88,25 @@ def _poly_roots(polys):
     return roots
 
 
-def _loop_roots(loops):
-    """(roots, order at z = 0) of det(loop(z)) for each loop, from one stacked det and FFT
-    per sample shape and one stacked root solve; an exception in place of a loop, or a
-    determinant that vanishes identically, stays as (exception, None)."""
-    polys = [(loop, None) if isinstance(loop, Exception) else None for loop in loops]
-    samples = {i: _det_samples(loop, False) for i, loop in enumerate(loops) if polys[i] is None}
-    for shape in {values.shape for values, _, _ in samples.values()}:
-        items = [i for i, (values, _, _) in samples.items() if values.shape == shape]
-        stacked = [np.stack(parts) for parts in zip(*(samples[i] for i in items))]
-        for i, poly in zip(items, _det_polys(stacked, [0.0])):
-            polys[i] = poly
+def _sample_roots(samples, mus):
+    """(roots, order at z = 0) of det(loop(z) - mu), loop by loop and mu by mu, from the loops'
+    ``_det_samples``: one stacked det and FFT per grid (the sides of an operator whose band
+    vanishes on one side only have grids of different sizes) and one stacked root solve."""
+    polys, m = [None] * (len(samples) * len(mus)), len(mus)
+    for shape in {values.shape for values, _, _ in samples}:
+        items = [i for i, (values, _, _) in enumerate(samples) if values.shape == shape]
+        found = _det_polys([np.stack(parts) for parts in zip(*(samples[i] for i in items))], mus)
+        for j, i in enumerate(items):
+            polys[i * m : (i + 1) * m] = found[j * m : (j + 1) * m]
     return list(zip(_poly_roots([p for p, _ in polys]), (order for _, order in polys)))
+
+
+def _loop_roots(loops):
+    """``_sample_roots`` of det(loop(z)) per loop; an exception in place of a loop, or a
+    determinant that vanishes identically, stays as (exception, None)."""
+    live = [i for i, loop in enumerate(loops) if not isinstance(loop, Exception)]
+    found = dict(zip(live, _sample_roots([_det_samples(loops[i], False) for i in live], [0.0])))
+    return [found.get(i, (loop, None)) for i, loop in enumerate(loops)]
 
 
 def _clearance(*roots):

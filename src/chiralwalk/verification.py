@@ -346,8 +346,7 @@ def dichotomy_suite(seed=6, models=200):
     result = SuiteResult("dichotomy", models, 0)
     for k in range(models):
         pair = random_split_step(rng)
-        report = essential.certify_unitary(
-            pair.u, unitary_bound=pair.certification.unitary_symbol_deviation).dichotomy
+        report = essential.certify_unitary(pair).dichotomy
         result.record(report.holds, f"model {k}: {report.to_dict()}")
     return result
 
@@ -359,8 +358,7 @@ def certified_split_step_models(rng, count):
     while len(models) < count and attempts < MAX_ATTEMPTS:
         attempts += 1
         pair = random_split_step(rng)
-        certs = essential.certify_unitary(
-            pair.u, unitary_bound=pair.certification.unitary_symbol_deviation)
+        certs = essential.certify_unitary(pair)
         if certs.gap_plus.certified and certs.gap_minus.certified:
             models.append(pair)
     if len(models) < count:
@@ -414,8 +412,7 @@ def homotopy_suite(paths=None, samples=8):
         for t in np.linspace(0.0, 1.0, samples):
             angles = (1 - t) * start + t * end
             pair = split_step_from_angles(*angles)
-            certs = essential.certify_unitary(
-                pair.u, unitary_bound=pair.certification.unitary_symbol_deviation)
+            certs = essential.certify_unitary(pair)
             if not (certs.gap_plus.certified and certs.gap_minus.certified):
                 ok = False
                 result.record(False, f"path {idx}: cell t={t:.3f} not certified")
@@ -461,7 +458,7 @@ def consistency_suite(seed=8, trials=50):
             fg = pair.gamma0.symbol_at(side)(zs) @ pair.gamma1.symbol_at(side)(zs)
             ok &= bool(np.abs(fu - fg).max() < 1e-12)
         # certified gap at -1 implies the transfer oracle finds a finite kernel
-        gap = essential.gap_at(u, -1)
+        gap = essential.gap_at(pair, -1)
         if gap.certified:
             try:
                 transfer.exact_kernel(u + ops.identity(2), pair.gamma0)

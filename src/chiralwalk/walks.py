@@ -97,8 +97,8 @@ class ChiralPair:
 
 @dataclass
 class ChiralCertification:
-    """Upper bounds on the six chiral residuals of a pair (``verify_chiral_parts``); a report
-    passes ``unitary_symbol_deviation`` to ``essential.certify_unitary`` as its unitarity proof."""
+    """Upper bounds on the six chiral residuals of a pair (``verify_chiral_parts``);
+    ``essential.certify_unitary(pair)`` takes ``unitary_symbol_deviation`` as its unitarity proof."""
 
     gamma0_selfadjoint: float
     gamma1_selfadjoint: float
@@ -224,7 +224,7 @@ def build_weighted_shift_walk(m, n, coin):
         raise PreconditionError("coin must be a 2x2 matrix")
     coin_op = ops.mult_op(CoefficientFunction.constant(coin))   # refuses non-finite entries
     dev = float(np.abs(coin.conj().T @ coin - np.eye(2)).max())
-    if not dev <= 1e-12:
+    if dev > 1e-12:
         raise PreconditionError(f"coin deviates from unitarity by {dev:.3e}")
     upper = BandedAnisotropicOperator(
         2, {int(m): CoefficientFunction.constant(np.diag([1.0, 0.0]))}
@@ -261,9 +261,9 @@ def build_generator_walk(hamiltonian, gamma0, tol=CHIRAL_TOL):
     g0 = np.asarray(gamma0, dtype=complex)
     if not (np.isfinite(h).all() and np.isfinite(g0).all()):
         raise PreconditionError("generator and gamma0 entries must be finite")
-    if not np.abs(h - h.conj().T).max() <= tol:
+    if np.abs(h - h.conj().T).max() > tol:
         raise PreconditionError("generator must be self-adjoint")
-    if not np.abs(g0 @ h + h @ g0).max() <= tol:
+    if np.abs(g0 @ h + h @ g0).max() > tol:
         raise PreconditionError("generator must anticommute with gamma0")
     evals, vecs = np.linalg.eigh(h)
     # h is self-adjoint, so its operator norm is its largest |eigenvalue|

@@ -28,11 +28,7 @@ finds the germ spaces of a banded operator as ranges of spectral
 projectors, gated by the roots of its limit symbol determinants;
 ``germ_pair`` takes them from scipy's QZ split of each companion pencil,
 gated by the pencil's own eigenvalues, and ``kernel_vectors`` writes the
-kernel vectors out site by site on the package's germs.  The package
-stacks both sides' determinants of a level-set round into one det and
-FFT, and clears both sides' roots of det(F - t) at once;
-``level_set_gaps`` runs one det and FFT per side and one clearance per
-side.
+kernel vectors out site by site on the package's germs.
 """
 
 import functools
@@ -160,64 +156,6 @@ def gap(loops, target):
     clearances = [circle_clearance(loop, target) for loop in loops]
     margins = [m for m, _ in clearances if m is not None]
     return essential._Gap(value, bound, min(margins, default=None), all(c for _, c in clearances))
-
-
-def level_set_gaps(loops, samples, targets):
-    """``essential._gaps`` with one det and FFT per side in every round and one
-    clearance per side of each target; ``samples`` stacked as
-    ``essential._unitary_symbols`` returns them."""
-    samples = [tuple(part[i] for part in samples) for i in range(len(loops))]
-    n = len(targets)
-    value, level, bound, transfer_roots = [np.inf] * n, [np.inf] * n, [0.0] * n, None
-    groups = [(range(n), [essential.INITIAL_PROBES] * len(loops))]
-    for _ in range(essential.MAX_LEVELS):
-        owner = np.concatenate([np.full(points[i].size, g) for i in range(len(loops))
-                                for g, (_, points) in enumerate(groups)])
-        evs = np.linalg.eigvals(np.concatenate([
-            loop(np.exp(1j * np.concatenate([points[i] for _, points in groups])))
-            for i, loop in enumerate(loops)]))
-        live, mus = [], []
-        for g, (members, _) in enumerate(groups):
-            distances = evs[owner == g]
-            for k in members:
-                lowest = float(np.abs(distances - targets[k]).min())
-                if lowest >= level[k]:
-                    bound[k] = level[k]
-                    continue
-                value[k] = lowest
-                if lowest != 0.0:
-                    level[k] = lowest * (1.0 - essential.LEVEL_RTOL)
-                    phi = 2.0 * np.arcsin(min(level[k] / 2.0, 1.0))
-                    live.append(k)
-                    mus += [targets[k] * np.exp(1j * s * phi) for s in (1, -1)]
-        mus += list(targets) if transfer_roots is None else []
-        if not mus:
-            break
-        polys = [poly for sample in samples for poly in transfer._det_polys(sample, mus)]
-        found = list(zip(transfer._poly_roots([poly for poly, _ in polys]),
-                         (order for _, order in polys)))
-        found = [found[i : i + len(mus)] for i in range(0, len(found), len(mus))]
-        transfer_roots = transfer_roots or [[r[2 * len(live) + k] for r in found]
-                                            for k in range(n)]
-        groups = []
-        for j, k in enumerate(live):
-            ends = [[z for z, _ in r[2 * j : 2 * j + 2]] for r in found]
-            if any(isinstance(e, Exception) for pair in ends for e in pair):
-                continue
-            points = []
-            for r in map(np.concatenate, ends):
-                close = np.abs(np.abs(r) - 1.0) <= essential.CROSSING_TOL
-                angles = np.sort(np.angle(r[close]) % (2.0 * np.pi))
-                points.append(0.5 * (angles + np.append(angles[1:], angles[0] + 2.0 * np.pi))
-                              if angles.size else np.zeros(1))
-            groups.append(([k], points))
-        if not groups:
-            break
-    clearances = [[transfer._clearance(z) for z, _ in roots] for roots in transfer_roots]
-    return [essential._Gap(value[k], bound[k],
-                           min((m for m, _ in c if m is not None), default=None),
-                           all(ok for _, ok in c), transfer_roots[k])
-            for k, c in enumerate(clearances)]
 
 
 def certify_unitary(u, margin=essential.DEFAULT_MARGIN):

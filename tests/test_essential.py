@@ -8,7 +8,9 @@ from chiralwalk import analysis, essential, operators as ops, transfer, verifica
 from chiralwalk.exceptions import ChiralwalkError, PreconditionError
 from chiralwalk.operators import identity, shift_power
 from chiralwalk.scenarios import Scenario
-from chiralwalk.verification import random_split_step, split_step_from_angles
+from chiralwalk.verification import (interpolating_shift_model, random_split_step,
+                                     split_step_from_angles)
+from chiralwalk.walks import ChiralPair
 
 import oracles
 
@@ -248,6 +250,13 @@ def rotated(u, phi):
     return u.scaled(np.exp(1j * phi))
 
 
+def unequal_span_unitaries():
+    """Shift limits whose bands differ, so the two sides' det grids differ in size."""
+    rng = np.random.default_rng(29)
+    return tuple(interpolating_shift_model(rng, *powers)
+                 for powers in ((1, 0), (2, 0), (0, -1), (-2, 1)))
+
+
 def near_closing_model(eps, target, shift_exponent, defects, phase, theta2=0.7):
     """Split-step pair whose gap at ``target`` is eps on its right limit only.
 
@@ -310,61 +319,99 @@ class TestLevelSet:
             want = oracles.certify_unitary(u)
             assert certify(u) == want
             assert (want["gap_plus"]["status"], want["gap_minus"]["status"]) == statuses
+        # a band that vanishes on one side only: the sides' det grids differ in size
+        for u in unequal_span_unitaries():
+            want = oracles.certify_unitary(u)
+            assert certify(u) == want
+            for key, target in (("gap_plus", 1), ("gap_minus", -1)):
+                assert essential.gap_at(u, target).to_dict() == want[key]
 
-    def test_stacked_sides_equal_the_per_side_oracle(self):
-        # bit for bit, every _Gap field and the roots of det(F - t) included, on the joint
-        # pass and on each one-target pass; the identity's det(F - 1) vanishes identically
-        def fields(gap):
-            roots = [(str(z), order) if isinstance(z, Exception) else (z.dtype, z.tobytes(), order)
-                     for z, order in gap.roots]
-            return gap.value, gap.bound, gap.root_margin, gap.clear, roots
-
-        unitaries = [pair.u for _, pair in oracles.report_pairs()]
+    def test_grouped_sides_equal_per_side_solves(self):
+        # bit for bit; a band that vanishes on one side only gives the sides grids of
+        # different sizes, and the identity's det(F - 1) vanishes identically
+        mus = [1.0, -1.0, *np.exp(1j * np.random.default_rng(47).uniform(0, 2 * np.pi, 3))]
+        unitaries = [pair.u for _, pair in oracles.report_pairs()] + list(unequal_span_unitaries())
+        unequal = 0
         for u in unitaries + [identity(2), rotated(shift_power(1, 1), 0.3)]:
-            symbols = essential._unitary_symbols(u)
-            for targets in ((1.0, -1.0), (1.0,), (-1.0,)):
-                got = essential._gaps(*symbols, targets)
-                want = oracles.level_set_gaps(*symbols, targets)
-                assert list(map(fields, got)) == list(map(fields, want))
+            _, samples = essential._unitary_symbols(u)
+            unequal += samples[0][0].shape != samples[1][0].shape
+            got = transfer._sample_roots(samples, mus)
+            want = [poly for sample in samples for poly in transfer._det_polys(sample, mus)]
+            assert len(got) == len(want) == 2 * len(mus)
+            for (roots, order), (single, single_order) in zip(got, want):
+                if isinstance(single, Exception):
+                    assert str(roots) == str(single) and order is single_order is None
+                else:
+                    [want_roots] = transfer._poly_roots([single])
+                    assert order == single_order
+                    assert roots.dtype == want_roots.dtype
+                    assert roots.tobytes() == want_roots.tobytes()
+        assert unequal == 4
 
-    def test_a_pairs_unitary_bound_gives_the_same_certification(self):
+    def test_one_clearance_over_both_sides_equals_the_per_side_combination(self):
+        unitaries = [pair.u for _, pair in oracles.report_pairs()] + list(unequal_span_unitaries())
+        for u in unitaries + [identity(2), rotated(shift_power(1, 1), 0.3)]:
+            for gap in essential._gaps(*essential._unitary_symbols(u), (1.0, -1.0)):
+                sides = [transfer._clearance(z) for z, _ in gap.roots]
+                want = (min((m for m, _ in sides if m is not None), default=None),
+                        all(ok for _, ok in sides))
+                assert transfer._clearance(*(z for z, _ in gap.roots)) == want
+                assert (gap.root_margin, gap.clear) == want
+
+    def test_a_pair_gives_the_same_certification_as_its_unitary(self):
         for _, pair in oracles.report_pairs():
-            bound = pair.certification.unitary_symbol_deviation
-            assert bound <= essential.UNITARY_TOL
-            got = essential.certify_unitary(pair.u, unitary_bound=bound)
-            want = essential.certify_unitary(pair.u)
+            assert pair.certification.unitary_symbol_deviation <= essential.UNITARY_TOL
+            got, want = essential.certify_unitary(pair), essential.certify_unitary(pair.u)
             assert got == want
             for g, w in ((got.gap_plus, want.gap_plus), (got.gap_minus, want.gap_minus)):
                 assert [order for _, order in g.roots] == [order for _, order in w.roots]
                 assert all(str(a) == str(b) if isinstance(b, Exception) else
                            a.tobytes() == b.tobytes() for (a, _), (b, _) in zip(g.roots, w.roots))
+        assert essential.gap_at(pair, -1) == essential.gap_at(pair.u, -1)
+
+    def test_a_pairs_validation_replaces_the_laurent_proof(self, monkeypatch):
+        pair = split_step_from_angles(0.4, 2.1, 1.0, 1, {-1: 0.3, 2: 1.7})
+        want = essential.certify_unitary(pair.u)
+
+        def laurent(loop):
+            raise AssertionError("the Laurent product ran")
+
+        monkeypatch.setattr(ops.SymbolLoop, "hermitian_conjugate", laurent)
+        assert essential.certify_unitary(pair) == want
+        with pytest.raises(AssertionError, match="Laurent"):
+            essential.certify_unitary(pair.u)
 
     @pytest.mark.parametrize("bound", [None, 1.0, 2.0 * essential.UNITARY_TOL, float("nan")])
     def test_a_bound_that_proves_nothing_keeps_the_laurent_proof(self, bound):
+        # None: a plain operator; otherwise a pair whose own bound is too large or NaN
+        u = identity(2).scaled(1.1)
+        if bound is not None:
+            u = split_step_from_angles(0.4, 2.1, 1.0)
+            u.u, u.certification.unitary_symbol_deviation = identity(2).scaled(1.1), bound
         with pytest.raises(PreconditionError) as exc:
-            essential.certify_unitary(identity(2).scaled(1.1), unitary_bound=bound)
+            essential.certify_unitary(u)
         assert str(exc.value) == (
             "limit symbols are not unitary: sup |F*F - 1| <= 2.100e-01 exceeds 1e-08")
 
-    def test_a_proven_bound_stands_in_for_the_laurent_proof(self):
-        # the caller vouches for the bound, so a non-unitary operator is not refused
-        certs = essential.certify_unitary(identity(2).scaled(1.1), unitary_bound=0.0)
-        assert certs.gap_minus.certified
-
-    def test_reports_and_suites_pass_the_pairs_bound(self, monkeypatch):
+    def test_reports_and_suites_certify_the_pair(self, monkeypatch):
         calls = []
         certify = essential.certify_unitary
         monkeypatch.setattr(essential, "certify_unitary",
-                            lambda u, **kw: calls.append(kw) or certify(u, **kw))
+                            lambda u, **kw: calls.append((u, kw)) or certify(u, **kw))
         scenario = Scenario.load(Path(__file__).resolve().parent.parent / "scenarios"
                                  / "split_step_gapped.json")
         analysis.run_index_report(scenario)
-        bound = scenario.build().certification.unitary_symbol_deviation
-        assert calls == [{"margin": scenario.tolerances.margin, "unitary_bound": bound}]
+        [(u, kw)] = calls
+        assert isinstance(u, ChiralPair) and kw == {"margin": scenario.tolerances.margin}
         calls.clear()
         assert verification.dichotomy_suite(models=2).failures == 0
-        assert len(calls) == 2 and all(kw["unitary_bound"] <= essential.UNITARY_TOL
-                                       for kw in calls)
+        assert len(calls) == 2 and all(isinstance(u, ChiralPair) for u, _ in calls)
+        calls.clear()
+        gap_at = essential.gap_at
+        monkeypatch.setattr(essential, "gap_at",
+                            lambda u, *a, **kw: calls.append((u, kw)) or gap_at(u, *a, **kw))
+        assert verification.consistency_suite(trials=2).failures == 0
+        assert len(calls) == 2 and all(isinstance(u, ChiralPair) for u, _ in calls)
 
     def test_closed_gaps_refuted(self):
         rng = np.random.default_rng(23)

@@ -153,7 +153,7 @@ class TestStackedRoots:
 
     @pytest.mark.parametrize("shifted", [False, True])
     def test_stacked_loops_equal_per_loop_calls(self, shifted):
-        # every sample shape stacked as the windings stack it; the zero loop's det
+        # every sample shape stacked as _sample_roots stacks it; the zero loop's det
         # vanishes identically at mu = 0, the identity's at mu = 1
         rng = np.random.default_rng(43)
         loops = list(germ_test_loops()) + [
@@ -164,23 +164,21 @@ class TestStackedRoots:
         angles = rng.uniform(0.0, 2.0 * np.pi, size=3)
         mus = [1.0, -1.0, *np.exp(1j * angles)] if shifted else [0.0]
         samples = [transfer._det_samples(loop, shifted) for loop in loops]
-        stacked_grids, failures = set(), 0
-        for shape in {values.shape for values, _, _ in samples}:
-            group = [sample for sample in samples if sample[0].shape == shape]
-            got = transfer._det_polys([np.stack(parts) for parts in zip(*group)], mus)
-            want = [poly for sample in group for poly in transfer._det_polys(sample, mus)]
-            assert len(got) == len(want) == len(group) * len(mus)
-            for (poly, order), (single, single_order) in zip(got, want):
-                if isinstance(single, Exception):
-                    assert isinstance(poly, NotFredholmError) and str(poly) == str(single)
-                    assert order is single_order is None
-                    failures += 1
-                else:
-                    assert order == single_order and type(order) is int
-                    assert poly.dtype == single.dtype and poly.tobytes() == single.tobytes()
-            if len(group) > 1:
-                stacked_grids.add(shape[0])
-        assert len(stacked_grids) >= 2 and failures == 1
+        got = transfer._sample_roots(samples, mus)
+        want = [poly for sample in samples for poly in transfer._det_polys(sample, mus)]
+        assert len(got) == len(want) == len(samples) * len(mus)
+        failures = 0
+        for (roots, order), (single, single_order) in zip(got, want):
+            if isinstance(single, Exception):
+                assert isinstance(roots, NotFredholmError) and str(roots) == str(single)
+                assert order is single_order is None
+                failures += 1
+            else:
+                [want_roots] = transfer._poly_roots([single])
+                assert order == single_order and type(order) is int
+                assert roots.dtype == want_roots.dtype and roots.tobytes() == want_roots.tobytes()
+        shapes = [values.shape for values, _, _ in samples]
+        assert sum(shapes.count(shape) > 1 for shape in set(shapes)) >= 2 and failures == 1
 
 
 def limit_operator(loop):
