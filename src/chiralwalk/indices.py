@@ -1,25 +1,27 @@
 """Finite-dimensional index computations for chiral unitaries.
 
 Every operation works on dense complex matrices.  Kernels are ranked
-under one relative threshold: by SVD (the full SVD where the basis is
-needed, singular values alone, batched, where only the dimension is),
-or, for a matrix Hermitian by construction, by its spectrum, since the
-singular values of h - s are |lambda(h) - s| (``_hermitian_kernel``):
-Tanaka's Re U blocks at +-1, the symmetrised Cayley matrices, Ker H of
-a generator and the traces of P0 - P1.  Graded quantities are
-signatures of the chiral symmetry compressed to a kernel, with
-eigenvalues required to sit near +-1 (an eigenvalue inside (-1/2, 1/2)
-signals a rank misclassification and raises instead of silently
-averaging).
+under one relative threshold (``_threshold``): by SVD (the full SVD
+where the basis is needed, singular values alone, batched, where only
+the dimension is), or, for a matrix Hermitian by construction, by its
+spectrum, since the singular values of h - s are |lambda(h) - s|
+(``_hermitian_kernel``): Tanaka's Re U blocks at +-1, the symmetrised
+Cayley matrices, Ker H of a generator and the traces of P0 - P1.
+Graded quantities are signatures of the chiral symmetry compressed to a
+kernel, with eigenvalues required to sit near +-1 (an eigenvalue inside
+(-1/2, 1/2) signals a rank misclassification and raises instead of
+silently averaging).  Each rank, mask and signature is decided on one
+finite spectrum of 2-40 entries as a Python list: a numpy reduction on
+it would cost more than the decision.
 
 U - 1 and U + 1 are factored once per call, by one stacked full SVD
 (``_unit_svd``): its right singular vectors give the kernels behind
 si+-, its left singular vectors the ranges on which the Cayley
-transforms of U and -U are taken.  Gamma0 is factored once too, by one
-``eigh``: U is rotated once into its frame [V_plus, V_minus], whose
-blocks give Tanaka's Re U blocks and SUSY's Q_plus, and the pair
-index's projection intersections are ranked on the frames of Ran P0
-and Ker P0 (``_intersection_dims``).
+transforms of U and -U are taken.  Gamma0 is checked and factored once
+too, by one ``eigh``: U is rotated once into its frame [V_plus,
+V_minus], whose blocks give Tanaka's Re U blocks and SUSY's Q_plus, and
+the pair index's projection intersections are ranked on the frames of
+Ran P0 and Ker P0 (``_intersection_dims``).
 """
 
 from __future__ import annotations
@@ -116,34 +118,36 @@ class KernelSummary:
 
 
 def _rank_threshold(svals, rank_tol):
-    """Singular values below this count as zero: rank_tol * sigma_max, at least _RANK_FLOOR.
-
-    svals are the descending singular values of one matrix (shape (k,))
-    or of a stack (shape (..., k)); the threshold keeps a last axis of
-    length 1, so it broadcasts against svals.
-    """
+    """``_threshold`` of each of a stack of descending singular values (shape (..., k)),
+    with a last axis of length 1, so that it broadcasts against svals."""
     return np.maximum(rank_tol * svals[..., :1], _RANK_FLOOR)
 
 
+def _threshold(sigma_max, rank_tol):
+    """Singular values below this count as zero: rank_tol * sigma_max, at least _RANK_FLOOR.
+    sigma_max is the largest singular value (0.0 without any), a finite float."""
+    return max(rank_tol * sigma_max, _RANK_FLOOR)
+
+
 def _kernel_summary(svals, vh, rank_tol):
-    """KernelSummary from a full SVD (singular values, V^H) under ``_rank_threshold``;
+    """KernelSummary from a full SVD (singular values, V^H) under ``_threshold``;
     a wide matrix keeps its implicit zero singular values, a 0 x 0 one has none."""
-    threshold = float(_rank_threshold(svals, rank_tol).max(initial=_RANK_FLOOR))
-    padded = np.concatenate([svals, np.zeros(vh.shape[0] - svals.size)])
-    basis = vh.conj().T[:, padded < threshold]
+    padded = svals.tolist() + [0.0] * (vh.shape[0] - svals.size)
+    threshold = _threshold(padded[0] if padded else 0.0, rank_tol)
+    basis = vh.conj().T[:, [s < threshold for s in padded]]
     return KernelSummary(
         dimension=int(basis.shape[1]),
         basis=basis,
         rank_tolerance_used=float(rank_tol),
-        singular_values_near_zero=[float(s) for s in padded if s < 10 * threshold],
-        borderline_singular_values=[float(s) for s in padded if threshold <= s < 10 * threshold],
+        singular_values_near_zero=[s for s in padded if s < 10 * threshold],
+        borderline_singular_values=[s for s in padded if threshold <= s < 10 * threshold],
     )
 
 
 def kernel_basis(matrix, rank_tol=DEFAULT_RANK_TOL, gamma0=None):
     """Orthonormal basis of the numerical null space of ``matrix``.
 
-    Singular values below ``_rank_threshold`` count as zero.  With
+    Singular values below ``_threshold`` count as zero.  With
     ``gamma0`` supplied the graded signature of the kernel is attached.
     """
     m = _as_complex(matrix)
@@ -169,47 +173,54 @@ def _kernel_dims(matrices, rank_tol, scale=None):
     rows, cols = m.shape[-2:]
     if rows == 0 or cols == 0:
         return np.full(m.shape[:-2], cols).tolist()
-    svals = np.linalg.svd(m, compute_uv=False)
-    ref = svals if scale is None else np.full(svals.shape, scale)
-    return (cols - np.sum(svals >= _rank_threshold(ref, rank_tol), axis=-1)).tolist()
+    stack = np.linalg.svd(m, compute_uv=False).reshape(-1, min(rows, cols)).tolist()
+    thresholds = [_threshold(s[0] if scale is None else scale, rank_tol) for s in stack]
+    dims = [cols - len([x for x in s if x >= t]) for s, t in zip(stack, thresholds)]
+    return dims if m.ndim > 2 else dims[0]
 
 
 def _hermitian_kernel(evals, shifts, rank_tol):
     """Kernel mask of h - s from the eigenvalues of a Hermitian h: its singular values
-    are |evals - s|, ranked under ``_rank_threshold`` relative to the largest of them,
-    as ``kernel_basis`` ranks h - s.  One row per shift for a sequence of shifts."""
-    dist = np.abs(evals - np.reshape(shifts, np.shape(shifts) + (1,)))
-    return dist < _rank_threshold(dist.max(axis=-1, keepdims=True, initial=0.0), rank_tol)
+    are |evals - s|, ranked under ``_threshold`` relative to the largest of them, as
+    ``kernel_basis`` ranks h - s.  A list of bools; one per shift for a sequence of shifts."""
+    dists = [[abs(x - s) for x in evals.tolist()] for s in np.reshape(shifts, -1).tolist()]
+    thresholds = [_threshold(max(d, default=0.0), rank_tol) for d in dists]
+    masks = [[x < t for x in d] for d, t in zip(dists, thresholds)]
+    return masks if np.ndim(shifts) else masks[0]
 
 
 def _signature_and_margin(evals):
     """Signature of compressed gamma0 eigenvalues and its decision margin.
 
-    The margin is min |eigenvalue| - SIGNATURE_GAP (None without
-    eigenvalues).  The compression of a self-adjoint unitary to an
-    invariant subspace has eigenvalues at +-1; one inside
+    Both are read off the finite eigenvalues as one list: #(> SIGNATURE_GAP)
+    - #(< -SIGNATURE_GAP), and min |eigenvalue| - SIGNATURE_GAP (None
+    without eigenvalues).  The compression of a self-adjoint unitary to
+    an invariant subspace has eigenvalues at +-1; one inside
     (-SIGNATURE_GAP, SIGNATURE_GAP) means the subspace is not
     gamma0-invariant at this tolerance.
     """
-    if np.any(np.abs(evals) < SIGNATURE_GAP):
+    values = evals.tolist()
+    nearest = min(values, key=abs, default=None)
+    if nearest is not None and abs(nearest) < SIGNATURE_GAP:
         raise PreconditionError(
-            "kernel not Gamma0-invariant within tolerance: compressed eigenvalue "
-            f"{evals[np.argmin(np.abs(evals))]:.3f} inside (-1/2, 1/2); "
-            "rank tolerance likely misclassified a singular value"
-        )
-    signature = int(np.sum(evals > SIGNATURE_GAP) - np.sum(evals < -SIGNATURE_GAP))
-    margin = float(np.abs(evals).min() - SIGNATURE_GAP) if evals.size else None
-    return signature, margin
+            f"kernel not Gamma0-invariant within tolerance: compressed eigenvalue {nearest:.3f} "
+            "inside (-1/2, 1/2); rank tolerance likely misclassified a singular value")
+    signature = sum((x > SIGNATURE_GAP) - (x < -SIGNATURE_GAP) for x in values)
+    return signature, None if nearest is None else abs(nearest) - SIGNATURE_GAP
+
+
+def _graded_signature(basis, g):
+    """``graded_signature`` with g a checked gamma0."""
+    if basis.shape[1] == 0:
+        return 0
+    compressed = basis.conj().T @ g @ basis
+    evals = np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T))
+    return _signature_and_margin(evals)[0]
 
 
 def graded_signature(basis, gamma0):
     """Signature of gamma0 compressed to the span of the given orthonormal columns."""
-    if basis.shape[1] == 0:
-        return 0
-    g = _as_complex(gamma0)
-    compressed = basis.conj().T @ g @ basis
-    evals = np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T))
-    return _signature_and_margin(evals)[0]
+    return _graded_signature(basis, _as_complex(gamma0))
 
 
 def _grading_frames(g, split=0.0):
@@ -237,7 +248,7 @@ def _unit_kernels(svd, g, rank_tol):
     """Graded KernelSummaries of U - 1 and U + 1 from ``_unit_svd``; g is a checked gamma0."""
     kernels = [_kernel_summary(svals, vh, rank_tol) for svals, vh in zip(svd[1], svd[2])]
     for ker in kernels:
-        ker.graded_signature = graded_signature(ker.basis, g)
+        ker.graded_signature = _graded_signature(ker.basis, g)
     return kernels
 
 
@@ -278,7 +289,7 @@ def _tanaka_core(b, p, rank_tol):
     off ``b, p = _in_frame(u, frames)``: one ``eigvalsh`` ranks both r - 1 and r + 1."""
     re_b = 0.5 * (b + b.conj().T)
     (plus1, minus1), (plus2, minus2) = (
-        _hermitian_kernel(np.linalg.eigvalsh(r), (1.0, -1.0), rank_tol).sum(axis=-1).tolist()
+        map(sum, _hermitian_kernel(np.linalg.eigvalsh(r), (1.0, -1.0), rank_tol))
         for r in (re_b[:p, :p], re_b[p:, p:]))
     return plus1 - plus2, minus1 - minus2
 
@@ -411,7 +422,9 @@ def _cayley_signature(u, w_full, svals, gamma0, rank_tol):
     SVD of 1 - u or of u - 1: the two have the same singular values and
     the same ranges, and only the ranges enter the compressions below.
     The symmetrised Cayley matrix is Hermitian, so one ``eigh`` ranks it."""
-    w = w_full[:, svals >= _rank_threshold(svals, rank_tol)]
+    s = svals.tolist()
+    threshold = _threshold(s[0] if s else 0.0, rank_tol)
+    w = w_full[:, [x >= threshold for x in s]]
     if w.shape[1] == 0:
         return 0
     w_adj = w.conj().T
@@ -432,7 +445,7 @@ def _cayley_signature(u, w_full, svals, gamma0, rank_tol):
             f"Cayley transform fails to anticommute with Gamma0 (deviation {anti:.3e})"
         )
     evals, vecs = np.linalg.eigh(cayley)
-    return graded_signature(vecs[:, _hermitian_kernel(evals, 0.0, rank_tol)], g)
+    return _graded_signature(vecs[:, _hermitian_kernel(evals, 0.0, rank_tol)], g)
 
 
 def _cayley_core(u, svd, g, rank_tol):
@@ -460,14 +473,14 @@ def generator_index(hamiltonian, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION
 
     H must be self-adjoint and anticommute with gamma0; ||H|| > 1 is
     flattened to H(1 + H^2)^(-1/2) first (same kernel), by ``build_generator_walk``.
-    Ker H is ranked by ``eigh``; the cross-check factors U - 1 alone.
+    Ker H is ranked on the walk's spectrum; the cross-check factors U - 1 alone.
     """
     g = check_selfadjoint_unitary(gamma0, tol)
     walk = build_generator_walk(_as_complex(hamiltonian), g, tol)
-    evals, vecs = np.linalg.eigh(walk.hamiltonian)
-    index = graded_signature(vecs[:, _hermitian_kernel(evals, 0.0, rank_tol)], g)
+    evals, vecs = walk.spectrum
+    index = _graded_signature(vecs[:, _hermitian_kernel(evals, 0.0, rank_tol)], g)
     u, _ = _checked_chiral(walk.walk_exp, g, tol)
-    si_plus = kernel_basis(u - np.eye(u.shape[0]), rank_tol, g).graded_signature
+    si_plus = _graded_signature(kernel_basis(u - np.eye(u.shape[0]), rank_tol).basis, g)
     if si_plus != index:
         raise PreconditionError(
             f"generator index {index} disagrees with si_plus(e^(i pi H)) = {si_plus}; "

@@ -40,11 +40,11 @@ class SuiteResult:
     def passed(self):
         return self.failures == 0
 
-    def record(self, ok, message=""):
+    def record(self, ok, describe):   # describe() builds the message, only on a failure
         if not ok:
             self.failures += 1
-            if message and len(self.messages) < 20:
-                self.messages.append(message)
+            if len(self.messages) < 20:
+                self.messages.append(describe())
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
@@ -245,7 +245,7 @@ def identity_chain_suite(seed=0, trials=1000):
         ok = len(values) == 1
         if expected is not None:
             ok = ok and values == {expected}
-        result.record(ok, f"trial {k}: chain {chain}")
+        result.record(ok, lambda: f"trial {k}: chain {chain}")
     return result
 
 
@@ -259,7 +259,8 @@ def componentwise_suite(seed=1, trials=300):
         minus = {report.si_minus, report.tanaka_minus, report.pair_index, report.cayley_minus}
         plus = {report.si_plus, report.tanaka_plus, report.pair_index_complement, report.cayley_plus}
         ok = minus == {sp.si_minus} and plus == {sp.si_plus}
-        result.record(ok, f"trial {k}: minus {minus} vs {sp.si_minus}, plus {plus} vs {sp.si_plus}")
+        result.record(ok, lambda: f"trial {k}: minus {minus} vs {sp.si_minus}, "
+                                  f"plus {plus} vs {sp.si_plus}")
     return result
 
 
@@ -276,7 +277,7 @@ def trace_formula_suite(seed=2, trials=300):
         t2 = indices.pair_index_trace(p0, eye - p1, (0, 1, 2))
         ok = all(abs(a - sp.si_minus) < TRACE_TOL and abs(b - sp.si_plus) < TRACE_TOL
                  for a, b in zip(t1, t2))
-        result.record(ok, f"trial {k}")
+        result.record(ok, lambda: f"trial {k}")
     return result
 
 
@@ -300,7 +301,7 @@ def pair_algebra_suite(seed=3, trials=500):
         ok &= ind_0c1 == ind_1c0
         # additivity: Ind(P0,P1) + Ind(P1,P2) = Ind(P0,P2)
         ok &= ind_01 + ind_12 == ind_02
-        result.record(ok, f"trial {k} ranks {ranks}")
+        result.record(ok, lambda: f"trial {k} ranks {ranks}")
     return result
 
 
@@ -319,7 +320,7 @@ def kernel_structure_suite(seed=4, trials=500):
             and deco.dim_ker_u_plus_one == sp.dim_ker_plus_one
             and deco.dim_ker_u_minus_one == sp.dim_ker_minus_one
         )
-        result.record(ok, f"trial {k}")
+        result.record(ok, lambda: f"trial {k}")
     return result
 
 
@@ -333,7 +334,7 @@ def generator_suite(seed=5, trials=300):
         h, g0, expected = random_chiral_hamiltonian(rng, m, n)
         # generator_index raises unless Index(H) equals si_plus(e^{i pi H})
         got = indices.generator_index(h, g0)
-        result.record(got == expected, f"trial {k}: expected {expected} got {got}")
+        result.record(got == expected, lambda: f"trial {k}: expected {expected} got {got}")
     return result
 
 
@@ -347,7 +348,7 @@ def dichotomy_suite(seed=6, models=200):
     for k in range(models):
         pair = random_split_step(rng)
         report = essential.certify_unitary(pair).dichotomy
-        result.record(report.holds, f"model {k}: {report.to_dict()}")
+        result.record(report.holds, lambda: f"model {k}: {report.to_dict()}")
     return result
 
 
@@ -379,7 +380,7 @@ def index_theorem_suite(seed=7, models=20):
     for k, pair in enumerate(certified_split_step_models(rng, chiral_count)):
         record = winding.verify_index_theorem_chiral(pair)
         result.trials += 1
-        result.record(record.holds, f"chiral model {k}: {record.to_dict()}")
+        result.record(record.holds, lambda: f"chiral model {k}: {record.to_dict()}")
     while result.trials < models:
         p_left = int(rng.integers(-2, 3))
         p_right = int(rng.integers(-2, 3))
@@ -388,10 +389,8 @@ def index_theorem_suite(seed=7, models=20):
         branch = record.branches[0]
         expected = p_right - p_left
         result.trials += 1
-        result.record(
-            record.holds and branch.lhs_index == expected,
-            f"banded {p_left}->{p_right}: {branch.to_dict()}",
-        )
+        result.record(record.holds and branch.lhs_index == expected,
+                      lambda: f"banded {p_left}->{p_right}: {branch.to_dict()}")
     return result
 
 
@@ -415,7 +414,7 @@ def homotopy_suite(paths=None, samples=8):
             certs = essential.certify_unitary(pair)
             if not (certs.gap_plus.certified and certs.gap_minus.certified):
                 ok = False
-                result.record(False, f"path {idx}: cell t={t:.3f} not certified")
+                result.record(False, lambda: f"path {idx}: cell t={t:.3f} not certified")
                 break
             one = ops.identity(2)
             si_minus = transfer.exact_kernel(pair.u + one, pair.gamma0,
@@ -424,7 +423,7 @@ def homotopy_suite(paths=None, samples=8):
                                             roots=certs.gap_plus.roots).graded_signature
             seen.add((si_plus, si_minus))
         if ok:
-            result.record(len(seen) == 1, f"path {idx}: indices moved: {sorted(seen)}")
+            result.record(len(seen) == 1, lambda: f"path {idx}: indices moved: {sorted(seen)}")
     return result
 
 
@@ -464,8 +463,9 @@ def consistency_suite(seed=8, trials=50):
                 transfer.exact_kernel(u + ops.identity(2), pair.gamma0)
             except Exception as exc:  # noqa: BLE001 - any failure is a finding
                 ok = False
-                result.record(False, f"model {k}: transfer failed after certification: {exc}")
-        result.record(ok, f"model {k}")
+                result.record(False, lambda: f"model {k}: transfer failed after "
+                                             f"certification: {exc}")
+        result.record(ok, lambda: f"model {k}")
     return result
 
 

@@ -244,6 +244,7 @@ class GeneratorWalk:
     walk_exp: np.ndarray           # e^{i pi H}
     walk_neg_exp: np.ndarray       # -e^{i pi eta(H)} with eta = identity
     regularized: bool
+    spectrum: tuple                # (evals, vecs): hamiltonian = (vecs * evals) @ vecs^H
 
 
 # the conventions of every GeneratorWalk, as its report names them
@@ -279,4 +280,5 @@ def build_generator_walk(hamiltonian, gamma0, tol=CHIRAL_TOL):
         walk_exp=walk,
         walk_neg_exp=-walk,
         regularized=regularized,
+        spectrum=(evals, vecs),
     )

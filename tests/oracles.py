@@ -28,7 +28,11 @@ finds the germ spaces of a banded operator as ranges of spectral
 projectors, gated by the roots of its limit symbol determinants;
 ``germ_pair`` takes them from scipy's QZ split of each companion pencil,
 gated by the pencil's own eigenvalues, and ``kernel_vectors`` writes the
-kernel vectors out site by site on the package's germs.
+kernel vectors out site by site on the package's germs.  The package
+decides each rank, kernel mask and signature on a spectrum as a Python
+list; ``kernel_summary``, ``kernel_dims``, ``hermitian_kernel``,
+``signature_and_margin`` and ``cayley_range`` decide them by numpy
+reductions, and the tests require the same decisions bit for bit.
 """
 
 import functools
@@ -550,6 +554,53 @@ def pair_index_trace(p0, p1, m=0):
     """Tr((P0 - P1)^(2m+1)) from one matrix power."""
     power = np.linalg.matrix_power(np.asarray(p0) - np.asarray(p1), 2 * int(m) + 1)
     return float(np.trace(power).real)
+
+
+# --- rank and signature decisions as numpy reductions ---------------------------
+
+
+def rank_threshold(svals, rank_tol):
+    """rank_tol * sigma_max, at least 1e-12, for one spectrum or a stack (shape (..., k))."""
+    return np.maximum(rank_tol * svals[..., :1], 1e-12)
+
+
+def kernel_summary(svals, rows, rank_tol):
+    """(threshold, kernel mask, near-zero and borderline lists) of a full SVD with ``rows``
+    right singular vectors: a wide matrix keeps its implicit zeros."""
+    threshold = float(rank_threshold(svals, rank_tol).max(initial=1e-12))
+    padded = np.concatenate([svals, np.zeros(rows - svals.size)])
+    return (threshold, padded < threshold, [float(s) for s in padded if s < 10 * threshold],
+            [float(s) for s in padded if threshold <= s < 10 * threshold])
+
+
+def kernel_dims(svals, cols, rank_tol, scale=None):
+    """Kernel dimension of each matrix of a stack from its singular values."""
+    ref = svals if scale is None else np.full(svals.shape, scale)
+    return (cols - np.sum(svals >= rank_threshold(ref, rank_tol), axis=-1)).tolist()
+
+
+def hermitian_kernel(evals, shifts, rank_tol):
+    """Kernel mask of h - s from the eigenvalues of h, one row per shift of a sequence."""
+    dist = np.abs(evals - np.reshape(shifts, np.shape(shifts) + (1,)))
+    return dist < rank_threshold(dist.max(axis=-1, keepdims=True, initial=0.0), rank_tol)
+
+
+def signature_and_margin(evals):
+    """(signature, margin) of compressed gamma0 eigenvalues; one inside (-1/2, 1/2) refuses."""
+    gap = indices.SIGNATURE_GAP
+    if np.any(np.abs(evals) < gap):
+        raise PreconditionError(
+            "kernel not Gamma0-invariant within tolerance: compressed eigenvalue "
+            f"{evals[np.argmin(np.abs(evals))]:.3f} inside (-1/2, 1/2); "
+            "rank tolerance likely misclassified a singular value"
+        )
+    signature = int(np.sum(evals > gap) - np.sum(evals < -gap))
+    return signature, float(np.abs(evals).min() - gap) if evals.size else None
+
+
+def cayley_range(svals, rank_tol):
+    """Mask of the left singular vectors that span the range of 1 - u."""
+    return svals >= rank_threshold(svals, rank_tol)
 
 
 # --- split-step indices in closed form -----------------------------------------

@@ -525,13 +525,12 @@ class TestSpectralRanks:
             planted = shift + signs * cs * rank_tol * sigma_max
             h = hermitian_with_spectrum(np.concatenate([far, planted]), rng)
             evals = np.linalg.eigvalsh(h)
-            got = int(indices._hermitian_kernel(evals, shift, rank_tol).sum())
+            got = sum(indices._hermitian_kernel(evals, shift, rank_tol))
             oracle = indices.kernel_basis(h - shift * np.eye(len(h)), rank_tol).dimension
             assert got == oracle == int(np.sum(cs == 0.5)), f"case {k}"
             # a sequence of shifts ranks each row as the scalar shift does (Tanaka's +-1)
             rows = indices._hermitian_kernel(evals, (shift, -shift), rank_tol)
-            assert rows.sum(axis=-1).tolist() == [
-                int(indices._hermitian_kernel(evals, s, rank_tol).sum()) for s in (shift, -shift)]
+            assert rows == [indices._hermitian_kernel(evals, s, rank_tol) for s in (shift, -shift)]
 
     def test_exact_zeros_and_the_floor(self):
         # below the 1e-12 floor everything is kernel, whatever rank_tol says
@@ -542,7 +541,7 @@ class TestSpectralRanks:
             ([0.0, 0.0], 0.0, 2),
         ):
             h = hermitian_with_spectrum(evals, rng)
-            got = int(indices._hermitian_kernel(np.linalg.eigvalsh(h), shift, 1e-8).sum())
+            got = sum(indices._hermitian_kernel(np.linalg.eigvalsh(h), shift, 1e-8))
             oracle = indices.kernel_basis(h - shift * np.eye(len(h)), 1e-8).dimension
             assert got == oracle == kernel
 
@@ -551,11 +550,11 @@ class TestSpectralRanks:
     ])
     def test_one_by_one(self, value, shift, kernel):
         h = np.array([[value]])
-        got = int(indices._hermitian_kernel(np.linalg.eigvalsh(h), shift, 1e-8).sum())
+        got = sum(indices._hermitian_kernel(np.linalg.eigvalsh(h), shift, 1e-8))
         assert got == indices.kernel_basis(h - shift, 1e-8).dimension == kernel
 
     def test_empty(self):
-        assert indices._hermitian_kernel(np.linalg.eigvalsh(np.zeros((0, 0))), 1.0, 1e-8).size == 0
+        assert indices._hermitian_kernel(np.linalg.eigvalsh(np.zeros((0, 0))), 1.0, 1e-8) == []
         assert indices.kernel_basis(np.zeros((0, 0))).dimension == 0
 
     def test_empty_grading_halves(self):
@@ -593,6 +592,118 @@ class TestSpectralRanks:
         w, svals, _ = np.linalg.svd(np.eye(2) - u)
         with pytest.raises(PreconditionError, match="fails to anticommute"):
             indices._cayley_signature(u, w, svals, SIGMA3, 1e-8)
+
+
+# rank tolerances with exact products: a value planted at rank_tol * sigma_max is on the threshold
+DECISION_TOLS = [2.0 ** -27, 2.0 ** -20, 2.0 ** -10, 1e-8]
+# largest singular values: none, one under the 1e-12 floor and ordinary ones
+DECISION_TOPS = [0.0, 2.0 ** -45, 0.375, 1.0, 32.0]
+# compressed gamma0 eigenvalues: +-1, +-1/2 exactly, their float neighbours, refused ones
+SIGNATURE_VALUES = [1.0, -1.0, 0.75, -0.9999, 0.5, -0.5, np.nextafter(0.5, 1.0),
+                    -np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0), -np.nextafter(0.5, 0.0),
+                    0.0, 0.1234]
+
+
+@st.composite
+def planted_spectrum(draw, rank_tol, size):
+    """``size`` descending singular values under rank_tol: the top, zeros, values under the
+    floor, exactly at the threshold and at 10 times it, and their float neighbours."""
+    top = draw(st.sampled_from(DECISION_TOPS))
+    t = max(rank_tol * top, 1e-12)
+    pool = [x for x in (0.0, 5e-13, t, np.nextafter(t, 0.0), np.nextafter(t, 1.0), 3 * t,
+                        10 * t, np.nextafter(10 * t, 0.0)) if x <= top]
+    rest = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    return np.array(sorted([top] + rest, reverse=True)[:size], dtype=float)
+
+
+class Handed(Exception):
+    pass
+
+
+def cayley_columns(svals, rank_tol):
+    """The columns of W that ``_cayley_signature`` keeps as the range of 1 - u: with W = 1
+    and u diagonal with distinct phases, the matrix it hands to ``solve`` is 1 - u on them."""
+    phases = np.exp(1j * np.linspace(0.5, 2.5, svals.size))
+    handed = []
+
+    def stop(a, b):
+        handed.extend(np.diag(a).tolist())
+        raise Handed
+
+    n = svals.size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "solve", stop)
+        try:
+            indices._cayley_signature(np.diag(phases), np.eye(n), svals, np.eye(n), rank_tol)
+        except Handed:
+            pass
+    return [1 - p in handed for p in phases.tolist()]
+
+
+def outcome(decide, evals):
+    try:
+        return repr(decide(evals))
+    except PreconditionError as exc:
+        return str(exc)
+
+
+class TestDecisionOracles:
+    """Each rank, kernel-mask and signature decision equals its numpy form in
+    ``oracles`` bit for bit: thresholds, masks, dimensions, the near-zero and
+    borderline lists, signatures, margins and refusal messages."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.sampled_from(DECISION_TOLS), st.integers(0, 5), st.integers(0, 2), st.data())
+    def test_kernel_summary(self, rank_tol, size, wide, data):
+        svals = data.draw(planted_spectrum(rank_tol, size))
+        rows = size + wide      # a wide matrix: rows right singular vectors, size values
+        threshold, mask, near, borderline = oracles.kernel_summary(svals, rows, rank_tol)
+        summary = indices._kernel_summary(svals, np.eye(rows, dtype=complex), rank_tol)
+        assert indices._threshold(svals.tolist()[0] if size else 0.0, rank_tol) == threshold
+        assert np.array_equal(summary.basis, np.eye(rows)[:, mask])
+        assert summary.dimension == int(mask.sum())
+        assert repr(summary.singular_values_near_zero) == repr(near)
+        assert repr(summary.borderline_singular_values) == repr(borderline)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.sampled_from(DECISION_TOLS), st.integers(1, 4), st.integers(0, 2), st.booleans(),
+           st.integers(1, 3), st.sampled_from([None, 1.0]), st.data())
+    def test_kernel_dims(self, rank_tol, size, extra, wide, count, scale, data):
+        rows, cols = (size, size + extra) if wide else (size + extra, size)
+        stack = np.zeros((count, rows, cols), dtype=complex)
+        for m in stack:
+            m[range(size), range(size)] = data.draw(planted_spectrum(rank_tol, size))
+        expected = oracles.kernel_dims(np.linalg.svd(stack, compute_uv=False), cols, rank_tol, scale)
+        assert indices._kernel_dims(stack, rank_tol, scale) == expected
+        for m in stack:
+            svals = np.linalg.svd(m, compute_uv=False)
+            assert indices._kernel_dims(m, rank_tol, scale) == oracles.kernel_dims(
+                svals, cols, rank_tol, scale)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.sampled_from(DECISION_TOLS), st.sampled_from([0.0, 1.0, -1.0, 0.25]), st.booleans(),
+           st.integers(0, 5), st.data())
+    def test_hermitian_kernel(self, rank_tol, shift, both, size, data):
+        # eigenvalues at planted distances from the shift, on either side of it
+        dist = data.draw(planted_spectrum(rank_tol, size))
+        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=size, max_size=size))
+        evals = np.sort(shift + np.array(signs) * dist)
+        shifts = (shift, -shift) if both else shift
+        assert indices._hermitian_kernel(evals, shifts, rank_tol) == (
+            oracles.hermitian_kernel(evals, shifts, rank_tol).tolist())
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.sampled_from(SIGNATURE_VALUES), max_size=6))
+    def test_signature_and_margin(self, values):
+        evals = np.array(values, dtype=float)
+        assert outcome(indices._signature_and_margin, evals) == (
+            outcome(oracles.signature_and_margin, evals))
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.sampled_from(DECISION_TOLS), st.integers(1, 5), st.data())
+    def test_cayley_range(self, rank_tol, size, data):
+        svals = data.draw(planted_spectrum(rank_tol, size))
+        assert cayley_columns(svals, rank_tol) == oracles.cayley_range(svals, rank_tol).tolist()
 
 
 class TestFiniteSuites:
