@@ -100,8 +100,9 @@ def _generator_report(walk, gamma0, tol):
     }
     idx = indices.full_index_report(walk.walk_exp, gamma0, rank_tol=tol.rank_tol)
     report["indices"] = idx.to_dict()
-    report["indices"]["generator_index"] = indices.generator_index(
-        walk.hamiltonian, gamma0, tol.rank_tol
+    # the walk as built, and the si_plus of its report: neither is derived twice
+    report["indices"]["generator_index"] = indices._generator_core(
+        walk, walk.gamma0, lambda: idx.si_plus, tol.rank_tol
     )
     return report, EXIT_OK
 

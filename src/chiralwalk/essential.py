@@ -21,6 +21,10 @@ over the probes of every open target, one det and FFT per grid (both sides
 share one unless a band vanishes on one side only) and one stacked root solve
 (bitwise equal to np.roots) of the arc-endpoint polynomials; round 1 shares its
 probes between the targets and also solves the clearance polynomials det(F(z) - t).
+The bookkeeping of a round (each target's smallest distance over its probes, the
+crossings near the circle, their order and midpoints) is done on Python lists; the
+distances, moduli and angles come from numpy, as Python's abs of a complex can
+differ from numpy's in the last bit.
 
 A gap is certified when that lower bound exceeds the margin and the
 roots of det(F(z) - t) clear ``transfer.CIRCLE_MARGIN``.  Each
@@ -100,18 +104,19 @@ def _gaps(loops, samples, targets):
     adds a probe); a flat band on an arc endpoint leaves the level open."""
     n = len(targets)
     value, level, bound, transfer_roots = [np.inf] * n, [np.inf] * n, [0.0] * n, None
-    groups = [(range(n), [INITIAL_PROBES] * len(loops))]   # (targets, probe angles per loop)
+    groups = [(range(n), [INITIAL_PROBES.tolist()] * len(loops))]   # (targets, angles per loop)
     for _ in range(MAX_LEVELS):
-        owner = np.concatenate([np.full(points[i].size, g) for i in range(len(loops))
-                                for g, (_, points) in enumerate(groups)])
         evs = np.linalg.eigvals(np.concatenate([
-            loop(np.exp(1j * np.concatenate([points[i] for _, points in groups])))
+            loop(np.exp(1j * np.array([t for _, points in groups for t in points[i]])))
             for i, loop in enumerate(loops)]))
+        # |lambda - t| per target and probe, smallest over the probe's eigenvalues
+        distances = np.abs(evs - np.reshape(targets, (n, 1, 1))).min(axis=-1).tolist()
+        owner = [g for i in range(len(loops)) for g, (_, points) in enumerate(groups)
+                 for _ in points[i]]
         live, mus = [], []
         for g, (members, _) in enumerate(groups):
-            distances = evs[owner == g]
             for k in members:
-                lowest = float(np.abs(distances - targets[k]).min())
+                lowest = min(d for d, o in zip(distances[k], owner) if o == g)
                 if lowest >= level[k]:
                     bound[k] = level[k]
                     continue
@@ -130,14 +135,18 @@ def _gaps(loops, samples, targets):
         transfer_roots = transfer_roots or [[r[2 * len(live) + k] for r in found] for k in range(n)]
         groups = []
         for j, k in enumerate(live):
-            ends = [[z for z, _ in r[2 * j : 2 * j + 2]] for r in found]   # per loop, both arc ends
-            if any(isinstance(e, Exception) for pair in ends for e in pair):   # det vanishes
+            ends = [z for r in found for z, _ in r[2 * j : 2 * j + 2]]   # per loop, both arc ends
+            if any(isinstance(e, Exception) for e in ends):   # det vanishes
                 continue
-            points = []
-            for r in map(np.concatenate, ends):
-                angles = np.sort(np.angle(r[np.abs(np.abs(r) - 1.0) <= CROSSING_TOL]) % (2.0 * np.pi))
-                points.append(0.5 * (angles + np.append(angles[1:], angles[0] + 2.0 * np.pi))
-                              if angles.size else np.zeros(1))
+            roots = np.concatenate(ends)
+            radii, angles = np.abs(roots).tolist(), np.angle(roots).tolist()
+            points, stop, turn = [], 0, 2.0 * np.pi
+            for plus, minus in zip(ends[::2], ends[1::2]):   # loop by loop
+                start, stop = stop, stop + plus.size + minus.size
+                cross = sorted(a % turn for a, r in zip(angles[start:stop], radii[start:stop])
+                               if abs(r - 1.0) <= CROSSING_TOL)
+                points.append([0.5 * (a + b) for a, b in zip(cross, cross[1:] + [cross[0] + turn])]
+                              if cross else [0.0])
             groups.append(([k], points))
         if not groups:
             break

@@ -267,7 +267,7 @@ def chiral_selfadjoint_index(q, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_
         raise PreconditionError("Q must be self-adjoint")
     if np.abs(g @ q + q @ g).max() > tol:
         raise PreconditionError("Q must anticommute with Gamma0")
-    return kernel_basis(q, rank_tol, g).graded_signature
+    return _graded_signature(kernel_basis(q, rank_tol).basis, g)
 
 
 def _susy_core(b, p, rank_tol):
@@ -468,6 +468,21 @@ def cayley_index(u, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     return _cayley_core(u, _unit_svd(u), g, rank_tol)
 
 
+def _generator_core(walk, g, si_plus, rank_tol):
+    """Graded signature of Ker(H) for a built generator walk, ranked on the walk's
+    spectrum (g its checked gamma0), cross-checked against ``si_plus()``, the
+    graded signature of Ker(U - 1), U = walk_exp, taken after Ker(H) is ranked."""
+    evals, vecs = walk.spectrum
+    index = _graded_signature(vecs[:, _hermitian_kernel(evals, 0.0, rank_tol)], g)
+    si_plus = si_plus()
+    if si_plus != index:
+        raise PreconditionError(
+            f"generator index {index} disagrees with si_plus(e^(i pi H)) = {si_plus}; "
+            "rank tolerance likely misclassified an eigenvalue"
+        )
+    return index
+
+
 def generator_index(hamiltonian, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_TOL):
     """Graded signature of Ker(H), cross-checked against si_plus(e^{i pi H}).
 
@@ -477,16 +492,12 @@ def generator_index(hamiltonian, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION
     """
     g = check_selfadjoint_unitary(gamma0, tol)
     walk = build_generator_walk(_as_complex(hamiltonian), g, tol)
-    evals, vecs = walk.spectrum
-    index = _graded_signature(vecs[:, _hermitian_kernel(evals, 0.0, rank_tol)], g)
-    u, _ = _checked_chiral(walk.walk_exp, g, tol)
-    si_plus = _graded_signature(kernel_basis(u - np.eye(u.shape[0]), rank_tol).basis, g)
-    if si_plus != index:
-        raise PreconditionError(
-            f"generator index {index} disagrees with si_plus(e^(i pi H)) = {si_plus}; "
-            "rank tolerance likely misclassified an eigenvalue"
-        )
-    return index
+
+    def si_plus():
+        u, _ = _checked_chiral(walk.walk_exp, g, tol)
+        return _graded_signature(kernel_basis(u - np.eye(u.shape[0]), rank_tol).basis, g)
+
+    return _generator_core(walk, g, si_plus, rank_tol)
 
 
 @dataclass

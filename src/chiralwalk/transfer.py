@@ -15,14 +15,19 @@ signatures come from the Gram and gamma0 forms of the kernel vectors;
 beyond a finite window their tails are geometric, and the tail sums
 solve Stein equations, so nothing is walked site by site.
 
-Everything is numpy.  Each tail's Gram and gamma0 forms share one Stein
-operator and come from one Kronecker solve.  Each level-set round, each
-winding set and the two ends of an exact kernel are one stacked solve of
-their symbol determinants, bitwise equal to per-polynomial np.roots.
+Each tail's Gram and gamma0 forms share one Stein operator and come
+from one Kronecker solve.  Each level-set round, each winding set and
+the two ends of an exact kernel are one stacked solve of their symbol
+determinants, bitwise equal to per-polynomial np.roots.  The root
+clearance, the germ counts, the projector trace check and the trim of
+each determinant row are decided on Python lists of a few floats; the
+moduli, the Moebius pole and the Newton step count come from numpy, as
+Python's abs of a complex can differ from numpy's in the last bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,12 +69,16 @@ def _det_polys(samples, mus):
     dets = np.linalg.det(values[..., None, :, :, :]
                          - np.asarray(mus)[:, None, None, None] * np.eye(values.shape[-1]))
     coeffs = np.fft.fft(dets * twist[..., None, :]) / values.shape[-3]
-    coeffs[np.abs(coeffs) < COEFF_TOL * np.abs(coeffs).max(axis=-1, keepdims=True)] = 0.0
-    polys = []
-    for row, low in zip(coeffs.reshape(-1, coeffs.shape[-1]), np.repeat(low, len(mus))):
-        nz = np.nonzero(row)[0]
-        polys.append((row[nz[0] : nz[-1] + 1][::-1], int(low + nz[0])) if nz.size else
-                     (NotFredholmError("symbol determinant vanishes identically"), None))
+    moduli = np.abs(coeffs)
+    coeffs[moduli < COEFF_TOL * moduli.max(axis=-1, keepdims=True)] = 0.0
+    rows = coeffs.reshape(-1, coeffs.shape[-1])
+    polys = []   # each row's first and last nonzero coefficient from one pass over a list
+    for row, kept, low in zip(rows, (rows != 0).tolist(), np.repeat(low, len(mus)).tolist()):
+        if True in kept:
+            first, stop = kept.index(True), len(kept) - kept[::-1].index(True)
+            polys.append((row[first:stop][::-1], low + first))
+        else:
+            polys.append((NotFredholmError("symbol determinant vanishes identically"), None))
     return polys
 
 
@@ -82,7 +91,8 @@ def _poly_roots(polys):
         items = [i for i, s in enumerate(sizes) if s == size]
         companions = np.zeros((len(items), size - 1, size - 1), dtype=complex)
         companions[:, 1:, :-1] = np.eye(size - 2)
-        companions[:, 0] = [-polys[i][1:] / polys[i][0] for i in items]
+        stacked = np.array([polys[i] for i in items])
+        companions[:, 0] = -stacked[:, 1:] / stacked[:, :1]
         for i, r in zip(items, np.linalg.eigvals(companions)):
             roots[i] = r
     return roots
@@ -109,16 +119,26 @@ def _loop_roots(loops):
     return [found.get(i, (loop, None)) for i, loop in enumerate(loops)]
 
 
+def _inverse_gap(radius):
+    """||1/z| - 1| for a root z of modulus ``radius``; infinite at z = 0, as numpy divides."""
+    return abs(1.0 / radius - 1.0) if radius else np.inf
+
+
+def _radii_clearance(radii):
+    """``_clearance`` of roots whose moduli are the Python list ``radii``."""
+    return (min((abs(r - 1.0) for r in radii), default=None),
+            all(_inverse_gap(r) > CIRCLE_MARGIN for r in radii))
+
+
 def _clearance(*roots):
     """(min ||z| - 1| over the roots of one or more determinants or None without
     roots, whether every transfer eigenvalue 1/z lies outside CIRCLE_MARGIN of
     the unit circle, the band in which exact_kernel refuses); (0.0, False) when
-    a determinant vanishes identically (``_det_polys``)."""
+    a determinant vanishes identically (``_det_polys``).  The moduli come from
+    one np.abs, and the rest is decided on them as a Python list."""
     if any(isinstance(z, Exception) for z in roots):
         return 0.0, False
-    radii = np.abs(np.concatenate(roots))
-    margin = float(np.abs(radii - 1.0).min()) if radii.size else None
-    return margin, bool(np.all(np.abs(1.0 / radii - 1.0) > CIRCLE_MARGIN))
+    return _radii_clearance(np.abs(np.concatenate(roots)).tolist())
 
 
 # --- half-line germ spaces: spectral projectors of the companion pencils ------
@@ -166,6 +186,18 @@ def _matrix_sign(w, steps):
     raise NotFredholmError("germ space iteration did not converge")
 
 
+def _trace_check(sign, counts):
+    """NotFredholmError unless the traces of the projectors (1 - sign) / 2 on the left
+    and (1 + sign) / 2 on the right (``sign`` stacked, left first) round to the root
+    counts; decided on a Python list (round is np.rint on a finite float)."""
+    size = sign.shape[-1]
+    trace = np.trace(sign, axis1=1, axis2=2).real.tolist()
+    traces = [0.5 * (size - trace[0]), 0.5 * (size + trace[1])]
+    if [round(t) if math.isfinite(t) else t for t in traces] != counts:
+        raise NotFredholmError(f"germ space dimensions {np.round(traces, 6).tolist()} differ "
+                               f"from the root counts {counts}")
+
+
 def _germ_pair(a, roots=None):
     """(left, right) germ spaces of the decaying solutions of the two constant
     recursions of ``a`` (band radius >= 1), and exact_kernel's Fredholm gate.
@@ -192,25 +224,23 @@ def _germ_pair(a, roots=None):
             raise z
     (z_left, order_left), (z_right, order_right) = roots
     z = np.concatenate([z_left, z_right])
-    radii = np.abs(z)
-    if not _clearance(z)[1]:
+    moduli = np.abs(z)
+    radii = moduli.tolist()
+    if not _radii_clearance(radii)[1]:
         raise NotFredholmError("transfer eigenvalue within margin of the unit circle "
-                               f"(|lambda| = {1.0 / radii[np.abs(1.0 / radii - 1.0).argmin()]:.8f})")
-    inside = radii > 1.0    # |lambda| < 1
-    counts = [r * d + order_left + int(np.count_nonzero(~inside[: z_left.size])),
-              r * d - order_right - z_right.size + int(np.count_nonzero(inside[z_left.size :]))]
+                               f"(|lambda| = {1.0 / min(radii, key=_inverse_gap):.8f})")
+    inside = [x > 1.0 for x in radii]    # |lambda| < 1
+    counts = [r * d + order_left + z_left.size - sum(inside[: z_left.size]),
+              r * d - order_right - z_right.size + sum(inside[z_left.size :])]
     distance = np.abs(SIGMA_CANDIDATES[:, None] - 1.0 / z).min(axis=1, initial=np.inf)
     sigma = SIGMA_CANDIDATES[np.argmax(distance)]
     e_mat, b_mat = _companion_pencils(a)
     w = -np.linalg.solve(b_mat - sigma * e_mat, b_mat + sigma * e_mat)
     # |lambda|^(2^j) below GERM_RTOL after j steps for every finite lambda, then one more
-    slowest = np.abs(np.log(radii)).min(initial=np.inf)
+    slowest = np.abs(np.log(moduli)).min(initial=np.inf)
     sign = _matrix_sign(w, 2 + int(np.log2(-np.log(GERM_RTOL) / slowest)) if slowest < np.inf else 1)
+    _trace_check(sign, counts)
     tail = np.array([-1.0, 1.0])[:, None, None]
-    traces = 0.5 * (size + tail[:, 0, 0] * np.trace(sign, axis1=1, axis2=2).real)
-    if not np.array_equal(np.rint(traces), counts):
-        raise NotFredholmError(f"germ space dimensions {traces.round(6).tolist()} differ from "
-                               f"the root counts {counts}")
     shift = tail * np.eye(size)
     bases = np.linalg.svd(0.5 * (np.abs(shift) + tail * sign))[0]   # ranges first
     bases *= np.arange(size) < np.array(counts)[:, None, None]

@@ -460,7 +460,7 @@ def consistency_suite(seed=8, trials=50):
         gap = essential.gap_at(pair, -1)
         if gap.certified:
             try:
-                transfer.exact_kernel(u + ops.identity(2), pair.gamma0)
+                transfer.exact_kernel(u + ops.identity(2), pair.gamma0, roots=gap.roots)
             except Exception as exc:  # noqa: BLE001 - any failure is a finding
                 ok = False
                 result.record(False, lambda: f"model {k}: transfer failed after "

@@ -12,7 +12,10 @@ otherwise the smallest ||z| - 1| over the roots is the winding's
 decision margin.  A chiral branch counts the roots of the imaginary
 part of a chiral symbol compressed between the graded halves of one
 grading (``chiral_imaginary_block_symbol``), a scalar loop whose
-determinant is itself.
+determinant is itself.  The inside-count, the clearance and the check
+that a grading factors as D(z) G D(z)^* are decided on Python lists;
+the moduli come from numpy, as Python's abs of a complex can differ
+from numpy's in the last bit.
 
 Orientation: throughout the package, kernel-count indices are oriented
 so that an operator equal to 1 far to the left and to the forward shift
@@ -32,7 +35,7 @@ import numpy as np
 from . import operators as ops
 from .exceptions import ChiralwalkError, NotFredholmError, PreconditionError
 from .indices import DEFAULT_RANK_TOL
-from .transfer import _clearance, _loop_roots, exact_index, exact_kernel
+from .transfer import _inverse_gap, _loop_roots, _radii_clearance, exact_index, exact_kernel
 from .walks import CHIRAL_TOL
 
 
@@ -52,14 +55,14 @@ def _windings(loops):
     for roots, order in _loop_roots(loops):
         if isinstance(roots, Exception):
             raise roots
-        radii = np.abs(roots)
-        margin, clear = _clearance(roots)
+        radii = np.abs(roots).tolist()
+        margin, clear = _radii_clearance(radii)
         if not clear:
             raise NotFredholmError(
                 "symbol determinant has a root within margin of the unit circle "
-                f"(|z| = {radii[np.abs(1.0 / radii - 1.0).argmin()]:.8f})"
+                f"(|z| = {min(radii, key=_inverse_gap):.8f})"
             )
-        yield WindingResult(int(np.sum(radii < 1.0)) + order, margin)
+        yield WindingResult(sum(r < 1.0 for r in radii) + order, margin)
 
 
 def winding_det(loop):
@@ -74,16 +77,17 @@ def _sandwich(coeffs, n):
     """D(z)^* A(z) D(z), D(z) = diag(1, z^n), for 2 x 2 A: entry (i, j) at offset m
     moves to m + n (j - i).  Offsets come in the order of the Laurent product
     (D^* A) D, zeros dropped at each factor, so the loop sums in that order.
-    Entries move as Python complex numbers: each is copied, never summed."""
+    Entries move as Python complex numbers, in and out as nested lists (or
+    arrays in): each is copied, never summed."""
     rows, out = {}, {}
     for i, shift in enumerate((0, -n)):
         for m, c in coeffs.items():
-            rows.setdefault(m + shift, [[0j, 0j], [0j, 0j]])[i] = c[i].tolist()
+            rows.setdefault(m + shift, [[0j, 0j], [0j, 0j]])[i] = list(c[i])
     for m, c in ((m, c) for m, c in rows.items() if any(c[0]) or any(c[1])):
         for j, shift in enumerate((0, n)):
             mat = out.setdefault(m + shift, [[0j, 0j], [0j, 0j]])
             mat[0][j], mat[1][j] = c[0][j], c[1][j]
-    return {m: np.array(c) for m, c in out.items() if any(c[0]) or any(c[1])}
+    return {m: c for m, c in out.items() if any(c[0]) or any(c[1])}
 
 
 def _closed_frames(grading, side):
@@ -101,18 +105,23 @@ def _closed_frames(grading, side):
     Returns (n, [(k, v) for +1, then -1]).
     """
     loop = grading.symbol_at(side)
-    if loop.fiber_dim != 2 or not loop.offsets():
+    if loop.fiber_dim != 2 or not loop.coefficients:
         raise PreconditionError("root-count windings need a nonzero grading on C^2")
-    n = max(loop.offsets())
+    n = max(loop.coefficients)
     g = sum(loop.coefficients.values())
-    factored = _sandwich({0: g}, -n)   # D G D^*
     evals, vecs = np.linalg.eigh(g)
-    dev = max(
-        np.abs(g - g.conj().T).max(),
-        np.abs(evals - (-1.0, 1.0)).max(),
-        *(np.abs(factored.get(m, 0) - loop.coefficients.get(m, 0)).max()
-          for m in set(factored) | set(loop.coefficients)),
-    )
+    (g00, g01), (g10, g11) = rows = g.tolist()
+    zero = [[0j, 0j], [0j, 0j]]
+    factored = {0: [[g00, 0j], [0j, g11]]}   # D G D^*: g01 moves to z^-n, g10 to z^n
+    factored.setdefault(-n, [[0j, 0j], [0j, 0j]])[0][1] = g01
+    factored.setdefault(n, [[0j, 0j], [0j, 0j]])[1][0] = g10
+    residuals = [rows[i][j] - rows[j][i].conjugate() for i in (0, 1) for j in (0, 1)]
+    for m in set(factored) | set(loop.coefficients):
+        coeff = loop.coefficients[m].tolist() if m in loop.coefficients else zero
+        residuals += [x - y for got, want in zip(factored.get(m, zero), coeff)
+                      for x, y in zip(got, want)]
+    # numpy's moduli, as Python's abs of a complex may differ in the last bit
+    dev = max(np.abs(residuals).max(), *(abs(e - s) for e, s in zip(evals.tolist(), (-1.0, 1.0))))
     if dev > CHIRAL_TOL:
         raise PreconditionError(
             f"{side} grading symbol is not D(z) G D(z)^* with G a self-adjoint unitary "
@@ -130,12 +139,18 @@ def chiral_imaginary_block_symbol(pair, grading, side):
     where u(z) has an eigenvalue +-1.
     """
     n, ((k_plus, v_plus), (k_minus, v_minus)) = _closed_frames(grading, side)
-    u_loop = pair.u.symbol_at(side)
-    u, adj = u_loop.coefficients, u_loop.hermitian_conjugate().coefficients
-    im = {m: c for m in set(u) | set(adj) if (c := (u.get(m, 0) - adj.get(m, 0)) / 2j).any()}
+    u = {m: c.tolist() for m, c in pair.u.symbol_at(side).coefficients.items()}
+    im = {}   # u^*'s coefficient at m is the conjugate transpose of u's at -m
+    for m in set(u) | {-k for k in u}:
+        a, b = u.get(m), u.get(-m)
+        c = [[((a[i][j] if a else 0) - (b[j][i].conjugate() if b else 0)) / 2j for j in (0, 1)]
+             for i in (0, 1)]
+        if any(c[0]) or any(c[1]):
+            im[m] = c
+    row = v_minus.conj()
     return ops.SymbolLoop._derived(
-        1, {m + k_minus - k_plus: (v_minus.conj() @ c @ v_plus).reshape(1, 1)
-            for m, c in _sandwich(im, n).items()})
+        1, {m + k_minus - k_plus: (row @ np.array(c) @ v_plus).reshape(1, 1)
+            for m, c in (_sandwich(im, n) if n else im).items()})
 
 
 # --- the double-sided comparison ---------------------------------------------

@@ -32,7 +32,12 @@ kernel vectors out site by site on the package's germs.  The package
 decides each rank, kernel mask and signature on a spectrum as a Python
 list; ``kernel_summary``, ``kernel_dims``, ``hermitian_kernel``,
 ``signature_and_margin`` and ``cayley_range`` decide them by numpy
-reductions, and the tests require the same decisions bit for bit.
+reductions, and the tests require the same decisions bit for bit.  The
+package decides each lattice clearance, germ count, projector trace
+check, level-set step and determinant row trim on Python lists, with
+moduli and angles from numpy; ``clearance``, ``germ_counts``,
+``germ_trace_check``, ``joint_gaps`` and ``det_polys`` decide them by
+numpy reductions, and the tests require the same outputs bit for bit.
 """
 
 import functools
@@ -225,7 +230,11 @@ def imaginary_block(pair, grading, side):
 
 
 def winding_det(loop):
-    roots, order_at_zero = det_roots(loop)
+    return root_winding(*det_roots(loop))
+
+
+def root_winding(roots, order_at_zero):
+    """``winding._windings``' count and refusal on the roots of one determinant."""
     radii = np.abs(roots)
     margin, clear = _clearance(roots)
     if not clear:
@@ -693,3 +702,106 @@ def trim(values, window_start, left, right):
     while hi > lo and np.array_equal(values[hi - 1], right):
         hi -= 1
     return values[lo:hi], window_start + lo
+
+
+# --- lattice clearances, germ gates, level sets and row trims as numpy reductions
+
+
+def clearance(*roots):
+    """``transfer._clearance`` by numpy reductions over the concatenated roots."""
+    if any(isinstance(z, Exception) for z in roots):
+        return 0.0, False
+    return _clearance(np.concatenate(roots))
+
+
+def germ_counts(roots, r, d):
+    """The germ dimensions that ``transfer._germ_pair`` reads off the roots of an
+    operator of band radius r on C^d, or its refusal of a root in the margin."""
+    (z_left, order_left), (z_right, order_right) = roots
+    z = np.concatenate([z_left, z_right])
+    radii = np.abs(z)
+    if not _clearance(z)[1]:
+        nearest = radii[np.abs(1.0 / radii - 1.0).argmin()]
+        raise NotFredholmError("transfer eigenvalue within margin of the unit circle "
+                               f"(|lambda| = {1.0 / nearest:.8f})")
+    inside = radii > 1.0
+    return [r * d + order_left + int(np.count_nonzero(~inside[: z_left.size])),
+            r * d - order_right - z_right.size + int(np.count_nonzero(inside[z_left.size :]))]
+
+
+def germ_trace_check(sign, counts):
+    """``transfer._trace_check``: the traces of the two germ projectors, from the
+    matrix signs (shape (2, n, n)), against the root counts."""
+    tail = np.array([-1.0, 1.0])
+    traces = 0.5 * (sign.shape[-1] + tail * np.trace(sign, axis1=1, axis2=2).real)
+    if not np.array_equal(np.rint(traces), counts):
+        raise NotFredholmError(f"germ space dimensions {traces.round(6).tolist()} differ from "
+                               f"the root counts {counts}")
+    return counts
+
+
+def det_polys(samples, mus):
+    """``transfer._det_polys`` with each row trimmed by its own ``np.nonzero``."""
+    values, twist, low = samples
+    dets = np.linalg.det(values[..., None, :, :, :]
+                         - np.asarray(mus)[:, None, None, None] * np.eye(values.shape[-1]))
+    coeffs = np.fft.fft(dets * twist[..., None, :]) / values.shape[-3]
+    coeffs[np.abs(coeffs) < transfer.COEFF_TOL * np.abs(coeffs).max(axis=-1, keepdims=True)] = 0.0
+    polys = []
+    for row, low in zip(coeffs.reshape(-1, coeffs.shape[-1]), np.repeat(low, len(mus))):
+        nz = np.nonzero(row)[0]
+        polys.append((row[nz[0] : nz[-1] + 1][::-1], int(low + nz[0])) if nz.size else
+                     (NotFredholmError("symbol determinant vanishes identically"), None))
+    return polys
+
+
+def joint_gaps(loops, samples, targets):
+    """``essential._gaps`` with its bookkeeping in numpy: probe owners as an array
+    and a mask per group, crossings selected, sorted and averaged as arrays.  The
+    stacked root solve is ``essential._sample_roots``, looked up at call time."""
+    e = essential
+    n = len(targets)
+    value, level, bound, transfer_roots = [np.inf] * n, [np.inf] * n, [0.0] * n, None
+    groups = [(range(n), [e.INITIAL_PROBES] * len(loops))]
+    for _ in range(e.MAX_LEVELS):
+        owner = np.concatenate([np.full(points[i].size, g) for i in range(len(loops))
+                                for g, (_, points) in enumerate(groups)])
+        evs = np.linalg.eigvals(np.concatenate([
+            loop(np.exp(1j * np.concatenate([points[i] for _, points in groups])))
+            for i, loop in enumerate(loops)]))
+        live, mus = [], []
+        for g, (members, _) in enumerate(groups):
+            distances = evs[owner == g]
+            for k in members:
+                lowest = float(np.abs(distances - targets[k]).min())
+                if lowest >= level[k]:
+                    bound[k] = level[k]
+                    continue
+                value[k] = lowest
+                if lowest != 0.0:
+                    level[k] = lowest * (1.0 - e.LEVEL_RTOL)
+                    phi = 2.0 * np.arcsin(min(level[k] / 2.0, 1.0))
+                    live.append(k)
+                    mus += [targets[k] * np.exp(1j * s * phi) for s in (1, -1)]
+        mus += list(targets) if transfer_roots is None else []
+        if not mus:
+            break
+        found = e._sample_roots(samples, mus)
+        found = [found[i : i + len(mus)] for i in range(0, len(found), len(mus))]
+        transfer_roots = transfer_roots or [[r[2 * len(live) + k] for r in found] for k in range(n)]
+        groups = []
+        for j, k in enumerate(live):
+            ends = [[z for z, _ in r[2 * j : 2 * j + 2]] for r in found]
+            if any(isinstance(z, Exception) for pair in ends for z in pair):
+                continue
+            points = []
+            for r in map(np.concatenate, ends):
+                close = np.abs(np.abs(r) - 1.0) <= e.CROSSING_TOL
+                angles = np.sort(np.angle(r[close]) % (2.0 * np.pi))
+                points.append(0.5 * (angles + np.append(angles[1:], angles[0] + 2.0 * np.pi))
+                              if angles.size else np.zeros(1))
+            groups.append(([k], points))
+        if not groups:
+            break
+    clearances = [clearance(*(z for z, _ in roots)) for roots in transfer_roots]
+    return [e._Gap(value[k], bound[k], *c, transfer_roots[k]) for k, c in enumerate(clearances)]

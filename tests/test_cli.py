@@ -357,6 +357,31 @@ class TestCliCommands:
         assert report["indices"]["si_total"] == 0
         assert report["indices"]["generator_index"] == 0
 
+    def test_generator_report_builds_and_ranks_once(self, tmp_path, capsys, monkeypatch):
+        # Index(H) = 2 with ||H|| = 2, so H is flattened: the report builds its walk
+        # once, ranks Ker H on that walk's spectrum and Ker(U - 1) once, in its SVD
+        from chiralwalk import indices, scenarios
+
+        zero = [0.0, 0.0]
+        h = [[[2.0, 0.0] if {i, j} == {0, 3} else zero for j in range(4)] for i in range(4)]
+        g = [[[1.0 if i < 3 else -1.0, 0.0] if i == j else zero for j in range(4)]
+             for i in range(4)]
+        path = write_json(tmp_path / "g.json", {"model": "generator",
+                                                "params": {"hamiltonian": h, "gamma0": g}})
+        calls = []
+        for module, name in ((scenarios, "build_generator_walk"), (indices, "build_generator_walk"),
+                             (indices, "kernel_basis"), (indices, "_unit_svd")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **k:
+                                calls.append(name) or real(*a, **k))
+        assert main(["index", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["conventions"]["regularized"] is True and report["indices"]["consistent"]
+        assert report["indices"]["generator_index"] == report["indices"]["si_plus"] == 2
+        assert sorted(calls) == ["_unit_svd", "build_generator_walk"]
+        h_flat = Scenario.from_doc(json.loads(Path(path).read_text())).build()[0].hamiltonian
+        assert indices.generator_index(h_flat, np.diag([1.0, 1.0, 1.0, -1.0])) == 2
+
     def test_custom_banded_scenario(self, tmp_path, capsys):
         from chiralwalk.verification import interpolating_shift_model
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chiralwalk import analysis, essential, operators as ops, transfer, verification
-from chiralwalk.exceptions import ChiralwalkError, PreconditionError
+from chiralwalk.exceptions import ChiralwalkError, NotFredholmError, PreconditionError
 from chiralwalk.operators import identity, shift_power
 from chiralwalk.scenarios import Scenario
 from chiralwalk.verification import (interpolating_shift_model, random_split_step,
@@ -440,6 +440,81 @@ class TestLevelSet:
         ):
             with pytest.raises(TypeError):
                 call()
+
+
+class Recorded:
+    """A limit symbol that records the points it is evaluated at."""
+
+    def __init__(self, loop, seen):
+        self.loop, self.seen = loop, seen
+
+    def __call__(self, zs):
+        self.seen.append(zs.tobytes())
+        return self.loop(zs)
+
+
+# roots whose distance to the circle np.abs and Python's abs put on either side of
+# CROSSING_TOL: np.abs counts the first as a crossing, not the second
+DISPUTED_CROSSINGS = (0.6247725302436657 - 0.7808055362597833j,
+                      0.9179361715655565 - 0.39673062010962695j)
+
+
+class TestLevelSetBookkeeping:
+    """The level-set pass with its owners, minima, crossings and midpoints on Python
+    lists against ``oracles.joint_gaps``, which keeps them as numpy arrays: the same
+    probe points in every round and the same gaps, bit for bit."""
+
+    @staticmethod
+    def run(gaps, u, targets):
+        """(gaps as comparable tuples, probe points of every evaluation) of one pass."""
+        seen = []
+        loops, samples = essential._unitary_symbols(u)
+        found = gaps(tuple(Recorded(loop, seen) for loop in loops), samples, targets)
+        return [(g.value, type(g.value), g.bound, type(g.bound), g.root_margin,
+                 type(g.root_margin), g.clear,
+                 [(str(z) if isinstance(z, Exception) else z.tobytes(), order)
+                  for z, order in g.roots]) for g in found], seen
+
+    @staticmethod
+    def unitaries():
+        return ([pair.u for _, pair in oracles.report_pairs()] + list(unequal_span_unitaries())
+                + [identity(2), rotated(shift_power(1, 1), 0.3), rotated(identity(2), 0.3)])
+
+    def test_gaps_equal_the_numpy_bookkeeping(self):
+        rounds = set()
+        for u in self.unitaries():
+            for targets in ((1.0, -1.0), (1.0,), (-1.0,)):
+                got = self.run(essential._gaps, u, targets)
+                assert got == self.run(oracles.joint_gaps, u, targets)
+                rounds.add(len(got[1]) // 2)   # both sides per round
+        assert min(rounds) == 1 and max(rounds) >= 3
+
+    def test_doctored_roots_take_the_same_steps(self, monkeypatch):
+        # every arc end gains roots at 1 +- CROSSING_TOL, their float neighbours and the
+        # disputed crossings; every third call loses one arc end to a vanishing det
+        tol = essential.CROSSING_TOL
+        radii = [x for e in (1.0 + tol, 1.0 - tol)
+                 for x in (np.nextafter(e, 0.0), e, np.nextafter(e, 2.0))]
+        extra = np.array([r * np.exp(1j * a) for r, a in zip(radii, np.linspace(0.3, 5.9, 6))]
+                         + list(DISPUTED_CROSSINGS))
+        real, calls = essential._sample_roots, []
+
+        def doctored(samples, mus):
+            calls.append(None)
+            found = [(np.concatenate([z, extra]) if order is not None else z, order)
+                     for z, order in real(samples, mus)]
+            if len(calls) % 3 == 0:
+                found[0] = (NotFredholmError("symbol determinant vanishes identically"), None)
+            return found
+
+        monkeypatch.setattr(essential, "_sample_roots", doctored)
+        assert all((abs(np.abs(z) - 1.0) <= tol) != (abs(abs(z) - 1.0) <= tol)
+                   for z in DISPUTED_CROSSINGS)
+        for u in self.unitaries()[::7]:
+            calls.clear()
+            got = self.run(essential._gaps, u, (1.0, -1.0))
+            calls.clear()
+            assert got == self.run(oracles.joint_gaps, u, (1.0, -1.0))
 
 
 class TestTransferAgreement:

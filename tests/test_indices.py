@@ -153,6 +153,18 @@ class TestChiralSelfadjoint:
         with pytest.raises(PreconditionError):
             indices.chiral_selfadjoint_index(np.eye(2), SIGMA3)
 
+    def test_gamma0_checked_once(self, monkeypatch):
+        # the public graded_signature would convert and check gamma0 a second time
+        def second_check(*args):
+            raise AssertionError("gamma0 checked twice")
+
+        monkeypatch.setattr(indices, "graded_signature", second_check)
+        q = np.zeros((3, 3))
+        q[:2, :2] = SIGMA1
+        assert indices.chiral_selfadjoint_index(q, np.diag([1.0, -1.0, 1.0])) == 1
+        g0 = np.diag([1.0, 1.0, 1.0, -1.0])
+        assert indices.chiral_selfadjoint_index(np.zeros((4, 4)), g0) == 2
+
 
 class TestSusyAndTanaka:
     def test_identity_gives_trace(self):

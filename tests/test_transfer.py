@@ -811,3 +811,177 @@ class TestClosedFormTails:
         assert report["indices"]["si_plus"] == 1 and report["indices"]["si_minus"] == 0
         assert report["diagnostics_plus"]["signature_margin"] > 0.49
         assert report["windings"] is not None
+
+
+# roots whose moduli from np.abs and from Python's abs differ in the last bit, on
+# either side of a decision: np.abs puts both inside CIRCLE_MARGIN, Python's abs outside
+NUMPY_MODULI = {
+    "outside": 0.9946138222261309 + 0.1036597541947998j,    # |z| = 1/(1 - 1e-6)
+    "inside": -0.1284707306752315 - 0.9917122926346996j,    # |z| = 1/(1 + 1e-6)
+}
+
+
+def list_outcome(call):
+    """A call's value, or the type and message of the NotFredholmError it raised."""
+    try:
+        return call()
+    except NotFredholmError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def margin_radii():
+    """Radii at 1 +- CIRCLE_MARGIN and at the inverse edges 1 / (1 -+ CIRCLE_MARGIN),
+    each with its float neighbours."""
+    m = transfer.CIRCLE_MARGIN
+    edges = (1.0 + m, 1.0 - m, 1.0 / (1.0 - m), 1.0 / (1.0 + m))
+    return [x for e in edges for x in (np.nextafter(e, 0.0), e, np.nextafter(e, 2.0))]
+
+
+class TestListDecisions:
+    """Clearances, germ counts, projector trace checks and determinant row trims,
+    decided on Python lists, against their numpy forms in ``oracles``, bit for bit."""
+
+    @staticmethod
+    def same(got, want):
+        assert got == want and [type(x) for x in got] == [type(x) for x in want]
+
+    def test_clearance_on_seeded_pairs(self):
+        for _, pair in oracles.seeded_split_steps():
+            for sign in (1, -1):
+                a = pair.u + identity(2).scaled(sign)
+                roots = [z for z, _ in transfer._loop_roots(
+                    [a.symbol_at(side) for side in (ops.LEFT, ops.RIGHT)])]
+                self.same(transfer._clearance(*roots), oracles.clearance(*roots))
+                for z in roots:
+                    self.same(transfer._clearance(z), oracles.clearance(z))
+
+    def test_clearance_edges(self):
+        failed = NotFredholmError("symbol determinant vanishes identically")
+        none = np.zeros(0, dtype=complex)
+        cases = [(none,), (none, none), (np.ones(2, complex), failed), (failed, none),
+                 (np.zeros(1, dtype=complex),), (np.array([0.0, 2.0 + 1j]),)]
+        phase = np.exp(0.7j)
+        for r in margin_radii():
+            cases += [(np.array([r + 0j]),), (np.array([r * phase]),),
+                      (np.array([3.0 + 0j]), np.array([r + 0j]))]
+        for z in NUMPY_MODULI.values():
+            cases += [(np.array([z]),), (np.array([2.0, z]), none)]
+        with np.errstate(divide="ignore"):
+            for roots in cases:
+                self.same(transfer._clearance(*roots), oracles.clearance(*roots))
+        assert transfer._clearance(none) == (None, True)
+        assert transfer._clearance(np.ones(2, complex), failed) == (0.0, False)
+        assert transfer._clearance(np.zeros(1, dtype=complex)) == (1.0, True)
+        for z in NUMPY_MODULI.values():
+            # np.abs refuses where Python's abs would clear, and sets the margin's bits
+            assert abs(z) != np.abs(z)
+            margin, clear = transfer._clearance(np.array([z]))
+            assert not clear and margin == abs(float(np.abs(z)) - 1.0) != abs(abs(z) - 1.0)
+
+    @staticmethod
+    def gate(a, roots, monkeypatch):
+        """(package outcome, numpy-form outcome) of the germ gate of ``a`` on ``roots``:
+        the numpy form reads the matrix sign that the package computed."""
+        signs, real = [], transfer._matrix_sign
+
+        def spy(w, steps):
+            try:
+                signs.append(real(w, steps))
+            except NotFredholmError as exc:
+                signs.append(exc)
+            if isinstance(signs[-1], Exception):
+                raise signs[-1]
+            return signs[-1]
+
+        monkeypatch.setattr(transfer, "_matrix_sign", spy)
+        got = list_outcome(lambda: [g.dimension for g in transfer._germ_pair(a, roots)])
+
+        def want():
+            counts = oracles.germ_counts(roots, a.band_radius, a.fiber_dim)
+            if isinstance(signs[-1], Exception):
+                raise signs[-1]
+            return oracles.germ_trace_check(signs[-1], counts)
+
+        return got, list_outcome(want)
+
+    def test_germ_gate_on_seeded_pairs(self, monkeypatch):
+        outcomes = []
+        for _, pair in oracles.seeded_split_steps():
+            for sign in (1, -1):
+                a = pair.u + identity(2).scaled(sign)
+                roots = transfer._loop_roots([a.symbol_at(side) for side in (ops.LEFT, ops.RIGHT)])
+                got, want = self.gate(a, roots, monkeypatch)
+                assert got == want
+                outcomes.append(isinstance(got, tuple))
+        assert 0 < sum(outcomes) < 40   # the closest gaps are refused
+
+    def test_germ_gate_edges(self, monkeypatch):
+        # doctored roots for the operator: radii at the margin and their neighbours,
+        # moduli that np.abs and Python's abs disagree on, a zero root, no roots
+        a = oracles.seeded_split_steps()[1][1].u - identity(2)
+        none = np.zeros(0, dtype=complex)
+        cases = [[(none, 0), (none, 0)], [(np.zeros(1, dtype=complex), 1), (none, 0)]]
+        for r in margin_radii():
+            cases += [[(np.array([r + 0j]), 0), (none, 0)], [(none, 0), (np.array([r + 0j]), 1)]]
+        for z in NUMPY_MODULI.values():
+            cases += [[(np.array([z, 3.0]), 0), (none, 0)]]
+        refused = []
+        with np.errstate(all="ignore"):
+            for roots in cases:
+                got, want = self.gate(a, roots, monkeypatch)
+                assert got == want
+                refused.append("within margin" in str(got))
+        # the margin splits its neighbours; np.abs puts both disputed moduli inside it
+        assert refused[-2:] == [True, True] and 8 < sum(refused) < len(cases) - 8
+
+    def test_trace_check_edges(self):
+        # traces exactly half-way between counts (np.rint rounds to even), their float
+        # neighbours, and non-finite traces
+        n, counts = 6, [2, 3]
+        for offset in (0.0, 0.5, -0.5, 1.5, 2.5, 0.5 - 2.0 ** -40, 0.5 + 2.0 ** -40,
+                       np.nan, np.inf, -np.inf):
+            for side in (0, 1):
+                traces = np.array([counts[0], counts[1]], dtype=float)
+                traces[side] += offset
+                sign = np.zeros((2, n, n), dtype=complex)
+                sign[:, 0, 0] = (-1.0, 1.0) * (2.0 * traces - n)    # trace of (1 -+ sign) / 2
+                with np.errstate(invalid="ignore"):
+                    want = list_outcome(lambda: oracles.germ_trace_check(sign, counts))
+                    got = list_outcome(lambda: transfer._trace_check(sign, counts) or counts)
+                assert got == want, offset
+        assert transfer._trace_check(np.zeros((2, n, n)), [n // 2, n // 2]) is None
+
+    def test_row_trim_on_seeded_pairs(self):
+        rng = np.random.default_rng(44)
+        for _, pair in oracles.seeded_split_steps()[:60]:
+            loops = [pair.u.symbol_at(side) for side in (ops.LEFT, ops.RIGHT)]
+            mus = [1.0, -1.0, *np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=4))]
+            samples = [transfer._det_samples(loop, True) for loop in loops]
+            stacked = [np.stack(parts) for parts in zip(*samples)]
+            for sample in samples + [stacked]:
+                self.same_polys(transfer._det_polys(sample, mus), oracles.det_polys(sample, mus))
+
+    def test_row_trim_edges(self):
+        # an identically vanishing det, no roots, a lone coefficient at either end,
+        # ends exactly at and just under the trim threshold
+        loops = [
+            identity(2).symbol_at(ops.LEFT), SymbolLoop(1, {}), SymbolLoop(1, {0: scalar(2.0)}),
+            SymbolLoop(1, {3: scalar(1.0)}), SymbolLoop(1, {-2: scalar(1.0)}),
+            SymbolLoop(1, {0: scalar(1.0), 2: scalar(1e-11)}),
+            SymbolLoop(1, {0: scalar(1.0), 2: scalar(0.999e-11), 1: scalar(0.5)}),
+            SymbolLoop(1, {-1: scalar(1e-11), 0: scalar(0.0 + 1.0j), 1: scalar(1.0)}),
+        ]
+        for loop in loops:
+            for shifted, mus in ((False, [0.0]), (True, [1.0, -1.0, 0.5j])):
+                sample = transfer._det_samples(loop, shifted)
+                self.same_polys(transfer._det_polys(sample, mus), oracles.det_polys(sample, mus))
+
+    @staticmethod
+    def same_polys(got, want):
+        assert len(got) == len(want)
+        for (poly, order), (ref, ref_order) in zip(got, want):
+            if isinstance(ref, Exception):
+                assert type(poly) is type(ref) and str(poly) == str(ref) and order is None
+            else:
+                assert type(order) is int and order == ref_order
+                assert poly.dtype == ref.dtype and poly.tobytes() == ref.tobytes()

@@ -113,7 +113,25 @@ def test_consistency(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("refused")
 
-    capture(monkeypatch, essential, "gap_at", lambda out: SimpleNamespace(certified=True))
+    capture(monkeypatch, essential, "gap_at",
+            lambda out: SimpleNamespace(certified=True, roots=out.roots))
     monkeypatch.setattr(transfer, "exact_kernel", refuse)
     result = verification.consistency_suite(seed=8, trials=1)
     assert result.messages == ["model 0: transfer failed after certification: refused", "model 0"]
+
+
+def test_consistency_gates_the_kernel_by_the_certified_roots(monkeypatch):
+    # the exact kernel of U + 1 takes the roots of det(F + 1) from its certification
+    gaps = capture(monkeypatch, essential, "gap_at")
+    real, handed = transfer.exact_kernel, []
+
+    def kernel(*args, **kwargs):
+        handed.append(kwargs.get("roots"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "exact_kernel", kernel)
+    result = verification.consistency_suite(seed=8, trials=6)
+    assert result.failures == 0
+    certified = [out.roots for _, out in gaps if out.certified]
+    assert certified and len(handed) == len(certified)
+    assert all(got is want for got, want in zip(handed, certified))

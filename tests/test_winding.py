@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from chiralwalk.verification import (
     scalar_profile,
     split_step_from_angles,
 )
-from chiralwalk.walks import SplitStepParams, build_walk, build_weighted_shift_walk
+from chiralwalk.walks import CHIRAL_TOL, SplitStepParams, build_walk, build_weighted_shift_walk
 
 import oracles
 
@@ -691,3 +692,96 @@ class TestTheoremBlocks:
         assert got == oracles_outcome(pair)
         assert got[0] == "PreconditionError" and got[1].startswith("left grading symbol")
 
+
+
+def perturbed(loop, offset=None, entry=None, delta=0.0, scale=1.0):
+    """A grading whose limit symbols are ``loop`` times ``scale``, plus ``delta`` at one
+    entry of one offset."""
+    coeffs = {m: scale * c for m, c in loop.coefficients.items()}
+    if offset is not None:
+        coeffs[offset] = coeffs.get(offset, np.zeros((2, 2), dtype=complex)).copy()
+        coeffs[offset][entry] += delta
+    changed = SymbolLoop(2, coeffs)
+    return SimpleNamespace(symbol_at=lambda side: changed)
+
+
+def frames_outcome(call):
+    """``outcome`` of a ``_closed_frames`` call, its eigenvectors as bytes."""
+    got = outcome(call)
+    if isinstance(got[1], str):
+        return got
+    return got[0], [(k, v.tobytes()) for k, v in got[1]]
+
+
+class TestFrameCheck:
+    """The D(z) G D(z)^* check of ``_closed_frames`` on Python lists, and the root
+    counts of ``_windings``, against the numpy forms in ``oracles``, bit for bit."""
+
+    def test_frames_equal_the_numpy_form(self):
+        shifts = set()
+        for _, pair in oracles.seeded_split_steps():
+            for grading in (pair.gamma0, pair.gamma1):
+                for side in (ops.LEFT, ops.RIGHT):
+                    got = frames_outcome(lambda: winding._closed_frames(grading, side))
+                    assert got == frames_outcome(lambda: oracles.closed_frames(grading, side))
+                    shifts.add(got[0])
+        assert shifts == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("times", [2.0, 0.5])
+    def test_a_grading_off_by_a_multiple_of_the_tolerance(self, times):
+        # each way to miss, n = 0 to 3: an entry outside the D G D^* pattern, G not
+        # self-adjoint, eigenvalues off +-1, an entry on the pattern's offsets that
+        # is not in it (n > 0)
+        delta = times * CHIRAL_TOL
+        refused = 0
+        for _, pair in oracles.seeded_split_steps()[:8]:
+            for grading in (pair.gamma0, pair.gamma1):
+                loop = grading.symbol_at(ops.RIGHT)
+                n = max(loop.offsets())
+                variants = [perturbed(loop, -n - 1, (1, 1), delta),
+                            perturbed(loop, -n, (0, 1), 1j * delta),
+                            perturbed(loop, scale=1.0 + delta)]
+                variants += [perturbed(loop, n, (0, 0), delta)] if n else []
+                for bad in variants:
+                    got = frames_outcome(lambda: winding._closed_frames(bad, ops.RIGHT))
+                    assert got == frames_outcome(lambda: oracles.closed_frames(bad, ops.RIGHT))
+                    if times > 1.0:
+                        assert got[0] == "PreconditionError"
+                        assert got[1] == (
+                            "right grading symbol is not D(z) G D(z)^* with G a self-adjoint "
+                            "unitary of signature 0 (deviation 2.000e-10)")
+                        refused += 1
+        assert times < 1.0 or refused >= 50
+
+    def test_a_deviation_whose_moduli_disagree(self):
+        # np.abs puts |z| just above CHIRAL_TOL, Python's abs at it: added to an entry
+        # above the diagonal, where eigh does not read it, z alone is the deviation
+        z = 9.519527964440392e-11 - 3.0624479316777605e-11j
+        assert np.abs(z) > CHIRAL_TOL >= abs(z)
+        refused = 0
+        for _, pair in oracles.seeded_split_steps()[:8]:
+            for grading in (pair.gamma0, pair.gamma1):
+                loop = grading.symbol_at(ops.RIGHT)
+                bad = perturbed(loop, -max(loop.offsets()) - 1, (0, 1), z)
+                got = frames_outcome(lambda: winding._closed_frames(bad, ops.RIGHT))
+                assert got == frames_outcome(lambda: oracles.closed_frames(bad, ops.RIGHT))
+                refused += got[1].endswith("(deviation 1.000e-10)")
+        assert refused == 16
+
+    def test_windings_at_the_margin_equal_the_numpy_form(self, monkeypatch):
+        # roots with |z| at 1 +- CIRCLE_MARGIN, the inverse edges and their float
+        # neighbours, and moduli that np.abs and Python's abs put on either side,
+        # handed to _windings as the roots of one determinant each
+        m = transfer.CIRCLE_MARGIN
+        edges = (1.0 + m, 1.0 - m, 1.0 / (1.0 - m), 1.0 / (1.0 + m))
+        zs = [x * np.exp(1j * a) for e in edges for x in np.nextafter(e, [0.0, e, 2.0])
+              for a in (0.0, 1.1)]
+        zs += [0.9946138222261309 + 0.1036597541947998j, -0.1284707306752315 - 0.9917122926346996j]
+        refused = []
+        for z0, order in zip(zs, itertools.cycle((0, 2))):
+            roots = np.array([z0, 3.0, 0.2j])
+            monkeypatch.setattr(winding, "_loop_roots", lambda loops: [(roots, order)])
+            got = outcome(lambda: next(winding._windings([None])))
+            assert got == outcome(lambda: oracles.root_winding(roots, order))
+            refused.append(isinstance(got, tuple))
+        assert refused[-2:] == [True, True] and 0 < sum(refused) < len(refused)
