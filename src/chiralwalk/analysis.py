@@ -8,7 +8,7 @@ quantities emitted, 2 something was withheld.
 
 from __future__ import annotations
 
-from . import essential, indices, operators as ops, transfer, winding
+from . import essential, indices, operators as ops, winding
 from .exceptions import ChiralwalkError
 from .walks import GENERATOR_CONVENTIONS, ChiralPair
 
@@ -19,12 +19,11 @@ EXIT_REFUTED = 2
 
 def _chiral_report(pair, tol):
     certs = essential.certify_unitary(pair, margin=tol.margin)
-    gap_plus, gap_minus = certs.gap_plus, certs.gap_minus
     report = {
         "chiral_certification": pair.certification.to_dict(),
         "certifications": {
-            "gap_plus_one": gap_plus.to_dict(),
-            "gap_minus_one": gap_minus.to_dict(),
+            "gap_plus_one": certs.gap_plus.to_dict(),
+            "gap_minus_one": certs.gap_minus.to_dict(),
             "fredholm_type": certs.fredholm.to_dict(),
             "dichotomy": certs.dichotomy.to_dict(),
         },
@@ -32,29 +31,19 @@ def _chiral_report(pair, tol):
         "windings": None,
         "omitted": [],
     }
-    one = ops.identity(pair.u.fiber_dim)
-    kernels = []
-    for name, target, gap, dim_key in (
-        ("minus", -1, gap_minus, "dim_ker_u_plus_one"),
-        ("plus", 1, gap_plus, "dim_ker_u_minus_one"),
-    ):
-        if not gap.certified:
-            report["omitted"].append(f"si_{name}: gap_at({target:+d}) {gap.status}")
-            continue
-        try:
-            ker = transfer.exact_kernel(pair.u + one.scaled(-target), pair.gamma0, tol.rank_tol,
-                                        roots=gap.roots)
-        except ChiralwalkError as exc:  # e.g. a kernel that Gamma0 does not preserve
-            report["omitted"].append(f"si_{name}: {exc}")
+    kernels = winding.certified_kernels(pair, certs, tol.rank_tol)
+    for name, ker, dim_key in (("minus", kernels[0], "dim_ker_u_plus_one"),
+                               ("plus", kernels[1], "dim_ker_u_minus_one")):
+        if isinstance(ker, ChiralwalkError):
+            report["omitted"].append(f"si_{name}: {ker}")
             continue
         report["indices"][f"si_{name}"] = ker.graded_signature
         report["indices"][dim_key] = ker.dimension
         report[f"diagnostics_{name}"] = ker.to_dict()
-        kernels.append(ker)
-    if len(kernels) == 2:
+    if not report["omitted"]:
         report["indices"]["si_total"] = report["indices"]["si_plus"] + report["indices"]["si_minus"]
         try:
-            record = winding.verify_index_theorem_chiral(pair, tol.rank_tol, kernels=tuple(kernels))
+            record = winding.verify_index_theorem_chiral(pair, tol.rank_tol, kernels=kernels)
             report["windings"] = record.to_dict()
         except ChiralwalkError as exc:
             report["omitted"].append(f"winding comparison: {exc}")
@@ -77,16 +66,12 @@ def _weighted_shift_report(u_op, tol):
 
 
 def _custom_banded_report(f_op, tol):
-    certs = {}
-    sides = (ops.LEFT, ops.RIGHT)
-    for side, (roots, _) in zip(sides, transfer._loop_roots([f_op.symbol_at(s) for s in sides])):
-        margin, clear = transfer._clearance(roots)
-        certs[f"symbol_invertible_{side}"] = {"root_margin": margin, "certified": clear}
+    counts, record = winding._banded_theorem(f_op, tol.rank_tol)
+    certs = {f"symbol_invertible_{side}": {"root_margin": c.margin, "certified": c.clear}
+             for side, c in counts.items()}
     report = {"certifications": certs, "omitted": []}
-    try:
-        record = winding.verify_index_theorem_banded(f_op, rank_tol=tol.rank_tol)
-    except ChiralwalkError as exc:
-        report["omitted"].append(f"index: {exc}")
+    if isinstance(record, ChiralwalkError):
+        report["omitted"].append(f"index: {record}")
         return report, EXIT_REFUTED
     report["index"] = record.index_result.to_dict()
     report["index_theorem"] = record.to_dict()
@@ -121,7 +106,7 @@ def run_index_report(scenario):
         walk, gamma0 = model
         body, code = _generator_report(walk, gamma0, tol)
     body["model"] = scenario.model
-    body["tolerances"] = tol.to_dict()
+    body["tolerances"] = {"rank_tol": tol.rank_tol, "margin": tol.margin}   # what an index reads
     if scenario.seed is not None:
         body["seed"] = scenario.seed
     return body, code
@@ -194,17 +179,12 @@ def _sweep_cell(scenario):
     for key in ("si_plus", "si_minus"):
         if key in idx and idx[key] is not None:
             values[key] = idx[key]
-    winds = report.get("windings")
-    if winds and winds.get("branches"):
-        branch = winds["branches"][-1]
+    theorem = report.get("windings") or report.get("index_theorem")   # chiral, or banded
+    if theorem and theorem["branches"]:
+        branch = theorem["branches"][-1]
         values["winding_left"] = branch["winding_left"]
         values["winding_right"] = branch["winding_right"]
-        values["theorem_holds"] = winds["holds"]
-    elif "index_theorem" in report:
-        branch = report["index_theorem"]["branches"][0]
-        values["winding_left"] = branch["winding_left"]
-        values["winding_right"] = branch["winding_right"]
-        values["theorem_holds"] = report["index_theorem"]["holds"]
+        values["theorem_holds"] = theorem["holds"]
     return values
 
 

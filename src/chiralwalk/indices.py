@@ -117,12 +117,6 @@ class KernelSummary:
         }
 
 
-def _rank_threshold(svals, rank_tol):
-    """``_threshold`` of each of a stack of descending singular values (shape (..., k)),
-    with a last axis of length 1, so that it broadcasts against svals."""
-    return np.maximum(rank_tol * svals[..., :1], _RANK_FLOOR)
-
-
 def _threshold(sigma_max, rank_tol):
     """Singular values below this count as zero: rank_tol * sigma_max, at least _RANK_FLOOR.
     sigma_max is the largest singular value (0.0 without any), a finite float."""

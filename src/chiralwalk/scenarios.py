@@ -158,9 +158,6 @@ class Tolerances:
                    _field(merged, "grid_n", "tolerances", int, cls.grid_n),
                    _field(merged, "margin", "tolerances", float, cls.margin))
 
-    def to_dict(self):
-        return {"rank_tol": self.rank_tol, "grid_n": self.grid_n, "margin": self.margin}
-
 
 @dataclass
 class Scenario:

@@ -18,11 +18,15 @@ solve Stein equations, so nothing is walked site by site.
 Each tail's Gram and gamma0 forms share one Stein operator and come
 from one Kronecker solve.  Each level-set round, each winding set and
 the two ends of an exact kernel are one stacked solve of their symbol
-determinants, bitwise equal to per-polynomial np.roots.  The root
-clearance, the germ counts, the projector trace check and the trim of
-each determinant row are decided on Python lists of a few floats; the
-moduli, the Moebius pole and the Newton step count come from numpy, as
-Python's abs of a complex can differ from numpy's in the last bit.
+determinants, bitwise equal to per-polynomial np.roots.  One count rule
+(``_count``) reads a determinant's winding w = #(|z| < 1) + order at 0,
+its margin min ||z| - 1| and whether every 1/z clears CIRCLE_MARGIN: the
+windings, gap clearances, symbol certifications and germ dimensions
+(r d + w_left on the left, r d - w_right on the right) all read it.  The
+counts, the projector trace check and the trim of each determinant row
+are decided on Python lists; moduli, the Moebius pole and the Newton
+step count come from numpy, whose complex modulus can differ from
+Python's abs in the last bit.
 """
 
 from __future__ import annotations
@@ -30,12 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from . import operators as ops
 from .exceptions import NotFredholmError
-from .indices import (DEFAULT_RANK_TOL, KernelSummary, _rank_threshold, _signature_and_margin,
+from .indices import (DEFAULT_RANK_TOL, KernelSummary, _signature_and_margin, _threshold,
                       kernel_basis)
 from .operators import circle_grid
 
@@ -119,26 +124,54 @@ def _loop_roots(loops):
     return [found.get(i, (loop, None)) for i, loop in enumerate(loops)]
 
 
-def _inverse_gap(radius):
-    """||1/z| - 1| for a root z of modulus ``radius``; infinite at z = 0, as numpy divides."""
-    return abs(1.0 / radius - 1.0) if radius else np.inf
+class _Count(NamedTuple):
+    """One determinant's roots read by the count rule (``_count``)."""
+    winding: int | None     # #(|z| < 1) + order at 0; None when the determinant vanishes
+    margin: float | None    # min ||z| - 1|: None without roots, 0.0 when the determinant vanishes
+    clearance: float        # min ||1/z| - 1| over the transfer eigenvalues (infinite at z = 0)
+    nearest: float | None   # |z| of the first root at that clearance; None without roots
+
+    @property
+    def clear(self):   # every 1/z outside CIRCLE_MARGIN of the circle, where exact_kernel refuses
+        return self.clearance > CIRCLE_MARGIN
 
 
-def _radii_clearance(radii):
-    """``_clearance`` of roots whose moduli are the Python list ``radii``."""
-    return (min((abs(r - 1.0) for r in radii), default=None),
-            all(_inverse_gap(r) > CIRCLE_MARGIN for r in radii))
+def _count(roots, order=0):
+    """The count rule on the (roots, order at 0) of one determinant (``_Count``); a determinant
+    that vanishes identically (an exception in place of roots) counts and clears nothing.
+    The moduli come from one np.abs, the rest is decided on them as a Python list."""
+    if isinstance(roots, Exception):
+        return _Count(None, 0.0, 0.0, None)
+    radii = np.abs(roots).tolist()
+    if not radii:
+        return _Count(order, None, math.inf, None)
+    gaps = [abs(1.0 / r - 1.0) if r else math.inf for r in radii]   # 1/0 infinite, as numpy divides
+    clearance = min(gaps)
+    return _Count(sum([r < 1.0 for r in radii]) + order, min([abs(r - 1.0) for r in radii]),
+                  clearance, radii[gaps.index(clearance)])
+
+
+def _counts(found, refusal):
+    """``_count`` of each (roots, order at 0) in ``found``, or the refusal: a determinant that
+    vanishes identically raises its error, in order, and a transfer eigenvalue within
+    CIRCLE_MARGIN of the circle raises NotFredholmError(refusal(|z|)), z the nearest root."""
+    for roots, _ in found:
+        if isinstance(roots, Exception):
+            raise roots
+    counts = [_count(*item) for item in found]
+    worst = min(counts, key=lambda c: c.clearance)
+    if not worst.clear:
+        raise NotFredholmError(refusal(worst.nearest))
+    return counts
 
 
 def _clearance(*roots):
-    """(min ||z| - 1| over the roots of one or more determinants or None without
-    roots, whether every transfer eigenvalue 1/z lies outside CIRCLE_MARGIN of
-    the unit circle, the band in which exact_kernel refuses); (0.0, False) when
-    a determinant vanishes identically (``_det_polys``).  The moduli come from
-    one np.abs, and the rest is decided on them as a Python list."""
+    """(margin, clear) of ``_count`` over the roots of one or more determinants together:
+    (0.0, False) when one vanishes identically, (None, True) without roots."""
     if any(isinstance(z, Exception) for z in roots):
         return 0.0, False
-    return _radii_clearance(np.abs(np.concatenate(roots)).tolist())
+    count = _count(np.concatenate(roots))
+    return count.margin, count.clear
 
 
 # --- half-line germ spaces: spectral projectors of the companion pencils ------
@@ -204,10 +237,10 @@ def _germ_pair(a, roots=None):
 
     ``roots``: (roots, order at 0) of det of the left and the right limit symbol
     (``_loop_roots``, solved here when not given).  Their transfer eigenvalues
-    lambda = 1/z, with 0 and infinity filling up 2 r d, must clear CIRCLE_MARGIN
-    (``_clearance``) and fix each germ dimension: |lambda| < 1 on the right (0
-    included), |lambda| > 1 on the left (infinity included).  With sigma on the
-    circle far from every lambda, W = -(B - sigma E)^-1 (B + sigma E) has the
+    lambda = 1/z, with 0 and infinity filling up 2 r d, must clear CIRCLE_MARGIN,
+    and the count rule (``_counts``) fixes each germ dimension: r d + w_left on the
+    left and r d - w_right on the right, w the determinant's winding.  With sigma on
+    the circle far from every lambda, W = -(B - sigma E)^-1 (B + sigma E) has the
     eigenvalues w = (sigma + lambda) / (sigma - lambda), Re w > 0 exactly inside,
     and (1 -+ sign W) / 2 projects on the germ space.  Newton's iteration squares
     (w - 1) / (w + 1) = lambda / sigma, so the roots also give its step count.  A
@@ -219,19 +252,11 @@ def _germ_pair(a, roots=None):
     size = 2 * r * d
     if roots is None:
         roots = _loop_roots([a.symbol_at(side) for side in (ops.LEFT, ops.RIGHT)])
-    for z, _ in roots:
-        if isinstance(z, Exception):
-            raise z
-    (z_left, order_left), (z_right, order_right) = roots
-    z = np.concatenate([z_left, z_right])
+    left, right = _counts(roots, lambda z: "transfer eigenvalue within margin of the unit "
+                                           f"circle (|lambda| = {1.0 / z:.8f})")
+    counts = [r * d + left.winding, r * d - right.winding]
+    z = np.concatenate([z for z, _ in roots])
     moduli = np.abs(z)
-    radii = moduli.tolist()
-    if not _radii_clearance(radii)[1]:
-        raise NotFredholmError("transfer eigenvalue within margin of the unit circle "
-                               f"(|lambda| = {1.0 / min(radii, key=_inverse_gap):.8f})")
-    inside = [x > 1.0 for x in radii]    # |lambda| < 1
-    counts = [r * d + order_left + z_left.size - sum(inside[: z_left.size]),
-              r * d - order_right - z_right.size + sum(inside[z_left.size :])]
     distance = np.abs(SIGMA_CANDIDATES[:, None] - 1.0 / z).min(axis=1, initial=np.inf)
     sigma = SIGMA_CANDIDATES[np.argmax(distance)]
     e_mat, b_mat = _companion_pencils(a)
@@ -445,7 +470,8 @@ def _multiplication_vectors(a, rank_tol):
     if hi == lo:
         return np.zeros((0, a.fiber_dim, 0), dtype=complex), lo
     _, svals, vh = np.linalg.svd(f.values_on(lo, hi - 1))
-    sites, cols = np.nonzero(svals < _rank_threshold(svals, rank_tol))
+    thresholds = [_threshold(s[0], rank_tol) for s in svals.tolist()]   # per site
+    sites, cols = np.nonzero(svals < np.array(thresholds)[:, None])
     values = np.zeros((hi - lo, a.fiber_dim, sites.size), dtype=complex)
     values[sites, :, np.arange(sites.size)] = vh[sites, cols].conj()
     return values, lo
@@ -470,16 +496,10 @@ def _graded_kernel(a, gamma0, rank_tol, extra_padding, roots=None):
 
     system = _matching_system(a, rank_tol, extra_padding, roots)
     null = system.null
-    summary = KernelSummary(
-        null.dimension,
-        None,
-        float(rank_tol),
-        singular_values_near_zero=null.singular_values_near_zero,
-        borderline_singular_values=null.borderline_singular_values,
-    )
-    if gamma0 is None or not null.dimension:
-        return summary, empty
-    return summary, _graded_spectrum(*_kernel_forms(system, gamma0))
+    spectrum = (empty if gamma0 is None or not null.dimension
+                else _graded_spectrum(*_kernel_forms(system, gamma0)))
+    null.basis = None    # no explicit basis is returned
+    return null, spectrum
 
 
 def exact_kernel(a, gamma0=None, rank_tol=DEFAULT_RANK_TOL, extra_padding=0, *, roots=None):
@@ -529,10 +549,9 @@ class ExactIndexResult:
         }
 
 
-def exact_index(a, rank_tol=DEFAULT_RANK_TOL):
-    """Kernel-counting index of a Fredholm banded operator, tau-normalized by d."""
-    ker = exact_kernel(a, rank_tol=rank_tol)
+def exact_index(a, rank_tol=DEFAULT_RANK_TOL, *, roots=None):
+    """Kernel-counting index of a Fredholm banded operator, tau-normalized by d; ``roots``
+    gates the kernel of ``a`` as in exact_kernel (the adjoint's kernel solves its own)."""
+    ker = exact_kernel(a, rank_tol=rank_tol, roots=roots)
     coker = exact_kernel(a.adjoint(), rank_tol=rank_tol)
-    return ExactIndexResult(
-        dim_ker=ker.dimension, dim_ker_adjoint=coker.dimension, fiber_dim=a.fiber_dim
-    )
+    return ExactIndexResult(ker.dimension, coker.dimension, a.fiber_dim)

@@ -353,7 +353,8 @@ def dichotomy_suite(seed=6, models=200):
 
 
 def certified_split_step_models(rng, count):
-    """Split-step pairs whose essential gaps at both +-1 are certified."""
+    """(pair, certify_unitary of the pair) of split-step pairs whose essential gaps at
+    both +-1 are certified."""
     models = []
     attempts = 0
     while len(models) < count and attempts < MAX_ATTEMPTS:
@@ -361,7 +362,7 @@ def certified_split_step_models(rng, count):
         pair = random_split_step(rng)
         certs = essential.certify_unitary(pair)
         if certs.gap_plus.certified and certs.gap_minus.certified:
-            models.append(pair)
+            models.append((pair, certs))
     if len(models) < count:
         raise RuntimeError("could not certify enough random split-step models")
     return models
@@ -377,8 +378,9 @@ def index_theorem_suite(seed=7, models=20):
     rng = np.random.default_rng(seed)
     result = SuiteResult("index_theorem", 0, 0)
     chiral_count = min(models, max(models // 2, 1))
-    for k, pair in enumerate(certified_split_step_models(rng, chiral_count)):
-        record = winding.verify_index_theorem_chiral(pair)
+    for k, (pair, certs) in enumerate(certified_split_step_models(rng, chiral_count)):
+        record = winding.verify_index_theorem_chiral(
+            pair, kernels=winding.certified_kernels(pair, certs))
         result.trials += 1
         result.record(record.holds, lambda: f"chiral model {k}: {record.to_dict()}")
     while result.trials < models:
@@ -398,7 +400,7 @@ def homotopy_suite(paths=None, samples=8):
     """Indices constant along gap-certified parameter paths.
 
     Each path interpolates the three coin angles linearly; every sampled
-    cell must certify both gaps, and si+- must not move.
+    cell must certify both gaps and both kernels, and si+- must not move.
     """
     if paths is None:
         paths = DEFAULT_HOMOTOPY_PATHS
@@ -407,22 +409,16 @@ def homotopy_suite(paths=None, samples=8):
         start = np.asarray(start, dtype=float)
         end = np.asarray(end, dtype=float)
         seen = set()
-        ok = True
         for t in np.linspace(0.0, 1.0, samples):
-            angles = (1 - t) * start + t * end
-            pair = split_step_from_angles(*angles)
+            pair = split_step_from_angles(*((1 - t) * start + t * end))
             certs = essential.certify_unitary(pair)
-            if not (certs.gap_plus.certified and certs.gap_minus.certified):
-                ok = False
+            kernels = (certs.gap_plus.certified and certs.gap_minus.certified
+                       and winding.certified_kernels(pair, certs))
+            if not kernels or any(isinstance(k, Exception) for k in kernels):
                 result.record(False, lambda: f"path {idx}: cell t={t:.3f} not certified")
                 break
-            one = ops.identity(2)
-            si_minus = transfer.exact_kernel(pair.u + one, pair.gamma0,
-                                             roots=certs.gap_minus.roots).graded_signature
-            si_plus = transfer.exact_kernel(pair.u - one, pair.gamma0,
-                                            roots=certs.gap_plus.roots).graded_signature
-            seen.add((si_plus, si_minus))
-        if ok:
+            seen.add(tuple(k.graded_signature for k in reversed(kernels)))   # (si+, si-)
+        else:
             result.record(len(seen) == 1, lambda: f"path {idx}: indices moved: {sorted(seen)}")
     return result
 

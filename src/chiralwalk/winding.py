@@ -3,19 +3,19 @@
 Every winding is a root count: the winding of det F(z) around the unit
 circle is the number of roots of det F inside the unit disk plus its
 order at z = 0, from the Laurent coefficients of the determinant, with
-no phase grid.  A winding set interpolates its determinants by one
-stacked det and FFT per interpolation size and finds their roots in one
-stacked solve, bitwise equal to per-loop work and np.roots.  A root
-whose transfer eigenvalue 1/z lies within CIRCLE_MARGIN of the circle,
-the band in which the transfer oracle refuses, raises NotFredholmError;
-otherwise the smallest ||z| - 1| over the roots is the winding's
-decision margin.  A chiral branch counts the roots of the imaginary
-part of a chiral symbol compressed between the graded halves of one
-grading (``chiral_imaginary_block_symbol``), a scalar loop whose
-determinant is itself.  The inside-count, the clearance and the check
-that a grading factors as D(z) G D(z)^* are decided on Python lists;
-the moduli come from numpy, as Python's abs of a complex can differ
-from numpy's in the last bit.
+no phase grid.  It is the one count rule of ``transfer._count``, which
+also fixes the germ dimensions of the exact kernels, so a banded report
+solves its limit determinants once.  A winding set interpolates its
+determinants by one stacked det and FFT per interpolation size and finds
+their roots in one stacked solve, bitwise equal to per-loop work and
+np.roots.  A root whose transfer eigenvalue 1/z lies within
+CIRCLE_MARGIN of the circle, the band in which the transfer oracle
+refuses, raises NotFredholmError; otherwise the smallest ||z| - 1| over
+the roots is the winding's decision margin.  A chiral branch counts the
+roots of the imaginary part of a chiral symbol compressed between the
+graded halves of one grading (``chiral_imaginary_block_symbol``), a
+scalar loop whose determinant is itself, against kernels gated by the
+pair's certified gaps (``certified_kernels``).
 
 Orientation: throughout the package, kernel-count indices are oriented
 so that an operator equal to 1 far to the left and to the forward shift
@@ -33,9 +33,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import operators as ops
+from .essential import certify_unitary
 from .exceptions import ChiralwalkError, NotFredholmError, PreconditionError
 from .indices import DEFAULT_RANK_TOL
-from .transfer import _inverse_gap, _loop_roots, _radii_clearance, exact_index, exact_kernel
+from .transfer import _count, _counts, _loop_roots, exact_index, exact_kernel
 from .walks import CHIRAL_TOL
 
 
@@ -48,26 +49,18 @@ class WindingResult:
         return {"rounded": self.rounded, "root_margin": self.root_margin}
 
 
-def _windings(loops):
-    """``winding_det`` of each loop in turn, from one stacked det and FFT per grid and one
-    stacked root solve (``_loop_roots``); a failed item (an exception, a vanishing det)
-    raises in its turn."""
-    for roots, order in _loop_roots(loops):
-        if isinstance(roots, Exception):
-            raise roots
-        radii = np.abs(roots).tolist()
-        margin, clear = _radii_clearance(radii)
-        if not clear:
-            raise NotFredholmError(
-                "symbol determinant has a root within margin of the unit circle "
-                f"(|z| = {min(radii, key=_inverse_gap):.8f})"
-            )
-        yield WindingResult(sum(r < 1.0 for r in radii) + order, margin)
+def _windings(found):
+    """``winding_det`` of each determinant's (roots, order at 0) in turn (``_loop_roots``);
+    a failed item (an exception, a vanishing det, a root in the margin) raises in its turn."""
+    for item in found:
+        (count,) = _counts([item], lambda z: "symbol determinant has a root within margin of "
+                                             f"the unit circle (|z| = {z:.8f})")
+        yield WindingResult(count.winding, count.margin)
 
 
 def winding_det(loop):
     """Winding number of det(loop): roots inside the unit disk plus the order at 0."""
-    return next(_windings([loop]))
+    return next(_windings(_loop_roots([loop])))
 
 
 # --- compressed chiral blocks ------------------------------------------------
@@ -172,14 +165,6 @@ class IndexTheoremBranch:
     def holds(self):
         return self.lhs_index == self.rhs_index
 
-    @property
-    def lhs_tau_normalized(self):
-        return Fraction(self.lhs_index, self.fiber_dim)
-
-    @property
-    def rhs_tau_normalized(self):
-        return Fraction(self.rhs_index, self.fiber_dim)
-
     def to_dict(self):
         return {
             "name": self.name,
@@ -187,8 +172,8 @@ class IndexTheoremBranch:
             "winding_left": self.winding_left,
             "winding_right": self.winding_right,
             "rhs_index": self.rhs_index,
-            "lhs_tau_normalized": str(self.lhs_tau_normalized),
-            "rhs_tau_normalized": str(self.rhs_tau_normalized),
+            "lhs_tau_normalized": str(Fraction(self.lhs_index, self.fiber_dim)),
+            "rhs_tau_normalized": str(Fraction(self.rhs_index, self.fiber_dim)),
             "holds": self.holds,
         }
 
@@ -221,25 +206,53 @@ class IndexTheoremRecord:
         return {"holds": self.holds, "branches": [b.to_dict() for b in self.branches]}
 
 
+def _banded_theorem(f_op, rank_tol):
+    """({side: transfer._Count} of the limit determinants, then the theorem's record or
+    the ChiralwalkError that withheld it).  One root solve of the two limits serves the
+    counts, the kernel of ``f_op`` and both windings; the adjoint's kernel solves its own."""
+    roots = _loop_roots([f_op.symbol_at(side) for side in (ops.LEFT, ops.RIGHT)])
+    counts = dict(zip((ops.LEFT, ops.RIGHT), (_count(*item) for item in roots)))
+    try:
+        result = exact_index(f_op, rank_tol=rank_tol, roots=roots)
+        windings = dict(zip((ops.LEFT, ops.RIGHT), _windings(roots)))
+    except ChiralwalkError as exc:
+        return counts, exc
+    left, right = windings[ops.LEFT].rounded, windings[ops.RIGHT].rounded
+    record = IndexTheoremRecord([IndexTheoremBranch("banded", result.index, left, right,
+                                                    f_op.fiber_dim)])
+    record.index_result = result
+    record.windings = windings
+    return counts, record
+
+
 def verify_index_theorem_banded(f_op, *, rank_tol=DEFAULT_RANK_TOL):
     """Kernel-count index of a banded operator against its winding difference.
 
     The record keeps the index as ``index_result`` and the two
     determinant windings as ``windings`` ({side: WindingResult}).
     """
-    result = exact_index(f_op, rank_tol=rank_tol)
-    windings = {side: winding_det(f_op.symbol_at(side)) for side in (ops.LEFT, ops.RIGHT)}
-    branch = IndexTheoremBranch(
-        name="banded",
-        lhs_index=result.index,
-        winding_left=windings[ops.LEFT].rounded,
-        winding_right=windings[ops.RIGHT].rounded,
-        fiber_dim=f_op.fiber_dim,
-    )
-    record = IndexTheoremRecord(branches=[branch])
-    record.index_result = result
-    record.windings = windings
+    _, record = _banded_theorem(f_op, rank_tol)
+    if isinstance(record, Exception):
+        raise record
     return record
+
+
+def certified_kernels(pair, certs, rank_tol=DEFAULT_RANK_TOL):
+    """[kernel of U + 1, kernel of U - 1] of a chiral pair, each graded by Gamma0 and gated
+    by the roots of its certified gap in ``certs`` (``certify_unitary`` of the pair), or in
+    its place the ChiralwalkError that withholds it: an uncertified gap, or a refusal of the
+    kernel itself."""
+    one = ops.identity(pair.u.fiber_dim)
+    kernels = []
+    for target, gap in ((-1, certs.gap_minus), (1, certs.gap_plus)):
+        try:
+            if not gap.certified:
+                raise NotFredholmError(f"gap_at({target:+d}) {gap.status}")
+            kernels.append(exact_kernel(pair.u + one.scaled(-target), pair.gamma0, rank_tol,
+                                        roots=gap.roots))
+        except ChiralwalkError as exc:  # or e.g. a kernel that Gamma0 does not preserve
+            kernels.append(exc)
+    return kernels
 
 
 def verify_index_theorem_chiral(pair, rank_tol=DEFAULT_RANK_TOL, kernels=None):
@@ -258,17 +271,16 @@ def verify_index_theorem_chiral(pair, rank_tol=DEFAULT_RANK_TOL, kernels=None):
     grading's -1 and +1 frames (``chiral_imaginary_block_symbol``), each
     side counted by ``winding_det``.  Only gradings
     of the split-step form are accepted; see ``_closed_frames``.
-    ``kernels`` optionally passes the graded kernels of U + 1 and U - 1,
+    ``kernels`` optionally passes the ``certified_kernels`` of the pair,
     already computed with the same ``rank_tol``, so that they are not
-    computed again.
+    computed again; without them the pair is certified here.  The first
+    kernel withheld is raised.
     """
-    d = pair.u.fiber_dim
     if kernels is None:
-        one = ops.identity(d)
-        kernels = (
-            exact_kernel(pair.u + one, gamma0=pair.gamma0, rank_tol=rank_tol),
-            exact_kernel(pair.u - one, gamma0=pair.gamma0, rank_tol=rank_tol),
-        )
+        kernels = certified_kernels(pair, certify_unitary(pair), rank_tol)
+    for ker in kernels:
+        if isinstance(ker, Exception):
+            raise ker
     ker_minus, ker_plus = kernels
     si_minus = ker_minus.graded_signature
     si_plus = ker_plus.graded_signature
@@ -282,14 +294,14 @@ def verify_index_theorem_chiral(pair, rank_tol=DEFAULT_RANK_TOL, kernels=None):
                 blocks.append(chiral_imaginary_block_symbol(pair, grading, side))
             except ChiralwalkError as exc:   # raised in its turn by _windings
                 blocks.append(exc)
-    windings = _windings(blocks)
+    windings = _windings(_loop_roots(blocks))
     branches = []
     for name, _, lhs in gradings:
         left, right = next(windings), next(windings)
         margins = [w.root_margin for w in (left, right) if w.root_margin is not None]
         branches.append(RootCountBranch(
             name=name, lhs_index=lhs, winding_left=left.rounded, winding_right=right.rounded,
-            fiber_dim=d, root_margin=min(margins, default=None)))
+            fiber_dim=pair.u.fiber_dim, root_margin=min(margins, default=None)))
     record = IndexTheoremRecord(branches=branches)
     record.si_plus = si_plus
     record.si_minus = si_minus

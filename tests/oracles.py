@@ -504,7 +504,7 @@ def cayley_signature(u, gamma0, rank_tol=indices.DEFAULT_RANK_TOL):
     the SVD of 1 - u, the kernel of the symmetrised Cayley matrix by SVD."""
     eye = np.eye(u.shape[0])
     w_full, svals, _ = np.linalg.svd(eye - u)
-    w = w_full[:, svals >= indices._rank_threshold(svals, rank_tol)]
+    w = w_full[:, svals >= rank_threshold(svals, rank_tol)]
     if w.shape[1] == 0:
         return 0
     a = w.conj().T @ (eye - u) @ w

@@ -870,6 +870,18 @@ class TestShippedScenarios:
         elif report["model"] == "split_step":
             assert report["windings"] is not None
 
+    def test_custom_banded_shift(self, capsys):
+        # the README's banded example: 0.4 S^-1 on both sides, 1 -> S with 0.5 + 0.2i at x = 0
+        assert main(["index", str(SCENARIO_DIR / "custom_banded_shift.json")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        margins = [report["certifications"][f"symbol_invertible_{side}"]["root_margin"]
+                   for side in ("left", "right")]
+        assert margins == pytest.approx([0.6, 0.367544467966], abs=1e-12)
+        assert (report["index"]["dim_ker"], report["index"]["dim_ker_adjoint"]) == (0, 1)
+        [branch] = report["index_theorem"]["branches"]
+        assert (report["index"]["index"], branch["winding_left"], branch["winding_right"]) == (1, 0, 1)
+        assert report["tolerances"] == {"margin": 1e-6, "rank_tol": 1e-8}   # no grid is read
+
     def test_readme_winding_command(self, capsys):
         assert main(["winding", str(SCENARIO_DIR / "weighted_shift.json"), "--side", "right"]) == 0
         report = json.loads(capsys.readouterr().out)

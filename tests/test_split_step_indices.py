@@ -170,8 +170,8 @@ def test_shipped_scenarios(path):
 
 def test_criterion_8_models():
     # the chiral models of verification.index_theorem_suite(seed=1008, models=20)
-    pairs = verification.certified_split_step_models(np.random.default_rng(1008), 10)
-    for pair in pairs:
+    models = verification.certified_split_step_models(np.random.default_rng(1008), 10)
+    for pair, _ in models:
         params = pair.params
         _, a, _ = params.profile
         want = oracles.split_step_indices(a[0].real, a[-1].real, params.c, params.shift_exponent)

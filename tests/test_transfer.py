@@ -985,3 +985,62 @@ class TestListDecisions:
             else:
                 assert type(order) is int and order == ref_order
                 assert poly.dtype == ref.dtype and poly.tobytes() == ref.tobytes()
+
+
+class TestCountRule:
+    """One count rule: each germ dimension is r d + w_left on the left and r d - w_right on
+    the right, w the windings of the limit determinants, on the package's germ spaces and
+    on the QZ split of ``oracles.germ_pair``, which reads the pencils, not the roots."""
+
+    @staticmethod
+    def operators():
+        for _, pair in oracles.seeded_split_steps():
+            for sign in (-1, 1):
+                yield pair.u + identity(2).scaled(sign)    # U -+ 1
+        rng = np.random.default_rng(2525)
+        for _ in range(60):
+            op = interpolating_shift_model(rng, *(int(p) for p in rng.integers(-2, 3, size=2)))
+            yield op
+            yield op.adjoint()
+
+    def test_germ_dimensions_are_the_windings(self):
+        checked = refused = 0
+        for a in self.operators():
+            if a.band_radius == 0:    # a multiplication operator has no germs
+                continue
+            r, d = a.band_radius, a.fiber_dim
+            try:
+                w_left, w_right = (oracles.winding_det(a.symbol_at(side)).rounded
+                                   for side in (ops.LEFT, ops.RIGHT))
+            except NotFredholmError:
+                with pytest.raises(NotFredholmError, match="within margin"):
+                    transfer._germ_pair(a)
+                refused += 1
+                continue
+            want = [r * d + w_left, r * d - w_right]
+            assert [g.dimension for g in transfer._germ_pair(a)] == want
+            assert [g.dimension for g in oracles.germ_pair(a)] == want
+            checked += 1
+        assert checked > 300 and refused > 0
+
+    def test_count_reads_one_determinant(self):
+        failed = NotFredholmError("symbol determinant vanishes identically")
+        assert transfer._count(failed) == (None, 0.0, 0.0, None)
+        assert not transfer._count(failed).clear
+        none = transfer._count(np.zeros(0, dtype=complex), 2)
+        assert none == (2, None, np.inf, None) and none.clear
+        count = transfer._count(np.array([0.0, 0.5j, 1.0 + 1e-7, 3.0]), -1)
+        assert count.winding == 2 - 1 and count.nearest == 1.0 + 1e-7 and not count.clear
+        assert count.margin == abs(float(np.abs(1.0 + 1e-7)) - 1.0)
+
+    def test_refusals_name_the_nearest_root_over_all(self):
+        near, nearer = np.array([1.0 + 5e-7 + 0j]), np.array([1.0 - 2e-7 + 0j])
+        for found in ([(near, 0), (nearer, 0)], [(nearer, 0), (near, 0)]):
+            with pytest.raises(NotFredholmError, match=r"\(\|z\| = 0\.99999980\)"):
+                transfer._counts(found, lambda z: f"(|z| = {z:.8f})")
+        failed = NotFredholmError("symbol determinant vanishes identically")
+        with pytest.raises(NotFredholmError, match="vanishes") as caught:
+            transfer._counts([(nearer, 0), (failed, None)], str)
+        assert caught.value is failed
+        clear = transfer._counts([(np.array([3.0 + 0j]), 1), (np.array([0.5j]), 0)], str)
+        assert [(c.winding, c.margin) for c in clear] == [(1, 2.0), (1, 0.5)]

@@ -135,3 +135,22 @@ def test_consistency_gates_the_kernel_by_the_certified_roots(monkeypatch):
     certified = [out.roots for _, out in gaps if out.certified]
     assert certified and len(handed) == len(certified)
     assert all(got is want for got, want in zip(handed, certified))
+
+
+def test_index_theorem_kernels_take_the_certifications_roots(monkeypatch):
+    # each chiral model is certified once, by certified_split_step_models, and the kernels of
+    # U + 1 and U - 1 are gated by that certification's own roots
+    certs = capture(monkeypatch, essential, "certify_unitary")
+    real, handed = winding.exact_kernel, []
+
+    def kernel(*args, **kwargs):
+        handed.append(kwargs.get("roots"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(winding, "exact_kernel", kernel)
+    result = verification.index_theorem_suite(seed=7, models=4)
+    assert result.failures == 0
+    certified = [out for _, out in certs if out.gap_plus.certified and out.gap_minus.certified]
+    assert len(certified) == 2
+    want = [roots for c in certified for roots in (c.gap_minus.roots, c.gap_plus.roots)]
+    assert len(handed) == len(want) and all(got is w for got, w in zip(handed, want))

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -624,11 +625,11 @@ def oracles_outcome(pair):
 class TestTheoremBlocks:
     @staticmethod
     def theorem_blocks(pair, monkeypatch):
-        """The four loops (or exceptions) that the theorem hands to ``_windings``."""
+        """The four loops (or exceptions) whose roots the theorem solves for ``_windings``."""
         seen = []
-        windings = winding._windings
-        monkeypatch.setattr(winding, "_windings",
-                            lambda loops: seen.append(loops) or windings(loops))
+        loop_roots = winding._loop_roots
+        monkeypatch.setattr(winding, "_loop_roots",
+                            lambda loops: seen.append(loops) or loop_roots(loops))
         got = outcome(lambda: winding.verify_index_theorem_chiral(pair, kernels=kernels_with(0, 0)))
         [blocks] = seen
         return got, blocks
@@ -768,10 +769,10 @@ class TestFrameCheck:
                 refused += got[1].endswith("(deviation 1.000e-10)")
         assert refused == 16
 
-    def test_windings_at_the_margin_equal_the_numpy_form(self, monkeypatch):
+    def test_windings_at_the_margin_equal_the_numpy_form(self):
         # roots with |z| at 1 +- CIRCLE_MARGIN, the inverse edges and their float
         # neighbours, and moduli that np.abs and Python's abs put on either side,
-        # handed to _windings as the roots of one determinant each
+        # handed to _windings as the (roots, order) of one determinant each
         m = transfer.CIRCLE_MARGIN
         edges = (1.0 + m, 1.0 - m, 1.0 / (1.0 - m), 1.0 / (1.0 + m))
         zs = [x * np.exp(1j * a) for e in edges for x in np.nextafter(e, [0.0, e, 2.0])
@@ -780,8 +781,45 @@ class TestFrameCheck:
         refused = []
         for z0, order in zip(zs, itertools.cycle((0, 2))):
             roots = np.array([z0, 3.0, 0.2j])
-            monkeypatch.setattr(winding, "_loop_roots", lambda loops: [(roots, order)])
-            got = outcome(lambda: next(winding._windings([None])))
+            got = outcome(lambda: next(winding._windings([(roots, order)])))
             assert got == outcome(lambda: oracles.root_winding(roots, order))
             refused.append(isinstance(got, tuple))
         assert refused[-2:] == [True, True] and 0 < sum(refused) < len(refused)
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+class TestOneSolve:
+    @staticmethod
+    def polynomials(path, monkeypatch):
+        """Determinant polynomials whose roots one index report of ``path`` solves."""
+        real, sizes = transfer._poly_roots, []
+        monkeypatch.setattr(transfer, "_poly_roots",
+                            lambda polys: sizes.append(len(polys)) or real(polys))
+        analysis.run_index_report(Scenario.load(path))
+        return sum(sizes)
+
+    @pytest.mark.parametrize("name, want", [("custom_banded_shift", 4), ("weighted_shift", 12)])
+    def test_banded_reports_solve_each_limit_once(self, name, want, monkeypatch):
+        # the two limits once, for the certifications, the operator's kernel and the
+        # windings, and the adjoint's two for its own kernel; the weighted shift also
+        # certifies its unitary (eight polynomials of det(F - mu))
+        assert self.polynomials(SCENARIOS / f"{name}.json", monkeypatch) == want
+
+    def test_gapless_pair_raises_the_refuted_gap(self, monkeypatch):
+        # without kernels the theorem certifies the pair; a refuted gap withholds its
+        # kernel, and no kernel is computed without a certification's roots
+        calls = []
+        for module in (winding, transfer):
+            real = module.exact_kernel
+            monkeypatch.setattr(module, "exact_kernel", lambda *args, real=real, **kwargs:
+                                calls.append(kwargs.get("roots")) or real(*args, **kwargs))
+        pair = Scenario.load(SCENARIOS / "split_step_gapless.json").build()
+        with pytest.raises(NotFredholmError, match=r"^gap_at\(-1\) refuted$"):
+            winding.verify_index_theorem_chiral(pair)
+        assert calls == []    # both gaps are refuted
+        identity_walk = split_step_from_angles(0.0, 0.0, 0.0)    # gap at -1 open, at +1 closed
+        with pytest.raises(NotFredholmError, match=r"^gap_at\(\+1\) refuted$"):
+            winding.verify_index_theorem_chiral(identity_walk)
+        assert len(calls) == 1 and calls[0] is not None
