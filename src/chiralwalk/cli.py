@@ -51,7 +51,7 @@ def _flatten(doc, prefix=""):
 
 
 def _write_json(doc, out):
-    out.write(json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n")
+    out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _write(target, emit):

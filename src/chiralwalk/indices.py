@@ -1,12 +1,12 @@
 """Finite-dimensional index computations for chiral unitaries.
 
-Every operation works on dense complex matrices.  Kernels are ranked
-under one relative threshold (``_threshold``): by SVD (the full SVD
-where the basis is needed, singular values alone, batched, where only
-the dimension is), or, for a matrix Hermitian by construction, by its
-spectrum, since the singular values of h - s are |lambda(h) - s|
-(``_hermitian_kernel``): Tanaka's Re U blocks at +-1, the symmetrised
-Cayley matrices, Ker H of a generator and the traces of P0 - P1.
+Every operation works on dense complex matrices.  Every kernel
+dimension, here and in ``transfer``, is decided by one rank rule
+(``_rank``): on the spectrum of an SVD (the full SVD where the basis is
+needed, singular values alone, batched, where only the dimension is),
+or, for a matrix Hermitian by construction, on |lambda(h) - s|, the
+singular values of h - s (``_hermitian_kernel``): Tanaka's Re U blocks
+at +-1, the symmetrised Cayley matrices, Ker H and the traces of P0 - P1.
 Graded quantities are signatures of the chiral symmetry compressed to a
 kernel, with eigenvalues required to sit near +-1 (an eigenvalue inside
 (-1/2, 1/2) signals a rank misclassification and raises instead of
@@ -117,18 +117,21 @@ class KernelSummary:
         }
 
 
-def _threshold(sigma_max, rank_tol):
-    """Singular values below this count as zero: rank_tol * sigma_max, at least _RANK_FLOOR.
-    sigma_max is the largest singular value (0.0 without any), a finite float."""
-    return max(rank_tol * sigma_max, _RANK_FLOOR)
+def _rank(values, rank_tol, scale=None):
+    """(zero mask, threshold) of one spectrum's nonnegative values, a list: singular
+    values, or the |lambda - s| of a Hermitian h.  Values below rank_tol * scale (scale
+    the largest value, 0.0 without any, unless given), and below _RANK_FLOOR always,
+    count as zero.  The package's one rank rule."""
+    threshold = max(rank_tol * (max(values, default=0.0) if scale is None else scale), _RANK_FLOOR)
+    return [x < threshold for x in values], threshold
 
 
 def _kernel_summary(svals, vh, rank_tol):
-    """KernelSummary from a full SVD (singular values, V^H) under ``_threshold``;
+    """KernelSummary from a full SVD (singular values, V^H) under ``_rank``;
     a wide matrix keeps its implicit zero singular values, a 0 x 0 one has none."""
     padded = svals.tolist() + [0.0] * (vh.shape[0] - svals.size)
-    threshold = _threshold(padded[0] if padded else 0.0, rank_tol)
-    basis = vh.conj().T[:, [s < threshold for s in padded]]
+    mask, threshold = _rank(padded, rank_tol)
+    basis = vh.conj().T[:, mask]
     return KernelSummary(
         dimension=int(basis.shape[1]),
         basis=basis,
@@ -138,49 +141,37 @@ def _kernel_summary(svals, vh, rank_tol):
     )
 
 
-def kernel_basis(matrix, rank_tol=DEFAULT_RANK_TOL, gamma0=None):
-    """Orthonormal basis of the numerical null space of ``matrix``.
-
-    Singular values below ``_threshold`` count as zero.  With
-    ``gamma0`` supplied the graded signature of the kernel is attached.
-    """
+def kernel_basis(matrix, rank_tol=DEFAULT_RANK_TOL):
+    """Orthonormal basis of the numerical null space of ``matrix``: the right singular
+    vectors whose singular values ``_rank`` counts as zero."""
     m = _as_complex(matrix)
     rows, cols = m.shape
     if cols == 0 or rows == 0:
-        summary = KernelSummary(cols, np.eye(cols, dtype=complex), float(rank_tol))
-    else:
-        _, svals, vh = np.linalg.svd(m, full_matrices=True)
-        summary = _kernel_summary(svals, vh, rank_tol)
-    if gamma0 is not None:
-        summary.graded_signature = graded_signature(summary.basis, gamma0)
-    return summary
+        return KernelSummary(cols, np.eye(cols, dtype=complex), float(rank_tol))
+    _, svals, vh = np.linalg.svd(m, full_matrices=True)
+    return _kernel_summary(svals, vh, rank_tol)
 
 
 def _kernel_dims(matrices, rank_tol, scale=None):
     """``kernel_basis(m, rank_tol).dimension`` for one matrix or each of a same-shaped stack.
 
-    Singular values alone, in one call, under ``kernel_basis``'s threshold (relative
-    to ``scale`` if given, else to the largest singular value): a wide matrix keeps
-    its implicit zero singular values.  Python ints out.
+    Singular values alone, in one call, each matrix's ranked by ``_rank`` (relative
+    to ``scale`` if given): a wide matrix keeps its implicit zero singular values.
+    Python ints out.
     """
     m = np.asarray(matrices, dtype=complex)
     rows, cols = m.shape[-2:]
     if rows == 0 or cols == 0:
         return np.full(m.shape[:-2], cols).tolist()
     stack = np.linalg.svd(m, compute_uv=False).reshape(-1, min(rows, cols)).tolist()
-    thresholds = [_threshold(s[0] if scale is None else scale, rank_tol) for s in stack]
-    dims = [cols - len([x for x in s if x >= t]) for s, t in zip(stack, thresholds)]
+    dims = [sum(_rank(s + [0.0] * (cols - len(s)), rank_tol, scale)[0]) for s in stack]
     return dims if m.ndim > 2 else dims[0]
 
 
-def _hermitian_kernel(evals, shifts, rank_tol):
-    """Kernel mask of h - s from the eigenvalues of a Hermitian h: its singular values
-    are |evals - s|, ranked under ``_threshold`` relative to the largest of them, as
-    ``kernel_basis`` ranks h - s.  A list of bools; one per shift for a sequence of shifts."""
-    dists = [[abs(x - s) for x in evals.tolist()] for s in np.reshape(shifts, -1).tolist()]
-    thresholds = [_threshold(max(d, default=0.0), rank_tol) for d in dists]
-    masks = [[x < t for x in d] for d, t in zip(dists, thresholds)]
-    return masks if np.ndim(shifts) else masks[0]
+def _hermitian_kernel(evals, shift, rank_tol):
+    """Kernel mask of h - s, a list of bools, from the eigenvalues of a Hermitian h:
+    its singular values are |evals - s|, ranked by ``_rank`` as ``kernel_basis`` ranks h - s."""
+    return _rank([abs(x - shift) for x in evals.tolist()], rank_tol)[0]
 
 
 def _signature_and_margin(evals):
@@ -283,8 +274,8 @@ def _tanaka_core(b, p, rank_tol):
     off ``b, p = _in_frame(u, frames)``: one ``eigvalsh`` ranks both r - 1 and r + 1."""
     re_b = 0.5 * (b + b.conj().T)
     (plus1, minus1), (plus2, minus2) = (
-        map(sum, _hermitian_kernel(np.linalg.eigvalsh(r), (1.0, -1.0), rank_tol))
-        for r in (re_b[:p, :p], re_b[p:, p:]))
+        [sum(_hermitian_kernel(evals, s, rank_tol)) for s in (1.0, -1.0)]
+        for evals in map(np.linalg.eigvalsh, (re_b[:p, :p], re_b[p:, p:])))
     return plus1 - plus2, minus1 - minus2
 
 
@@ -416,9 +407,7 @@ def _cayley_signature(u, w_full, svals, gamma0, rank_tol):
     SVD of 1 - u or of u - 1: the two have the same singular values and
     the same ranges, and only the ranges enter the compressions below.
     The symmetrised Cayley matrix is Hermitian, so one ``eigh`` ranks it."""
-    s = svals.tolist()
-    threshold = _threshold(s[0] if s else 0.0, rank_tol)
-    w = w_full[:, [x >= threshold for x in s]]
+    w = w_full[:, [not zero for zero in _rank(svals.tolist(), rank_tol)[0]]]
     if w.shape[1] == 0:
         return 0
     w_adj = w.conj().T

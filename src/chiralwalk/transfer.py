@@ -26,7 +26,8 @@ windings, gap clearances, symbol certifications and germ dimensions
 counts, the projector trace check and the trim of each determinant row
 are decided on Python lists; moduli, the Moebius pole and the Newton
 step count come from numpy, whose complex modulus can differ from
-Python's abs in the last bit.
+Python's abs in the last bit.  Every kernel dimension, a multiplication
+operator's singular-limit gate included (at rank_tol 0), is ``indices._rank``'s.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import numpy as np
 
 from . import operators as ops
 from .exceptions import NotFredholmError
-from .indices import (DEFAULT_RANK_TOL, KernelSummary, _signature_and_margin, _threshold,
-                      kernel_basis)
+from .indices import (DEFAULT_RANK_TOL, KernelSummary, _kernel_dims, _rank,
+                      _signature_and_margin, kernel_basis)
 from .operators import circle_grid
 
 CIRCLE_MARGIN = 1e-6
@@ -463,15 +464,15 @@ def _hermitian(m):
 def _multiplication_vectors(a, rank_tol):
     """Sitewise null vectors of a multiplication operator: (values (sites, d, dim), first site)."""
     f = a.coefficient(0)
-    for side, mat in ((ops.LEFT, f.left), (ops.RIGHT, f.right)):
-        if np.linalg.svd(mat, compute_uv=False)[-1] < 1e-12:
+    # a limit is singular when it has a kernel under the rank rule's floor alone
+    for side, dim in zip((ops.LEFT, ops.RIGHT), _kernel_dims(np.stack([f.left, f.right]), 0.0)):
+        if dim:
             raise NotFredholmError(f"{side} limit of the multiplication operator is singular")
     lo, hi = f.window_start, f.window_end
     if hi == lo:
         return np.zeros((0, a.fiber_dim, 0), dtype=complex), lo
     _, svals, vh = np.linalg.svd(f.values_on(lo, hi - 1))
-    thresholds = [_threshold(s[0], rank_tol) for s in svals.tolist()]   # per site
-    sites, cols = np.nonzero(svals < np.array(thresholds)[:, None])
+    sites, cols = np.nonzero([_rank(s, rank_tol)[0] for s in svals.tolist()])   # per site
     values = np.zeros((hi - lo, a.fiber_dim, sites.size), dtype=complex)
     values[sites, :, np.arange(sites.size)] = vh[sites, cols].conj()
     return values, lo

@@ -423,7 +423,8 @@ def homotopy_suite(paths=None, samples=8):
     return result
 
 
-# ten parameter paths, each verified gap-certified along its whole length
+# ten parameter paths; homotopy_suite certifies both gaps and both kernels at
+# its sampled cells (8 per path by default), not along the whole path
 DEFAULT_HOMOTOPY_PATHS = [
     ((0.0, 1.0, 0.30), (0.0, 1.2, 0.45)),
     ((0.0, 2.5, 0.30), (0.1, 2.4, 0.40)),

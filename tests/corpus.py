@@ -45,7 +45,6 @@ from pathlib import Path
 import numpy as np
 
 from chiralwalk import analysis, cli
-from chiralwalk.exceptions import ChiralwalkError
 from chiralwalk.scenarios import Tolerances
 from chiralwalk.verification import interpolating_shift_model
 
@@ -62,12 +61,12 @@ BANDED_SEEDS = 36
 
 def _cli_entries(workdir):
     """(name, format, exit code, output text, error line) of each CLI input."""
-    scenarios = sorted(p for p in (ROOT / "scenarios").glob("*.json") if p.stem != "sweep_coin_angle")
+    sweep = ROOT / "scenarios" / "sweep_coin_angle.json"
     runs = []
-    for path in scenarios:
+    for path in sorted(set((ROOT / "scenarios").glob("*.json")) - {sweep}):
         runs += [(["index", path], "json"), (["index", path, "--format", "csv"], "csv")]
         runs += [(["winding", path, "--side", side], "json") for side in ("left", "right")]
-    runs.append((["sweep", ROOT / "scenarios" / "sweep_coin_angle.json"], "csv"))
+    runs.append((["sweep", sweep], "csv"))
     runs += [(["verify", suite, "--seed", str(VERIFY_SEED), "--trials", str(VERIFY_TRIALS)], "text")
              for suite in ("finite", "lattice")]
     out = Path(workdir) / "out"
@@ -78,17 +77,14 @@ def _cli_entries(workdir):
             code = cli.main([*map(str, args), "--out", str(out)])
         text = out.read_text() if out.exists() else ""
         # verify's wall times go to stderr and are not outputs
-        error = "".join(line for line in err.getvalue().splitlines(True) if not line.startswith("time  "))
+        error = "".join(line for line in err.getvalue().splitlines(True)
+                        if not line.startswith("time  "))
         name = " ".join(a.relative_to(ROOT).as_posix() if isinstance(a, Path) else a for a in args)
         yield name, fmt, code, text, error
 
 
-def _report_entry(name, build):
+def _report_entry(name, doc, code):
     """(name, "json", exit code, report text, error line) of one in-process report."""
-    try:
-        doc, code = build()
-    except ChiralwalkError as exc:
-        return name, "json", 1, "", f"error: {exc}\n"
     return name, "json", code, json.dumps(doc, sort_keys=True, indent=2) + "\n", ""
 
 
@@ -109,9 +105,9 @@ def entries():
         yield from _cli_entries(workdir)
     tol = Tolerances()
     for name, pair in oracles.report_pairs():
-        yield _report_entry(f"chiral {name}", lambda: analysis._chiral_report(pair, tol))
+        yield _report_entry(f"chiral {name}", *analysis._chiral_report(pair, tol))
     for name, op in banded_operators():
-        yield _report_entry(f"custom_banded {name}", lambda: analysis._custom_banded_report(op, tol))
+        yield _report_entry(f"custom_banded {name}", *analysis._custom_banded_report(op, tol))
 
 
 def _leaves(doc, path=""):
@@ -169,9 +165,9 @@ def write(found):
 
 
 def mismatches(found, kept, column):
-    """Names whose digest in ``column`` (0 decisions, 1 bytes) differs, or that only one side has."""
-    names = sorted(set(found) | set(kept))
-    return [n for n in names if n not in found or n not in kept or found[n][column] != kept[n][column]]
+    """Names whose digest in ``column`` (0 decisions, 1 bytes) differs or is on one side only."""
+    return [n for n in sorted(set(found) | set(kept))
+            if n not in found or n not in kept or found[n][column] != kept[n][column]]
 
 
 def main(argv=None):

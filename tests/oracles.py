@@ -30,9 +30,10 @@ projectors, gated by the roots of its limit symbol determinants;
 gated by the pencil's own eigenvalues, and ``kernel_vectors`` writes the
 kernel vectors out site by site on the package's germs.  The package
 decides each rank, kernel mask and signature on a spectrum as a Python
-list; ``kernel_summary``, ``kernel_dims``, ``hermitian_kernel``,
-``signature_and_margin`` and ``cayley_range`` decide them by numpy
-reductions, and the tests require the same decisions bit for bit.  The
+list, every rank by its one rule ``indices._rank``; ``rank_threshold``,
+``kernel_summary``, ``kernel_dims``, ``hermitian_kernel`` (one row per
+shift), ``signature_and_margin`` and ``cayley_range`` decide them by
+numpy reductions, and the tests require the same decisions bit for bit.  The
 package decides each lattice clearance, germ count, projector trace
 check, level-set step and determinant row trim on Python lists, with
 moduli and angles from numpy; ``clearance``, ``germ_counts``,
@@ -514,7 +515,7 @@ def cayley_signature(u, gamma0, rank_tol=indices.DEFAULT_RANK_TOL):
     g = w.conj().T @ gamma0 @ w
     assert np.abs(g @ g - np.eye(w.shape[1])).max() <= 1e-8
     assert np.abs(g @ cayley + cayley @ g).max() <= 1e-6 * max(1.0, np.abs(cayley).max())
-    return indices.kernel_basis(cayley, rank_tol, g).graded_signature
+    return indices.graded_signature(indices.kernel_basis(cayley, rank_tol).basis, g)
 
 
 def full_index_report(u, g0, g1=None, rank_tol=indices.DEFAULT_RANK_TOL):
@@ -524,13 +525,14 @@ def full_index_report(u, g0, g1=None, rank_tol=indices.DEFAULT_RANK_TOL):
     eye = np.eye(u.shape[0])
     p0 = 0.5 * (eye + g0)
     p1 = 0.5 * (eye + (g0 @ u if g1 is None else g1))
-    ker_plus = indices.kernel_basis(u - eye, rank_tol, g0)
-    ker_minus = indices.kernel_basis(u + eye, rank_tol, g0)
+    ker_plus = indices.kernel_basis(u - eye, rank_tol)
+    ker_minus = indices.kernel_basis(u + eye, rank_tol)
+    si_plus, si_minus = (indices.graded_signature(k.basis, g0) for k in (ker_plus, ker_minus))
     tanaka_plus, tanaka_minus = tanaka_index_pm(u, g0, rank_tol)
     return indices.IndexReport(
-        si_plus=ker_plus.graded_signature,
-        si_minus=ker_minus.graded_signature,
-        si_total=ker_plus.graded_signature + ker_minus.graded_signature,
+        si_plus=si_plus,
+        si_minus=si_minus,
+        si_total=si_plus + si_minus,
         susy_index=susy_index(u, g0, rank_tol),
         tanaka_plus=tanaka_plus,
         tanaka_minus=tanaka_minus,
@@ -555,7 +557,8 @@ def generator_index(hamiltonian, gamma0, rank_tol=indices.DEFAULT_RANK_TOL):
     """(graded signature of Ker H by SVD, si_plus of e^(i pi H) from the kernels of
     both U - 1 and U + 1), H flattened as ``build_generator_walk`` flattens it."""
     walk = build_generator_walk(hamiltonian, gamma0)
-    index = indices.kernel_basis(walk.hamiltonian, rank_tol, gamma0).graded_signature
+    kernel = indices.kernel_basis(walk.hamiltonian, rank_tol).basis
+    index = indices.graded_signature(kernel, gamma0)
     return index, indices.symmetry_index_pm(walk.walk_exp, gamma0, rank_tol)[0]
 
 

@@ -43,14 +43,14 @@ class TestKernelBasis:
         assert indices.kernel_basis(m).dimension == 2
 
     def test_graded_signature_attached(self):
-        summary = indices.kernel_basis(np.zeros((2, 2)), gamma0=SIGMA3)
-        assert summary.graded_signature == 0
+        summary = indices.kernel_basis(np.zeros((2, 2)))
+        assert indices.graded_signature(summary.basis, SIGMA3) == 0
 
     def test_signature_rejects_noninvariant_kernel(self):
         # kernel spanned by (1,1)/sqrt2 is not sigma3-invariant
         m = np.array([[1.0, -1.0], [0.0, 0.0]])
         with pytest.raises(PreconditionError, match="not Gamma0-invariant"):
-            indices.kernel_basis(m, gamma0=SIGMA3)
+            indices.graded_signature(indices.kernel_basis(m).basis, SIGMA3)
 
 
 def planted_matrix(rng, rows, cols, svals):
@@ -540,9 +540,9 @@ class TestSpectralRanks:
             got = sum(indices._hermitian_kernel(evals, shift, rank_tol))
             oracle = indices.kernel_basis(h - shift * np.eye(len(h)), rank_tol).dimension
             assert got == oracle == int(np.sum(cs == 0.5)), f"case {k}"
-            # a sequence of shifts ranks each row as the scalar shift does (Tanaka's +-1)
-            rows = indices._hermitian_kernel(evals, (shift, -shift), rank_tol)
-            assert rows == [indices._hermitian_kernel(evals, s, rank_tol) for s in (shift, -shift)]
+            # each of Tanaka's two shifts, asked once, ranks as the oracle's row for it
+            rows = [indices._hermitian_kernel(evals, s, rank_tol) for s in (shift, -shift)]
+            assert rows == oracles.hermitian_kernel(evals, (shift, -shift), rank_tol).tolist()
 
     def test_exact_zeros_and_the_floor(self):
         # below the 1e-12 floor everything is kernel, whatever rank_tol says
@@ -671,7 +671,7 @@ class TestDecisionOracles:
         rows = size + wide      # a wide matrix: rows right singular vectors, size values
         threshold, mask, near, borderline = oracles.kernel_summary(svals, rows, rank_tol)
         summary = indices._kernel_summary(svals, np.eye(rows, dtype=complex), rank_tol)
-        assert indices._threshold(svals.tolist()[0] if size else 0.0, rank_tol) == threshold
+        assert indices._rank(svals.tolist() + [0.0] * wide, rank_tol) == (mask.tolist(), threshold)
         assert np.array_equal(summary.basis, np.eye(rows)[:, mask])
         assert summary.dimension == int(mask.sum())
         assert repr(summary.singular_values_near_zero) == repr(near)
@@ -701,8 +701,9 @@ class TestDecisionOracles:
         signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=size, max_size=size))
         evals = np.sort(shift + np.array(signs) * dist)
         shifts = (shift, -shift) if both else shift
-        assert indices._hermitian_kernel(evals, shifts, rank_tol) == (
-            oracles.hermitian_kernel(evals, shifts, rank_tol).tolist())
+        got = ([indices._hermitian_kernel(evals, s, rank_tol) for s in shifts] if both
+               else indices._hermitian_kernel(evals, shift, rank_tol))
+        assert got == oracles.hermitian_kernel(evals, shifts, rank_tol).tolist()
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.lists(st.sampled_from(SIGNATURE_VALUES), max_size=6))

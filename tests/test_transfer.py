@@ -307,6 +307,19 @@ class TestExactKernel:
         summary = transfer.exact_kernel(mult_op(f))
         assert summary.dimension == 2
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("sigma_min, singular", [(0.5e-12, True), (2e-12, False)])
+    def test_multiplication_operator_singular_limit_at_the_floor(self, side, sigma_min, singular):
+        # a limit is singular when its smallest singular value is below the 1e-12 rank floor
+        near, one = np.diag([1.0, sigma_min]).astype(complex), np.eye(2, dtype=complex)
+        f = CoefficientFunction(*((near, one) if side == "left" else (one, near)))
+        if singular:
+            with pytest.raises(NotFredholmError,
+                               match=f"^{side} limit of the multiplication operator is singular$"):
+                transfer.exact_kernel(mult_op(f))
+        else:
+            assert transfer.exact_kernel(mult_op(f)).dimension == 0
+
     def test_window_padding_independence(self):
         pair = split_step_from_angles(0.0, 1.0, 0.3, defects={0: 2.0})
         op = pair.u + identity(2)
