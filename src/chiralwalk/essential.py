@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators as ops
-from .exceptions import ChiralwalkError, PreconditionError
+from .exceptions import ChiralwalkError, check_residual
 from .transfer import _clearance, _det_samples, _sample_roots
 from .walks import ChiralPair
 
@@ -72,19 +72,19 @@ def _unitary_symbols(u):
     bound, u = ((u.certification.unitary_symbol_deviation, u.u) if isinstance(u, ChiralPair)
                 else (None, u))
     loops = (u.symbol_at(ops.LEFT), u.symbol_at(ops.RIGHT))
-    if bound is None or not bound <= UNITARY_TOL:
+    if bound is None or not check_residual(bound, UNITARY_TOL):
         stacks = []
         for loop in loops:
             coeffs = dict((loop.hermitian_conjugate() * loop).coefficients)
             coeffs[0] = coeffs.get(0, 0) - np.eye(loop.fiber_dim)
             stacks.append(np.stack(list(coeffs.values())))
-        norms = np.linalg.norm(np.concatenate(stacks), 2, axis=(1, 2))   # one SVD, both sides
-        bound = max(0.0, *(float(side.sum()) for side in np.split(norms, [len(stacks[0])])))
-    if bound > UNITARY_TOL:
-        raise PreconditionError(
-            f"limit symbols are not unitary: sup |F*F - 1| <= {bound:.3e} "
-            f"exceeds {UNITARY_TOL:.0e}"
-        )
+        stack = np.concatenate(stacks)
+        # one SVD, both sides; a product that overflowed has no norm, and its NaN is refused
+        norms = (np.linalg.norm(stack, 2, axis=(1, 2)) if np.isfinite(stack).all()
+                 else np.full(len(stack), np.nan))
+        check_residual([side.sum() for side in np.split(norms, [len(stacks[0])])], UNITARY_TOL,
+                       f"limit symbols are not unitary: sup |F*F - 1| <= %.3e "
+                       f"exceeds {UNITARY_TOL:.0e}")
     return loops, [_det_samples(loop, True) for loop in loops]
 
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one residual rule: every
+relation check decides by ``check_residual``, so a NaN residual, which a finite
+input gives whenever its defect overflows, is refused as one above tol is."""
+
+import numpy as np
 
 
 class ChiralwalkError(ValueError):
@@ -24,3 +28,13 @@ class NotFredholmError(ChiralwalkError):
 
 class ScenarioError(ChiralwalkError):
     """Scenario or sweep file is malformed."""
+
+
+def check_residual(defect, tol, message=None, error=PreconditionError):
+    """Whether ``defect`` (an array, a list or a number) passes at ``tol``: its residual, the
+    largest |entry|, NaN when any entry is and 0.0 for none, must be <= tol.  A refused
+    residual raises ``error(message % residual)``, or returns False without a message."""
+    residual = float(np.abs(defect).max(initial=0.0))
+    if not residual <= tol and message is not None:
+        raise error(message % residual)
+    return residual <= tol

@@ -21,7 +21,8 @@ transforms of U and -U are taken.  Gamma0 is checked and factored once
 too, by one ``eigh``: U is rotated once into its frame [V_plus,
 V_minus], whose blocks give Tanaka's Re U blocks and SUSY's Q_plus, and
 the pair index's projection intersections are ranked on the frames of
-Ran P0 and Ker P0 (``_intersection_dims``).
+Ran P0 and Ker P0 (``_intersection_dims``).  Every relation check decides by
+the package's one residual rule, ``exceptions.check_residual``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import PreconditionError
+from .exceptions import PreconditionError, check_residual
 from .walks import build_generator_walk
 
 DEFAULT_RANK_TOL = 1e-8
@@ -50,24 +51,20 @@ def _as_complex(m):
 
 def check_unitary(u, tol=RELATION_TOL, name="U"):
     u = _as_complex(u)
-    dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() if u.size else 0.0
-    if dev > tol:
-        raise PreconditionError(f"{name} deviates from unitarity by {dev:.3e}")
+    check_residual(u.conj().T @ u - np.eye(u.shape[0]), tol,
+                   f"{name} deviates from unitarity by %.3e")
     return u
 
 
 def check_selfadjoint_unitary(g, tol=RELATION_TOL, name="Gamma0"):
     g = check_unitary(g, tol, name)
-    dev = np.abs(g - g.conj().T).max() if g.size else 0.0
-    if dev > tol:
-        raise PreconditionError(f"{name} deviates from self-adjointness by {dev:.3e}")
+    check_residual(g - g.conj().T, tol, f"{name} deviates from self-adjointness by %.3e")
     return g
 
 
 def check_chiral_relation(u, gamma0, tol=RELATION_TOL):
-    dev = np.abs(gamma0 @ u @ gamma0 - u.conj().T).max() if u.size else 0.0
-    if dev > tol:
-        raise PreconditionError(f"chiral relation G0 U G0 = U* fails by {dev:.3e}")
+    check_residual(gamma0 @ u @ gamma0 - u.conj().T, tol,
+                   "chiral relation G0 U G0 = U* fails by %.3e")
 
 
 def _checked_chiral(u, gamma0, tol):
@@ -78,19 +75,13 @@ def _checked_chiral(u, gamma0, tol):
 
 
 def check_factorization(u, gamma0, gamma1, tol=RELATION_TOL):
-    dev = np.abs(gamma0 @ gamma1 - u).max() if u.size else 0.0
-    if dev > tol:
-        raise PreconditionError(f"factorization U = G0 G1 fails by {dev:.3e}")
+    check_residual(gamma0 @ gamma1 - u, tol, "factorization U = G0 G1 fails by %.3e")
 
 
 def check_projection(p, tol=RELATION_TOL, name="P"):
     p = _as_complex(p)
-    dev = max(
-        np.abs(p - p.conj().T).max() if p.size else 0.0,
-        np.abs(p @ p - p).max() if p.size else 0.0,
-    )
-    if dev > tol:
-        raise PreconditionError(f"{name} deviates from an orthogonal projection by {dev:.3e}")
+    check_residual([p - p.conj().T, p @ p - p], tol,
+                   f"{name} deviates from an orthogonal projection by %.3e")
     return p
 
 
@@ -248,10 +239,8 @@ def chiral_selfadjoint_index(q, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_
     """Graded signature of Ker(Q) for self-adjoint Q anticommuting with gamma0."""
     q = _as_complex(q)
     g = check_selfadjoint_unitary(gamma0, tol)
-    if np.abs(q - q.conj().T).max() > tol:
-        raise PreconditionError("Q must be self-adjoint")
-    if np.abs(g @ q + q @ g).max() > tol:
-        raise PreconditionError("Q must anticommute with Gamma0")
+    check_residual(q - q.conj().T, tol, "Q must be self-adjoint (deviation %.3e)")
+    check_residual(g @ q + q @ g, tol, "Q must anticommute with Gamma0 (deviation %.3e)")
     return _graded_signature(kernel_basis(q, rank_tol).basis, g)
 
 
@@ -330,9 +319,8 @@ def pair_index_trace(p0, p1, m=0):
     ``eigvalsh`` spectrum of P0 - P1 (Hermitian within RELATION_TOL); a sequence m
     gives a list, one trace per entry."""
     diff = _as_complex(p0) - _as_complex(p1)
-    dev = np.abs(diff - diff.conj().T).max() if diff.size else 0.0
-    if dev > RELATION_TOL:
-        raise PreconditionError(f"P0 - P1 deviates from self-adjointness by {dev:.3e}")
+    check_residual(diff - diff.conj().T, RELATION_TOL,
+                   "P0 - P1 deviates from self-adjointness by %.3e")
     evals = np.linalg.eigvalsh(diff)
     traces = [float(np.sum(evals ** (2 * int(k) + 1))) for k in np.atleast_1d(m)]
     return traces if np.ndim(m) else traces[0]
@@ -416,17 +404,10 @@ def _cayley_signature(u, w_full, svals, gamma0, rank_tol):
     cayley = np.linalg.solve(eye - u_w, 1j * (eye + u_w))
     cayley = 0.5 * (cayley + cayley.conj().T)
     g = w_adj @ gamma0 @ w
-    dev_g = np.abs(g @ g - eye).max()
-    if dev_g > 1e-8:
-        raise PreconditionError(
-            f"restriction not Gamma0-invariant within tolerance (deviation {dev_g:.3e})"
-        )
-    anti = np.abs(g @ cayley + cayley @ g).max()
-    scale = max(1.0, np.abs(cayley).max())
-    if anti > 1e-6 * scale:
-        raise PreconditionError(
-            f"Cayley transform fails to anticommute with Gamma0 (deviation {anti:.3e})"
-        )
+    check_residual(g @ g - eye, 1e-8,
+                   "restriction not Gamma0-invariant within tolerance (deviation %.3e)")
+    check_residual(g @ cayley + cayley @ g, 1e-6 * max(1.0, np.abs(cayley).max()),
+                   "Cayley transform fails to anticommute with Gamma0 (deviation %.3e)")
     evals, vecs = np.linalg.eigh(cayley)
     return _graded_signature(vecs[:, _hermitian_kernel(evals, 0.0, rank_tol)], g)
 
@@ -477,7 +458,8 @@ def generator_index(hamiltonian, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION
     walk = build_generator_walk(_as_complex(hamiltonian), g, tol)
 
     def si_plus():
-        u, _ = _checked_chiral(walk.walk_exp, g, tol)
+        u = check_unitary(walk.walk_exp, tol)
+        check_chiral_relation(u, g, tol)
         return _graded_signature(kernel_basis(u - np.eye(u.shape[0]), rank_tol).basis, g)
 
     return _generator_core(walk, g, si_plus, rank_tol)
@@ -535,8 +517,8 @@ def full_index_report(u, gamma0, gamma1=None, rank_tol=DEFAULT_RANK_TOL, tol=REL
     tanaka_plus, tanaka_minus = _tanaka_core(*u_frame, rank_tol)
     cayley_minus, cayley_plus = _cayley_core(u, svd, g0, rank_tol)
     trace = float(np.trace(g0).real)
-    if abs(trace - round(trace)) > 1e-6:
-        raise PreconditionError(f"Tr(Gamma0) = {trace} is not near an integer")
+    check_residual(trace - round(trace), 1e-6,
+                   f"Tr(Gamma0) = {trace} is not near an integer (deviation %.3e)")
     susy = _susy_core(*u_frame, rank_tol)
     ranker, kerran, ranran, kerker = _graded_intersection_dims(g0, g1, frames, rank_tol, tol)
     return IndexReport(

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import essential, indices, operators as ops, transfer, winding
+from .exceptions import check_residual
 from .operators import BandedAnisotropicOperator, CoefficientFunction
 from .walks import SplitStepParams, build_walk
 
@@ -275,8 +276,7 @@ def trace_formula_suite(seed=2, trials=300):
         p1 = 0.5 * (eye + sp.gamma1)
         t1 = indices.pair_index_trace(p0, p1, (0, 1, 2))
         t2 = indices.pair_index_trace(p0, eye - p1, (0, 1, 2))
-        ok = all(abs(a - sp.si_minus) < TRACE_TOL and abs(b - sp.si_plus) < TRACE_TOL
-                 for a, b in zip(t1, t2))
+        ok = check_residual(np.subtract([t1, t2], [[sp.si_minus], [sp.si_plus]]), TRACE_TOL)
         result.record(ok, lambda: f"trial {k}")
     return result
 
@@ -452,7 +452,7 @@ def consistency_suite(seed=8, trials=50):
         for side in (ops.LEFT, ops.RIGHT):
             fu = u.symbol_at(side)(zs)
             fg = pair.gamma0.symbol_at(side)(zs) @ pair.gamma1.symbol_at(side)(zs)
-            ok &= bool(np.abs(fu - fg).max() < 1e-12)
+            ok &= check_residual(fu - fg, 1e-12)
         # certified gap at -1 implies the transfer oracle finds a finite kernel
         gap = essential.gap_at(pair, -1)
         if gap.certified:

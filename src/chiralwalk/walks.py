@@ -10,17 +10,19 @@ operators a (real) and b (complex), and a(x)^2 + |b(x)|^2 = c^2 + |d|^2 = 1.
 These make G0 and G1 self-adjoint involutions by algebra and U chiral and
 unitary (Cedzich et al., AHP 19:325, 2018), so ``SplitStepParams`` checks
 them site by site and ``verify_chiral_parts`` bounds the residuals from
-its deviations, in time linear in the bulk width.
+its deviations, in time linear in the bulk width.  Each check that is one
+residual decides by the package's one residual rule, ``exceptions.check_residual``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import operators as ops
-from .exceptions import NormalizationError, PreconditionError
+from .exceptions import NormalizationError, PreconditionError, check_residual
 from .operators import BandedAnisotropicOperator, CoefficientFunction
 
 NORMALIZATION_TOL = 1e-12
@@ -49,14 +51,12 @@ class SplitStepParams:
             raise NormalizationError("a and b must be scalar (1x1) coefficient functions")
         if self.shift_exponent < 1:
             raise NormalizationError("shift exponent must be a positive integer")
-        dev = abs(self.c**2 + abs(self.d_coin) ** 2 - 1.0)
-        if not dev <= NORMALIZATION_TOL:   # each check is written so that NaN fails it
-            raise NormalizationError(f"c^2 + |d|^2 deviates from 1 by {dev:.3e}")
+        dev = _coin_deviation(self.c, self.d_coin)
         lo, a, b = _profile_values(self.a, self.b)
-        if not np.abs(a.imag).max() <= NORMALIZATION_TOL:
-            raise NormalizationError("a must be real-valued")
+        check_residual(a.imag, NORMALIZATION_TOL, "a must be real-valued (deviation %.3e)",
+                       NormalizationError)
         devs = np.abs(a.real**2 + np.abs(b) ** 2 - 1.0)
-        bad = np.flatnonzero(~(devs <= NORMALIZATION_TOL))
+        bad = np.flatnonzero(~(devs <= NORMALIZATION_TOL))   # per site, so that NaN fails too
         if bad.size:
             x, site_dev = lo - 1 + int(bad[0]), devs[bad[0]]
             raise NormalizationError(
@@ -64,6 +64,17 @@ class SplitStepParams:
             )
         object.__setattr__(self, "profile", (lo, a, b))
         object.__setattr__(self, "deviations", (dev, devs))
+
+
+def _coin_deviation(c, d_coin):
+    """|c^2 + |d|^2 - 1|, checked; inf where Python's float ** overflows on a finite c or d."""
+    try:
+        dev = abs(c**2 + abs(d_coin) ** 2 - 1.0)
+    except OverflowError:
+        dev = math.inf
+    check_residual(dev, NORMALIZATION_TOL, "c^2 + |d|^2 deviates from 1 by %.3e",
+                   NormalizationError)
+    return dev
 
 
 def _profile_values(a, b):
@@ -88,10 +99,8 @@ class ChiralPair:
         self.gamma1 = _coin_operator(*params.profile)
         self.u = self.gamma0 @ self.gamma1
         record = verify_chiral_parts(params, self.gamma0, self.gamma1, self.u)
-        if record.max_deviation > CHIRAL_TOL:
-            raise PreconditionError(
-                f"chiral pair validation failed: max deviation {record.max_deviation:.3e}"
-            )
+        check_residual(record.max_deviation, CHIRAL_TOL,
+                       "chiral pair validation failed: max deviation %.3e")
         self.certification = record
 
 
@@ -111,7 +120,7 @@ class ChiralCertification:
 
     @property
     def max_deviation(self):
-        return max(v for k, v in vars(self).items() if k != "window_halfwidth")
+        return float(np.max([v for k, v in vars(self).items() if k != "window_halfwidth"]))
 
     def to_dict(self):
         return {**vars(self), "max_deviation": self.max_deviation}
@@ -188,9 +197,7 @@ def build_gamma0(c, d_coin, n=1):
     c = float(c)
     d_coin = complex(d_coin)
     n = int(n)
-    dev = abs(c**2 + abs(d_coin) ** 2 - 1.0)
-    if not dev <= NORMALIZATION_TOL:   # NaN fails too
-        raise NormalizationError(f"c^2 + |d|^2 deviates from 1 by {dev:.3e}")
+    _coin_deviation(c, d_coin)
     if n < 1:
         raise NormalizationError("shift exponent must be a positive integer")
     diag, upper, lower = (CoefficientFunction._derived(m, m, 0, np.zeros((0, 2, 2), complex))
@@ -223,9 +230,7 @@ def build_weighted_shift_walk(m, n, coin):
     if coin.shape != (2, 2):
         raise PreconditionError("coin must be a 2x2 matrix")
     coin_op = ops.mult_op(CoefficientFunction.constant(coin))   # refuses non-finite entries
-    dev = float(np.abs(coin.conj().T @ coin - np.eye(2)).max())
-    if dev > 1e-12:
-        raise PreconditionError(f"coin deviates from unitarity by {dev:.3e}")
+    check_residual(coin.conj().T @ coin - np.eye(2), 1e-12, "coin deviates from unitarity by %.3e")
     upper = BandedAnisotropicOperator(
         2, {int(m): CoefficientFunction.constant(np.diag([1.0, 0.0]))}
     )
@@ -262,10 +267,8 @@ def build_generator_walk(hamiltonian, gamma0, tol=CHIRAL_TOL):
     g0 = np.asarray(gamma0, dtype=complex)
     if not (np.isfinite(h).all() and np.isfinite(g0).all()):
         raise PreconditionError("generator and gamma0 entries must be finite")
-    if np.abs(h - h.conj().T).max() > tol:
-        raise PreconditionError("generator must be self-adjoint")
-    if np.abs(g0 @ h + h @ g0).max() > tol:
-        raise PreconditionError("generator must anticommute with gamma0")
+    check_residual(h - h.conj().T, tol, "generator must be self-adjoint (deviation %.3e)")
+    check_residual(g0 @ h + h @ g0, tol, "generator must anticommute with gamma0 (deviation %.3e)")
     evals, vecs = np.linalg.eigh(h)
     # h is self-adjoint, so its operator norm is its largest |eigenvalue|
     regularized = bool(evals.size and np.abs(evals).max() > 1.0 + 1e-12)

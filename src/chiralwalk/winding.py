@@ -34,7 +34,7 @@ import numpy as np
 
 from . import operators as ops
 from .essential import certify_unitary
-from .exceptions import ChiralwalkError, NotFredholmError, PreconditionError
+from .exceptions import ChiralwalkError, NotFredholmError, PreconditionError, check_residual
 from .indices import DEFAULT_RANK_TOL
 from .transfer import _count, _counts, _loop_roots, exact_index, exact_kernel
 from .walks import CHIRAL_TOL
@@ -113,13 +113,10 @@ def _closed_frames(grading, side):
         coeff = loop.coefficients[m].tolist() if m in loop.coefficients else zero
         residuals += [x - y for got, want in zip(factored.get(m, zero), coeff)
                       for x, y in zip(got, want)]
-    # numpy's moduli, as Python's abs of a complex may differ in the last bit
-    dev = max(np.abs(residuals).max(), *(abs(e - s) for e, s in zip(evals.tolist(), (-1.0, 1.0))))
-    if dev > CHIRAL_TOL:
-        raise PreconditionError(
-            f"{side} grading symbol is not D(z) G D(z)^* with G a self-adjoint unitary "
-            f"of signature 0 (deviation {dev:.3e})"
-        )
+    residuals += [e - s for e, s in zip(evals.tolist(), (-1.0, 1.0))]
+    check_residual(residuals, CHIRAL_TOL,
+                   f"{side} grading symbol is not D(z) G D(z)^* with G a self-adjoint unitary "
+                   "of signature 0 (deviation %.3e)")
     k_plus = int(np.ceil(n * abs(vecs[1, 1]) ** 2 - 0.5 - CHIRAL_TOL))
     return n, [(k_plus, vecs[:, 1]), (n - k_plus, vecs[:, 0])]
 
