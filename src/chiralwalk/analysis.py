@@ -78,7 +78,8 @@ def _custom_banded_report(f_op, tol):
     return report, EXIT_OK
 
 
-def _generator_report(walk, gamma0, tol):
+def _generator_report(model, tol):
+    walk, gamma0 = model
     report = {
         "conventions": {"regularized": walk.regularized, **GENERATOR_CONVENTIONS},
         "certifications": {"finite_dimensional": True},
@@ -92,21 +93,21 @@ def _generator_report(walk, gamma0, tol):
     return report, EXIT_OK
 
 
+# each model's report builder, and the tolerances that it reads
+_REPORTS = {"split_step": (_chiral_report, ("rank_tol", "margin")),
+            "weighted_shift": (_weighted_shift_report, ("rank_tol", "margin")),
+            "custom_banded": (_custom_banded_report, ("rank_tol",)),
+            "generator": (_generator_report, ("rank_tol",))}
+
+
 def run_index_report(scenario):
-    """Build the model and produce its full report; returns (dict, exit_code)."""
+    """Build the model and its report, which states the tolerances its builder read;
+    returns (dict, exit_code)."""
     tol = scenario.tolerances
-    model = scenario.build()
-    if scenario.model == "split_step":
-        body, code = _chiral_report(model, tol)
-    elif scenario.model == "weighted_shift":
-        body, code = _weighted_shift_report(model, tol)
-    elif scenario.model == "custom_banded":
-        body, code = _custom_banded_report(model, tol)
-    else:
-        walk, gamma0 = model
-        body, code = _generator_report(walk, gamma0, tol)
+    build, reads = _REPORTS[scenario.model]
+    body, code = build(scenario.build(), tol)
     body["model"] = scenario.model
-    body["tolerances"] = {"rank_tol": tol.rank_tol, "margin": tol.margin}   # what an index reads
+    body["tolerances"] = {key: getattr(tol, key) for key in reads}
     if scenario.seed is not None:
         body["seed"] = scenario.seed
     return body, code

@@ -880,7 +880,7 @@ class TestShippedScenarios:
         assert (report["index"]["dim_ker"], report["index"]["dim_ker_adjoint"]) == (0, 1)
         [branch] = report["index_theorem"]["branches"]
         assert (report["index"]["index"], branch["winding_left"], branch["winding_right"]) == (1, 0, 1)
-        assert report["tolerances"] == {"margin": 1e-6, "rank_tol": 1e-8}   # no grid is read
+        assert report["tolerances"] == {"rank_tol": 1e-8}   # no grid and no margin is read
 
     def test_readme_winding_command(self, capsys):
         assert main(["winding", str(SCENARIO_DIR / "weighted_shift.json"), "--side", "right"]) == 0
