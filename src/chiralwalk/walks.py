@@ -260,8 +260,8 @@ GENERATOR_CONVENTIONS = {"eta": "identity", "walk_exp": "exp(i*pi*H)",
 def build_generator_walk(hamiltonian, gamma0, tol=CHIRAL_TOL):
     """Discrete time step of a finite chiral-symmetric generator.
 
-    Requires gamma0 H + H gamma0 = 0.  If ||H|| > 1 the generator is
-    first flattened to H (1 + H^2)^(-1/2); the record says so.
+    Requires gamma0 H + H gamma0 = 0.  If ||H|| > 1 the generator is first flattened
+    to H (1 + H^2)^(-1/2), each eigenvalue to lambda / hypot(1, lambda); the record says so.
     """
     h = np.asarray(hamiltonian, dtype=complex)
     g0 = np.asarray(gamma0, dtype=complex)
@@ -273,7 +273,7 @@ def build_generator_walk(hamiltonian, gamma0, tol=CHIRAL_TOL):
     # h is self-adjoint, so its operator norm is its largest |eigenvalue|
     regularized = bool(evals.size and np.abs(evals).max() > 1.0 + 1e-12)
     if regularized:
-        evals = evals / np.sqrt(1.0 + evals**2)
+        evals = evals / np.hypot(1.0, evals)   # no overflow where evals^2 would
         h = (vecs * evals) @ vecs.conj().T
     phases = np.exp(1j * np.pi * evals)
     walk = (vecs * phases) @ vecs.conj().T

@@ -684,6 +684,16 @@ def operator_doc(op):
     return {"fiber_dim": op.fiber_dim, "bands": bands}
 
 
+def scaled_generator(s):
+    """The generator scenario H = s (e1 e3^T + e3 e1^T), Gamma0 = diag(1, 1, -1).  Its
+    eigenvalues +-s and 0 flatten to +-1 and 0 for s > 1: Ker H = span e2 gives
+    Index(H) = si_plus = 1, with dim Ker(U - 1) = 1 and dim Ker(U + 1) = 2."""
+    zero = [0.0, 0.0]
+    h = [[[s, 0.0] if {i, j} == {0, 2} else zero for j in range(3)] for i in range(3)]
+    g = [[[1.0 if i < 2 else -1.0, 0.0] if i == j else zero for j in range(3)] for i in range(3)]
+    return {"model": "generator", "params": {"hamiltonian": h, "gamma0": g}}
+
+
 # --- coefficient windows site by site, trimmed row by row ---------------------
 
 

@@ -357,6 +357,20 @@ class TestCliCommands:
         assert report["indices"]["si_total"] == 0
         assert report["indices"]["generator_index"] == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_large_generator_flattens_to_the_same_integers(self, tmp_path, capsys):
+        # s / sqrt(1 + s^2) overflowed above s ~ 1.3e154: at 1e160 it flattened +-s to 0,
+        # reported dim Ker(U - 1) = 3 and dim Ker(U + 1) = 0, and warned
+        integers = []
+        for s in (1e150, 1e160, 1e300):
+            assert main(["index", write_json(tmp_path / "g.json", oracles.scaled_generator(s))]) == 0
+            idx = json.loads(capsys.readouterr().out)["indices"]
+            integers.append([(k, v) for k, v in sorted({**idx, **idx["diagnostics"]}.items())
+                             if isinstance(v, int)])
+        assert integers[0] == integers[1] == integers[2]
+        assert ("dim_ker_u_minus_one", 1) in integers[0] and ("dim_ker_u_plus_one", 2) in integers[0]
+        assert ("generator_index", 1) in integers[0] and ("si_plus", 1) in integers[0]
+
     def test_generator_report_builds_and_ranks_once(self, tmp_path, capsys, monkeypatch):
         # Index(H) = 2 with ||H|| = 2, so H is flattened: the report builds its walk
         # once, ranks Ker H on that walk's spectrum and Ker(U - 1) once, in its SVD
