@@ -5,9 +5,14 @@ Each entry is one output of the program on a fixed input:
 - ``winding`` on both sides of every shipped scenario;
 - ``sweep scenarios/sweep_coin_angle.json``;
 - ``verify finite|lattice --seed 4242 --trials 10``;
+- ``index`` and ``winding`` on ``oracles.huge_coin()``, both refused, and
+  ``index`` on ``oracles.scaled_generator(1e160)``;
 - ``analysis._chiral_report`` on every ``oracles.report_pairs()`` pair;
 - ``analysis._custom_banded_report`` on 36 seeded ``interpolating_shift_model``
-  operators and on their adjoints.
+  operators, on 7 hand-made ones at the edges of the root-count rule
+  (``hand_made_operators``) and on the adjoints of all 43;
+- ``analysis.run_index_report`` on the 400 near-closing split-step models of
+  ``test_split_step_indices`` (``oracles.near_closing_model``).
 
 Two digests are kept per entry in ``corpus_digests.json``:
 - **decisions**: the sha256 of every int, bool and string of the output, with
@@ -21,7 +26,9 @@ Two digests are kept per entry in ``corpus_digests.json``:
 
 A CSV cell is read as a bool (``true``/``false``), an int, a float or else a
 string, from its text.  In-process reports are written as ``cli`` writes JSON,
-with no fallback for a value that is not JSON: such a value raises.
+with no fallback for a value that is not JSON: such a value raises.  numpy's
+floating-point warnings (an overflow in a refused input's residual) name source
+lines and are not outputs: the corpus runs with them off.
 
     python -m tests.corpus            # check the decisions; exit 1 on a mismatch
     python -m tests.corpus --bytes    # also report byte mismatches (never fails on them)
@@ -45,7 +52,8 @@ from pathlib import Path
 import numpy as np
 
 from chiralwalk import analysis, cli
-from chiralwalk.scenarios import Tolerances
+from chiralwalk.operators import BandedAnisotropicOperator, CoefficientFunction
+from chiralwalk.scenarios import Scenario, Tolerances
 from chiralwalk.verification import interpolating_shift_model
 
 if __package__:          # python -m tests.corpus
@@ -69,17 +77,22 @@ def _cli_entries(workdir):
     runs.append((["sweep", sweep], "csv"))
     runs += [(["verify", suite, "--seed", str(VERIFY_SEED), "--trials", str(VERIFY_TRIALS)], "text")
              for suite in ("finite", "lattice")]
+    coin, generator = Path(workdir) / "huge_coin.json", Path(workdir) / "generator_1e160.json"
+    coin.write_text(json.dumps(oracles.huge_coin()))
+    generator.write_text(json.dumps(oracles.scaled_generator(1e160)))
+    runs += [(["index", coin], "json"), (["winding", coin], "json"), (["index", generator], "json")]
     out = Path(workdir) / "out"
     for args, fmt in runs:
         out.unlink(missing_ok=True)
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stderr(err), np.errstate(all="ignore"):
             code = cli.main([*map(str, args), "--out", str(out)])
         text = out.read_text() if out.exists() else ""
         # verify's wall times go to stderr and are not outputs
         error = "".join(line for line in err.getvalue().splitlines(True)
                         if not line.startswith("time  "))
-        name = " ".join(a.relative_to(ROOT).as_posix() if isinstance(a, Path) else a for a in args)
+        name = " ".join((a.relative_to(ROOT).as_posix() if a.is_relative_to(ROOT) else a.name)
+                        if isinstance(a, Path) else a for a in args)
         yield name, fmt, code, text, error
 
 
@@ -99,6 +112,42 @@ def banded_operators():
     return ops
 
 
+def _banded(left, right):
+    """The operator with the {offset: matrix} bands ``left`` for x < 0 and ``right`` for x >= 0."""
+    d = len(np.atleast_2d(next(iter({**left, **right}.values()))))
+    zero = np.zeros((d, d))
+    return BandedAnisotropicOperator(d, {n: CoefficientFunction.step(
+        np.atleast_2d(left.get(n, zero)), np.atleast_2d(right.get(n, zero)))
+        for n in sorted(set(left) | set(right))})
+
+
+def hand_made_operators():
+    """(name, operator) for 7 operators at the edges of the root-count rule, and their
+    adjoints: a limit determinant 1 + c z with its root 5e-7 inside the margin on the left,
+    on the right and on both sides, 3e-6 clear of it on the left, on the circle on one side
+    and on both (fiber 2), and a determinant that vanishes identically (fiber 2)."""
+    inside, outside = 1.0 / (1.0 - 5e-7), 1.0 / (1.0 + 3e-6)
+    ops = [
+        ("inside_left", _banded({0: 1.0, 1: inside}, {0: 1.0, -1: 0.4})),
+        ("inside_right", _banded({0: 1.0, -1: 0.4}, {0: 1.0, 1: inside})),
+        ("inside_both", _banded({0: 1.0, 1: inside}, {0: 1.0, -1: inside})),
+        ("outside_left", _banded({0: 1.0, 1: outside}, {1: 1.0})),
+        ("on_circle", _banded({0: 1.0, 1: 1.0}, {1: 1.0})),
+        ("on_circle_both", _banded({0: np.eye(2), 1: np.diag([1.0, -1.0])},
+                                   {0: np.eye(2), -1: np.diag([1j, 1.0])})),
+        ("vanishing", _banded({0: np.diag([1.0, 0.0])}, {0: np.eye(2), 1: 0.5 * np.eye(2)})),
+    ]
+    return [(f"{name}{star}", op.adjoint() if star else op) for name, op in ops for star in ("", "*")]
+
+
+def near_closing_scenarios():
+    """(name, scenario) for the near-closing models of ``test_split_step_indices``."""
+    for seed in oracles.NEAR_SEEDS:
+        rng = np.random.default_rng(seed)
+        for k in range(oracles.NEAR_MODELS_PER_SEED):
+            yield f"near_closing {seed}/{k}", Scenario.from_doc(oracles.near_closing_model(rng)[0])
+
+
 def entries():
     """Every corpus entry, in a fixed order."""
     with tempfile.TemporaryDirectory() as workdir:
@@ -106,8 +155,10 @@ def entries():
     tol = Tolerances()
     for name, pair in oracles.report_pairs():
         yield _report_entry(f"chiral {name}", *analysis._chiral_report(pair, tol))
-    for name, op in banded_operators():
+    for name, op in banded_operators() + hand_made_operators():
         yield _report_entry(f"custom_banded {name}", *analysis._custom_banded_report(op, tol))
+    for name, scenario in near_closing_scenarios():
+        yield _report_entry(f"index {name}", *analysis.run_index_report(scenario))
 
 
 def _leaves(doc, path=""):

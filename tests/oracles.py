@@ -20,7 +20,9 @@ odd-power traces of P0 - P1 off its spectrum; ``full_index_report``,
 matrix powers instead.  ``split_step_indices`` gives si_plus and
 si_minus of a split-step walk in closed form, from the theory, not from
 the package.  ``operator_doc`` writes the custom_banded operator document
-that ``scenarios.parse_operator`` reads, for round trips through the reader.
+that ``scenarios.parse_operator`` reads, for round trips through the reader;
+``near_closing_model``, ``scaled_generator`` and ``huge_coin`` write the
+scenarios that the tests and the decisions corpus share.
 The package copies a coefficient window by slicing and finds the rows
 that repeat a limit with one comparison; ``values_on`` masks the window
 site by site and ``trim`` compares it row by row instead.  The package
@@ -666,6 +668,61 @@ def split_step_indices(a_left, a_right, c, shift_exponent):
     return m * (int(a_left > c) - int(a_right > c)), m * (int(a_right > -c) - int(a_left > -c))
 
 
+# --- scenario documents ----------------------------------------------------------
+
+
+MAX_DEFECT_SITES = 10
+NEAR_SEEDS = range(100, 104)
+NEAR_MODELS_PER_SEED = 100   # 400 models in all
+NEAR_EPS_LOG10 = (-7.0, -1.0)
+
+
+def number_pair(z):
+    """A complex scalar as the [re, im] pair that a scenario reads."""
+    return [float(np.real(z)), float(np.imag(z))]
+
+
+def table_profile(left, right, table):
+    """A scenario's table profile of a coin: its limits and {site: value} table."""
+    return {"profile": "table", "left": number_pair(left), "right": number_pair(right),
+            "table": [{"x": int(x), "value": number_pair(v)} for x, v in table.items()]}
+
+
+def near_closing_model(rng):
+    """A split-step scenario whose left or right limit of a sits at |a -+ c| = eps from a
+    gap closing, eps log-uniform over NEAR_EPS_LOG10, the other limit generic, a shift
+    exponent 1-2 and, for half of the models, a defect table with |a(x)| < 1, where the
+    closed form holds; returns (doc, the oracle's indices)."""
+    theta2, theta_other = rng.uniform(0.05, np.pi - 0.05, size=2)
+    c, eps = np.cos(theta2), 10.0 ** rng.uniform(*NEAR_EPS_LOG10)
+    surface, offset = rng.choice([1.0, -1.0]) * c, rng.choice([1.0, -1.0]) * eps
+    a_near = surface + offset if abs(surface + offset) < 1.0 else surface - offset
+    limits = (a_near, np.cos(theta_other))
+    a_left, a_right = limits if rng.random() < 0.5 else limits[::-1]
+    m = int(rng.integers(1, 3))
+
+    def phase():
+        return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+
+    start = int(rng.integers(-5, 5))
+    width = int(rng.integers(1, MAX_DEFECT_SITES + 1))
+    sites = range(start, start + width) if rng.random() < 0.5 else ()
+    defects = {x: rng.uniform(0.05, np.pi - 0.05) for x in sites}
+    doc = {
+        "model": "split_step",
+        "params": {
+            "a": table_profile(a_left, a_right, {x: np.cos(t) for x, t in defects.items()}),
+            "b": table_profile(np.sqrt(1.0 - a_left**2) * phase(),
+                               np.sqrt(1.0 - a_right**2) * phase(),
+                               {x: np.sin(t) * phase() for x, t in defects.items()}),
+            "c": float(c),
+            "d_coin": number_pair(np.sin(theta2) * phase()),
+            "shift_exponent": m,
+        },
+    }
+    return doc, split_step_indices(float(a_left), float(a_right), float(c), m)
+
+
 def operator_doc(op):
     """The custom_banded operator document of a BandedAnisotropicOperator: its
     limits and trimmed bulk window per band, complex entries as [re, im] pairs."""
@@ -692,6 +749,13 @@ def scaled_generator(s):
     h = [[[s, 0.0] if {i, j} == {0, 2} else zero for j in range(3)] for i in range(3)]
     g = [[[1.0 if i < 2 else -1.0, 0.0] if i == j else zero for j in range(3)] for i in range(3)]
     return {"model": "generator", "params": {"hamiltonian": h, "gamma0": g}}
+
+
+def huge_coin():
+    """A weighted-shift scenario with the finite coin diag(1e200 + 1e200i): its unitarity
+    residual overflows to NaN, and the coin check refuses it."""
+    zero, big = [0.0, 0.0], [1e200, 1e200]
+    return {"model": "weighted_shift", "params": {"m": 1, "n": 0, "coin": [[big, zero], [zero, big]]}}
 
 
 # --- coefficient windows site by site, trimmed row by row ---------------------

@@ -7,5 +7,5 @@ def test_corpus_decisions_unchanged():
     writes each JSON output with no fallback for a value that is not JSON, so a
     stray numpy scalar or array in a report fails here too."""
     found = corpus.digests()
-    assert len(found) == 23 + 275 + 72
+    assert len(found) == 26 + 275 + 86 + 400
     assert corpus.mismatches(found, corpus.load(), 0) == []

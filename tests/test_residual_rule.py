@@ -20,6 +20,8 @@ from chiralwalk.exceptions import ChiralwalkError, NormalizationError, check_res
 from chiralwalk.operators import CoefficientFunction
 from chiralwalk.verification import split_step_from_angles
 
+import oracles
+
 NAN = float("nan")
 HUGE = 1e200 * (1 + 1j)    # finite; its square overflows
 EYE = np.eye(2, dtype=complex)
@@ -142,11 +144,8 @@ class TestInjectedNanResiduals:
 def test_cli_refuses_a_huge_coin(command, tmp_path, capsys):
     # the coin passed its check; index then raised LinAlgError from the unitarity
     # bound's norm, winding from the determinant's roots
-    z = [0.0, 0.0]
-    big = [HUGE.real, HUGE.imag]
     path = tmp_path / "huge_coin.json"
-    path.write_text(json.dumps({"model": "weighted_shift",
-                                "params": {"m": 1, "n": 0, "coin": [[big, z], [z, big]]}}))
+    path.write_text(json.dumps(oracles.huge_coin()))
     assert main([command, str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: coin deviates from unitarity by ") and err.count("\n") == 1, err

@@ -21,19 +21,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SEEDS = range(4)
 MODELS_PER_SEED = 256      # 1,024 models in all
 CLEARANCE = 0.02           # sampled limits keep |a -+ c| above this: both gaps open
-MAX_DEFECT_SITES = 10
-NEAR_SEEDS = range(100, 104)
-NEAR_MODELS_PER_SEED = 100   # 400 models in all
-NEAR_EPS_LOG10 = (-7.0, -1.0)
-
-
-def _pair(z):
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _profile(left, right, table):
-    return {"profile": "table", "left": _pair(left), "right": _pair(right),
-            "table": [{"x": int(x), "value": _pair(v)} for x, v in table.items()]}
+MAX_DEFECT_SITES = oracles.MAX_DEFECT_SITES
 
 
 def random_model(rng):
@@ -56,45 +44,11 @@ def random_model(rng):
     doc = {
         "model": "split_step",
         "params": {
-            "a": _profile(a_left, a_right, {x: np.cos(t) for x, t in defects.items()}),
-            "b": _profile(np.sin(theta_left) * phase(), np.sin(theta_right) * phase(),
-                          {x: np.sin(t) * phase() for x, t in defects.items()}),
+            "a": oracles.table_profile(a_left, a_right, {x: np.cos(t) for x, t in defects.items()}),
+            "b": oracles.table_profile(np.sin(theta_left) * phase(), np.sin(theta_right) * phase(),
+                                       {x: np.sin(t) * phase() for x, t in defects.items()}),
             "c": float(c),
-            "d_coin": _pair(np.sin(theta2) * phase()),
-            "shift_exponent": m,
-        },
-    }
-    return doc, oracles.split_step_indices(float(a_left), float(a_right), float(c), m)
-
-
-def near_closing_model(rng):
-    """A split-step scenario whose left or right limit of a sits at |a -+ c| = eps from a
-    gap closing, eps log-uniform over NEAR_EPS_LOG10, the other limit generic, a shift
-    exponent 1-2 and, for half of the models, a defect table with |a(x)| < 1, where the
-    closed form holds; returns (doc, the oracle's indices)."""
-    theta2, theta_other = rng.uniform(0.05, np.pi - 0.05, size=2)
-    c, eps = np.cos(theta2), 10.0 ** rng.uniform(*NEAR_EPS_LOG10)
-    surface, offset = rng.choice([1.0, -1.0]) * c, rng.choice([1.0, -1.0]) * eps
-    a_near = surface + offset if abs(surface + offset) < 1.0 else surface - offset
-    limits = (a_near, np.cos(theta_other))
-    a_left, a_right = limits if rng.random() < 0.5 else limits[::-1]
-    m = int(rng.integers(1, 3))
-
-    def phase():
-        return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-
-    start = int(rng.integers(-5, 5))
-    width = int(rng.integers(1, MAX_DEFECT_SITES + 1))
-    sites = range(start, start + width) if rng.random() < 0.5 else ()
-    defects = {x: rng.uniform(0.05, np.pi - 0.05) for x in sites}
-    doc = {
-        "model": "split_step",
-        "params": {
-            "a": _profile(a_left, a_right, {x: np.cos(t) for x, t in defects.items()}),
-            "b": _profile(np.sqrt(1.0 - a_left**2) * phase(), np.sqrt(1.0 - a_right**2) * phase(),
-                          {x: np.sin(t) * phase() for x, t in defects.items()}),
-            "c": float(c),
-            "d_coin": _pair(np.sin(theta2) * phase()),
+            "d_coin": oracles.number_pair(np.sin(theta2) * phase()),
             "shift_exponent": m,
         },
     }
@@ -110,11 +64,12 @@ def params_doc(params):
     lo, a, b = params.profile   # the values on sites lo - 1 .. hi, limits at both ends
 
     def profile(values):
-        return _profile(values[0], values[-1], dict(zip(range(lo, lo + values.size - 2), values[1:-1])))
+        return oracles.table_profile(values[0], values[-1],
+                                     dict(zip(range(lo, lo + values.size - 2), values[1:-1])))
 
     return {"model": "split_step", "params": {
-        "a": profile(a), "b": profile(b), "c": params.c, "d_coin": _pair(params.d_coin),
-        "shift_exponent": params.shift_exponent}}
+        "a": profile(a), "b": profile(b), "c": params.c,
+        "d_coin": oracles.number_pair(params.d_coin), "shift_exponent": params.shift_exponent}}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -132,15 +87,15 @@ def test_index_matches_the_closed_form(seed):
         assert {(m, m, 0), (m, -m, 0), (m, 0, m), (m, 0, -m), (m, 0, 0)} <= seen
 
 
-@pytest.mark.parametrize("seed", NEAR_SEEDS)
+@pytest.mark.parametrize("seed", oracles.NEAR_SEEDS)
 def test_near_closing_matches_the_closed_form(seed):
     # a withheld index is no wrong answer; a reported si -+ must be the closed form's, and
     # Ker(U -+ 1) splits into two joint eigenspaces of G0 and G1 of which at most one is
     # square-summable, so its dimension is |si -+|.  A model whose limits stay 1e-4 from
     # both closings must have both indices reported
     rng = np.random.default_rng(seed)
-    for _ in range(NEAR_MODELS_PER_SEED):
-        doc, want = near_closing_model(rng)
+    for _ in range(oracles.NEAR_MODELS_PER_SEED):
+        doc, want = oracles.near_closing_model(rng)
         report, _ = analysis.run_index_report(Scenario.from_doc(doc))
         p = doc["params"]
         limits = (p["a"]["left"][0], p["a"]["right"][0])
