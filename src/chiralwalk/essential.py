@@ -156,10 +156,11 @@ def _gaps(loops, samples, targets):
 
 @dataclass
 class Certification:
+    """A gap certifies against 0, a norm || 1 -+ U ||_ess against 2, both at the margin
+    given (a report states it as ``tolerances.margin``)."""
+
     status: str                 # certified / refuted / inconclusive
     value: float                # the gap or norm at the smallest distance found
-    threshold: float
-    margin: float
     root_margin: float | None   # min ||z| - 1| over the roots of det(F - t), both sides
     # (roots, order at 0) of det(F - t), left and right: exact_kernel's gate for U - t
     roots: list = field(default=None, compare=False, repr=False)
@@ -172,8 +173,6 @@ class Certification:
         return {
             "status": self.status,
             "value": self.value,
-            "threshold": self.threshold,
-            "margin": self.margin,
             "root_margin": self.root_margin,
         }
 
@@ -190,15 +189,13 @@ def _status(lower, upper, margin):
 
 def _gap_certification(gap, margin):
     lower = gap.bound if gap.clear else 0.0
-    return Certification(_status(lower, gap.value, margin), gap.value, 0.0, margin, gap.root_margin,
-                         gap.roots)
+    return Certification(_status(lower, gap.value, margin), gap.value, gap.root_margin, gap.roots)
 
 
 def _norm_certification(gap, margin):
     """|| 1 -+ U ||_ess < 2 from the gap at -+1."""
     value, bound = (float(np.sqrt(max(4.0 - g * g, 0.0))) for g in (gap.value, gap.bound))
-    return Certification(_status(2.0 - bound, 2.0 - value, margin), value, 2.0, margin,
-                         gap.root_margin)
+    return Certification(_status(2.0 - bound, 2.0 - value, margin), value, gap.root_margin)
 
 
 @dataclass
@@ -214,7 +211,7 @@ class FredholmTypeCertification:
 class DichotomyReport:
     norm_difference: float    # || Gamma0 - Gamma1 ||_ess
     norm_sum: float           # || Gamma0 + Gamma1 ||_ess
-    margin: float
+    margin: float             # read by holds; a report states it as tolerances.margin
 
     @property
     def holds(self):   # on the infinite lattice one of || G0 -+ G1 ||_ess must reach 1
@@ -224,7 +221,6 @@ class DichotomyReport:
         return {
             "norm_difference": self.norm_difference,
             "norm_sum": self.norm_sum,
-            "margin": self.margin,
             "holds": self.holds,
         }
 

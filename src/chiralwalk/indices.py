@@ -51,8 +51,9 @@ def _as_complex(m):
 
 def check_unitary(u, tol=RELATION_TOL, name="U"):
     u = _as_complex(u)
-    check_residual(u.conj().T @ u - np.eye(u.shape[0]), tol,
-                   f"{name} deviates from unitarity by %.3e")
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is refused as NaN
+        defect = u.conj().T @ u - np.eye(u.shape[0])
+    check_residual(defect, tol, f"{name} deviates from unitarity by %.3e")
     return u
 
 
@@ -87,11 +88,11 @@ def check_projection(p, tol=RELATION_TOL, name="P"):
 
 @dataclass
 class KernelSummary:
-    """Orthonormal kernel basis with diagnostics and optional graded signature."""
+    """Orthonormal kernel basis with diagnostics and optional graded signature; ``to_dict``
+    holds the diagnostics alone, as a report states the dimension and signature as indices."""
 
     dimension: int
     basis: np.ndarray | None             # columns orthonormal; None from the lattice oracle
-    rank_tolerance_used: float
     singular_values_near_zero: list = field(default_factory=list)
     borderline_singular_values: list = field(default_factory=list)
     graded_signature: int | None = None
@@ -99,10 +100,7 @@ class KernelSummary:
 
     def to_dict(self):
         return {
-            "dimension": self.dimension,
-            "graded_signature": self.graded_signature,
             "signature_margin": self.signature_margin,
-            "rank_tolerance_used": self.rank_tolerance_used,
             "singular_values_near_zero": [float(s) for s in self.singular_values_near_zero],
             "borderline_singular_values": [float(s) for s in self.borderline_singular_values],
         }
@@ -126,7 +124,6 @@ def _kernel_summary(svals, vh, rank_tol):
     return KernelSummary(
         dimension=int(basis.shape[1]),
         basis=basis,
-        rank_tolerance_used=float(rank_tol),
         singular_values_near_zero=[s for s in padded if s < 10 * threshold],
         borderline_singular_values=[s for s in padded if threshold <= s < 10 * threshold],
     )
@@ -138,7 +135,7 @@ def kernel_basis(matrix, rank_tol=DEFAULT_RANK_TOL):
     m = _as_complex(matrix)
     rows, cols = m.shape
     if cols == 0 or rows == 0:
-        return KernelSummary(cols, np.eye(cols, dtype=complex), float(rank_tol))
+        return KernelSummary(cols, np.eye(cols, dtype=complex))
     _, svals, vh = np.linalg.svd(m, full_matrices=True)
     return _kernel_summary(svals, vh, rank_tol)
 

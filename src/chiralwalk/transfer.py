@@ -488,7 +488,7 @@ def _graded_kernel(a, gamma0, rank_tol, extra_padding, roots=None):
     empty = np.zeros(0)
     if a.band_radius == 0:
         values, lo = _multiplication_vectors(a, rank_tol)
-        summary = KernelSummary(values.shape[-1], None, float(rank_tol))
+        summary = KernelSummary(values.shape[-1], None)
         if gamma0 is None or not summary.dimension:
             return summary, empty
         r_g = gamma0.band_radius

@@ -343,9 +343,8 @@ def dense_chiral_residuals(gamma0, gamma1, u):
         "chiral_relation": max(coeff["chiral"], sym["chiral"]),
         "symbol_deviation": max(sym.values()),
         "unitary_symbol_deviation": sym["u_unitary"],
-        "window_halfwidth": radius + max(abs(lo), abs(hi)) + 4,
     }
-    record["max_deviation"] = max(v for k, v in record.items() if k != "window_halfwidth")
+    record["max_deviation"] = max(record.values())
     return record
 
 

@@ -870,6 +870,83 @@ SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 INDEX_SCENARIOS = sorted(p for p in SCENARIO_DIR.glob("*.json") if not p.name.startswith("sweep"))
 
 
+# the keys of every section of an index report: each fact is stated once, so a
+# certification holds no margin (tolerances.margin) and no threshold (0 for a gap,
+# 2 for a norm), a kernel's diagnostics no dimension or signature (indices) and no
+# rank tolerance (tolerances.rank_tol)
+_CERTIFICATION = ["root_margin", "status", "value"]
+_FREDHOLM = {"certifications.fredholm_type": ["one_minus_u", "one_plus_u"],
+             "certifications.fredholm_type.one_minus_u": _CERTIFICATION,
+             "certifications.fredholm_type.one_plus_u": _CERTIFICATION}
+_BRANCH = ["holds", "lhs_index", "lhs_tau_normalized", "name", "rhs_index",
+           "rhs_tau_normalized", "winding_left", "winding_right"]
+_CHIRAL = {
+    "certifications": ["dichotomy", "fredholm_type", "gap_minus_one", "gap_plus_one"],
+    "certifications.dichotomy": ["holds", "norm_difference", "norm_sum"],
+    **_FREDHOLM,
+    "certifications.gap_minus_one": _CERTIFICATION,
+    "certifications.gap_plus_one": _CERTIFICATION,
+    "chiral_certification": ["chiral_relation", "gamma0_involution", "gamma0_selfadjoint",
+                             "gamma1_involution", "gamma1_selfadjoint", "max_deviation",
+                             "symbol_deviation", "unitary_symbol_deviation"],
+    "tolerances": ["margin", "rank_tol"],
+}
+_DIAGNOSTICS = ["borderline_singular_values", "signature_margin", "singular_values_near_zero"]
+REPORT_SECTIONS = {
+    "split_step_gapped": {
+        "": ["certifications", "chiral_certification", "diagnostics_minus", "diagnostics_plus",
+             "indices", "model", "omitted", "seed", "tolerances", "windings"],
+        **_CHIRAL,
+        "diagnostics_minus": _DIAGNOSTICS,
+        "diagnostics_plus": _DIAGNOSTICS,
+        "indices": ["dim_ker_u_minus_one", "dim_ker_u_plus_one", "si_minus", "si_plus", "si_total"],
+        "windings": ["branches", "holds"],
+        "windings.branches.0": sorted(_BRANCH + ["root_margin"]),
+        "windings.branches.1": sorted(_BRANCH + ["root_margin"]),
+    },
+    "split_step_gapless": {
+        "": ["certifications", "chiral_certification", "indices", "model", "omitted",
+             "tolerances", "windings"],
+        **_CHIRAL,
+        "indices": [],
+    },
+    "weighted_shift": {
+        "": ["certifications", "index_theorem", "model", "tolerances", "winding"],
+        "certifications": ["fredholm_type"],
+        **_FREDHOLM,
+        "index_theorem": ["branches", "holds"],
+        "index_theorem.branches.0": _BRANCH,
+        "tolerances": ["margin", "rank_tol"],
+        "winding": ["left", "right", "value"],
+        "winding.left": ["root_margin", "rounded"],
+        "winding.right": ["root_margin", "rounded"],
+    },
+}
+
+
+def report_sections(doc, path=""):
+    """{path: sorted keys} of every object in a JSON document, lists entered by index."""
+    found = {}
+    if isinstance(doc, dict):
+        found[path] = sorted(doc)
+        for key, value in doc.items():
+            found.update(report_sections(value, f"{path}.{key}" if path else key))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            found.update(report_sections(value, f"{path}.{i}"))
+    return found
+
+
+def leaf_paths(doc, path=""):
+    """The dotted path of every leaf of a JSON document, as a CSV report names its rows."""
+    if isinstance(doc, dict):
+        return [p for key, value in doc.items()
+                for p in leaf_paths(value, f"{path}.{key}" if path else key)]
+    if isinstance(doc, list):
+        return [p for i, value in enumerate(doc) for p in leaf_paths(value, f"{path}.{i}")]
+    return [path]
+
+
 class TestShippedScenarios:
     @pytest.mark.parametrize("path", INDEX_SCENARIOS, ids=lambda p: p.stem)
     def test_index_exit_code_and_theorem(self, path, tmp_path):
@@ -883,6 +960,17 @@ class TestShippedScenarios:
             assert report["windings"] is None and report["omitted"]
         elif report["model"] == "split_step":
             assert report["windings"] is not None
+
+    @pytest.mark.parametrize("name", sorted(REPORT_SECTIONS))
+    def test_index_report_keys(self, name, tmp_path):
+        scenario, out = str(SCENARIO_DIR / f"{name}.json"), tmp_path / "report"
+        main(["index", scenario, "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert report_sections(report) == REPORT_SECTIONS[name]
+        # the CSV form has one row per leaf of the JSON form
+        main(["index", scenario, "--format", "csv", "--out", str(out)])
+        rows = list(csv.reader(out.read_text().splitlines()))[1:]
+        assert sorted(key for key, _ in rows) == sorted(leaf_paths(report))
 
     def test_custom_banded_shift(self, capsys):
         # the README's banded example: 0.4 S^-1 on both sides, 1 -> S with 0.5 + 0.2i at x = 0

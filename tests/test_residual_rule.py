@@ -10,13 +10,15 @@ input reaches a check with a NaN, the NaN is injected.
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from chiralwalk import essential, indices, operators as ops, walks, winding
 from chiralwalk.cli import main
-from chiralwalk.exceptions import ChiralwalkError, NormalizationError, check_residual
+from chiralwalk.exceptions import (ChiralwalkError, NormalizationError, PreconditionError,
+                                   check_residual)
 from chiralwalk.operators import CoefficientFunction
 from chiralwalk.verification import split_step_from_angles
 
@@ -149,3 +151,34 @@ def test_cli_refuses_a_huge_coin(command, tmp_path, capsys):
     assert main([command, str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: coin deviates from unitarity by ") and err.count("\n") == 1, err
+
+
+def huge_table():
+    """A split-step scenario whose coin table holds a(0) = 1e200: a(0)^2 overflows to inf."""
+    a = {"profile": "table", "left": 1.0, "right": 0.5403023058681398,
+         "table": [{"x": 0, "value": 1e200}]}
+    b = {"profile": "step", "left": 0.0, "right": 0.8414709848078965}
+    return {"model": "split_step",
+            "params": {"a": a, "b": b, "c": 0.955336489125606, "d_coin": 0.29552020666133955}}
+
+
+@pytest.mark.parametrize("doc, line", [
+    (oracles.huge_coin(), "error: coin deviates from unitarity by nan\n"),
+    (huge_table(), "error: a(x)^2 + |b(x)|^2 deviates from 1 by inf at site x=0\n"),
+], ids=["huge_coin", "huge_table"])
+def test_an_overflowing_input_is_refused_with_one_line(doc, line, tmp_path, capsys):
+    # the overflow is refused by the residual rule; numpy warns of it no more
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["index", str(path)]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == line
+
+
+def test_check_unitary_of_a_huge_matrix_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match=r"^U deviates from unitarity by nan$"):
+            indices.check_unitary(HUGE * EYE)

@@ -581,6 +581,13 @@ def reference_tail_powers(germ):
     return powers
 
 
+def kernel_fields(summary):
+    """A KernelSummary's ``to_dict``, with the dimension and signature that a report
+    states as indices."""
+    return {**summary.to_dict(), "dimension": summary.dimension,
+            "graded_signature": summary.graded_signature}
+
+
 def reference_multiplication_kernel(a, rank_tol):
     f = a.coefficient(0)
     lo, hi = f.window_start, f.window_end - 1
@@ -594,7 +601,6 @@ def reference_multiplication_kernel(a, rank_tol):
     fields = {
         "dimension": len(columns),
         "graded_signature": 0,
-        "rank_tolerance_used": rank_tol,
         "singular_values_near_zero": [],
         "borderline_singular_values": [],
     }
@@ -660,7 +666,7 @@ def reference_lattice_vectors(a, rank_tol, extra_padding):
                 j = k_l + mid_sites.index(y) * d
                 matching[row : row + d, j : j + d] += coeff
     null = kernel_basis(matching, rank_tol)
-    fields = null.to_dict()
+    fields = kernel_fields(null)
     del fields["signature_margin"]
     fields["graded_signature"] = 0
     if null.dimension == 0:
@@ -721,7 +727,7 @@ class TestSteinSolve:
             if isinstance(w, str):
                 assert g == w
                 continue
-            g, w = g.to_dict(), w.to_dict()
+            g, w = kernel_fields(g), kernel_fields(w)
             g_margin, w_margin = g.pop("signature_margin"), w.pop("signature_margin")
             assert g == w
             if w_margin is None:
@@ -776,7 +782,7 @@ class TestClosedFormTails:
             fields, evals, ref_basis, window = reference_kernel(op, pair.gamma0)
         except PreconditionError:
             assume(False)   # the reference refuses slow tails; the regressions below cover them
-        got = summary.to_dict()
+        got = kernel_fields(summary)
         margin = got.pop("signature_margin")
         assert got == fields
         _, spectrum = transfer._graded_kernel(op, pair.gamma0, 1e-8, 0)
