@@ -8,7 +8,7 @@ quantities emitted, 2 something was withheld.
 
 from __future__ import annotations
 
-from . import essential, indices, operators as ops, winding
+from . import essential, indices, winding
 from .exceptions import ChiralwalkError
 from .walks import GENERATOR_CONVENTIONS, ChiralPair
 
@@ -24,7 +24,6 @@ def _chiral_report(pair, tol):
         "certifications": {
             "gap_plus_one": certs.gap_plus.to_dict(),
             "gap_minus_one": certs.gap_minus.to_dict(),
-            "fredholm_type": certs.fredholm.to_dict(),
             "dichotomy": certs.dichotomy.to_dict(),
         },
         "indices": {},
@@ -53,18 +52,6 @@ def _chiral_report(pair, tol):
     return report, code
 
 
-def _weighted_shift_report(u_op, tol):
-    fred = essential.certify_unitary(u_op, margin=tol.margin).fredholm
-    theorem = winding.verify_index_theorem_banded(u_op, rank_tol=tol.rank_tol)
-    left, right = (theorem.windings[side].to_dict() for side in (ops.LEFT, ops.RIGHT))
-    report = {
-        "certifications": {"fredholm_type": fred.to_dict()},
-        "winding": {"left": left, "right": right, "value": right["rounded"]},
-        "index_theorem": theorem.to_dict(),
-    }
-    return report, EXIT_OK
-
-
 def _custom_banded_report(f_op, tol):
     counts, record = winding._banded_theorem(f_op, tol.rank_tol)
     certs = {f"symbol_invertible_{side}": {"root_margin": c.margin, "certified": c.clear}
@@ -76,6 +63,15 @@ def _custom_banded_report(f_op, tol):
     report["index"] = record.index_result.to_dict()
     report["index_theorem"] = record.to_dict()
     return report, EXIT_OK
+
+
+def _banded_unitary_report(u_op, tol):
+    """The custom_banded report of a banded unitary, with its essential gaps at +-1."""
+    certs = essential.certify_unitary(u_op, margin=tol.margin)
+    report, code = _custom_banded_report(u_op, tol)
+    report["certifications"].update(gap_plus_one=certs.gap_plus.to_dict(),
+                                    gap_minus_one=certs.gap_minus.to_dict())
+    return report, code
 
 
 def _generator_report(model, tol):
@@ -95,7 +91,7 @@ def _generator_report(model, tol):
 
 # each model's report builder, and the tolerances that it reads
 _REPORTS = {"split_step": (_chiral_report, ("rank_tol", "margin")),
-            "weighted_shift": (_weighted_shift_report, ("rank_tol", "margin")),
+            "weighted_shift": (_banded_unitary_report, ("rank_tol", "margin")),
             "custom_banded": (_custom_banded_report, ("rank_tol",)),
             "generator": (_generator_report, ("rank_tol",))}
 

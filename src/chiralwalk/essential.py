@@ -36,9 +36,10 @@ them.  On the circle
 
     || 1 -+ U ||_ess = sqrt(4 - gap_(-+1)^2),
 
-and for a chiral pair U = G0 G1, G0 -+ G1 = G0 (1 -+ U) gives
-|| G0 -+ G1 ||_ess = || 1 -+ U ||_ess: the Fredholm-type norms and the
-dichotomy follow from the two gaps.
+so || 1 -+ U ||_ess < 2 exactly when the gap at -+1 is open: the gap
+certifications are the Fredholm-type statements.  For a chiral pair
+U = G0 G1, G0 -+ G1 = G0 (1 -+ U) gives || G0 -+ G1 ||_ess = || 1 -+ U ||_ess,
+and the dichotomy reads both norms off the two gaps.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators as ops
-from .exceptions import ChiralwalkError, check_residual
+from .exceptions import ChiralwalkError, check_residual, overflow_as_nan
 from .transfer import _clearance, _det_samples, _sample_roots
 from .walks import ChiralPair
 
@@ -74,10 +75,11 @@ def _unitary_symbols(u):
     loops = (u.symbol_at(ops.LEFT), u.symbol_at(ops.RIGHT))
     if bound is None or not check_residual(bound, UNITARY_TOL):
         stacks = []
-        for loop in loops:
-            coeffs = dict((loop.hermitian_conjugate() * loop).coefficients)
-            coeffs[0] = coeffs.get(0, 0) - np.eye(loop.fiber_dim)
-            stacks.append(np.stack(list(coeffs.values())))
+        with overflow_as_nan():
+            for loop in loops:
+                coeffs = dict((loop.hermitian_conjugate() * loop).coefficients)
+                coeffs[0] = coeffs.get(0, 0) - np.eye(loop.fiber_dim)
+                stacks.append(np.stack(list(coeffs.values())))
         stack = np.concatenate(stacks)
         # one SVD, both sides; a product that overflowed has no norm, and its NaN is refused
         norms = (np.linalg.norm(stack, 2, axis=(1, 2)) if np.isfinite(stack).all()
@@ -156,11 +158,11 @@ def _gaps(loops, samples, targets):
 
 @dataclass
 class Certification:
-    """A gap certifies against 0, a norm || 1 -+ U ||_ess against 2, both at the margin
-    given (a report states it as ``tolerances.margin``)."""
+    """A gap certifies against 0 at the margin given (a report states it as
+    ``tolerances.margin``)."""
 
     status: str                 # certified / refuted / inconclusive
-    value: float                # the gap or norm at the smallest distance found
+    value: float                # the smallest distance found
     root_margin: float | None   # min ||z| - 1| over the roots of det(F - t), both sides
     # (roots, order at 0) of det(F - t), left and right: exact_kernel's gate for U - t
     roots: list = field(default=None, compare=False, repr=False)
@@ -177,34 +179,13 @@ class Certification:
         }
 
 
-def _status(lower, upper, margin):
-    """Certified when the proven slack exceeds margin; refuted when even
-    the slack found is at most margin / 1000."""
-    if lower > margin:
-        return CERTIFIED
-    if upper <= margin * 1e-3:
-        return REFUTED
-    return INCONCLUSIVE
-
-
 def _gap_certification(gap, margin):
+    """Certified when the proven gap, its roots clear, exceeds margin; refuted when
+    even the gap found is at most margin / 1000."""
     lower = gap.bound if gap.clear else 0.0
-    return Certification(_status(lower, gap.value, margin), gap.value, gap.root_margin, gap.roots)
-
-
-def _norm_certification(gap, margin):
-    """|| 1 -+ U ||_ess < 2 from the gap at -+1."""
-    value, bound = (float(np.sqrt(max(4.0 - g * g, 0.0))) for g in (gap.value, gap.bound))
-    return Certification(_status(2.0 - bound, 2.0 - value, margin), value, gap.root_margin)
-
-
-@dataclass
-class FredholmTypeCertification:
-    minus: Certification   # || 1 - U || < 2, gates the Cayley transform of U
-    plus: Certification    # || 1 + U || < 2, gates the Cayley transform of -U
-
-    def to_dict(self):
-        return {"one_minus_u": self.minus.to_dict(), "one_plus_u": self.plus.to_dict()}
+    status = (CERTIFIED if lower > margin else REFUTED if gap.value <= margin * 1e-3
+              else INCONCLUSIVE)
+    return Certification(status, gap.value, gap.root_margin, gap.roots)
 
 
 @dataclass
@@ -229,30 +210,23 @@ class DichotomyReport:
 class UnitaryCertification:
     gap_plus: Certification
     gap_minus: Certification
-    fredholm: FredholmTypeCertification
     dichotomy: DichotomyReport   # meaningful when U = G0 G1 is a chiral pair
 
 
-def _fredholm(gap_plus, gap_minus, margin):
-    return FredholmTypeCertification(
-        minus=_norm_certification(gap_minus, margin), plus=_norm_certification(gap_plus, margin)
-    )
-
-
-def _dichotomy(fred, margin):
-    return DichotomyReport(fred.minus.value, fred.plus.value, margin)
+def _dichotomy(gap_plus, gap_minus, margin):
+    """|| 1 - U ||_ess and || 1 + U ||_ess, each sqrt(4 - g^2) of the gap g at -+1."""
+    minus, plus = (float(np.sqrt(max(4.0 - g * g, 0.0))) for g in (gap_minus.value, gap_plus.value))
+    return DichotomyReport(minus, plus, margin)
 
 
 def certify_unitary(u, *, margin=DEFAULT_MARGIN):
-    """Gaps at +-1, Fredholm type and dichotomy of a unitary (or a ChiralPair) from its two gaps."""
+    """Gaps at +-1 and the dichotomy of a unitary (or a ChiralPair), from one joint pass."""
     loops, samples = _unitary_symbols(u)
     gap_plus, gap_minus = _gaps(loops, samples, (1.0, -1.0))
-    fred = _fredholm(gap_plus, gap_minus, margin)
     return UnitaryCertification(
         gap_plus=_gap_certification(gap_plus, margin),
         gap_minus=_gap_certification(gap_minus, margin),
-        fredholm=fred,
-        dichotomy=_dichotomy(fred, margin),
+        dichotomy=_dichotomy(gap_plus, gap_minus, margin),
     )
 
 

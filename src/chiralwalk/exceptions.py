@@ -1,6 +1,8 @@
 """Exception types shared across the package, and its one residual rule: every
 relation check decides by ``check_residual``, so a NaN residual, which a finite
-input gives whenever its defect overflows, is refused as one above tol is."""
+input gives whenever its defect overflows, is refused as one above tol is.  A
+defect that can overflow is evaluated under ``overflow_as_nan``, so that the
+refusal is the only thing a huge input prints."""
 
 import numpy as np
 
@@ -28,6 +30,12 @@ class NotFredholmError(ChiralwalkError):
 
 class ScenarioError(ChiralwalkError):
     """Scenario or sweep file is malformed."""
+
+
+def overflow_as_nan():
+    """numpy's error state for evaluating a relation defect: an overflow gives inf or NaN
+    without a RuntimeWarning, and ``check_residual`` refuses the defect."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def check_residual(defect, tol, message=None, error=PreconditionError):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import PreconditionError, check_residual
+from .exceptions import PreconditionError, check_residual, overflow_as_nan
 from .walks import build_generator_walk
 
 DEFAULT_RANK_TOL = 1e-8
@@ -51,7 +51,7 @@ def _as_complex(m):
 
 def check_unitary(u, tol=RELATION_TOL, name="U"):
     u = _as_complex(u)
-    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is refused as NaN
+    with overflow_as_nan():
         defect = u.conj().T @ u - np.eye(u.shape[0])
     check_residual(defect, tol, f"{name} deviates from unitarity by %.3e")
     return u
@@ -64,8 +64,9 @@ def check_selfadjoint_unitary(g, tol=RELATION_TOL, name="Gamma0"):
 
 
 def check_chiral_relation(u, gamma0, tol=RELATION_TOL):
-    check_residual(gamma0 @ u @ gamma0 - u.conj().T, tol,
-                   "chiral relation G0 U G0 = U* fails by %.3e")
+    with overflow_as_nan():
+        defect = gamma0 @ u @ gamma0 - u.conj().T
+    check_residual(defect, tol, "chiral relation G0 U G0 = U* fails by %.3e")
 
 
 def _checked_chiral(u, gamma0, tol):
@@ -76,12 +77,16 @@ def _checked_chiral(u, gamma0, tol):
 
 
 def check_factorization(u, gamma0, gamma1, tol=RELATION_TOL):
-    check_residual(gamma0 @ gamma1 - u, tol, "factorization U = G0 G1 fails by %.3e")
+    with overflow_as_nan():
+        defect = gamma0 @ gamma1 - u
+    check_residual(defect, tol, "factorization U = G0 G1 fails by %.3e")
 
 
 def check_projection(p, tol=RELATION_TOL, name="P"):
     p = _as_complex(p)
-    check_residual([p - p.conj().T, p @ p - p], tol,
+    with overflow_as_nan():
+        defects = [p - p.conj().T, p @ p - p]
+    check_residual(defects, tol,
                    f"{name} deviates from an orthogonal projection by %.3e")
     return p
 
@@ -236,8 +241,10 @@ def chiral_selfadjoint_index(q, gamma0, rank_tol=DEFAULT_RANK_TOL, tol=RELATION_
     """Graded signature of Ker(Q) for self-adjoint Q anticommuting with gamma0."""
     q = _as_complex(q)
     g = check_selfadjoint_unitary(gamma0, tol)
-    check_residual(q - q.conj().T, tol, "Q must be self-adjoint (deviation %.3e)")
-    check_residual(g @ q + q @ g, tol, "Q must anticommute with Gamma0 (deviation %.3e)")
+    with overflow_as_nan():
+        adjoint, anticommutator = q - q.conj().T, g @ q + q @ g
+    check_residual(adjoint, tol, "Q must be self-adjoint (deviation %.3e)")
+    check_residual(anticommutator, tol, "Q must anticommute with Gamma0 (deviation %.3e)")
     return _graded_signature(kernel_basis(q, rank_tol).basis, g)
 
 
@@ -315,8 +322,10 @@ def pair_index_trace(p0, p1, m=0):
     """Tr((P0 - P1)^(2m+1)), the pair index when both are projections, from the
     ``eigvalsh`` spectrum of P0 - P1 (Hermitian within RELATION_TOL); a sequence m
     gives a list, one trace per entry."""
-    diff = _as_complex(p0) - _as_complex(p1)
-    check_residual(diff - diff.conj().T, RELATION_TOL,
+    with overflow_as_nan():
+        diff = _as_complex(p0) - _as_complex(p1)
+        defect = diff - diff.conj().T
+    check_residual(defect, RELATION_TOL,
                    "P0 - P1 deviates from self-adjointness by %.3e")
     evals = np.linalg.eigvalsh(diff)
     traces = [float(np.sum(evals ** (2 * int(k) + 1))) for k in np.atleast_1d(m)]
@@ -400,10 +409,12 @@ def _cayley_signature(u, w_full, svals, gamma0, rank_tol):
     eye = np.eye(w.shape[1])
     cayley = np.linalg.solve(eye - u_w, 1j * (eye + u_w))
     cayley = 0.5 * (cayley + cayley.conj().T)
-    g = w_adj @ gamma0 @ w
-    check_residual(g @ g - eye, 1e-8,
+    with overflow_as_nan():
+        g = w_adj @ gamma0 @ w
+        involution, anticommutator = g @ g - eye, g @ cayley + cayley @ g
+    check_residual(involution, 1e-8,
                    "restriction not Gamma0-invariant within tolerance (deviation %.3e)")
-    check_residual(g @ cayley + cayley @ g, 1e-6 * max(1.0, np.abs(cayley).max()),
+    check_residual(anticommutator, 1e-6 * max(1.0, np.abs(cayley).max()),
                    "Cayley transform fails to anticommute with Gamma0 (deviation %.3e)")
     evals, vecs = np.linalg.eigh(cayley)
     return _graded_signature(vecs[:, _hermitian_kernel(evals, 0.0, rank_tol)], g)
@@ -477,8 +488,6 @@ class IndexReport:
     cayley_minus: int
     cayley_plus: int
     trace_gamma0: int
-    certifications: dict
-    tolerances: dict
     diagnostics: dict
 
     def identity_chain_values(self):
@@ -530,8 +539,6 @@ def full_index_report(u, gamma0, gamma1=None, rank_tol=DEFAULT_RANK_TOL, tol=REL
         cayley_minus=cayley_minus,
         cayley_plus=cayley_plus,
         trace_gamma0=int(round(trace)),
-        certifications={"finite_dimensional": True},
-        tolerances={"rank_tol": rank_tol, "relation_tol": tol},
         diagnostics={
             "borderline_singular_values": sorted(
                 ker_plus.borderline_singular_values + ker_minus.borderline_singular_values

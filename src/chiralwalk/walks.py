@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators as ops
-from .exceptions import NormalizationError, PreconditionError, check_residual
+from .exceptions import NormalizationError, PreconditionError, check_residual, overflow_as_nan
 from .operators import BandedAnisotropicOperator, CoefficientFunction
 
 NORMALIZATION_TOL = 1e-12
@@ -55,7 +55,7 @@ class SplitStepParams:
         lo, a, b = _profile_values(self.a, self.b)
         check_residual(a.imag, NORMALIZATION_TOL, "a must be real-valued (deviation %.3e)",
                        NormalizationError)
-        with np.errstate(over="ignore", invalid="ignore"):   # an overflow is refused below
+        with overflow_as_nan():
             devs = np.abs(a.real**2 + np.abs(b) ** 2 - 1.0)
         bad = np.flatnonzero(~(devs <= NORMALIZATION_TOL))   # per site, so that NaN fails too
         if bad.size:
@@ -222,7 +222,7 @@ def build_weighted_shift_walk(m, n, coin):
     if coin.shape != (2, 2):
         raise PreconditionError("coin must be a 2x2 matrix")
     coin_op = ops.mult_op(CoefficientFunction.constant(coin))   # refuses non-finite entries
-    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is refused as NaN
+    with overflow_as_nan():
         defect = coin.conj().T @ coin - np.eye(2)
     check_residual(defect, 1e-12, "coin deviates from unitarity by %.3e")
     upper = BandedAnisotropicOperator(
@@ -261,8 +261,10 @@ def build_generator_walk(hamiltonian, gamma0, tol=CHIRAL_TOL):
     g0 = np.asarray(gamma0, dtype=complex)
     if not (np.isfinite(h).all() and np.isfinite(g0).all()):
         raise PreconditionError("generator and gamma0 entries must be finite")
-    check_residual(h - h.conj().T, tol, "generator must be self-adjoint (deviation %.3e)")
-    check_residual(g0 @ h + h @ g0, tol, "generator must anticommute with gamma0 (deviation %.3e)")
+    with overflow_as_nan():
+        adjoint, anticommutator = h - h.conj().T, g0 @ h + h @ g0
+    check_residual(adjoint, tol, "generator must be self-adjoint (deviation %.3e)")
+    check_residual(anticommutator, tol, "generator must anticommute with gamma0 (deviation %.3e)")
     evals, vecs = np.linalg.eigh(h)
     # h is self-adjoint, so its operator norm is its largest |eigenvalue|
     regularized = bool(evals.size and np.abs(evals).max() > 1.0 + 1e-12)

@@ -211,22 +211,20 @@ def _banded_theorem(f_op, rank_tol):
     counts = dict(zip((ops.LEFT, ops.RIGHT), (_count(*item) for item in roots)))
     try:
         result = exact_index(f_op, rank_tol=rank_tol, roots=roots)
-        windings = dict(zip((ops.LEFT, ops.RIGHT), _windings(roots)))
+        left, right = (w.rounded for w in _windings(roots))
     except ChiralwalkError as exc:
         return counts, exc
-    left, right = windings[ops.LEFT].rounded, windings[ops.RIGHT].rounded
     record = IndexTheoremRecord([IndexTheoremBranch("banded", result.index, left, right,
                                                     f_op.fiber_dim)])
     record.index_result = result
-    record.windings = windings
     return counts, record
 
 
 def verify_index_theorem_banded(f_op, *, rank_tol=DEFAULT_RANK_TOL):
     """Kernel-count index of a banded operator against its winding difference.
 
-    The record keeps the index as ``index_result`` and the two
-    determinant windings as ``windings`` ({side: WindingResult}).
+    The record keeps the index as ``index_result``; its one branch holds
+    the two determinant windings.
     """
     _, record = _banded_theorem(f_op, rank_tol)
     if isinstance(record, Exception):

@@ -174,12 +174,10 @@ def certify_unitary(u, margin=essential.DEFAULT_MARGIN):
     """``essential.certify_unitary(u).to_dict()``-like dict from the oracle gaps."""
     loops = (u.symbol_at(ops.LEFT), u.symbol_at(ops.RIGHT))
     gap_plus, gap_minus = gap(loops, 1.0), gap(loops, -1.0)
-    fred = essential._fredholm(gap_plus, gap_minus, margin)
     return {
         "gap_plus": essential._gap_certification(gap_plus, margin).to_dict(),
         "gap_minus": essential._gap_certification(gap_minus, margin).to_dict(),
-        "fredholm": fred.to_dict(),
-        "dichotomy": essential._dichotomy(fred, margin).to_dict(),
+        "dichotomy": essential._dichotomy(gap_plus, gap_minus, margin).to_dict(),
     }
 
 
@@ -542,8 +540,6 @@ def full_index_report(u, g0, g1=None, rank_tol=indices.DEFAULT_RANK_TOL):
         cayley_minus=cayley_signature(u, g0, rank_tol),
         cayley_plus=cayley_signature(-u, g0, rank_tol),
         trace_gamma0=int(round(np.trace(g0).real)),
-        certifications={"finite_dimensional": True},
-        tolerances={"rank_tol": rank_tol, "relation_tol": indices.RELATION_TOL},
         diagnostics={
             "borderline_singular_values": sorted(
                 ker_plus.borderline_singular_values + ker_minus.borderline_singular_values

@@ -340,7 +340,10 @@ class TestCliCommands:
         path = write_json(tmp_path / "ws.json", doc)
         assert main(["index", path]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["winding"]["value"] == 1
+        # det F(z) = z on both sides: each winds once, and the index is 0
+        [branch] = report["index_theorem"]["branches"]
+        assert (branch["winding_left"], branch["winding_right"]) == (1, 1)
+        assert report["index"]["index"] == branch["rhs_index"] == 0
         assert report["index_theorem"]["holds"] is True
 
     def test_generator_scenario(self, tmp_path, capsys):
@@ -871,27 +874,36 @@ INDEX_SCENARIOS = sorted(p for p in SCENARIO_DIR.glob("*.json") if not p.name.st
 
 
 # the keys of every section of an index report: each fact is stated once, so a
-# certification holds no margin (tolerances.margin) and no threshold (0 for a gap,
-# 2 for a norm), a kernel's diagnostics no dimension or signature (indices) and no
-# rank tolerance (tolerances.rank_tol)
+# certification holds no margin (tolerances.margin) and no threshold (0 for a gap),
+# || 1 -+ U ||_ess < 2 is the gap at -+1 and has no verdict of its own, a kernel's
+# diagnostics hold no dimension or signature (indices) and no rank tolerance
+# (tolerances.rank_tol), and a generator's indices no certification or tolerance
+# (stated at the top level)
 _CERTIFICATION = ["root_margin", "status", "value"]
-_FREDHOLM = {"certifications.fredholm_type": ["one_minus_u", "one_plus_u"],
-             "certifications.fredholm_type.one_minus_u": _CERTIFICATION,
-             "certifications.fredholm_type.one_plus_u": _CERTIFICATION}
+_GAPS = {"certifications.gap_minus_one": _CERTIFICATION,
+         "certifications.gap_plus_one": _CERTIFICATION}
 _BRANCH = ["holds", "lhs_index", "lhs_tau_normalized", "name", "rhs_index",
            "rhs_tau_normalized", "winding_left", "winding_right"]
 _CHIRAL = {
-    "certifications": ["dichotomy", "fredholm_type", "gap_minus_one", "gap_plus_one"],
+    "certifications": ["dichotomy", "gap_minus_one", "gap_plus_one"],
     "certifications.dichotomy": ["holds", "norm_difference", "norm_sum"],
-    **_FREDHOLM,
-    "certifications.gap_minus_one": _CERTIFICATION,
-    "certifications.gap_plus_one": _CERTIFICATION,
+    **_GAPS,
     "chiral_certification": ["chiral_relation", "gamma0_involution", "gamma0_selfadjoint",
                              "gamma1_involution", "gamma1_selfadjoint", "max_deviation",
                              "symbol_deviation", "unitary_symbol_deviation"],
     "tolerances": ["margin", "rank_tol"],
 }
 _DIAGNOSTICS = ["borderline_singular_values", "signature_margin", "singular_values_near_zero"]
+_BANDED = {
+    "": ["certifications", "index", "index_theorem", "model", "omitted", "tolerances"],
+    "certifications": ["symbol_invertible_left", "symbol_invertible_right"],
+    "certifications.symbol_invertible_left": ["certified", "root_margin"],
+    "certifications.symbol_invertible_right": ["certified", "root_margin"],
+    "index": ["dim_ker", "dim_ker_adjoint", "index", "tau_normalized"],
+    "index_theorem": ["branches", "holds"],
+    "index_theorem.branches.0": _BRANCH,
+    "tolerances": ["rank_tol"],
+}
 REPORT_SECTIONS = {
     "split_step_gapped": {
         "": ["certifications", "chiral_certification", "diagnostics_minus", "diagnostics_plus",
@@ -910,16 +922,25 @@ REPORT_SECTIONS = {
         **_CHIRAL,
         "indices": [],
     },
+    "custom_banded_shift": _BANDED,
+    # a banded unitary: the custom_banded sections, and both essential gaps
     "weighted_shift": {
-        "": ["certifications", "index_theorem", "model", "tolerances", "winding"],
-        "certifications": ["fredholm_type"],
-        **_FREDHOLM,
-        "index_theorem": ["branches", "holds"],
-        "index_theorem.branches.0": _BRANCH,
+        **_BANDED,
+        "certifications": sorted(_BANDED["certifications"] + ["gap_minus_one", "gap_plus_one"]),
+        **_GAPS,
         "tolerances": ["margin", "rank_tol"],
-        "winding": ["left", "right", "value"],
-        "winding.left": ["root_margin", "rounded"],
-        "winding.right": ["root_margin", "rounded"],
+    },
+    "generator_1e160": {
+        "": ["certifications", "conventions", "indices", "model", "tolerances"],
+        "certifications": ["finite_dimensional"],
+        "conventions": ["eta", "regularized", "walk_exp", "walk_neg_exp"],
+        "indices": ["cayley_minus", "cayley_plus", "consistent", "diagnostics",
+                    "generator_index", "pair_index", "pair_index_complement", "si_minus",
+                    "si_plus", "si_total", "susy_index", "tanaka_minus", "tanaka_plus",
+                    "trace_gamma0"],
+        "indices.diagnostics": ["borderline_singular_values", "dim_ker_u_minus_one",
+                                "dim_ker_u_plus_one"],
+        "tolerances": ["rank_tol"],
     },
 }
 
@@ -963,7 +984,9 @@ class TestShippedScenarios:
 
     @pytest.mark.parametrize("name", sorted(REPORT_SECTIONS))
     def test_index_report_keys(self, name, tmp_path):
-        scenario, out = str(SCENARIO_DIR / f"{name}.json"), tmp_path / "report"
+        out = tmp_path / "report"
+        scenario = (write_json(tmp_path / "generator.json", oracles.scaled_generator(1e160))
+                    if name == "generator_1e160" else str(SCENARIO_DIR / f"{name}.json"))
         main(["index", scenario, "--out", str(out)])
         report = json.loads(out.read_text())
         assert report_sections(report) == REPORT_SECTIONS[name]

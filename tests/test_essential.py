@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -99,20 +100,41 @@ def reference_symbol_eigenvalues(u, grid_n):
 
 
 class TestFredholmType:
+    """|| 1 -+ U ||_ess < 2 exactly when the gap at -+1 is open: the gap certifications
+    state it, and the dichotomy carries the norms sqrt(4 - gap^2)."""
+
     def test_identity_certified_against_one(self):
-        cert = essential.certify_unitary(identity(2)).fredholm
-        assert cert.minus.status == "certified" and cert.minus.value == 0.0
-        assert cert.plus.status == "refuted" and abs(cert.plus.value - 2.0) < 1e-12
+        certs = essential.certify_unitary(identity(2))
+        # || 1 - U || = 0: the gap at -1 is 2; || 1 + U || = 2: the gap at +1 is closed
+        assert certs.gap_minus.status == "certified" and certs.gap_minus.value == 2.0
+        assert certs.dichotomy.norm_difference == 0.0
+        assert certs.gap_plus.status == "refuted" and certs.gap_plus.value == 0.0
+        assert certs.dichotomy.norm_sum == 2.0
 
     def test_minus_identity_refuted(self):
-        cert = essential.certify_unitary(identity(2).scaled(-1.0)).fredholm
-        assert cert.minus.status == "refuted"
-        assert cert.plus.status == "certified"
+        certs = essential.certify_unitary(identity(2).scaled(-1.0))
+        assert certs.gap_minus.status == "refuted" and certs.dichotomy.norm_difference == 2.0
+        assert certs.gap_plus.status == "certified" and certs.dichotomy.norm_sum == 0.0
 
     def test_trivial_walk_both_gaps(self):
         pair = split_step_from_angles(0.2, 0.2, 1.4)
-        cert = essential.certify_unitary(pair.u).fredholm
-        assert cert.minus.certified or cert.minus.status == "inconclusive"
+        certs = essential.certify_unitary(pair.u)
+        assert certs.gap_minus.certified and certs.gap_plus.certified
+        assert max(certs.dichotomy.norm_difference, certs.dichotomy.norm_sum) < 2.0
+
+    def test_one_status_per_target(self):
+        # a second rule on sqrt(4 - gap^2) once gave a verdict of its own, which near a
+        # closing disagreed with the certified gap at the same target
+        def statuses(obj):
+            if isinstance(obj, essential.Certification):
+                return [obj.status]
+            if dataclasses.is_dataclass(obj):
+                return [s for f in dataclasses.fields(obj) for s in statuses(getattr(obj, f.name))]
+            return []
+
+        for _, pair in oracles.report_pairs():
+            certs = essential.certify_unitary(pair)
+            assert statuses(certs) == [certs.gap_plus.status, certs.gap_minus.status]
 
 
 class TestGapAt:
@@ -197,13 +219,14 @@ class TestSymbolSpectrum:
                 assert reference_status(value) == essential.CERTIFIED
             if reference_status(value) == essential.REFUTED:
                 assert cert.status == essential.REFUTED
-        for cert, gap, sign in (
-            (certs.fredholm.minus, certs.gap_minus, -1.0),
-            (certs.fredholm.plus, certs.gap_plus, 1.0),
+        # || 1 -+ U ||_ess, bitwise sqrt(4 - gap^2) of the gap at -+1
+        for norm, gap, sign in (
+            (certs.dichotomy.norm_difference, certs.gap_minus, -1.0),
+            (certs.dichotomy.norm_sum, certs.gap_plus, 1.0),
         ):
             value, _ = reference_sweep(one + pair.u.scaled(sign), grid_n, np.max)
-            assert cert.value >= value - 1e-12
-            assert abs(cert.value - np.sqrt(max(4.0 - gap.value**2, 0.0))) < 1e-15
+            assert norm >= value - 1e-12
+            assert norm == float(np.sqrt(max(4.0 - gap.value * gap.value, 0.0)))
         diff, _ = reference_sweep(pair.gamma0 - pair.gamma1, grid_n, np.max)
         total, _ = reference_sweep(pair.gamma0 + pair.gamma1, grid_n, np.max)
         assert certs.dichotomy.norm_difference >= diff - 1e-12
@@ -299,7 +322,6 @@ class TestLevelSet:
             return {
                 "gap_plus": certs.gap_plus.to_dict(),
                 "gap_minus": certs.gap_minus.to_dict(),
-                "fredholm": certs.fredholm.to_dict(),
                 "dichotomy": certs.dichotomy.to_dict(),
             }
 

@@ -34,10 +34,6 @@ def const(v):
     return CoefficientFunction.constant(np.array([[v]], dtype=complex))
 
 
-pytestmark = pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                        "ignore:invalid value:RuntimeWarning")
-
-
 class TestRule:
     @pytest.mark.parametrize("defect, residual", [
         (np.zeros((0, 0)), 0.0), ([], 0.0), (-3e-11, 3e-11), ([1e-11, -2e-11j], 2e-11),
@@ -91,6 +87,13 @@ class TestFiniteInputsWithNanResiduals:
     def test_pair_index_trace(self):
         with pytest.raises(ChiralwalkError, match="P0 - P1 deviates from self-adjointness by nan"):
             indices.pair_index_trace([[1.7e308]], [[-1.7e308]])
+
+    def test_generator(self):
+        # self-adjoint; gamma0 H and H gamma0 overflow to +inf and -inf in one entry
+        h = 1.7e308 * np.array([[-1.0, 1.0], [1.0, 1.0]], dtype=complex)
+        with pytest.raises(ChiralwalkError,
+                           match=r"generator must anticommute with gamma0 \(deviation nan"):
+            walks.build_generator_walk(h, HADAMARD)
 
     def test_weighted_shift_coin(self):
         with pytest.raises(ChiralwalkError, match="coin deviates from unitarity by nan"):
