@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import essential, indices, winding
 from .exceptions import ChiralwalkError
-from .walks import GENERATOR_CONVENTIONS, ChiralPair
+from .walks import ChiralPair
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -53,14 +53,15 @@ def _chiral_report(pair, tol):
 
 
 def _custom_banded_report(f_op, tol):
-    counts, record = winding._banded_theorem(f_op, tol.rank_tol)
+    counts, found = winding._banded_theorem(f_op, tol.rank_tol)
     certs = {f"symbol_invertible_{side}": {"root_margin": c.margin, "certified": c.clear}
              for side, c in counts.items()}
     report = {"certifications": certs, "omitted": []}
-    if isinstance(record, ChiralwalkError):
-        report["omitted"].append(f"index: {record}")
+    if isinstance(found, ChiralwalkError):
+        report["omitted"].append(f"index: {found}")
         return report, EXIT_REFUTED
-    report["index"] = record.index_result.to_dict()
+    result, record = found
+    report["index"] = result.to_dict()
     report["index_theorem"] = record.to_dict()
     return report, EXIT_OK
 
@@ -76,10 +77,7 @@ def _banded_unitary_report(u_op, tol):
 
 def _generator_report(model, tol):
     walk, gamma0 = model
-    report = {
-        "conventions": {"regularized": walk.regularized, **GENERATOR_CONVENTIONS},
-        "certifications": {"finite_dimensional": True},
-    }
+    report = {"conventions": {"regularized": walk.regularized}}
     idx = indices.full_index_report(walk.walk_exp, gamma0, rank_tol=tol.rank_tol)
     report["indices"] = idx.to_dict()
     # the walk as built, and the si_plus of its report: neither is derived twice

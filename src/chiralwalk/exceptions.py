@@ -29,7 +29,7 @@ class NotFredholmError(ChiralwalkError):
 
 
 class ScenarioError(ChiralwalkError):
-    """Scenario or sweep file is malformed."""
+    """Scenario or sweep file is malformed, or asks for a larger model than is solved."""
 
 
 def overflow_as_nan():

@@ -27,7 +27,7 @@ the package's one residual rule, ``exceptions.check_residual``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,22 +93,18 @@ def check_projection(p, tol=RELATION_TOL, name="P"):
 
 @dataclass
 class KernelSummary:
-    """Orthonormal kernel basis with diagnostics and optional graded signature; ``to_dict``
-    holds the diagnostics alone, as a report states the dimension and signature as indices."""
+    """Orthonormal kernel basis with its decision margins and optional graded signature;
+    ``to_dict`` holds the margins alone, as a report states the dimension and signature
+    as indices."""
 
     dimension: int
     basis: np.ndarray | None             # columns orthonormal; None from the lattice oracle
-    singular_values_near_zero: list = field(default_factory=list)
-    borderline_singular_values: list = field(default_factory=list)
+    rank_margin: float | None = None     # factor the threshold must move by to flip dimension
     graded_signature: int | None = None
     signature_margin: float | None = None  # min |compressed eigenvalue| - SIGNATURE_GAP
 
     def to_dict(self):
-        return {
-            "signature_margin": self.signature_margin,
-            "singular_values_near_zero": [float(s) for s in self.singular_values_near_zero],
-            "borderline_singular_values": [float(s) for s in self.borderline_singular_values],
-        }
+        return {"rank_margin": self.rank_margin, "signature_margin": self.signature_margin}
 
 
 def _rank(values, rank_tol, scale=None):
@@ -122,16 +118,14 @@ def _rank(values, rank_tol, scale=None):
 
 def _kernel_summary(svals, vh, rank_tol):
     """KernelSummary from a full SVD (singular values, V^H) under ``_rank``;
-    a wide matrix keeps its implicit zero singular values, a 0 x 0 one has none."""
+    a wide matrix keeps its implicit zero singular values, a 0 x 0 one has none.
+    The rank margin is the least of x / t over the values x kept and t / x over
+    the nonzero values counted as zero, t the threshold: an exact zero cannot flip."""
     padded = svals.tolist() + [0.0] * (vh.shape[0] - svals.size)
     mask, threshold = _rank(padded, rank_tol)
     basis = vh.conj().T[:, mask]
-    return KernelSummary(
-        dimension=int(basis.shape[1]),
-        basis=basis,
-        singular_values_near_zero=[s for s in padded if s < 10 * threshold],
-        borderline_singular_values=[s for s in padded if threshold <= s < 10 * threshold],
-    )
+    ratios = [threshold / x if zero else x / threshold for x, zero in zip(padded, mask) if x]
+    return KernelSummary(int(basis.shape[1]), basis, min(ratios, default=None))
 
 
 def kernel_basis(matrix, rank_tol=DEFAULT_RANK_TOL):
@@ -540,9 +534,8 @@ def full_index_report(u, gamma0, gamma1=None, rank_tol=DEFAULT_RANK_TOL, tol=REL
         cayley_plus=cayley_plus,
         trace_gamma0=int(round(trace)),
         diagnostics={
-            "borderline_singular_values": sorted(
-                ker_plus.borderline_singular_values + ker_minus.borderline_singular_values
-            ),
+            "rank_margin": min((k.rank_margin for k in (ker_plus, ker_minus)
+                                if k.rank_margin is not None), default=None),
             "dim_ker_u_minus_one": ker_plus.dimension,
             "dim_ker_u_plus_one": ker_minus.dimension,
         },

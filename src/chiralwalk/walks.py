@@ -107,10 +107,10 @@ class ChiralPair:
 
 @dataclass
 class ChiralCertification:
-    """Upper bounds on the six chiral residuals of a pair (``verify_chiral_parts``);
-    ``essential.certify_unitary(pair)`` takes ``unitary_symbol_deviation`` as its unitarity proof."""
+    """Upper bounds on the chiral residuals of a pair (``verify_chiral_parts``), all but
+    G0 - G0^*, which vanishes by construction; ``essential.certify_unitary(pair)`` takes
+    ``unitary_symbol_deviation`` as its unitarity proof."""
 
-    gamma0_selfadjoint: float
     gamma1_selfadjoint: float
     gamma0_involution: float
     gamma1_involution: float
@@ -132,9 +132,10 @@ def _gaussian_units(values):
 
 
 def verify_chiral_parts(params):
-    """Proven upper bounds on the six chiral residuals of the split-step pair of ``params``.
+    """Proven upper bounds on the chiral residuals of the split-step pair of ``params``.
 
-    G0 - G0^* vanishes exactly: c is real and G0 stores conj(d) as computed.
+    G0 - G0^* vanishes exactly, so it is not stated: c is real and G0 stores conj(d)
+    as computed.
     With G0^2 = (1 + eps0) 1, H = G1 - G1^* and E = U - G0 G1 the rounding
     of the stored product, whose entries are single complex products,
 
@@ -177,8 +178,8 @@ def verify_chiral_parts(params):
     bounds[:, 1:] *= 1.0 + 64.0 * UNIT_ROUNDOFF    # a symbol sum at a circle point
     g1_sa, g0_inv, g1_inv, chiral = bounds[:4].max(axis=1).tolist()
     return ChiralCertification(
-        gamma0_selfadjoint=0.0, gamma1_selfadjoint=g1_sa, gamma0_involution=g0_inv,
-        gamma1_involution=g1_inv, chiral_relation=chiral,
+        gamma1_selfadjoint=g1_sa, gamma0_involution=g0_inv, gamma1_involution=g1_inv,
+        chiral_relation=chiral,
         symbol_deviation=float(bounds[:, 1:].max()),
         unitary_symbol_deviation=float(bounds[4, 1:].max()),
     )
@@ -241,14 +242,8 @@ class GeneratorWalk:
     hamiltonian: np.ndarray        # the (possibly regularized) generator used
     gamma0: np.ndarray
     walk_exp: np.ndarray           # e^{i pi H}
-    walk_neg_exp: np.ndarray       # -e^{i pi eta(H)} with eta = identity
     regularized: bool
     spectrum: tuple                # (evals, vecs): hamiltonian = (vecs * evals) @ vecs^H
-
-
-# the conventions of every GeneratorWalk, as its report names them
-GENERATOR_CONVENTIONS = {"eta": "identity", "walk_exp": "exp(i*pi*H)",
-                         "walk_neg_exp": "-exp(i*pi*eta(H))"}
 
 
 def build_generator_walk(hamiltonian, gamma0, tol=CHIRAL_TOL):
@@ -271,13 +266,6 @@ def build_generator_walk(hamiltonian, gamma0, tol=CHIRAL_TOL):
     if regularized:
         evals = evals / np.hypot(1.0, evals)   # no overflow where evals^2 would
         h = (vecs * evals) @ vecs.conj().T
-    phases = np.exp(1j * np.pi * evals)
-    walk = (vecs * phases) @ vecs.conj().T
-    return GeneratorWalk(
-        hamiltonian=h,
-        gamma0=g0,
-        walk_exp=walk,
-        walk_neg_exp=-walk,
-        regularized=regularized,
-        spectrum=(evals, vecs),
-    )
+    walk_exp = (vecs * np.exp(1j * np.pi * evals)) @ vecs.conj().T
+    return GeneratorWalk(hamiltonian=h, gamma0=g0, walk_exp=walk_exp, regularized=regularized,
+                         spectrum=(evals, vecs))

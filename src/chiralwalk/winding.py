@@ -204,9 +204,10 @@ class IndexTheoremRecord:
 
 
 def _banded_theorem(f_op, rank_tol):
-    """({side: transfer._Count} of the limit determinants, then the theorem's record or
-    the ChiralwalkError that withheld it).  One root solve of the two limits serves the
-    counts, the kernel of ``f_op`` and both windings; the adjoint's kernel solves its own."""
+    """({side: transfer._Count} of the limit determinants, then (ExactIndexResult, the
+    theorem's record) or the ChiralwalkError that withheld them).  One root solve of the
+    two limits serves the counts, the kernel of ``f_op`` and both windings; the adjoint's
+    kernel solves its own."""
     roots = _loop_roots([f_op.symbol_at(side) for side in (ops.LEFT, ops.RIGHT)])
     counts = dict(zip((ops.LEFT, ops.RIGHT), (_count(*item) for item in roots)))
     try:
@@ -214,22 +215,17 @@ def _banded_theorem(f_op, rank_tol):
         left, right = (w.rounded for w in _windings(roots))
     except ChiralwalkError as exc:
         return counts, exc
-    record = IndexTheoremRecord([IndexTheoremBranch("banded", result.index, left, right,
-                                                    f_op.fiber_dim)])
-    record.index_result = result
-    return counts, record
+    return counts, (result, IndexTheoremRecord([IndexTheoremBranch(
+        "banded", result.index, left, right, f_op.fiber_dim)]))
 
 
 def verify_index_theorem_banded(f_op, *, rank_tol=DEFAULT_RANK_TOL):
-    """Kernel-count index of a banded operator against its winding difference.
-
-    The record keeps the index as ``index_result``; its one branch holds
-    the two determinant windings.
-    """
-    _, record = _banded_theorem(f_op, rank_tol)
-    if isinstance(record, Exception):
-        raise record
-    return record
+    """Kernel-count index of a banded operator against its winding difference:
+    a record of one branch, which holds the index and the two determinant windings."""
+    _, found = _banded_theorem(f_op, rank_tol)
+    if isinstance(found, Exception):
+        raise found
+    return found[1]
 
 
 def certified_kernels(pair, certs, rank_tol=DEFAULT_RANK_TOL):
@@ -276,9 +272,7 @@ def verify_index_theorem_chiral(pair, rank_tol=DEFAULT_RANK_TOL, kernels=None):
     for ker in kernels:
         if isinstance(ker, Exception):
             raise ker
-    ker_minus, ker_plus = kernels
-    si_minus = ker_minus.graded_signature
-    si_plus = ker_plus.graded_signature
+    si_minus, si_plus = (ker.graded_signature for ker in kernels)
 
     gradings = (("gamma1_graded", pair.gamma1, si_minus - si_plus),
                 ("imaginary_block", pair.gamma0, -(si_plus + si_minus)))
@@ -297,10 +291,4 @@ def verify_index_theorem_chiral(pair, rank_tol=DEFAULT_RANK_TOL, kernels=None):
         branches.append(RootCountBranch(
             name=name, lhs_index=lhs, winding_left=left.rounded, winding_right=right.rounded,
             fiber_dim=pair.u.fiber_dim, root_margin=min(margins, default=None)))
-    record = IndexTheoremRecord(branches=branches)
-    record.si_plus = si_plus
-    record.si_minus = si_minus
-    record.si_total = si_plus + si_minus
-    record.dim_ker_u_plus_one = ker_minus.dimension
-    record.dim_ker_u_minus_one = ker_plus.dimension
-    return record
+    return IndexTheoremRecord(branches=branches)

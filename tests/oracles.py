@@ -33,9 +33,10 @@ gated by the pencil's own eigenvalues, and ``kernel_vectors`` writes the
 kernel vectors out site by site on the package's germs.  The package
 decides each rank, kernel mask and signature on a spectrum as a Python
 list, every rank by its one rule ``indices._rank``; ``rank_threshold``,
-``kernel_summary``, ``kernel_dims``, ``hermitian_kernel`` (one row per
-shift), ``signature_and_margin`` and ``cayley_range`` decide them by
-numpy reductions, and the tests require the same decisions bit for bit.  The
+``kernel_summary`` (with its rank margin), ``kernel_dims``,
+``hermitian_kernel`` (one row per shift), ``signature_and_margin`` and
+``cayley_range`` decide them by numpy reductions, and the tests require
+the same decisions bit for bit.  The
 package decides each lattice clearance, germ count, projector trace
 check, level-set step and determinant row trim on Python lists, with
 moduli and angles from numpy; ``clearance``, ``germ_counts``,
@@ -303,7 +304,8 @@ def dense_chiral_residuals(gamma0, gamma1, u):
     pure-limit rows (row block s, column block s - k holds the coefficient
     of z^k) and evaluates all twelve limit residuals on SYMBOL_POINTS
     circle points at once.  Returns a dict with the keys of
-    ``ChiralCertification.to_dict()``.  Time is cubic in the bulk width,
+    ``ChiralCertification.to_dict()`` and ``gamma0_selfadjoint``, which the
+    certification does not state: it vanishes by construction.  Time is cubic in the bulk width,
     memory quadratic.
     """
     d = gamma0.fiber_dim
@@ -541,9 +543,8 @@ def full_index_report(u, g0, g1=None, rank_tol=indices.DEFAULT_RANK_TOL):
         cayley_plus=cayley_signature(-u, g0, rank_tol),
         trace_gamma0=int(round(np.trace(g0).real)),
         diagnostics={
-            "borderline_singular_values": sorted(
-                ker_plus.borderline_singular_values + ker_minus.borderline_singular_values
-            ),
+            "rank_margin": min((k.rank_margin for k in (ker_plus, ker_minus)
+                                if k.rank_margin is not None), default=None),
             "dim_ker_u_minus_one": ker_plus.dimension,
             "dim_ker_u_plus_one": ker_minus.dimension,
         },
@@ -574,12 +575,15 @@ def rank_threshold(svals, rank_tol):
 
 
 def kernel_summary(svals, rows, rank_tol):
-    """(threshold, kernel mask, near-zero and borderline lists) of a full SVD with ``rows``
-    right singular vectors: a wide matrix keeps its implicit zeros."""
+    """(threshold, kernel mask, rank margin) of a full SVD with ``rows`` right singular
+    vectors: a wide matrix keeps its implicit zeros, which cannot flip; the margin is the
+    least of s / t over the values kept and t / s over the nonzero values counted as zero."""
     threshold = float(rank_threshold(svals, rank_tol).max(initial=1e-12))
     padded = np.concatenate([svals, np.zeros(rows - svals.size)])
-    return (threshold, padded < threshold, [float(s) for s in padded if s < 10 * threshold],
-            [float(s) for s in padded if threshold <= s < 10 * threshold])
+    mask = padded < threshold
+    nonzero = padded[padded != 0]
+    ratios = np.where(nonzero < threshold, threshold / nonzero, nonzero / threshold)
+    return threshold, mask, float(ratios.min()) if ratios.size else None
 
 
 def kernel_dims(svals, cols, rank_tol, scale=None):

@@ -13,6 +13,7 @@ from chiralwalk import analysis
 from chiralwalk.cli import build_parser, main
 from chiralwalk.exceptions import ScenarioError
 from chiralwalk.scenarios import Scenario, SweepSpec
+from chiralwalk.transfer import MAX_PENCIL
 
 import oracles
 
@@ -877,8 +878,9 @@ INDEX_SCENARIOS = sorted(p for p in SCENARIO_DIR.glob("*.json") if not p.name.st
 # certification holds no margin (tolerances.margin) and no threshold (0 for a gap),
 # || 1 -+ U ||_ess < 2 is the gap at -+1 and has no verdict of its own, a kernel's
 # diagnostics hold no dimension or signature (indices) and no rank tolerance
-# (tolerances.rank_tol), and a generator's indices no certification or tolerance
-# (stated at the top level)
+# (tolerances.rank_tol), a generator's indices no tolerance (stated at the top level),
+# and no report states a constant of its construction (G0 = G0^* exactly, a generator's
+# conventions other than whether it was flattened)
 _CERTIFICATION = ["root_margin", "status", "value"]
 _GAPS = {"certifications.gap_minus_one": _CERTIFICATION,
          "certifications.gap_plus_one": _CERTIFICATION}
@@ -888,12 +890,12 @@ _CHIRAL = {
     "certifications": ["dichotomy", "gap_minus_one", "gap_plus_one"],
     "certifications.dichotomy": ["holds", "norm_difference", "norm_sum"],
     **_GAPS,
-    "chiral_certification": ["chiral_relation", "gamma0_involution", "gamma0_selfadjoint",
-                             "gamma1_involution", "gamma1_selfadjoint", "max_deviation",
-                             "symbol_deviation", "unitary_symbol_deviation"],
+    "chiral_certification": ["chiral_relation", "gamma0_involution", "gamma1_involution",
+                             "gamma1_selfadjoint", "max_deviation", "symbol_deviation",
+                             "unitary_symbol_deviation"],
     "tolerances": ["margin", "rank_tol"],
 }
-_DIAGNOSTICS = ["borderline_singular_values", "signature_margin", "singular_values_near_zero"]
+_DIAGNOSTICS = ["rank_margin", "signature_margin"]
 _BANDED = {
     "": ["certifications", "index", "index_theorem", "model", "omitted", "tolerances"],
     "certifications": ["symbol_invertible_left", "symbol_invertible_right"],
@@ -931,15 +933,13 @@ REPORT_SECTIONS = {
         "tolerances": ["margin", "rank_tol"],
     },
     "generator_1e160": {
-        "": ["certifications", "conventions", "indices", "model", "tolerances"],
-        "certifications": ["finite_dimensional"],
-        "conventions": ["eta", "regularized", "walk_exp", "walk_neg_exp"],
+        "": ["conventions", "indices", "model", "tolerances"],
+        "conventions": ["regularized"],
         "indices": ["cayley_minus", "cayley_plus", "consistent", "diagnostics",
                     "generator_index", "pair_index", "pair_index_complement", "si_minus",
                     "si_plus", "si_total", "susy_index", "tanaka_minus", "tanaka_plus",
                     "trace_gamma0"],
-        "indices.diagnostics": ["borderline_singular_values", "dim_ker_u_minus_one",
-                                "dim_ker_u_plus_one"],
+        "indices.diagnostics": ["dim_ker_u_minus_one", "dim_ker_u_plus_one", "rank_margin"],
         "tolerances": ["rank_tol"],
     },
 }
@@ -1018,3 +1018,53 @@ class TestShippedScenarios:
         assert main(["sweep", str(SCENARIO_DIR / "sweep_coin_angle.json"), "--out", str(out)]) == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert rows and all(row["theorem_holds"] == "true" for row in rows)
+
+
+def sized_scenario(model, radius):
+    """A ``model`` scenario whose operator has band radius ``radius``: a split-step shift
+    exponent or a weighted-shift m (fiber 2), or a custom_banded offset (fiber 1)."""
+    if model == "split_step":
+        doc = gapped_scenario()
+        doc["params"]["shift_exponent"] = radius
+    elif model == "weighted_shift":
+        doc = json.loads((SCENARIO_DIR / "weighted_shift.json").read_text())
+        doc["params"]["m"] = radius
+    else:
+        doc = readme_operator()
+        doc["params"]["operator"]["bands"][1]["offset"] = radius
+    return doc
+
+
+class TestPencilCap:
+    """A lattice operator whose companion pencil 2 r d exceeds MAX_PENCIL is refused by
+    Scenario.build with one error line, before anything is certified or solved."""
+
+    PENCILS = [("split_step", 2), ("weighted_shift", 2), ("custom_banded", 1)]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model, fiber_dim", PENCILS, ids=[m for m, _ in PENCILS])
+    def test_just_above_the_cap_is_refused(self, model, fiber_dim, tmp_path, capsys):
+        radius = MAX_PENCIL // (2 * fiber_dim) + 1
+        path = write_json(tmp_path / "big.json", sized_scenario(model, radius))
+        line = (f"error: companion pencil 2 r d = {2 * radius * fiber_dim} exceeds {MAX_PENCIL} "
+                f"(band radius {radius}, fiber dimension {fiber_dim})\n")
+        for argv in (["index", path], ["winding", path], ["spectrum", path]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", line)
+
+    @pytest.mark.parametrize("model, fiber_dim", PENCILS, ids=[m for m, _ in PENCILS])
+    def test_at_the_cap_the_model_builds(self, model, fiber_dim):
+        # a split-step shift exponent of 31 reports in a few seconds: only the build runs here
+        radius = MAX_PENCIL // (2 * fiber_dim)
+        Scenario.from_doc(sized_scenario(model, radius)).build()
+
+    def test_a_sweep_cell_states_the_refusal(self, tmp_path, capsys):
+        sweep = write_json(tmp_path / "sweep.json", {
+            "scenario": gapped_scenario(),
+            "axes": [{"path": "params.shift_exponent", "values": [1, MAX_PENCIL // 4 + 1]}]})
+        assert main(["sweep", sweep, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["error"] for row in rows] == [
+            "", f"companion pencil 2 r d = {4 * (MAX_PENCIL // 4 + 1)} exceeds {MAX_PENCIL} "
+                f"(band radius {MAX_PENCIL // 4 + 1}, fiber dimension 2)"]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from chiralwalk import indices, verification
+from chiralwalk import essential, indices, verification, winding
 from chiralwalk.exceptions import PreconditionError
 from chiralwalk.verification import (
     generic_chiral_pair,
@@ -33,10 +33,12 @@ class TestKernelBasis:
         assert abs(abs(summary.basis[1, 0]) - 1.0) < 1e-12
 
     def test_borderline_diagnostics(self):
+        # 5e-8 is kept 5 times above the threshold 1e-8, 1e-12 zero 1e4 times below it
         m = np.diag([1.0, 5e-8, 1e-12])
         summary = indices.kernel_basis(m, rank_tol=1e-8)
         assert summary.dimension == 1
-        assert any(1e-8 <= s < 1e-7 for s in summary.borderline_singular_values)
+        assert summary.rank_margin == 5e-8 / 1e-8
+        assert summary.to_dict() == {"rank_margin": 5e-8 / 1e-8, "signature_margin": None}
 
     def test_rectangular(self):
         m = np.array([[1.0, 0.0, 0.0]])
@@ -661,21 +663,21 @@ def outcome(decide, evals):
 
 class TestDecisionOracles:
     """Each rank, kernel-mask and signature decision equals its numpy form in
-    ``oracles`` bit for bit: thresholds, masks, dimensions, the near-zero and
-    borderline lists, signatures, margins and refusal messages."""
+    ``oracles`` bit for bit: thresholds, masks, dimensions, rank margins,
+    signatures, signature margins and refusal messages."""
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.sampled_from(DECISION_TOLS), st.integers(0, 5), st.integers(0, 2), st.data())
     def test_kernel_summary(self, rank_tol, size, wide, data):
         svals = data.draw(planted_spectrum(rank_tol, size))
         rows = size + wide      # a wide matrix: rows right singular vectors, size values
-        threshold, mask, near, borderline = oracles.kernel_summary(svals, rows, rank_tol)
+        threshold, mask, margin = oracles.kernel_summary(svals, rows, rank_tol)
         summary = indices._kernel_summary(svals, np.eye(rows, dtype=complex), rank_tol)
         assert indices._rank(svals.tolist() + [0.0] * wide, rank_tol) == (mask.tolist(), threshold)
         assert np.array_equal(summary.basis, np.eye(rows)[:, mask])
         assert summary.dimension == int(mask.sum())
-        assert repr(summary.singular_values_near_zero) == repr(near)
-        assert repr(summary.borderline_singular_values) == repr(borderline)
+        assert repr(summary.rank_margin) == repr(margin)
+        assert_flip_distance(svals.tolist() + [0.0] * wide, threshold, margin)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.sampled_from(DECISION_TOLS), st.integers(1, 4), st.integers(0, 2), st.booleans(),
@@ -750,3 +752,62 @@ class TestTolerancePassThrough:
         assert (bound.pair_index_value, bound.pair_index_complement) == (sp.si_minus, sp.si_plus)
         _, bound = indices._kernel_structure(sp.u, sp.gamma0, g1, 1e-8, 1e-8)
         assert (bound.pair_index_value, bound.pair_index_complement) == (sp.si_minus, sp.si_plus)
+
+
+def assert_flip_distance(padded, threshold, margin):
+    """``margin`` mu is the flip distance of the rank decision on ``padded`` at ``threshold``
+    t: the dimension #(x < t') is unchanged for every t' in [t/mu (1 + 1e-9), t mu (1 - 1e-9)]
+    (it is monotone in t', so the two ends suffice) and changes just outside, on the side
+    that mu came from: a value kept at t mu, or one counted as zero at t / mu."""
+    def dim(t):
+        return sum(x < t for x in padded)
+
+    if margin is None:   # no nonzero value, and an exact zero cannot flip
+        assert not any(padded)
+        return
+    base, low, high = dim(threshold), threshold / margin, threshold * margin
+    if low * (1 + 1e-9) <= high * (1 - 1e-9):
+        assert dim(low * (1 + 1e-9)) == dim(high * (1 - 1e-9)) == base
+    if margin in [x / threshold for x in padded if x >= threshold]:
+        assert dim(high * (1 + 1e-9)) > base
+    else:
+        assert margin in [threshold / x for x in padded if 0 < x < threshold]
+        assert dim(low * (1 - 1e-9)) < base
+
+
+class TestRankMargin:
+    """``assert_flip_distance`` on random spectra and on the lattice kernels; the planted
+    spectra at the thresholds and their float neighbours are in ``test_kernel_summary``."""
+
+    def test_flip_distance_on_random_spectra(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            size, wide = int(rng.integers(1, 12)), int(rng.integers(0, 3))
+            svals = 10.0 ** rng.uniform(-16, 1, size)
+            svals[rng.random(size) < 0.1] = 0.0
+            svals = np.sort(svals)[::-1]
+            rank_tol = 10.0 ** rng.uniform(-12, -2)
+            summary = indices._kernel_summary(svals, np.eye(size + wide, dtype=complex), rank_tol)
+            padded = svals.tolist() + [0.0] * wide
+            assert_flip_distance(padded, indices._rank(padded, rank_tol)[1], summary.rank_margin)
+
+    def test_flip_distance_on_the_certified_kernels_of_every_report_pair(self, monkeypatch):
+        # each lattice kernel is ranked by kernel_basis on its matching system: record the
+        # spectrum behind every summary, then test the margin of each certified kernel
+        spectra, kernel_summary = {}, indices._kernel_summary
+
+        def recording(svals, vh, rank_tol):
+            summary = kernel_summary(svals, vh, rank_tol)
+            spectra[id(summary)] = (svals.tolist() + [0.0] * (vh.shape[0] - svals.size), rank_tol)
+            return summary
+
+        monkeypatch.setattr(indices, "_kernel_summary", recording)
+        margins = []
+        for name, pair in oracles.report_pairs():
+            for ker in winding.certified_kernels(pair, essential.certify_unitary(pair)):
+                if isinstance(ker, Exception):
+                    continue
+                padded, rank_tol = spectra[id(ker)]
+                assert_flip_distance(padded, indices._rank(padded, rank_tol)[1], ker.rank_margin)
+                margins.append(ker.rank_margin)
+        assert len(margins) == 510 and min(margins) > 100.0

@@ -601,8 +601,7 @@ def reference_multiplication_kernel(a, rank_tol):
     fields = {
         "dimension": len(columns),
         "graded_signature": 0,
-        "singular_values_near_zero": [],
-        "borderline_singular_values": [],
+        "rank_margin": None,   # ranked site by site: no one threshold to move
     }
     if not columns:
         return fields, None, (lo, hi)

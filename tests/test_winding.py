@@ -389,6 +389,15 @@ class TestBatchedLoops:
         assert reference(pair, ops.LEFT, 64, 1) == root_count(pair, ops.LEFT)
 
 
+def theorem_and_kernels(pair):
+    """(theorem record, (si_minus, si_plus), (dim Ker(U + 1), dim Ker(U - 1))) of a pair,
+    read off its ``certified_kernels``: Ker(U + 1) first."""
+    kernels = winding.certified_kernels(pair, essential.certify_unitary(pair))
+    record = winding.verify_index_theorem_chiral(pair, kernels=kernels)
+    return (record, tuple(k.graded_signature for k in kernels),
+            tuple(k.dimension for k in kernels))
+
+
 class TestIndexTheorem:
     def test_translation_invariant_trivial(self):
         record = winding.verify_index_theorem_banded(ops.shift_power(1, 1))
@@ -427,21 +436,21 @@ class TestIndexTheorem:
 
     def test_chiral_pair_branches_consistent(self):
         pair = split_step_from_angles(2.8, 0.4, 1.2)
-        record = winding.verify_index_theorem_chiral(pair)
+        record, (si_minus, si_plus), _ = theorem_and_kernels(pair)
         assert record.holds
-        assert record.si_plus == -1 and record.si_minus == 1
+        assert si_plus == -1 and si_minus == 1
         assert [b.name for b in record.branches] == ["gamma1_graded", "imaginary_block"]
-        assert record.branch("gamma1_graded").lhs_index == record.si_minus - record.si_plus
-        assert record.branch("imaginary_block").lhs_index == -(record.si_plus + record.si_minus)
+        assert record.branch("gamma1_graded").lhs_index == si_minus - si_plus
+        assert record.branch("imaginary_block").lhs_index == -(si_plus + si_minus)
         for branch in record.branches:
             assert branch.root_margin > transfer.CIRCLE_MARGIN
             assert branch.to_dict()["root_margin"] == branch.root_margin
 
     def test_double_shift_walk_reaches_higher_indices(self):
         pair = split_step_from_angles(1.28, 0.14, 0.15, shift_exponent=2)
-        record = winding.verify_index_theorem_chiral(pair)
+        record, (si_minus, si_plus), _ = theorem_and_kernels(pair)
         assert record.holds
-        assert record.si_plus == -2 and record.si_minus == 0
+        assert si_plus == -2 and si_minus == 0
         branch = record.branch("imaginary_block")
         assert (branch.winding_left, branch.winding_right) == (0, 2)
 
@@ -449,13 +458,14 @@ class TestIndexTheorem:
         # single-site defect on an anisotropic walk: transfer signatures and
         # the winding difference agree on the total class
         pair = split_step_from_angles(0.0, 1.0, 0.3, defects={0: 2.4})
-        record = winding.verify_index_theorem_chiral(pair)
+        record, (si_minus, si_plus), (dim_ker_u_plus_one, dim_ker_u_minus_one) = (
+            theorem_and_kernels(pair))
         assert record.holds
         branch = record.branch("imaginary_block")
-        total = record.si_plus + record.si_minus
+        total = si_plus + si_minus
         assert total == branch.winding_left - branch.winding_right
-        assert record.dim_ker_u_plus_one >= abs(record.si_minus)
-        assert record.dim_ker_u_minus_one >= abs(record.si_plus)
+        assert dim_ker_u_plus_one >= abs(si_minus)
+        assert dim_ker_u_minus_one >= abs(si_plus)
 
 
 angles = st.floats(0.05, np.pi - 0.05)
