@@ -9,7 +9,8 @@ quantities emitted, 2 something was withheld.
 from __future__ import annotations
 
 from . import essential, indices, winding
-from .exceptions import ChiralwalkError
+from .exceptions import ChiralwalkError, ScenarioError
+from .transfer import MAX_PENCIL
 from .walks import ChiralPair
 
 EXIT_OK = 0
@@ -18,6 +19,10 @@ EXIT_REFUTED = 2
 
 
 def _chiral_report(pair, tol):
+    r, d = pair.u.band_radius, pair.u.fiber_dim   # the graded kernels' Stein systems grow as (r d)^4
+    if 2 * r * d > MAX_PENCIL:
+        raise ScenarioError(f"companion pencil 2 r d = {2 * r * d} exceeds {MAX_PENCIL} "
+                            f"(band radius {r}, fiber dimension {d})")
     certs = essential.certify_unitary(pair, margin=tol.margin)
     report = {
         "chiral_certification": pair.certification.to_dict(),

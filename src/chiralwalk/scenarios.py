@@ -22,17 +22,9 @@ from .essential import DEFAULT_GRID_N, DEFAULT_MARGIN
 from .exceptions import ScenarioError
 from .indices import DEFAULT_RANK_TOL
 from .operators import BandedAnisotropicOperator, CoefficientFunction
-from .transfer import MAX_PENCIL
 from .walks import SplitStepParams, build_generator_walk, build_walk, build_weighted_shift_walk
 
 MODELS = ("split_step", "weighted_shift", "generator", "custom_banded")
-
-
-def _check_pencil(radius, fiber_dim):
-    """Refuse a lattice operator whose companion pencil 2 r d exceeds MAX_PENCIL."""
-    if 2 * radius * fiber_dim > MAX_PENCIL:
-        raise ScenarioError(f"companion pencil 2 r d = {2 * radius * fiber_dim} exceeds "
-                            f"{MAX_PENCIL} (band radius {radius}, fiber dimension {fiber_dim})")
 
 
 def _reject_unknown(doc, allowed, where):
@@ -194,8 +186,7 @@ class Scenario:
         return cls.from_doc(_read_json(path), tolerance_overrides)
 
     def build(self):
-        """Instantiate the model object this scenario describes; a lattice operator's
-        companion pencil is checked against MAX_PENCIL before anything is certified."""
+        """Instantiate the model object this scenario describes."""
         p = self.params
         if self.model == "split_step":
             _reject_unknown(p, {"a", "b", "c", "d_coin", "shift_exponent"}, "params")
@@ -206,14 +197,13 @@ class Scenario:
                 d_coin=_as_scalar(_field(p, "d_coin", "params"), "params.d_coin"),
                 shift_exponent=_field(p, "shift_exponent", "params", int, 1),
             )
-            _check_pencil(params.shift_exponent, 2)   # U = G0 G1 has offsets -n .. n
             return build_walk(params)
         if self.model == "weighted_shift":
             _reject_unknown(p, {"m", "n", "coin"}, "params")
-            m, n = _field(p, "m", "params", int), _field(p, "n", "params", int)
-            coin = _as_matrix(_field(p, "coin", "params"), "params.coin")
-            _check_pencil(max(abs(m), abs(n)), 2)     # U has the offsets m and -n
-            return build_weighted_shift_walk(m, n, coin)
+            return build_weighted_shift_walk(
+                _field(p, "m", "params", int), _field(p, "n", "params", int),
+                _as_matrix(_field(p, "coin", "params"), "params.coin"),
+            )
         if self.model == "generator":
             _reject_unknown(p, {"hamiltonian", "gamma0"}, "params")
             h = _as_matrix(_field(p, "hamiltonian", "params"), "params.hamiltonian")
@@ -221,9 +211,7 @@ class Scenario:
             return build_generator_walk(h, g0), g0
         if self.model == "custom_banded":
             _reject_unknown(p, {"operator"}, "params")
-            op = parse_operator(_field(p, "operator", "params"), "params.operator")
-            _check_pencil(op.band_radius, op.fiber_dim)
-            return op
+            return parse_operator(_field(p, "operator", "params"), "params.operator")
         raise ScenarioError(f"unsupported model {self.model!r}")
 
     def is_lattice(self):

@@ -49,9 +49,9 @@ CIRCLE_MARGIN = 1e-6
 COEFF_TOL = 1e-11          # relative size below which a determinant coefficient is dropped
 GERM_MAX_STEPS = 64        # sign-iteration steps before a germ split refuses
 GERM_RTOL = 1e-10          # relative step of the sign iteration at which it stops
-# largest companion pencil 2 r d that a scenario may ask for: a split-step kernel's
-# graded signature solves a Stein system of about (r d)^4 entries, and `index` peaks at
-# about 850 MB resident at shift exponent 31 (pencil 124), 960 MB at 32 (x86-64, OpenBLAS)
+# largest companion pencil 2 r d of a chiral pair in an index report: a graded kernel
+# solves a Stein system of about (r d)^4 entries, and split-step `index` peaks at about
+# 850 MB resident at shift exponent 31 (pencil 124), 960 MB at 32 (x86-64, OpenBLAS)
 MAX_PENCIL = 124
 SIGMA_CANDIDATES = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)   # Moebius poles on the circle
 

@@ -1036,28 +1036,42 @@ def sized_scenario(model, radius):
 
 
 class TestPencilCap:
-    """A lattice operator whose companion pencil 2 r d exceeds MAX_PENCIL is refused by
-    Scenario.build with one error line, before anything is certified or solved."""
+    """A split-step index report, whose graded kernels solve Stein systems of about
+    (r d)^4 entries, refuses a companion pencil 2 r d above MAX_PENCIL with one error
+    line before the gaps are certified.  Paths that solve no Stein system keep every
+    band: winding and spectrum of the same walk, and the ungraded kernels of a weighted
+    shift or a custom_banded operator."""
 
     PENCILS = [("split_step", 2), ("weighted_shift", 2), ("custom_banded", 1)]
 
     @pytest.mark.filterwarnings("error")
+    def test_just_above_the_cap_index_is_refused(self, tmp_path, capsys):
+        radius = MAX_PENCIL // 4 + 1
+        path = write_json(tmp_path / "big.json", sized_scenario("split_step", radius))
+        assert main(["index", path]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", (
+            f"error: companion pencil 2 r d = {4 * radius} exceeds {MAX_PENCIL} "
+            f"(band radius {radius}, fiber dimension 2)\n"))
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("model, fiber_dim", PENCILS, ids=[m for m, _ in PENCILS])
-    def test_just_above_the_cap_is_refused(self, model, fiber_dim, tmp_path, capsys):
+    def test_just_above_the_cap_other_paths_report(self, model, fiber_dim, tmp_path, capsys):
         radius = MAX_PENCIL // (2 * fiber_dim) + 1
         path = write_json(tmp_path / "big.json", sized_scenario(model, radius))
-        line = (f"error: companion pencil 2 r d = {2 * radius * fiber_dim} exceeds {MAX_PENCIL} "
-                f"(band radius {radius}, fiber dimension {fiber_dim})\n")
-        for argv in (["index", path], ["winding", path], ["spectrum", path]):
-            assert main(argv) == 1
-            captured = capsys.readouterr()
-            assert (captured.out, captured.err) == ("", line)
+        commands = ["winding", "spectrum"] + ([] if model == "split_step" else ["index"])
+        for command in commands:
+            assert main([command, path]) == 0
+            assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("model, fiber_dim", PENCILS, ids=[m for m, _ in PENCILS])
-    def test_at_the_cap_the_model_builds(self, model, fiber_dim):
-        # a split-step shift exponent of 31 reports in a few seconds: only the build runs here
-        radius = MAX_PENCIL // (2 * fiber_dim)
-        Scenario.from_doc(sized_scenario(model, radius)).build()
+    def test_at_the_cap_the_gaps_are_certified(self, monkeypatch):
+        # a split-step shift exponent of 31 reports in a few seconds: stop at the certification
+        def reached(*args, **kwargs):
+            raise LookupError("certify_unitary reached")
+        monkeypatch.setattr(analysis.essential, "certify_unitary", reached)
+        scenario = Scenario.from_doc(sized_scenario("split_step", MAX_PENCIL // 4))
+        with pytest.raises(LookupError, match="certify_unitary reached"):
+            analysis.run_index_report(scenario)
 
     def test_a_sweep_cell_states_the_refusal(self, tmp_path, capsys):
         sweep = write_json(tmp_path / "sweep.json", {
