@@ -19,8 +19,8 @@ EXIT_REFUTED = 2
 
 
 def _chiral_report(pair, tol):
-    r, d = pair.u.band_radius, pair.u.fiber_dim   # the graded kernels' Stein systems grow as (r d)^4
-    if 2 * r * d > MAX_PENCIL:
+    r, d = pair.u.band_radius, pair.u.fiber_dim
+    if 2 * r * d > MAX_PENCIL:   # refused before the gaps are certified
         raise ScenarioError(f"companion pencil 2 r d = {2 * r * d} exceeds {MAX_PENCIL} "
                             f"(band radius {r}, fiber dimension {d})")
     certs = essential.certify_unitary(pair, margin=tol.margin)

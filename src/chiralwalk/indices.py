@@ -101,7 +101,9 @@ class KernelSummary:
     basis: np.ndarray | None             # columns orthonormal; None from the lattice oracle
     rank_margin: float | None = None     # factor the threshold must move by to flip dimension
     graded_signature: int | None = None
-    signature_margin: float | None = None  # min |compressed eigenvalue| - SIGNATURE_GAP
+    # min |eigenvalue| - SIGNATURE_GAP over gamma0 compressed to the basis, or over the real
+    # parts of gamma0's eigenvalues on a lattice kernel (``transfer._graded_kernel``)
+    signature_margin: float | None = None
 
     def to_dict(self):
         return {"rank_margin": self.rank_margin, "signature_margin": self.signature_margin}
@@ -167,7 +169,8 @@ def _signature_and_margin(evals):
     Both are read off the finite eigenvalues as one list: #(> SIGNATURE_GAP)
     - #(< -SIGNATURE_GAP), and min |eigenvalue| - SIGNATURE_GAP (None
     without eigenvalues).  The compression of a self-adjoint unitary to
-    an invariant subspace has eigenvalues at +-1; one inside
+    an invariant subspace, and its action there (whose eigenvalues come
+    as real parts), have eigenvalues at +-1; one inside
     (-SIGNATURE_GAP, SIGNATURE_GAP) means the subspace is not
     gamma0-invariant at this tolerance.
     """

@@ -11,14 +11,14 @@ the transfer eigenvalues 1/z at the roots z of the symbol determinant,
 so the roots decide which operators are Fredholm and how large each germ
 space is, and the projector must agree.  Truncation is never used:
 open boundaries would pollute the kernel with edge modes.  Graded
-signatures come from the Gram and gamma0 forms of the kernel vectors;
-beyond a finite window their tails are geometric, and the tail sums
-solve Stein equations, so nothing is walked site by site.
+signatures are read off gamma0's action on the kernel: gamma0 maps the
+kernel into itself, and the kernel vectors are orthonormal on the
+matching window, so gamma0's matrix on the kernel is read there and no
+tail is summed.
 
-Each tail's Gram and gamma0 forms share one Stein operator and come
-from one Kronecker solve.  Each level-set round, each winding set and
-the two ends of an exact kernel are one stacked solve of their symbol
-determinants, bitwise equal to per-polynomial np.roots.  One count rule
+Each level-set round, each winding set and the two ends of an exact
+kernel are one stacked solve of their symbol determinants, bitwise equal
+to per-polynomial np.roots.  One count rule
 (``_count``) reads a determinant's winding w = #(|z| < 1) + order at 0,
 its margin min ||z| - 1| and whether every 1/z clears CIRCLE_MARGIN: the
 windings, gap clearances, symbol certifications and germ dimensions
@@ -49,9 +49,9 @@ CIRCLE_MARGIN = 1e-6
 COEFF_TOL = 1e-11          # relative size below which a determinant coefficient is dropped
 GERM_MAX_STEPS = 64        # sign-iteration steps before a germ split refuses
 GERM_RTOL = 1e-10          # relative step of the sign iteration at which it stops
-# largest companion pencil 2 r d of a chiral pair in an index report: a graded kernel
-# solves a Stein system of about (r d)^4 entries, and split-step `index` peaks at about
-# 850 MB resident at shift exponent 31 (pencil 124), 960 MB at 32 (x86-64, OpenBLAS)
+# largest companion pencil 2 r d of a chiral pair in an index report, reached at
+# split-step shift exponent 31: `index` there takes about 0.3 s and 42 MB resident
+# (x86-64, OpenBLAS on one thread), and its germ split grows as (2 r d)^3
 MAX_PENCIL = 124
 SIGMA_CANDIDATES = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)   # Moebius poles on the circle
 
@@ -387,82 +387,17 @@ def _matching_system(a, rank_tol, extra_padding, roots=None):
     return _MatchingSystem(null, germ_left, germ_right, y0, y1)
 
 
-def _stein(step, ms):
-    """Sum over j >= 0 of (step^j)^* m step^j for each m of the stack ms: the X with
-    X - step^* X step = m, from one solve of I - kron(step^*, step^T) on row-major X."""
-    k = step.shape[0]   # kron(step^*, step^T), formed as np.kron forms it: one broadcast product
-    kron = step.conj().T[:, None, :, None] * step.T[None, :, None, :]
-    lhs = np.eye(k * k) - kron.reshape(k * k, k * k)
-    return np.linalg.solve(lhs, ms.reshape(-1, k * k).T).T.reshape(ms.shape)
-
-
-def _tail_forms(germ, edge, coeffs, depth, orient):
-    """Gram and gamma0 forms, in germ coordinates, of one tail beyond ``depth``.
-
-    The site at depth j holds edge @ S^j c; gamma0 acts with the constant
-    coefficients ``coeffs`` there, and band m reads depth j - orient * m
-    (orient -1 on the left, +1 on the right).  depth must exceed the
-    band radius of gamma0.
-    """
-    if germ.dimension == 0:
-        return np.zeros((0, 0), complex), np.zeros((0, 0), complex)
-    powers = _powers(germ.step, depth + max(map(abs, coeffs), default=0))
-    head = edge @ powers[depth]
-    gram = head.conj().T @ head
-    form = sum(head.conj().T @ g @ edge @ powers[depth - orient * m] for m, g in coeffs.items())
-    return _stein(germ.step, np.stack([gram, form]))
-
-
-def _window_forms(gamma0, values, start):
-    """Gram and gamma0 forms of site values (rows from site ``start``),
-    summed over the sites whose whole gamma0 band lies in the window."""
+def _gamma0_action(gamma0, values, lo):
+    """Real parts of the eigenvalues of gamma0 on a kernel whose vectors have the values
+    ``values`` (sites, d, dim) on the sites from ``lo``, gamma0's band radius r_g beyond a
+    window on which they are orthonormal: T = V^* (gamma0 V) over that window.  gamma0
+    maps the kernel into itself, so gamma0 V = V T there, and T is gamma0's matrix on the
+    kernel, a self-adjoint unitary in the kernel's own inner product: eigenvalues +-1."""
     r_g = gamma0.band_radius
     n = values.shape[0] - 2 * r_g
-    image = _apply_banded_window(gamma0, values, start)[0][2 * r_g : 2 * r_g + n]
-    inner = values[r_g : r_g + n].conj()
-    return np.einsum("xia,xib->ab", inner, values[r_g : r_g + n]), np.einsum(
-        "xia,xib->ab", inner, image
-    )
-
-
-def _kernel_forms(system, gamma0):
-    """Lattice Gram matrix and gamma0 form of the kernel vectors.
-
-    Sites within gamma0's reach of the matching window or of gamma0's
-    own bulk are summed explicitly.  Beyond them every term is a germ
-    power sandwich with constant coefficients, summed in closed form, so
-    the cost does not depend on how slowly the tails decay.
-    """
-    r_g = gamma0.band_radius
-    g_lo, g_hi = gamma0.bulk_window()
-    lo = min(system.y0, g_lo) - r_g
-    hi = max(system.y1, g_hi) + r_g
-    gram, form = _window_forms(gamma0, system.values(lo - r_g, hi + r_g), lo - r_g)
-    basis, d = system.null.basis, gamma0.fiber_dim
-    left, right = system.germ_left, system.germ_right
-    tails = (
-        (left, basis[: left.dimension], left.window_basis[:d], ops.LEFT, system.y0 - lo + 1, -1),
-        (right, basis[basis.shape[0] - right.dimension :], right.window_basis[-d:], ops.RIGHT,
-         hi + 1 - system.y1, 1),
-    )
-    for germ, coords, edge, side, depth, orient in tails:
-        limits = gamma0.symbol_at(side).coefficients
-        tail_gram, tail_form = _tail_forms(germ, edge, limits, depth, orient)
-        gram = gram + coords.conj().T @ tail_gram @ coords
-        form = form + coords.conj().T @ tail_form @ coords
-    return gram, form
-
-
-def _graded_spectrum(gram, form):
-    """Eigenvalues of gamma0 compressed to the kernel: the pencil (form, gram), as
-    the spectrum of L^-1 form L^-* with gram = L L^* (the same inertia, by Sylvester)."""
-    chol = np.linalg.cholesky(_hermitian(gram))
-    half = np.linalg.solve(chol, _hermitian(form))    # L^-1 form, then L^-1 (L^-1 form)^*
-    return np.linalg.eigvalsh(_hermitian(np.linalg.solve(chol, half.conj().T)))
-
-
-def _hermitian(m):
-    return 0.5 * (m + m.conj().T)
+    image = _apply_banded_window(gamma0, values, lo)[0][2 * r_g : 2 * r_g + n]
+    inner = values[r_g : r_g + n].reshape(n * values.shape[1], -1)
+    return np.linalg.eigvals(inner.conj().T @ image.reshape(inner.shape)).real
 
 
 def _multiplication_vectors(a, rank_tol):
@@ -483,11 +418,16 @@ def _multiplication_vectors(a, rank_tol):
 
 
 def _graded_kernel(a, gamma0, rank_tol, extra_padding, roots=None):
-    """Kernel summary and gamma0's spectrum compressed to the kernel.
+    """Kernel summary and the real parts of gamma0's eigenvalues on the kernel.
 
-    The spectrum is empty without gamma0 or without kernel.  Band radius
+    The eigenvalues are none without gamma0 or without kernel.  Band radius
     0 is gated by its singular limits, every other operator by the roots
-    and germ spaces of its two ends (``_germ_pair``).
+    and germ spaces of its two ends (``_germ_pair``).  The kernel vectors are
+    orthonormal on a window: a multiplication operator's are orthonormal
+    single-site vectors, and a banded operator's are orthonormal on the
+    matching window [y0, y1], onto which ``_site_map`` maps the unknowns
+    isometrically (the germ window bases are orthonormal on disjoint anchor
+    blocks, and the mids map by the identity).
     """
     empty = np.zeros(0)
     if a.band_radius == 0:
@@ -497,12 +437,14 @@ def _graded_kernel(a, gamma0, rank_tol, extra_padding, roots=None):
             return summary, empty
         r_g = gamma0.band_radius
         padded = np.pad(values, ((r_g, r_g), (0, 0), (0, 0)))
-        return summary, _graded_spectrum(*_window_forms(gamma0, padded, lo - r_g))
+        return summary, _gamma0_action(gamma0, padded, lo - r_g)
 
     system = _matching_system(a, rank_tol, extra_padding, roots)
     null = system.null
-    spectrum = (empty if gamma0 is None or not null.dimension
-                else _graded_spectrum(*_kernel_forms(system, gamma0)))
+    spectrum = empty
+    if gamma0 is not None and null.dimension:
+        lo, hi = system.y0 - gamma0.band_radius, system.y1 + gamma0.band_radius
+        spectrum = _gamma0_action(gamma0, system.values(lo, hi), lo)
     null.basis = None    # no explicit basis is returned
     return null, spectrum
 
@@ -513,10 +455,10 @@ def exact_kernel(a, gamma0=None, rank_tol=DEFAULT_RANK_TOL, extra_padding=0, *, 
     Candidate solutions combine a left-decaying germ, explicit bulk
     values and a right-decaying germ; the returned dimension is the
     null-space dimension of the finite matching system.  With ``gamma0``
-    given, the graded signature is the inertia of gamma0's form against
-    the Gram matrix of the kernel vectors, their geometric tails summed
-    in closed form, and ``signature_margin`` says how close it came to
-    flipping.  No explicit basis is returned.  ``extra_padding`` widens
+    given, the graded signature is that of gamma0's action on the kernel,
+    read on the matching window (``_graded_kernel``): its eigenvalues are
+    +-1, and ``signature_margin`` is how far the real part nearest 0
+    stays outside (-1/2, 1/2).  No explicit basis is returned.  ``extra_padding`` widens
     the matching window; the result must not depend on it.  A transfer
     eigenvalue of either end within CIRCLE_MARGIN of the unit circle
     raises NotFredholmError.  ``roots`` passes the roots of both limit

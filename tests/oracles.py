@@ -9,8 +9,10 @@ with them float for float.  The package bounds the chiral residuals of
 a split-step pair in closed form; ``dense_chiral_residuals`` measures
 them on dense blocks and ``symbol_sups`` as Laurent products, and the
 tests require every bound to be at least what they measure.  The package
-sums each kernel tail with one Kronecker solve; ``stein`` calls scipy,
-and the tests bound the rounding between the two routes.  The package
+reads gamma0's action on a lattice kernel off the matching window;
+``graded_kernel_by_forms`` sums the Gram and gamma0 forms of the kernel
+vectors over the whole lattice instead, each geometric tail by a Stein
+equation that ``stein`` solves with scipy.  The package
 ranks the intersections of two projections on orthonormal frames of
 Ran P0 and Ker P0; ``intersection_dims`` ranks the 2n x n constraint
 stacks instead.  The package ranks Hermitian matrices (Tanaka's Re U
@@ -266,7 +268,7 @@ def verify_index_theorem_chiral(pair, kernels):
     return winding.IndexTheoremRecord(branches=branches).to_dict()
 
 
-# --- chiral residuals on dense blocks and as Laurent products, Stein sums from scipy
+# --- chiral residuals on dense blocks and as Laurent products, lattice forms from scipy
 
 
 def _difference(a, b):
@@ -363,6 +365,77 @@ def stein(step, m):
     return scipy.linalg.solve_discrete_lyapunov(step.conj().T, m)
 
 
+def _hermitian(m):
+    return 0.5 * (m + m.conj().T)
+
+
+def _window_forms(gamma0, values, start):
+    """Gram and gamma0 forms of site values (rows from site ``start``),
+    summed over the sites whose whole gamma0 band lies in the window."""
+    r_g = gamma0.band_radius
+    n = values.shape[0] - 2 * r_g
+    image = transfer._apply_banded_window(gamma0, values, start)[0][2 * r_g : 2 * r_g + n]
+    inner = values[r_g : r_g + n].conj()
+    return (np.einsum("xia,xib->ab", inner, values[r_g : r_g + n]),
+            np.einsum("xia,xib->ab", inner, image))
+
+
+def _tail_forms(germ, edge, coeffs, depth, orient):
+    """Gram and gamma0 forms, in germ coordinates, of one tail beyond ``depth``: the
+    site at depth j holds edge @ S^j c, gamma0 acts there with the constant
+    coefficients ``coeffs``, band m reading depth j - orient * m (orient -1 on the
+    left, +1 on the right); depth exceeds gamma0's band radius."""
+    if germ.dimension == 0:
+        return np.zeros((0, 0), complex), np.zeros((0, 0), complex)
+    powers = transfer._powers(germ.step, depth + max(map(abs, coeffs), default=0))
+    head = edge @ powers[depth]
+    form = sum(head.conj().T @ g @ edge @ powers[depth - orient * m] for m, g in coeffs.items())
+    return stein(germ.step, head.conj().T @ head), stein(germ.step, form)
+
+
+def lattice_forms(system, gamma0):
+    """Gram matrix and gamma0 form on l2(Z) of the kernel vectors of a matching system:
+    summed site by site within gamma0's reach of the matching window and of gamma0's
+    bulk, and beyond them as geometric tails."""
+    r_g = gamma0.band_radius
+    g_lo, g_hi = gamma0.bulk_window()
+    lo = min(system.y0, g_lo) - r_g
+    hi = max(system.y1, g_hi) + r_g
+    gram, form = _window_forms(gamma0, system.values(lo - r_g, hi + r_g), lo - r_g)
+    basis, d = system.null.basis, gamma0.fiber_dim
+    left, right = system.germ_left, system.germ_right
+    tails = (
+        (left, basis[: left.dimension], left.window_basis[:d], ops.LEFT, system.y0 - lo + 1, -1),
+        (right, basis[basis.shape[0] - right.dimension :], right.window_basis[-d:], ops.RIGHT,
+         hi + 1 - system.y1, 1),
+    )
+    for germ, coords, edge, side, depth, orient in tails:
+        tail_gram, tail_form = _tail_forms(germ, edge, gamma0.symbol_at(side).coefficients,
+                                           depth, orient)
+        gram = gram + coords.conj().T @ tail_gram @ coords
+        form = form + coords.conj().T @ tail_form @ coords
+    return gram, form
+
+
+def graded_kernel_by_forms(a, gamma0, rank_tol=indices.DEFAULT_RANK_TOL):
+    """``transfer.exact_kernel(a, gamma0)`` of a banded operator (band radius >= 1) from
+    the ``lattice_forms`` of its kernel vectors: gamma0's eigenvalues on the kernel are
+    those of the pencil (form, gram), taken as the spectrum of L^-1 form L^-* with
+    gram = L L^*, and ``indices._signature_and_margin`` reads them.  The kernel and its
+    rank margin are the package's matching system's."""
+    system = transfer._matching_system(a, rank_tol, 0)
+    summary = system.null
+    evals = np.zeros(0)
+    if summary.dimension:
+        gram, form = lattice_forms(system, gamma0)
+        chol = np.linalg.cholesky(_hermitian(gram))
+        half = np.linalg.solve(chol, _hermitian(form))
+        evals = np.linalg.eigvalsh(_hermitian(np.linalg.solve(chol, half.conj().T)))
+    summary.graded_signature, summary.signature_margin = indices._signature_and_margin(evals)
+    summary.basis = None
+    return summary
+
+
 # --- germ spaces by the QZ split, explicit kernel vectors ------------------------
 
 
@@ -438,10 +511,9 @@ def kernel_vectors(a):
 
     Needs band radius >= 1.  Each tail runs until the norm of its germ
     step power falls below 1e-10, so the cost grows as the gap closes.
-    The columns are orthonormalised with the Cholesky factor of the
-    closed-form lattice Gram matrix, so they are orthonormal up to the
-    cut tails.  Returns (basis of shape (sites * d, dim), (lo, hi)); an
-    empty kernel keeps the matching window.
+    The columns are orthonormalised with the Cholesky factor of their
+    Gram matrix summed over the cut window.  Returns (basis of shape
+    (sites * d, dim), (lo, hi)); an empty kernel keeps the matching window.
     """
     import scipy.linalg
 
@@ -452,9 +524,8 @@ def kernel_vectors(a):
         return np.zeros(((hi - lo + 1) * d, 0), complex), (lo, hi)
     lo -= decay_length(system.germ_left.step, 1e-10)
     hi += decay_length(system.germ_right.step, 1e-10)
-    gram, _ = transfer._kernel_forms(system, ops.identity(d))
-    chol = np.linalg.cholesky(transfer._hermitian(gram))
     vectors = system.values(lo, hi).reshape(-1, dim)
+    chol = np.linalg.cholesky(vectors.conj().T @ vectors)
     basis = scipy.linalg.solve_triangular(chol, vectors.conj().T, lower=True).conj().T
     return basis, (lo, hi)
 
