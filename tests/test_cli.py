@@ -1036,11 +1036,10 @@ def sized_scenario(model, radius):
 
 
 class TestPencilCap:
-    """A split-step index report, whose graded kernels solve Stein systems of about
-    (r d)^4 entries, refuses a companion pencil 2 r d above MAX_PENCIL with one error
-    line before the gaps are certified.  Paths that solve no Stein system keep every
-    band: winding and spectrum of the same walk, and the ungraded kernels of a weighted
-    shift or a custom_banded operator."""
+    """A split-step index report refuses a companion pencil 2 r d above MAX_PENCIL with
+    one error line before the gaps are certified.  The other paths keep every band:
+    winding and spectrum of the same walk, and the ungraded kernels of a weighted shift
+    or a custom_banded operator."""
 
     PENCILS = [("split_step", 2), ("weighted_shift", 2), ("custom_banded", 1)]
 
