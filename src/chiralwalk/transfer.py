@@ -392,7 +392,8 @@ def _gamma0_action(gamma0, values, lo):
     ``values`` (sites, d, dim) on the sites from ``lo``, gamma0's band radius r_g beyond a
     window on which they are orthonormal: T = V^* (gamma0 V) over that window.  gamma0
     maps the kernel into itself, so gamma0 V = V T there, and T is gamma0's matrix on the
-    kernel, a self-adjoint unitary in the kernel's own inner product: eigenvalues +-1."""
+    kernel in the basis of its vectors; gamma0 is a self-adjoint unitary, so T has the
+    eigenvalues +-1."""
     r_g = gamma0.band_radius
     n = values.shape[0] - 2 * r_g
     image = _apply_banded_window(gamma0, values, lo)[0][2 * r_g : 2 * r_g + n]
@@ -458,11 +459,12 @@ def exact_kernel(a, gamma0=None, rank_tol=DEFAULT_RANK_TOL, extra_padding=0, *, 
     given, the graded signature is that of gamma0's action on the kernel,
     read on the matching window (``_graded_kernel``): its eigenvalues are
     +-1, and ``signature_margin`` is how far the real part nearest 0
-    stays outside (-1/2, 1/2).  No explicit basis is returned.  ``extra_padding`` widens
-    the matching window; the result must not depend on it.  A transfer
-    eigenvalue of either end within CIRCLE_MARGIN of the unit circle
-    raises NotFredholmError.  ``roots`` passes the roots of both limit
-    symbol determinants when the caller has them (``_germ_pair``).
+    stays outside (-1/2, 1/2).  No explicit basis is returned.
+    ``extra_padding`` widens the matching window; the result must not
+    depend on it.  A transfer eigenvalue of either end within
+    CIRCLE_MARGIN of the unit circle raises NotFredholmError.  ``roots``
+    passes the roots of both limit symbol determinants when the caller
+    has them (``_germ_pair``).
     """
     summary, spectrum = _graded_kernel(a, gamma0, rank_tol, extra_padding, roots)
     if gamma0 is not None:
