@@ -10,6 +10,8 @@ serves as an independent oracle.
 
 from __future__ import annotations
 
+import os
+import pickle
 import time
 from dataclasses import dataclass, field
 
@@ -491,9 +493,114 @@ def _timed(suite, **kwargs):
     return result
 
 
-def run_suites(which="all", seed=None, trials=None, models=None):
-    """Run the named suite group with optional overrides; returns timed SuiteResults."""
+class _ChildTraceback(Exception):
+    """The formatted traceback of an exception raised in the forked child: the cause
+    chained to that exception when the parent raises it."""
+
+    def __str__(self):
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _run_half(calls):
+    """The timed results of ``calls``, in order, until the first exception, which ends them."""
+    for suite, kwargs in calls:
+        try:
+            result = _timed(suite, **kwargs)
+        except Exception as exc:  # noqa: BLE001 - raised by the caller in suite order
+            yield exc
+            return
+        yield result
+
+
+def _child(calls, pipe):
+    """Pickle the results of ``calls`` to ``pipe`` as each one finishes; the first exception
+    goes last, with its formatted traceback."""
+    for item in _run_half(calls):
+        if isinstance(item, Exception):
+            import traceback
+
+            item = (item, "".join(traceback.format_exception(item)))
+        pickle.dump(item, pipe)
+        pipe.flush()
+
+
+def _read_child(pipe):
+    """What ``_child`` wrote, each exception with the child's traceback as its cause."""
+    items = []
+    while True:
+        try:
+            item = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):   # the end, or a child that died writing
+            return items
+        if isinstance(item, tuple):
+            item, text = item
+            item.__cause__ = _ChildTraceback(text)
+        items.append(item)
+
+
+def _run_calls(calls):
+    """The timed result of each (suite, kwargs) of ``calls``, in call order; the first
+    exception in call order is raised.
+
+    With at least two calls and at least two CPUs in ``os.sched_getaffinity``, one forked
+    child runs calls 1, 3, 5, ... while this process runs calls 0, 2, 4, ...; each half stops
+    at its first exception.  The child streams its results through a pipe and leaves by
+    ``os._exit``.  The child is reaped before this returns or raises, and killed first if
+    this process leaves before it has read the pipe to its end (an exception of its own
+    half does not make it leave: the child's may come first in call order).  Where
+    ``os.fork`` or the affinity call is missing, or one CPU is usable, the calls run one
+    after another in this process.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if len(calls) < 2 or not hasattr(os, "fork") or affinity is None or len(affinity(0)) < 2:
+        return [_timed(suite, **kwargs) for suite, kwargs in calls]
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                _child(calls[1::2], pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            mine = list(_run_half(calls[0::2]))
+            theirs = _read_child(pipe)
+    except BaseException:   # KeyboardInterrupt, say: nothing will read the child's results
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        theirs.append(RuntimeError(f"the forked verify process ended with status {code}"))
     results = []
+    for k in range(len(calls)):
+        item = (theirs if k % 2 else mine)[k // 2]
+        if isinstance(item, Exception):
+            raise item
+        results.append(item)
+    return results
+
+
+def run_suites(which="all", seed=None, trials=None, models=None):
+    """Run the named suite group with optional overrides; returns timed SuiteResults.
+
+    The suites are seeded independently and share no state.  On a host with at least two
+    usable CPUs (``os.sched_getaffinity``), a forked child process runs every second suite
+    while this process runs the others (``_run_calls``); on one CPU, or where ``os.fork``
+    or the affinity call is missing (macOS, Windows), they run one after another.  Either
+    way the results come back in suite order, the first exception in suite order is
+    raised, and the lines that ``verify`` prints are the same bytes; only the wall times
+    in ``seconds`` overlap.
+    """
+    calls = []
     if which in ("finite", "all"):
         for k, suite in enumerate(FINITE_SUITES):
             kwargs = {}
@@ -501,12 +608,12 @@ def run_suites(which="all", seed=None, trials=None, models=None):
                 kwargs["seed"] = seed + k
             if trials is not None:
                 kwargs["trials"] = trials
-            results.append(_timed(suite, **kwargs))
+            calls.append((suite, kwargs))
     if which in ("lattice", "all"):
         for k, suite in enumerate(LATTICE_SUITES):
             kwargs = {}
             if suite is homotopy_suite:
-                results.append(_timed(suite))
+                calls.append((suite, kwargs))
                 continue
             if seed is not None:
                 kwargs["seed"] = 100 + seed + k
@@ -514,5 +621,5 @@ def run_suites(which="all", seed=None, trials=None, models=None):
                 kwargs["models"] = models
             if trials is not None and suite is consistency_suite:
                 kwargs["trials"] = trials
-            results.append(_timed(suite, **kwargs))
-    return results
+            calls.append((suite, kwargs))
+    return _run_calls(calls)

@@ -21,7 +21,9 @@ odd-power traces of P0 - P1 off its spectrum; ``full_index_report``,
 ``generator_index`` and ``pair_index_trace`` rank them by SVD and take
 matrix powers instead.  ``split_step_indices`` gives si_plus and
 si_minus of a split-step walk in closed form, from the theory, not from
-the package.  ``operator_doc`` writes the custom_banded operator document
+the package, and ``residue_classes`` splits a walk of shift exponent m into
+m walks of shift exponent 1, whose kernels add up to the walk's.
+``operator_doc`` writes the custom_banded operator document
 that ``scenarios.parse_operator`` reads, for round trips through the reader;
 ``near_closing_model``, ``scaled_generator`` and ``huge_coin`` write the
 scenarios that the tests and the decisions corpus share.
@@ -54,8 +56,8 @@ import numpy as np
 
 from chiralwalk import essential, indices, operators as ops, transfer, winding
 from chiralwalk.exceptions import NotFredholmError, PreconditionError
-from chiralwalk.verification import split_step_from_angles
-from chiralwalk.walks import CHIRAL_TOL, build_generator_walk
+from chiralwalk.verification import scalar_profile, split_step_from_angles
+from chiralwalk.walks import CHIRAL_TOL, SplitStepParams, build_generator_walk, build_walk
 
 SYMBOL_POINTS = 64         # circle points on which the limit residuals are evaluated
 
@@ -736,6 +738,35 @@ def split_step_indices(a_left, a_right, c, shift_exponent):
         return None
     m = shift_exponent
     return m * (int(a_left > c) - int(a_right > c)), m * (int(a_right > -c) - int(a_left > -c))
+
+
+def residue_classes(pair):
+    """The m shift-1 split-step pairs of a split-step pair with shift exponent m.
+
+    U, G0 and G1 have band offsets in {0, +-m}, so each sublattice x = m j + rho is
+    invariant, and S^m acts on it as the shift by one site in j.  Pair rho has the coin
+    tables a(m j + rho), b(m j + rho) and the same limits, c and d.  The split permutes the
+    basis, so the kernels of U -+ 1 are the direct sums of the classes' kernels: their
+    dimensions and G0-signatures add.
+    """
+    p = pair.params
+    m = p.shift_exponent
+    lo, a, b = p.profile          # the values on sites lo - 1 .. hi, limits at both ends
+    hi = lo + a.size - 2
+
+    def at(values, x):
+        return values[min(max(x - lo + 1, 0), values.size - 1)]
+
+    classes = []
+    for rho in range(m):
+        # every j whose site m j + rho lies in [lo - 1, hi], and j = -1, 0, where
+        # from_table switches from the left limit to the right one
+        js = range(min((lo - 1 - rho) // m, -1), max((hi - rho) // m, 0) + 1)
+        classes.append(build_walk(SplitStepParams(
+            a=scalar_profile(a[0], a[-1], {j: at(a, m * j + rho) for j in js}),
+            b=scalar_profile(b[0], b[-1], {j: at(b, m * j + rho) for j in js}),
+            c=p.c, d_coin=p.d_coin)))
+    return classes
 
 
 # --- scenario documents ----------------------------------------------------------

@@ -1,16 +1,25 @@
-"""Failure messages of the verify suites.
+"""Failure messages of the verify suites, and the forked split of ``run_suites``.
 
 A suite builds a trial's message only when the trial fails.  Each test
 forces the first trial of one suite to fail, by doctoring what one of
 its calls returns, and requires the message each suite has always
 written, rebuilt here from the undoctored value.
+
+``run_suites`` runs every second suite in a forked child on a host with
+two usable CPUs.  Its results must equal the sequential run's suite by
+suite, its first exception must be the first in suite order, and no
+child process may outlive it.
 """
 
+import os
+import time
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from chiralwalk import essential, indices, transfer, verification, winding
+from chiralwalk.exceptions import PreconditionError
 
 
 def capture(monkeypatch, module, name, doctor=lambda out: out):
@@ -154,3 +163,89 @@ def test_index_theorem_kernels_take_the_certifications_roots(monkeypatch):
     assert len(certified) == 2
     want = [roots for c in certified for roots in (c.gap_minus.roots, c.gap_plus.roots)]
     assert len(handed) == len(want) and all(got is w for got, w in zip(handed, want))
+
+
+def summary(result):
+    return result.line(), result.messages, result.trials, result.failures
+
+
+def passing(**kwargs):
+    return verification.SuiteResult("passing", 1, 0)
+
+
+def raising(message):
+    def suite(**kwargs):
+        raise PreconditionError(message)
+
+    return suite
+
+
+class TestForkedSplit:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Two usable CPUs, whatever the host has; the list of os.fork's calls."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        real, calls = os.fork, []
+
+        def fork():
+            calls.append(None)
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return calls
+
+    @pytest.mark.parametrize("which", ["finite", "lattice", "all"])
+    def test_equals_the_sequential_run(self, which, forks, monkeypatch):
+        # identity_chain (a parent slot) and componentwise (a child slot) fail with messages
+        real = indices.full_index_report
+        monkeypatch.setattr(indices, "full_index_report", lambda *a: shifted_cayley(real(*a)))
+        forked = verification.run_suites(which, seed=3, trials=2, models=2)
+        assert len(forks) == 1
+        monkeypatch.delattr(os, "fork")
+        sequential = verification.run_suites(which, seed=3, trials=2, models=2)
+        assert [summary(r) for r in forked] == [summary(r) for r in sequential]
+        assert len(forked) == {"finite": 6, "lattice": 4, "all": 10}[which]
+        if which != "lattice":
+            assert forked[0].messages and forked[1].messages
+
+    @pytest.mark.parametrize("slots", [(1, 2), (2, 3)], ids=["child_first", "parent_first"])
+    def test_raises_the_first_exception_in_suite_order(self, slots, forks, monkeypatch):
+        suites = [passing] * 5
+        suites[slots[0]], suites[slots[1]] = raising("first"), raising("second")
+        monkeypatch.setattr(verification, "FINITE_SUITES", tuple(suites))
+        with pytest.raises(PreconditionError, match="^first$") as exc:
+            verification.run_suites("finite")
+        cause = exc.value.__cause__
+        if slots[0] % 2:   # raised in the child: its traceback is the cause
+            assert isinstance(cause, verification._ChildTraceback)
+            assert "PreconditionError: first" in str(cause)
+        else:
+            assert cause is None
+
+    def test_a_child_that_dies_is_an_error(self, forks, monkeypatch):
+        monkeypatch.setattr(verification, "FINITE_SUITES",
+                            (passing, lambda **kwargs: os._exit(3), passing))
+        with pytest.raises(RuntimeError, match="status 3"):
+            verification.run_suites("finite")
+
+    def test_an_interrupted_parent_kills_the_child(self, forks, monkeypatch):
+        def interrupt(**kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(verification, "FINITE_SUITES",
+                            (interrupt, lambda **kwargs: time.sleep(60)))
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            verification.run_suites("finite")
+        assert time.perf_counter() - start < 30
+
+    def test_one_cpu_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
+        assert len(verification.run_suites("finite", seed=3, trials=1)) == 6
