@@ -501,59 +501,78 @@ class _ChildTraceback(Exception):
         return f'\n"""\n{self.args[0]}"""'
 
 
-def _run_half(calls):
-    """The timed results of ``calls``, in order, until the first exception, which ends them."""
-    for suite, kwargs in calls:
+def _run_claimed(calls, index, claims):
+    """(index, timed result) of call ``index``, then of each call index read from the pipe
+    ``claims`` (one byte each) until it is empty; an exception takes its result's place and
+    ends them.  The next index is read only when the caller asks for it."""
+    while True:
+        suite, kwargs = calls[index]
         try:
             result = _timed(suite, **kwargs)
         except Exception as exc:  # noqa: BLE001 - raised by the caller in suite order
-            yield exc
+            yield index, exc
             return
-        yield result
+        yield index, result
+        claim = os.read(claims, 1)
+        if not claim:
+            return
+        index = claim[0]
 
 
-def _child(calls, pipe):
-    """Pickle the results of ``calls`` to ``pipe`` as each one finishes; the first exception
-    goes last, with its formatted traceback."""
-    for item in _run_half(calls):
-        if isinstance(item, Exception):
+def _child(calls, claims, pipe):
+    """Pickle (index, result) to ``pipe`` for call 1 and each call claimed after it, as each
+    one finishes; an exception goes with its formatted traceback, and nothing follows it."""
+    for item in _run_claimed(calls, 1, claims):
+        if isinstance(item[1], Exception):
             import traceback
 
-            item = (item, "".join(traceback.format_exception(item)))
+            item += ("".join(traceback.format_exception(item[1])),)
         pickle.dump(item, pipe)
         pipe.flush()
 
 
 def _read_child(pipe):
-    """What ``_child`` wrote, each exception with the child's traceback as its cause."""
-    items = []
+    """What ``_child`` wrote, by call index, each exception with the child's traceback as
+    its cause."""
+    items = {}
     while True:
         try:
             item = pickle.load(pipe)
         except (EOFError, pickle.UnpicklingError):   # the end, or a child that died writing
             return items
-        if isinstance(item, tuple):
-            item, text = item
-            item.__cause__ = _ChildTraceback(text)
-        items.append(item)
+        if len(item) == 3:
+            item[1].__cause__ = _ChildTraceback(item[2])
+        items[item[0]] = item[1]
+
+
+MAX_CALLS = 256   # each call index past 1 is claimed as one byte
 
 
 def _run_calls(calls):
     """The timed result of each (suite, kwargs) of ``calls``, in call order; the first
     exception in call order is raised.
 
-    With at least two calls and at least two CPUs in ``os.sched_getaffinity``, one forked
-    child runs calls 1, 3, 5, ... while this process runs calls 0, 2, 4, ...; each half stops
-    at its first exception.  The child streams its results through a pipe and leaves by
-    ``os._exit``.  The child is reaped before this returns or raises, and killed first if
-    this process leaves before it has read the pipe to its end (an exception of its own
-    half does not make it leave: the child's may come first in call order).  Where
-    ``os.fork`` or the affinity call is missing, or one CPU is usable, the calls run one
-    after another in this process.
+    With at least two calls and at least two CPUs in ``os.sched_getaffinity``, this process
+    forks once.  It runs call 0 and the child runs call 1; then each process, whenever it is
+    free, claims the next call that neither has taken by reading one byte from a pipe that
+    holds the indices 2, 3, ... (a one-byte read is atomic, so each call runs once).  A
+    process stops when that pipe is empty or at the first exception of its own calls.  The
+    child streams its (index, result) pairs through a second pipe and leaves by
+    ``os._exit``.  It is reaped before this returns or raises, and killed first if this
+    process leaves before it has read that pipe to its end (an exception of its own calls
+    does not make it leave: the child's may come first in call order).  A call the child
+    claimed and never reported is a RuntimeError naming its exit status.  Where ``os.fork``
+    or the affinity call is missing, or one CPU is usable, the calls run one after another
+    in this process.  More than MAX_CALLS calls are refused.
     """
+    if len(calls) > MAX_CALLS:
+        raise ValueError(f"{len(calls)} suite calls exceed {MAX_CALLS}")
     affinity = getattr(os, "sched_getaffinity", None)
     if len(calls) < 2 or not hasattr(os, "fork") or affinity is None or len(affinity(0)) < 2:
         return [_timed(suite, **kwargs) for suite, kwargs in calls]
+    claims, queue = os.pipe()
+    os.write(queue, bytes(range(2, len(calls))))
+    os.close(queue)
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -561,31 +580,31 @@ def _run_calls(calls):
         try:
             os.close(read_fd)
             with os.fdopen(write_fd, "wb") as pipe:
-                _child(calls[1::2], pipe)
+                _child(calls, claims, pipe)
             status = 0
         finally:
             os._exit(status)
     os.close(write_fd)
     try:
         with os.fdopen(read_fd, "rb") as pipe:
-            mine = list(_run_half(calls[0::2]))
-            theirs = _read_child(pipe)
+            done = dict(_run_claimed(calls, 0, claims))
+            done.update(_read_child(pipe))
     except BaseException:   # KeyboardInterrupt, say: nothing will read the child's results
         import signal
 
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        os.close(claims)
         _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        theirs.append(RuntimeError(f"the forked verify process ended with status {code}"))
     results = []
     for k in range(len(calls)):
-        item = (theirs if k % 2 else mine)[k // 2]
-        if isinstance(item, Exception):
-            raise item
-        results.append(item)
+        if k not in done:   # claimed by a child that died before reporting it
+            code = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(f"the forked verify process ended with status {code}")
+        if isinstance(done[k], Exception):
+            raise done[k]
+        results.append(done[k])
     return results
 
 
@@ -593,12 +612,13 @@ def run_suites(which="all", seed=None, trials=None, models=None):
     """Run the named suite group with optional overrides; returns timed SuiteResults.
 
     The suites are seeded independently and share no state.  On a host with at least two
-    usable CPUs (``os.sched_getaffinity``), a forked child process runs every second suite
-    while this process runs the others (``_run_calls``); on one CPU, or where ``os.fork``
-    or the affinity call is missing (macOS, Windows), they run one after another.  Either
-    way the results come back in suite order, the first exception in suite order is
-    raised, and the lines that ``verify`` prints are the same bytes; only the wall times
-    in ``seconds`` overlap.
+    usable CPUs (``os.sched_getaffinity``), this process and one forked child share them
+    (``_run_calls``): this process runs the first suite, the child the second, and each
+    further suite goes to whichever process is free first.  On one CPU, or where
+    ``os.fork`` or the affinity call is missing (macOS, Windows), they run one after
+    another.  Either way the results come back in suite order, the first exception in
+    suite order is raised, and the lines that ``verify`` prints are the same bytes; only
+    the wall times in ``seconds`` overlap.
     """
     calls = []
     if which in ("finite", "all"):

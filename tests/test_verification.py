@@ -5,10 +5,13 @@ forces the first trial of one suite to fail, by doctoring what one of
 its calls returns, and requires the message each suite has always
 written, rebuilt here from the undoctored value.
 
-``run_suites`` runs every second suite in a forked child on a host with
-two usable CPUs.  Its results must equal the sequential run's suite by
-suite, its first exception must be the first in suite order, and no
-child process may outlive it.
+On a host with two usable CPUs ``run_suites`` forks one child: the
+parent runs suite 0, the child suite 1, and each later suite goes to
+whichever process is free first.  Only slots 0 and 1 are pinned, so a
+test that needs a suite in a given process puts it there.  The results
+must equal the sequential run's suite by suite (the same bytes in suite
+order), the first exception must be the first in suite order, and no
+child process may outlive ``run_suites``.
 """
 
 import os
@@ -214,7 +217,7 @@ class TestForkedSplit:
         if which != "lattice":
             assert forked[0].messages and forked[1].messages
 
-    @pytest.mark.parametrize("slots", [(1, 2), (2, 3)], ids=["child_first", "parent_first"])
+    @pytest.mark.parametrize("slots", [(1, 2), (0, 1)], ids=["child_first", "parent_first"])
     def test_raises_the_first_exception_in_suite_order(self, slots, forks, monkeypatch):
         suites = [passing] * 5
         suites[slots[0]], suites[slots[1]] = raising("first"), raising("second")
@@ -222,11 +225,62 @@ class TestForkedSplit:
         with pytest.raises(PreconditionError, match="^first$") as exc:
             verification.run_suites("finite")
         cause = exc.value.__cause__
-        if slots[0] % 2:   # raised in the child: its traceback is the cause
+        if slots[0] == 1:   # raised in the child: its traceback is the cause
             assert isinstance(cause, verification._ChildTraceback)
             assert "PreconditionError: first" in str(cause)
         else:
             assert cause is None
+
+    def test_a_free_process_claims_the_next_suite(self, forks, monkeypatch):
+        # the parent sleeps in suite 0, so the child runs suite 1 and claims 2 to 5
+        def slow(**kwargs):
+            time.sleep(0.3)
+            return verification.SuiteResult("slow", 1, 0)
+
+        def quick(k):
+            return lambda **kwargs: verification.SuiteResult(f"quick {k}", k, 0,
+                                                             [str(os.getpid())])
+
+        monkeypatch.setattr(verification, "FINITE_SUITES",
+                            (slow, *(quick(k) for k in range(1, 6))))
+        forked = verification.run_suites("finite")
+        assert len(forks) == 1
+        pids = {pid for r in forked[1:] for pid in r.messages}
+        assert len(pids) == 1 and pids != {str(os.getpid())}
+        monkeypatch.delattr(os, "fork")
+        sequential = verification.run_suites("finite")
+        assert [r.line() for r in forked] == [r.line() for r in sequential]
+
+    @pytest.mark.parametrize("sleeper", [0, 1], ids=["parent_sleeps", "child_sleeps"])
+    def test_a_claimed_suite_raises_in_suite_order(self, sleeper, forks, monkeypatch):
+        # suite 2 goes to the process that is not asleep, suite 3 to the other one
+        def slow(**kwargs):
+            time.sleep(0.3)
+            return verification.SuiteResult("slow", 1, 0)
+
+        def raising_pid(message):
+            def suite(**kwargs):
+                raise PreconditionError(f"{message} {os.getpid()}")
+
+            return suite
+
+        suites = [passing, passing, raising_pid("first"), raising_pid("second"), passing]
+        suites[sleeper] = slow
+        monkeypatch.setattr(verification, "FINITE_SUITES", tuple(suites))
+        with pytest.raises(PreconditionError, match="^first ") as exc:
+            verification.run_suites("finite")
+        cause, in_child = exc.value.__cause__, str(exc.value) != f"first {os.getpid()}"
+        assert in_child == (sleeper == 0)
+        if in_child:
+            assert isinstance(cause, verification._ChildTraceback)
+            assert "PreconditionError: first" in str(cause)
+        else:
+            assert cause is None
+
+    def test_more_than_256_calls_are_refused(self, forks):
+        with pytest.raises(ValueError, match="257 suite calls exceed 256"):
+            verification._run_calls([(passing, {})] * 257)
+        assert not forks
 
     def test_a_child_that_dies_is_an_error(self, forks, monkeypatch):
         monkeypatch.setattr(verification, "FINITE_SUITES",
